@@ -11,7 +11,8 @@
 //                   path, shown so verified-fast's "no slower than
 //                   blind trust" claim is measured, not asserted
 //
-// Plus a one-time cost row: verifying the whole suite's bytecode.
+// Plus a one-time cost row: verifying the whole suite's bytecode, timed
+// over kVerifyReps runs and reported as median with quartiles.
 //
 // --json=FILE emits BENCH_vm.json with per-benchmark and suite-total
 // rows so the trajectory is tracked across PRs.
@@ -35,6 +36,7 @@ namespace {
 constexpr int kScale = 8;
 constexpr unsigned kThreads = 2;
 constexpr int kReps = 7;
+constexpr int kVerifyReps = 15;
 
 /// The Executor::run argument conversion, against an explicit Interp so
 /// each trust configuration drives the same bytecode.
@@ -67,8 +69,9 @@ struct BenchRow {
 };
 
 struct VerifyCost {
-  double wallSeconds = 0;
-  uint64_t functions = 0;
+  double median = 0, q1 = 0, q3 = 0, min = 0;
+  uint64_t functions = 0; ///< per verification of the whole suite
+  uint64_t blocks = 0;    ///< leader states stored, per verification
   uint64_t errors = 0;
 };
 
@@ -117,26 +120,40 @@ int main(int argc, char **argv) {
   // One-time verification cost over the whole suite's bytecode.
   auto &reg = metrics::MetricsRegistry::instance();
   uint64_t fns0 = reg.counterValue("vm.verify.functions");
+  uint64_t blocks0 = reg.counterValue("vm.verify.blocks");
   uint64_t errs0 = reg.counterValue("vm.verify.errors");
+  std::vector<double> verifyTimes;
+  for (int r = 0; r < kVerifyReps; ++r) {
+    double t0 = now();
+    for (const auto &bc : bytecodes)
+      if (bc) {
+        vm::VerifyResult res = vm::verifyModule(*bc);
+        if (!res.ok())
+          std::fprintf(stderr, "UNEXPECTED verify failure:\n%s",
+                       res.str().c_str());
+      }
+    verifyTimes.push_back(now() - t0);
+  }
+  std::sort(verifyTimes.begin(), verifyTimes.end());
   VerifyCost vc;
-  vc.wallSeconds = medianTime(
-      [&] {
-        for (const auto &bc : bytecodes)
-          if (bc) {
-            vm::VerifyResult r = vm::verifyModule(*bc);
-            if (!r.ok())
-              std::fprintf(stderr, "UNEXPECTED verify failure:\n%s",
-                           r.str().c_str());
-          }
-      },
-      3);
-  vc.functions = reg.counterValue("vm.verify.functions") - fns0;
+  vc.min = verifyTimes.front();
+  vc.q1 = verifyTimes[kVerifyReps / 4];
+  vc.median = verifyTimes[kVerifyReps / 2];
+  vc.q3 = verifyTimes[3 * kVerifyReps / 4];
+  vc.functions = (reg.counterValue("vm.verify.functions") - fns0) / kVerifyReps;
+  vc.blocks = (reg.counterValue("vm.verify.blocks") - blocks0) / kVerifyReps;
   vc.errors = reg.counterValue("vm.verify.errors") - errs0;
 
-  std::printf("=== Bytecode verification (one-time, whole suite x3) ===\n\n");
-  std::printf("  verify wall      : %10.6f s (%llu function passes, "
-              "%llu errors)\n",
-              vc.wallSeconds, static_cast<unsigned long long>(vc.functions),
+  std::printf("=== Bytecode verification (whole suite, %d reps, %u hardware "
+              "threads) ===\n\n",
+              kVerifyReps, std::thread::hardware_concurrency());
+  std::printf("  verify wall      : %10.6f s median [q1 %.6f, q3 %.6f, min "
+              "%.6f]\n",
+              vc.median, vc.q1, vc.q3, vc.min);
+  std::printf("  per verification : %llu functions, %llu leader states, "
+              "%llu errors in total\n",
+              static_cast<unsigned long long>(vc.functions),
+              static_cast<unsigned long long>(vc.blocks),
               static_cast<unsigned long long>(vc.errors));
 
   std::printf("\n=== Suite execution wall (seconds, scale=%d, threads=%u, "
@@ -205,10 +222,14 @@ int main(int argc, char **argv) {
     std::fprintf(f, "  \"scale\": %d,\n", kScale);
     std::fprintf(f, "  \"threads\": %u,\n", kThreads);
     std::fprintf(f,
-                 "  \"verify\": {\"wall_s\": %.6f, \"functions\": %llu, "
-                 "\"errors\": %llu},\n",
-                 vc.wallSeconds,
+                 "  \"verify\": {\"reps\": %d, \"hardware_threads\": %u, "
+                 "\"wall_s\": %.6f, \"q1_s\": %.6f, \"q3_s\": %.6f, "
+                 "\"min_s\": %.6f, \"functions\": %llu, "
+                 "\"leader_states\": %llu, \"errors\": %llu},\n",
+                 kVerifyReps, std::thread::hardware_concurrency(), vc.median,
+                 vc.q1, vc.q3, vc.min,
                  static_cast<unsigned long long>(vc.functions),
+                 static_cast<unsigned long long>(vc.blocks),
                  static_cast<unsigned long long>(vc.errors));
     std::fprintf(f, "  \"execution\": [\n");
     for (size_t i = 0; i < rows.size(); ++i)

@@ -10,9 +10,14 @@
 // Promotion is skipped when:
 //  - the alloca escapes (address passed somewhere),
 //  - a user sits inside a while loop or a (different) parallel region,
-//  - a user sits inside an if/for that itself contains a barrier
-//    (promotion would create region results crossing a barrier, which
-//    interchange cannot handle; replication in cpuify covers these).
+//  - a user sits inside an if/for that contains both a barrier and a
+//    store to the alloca (promotion would create region results crossing
+//    a barrier, which interchange cannot handle; replication in cpuify
+//    covers these).
+// A scalar that is only read inside a barrier-containing if/for is
+// promoted: the reaching value is substituted directly and the region
+// gains no results, so e.g. `tx` and indices derived from it become SSA
+// values the min-cut may recompute instead of per-thread caches.
 #include "ir/builder.h"
 #include "ir/ophelpers.h"
 #include "transforms/passes.h"
@@ -53,7 +58,9 @@ public:
         return false;
       }
       // Validate the path of region ops between the alloca and the user:
-      // only barrier-free scf.if / scf.for may be crossed.
+      // only scf.if / scf.for may be crossed, and a barrier-containing
+      // one only when it never stores the alloca (read-only crossings
+      // add no region results).
       for (Op *cur = user; cur->parent() != allocaOp_->parent();) {
         Op *crossed = cur->parentOp();
         if (!crossed)
@@ -61,7 +68,7 @@ public:
         if (crossed->kind() != OpKind::ScfIf &&
             crossed->kind() != OpKind::ScfFor)
           return false;
-        if (containsBarrier(crossed))
+        if (containsBarrier(crossed) && subtreeStores(crossed))
           return false;
         cur = crossed;
       }

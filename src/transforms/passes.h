@@ -105,8 +105,10 @@ void runCSE(ModuleOp module);
 bool runInliner(ModuleOp module, bool onlyInKernels = false);
 
 /// Scalar (rank-0 alloca) promotion to SSA across structured control flow.
-/// Respects the barrier hole: allocas used inside barrier-containing
-/// region ops are skipped (they are handled by replication in cpuify).
+/// Respects the barrier hole: a scalar only read inside a
+/// barrier-containing region op is promoted (no region result crosses the
+/// barrier); one stored inside such a region is skipped (it is handled by
+/// replication in cpuify).
 void runMem2Reg(ModuleOp module);
 
 /// Store-to-load forwarding and dead-store elimination on arrays with

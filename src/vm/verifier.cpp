@@ -262,10 +262,11 @@ public:
 
       // Reporting pass over the converged summaries: each reachable pc
       // visited exactly once, so every error has a stable attribution.
+      metrics::Counter &blockCounter = reg.counter("vm.verify.blocks");
       for (uint32_t i = 0; i < mod_.fns.size(); ++i) {
         trace::TraceSpan span(std::string("verify:") + mod_.fns[i].name,
                               "vm");
-        flowFunction(i, /*report=*/true);
+        blockCounter.add(flowFunction(i, /*report=*/true));
       }
     }
     errCounter.add(result_.errors.size());
@@ -710,35 +711,86 @@ private:
     }
   }
 
-  /// Runs the intra-function worklist to its fixpoint. With
-  /// report=false, invocation-site and Ret summaries are joined into
-  /// argSeeds_/retStates_ (the interprocedural propagation); with
-  /// report=true the converged states are swept once per pc to emit
-  /// errors with stable attribution.
-  void flowFunction(uint32_t fnIdx, bool report) {
+  /// Runs the intra-function worklist to its fixpoint over basic blocks.
+  /// In-states are stored only at block leaders: pc 0, every jump
+  /// target, the pc after each Jump/JumpIfFalse/Ret, and the implicit
+  /// end point n. A block is walked on one working state with the
+  /// per-instruction transfer, so a visit costs O(block length + regs)
+  /// instead of O(block length x regs). With report=false, invocation-
+  /// site and Ret summaries are joined into argSeeds_/retStates_ (the
+  /// interprocedural propagation); with report=true each reachable block
+  /// is re-walked once from its converged leader state to emit errors
+  /// with stable per-pc attribution. Returns the number of leader states
+  /// stored (reachable leaders).
+  size_t flowFunction(uint32_t fnIdx, bool report) {
     const BCFunction &fn = mod_.fns[fnIdx];
     const size_t n = fn.instrs.size();
 
-    // In-state per pc; slot n is the implicit end-of-function point.
-    std::vector<char> reachable(n + 1, 0);
-    std::vector<char> depthClash(n + 1, 0);
-    std::vector<FlowState> in(n + 1);
+    if (n == 0) {
+      // Empty body: execution falls straight off the end.
+      if (report && fn.numResults > 0)
+        error(fnIdx, VerifyError::kNoPc,
+              "empty function declares " + std::to_string(fn.numResults) +
+                  " results (no Ret can produce them)");
+      return 0;
+    }
 
-    std::deque<size_t> work;
+    // blockOf[pc] is the block index of a leader pc, kNotLeader elsewhere;
+    // leaderPc[b] is its inverse. Block indices ascend with pc, so the
+    // reporting sweep below emits errors in pc order.
+    constexpr uint32_t kNotLeader = UINT32_MAX;
+    std::vector<uint32_t> blockOf(n + 1, kNotLeader);
+    blockOf[0] = blockOf[n] = 0;
+    for (size_t pc = 0; pc < n; ++pc) {
+      const Instr &in = fn.instrs[pc];
+      if (in.op == BC::Jump || in.op == BC::JumpIfFalse) {
+        blockOf[static_cast<size_t>(in.imm)] = 0;
+        blockOf[pc + 1] = 0;
+      } else if (in.op == BC::Ret) {
+        blockOf[pc + 1] = 0;
+      }
+    }
+    std::vector<size_t> leaderPc;
+    for (size_t pc = 0; pc <= n; ++pc)
+      if (blockOf[pc] != kNotLeader) {
+        blockOf[pc] = static_cast<uint32_t>(leaderPc.size());
+        leaderPc.push_back(pc);
+      }
+    const uint32_t endBlock = blockOf[n];
+
+    std::vector<char> reachable(leaderPc.size(), 0);
+    std::vector<char> depthClash(leaderPc.size(), 0);
+    std::vector<char> queued(leaderPc.size(), 0);
+    std::vector<FlowState> in(leaderPc.size());
+    size_t stored = 0;
+
+    std::deque<uint32_t> work;
+    auto enqueue = [&](uint32_t b) {
+      if (b != endBlock && !queued[b]) {
+        queued[b] = 1;
+        work.push_back(b);
+      }
+    };
+    // Successor edges: a leader target joins into its stored state; a
+    // non-leader target is the fall-through pc + 1 inside the current
+    // block, whose state is the working state the transfer just updated.
     auto flowInto = [&](size_t target, const FlowState &st) {
-      if (!reachable[target]) {
-        reachable[target] = 1;
-        in[target] = st;
-        if (target < n)
-          work.push_back(target);
+      uint32_t b = blockOf[target];
+      if (b == kNotLeader)
+        return;
+      if (!reachable[b]) {
+        reachable[b] = 1;
+        ++stored;
+        in[b] = st;
+        enqueue(b);
         return;
       }
       bool changed = false;
-      FlowState &cur = in[target];
+      FlowState &cur = in[b];
       if (cur.depth != st.depth) {
         // Path-dependent scope depth: reported once per merge point after
         // the fixpoint. Keep the existing depth so iteration terminates.
-        depthClash[target] = 1;
+        depthClash[b] = 1;
       }
       for (size_t r = 0; r < cur.regs.size(); ++r) {
         RegState j = join(cur.regs[r], st.regs[r]);
@@ -747,52 +799,54 @@ private:
           changed = true;
         }
       }
-      if (changed && target < n)
-        work.push_back(target);
+      if (changed)
+        enqueue(b);
+    };
+    // Walks block b from its stored in-state; errors go to `sinkTo`
+    // (null during the fixpoint).
+    auto walkBlock = [&](uint32_t b, Verifier *sinkTo, auto &&flow,
+                         bool updateSummaries) {
+      FlowState st = in[b];
+      for (size_t pc = leaderPc[b]; pc < n; ++pc) {
+        transfer(fnIdx, pc, st, ErrorSink{sinkTo, fnIdx, pc}, flow,
+                 updateSummaries);
+        if (blockOf[pc + 1] != kNotLeader)
+          break;
+      }
     };
 
     flowInto(0, entryState(fnIdx));
-    if (n == 0) {
-      // Empty body: execution falls straight off the end.
-      if (report && fn.numResults > 0)
-        error(fnIdx, VerifyError::kNoPc,
-              "empty function declares " + std::to_string(fn.numResults) +
-                  " results (no Ret can produce them)");
-      return;
-    }
     while (!work.empty()) {
-      size_t pc = work.front();
+      uint32_t b = work.front();
       work.pop_front();
-      FlowState st = in[pc];
-      transfer(fnIdx, pc, st, ErrorSink{}, flowInto,
-               /*updateSummaries=*/!report);
+      queued[b] = 0;
+      walkBlock(b, nullptr, flowInto, /*updateSummaries=*/!report);
     }
     if (!report)
-      return;
+      return stored;
 
-    // Reporting pass over the fixed states: each reachable pc visited
+    // Reporting pass over the fixed states: each reachable block walked
     // exactly once, so every error has a single, stable attribution.
     auto noFlow = [](size_t, const FlowState &) {};
-    for (size_t pc = 0; pc < n; ++pc) {
-      if (!reachable[pc])
+    for (uint32_t b = 0; b < endBlock; ++b) {
+      if (!reachable[b])
         continue;
-      if (depthClash[pc])
-        error(fnIdx, pc,
+      if (depthClash[b])
+        error(fnIdx, leaderPc[b],
               "ScopePush/ScopePop depth differs between predecessor paths");
-      FlowState st = in[pc];
-      transfer(fnIdx, pc, st, ErrorSink{this, fnIdx, pc}, noFlow,
-               /*updateSummaries=*/false);
+      walkBlock(b, this, noFlow, /*updateSummaries=*/false);
     }
-    if (reachable[n]) {
+    if (reachable[endBlock]) {
       if (fn.numResults > 0)
         error(fnIdx, VerifyError::kNoPc,
               "control reaches the end of the function without Ret (" +
                   std::to_string(fn.numResults) + " results undefined)");
-      else if (in[n].depth != 0 || depthClash[n])
+      else if (in[endBlock].depth != 0 || depthClash[endBlock])
         error(fnIdx, VerifyError::kNoPc,
               "control reaches the end of the function with " +
-                  std::to_string(in[n].depth) + " unmatched ScopePush");
+                  std::to_string(in[endBlock].depth) + " unmatched ScopePush");
     }
+    return stored;
   }
 
   /// Executes the abstract transfer for `fn.instrs[pc]` on `st`, feeding

@@ -30,6 +30,14 @@
 //    state, the concrete side's constraints win, so an integer smuggled
 //    toward a memref read is rejected no matter which interprocedural
 //    or CFG path carries it.
+//    The analysis is block-level: flow states are stored only at block
+//    leaders (pc 0, jump targets, the pc after each Jump/JumpIfFalse/
+//    Ret, and the fall-off point n), and each block is walked on one
+//    working state, so one visit of a function costs
+//    O(instrs + blocks x regs) rather than O(instrs x regs). Errors are
+//    reported by re-walking each reachable block once from its converged
+//    leader state, with the same (function, pc, reason) attribution a
+//    per-pc analysis gives; unreachable code is never reported.
 //
 // A module that verifies clean yields a VerifiedModule token; the
 // interpreter accepts the token as proof and elides its dynamic
@@ -72,7 +80,9 @@ struct VerifyResult {
 /// Runs both verifier layers over every function of `mod`. Structural
 /// errors suppress the flow layer (its transfer functions index with the
 /// very fields layer 1 validates). Bumps the vm.verify.functions /
-/// vm.verify.errors counters and records a trace span per function.
+/// vm.verify.errors counters, adds each function's reachable leader
+/// states from the reporting pass to vm.verify.blocks, and records a
+/// trace span per function.
 VerifyResult verifyModule(const BCModule &mod);
 
 /// Proof token that a BCModule passed verifyModule. Only obtainable via

@@ -82,7 +82,7 @@ private:
   }
 
   void emitPhase(std::ostringstream &os, int phase) {
-    switch (rng_() % 5) {
+    switch (rng_() % 6) {
     case 0: {
       // Read phase into a register, optionally guarded (reads are always
       // safe to guard).
@@ -125,6 +125,31 @@ private:
       os << "    r0 = " << sharedRead() << ";\n";
       os << "    __syncthreads();\n";
       os << "    s[tx] = r0 * 0.5f + " << valueExpr() << ";\n";
+      os << "    __syncthreads();\n";
+      os << "  }\n";
+      break;
+    }
+    case 4: {
+      // A thread-private int defined before a barrier-containing loop or
+      // uniform if and only read inside it, on both sides of the
+      // barriers (exercises promotion across barrier regions and the
+      // min-cut's recompute-vs-cache choice for the promoted value).
+      std::string q = "q" + std::to_string(phase);
+      os << "  int " << q << " = tx * " << 1 + rng_() % 4 << " + u;\n";
+      std::string iv;
+      if (rng_() % 2 == 0) {
+        iv = "i" + std::to_string(phase);
+        os << "  for (int " << iv << " = 0; " << iv << " < "
+           << 2 + rng_() % 3 << "; " << iv << "++) {\n";
+      } else {
+        os << "  if (u > " << rng_() % 3 << ") {\n";
+      }
+      os << "    r0 = s[(" << q << (iv.empty() ? "" : " + " + iv) << " + "
+         << rng_() % kBlockSize << ") % " << kBlockSize << "] + "
+         << valueExpr() << ";\n";
+      os << "    __syncthreads();\n";
+      os << "    s[tx] = r0 * 0.5f + a[(gid + " << q << ") % " << kN
+         << "];\n";
       os << "    __syncthreads();\n";
       os << "  }\n";
       break;
@@ -220,7 +245,7 @@ namespace {
 
 std::vector<FuzzCase> allFuzzCases() {
   std::vector<FuzzCase> cases;
-  for (uint32_t seed = 0; seed < 20; ++seed)
+  for (uint32_t seed = 0; seed < 40; ++seed)
     for (const FuzzConfig &cfg : fuzzConfigs())
       cases.push_back({seed, cfg});
   return cases;

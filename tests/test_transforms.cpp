@@ -6,6 +6,7 @@
 #include "driver/compiler.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
+#include "rodinia/rodinia.h"
 #include "transforms/mincut.h"
 #include "transforms/passes.h"
 
@@ -461,6 +462,127 @@ int f(int n) {
   driver::Executor exec(m.get(), 1);
   auto r = exec.run("f", {int64_t(10)});
   EXPECT_EQ(r[0].i, 0 + 2 + 4 + 6 + 8);
+}
+
+namespace {
+
+int countScalarAllocas(Op *root) {
+  int n = 0;
+  root->walk([&](Op *op) {
+    if (op->kind() == OpKind::Alloca && op->result().type().rank() == 0)
+      ++n;
+  });
+  return n;
+}
+
+/// Runs `run(a, out, 2)` over 64 floats through the default pipeline and
+/// through the lockstep SIMT oracle; the outputs must be bit-identical.
+void expectMatchesSimtOracle(const char *src) {
+  constexpr int kN = 64;
+  auto runWith = [&](driver::CompileResult &cc) {
+    std::vector<float> a(kN), out(kN, 0.0f);
+    for (int i = 0; i < kN; ++i)
+      a[i] = 0.25f * float(i % 7) - 0.5f;
+    driver::Executor exec(cc.module.get(), 2);
+    exec.run("run", {driver::Executor::bufferF32(a.data(), {kN}),
+                     driver::Executor::bufferF32(out.data(), {kN}),
+                     int64_t(2)});
+    return out;
+  };
+  DiagnosticEngine diag;
+  auto oracle = driver::compileForSimt(src, diag);
+  ASSERT_TRUE(oracle.ok) << diag.str();
+  auto cc = driver::compile(src, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  EXPECT_EQ(runWith(cc), runWith(oracle)) << ir::printOp(cc.module.op());
+}
+
+} // namespace
+
+TEST(Mem2RegTest, PromotesScalarReadAcrossBarrierRegions) {
+  // q is stored before the barrier-containing for and if, and only read
+  // inside them: the region ops gain no results, so it is promoted (as
+  // are tx and gid) and no per-thread cache is needed for it.
+  const char *src = R"(
+__global__ void k(float* a, float* out, int u) {
+  __shared__ float s[16];
+  int tx = threadIdx.x;
+  int gid = blockIdx.x * blockDim.x + threadIdx.x;
+  int q = tx * 3 + u;
+  s[tx] = a[gid];
+  __syncthreads();
+  for (int i = 0; i < 3; i++) {
+    out[gid] = out[gid] + s[(q + i) % 16];
+    __syncthreads();
+    s[tx] = out[gid] * 0.5f;
+    __syncthreads();
+  }
+  if (u > 1) {
+    out[gid] = out[gid] - s[(q + 5) % 16];
+    __syncthreads();
+    s[tx] = a[(q + gid) % 64];
+    __syncthreads();
+  }
+  out[gid] = out[gid] + s[(tx + 1) % 16];
+}
+void run(float* a, float* out, int u) { k<<<4, 16>>>(a, out, u); }
+)";
+  OwnedModule m = frontendIR(src);
+  ASSERT_GT(countScalarAllocas(m.op()), 0);
+  runMem2Reg(m.get());
+  EXPECT_EQ(countScalarAllocas(m.op()), 0) << ir::printOp(m.op());
+  expectMatchesSimtOracle(src);
+}
+
+TEST(Mem2RegTest, ScalarStoredInsideBarrierLoopNotPromoted) {
+  // acc is stored inside the barrier-containing loop: promotion would add
+  // an iter_arg crossing the barrier, so the alloca stays for cpuify to
+  // replicate.
+  const char *src = R"(
+__global__ void k(float* a, float* out, int u) {
+  __shared__ float s[16];
+  int tx = threadIdx.x;
+  int gid = blockIdx.x * blockDim.x + threadIdx.x;
+  float acc = a[gid];
+  s[tx] = acc;
+  __syncthreads();
+  for (int i = 0; i < 3; i++) {
+    acc = acc + s[(tx + i + 1) % 16];
+    __syncthreads();
+    s[tx] = acc * 0.5f;
+    __syncthreads();
+  }
+  out[gid] = acc;
+}
+void run(float* a, float* out, int u) { k<<<4, 16>>>(a, out, u); }
+)";
+  OwnedModule m = frontendIR(src);
+  runMem2Reg(m.get());
+  EXPECT_EQ(countScalarAllocas(m.op()), 1) << ir::printOp(m.op());
+  expectMatchesSimtOracle(src);
+}
+
+TEST(Mem2RegTest, BackpropLayerforwardHasNoPerThreadIndexCache) {
+  // tx/ty and the indices derived from them are only read inside the
+  // barrier-containing regions; once promoted, cpuify has no reason to
+  // replicate them into a per-thread memref<?x?xi32>.
+  const rodinia::Benchmark *bench = nullptr;
+  for (const auto &b : rodinia::suite())
+    if (b.id == "backprop_layerforward")
+      bench = &b;
+  ASSERT_NE(bench, nullptr);
+  DiagnosticEngine diag;
+  auto cc = driver::compile(bench->cudaSource, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  cc.module.op()->walk([&](Op *op) {
+    if (op->kind() != OpKind::Alloca)
+      return;
+    Type t = op->result().type();
+    EXPECT_FALSE(t.rank() == 2 && t.numDynamicDims() == 2 &&
+                 t.elemKind() == TypeKind::I32)
+        << "per-thread i32 cache:\n"
+        << ir::printOp(cc.module.op());
+  });
 }
 
 //===----------------------------------------------------------------------===//

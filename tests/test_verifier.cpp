@@ -357,6 +357,118 @@ TEST(VerifierFlow, StructuralErrorsSuppressFlowLayer) {
 }
 
 //===----------------------------------------------------------------------===//
+// Block boundaries: flow states live only at block leaders, yet every
+// error keeps its exact per-pc attribution.
+//===----------------------------------------------------------------------===//
+
+TEST(VerifierBlocks, JumpIfFalseToNextPcJoinsBothEdges) {
+  // Both edges of the branch land on the one leader at pc 1; the
+  // uninitialized read two instructions into that block is still
+  // attributed to its own pc.
+  BCFunction f;
+  f.numRegs = 3;
+  f.numArgs = 1;
+  f.instrs = {
+      ins(BC::JumpIfFalse, /*a=*/0, 0, 0, 0, /*imm=*/1), // 0
+      ins(BC::ConstI, 0, 0, 0, /*d=*/1, 1),              // 1
+      ins(BC::AddI, /*a=*/1, /*b=*/2, 0, /*d=*/1),       // 2: r2 uninit
+      ins(BC::Ret),                                      // 3
+  };
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  expectError(r, 2, "reads r2 as int but it is uninitialized");
+  EXPECT_EQ(r.errors.size(), 1u) << r.str();
+}
+
+TEST(VerifierBlocks, LoopWidensToConflictOnSecondTrip) {
+  // r1 enters the loop as an int and leaves the body as a float: the
+  // header state widens to Conflict only when the back edge is joined,
+  // and the read after the loop must see it.
+  BCFunction f;
+  f.numRegs = 3;
+  f.numArgs = 1;
+  f.instrs = {
+      ins(BC::ConstI, 0, 0, 0, /*d=*/1, 1),              // 0: r1 int
+      ins(BC::JumpIfFalse, /*a=*/0, 0, 0, 0, /*imm=*/4), // 1: header
+      ins(BC::ConstF, 0, 0, 0, /*d=*/1),                 // 2: r1 float
+      ins(BC::Jump, 0, 0, 0, 0, /*imm=*/1),              // 3: back edge
+      ins(BC::AddI, /*a=*/1, /*b=*/1, 0, /*d=*/2),       // 4: after loop
+      ins(BC::Ret),                                      // 5
+  };
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  expectError(r, 4, "reads r1 as int but it is path-dependent");
+}
+
+TEST(VerifierBlocks, UnreachableCodeNeverReported) {
+  // Garbage after an unconditional Jump and after a Ret is dead: it is
+  // not part of any reachable block, so it is never analyzed.
+  BCFunction f;
+  f.numRegs = 2;
+  f.instrs = {
+      ins(BC::Jump, 0, 0, 0, 0, /*imm=*/2),        // 0
+      ins(BC::Load, /*a=*/1, 0, /*c=*/0, /*d=*/0), // 1: dead
+      ins(BC::Ret),                                // 2
+      ins(BC::SqrtF, /*a=*/1, 0, 0, /*d=*/0),      // 3: dead
+      ins(BC::ScopePop),                           // 4: dead
+  };
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  EXPECT_TRUE(r.ok()) << r.str();
+}
+
+TEST(VerifierBlocks, ScopeDepthClashAtJoin) {
+  BCFunction f;
+  f.numRegs = 1;
+  f.numArgs = 1;
+  f.instrs = {
+      ins(BC::JumpIfFalse, /*a=*/0, 0, 0, 0, /*imm=*/2), // 0
+      ins(BC::ScopePush),                                // 1: depth 1
+      ins(BC::Ret),                                      // 2: join
+  };
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  expectError(r, 2, "depth differs between predecessor paths");
+}
+
+TEST(VerifierBlocks, FallOffToEndPointFromBranch) {
+  // A branch straight to pc n reaches the implicit end point with a scope
+  // still open; the fall-off is reported at function level.
+  BCFunction f;
+  f.numRegs = 1;
+  f.numArgs = 1;
+  f.instrs = {
+      ins(BC::ScopePush),                                // 0
+      ins(BC::JumpIfFalse, /*a=*/0, 0, 0, 0, /*imm=*/4), // 1
+      ins(BC::ScopePop),                                 // 2
+      ins(BC::Ret),                                      // 3
+  };
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  ASSERT_EQ(r.errors.size(), 1u) << r.str();
+  EXPECT_EQ(r.errors.front().pc, VerifyError::kNoPc);
+  EXPECT_NE(r.errors.front().reason.find(
+                "reaches the end of the function with 1 unmatched ScopePush"),
+            std::string::npos)
+      << r.str();
+}
+
+TEST(VerifierBlocks, StraightLineStoresOnlyLeaderStates) {
+  // 20k instructions over 4k registers with no control flow: two
+  // leaders (pc 0 and the fall-off point n), so the reporting pass
+  // stores exactly two states instead of one per pc.
+  constexpr int32_t kRegs = 4096;
+  constexpr int kInstrs = 20000;
+  BCFunction f;
+  f.numRegs = kRegs;
+  for (int i = 0; i < kInstrs; ++i)
+    f.instrs.push_back(
+        i < kRegs ? ins(BC::ConstI, 0, 0, 0, /*d=*/i, i)
+                  : ins(BC::AddI, /*a=*/i % kRegs, /*b=*/(i + 1) % kRegs, 0,
+                        /*d=*/(i + 2) % kRegs));
+  auto &reg = metrics::MetricsRegistry::instance();
+  uint64_t blocks0 = reg.counterValue("vm.verify.blocks");
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  EXPECT_TRUE(r.ok()) << r.str();
+  EXPECT_EQ(reg.counterValue("vm.verify.blocks"), blocks0 + 2);
+}
+
+//===----------------------------------------------------------------------===//
 // Interprocedural typestate propagation: type confusion smuggled across
 // Call / closure boundaries must be rejected, in any function order.
 //===----------------------------------------------------------------------===//
