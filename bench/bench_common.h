@@ -1,6 +1,6 @@
 // Shared harness utilities for the figure-reproduction benchmarks.
 // Each bench binary prints the rows/series of one paper table or figure;
-// absolute numbers are interpreter-scale (see EXPERIMENTS.md), the
+// absolute numbers are interpreter-scale (see bench_e2e/README.md), the
 // comparisons are the reproduction target.
 #pragma once
 
@@ -56,7 +56,7 @@ double medianKernelTime(Setup &&setup, Run &&run, int reps = 3) {
   return times[times.size() / 2];
 }
 
-/// Accumulates per-pass timing and peak-RSS records across many
+/// Accumulates per-pass timing and IR-arena records across many
 /// compilations, aggregated by canonical pass spec in first-seen
 /// (pipeline) order.
 class PassTimeAggregator {
@@ -67,11 +67,9 @@ public:
         return p.spec == r.spec;
       });
       if (it == agg_.end())
-        agg_.push_back({r.spec, r.seconds, r.rssDeltaBytes,
-                        r.arenaDeltaBytes});
+        agg_.push_back({r.spec, r.seconds, r.arenaDeltaBytes});
       else {
         it->seconds += r.seconds;
-        it->rssDeltaBytes += r.rssDeltaBytes;
         it->arenaDeltaBytes += r.arenaDeltaBytes;
       }
     }
@@ -84,23 +82,19 @@ public:
     return total;
   }
 
-  /// Prints one row per pass with its share of the total, its summed
-  /// peak-RSS growth, and its summed IR-arena growth, then the total.
+  /// Prints one row per pass with its share of the total and its summed
+  /// IR-arena growth, then the total.
   void print() const {
     double total = totalSeconds();
-    uint64_t totalRss = 0, totalArena = 0;
-    for (const auto &row : agg_) {
-      totalRss += row.rssDeltaBytes;
+    uint64_t totalArena = 0;
+    for (const auto &row : agg_)
       totalArena += row.arenaDeltaBytes;
-    }
     for (const auto &row : agg_)
       std::fputs(transforms::formatTimingRow(row.seconds, total,
-                                             row.rssDeltaBytes,
                                              row.arenaDeltaBytes, row.spec)
                      .c_str(),
                  stdout);
-    std::printf("  %10.6f s total, peak-RSS +%.2f MB, IR-arena +%.2f MB\n",
-                total, totalRss / (1024.0 * 1024.0),
+    std::printf("  %10.6f s total, IR-arena +%.2f MB\n", total,
                 totalArena / (1024.0 * 1024.0));
   }
 
@@ -108,7 +102,6 @@ private:
   struct Row {
     std::string spec;
     double seconds = 0;
-    uint64_t rssDeltaBytes = 0;
     uint64_t arenaDeltaBytes = 0;
   };
   std::vector<Row> agg_;
@@ -230,13 +223,10 @@ compileSuiteSession(const transforms::PipelineOptions &opts,
 }
 
 /// Cache-keying cost over the parsed suite: the structural hasher
-/// (ir::hashOp — what the pass cache keys on) against the printed-hash
-/// baseline it replaced (hashBytes(printOp)). Keying is what the DAG
-/// scheduler fans out as per-module leaf tasks (and the lockstep
-/// prologue fans across the pool), so the per-function cost here is the
-/// unit of that parallel work.
+/// (ir::hashOp — what the pass cache keys on). Keying is what the DAG
+/// scheduler fans out as per-module leaf tasks, so the per-function cost
+/// here is the unit of that parallel work.
 struct KeyingTimes {
-  double printedSeconds = 0;
   double structuralSeconds = 0;
   size_t funcs = 0;
   int rounds = 0;
@@ -254,18 +244,6 @@ inline KeyingTimes measureKeyingTime(const SuiteModules &suite,
   // volatile sinks keep the hash loops from folding away without pulling
   // google-benchmark into this header.
   volatile uint64_t sink = 0;
-  out.printedSeconds = medianTime([&] {
-    uint64_t acc = 0;
-    for (int r = 0; r < rounds; ++r)
-      for (size_t i = 0; i < suite.modules.size(); ++i) {
-        if (!suite.isValid(i))
-          continue;
-        for (ir::Op *op : suite.modules[i].get().body())
-          if (op->kind() == ir::OpKind::Func)
-            acc ^= transforms::hashBytes(ir::printOp(op)).lo;
-      }
-    sink = acc;
-  });
   out.structuralSeconds = medianTime([&] {
     uint64_t acc = 0;
     for (int r = 0; r < rounds; ++r)
@@ -284,14 +262,10 @@ inline KeyingTimes measureKeyingTime(const SuiteModules &suite,
 
 inline void printKeyingTime(const KeyingTimes &k) {
   std::printf("\n=== Cache-keying time, whole suite x%d (structural "
-              "ir::hashOp vs printed-hash baseline) ===\n\n",
+              "ir::hashOp) ===\n\n",
               k.rounds);
-  std::printf("  printed-hash baseline : %10.6f s  (%zu funcs x%d)\n",
-              k.printedSeconds, k.funcs, k.rounds);
-  std::printf("  structural ir::hashOp : %10.6f s  (%.2fx faster)\n",
-              k.structuralSeconds,
-              k.structuralSeconds > 0 ? k.printedSeconds / k.structuralSeconds
-                                      : 0.0);
+  std::printf("  structural ir::hashOp : %10.6f s  (%zu funcs x%d)\n",
+              k.structuralSeconds, k.funcs, k.rounds);
 }
 
 inline void printKeyingTime(const SuiteModules &suite, int rounds = 50) {

@@ -2,8 +2,8 @@
 // the Rodinia suite (not a paper figure; quantifies the compiler itself).
 //
 // --json=FILE additionally emits a machine-readable BENCH_compile.json
-// (suite latency per scheduler and thread count, mean/median/p95
-// job-completion latency, keying time, arena parse/clone/teardown cost,
+// (suite batch wall per thread count, mean/median/p95 job-completion
+// latency, keying time, arena parse/clone/teardown cost,
 // cache stats, tracing-disabled vs -enabled overhead, failpoint
 // disarmed vs armed-inert overhead, and a MetricsRegistry snapshot) so
 // the perf trajectory is tracked across PRs.
@@ -74,10 +74,14 @@ void printPassBreakdown() {
 
 /// One measured batch compile of the whole suite through a session.
 struct SchedulerMeasurement {
+  unsigned threads = 1;        ///< session pool size
   double wallSeconds = 0;      ///< compileAll wall clock
   double meanJobSeconds = 0;   ///< mean CompileJob-completion latency
   double medianJobSeconds = 0; ///< median CompileJob-completion latency
   double p95JobSeconds = 0;    ///< p95 CompileJob-completion latency
+  double wallQ1Seconds = 0;    ///< wall-clock quartiles over the reps
+  double wallQ3Seconds = 0;
+  int reps = 1;
 };
 
 /// p95 by the nearest-rank method on a sorted sample.
@@ -89,14 +93,10 @@ double p95Of(const std::vector<double> &sorted) {
   return sorted[std::min(sorted.size(), std::max<size_t>(rank, 1)) - 1];
 }
 
-SchedulerMeasurement measureSuiteSession(unsigned threads,
-                                         driver::ScheduleMode schedule,
-                                         int reps = 7) {
+SchedulerMeasurement measureSuiteSession(unsigned threads, int reps = 7) {
   std::vector<SchedulerMeasurement> ms;
   for (int r = 0; r < reps; ++r) {
-    driver::SessionOptions so = suiteSessionOptions(threads);
-    so.schedule = schedule;
-    driver::CompilerSession session(std::move(so));
+    driver::CompilerSession session = makeSuiteSession(threads);
     std::vector<driver::CompileJob *> jobs;
     for (const auto &b : rodinia::suite())
       jobs.push_back(&session.addSource(b.id, b.cudaSource,
@@ -116,32 +116,29 @@ SchedulerMeasurement measureSuiteSession(unsigned threads,
     m.p95JobSeconds = p95Of(lats);
     ms.push_back(m);
   }
-  // Median rep by wall clock.
+  // Median rep by wall clock, with the wall quartiles as its spread.
   std::sort(ms.begin(), ms.end(),
             [](const SchedulerMeasurement &a, const SchedulerMeasurement &b) {
               return a.wallSeconds < b.wallSeconds;
             });
-  return ms[ms.size() / 2];
+  SchedulerMeasurement med = ms[ms.size() / 2];
+  med.wallQ1Seconds = ms[ms.size() / 4].wallSeconds;
+  med.wallQ3Seconds = ms[(3 * ms.size()) / 4].wallSeconds;
+  med.threads = threads;
+  med.reps = reps;
+  return med;
 }
 
-struct SchedulerRow {
-  unsigned threads;
-  SchedulerMeasurement dag, lockstep;
-};
-
 /// Suite-session mode: the whole Rodinia suite queued on one
-/// CompilerSession. The table compares the dependency-DAG scheduler
-/// (parse/keying/pass steps overlap across modules; each CompileJob
-/// future resolves the moment its module's last pass lands) against the
-/// lockstep executor (global per-pass barriers, futures resolve at end
-/// of batch) — batch wall clock AND job-completion latency, the two
-/// numbers the DAG is built to shrink. A serial one-shot baseline
+/// CompilerSession, scheduled as a dependency DAG (parse/keying/pass
+/// steps overlap across modules; each CompileJob future resolves the
+/// moment its module's last pass lands) — batch wall clock AND
+/// job-completion latency per pool size. A serial one-shot baseline
 /// anchors both.
-std::vector<SchedulerRow> printSuiteSessionMode() {
-  std::printf("\n=== Suite-session batch compile: DAG vs lockstep "
-              "scheduling (whole suite, seconds) ===\n");
-  std::printf("(hardware: %u cores; wall-clock wins need >1 — job-latency "
-              "wins appear even on 1 — see EXPERIMENTS.md)\n\n",
+std::vector<SchedulerMeasurement> printSuiteSessionMode() {
+  std::printf("\n=== Suite-session batch compile (whole suite, seconds) "
+              "===\n");
+  std::printf("(hardware: %u threads; see bench_e2e/README.md)\n\n",
               std::thread::hardware_concurrency());
   // The serial baseline goes through one-shot sessions rather than
   // driver::compile so every mode ignores $PARALIFT_CACHE_DIR — the
@@ -160,27 +157,15 @@ std::vector<SchedulerRow> printSuiteSessionMode() {
       3);
   std::printf("  serial per-module (one-shot sessions)  %10.4f s\n\n",
               serial);
-  std::printf("  %-12s%12s%12s%14s%14s%14s\n", "pm-threads", "wall",
-              "vs-lock", "mean-job", "median-job", "p95-job");
-  std::vector<SchedulerRow> rows;
+  std::printf("  %-12s%12s%14s%14s%14s\n", "pm-threads", "wall",
+              "mean-job", "median-job", "p95-job");
+  std::vector<SchedulerMeasurement> rows;
   for (unsigned threads : {1u, 2u, 4u}) {
-    SchedulerRow row;
-    row.threads = threads;
-    row.dag = measureSuiteSession(threads, driver::ScheduleMode::Dag);
-    row.lockstep =
-        measureSuiteSession(threads, driver::ScheduleMode::Lockstep);
-    std::printf("  dag=%-8u%10.4f s%11.2fx%12.4f s%12.4f s%12.4f s\n",
-                threads, row.dag.wallSeconds,
-                row.dag.wallSeconds > 0
-                    ? row.lockstep.wallSeconds / row.dag.wallSeconds
-                    : 0.0,
-                row.dag.meanJobSeconds, row.dag.medianJobSeconds,
-                row.dag.p95JobSeconds);
-    std::printf("  lock=%-7u%10.4f s%12s%12.4f s%12.4f s%12.4f s\n",
-                threads, row.lockstep.wallSeconds, "-",
-                row.lockstep.meanJobSeconds, row.lockstep.medianJobSeconds,
-                row.lockstep.p95JobSeconds);
-    rows.push_back(row);
+    SchedulerMeasurement m = measureSuiteSession(threads);
+    std::printf("  %-12u%10.4f s%12.4f s%12.4f s%12.4f s\n", threads,
+                m.wallSeconds, m.meanJobSeconds, m.medianJobSeconds,
+                m.p95JobSeconds);
+    rows.push_back(m);
   }
   return rows;
 }
@@ -278,9 +263,9 @@ TracingOverhead measureTracingOverhead() {
   t.enabledWall = std::numeric_limits<double>::infinity();
   std::vector<double> ratios;
   for (int i = 0; i < kReps; ++i) {
-    double off = measureSuiteSession(4, driver::ScheduleMode::Dag).wallSeconds;
+    double off = measureSuiteSession(4).wallSeconds;
     trace::enable();
-    double on = measureSuiteSession(4, driver::ScheduleMode::Dag).wallSeconds;
+    double on = measureSuiteSession(4).wallSeconds;
     trace::disable();
     t.disabledWall = std::min(t.disabledWall, off);
     t.enabledWall = std::min(t.enabledWall, on);
@@ -323,14 +308,14 @@ FailpointOverhead measureFailpointOverhead() {
   std::vector<double> ratios;
   for (int i = 0; i < kReps; ++i) {
     failpoint::clearAll();
-    double off = measureSuiteSession(4, driver::ScheduleMode::Dag).wallSeconds;
+    double off = measureSuiteSession(4).wallSeconds;
     std::string err;
     if (!failpoint::configure("pass.run=error:0,0.0", &err)) {
       std::fprintf(stderr, "bench_compile: failpoint spec rejected: %s\n",
                    err.c_str());
       break;
     }
-    double on = measureSuiteSession(4, driver::ScheduleMode::Dag).wallSeconds;
+    double on = measureSuiteSession(4).wallSeconds;
     failpoint::clearAll();
     t.disarmedWall = std::min(t.disarmedWall, off);
     t.armedWall = std::min(t.armedWall, on);
@@ -363,7 +348,7 @@ transforms::PassResultCache::StatsSnapshot measureCacheStats() {
 }
 
 void writeJson(const std::string &path,
-               const std::vector<SchedulerRow> &rows, const KeyingTimes &k,
+               const std::vector<SchedulerMeasurement> &rows, const KeyingTimes &k,
                const IrMemoryTimes &im,
                const transforms::PassResultCache::StatsSnapshot &cs,
                const TracingOverhead &to, const FailpointOverhead &fo) {
@@ -378,35 +363,23 @@ void writeJson(const std::string &path,
   std::fprintf(f, "  \"modules\": %zu,\n", rodinia::suite().size());
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"scheduler_default\": \"dag\",\n");
   std::fprintf(f, "  \"suite_session\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
-    const SchedulerRow &r = rows[i];
-    auto emit = [&](const char *name, const SchedulerMeasurement &m,
-                    const char *sep) {
-      std::fprintf(f,
-                   "      \"%s\": {\"wall_s\": %.6f, \"mean_job_s\": %.6f, "
-                   "\"median_job_s\": %.6f, \"p95_job_s\": %.6f}%s\n",
-                   name, m.wallSeconds, m.meanJobSeconds, m.medianJobSeconds,
-                   m.p95JobSeconds, sep);
-    };
-    std::fprintf(f, "    {\n      \"pm_threads\": %u,\n", r.threads);
-    emit("dag", r.dag, ",");
-    emit("lockstep", r.lockstep, ",");
-    std::fprintf(
-        f, "      \"speedup_wall\": %.3f,\n      \"speedup_mean_job\": %.3f\n",
-        r.dag.wallSeconds > 0 ? r.lockstep.wallSeconds / r.dag.wallSeconds
-                              : 0.0,
-        r.dag.meanJobSeconds > 0
-            ? r.lockstep.meanJobSeconds / r.dag.meanJobSeconds
-            : 0.0);
-    std::fprintf(f, "    }%s\n", i + 1 < rows.size() ? "," : "");
+    const SchedulerMeasurement &r = rows[i];
+    std::fprintf(f,
+                 "    {\"pm_threads\": %u, \"reps\": %d, \"wall_s\": %.6f, "
+                 "\"wall_q1_s\": %.6f, \"wall_q3_s\": %.6f, "
+                 "\"mean_job_s\": %.6f, \"median_job_s\": %.6f, "
+                 "\"p95_job_s\": %.6f}%s\n",
+                 r.threads, r.reps, r.wallSeconds, r.wallQ1Seconds,
+                 r.wallQ3Seconds, r.meanJobSeconds, r.medianJobSeconds,
+                 r.p95JobSeconds, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
-               "  \"keying\": {\"structural_s\": %.6f, \"printed_hash_s\": "
-               "%.6f, \"funcs\": %zu, \"rounds\": %d},\n",
-               k.structuralSeconds, k.printedSeconds, k.funcs, k.rounds);
+               "  \"keying\": {\"structural_s\": %.6f, \"funcs\": %zu, "
+               "\"rounds\": %d},\n",
+               k.structuralSeconds, k.funcs, k.rounds);
   std::fprintf(f,
                "  \"ir_memory\": {\"parse_s\": %.6f, \"clone_s\": %.6f, "
                "\"teardown_s\": %.6f, \"modules\": %zu, \"rounds\": %d},\n",
@@ -483,7 +456,7 @@ int main(int argc, char **argv) {
   benchmark::RunSpecifiedBenchmarks();
   printTable();
   printPassBreakdown();
-  std::vector<SchedulerRow> rows = printSuiteSessionMode();
+  std::vector<SchedulerMeasurement> rows = printSuiteSessionMode();
   SuiteModules suite = parseSuiteModules();
   KeyingTimes keying = measureKeyingTime(suite);
   printKeyingTime(keying);

@@ -2,8 +2,8 @@
 // CUDA-OpenMP benchmarks compared with the native OpenMP versions.
 // The paper's observation: transpiled CUDA code, written for thousands of
 // GPU threads, scales better than hand-written OpenMP. Hardware note:
-// this container exposes 2 cores, so curves flatten beyond 2 threads;
-// see EXPERIMENTS.md.
+// curves flatten beyond the machine's hardware thread count; see
+// bench_e2e/README.md.
 #include "bench_common.h"
 
 #include <benchmark/benchmark.h>

@@ -48,7 +48,7 @@ CompileResult compile(const std::string &source,
                       DiagnosticEngine &diag);
 
 /// As above with pass-manager instrumentation/scheduling knobs: per-pass
-/// wall-clock timing + peak RSS (config.timing), verify-after-each-pass,
+/// time + IR-arena growth (config.timing), verify-after-each-pass,
 /// preserved-analyses cross-checking (config.verifyAnalyses), parallel
 /// per-kernel scheduling of function passes (config.threads), and a
 /// pass-result cache (config.cache).

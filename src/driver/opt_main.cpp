@@ -6,7 +6,7 @@
 //   paralift-opt [file...] [--cuda] [--passes=PIPELINE] [--list-passes]
 //                [--timing] [--stats] [--verify-each] [--verify-analyses]
 //                [--verify-bytecode]
-//                [--pm-threads=N] [--pm-schedule=dag|lockstep]
+//                [--pm-threads=N]
 //                [--cache-dir=DIR] [--cache-limit=MB]
 //                [--no-pass-cache] [--cache-stats]
 //                [--trace-json=FILE] [--metrics[=FILE]]
@@ -36,11 +36,13 @@
 //   paralift-opt a.cu b.cu c.cu --cuda --pm-threads=4
 //     --passes='repeat{until=fixpoint}(canonicalize,cse),cpuify,omp-lower'
 //
-// Batches schedule as a dependency DAG by default (each file parses,
-// keys, and runs its passes as an independent task chain on the
-// --pm-threads pool; every file's output is ready the moment its own
-// last pass lands); --pm-schedule=lockstep restores the barriered
-// pass-by-pass executor for ablation. Outputs are identical either way.
+// Batches schedule as a dependency DAG (each file parses, keys, and runs
+// its passes as an independent task chain on the --pm-threads pool;
+// every file's output is ready the moment its own last pass lands).
+// --print-ir-before/after and --verify-analyses hook every (file, pass)
+// step of that graph; with either set the batch drains on one thread,
+// file by file in command-line order, so the hook output is the same for
+// every --pm-threads value.
 //
 // Pass results are cached persistently under --cache-dir (or
 // $PARALIFT_CACHE_DIR when set): re-running an unchanged file through an
@@ -100,7 +102,7 @@ int usage(const char *argv0) {
       "usage: %s [file...] [--cuda] [--passes=PIPELINE] [--list-passes]\n"
       "       [--timing] [--stats] [--verify-each] [--verify-analyses]\n"
       "       [--verify-bytecode]\n"
-      "       [--pm-threads=N] [--pm-schedule=dag|lockstep]\n"
+      "       [--pm-threads=N]\n"
       "       [--cache-dir=DIR] [--cache-limit=MB]\n"
       "       [--no-pass-cache] [--cache-stats]\n"
       "       [--trace-json=FILE] [--metrics[=FILE]]\n"
@@ -111,7 +113,9 @@ int usage(const char *argv0) {
       "                   unroll{max-trip=16},cpuify{mincut=false}'\n"
       "\n"
       "Multiple files compile as one batch session sharing the\n"
-      "--pm-threads worker pool and the pass-result cache.\n",
+      "--pm-threads worker pool and the pass-result cache. IR printing\n"
+      "and --verify-analyses compile the batch on one thread, in file\n"
+      "order.\n",
       argv0);
   return 0;
 }
@@ -195,7 +199,6 @@ int optMain(int argc, char **argv) {
   std::string printBeforeFilter, printAfterFilter;
   unsigned pmThreads = 1;
   double jobTimeoutSeconds = 0;
-  driver::ScheduleMode schedule = driver::ScheduleMode::Dag;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--list-passes")
@@ -284,19 +287,6 @@ int optMain(int argc, char **argv) {
                      err.c_str());
         return 2;
       }
-    } else if (arg.rfind("--pm-schedule=", 0) == 0) {
-      std::string v = arg.substr(14);
-      if (v == "dag") {
-        schedule = driver::ScheduleMode::Dag;
-      } else if (v == "lockstep") {
-        schedule = driver::ScheduleMode::Lockstep;
-      } else {
-        std::fprintf(stderr,
-                     "error: invalid --pm-schedule value '%s' (expected "
-                     "'dag' or 'lockstep')\n",
-                     v.c_str());
-        return 2;
-      }
     } else if (arg == "--help" || arg == "-h") {
       return usage(argv[0]);
     } else if (!arg.empty() && arg[0] == '-') {
@@ -320,7 +310,6 @@ int optMain(int argc, char **argv) {
 
   driver::SessionOptions so;
   so.threads = pmThreads;
-  so.schedule = schedule;
   so.jobTimeoutSeconds = jobTimeoutSeconds;
   so.verifyEach = verifyEach;
   so.verifyAnalyses = verifyAnalyses;
@@ -354,13 +343,12 @@ int optMain(int argc, char **argv) {
                    "warning: --cache-limit has no effect without "
                    "--cache-dir (or $PARALIFT_CACHE_DIR)\n");
   }
-  // IR printing hooks per-pass executions, which only exists on the
-  // per-module path; the session falls back to it automatically.
+  // IR printing hooks every (module, pass) step; the session then drains
+  // the batch on this thread, so modules print whole and in file order.
   if (printBefore || printAfter)
     so.configurePassManager = [&](transforms::PassManager &pm) {
       // Separate instrumentations: the before/after filters are
-      // independent. Installed first = outermost, so timing (installed
-      // last by the session) excludes printing cost.
+      // independent.
       if (printBefore)
         pm.enableIRPrinting(/*before=*/true, /*after=*/false,
                             printBeforeFilter);

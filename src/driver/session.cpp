@@ -252,27 +252,11 @@ void CompilerSession::runFrontendOne(CompileJob &job) {
   job.frontendOk_ = true;
 }
 
-void CompilerSession::runFrontend(const std::vector<CompileJob *> &jobs) {
-  std::vector<CompileJob *> toParse;
-  for (CompileJob *job : jobs)
-    if (!job->preparsed_)
-      toParse.push_back(job);
-  // Each job owns its module and engine, so parsing fans out trivially.
-  if (pool_ && toParse.size() >= 2) {
-    std::atomic<size_t> next{0};
-    pool_->parallel([&](unsigned, runtime::Team &) {
-      for (size_t k = next.fetch_add(1); k < toParse.size();
-           k = next.fetch_add(1))
-        runFrontendOne(*toParse[k]);
-    });
-  } else {
-    for (CompileJob *job : toParse)
-      runFrontendOne(*job);
-  }
-}
-
 void CompilerSession::compileSimt(const std::vector<CompileJob *> &jobs) {
-  auto simtOne = [](CompileJob &job) {
+  // Each job owns its module and engine, so the jobs fan out trivially.
+  auto simtOne = [this](CompileJob &job) {
+    if (!job.preparsed_)
+      runFrontendOne(job);
     if (!job.frontendOk_)
       return false;
     transforms::runInliner(job.result_.module.get(), /*onlyInKernels=*/true);
@@ -299,7 +283,7 @@ bool CompilerSession::finalVerify(const transforms::PassManager &pm,
                                   DiagnosticEngine &diag, bool ok) const {
   // With verify-each on, every intermediate module (including the final
   // one) has already been verified — except by a zero-pass pipeline
-  // (round-trip mode), where the instrumentation never fires.
+  // (round-trip mode), where verify-each never runs.
   if (!ok || (opts_.verifyEach && !pm.passes().empty()))
     return ok;
   for (const std::string &e : ir::verify(module.op)) {
@@ -307,80 +291,6 @@ bool CompilerSession::finalVerify(const transforms::PassManager &pm,
     ok = false;
   }
   return ok;
-}
-
-void CompilerSession::compileGroupPerModule(
-    transforms::PassManager &pm, const std::vector<CompileJob *> &group) {
-  // Instrumentation nesting mirrors the legacy runPipeline: custom hooks
-  // outermost, then analysis verify, verify-each, timing last (innermost)
-  // so verification cost stays out of the measurement window.
-  if (opts_.configurePassManager)
-    opts_.configurePassManager(pm);
-  if (opts_.verifyAnalyses)
-    pm.enableAnalysisVerify();
-  if (opts_.verifyEach)
-    pm.enableVerifyEach();
-  if (opts_.collectTiming)
-    pm.enableTiming(&timing_);
-  for (CompileJob *job : group) {
-    if (!job->frontendOk_) {
-      markDone(*job, false);
-      continue;
-    }
-    // This path runs whole pipelines per job, so cancellation/deadline
-    // is polled once per job, before its pipeline starts (see the
-    // "Failure semantics" header section).
-    std::string reason = job->cancel_.expiredReason();
-    if (!reason.empty()) {
-      job->diag_.error(SourceLoc(), reason + " before pipeline start");
-      markDone(*job, false);
-      continue;
-    }
-    bool ok = pm.run(job->result_.module.get(), job->diag_);
-    if (ok && opts_.maxArenaBytesPerModule) {
-      uint64_t bytes =
-          job->result_.module.op()->arena().bytesAllocated();
-      if (bytes > opts_.maxArenaBytesPerModule) {
-        job->diag_.error(SourceLoc(),
-                         "IR arena limit exceeded (" +
-                             std::to_string(bytes) + " > " +
-                             std::to_string(opts_.maxArenaBytesPerModule) +
-                             " bytes) after pipeline");
-        ok = false;
-      }
-    }
-    ok = finalVerify(pm, job->result_.module.get(), job->diag_, ok);
-    markDone(*job, ok);
-  }
-}
-
-void CompilerSession::compileGroupBatch(
-    transforms::PassManager &pm, const std::vector<CompileJob *> &group) {
-  std::vector<ir::ModuleOp> modules;
-  std::vector<DiagnosticEngine *> diags;
-  std::vector<CompileJob *> live;
-  for (CompileJob *job : group) {
-    if (!job->frontendOk_) {
-      markDone(*job, false);
-      continue;
-    }
-    modules.push_back(job->result_.module.get());
-    diags.push_back(&job->diag_);
-    live.push_back(job);
-  }
-  if (live.empty())
-    return;
-  transforms::PassManager::BatchOptions bo;
-  bo.verifyEach = opts_.verifyEach;
-  bo.timing = opts_.collectTiming ? &timing_ : nullptr;
-  bo.maxArenaBytes = opts_.maxArenaBytesPerModule;
-  for (CompileJob *job : live)
-    bo.cancels.push_back(&job->cancel_);
-  std::vector<char> oks = pm.runOnModules(modules, diags, bo);
-  for (size_t i = 0; i < live.size(); ++i) {
-    bool ok = finalVerify(pm, modules[i], *diags[i], oks[i] != 0);
-    markDone(*live[i], ok);
-  }
 }
 
 bool CompilerSession::compileAll() {
@@ -401,7 +311,6 @@ bool CompilerSession::compileAll() {
         trace::asyncBegin("job:" + job->name_,
                           reinterpret_cast<uintptr_t>(job));
     if (opts_.mode == SessionMode::Simt) {
-      runFrontend(batch);
       compileSimt(batch);
     } else {
       // Group jobs by pipeline; each group compiles against one
@@ -443,26 +352,30 @@ bool CompilerSession::compileAll() {
           it->jobs.push_back(job);
         }
       }
-      // Both schedulers run each group against an identically configured
-      // PassManager (shared pool, shared cache).
+      bool hooked = false;
       for (Group &group : groups) {
         transforms::PassManager &pm = *group.pm;
-        pm.setThreadCount(opts_.threads);
-        pm.setThreadPool(pool_.get());
         pm.setResultCache(cache_);
         if (opts_.collectStatistics)
           pm.enableStatistics();
+        // Custom hooks outermost, then the analysis cross-check.
+        if (opts_.configurePassManager)
+          opts_.configurePassManager(pm);
+        if (opts_.verifyAnalyses)
+          pm.enableAnalysisVerify();
+        if (opts_.verifyEach)
+          pm.enableVerifyEach();
+        if (opts_.collectTiming)
+          pm.enableTiming(&timing_);
+        hooked = hooked || pm.hasInstrumentation();
       }
-      // Per-module instrumentation (verifyAnalyses, configurePassManager)
-      // observes one module at a time and forces the per-module path for
-      // the whole batch; otherwise the configured schedule decides.
-      const bool perModuleForced =
-          opts_.verifyAnalyses || opts_.configurePassManager != nullptr;
-      if (opts_.schedule == ScheduleMode::Dag && !perModuleForced) {
-        // Every group's graph goes onto one scheduler: parse/keying
-        // leaves and pass steps of all pipelines interleave freely, and
-        // each job is marked done the moment its own chain completes.
-        runtime::TaskScheduler sched(pool_.get());
+      // Every group's graph goes onto one scheduler: parse/keying leaves
+      // and pass steps of all pipelines interleave freely, and each job
+      // is marked done the moment its own chain completes. Hooks observe
+      // one module at a time, so a hooked batch drains on this thread,
+      // each module's chain in job order.
+      {
+        runtime::TaskScheduler sched(hooked ? nullptr : pool_.get());
         std::vector<std::shared_ptr<transforms::BatchDag>> states;
         for (Group &group : groups) {
           transforms::PassManager &pm = *group.pm;
@@ -482,8 +395,6 @@ bool CompilerSession::compileAll() {
             items.push_back(std::move(item));
           }
           transforms::PassManager::BatchOptions bo;
-          bo.verifyEach = opts_.verifyEach;
-          bo.timing = opts_.collectTiming ? &timing_ : nullptr;
           bo.maxArenaBytes = opts_.maxArenaBytesPerModule;
           for (CompileJob *job : group.jobs)
             bo.cancels.push_back(&job->cancel_);
@@ -523,21 +434,8 @@ bool CompilerSession::compileAll() {
             markDone(*job, false);
           }
         }
-        if (opts_.collectTiming)
-          for (auto &state : states)
-            state->foldTimingInto(timing_);
-      } else {
-        runFrontend(batch);
-        for (Group &group : groups) {
-          transforms::PassManager &pm = *group.pm;
-          // Per-module instrumentation needs force the serial path; it
-          // still shares the session's pool and cache.
-          bool perModule = group.jobs.size() == 1 || perModuleForced;
-          if (perModule)
-            compileGroupPerModule(pm, group.jobs);
-          else
-            compileGroupBatch(pm, group.jobs);
-        }
+        for (auto &state : states)
+          state->foldTimingInto(timing_);
       }
       // Retained only for statisticsStr(); a long-lived session that
       // never reads statistics must not accumulate one PassManager per

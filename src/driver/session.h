@@ -28,31 +28,28 @@
 //
 // Batch scheduling
 // ----------------
-// compileAll schedules the batch one of two ways (--pm-schedule at the
-// CLI, SessionOptions::schedule in the API):
+// compileAll turns every queued module into a chain of tasks on a
+// work-stealing scheduler over the session pool (PassManager::
+// scheduleBatch): a leaf task that parses the source and keys its
+// functions (ir::hashOp), then one task per (module, pass) step, with
+// fan-out per function inside a step when several functions miss the
+// cache. The only edges are each module's own pipeline order, so module
+// B's kernels run pass 3 while module A is still parsing, and each
+// CompileJob future resolves the moment *its* module's last pass (or
+// terminal cache splice) completes rather than at end of batch. In-batch
+// dedup of identical kernels flows through the shared cache's in-flight
+// registry: the first claimant executes, concurrent duplicates park and
+// replay its stored entry. Pass execution is deterministic per input, so
+// outputs are bit-for-bit identical to serial compiles. Under --timing,
+// per-worker clocks are folded by (module, pass), so the report
+// attributes true per-module per-pass time.
 //
-//  - Dag (the default): every module becomes a chain of tasks on a
-//    work-stealing scheduler over the session pool — a leaf task that
-//    parses the source and keys its functions (ir::hashOp), then one
-//    task per (module, pass) step, with fan-out per function inside a
-//    step when several functions miss the cache. The only edges are each
-//    module's own pipeline order plus module-pass fences, so module B's
-//    kernels run pass 3 while module A is still parsing, and each
-//    CompileJob future resolves the moment *its* module's last pass (or
-//    terminal cache splice) completes rather than at end of batch.
-//    In-batch dedup of identical kernels flows through the shared
-//    cache's in-flight registry: the first claimant executes, concurrent
-//    duplicates park and replay its stored entry. Pass execution is
-//    deterministic per input, so outputs are bit-for-bit identical to
-//    lockstep (and serial) compiles. Under --timing, per-worker clocks
-//    are folded by (module, pass), so the report attributes true
-//    per-module per-pass time.
-//
-//  - Lockstep (the pre-DAG executor, kept for ablation): parse *all*
-//    modules, then march every module through each pass together, every
-//    function pass fanned across the union of all modules' kernels. A
-//    batch's latency is the sum of the slowest module at every stage,
-//    and every future resolves at end of batch.
+// Instrumentation hooks (verifyAnalyses, configurePassManager's IR
+// printers) fire around every (module, pass) step of the same graph.
+// They observe one module at a time, so a session with any installed
+// drains the graph on the calling thread: each module's chain runs to
+// completion in job order, and hook output is module-contiguous and the
+// same for every thread count.
 //
 // Memory
 // ------
@@ -117,15 +114,13 @@
 //
 //  - Cancellation and deadlines. CompileJob::cancel() requests
 //    cooperative cancellation; SessionOptions::jobTimeoutSeconds arms a
-//    per-job deadline at batch start. Both are polled at pass/step
-//    boundaries only — the pass currently executing always finishes, so
-//    IR, cache, and in-flight claims stay consistent; the job then fails
-//    with "cancelled ..." or "deadline exceeded after Ns in pass P"
-//    before its next pass. A compile that is between passes reacts
-//    within one step; one stuck *inside* a pass is not interrupted
-//    (cooperative, not preemptive). The per-module instrumentation path
-//    (verifyAnalyses / configurePassManager) polls once per job, before
-//    its pipeline starts.
+//    per-job deadline at batch start. Both are polled before every
+//    (module, pass) step, instrumented sessions included — the pass
+//    currently executing always finishes, so IR, cache, and in-flight
+//    claims stay consistent; the job then fails with "cancelled in pass
+//    P" or "deadline exceeded after Ns in pass P" before its next pass.
+//    A compile that is between passes reacts within one step; one stuck
+//    *inside* a pass is not interrupted (cooperative, not preemptive).
 //
 //  - Cache degradation. Disk trouble in the pass cache (unwritable or
 //    unreadable entries, ENOSPC) is retried once with a short backoff,
@@ -187,34 +182,25 @@ struct CompileResult {
 /// for the lockstep SIMT reference executor (driver::compileForSimt).
 enum class SessionMode { Optimize, Simt };
 
-/// How compileAll schedules a batch (see the "Batch scheduling" section
-/// of the header comment). Outputs are bit-for-bit identical either way.
-enum class ScheduleMode {
-  Dag,     ///< dependency-DAG tasks; incremental futures (the default)
-  Lockstep ///< pass-by-pass barriers across the batch (ablation baseline)
-};
-
 class CompileJob;
 
 struct SessionOptions {
   SessionMode mode = SessionMode::Optimize;
 
-  /// Batch executor for compileAll; Lockstep is kept for the ablation
-  /// row (--pm-schedule=lockstep).
-  ScheduleMode schedule = ScheduleMode::Dag;
-
-  /// Workers in the session's shared pool; >1 fans function passes
-  /// across the union of every queued module's kernels (and parses
-  /// queued sources in parallel). 1 disables the pool entirely.
+  /// Workers in the session's shared pool; >1 schedules every queued
+  /// module's parse and pass steps across them (see "Batch
+  /// scheduling"). 1 disables the pool entirely.
   unsigned threads = 1;
 
   /// Verify every module after every pass, attributing breakage to the
   /// pass; a broken module fails alone (job-level isolation).
   bool verifyEach = false;
   /// Cross-check every pass's PreservedAnalyses declaration by
-  /// recomputation. Expensive; forces the per-module compile path.
+  /// recomputation. Expensive; its hooks drain the batch on the calling
+  /// thread.
   bool verifyAnalyses = false;
-  /// Record per-pass wall-clock + peak-RSS into timingReport().
+  /// Record per-(module, pass) execution time and IR-arena growth into
+  /// timingReport().
   bool collectTiming = false;
   /// Also collect pass statistics needing extra IR walks
   /// (statisticsStr()).
@@ -256,15 +242,14 @@ struct SessionOptions {
 
   /// Called on every PassManager the session builds, after standard
   /// configuration — the hook for bespoke instrumentation (paralift-opt's
-  /// --print-ir-before/after). Setting it forces the per-module compile
-  /// path, since instrumentations observe one module at a time.
+  /// --print-ir-before/after). Instrumentations observe one module at a
+  /// time, so installing any drains the batch on the calling thread.
   std::function<void(transforms::PassManager &)> configurePassManager;
 
   /// Invoked the moment each job's compile finishes (after its future
-  /// resolves), on whatever thread completed it — under the DAG
-  /// scheduler that is mid-batch, per module; under Lockstep, at end of
-  /// batch. Completion-order probes and schedulers hang off this; keep
-  /// it cheap and do not call back into compileAll from it.
+  /// resolves), on whatever thread completed it — mid-batch, per module.
+  /// Completion-order probes and schedulers hang off this; keep it cheap
+  /// and do not call back into compileAll from it.
   std::function<void(CompileJob &)> onJobCompleted;
 
   // Observability (see the "Observability" section above):
@@ -313,10 +298,9 @@ public:
   bool ok();
 
   /// wait(), then the seconds from the start of the compileAll batch
-  /// that compiled this job to the moment its future resolved. Under the
-  /// DAG scheduler jobs resolve incrementally, so the mean/median over a
-  /// batch measures job-completion latency (bench_compile reports both);
-  /// under Lockstep every job's latency is ~the batch wall time.
+  /// that compiled this job to the moment its future resolved. Jobs
+  /// resolve incrementally, so the mean/median over a batch measures
+  /// job-completion latency (bench_compile reports both).
   double latencySeconds();
 
   /// Requests cooperative cancellation of this job (thread-safe,
@@ -368,14 +352,13 @@ public:
   CompileJob &addModule(std::string name, ir::OwnedModule module,
                         transforms::PipelineOptions pipeline = {});
 
-  /// Compiles every job still queued: frontend in parallel across the
-  /// pool, then — for jobs sharing a pipeline — all function passes
-  /// scheduled across the union of their kernels on the same pool (see
-  /// PassManager::runOnModules). Jobs with per-module instrumentation
-  /// needs (verifyAnalyses, configurePassManager) compile one at a time,
-  /// still sharing the pool and cache. Already-compiled jobs are not
-  /// recompiled (a second compileAll is a no-op for them). Returns
-  /// whether every job in the session has compiled successfully.
+  /// Compiles every job still queued as one DAG batch (see "Batch
+  /// scheduling"): jobs sharing a pipeline share one PassManager, every
+  /// job's parse and pass steps schedule across the session pool, and
+  /// each future resolves as soon as its own chain completes.
+  /// Already-compiled jobs are not recompiled (a second compileAll is a
+  /// no-op for them). Returns whether every job in the session has
+  /// compiled successfully.
   bool compileAll();
 
   /// Launches compileAll() on a background thread and returns
@@ -391,8 +374,8 @@ public:
   bool ok() const;
 
   /// Per-pass timing accumulated across every compile this session ran
-  /// (SessionOptions::collectTiming). Batch-compiled groups contribute
-  /// one record per pass covering the whole group. Blocks while a batch
+  /// (SessionOptions::collectTiming): one record per (module, pass) step
+  /// that executed, attributed to the job's name. Blocks while a batch
   /// (including a compileAllAsync one) is in flight; the reference is
   /// stable until the next compileAll starts.
   const transforms::PassTimingReport &timingReport() const;
@@ -418,18 +401,14 @@ private:
   /// Thread-safe across distinct jobs; the DAG scheduler runs it as each
   /// module's leaf task.
   void runFrontendOne(CompileJob &job);
-  void runFrontend(const std::vector<CompileJob *> &jobs);
+  /// Simt mode: frontend then device-function inlining, fanned across
+  /// the pool.
   void compileSimt(const std::vector<CompileJob *> &jobs);
-  /// End-of-pipeline verification gate shared by both compile paths:
-  /// skipped when verify-each already covered the final module (any
-  /// non-empty pipeline); otherwise reports "final module is invalid"
-  /// into `diag`. Returns the updated ok.
+  /// End-of-pipeline verification gate: skipped when verify-each already
+  /// covered the final module (any non-empty pipeline); otherwise reports
+  /// "final module is invalid" into `diag`. Returns the updated ok.
   bool finalVerify(const transforms::PassManager &pm, ir::ModuleOp module,
                    DiagnosticEngine &diag, bool ok) const;
-  void compileGroupBatch(transforms::PassManager &pm,
-                         const std::vector<CompileJob *> &group);
-  void compileGroupPerModule(transforms::PassManager &pm,
-                             const std::vector<CompileJob *> &group);
 
   SessionOptions opts_;
   std::unique_ptr<runtime::ThreadPool> pool_;

@@ -136,11 +136,8 @@ public:
 
 private:
   /// ORs across every module run since beginRun — like the function
-  /// passes' dynamic declarations, and required now that batch
-  /// schedulers run one pass object on several modules (concurrently
-  /// under the DAG; and in lockstep a plain assignment let the *last*
-  /// module's "unchanged" overwrite an earlier module's "changed" before
-  /// the batch-wide invalidation read it).
+  /// passes' dynamic declarations, and required because a batch runs one
+  /// pass object on several modules concurrently.
   void noteChanged(bool c) {
     if (c)
       changed_.store(true, std::memory_order_relaxed);

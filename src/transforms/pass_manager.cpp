@@ -10,7 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -329,26 +329,6 @@ size_t countNestedOps(ir::Op *root, ir::OpKind kind) {
   return n;
 }
 
-uint64_t readPeakRssBytes() {
-#ifdef __linux__
-  std::FILE *f = std::fopen("/proc/self/status", "r");
-  if (!f)
-    return 0;
-  unsigned long long kb = 0;
-  char line[256];
-  while (std::fgets(line, sizeof(line), f)) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
-      std::sscanf(line + 6, "%llu", &kb);
-      break;
-    }
-  }
-  std::fclose(f);
-  return static_cast<uint64_t>(kb) * 1024;
-#else
-  return 0;
-#endif
-}
-
 //===----------------------------------------------------------------------===//
 // Instrumentation
 //===----------------------------------------------------------------------===//
@@ -360,13 +340,6 @@ double PassTimingReport::totalSeconds() const {
   return t;
 }
 
-uint64_t PassTimingReport::totalRssDeltaBytes() const {
-  uint64_t t = 0;
-  for (const Record &r : records)
-    t += r.rssDeltaBytes;
-  return t;
-}
-
 uint64_t PassTimingReport::totalArenaDeltaBytes() const {
   uint64_t t = 0;
   for (const Record &r : records)
@@ -375,14 +348,13 @@ uint64_t PassTimingReport::totalArenaDeltaBytes() const {
 }
 
 std::string formatTimingRow(double seconds, double total,
-                            uint64_t rssDeltaBytes, uint64_t arenaDeltaBytes,
+                            uint64_t arenaDeltaBytes,
                             const std::string &label) {
   char buf[224];
   double pct = total > 0 ? 100.0 * seconds / total : 0.0;
-  std::snprintf(buf, sizeof(buf),
-                "  %10.6f s (%5.1f%%)  rss %+9.2f MB  ir %+9.2f MB  %s\n",
-                seconds, pct, rssDeltaBytes / (1024.0 * 1024.0),
-                arenaDeltaBytes / (1024.0 * 1024.0), label.c_str());
+  std::snprintf(buf, sizeof(buf), "  %10.6f s (%5.1f%%)  ir %+9.2f MB  %s\n",
+                seconds, pct, arenaDeltaBytes / (1024.0 * 1024.0),
+                label.c_str());
   return buf;
 }
 
@@ -393,14 +365,12 @@ std::string PassTimingReport::str() const {
   os << "                      Pass execution timing\n";
   os << "===-------------------------------------------------------------===\n";
   char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "  Total: %.6f s, peak-RSS +%.2f MB, IR-arena +%.2f MB\n",
-                total, totalRssDeltaBytes() / (1024.0 * 1024.0),
-                totalArenaDeltaBytes() / (1024.0 * 1024.0));
+  std::snprintf(buf, sizeof(buf), "  Total: %.6f s, IR-arena +%.2f MB\n",
+                total, totalArenaDeltaBytes() / (1024.0 * 1024.0));
   os << buf;
   for (const Record &r : records)
     os << formatTimingRow(
-        r.seconds, total, r.rssDeltaBytes, r.arenaDeltaBytes,
+        r.seconds, total, r.arenaDeltaBytes,
         r.module.empty() ? r.spec : r.spec + "  [" + r.module + "]");
   return os.str();
 }
@@ -425,48 +395,10 @@ std::string spanName(const char *prefix, const std::string &rest) {
   return s;
 }
 
-/// Installed by PassManager::enableTiming; appends one record per pass.
-class TimingInstrumentation : public Instrumentation {
-public:
-  explicit TimingInstrumentation(PassTimingReport *report)
-      : report_(report) {}
-
-  void beforePass(const Pass &, ModuleOp module) override {
-    arenaStart_ = module.op->arena().bytesAllocated();
-    rssStart_ = readPeakRssBytes();
-    start_ = std::chrono::steady_clock::now();
-  }
-  bool afterPass(const Pass &pass, ModuleOp module,
-                 DiagnosticEngine &) override {
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start_)
-                      .count();
-    uint64_t rssEnd = readPeakRssBytes();
-    uint64_t delta = rssEnd > rssStart_ ? rssEnd - rssStart_ : 0;
-    // Arena bytes are per-module and monotonic, so the delta attributes
-    // IR growth to this pass exactly; VmHWM is process-wide and racy
-    // under concurrent compilation (kept for compatibility).
-    uint64_t arenaEnd = module.op->arena().bytesAllocated();
-    uint64_t arenaDelta = arenaEnd > arenaStart_ ? arenaEnd - arenaStart_ : 0;
-    report_->records.push_back({pass.spec(), secs, delta, arenaDelta, {}});
-    passSecondsHistogram().observe(secs);
-    return true;
-  }
-
-  /// Timing reads clocks and counters only, so cached replays may stay
-  /// lazy (unspliced) across timed passes.
-  bool inspectsIR(const Pass &) const override { return false; }
-
-private:
-  PassTimingReport *report_;
-  std::chrono::steady_clock::time_point start_;
-  uint64_t rssStart_ = 0;
-  uint64_t arenaStart_ = 0;
-};
-
 } // namespace
 
-void AnalysisVerifyInstrumentation::beforePass(const Pass &, ModuleOp module) {
+void AnalysisCrossCheckInstrumentation::beforePass(const Pass &,
+                                                   ModuleOp module) {
   // Prime every analysis for every function so the after-pass check
   // always has a pre-pass result to compare against.
   for (ir::Op *op : module.body()) {
@@ -478,9 +410,9 @@ void AnalysisVerifyInstrumentation::beforePass(const Pass &, ModuleOp module) {
   }
 }
 
-bool AnalysisVerifyInstrumentation::afterPass(const Pass &pass,
-                                              ModuleOp module,
-                                              DiagnosticEngine &diag) {
+bool AnalysisCrossCheckInstrumentation::afterPass(const Pass &pass,
+                                                  ModuleOp module,
+                                                  DiagnosticEngine &diag) {
   PreservedAnalyses preserved = pass.preservedAnalyses();
   bool ok = true;
   for (ir::Op *op : module.body()) {
@@ -511,15 +443,6 @@ bool AnalysisVerifyInstrumentation::afterPass(const Pass &pass,
   // equality is transitive, so per-pass checks imply chain validity.)
   am_.clear();
   return ok;
-}
-
-bool VerifyInstrumentation::afterPass(const Pass &pass, ModuleOp module,
-                                      DiagnosticEngine &diag) {
-  std::vector<std::string> errors = ir::verify(module.op);
-  for (const std::string &e : errors)
-    diag.error(SourceLoc(),
-               "pass '" + pass.name() + "' broke invariant: " + e);
-  return errors.empty();
 }
 
 void IRPrintInstrumentation::beforePass(const Pass &pass, ModuleOp module) {
@@ -590,8 +513,8 @@ namespace {
 /// "pass.run" failpoint, runs `body`, and converts any escaping
 /// exception into a structured diagnostic attributed to the pass — a
 /// throwing pass fails its module, never the batch or the process.
-/// Essential on pool/scheduler workers, where an uncaught exception
-/// would otherwise unwind into the worker loop.
+/// Essential on scheduler workers, where an uncaught exception would
+/// otherwise unwind into the worker loop.
 template <typename Fn>
 bool runPassContained(const std::string &passName, DiagnosticEngine &diag,
                       Fn &&body) {
@@ -607,6 +530,9 @@ bool runPassContained(const std::string &passName, DiagnosticEngine &diag,
   }
   return false;
 }
+
+const char *kRoundTripError =
+    "pass-cache: cached IR failed to re-parse (print/parse round-trip bug)";
 
 } // namespace
 
@@ -624,14 +550,6 @@ void PassManager::addInstrumentation(std::unique_ptr<Instrumentation> ins) {
   instrumentations_.push_back(std::move(ins));
 }
 
-void PassManager::enableTiming(PassTimingReport *report) {
-  addInstrumentation(std::make_unique<TimingInstrumentation>(report));
-}
-
-void PassManager::enableVerifyEach() {
-  addInstrumentation(std::make_unique<VerifyInstrumentation>());
-}
-
 void PassManager::enableIRPrinting(bool before, bool after,
                                    std::string filter, std::FILE *out) {
   addInstrumentation(std::make_unique<IRPrintInstrumentation>(
@@ -640,7 +558,12 @@ void PassManager::enableIRPrinting(bool before, bool after,
 
 void PassManager::enableAnalysisVerify() {
   addInstrumentation(
-      std::make_unique<AnalysisVerifyInstrumentation>(analysisManager_));
+      std::make_unique<AnalysisCrossCheckInstrumentation>(analysisManager_));
+}
+
+bool PassManager::inspectsIR(const Pass &pass) const {
+  return std::any_of(instrumentations_.begin(), instrumentations_.end(),
+                     [&](const auto &ins) { return ins->inspectsIR(pass); });
 }
 
 namespace {
@@ -654,49 +577,6 @@ std::vector<ir::Op *> collectFuncs(ModuleOp module) {
 }
 
 } // namespace
-
-bool PassManager::runOnFunctions(FunctionPass &pass,
-                                 const std::vector<ir::Op *> &funcs,
-                                 DiagnosticEngine &diag,
-                                 runtime::ThreadPool *pool) {
-  if (!pool || funcs.size() < 2) {
-    bool ok = true;
-    for (ir::Op *func : funcs)
-      ok = runPassContained(pass.name(), diag,
-                            [&] { return pass.runOnFunction(func, diag); }) &&
-           ok;
-    return ok;
-  }
-
-  // Each function is a disjoint IR subtree, so workers never touch shared
-  // IR state. DiagnosticEngine is not thread-safe: every function gets a
-  // private engine (stamped with the caller's module attribution), merged
-  // in function order afterwards so diagnostics stay deterministic
-  // regardless of scheduling.
-  std::vector<DiagnosticEngine> localDiags(funcs.size());
-  for (DiagnosticEngine &ld : localDiags)
-    ld.setModuleName(diag.moduleName());
-  std::vector<char> localOk(funcs.size(), 1);
-  std::atomic<size_t> next{0};
-  pool->parallel([&](unsigned, runtime::Team &) {
-    for (size_t i = next.fetch_add(1); i < funcs.size();
-         i = next.fetch_add(1))
-      localOk[i] = runPassContained(pass.name(), localDiags[i],
-                                    [&, i] {
-                                      return pass.runOnFunction(
-                                          funcs[i], localDiags[i]);
-                                    })
-                       ? 1
-                       : 0;
-  });
-
-  bool ok = true;
-  for (size_t i = 0; i < funcs.size(); ++i) {
-    diag.mergeFrom(localDiags[i]);
-    ok = ok && localOk[i];
-  }
-  return ok;
-}
 
 const Hash128 &PassManager::hashOf(ir::Op *func, CacheState &st) {
   auto it = st.irHash.find(func);
@@ -823,521 +703,22 @@ bool PassManager::spliceModule(ModuleOp module,
   return true;
 }
 
-bool PassManager::runPassCached(Pass &pass, ModuleOp module,
-                                DiagnosticEngine &diag,
-                                runtime::ThreadPool *pool, bool lazy,
-                                CacheState &st, RunScope &scope) {
-  if (!pass.isFunctionPass()) {
-    // Module granularity: key on the fold of the per-function hashes (the
-    // module body holds only funcs). The "module:" spec prefix keeps the
-    // key space disjoint from per-function entries.
-    const std::string spec = "module:" + pass.spec();
-    Hash128 input;
-    for (ir::Op *func : collectFuncs(module))
-      input = combineHash(input, hashOf(func, st));
-    if (auto hit = cache_->lookup(input, spec)) {
-      if (spliceModule(module, *hit, st)) {
-        analysisManager_.clear();
-        cache_->notePassReplayed();
-        return true;
-      }
-    }
-    if (!materializeAll(module, st)) {
-      diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                              "(print/parse round-trip bug)");
-      return false;
-    }
-    cache_->notePassExecuted();
-    scope.wholeModule = true;
-    size_t errorsAtStart = diag.numErrors();
-    if (!runPassContained(pass.name(), diag,
-                          [&] { return pass.run(module, diag); }) ||
-        diag.numErrors() > errorsAtStart)
-      return false;
-    st.irHash.clear();
-    PassResultCache::Entry entry;
-    Hash128 output;
-    for (ir::Op *func : collectFuncs(module)) {
-      Hash128 h = ir::hashOp(func);
-      st.irHash[func] = h;
-      entry.funcHashes.push_back(h);
-      output = combineHash(output, h);
-    }
-    entry.ir = ir::printOp(module.op);
-    // The chain key of a module entry is the same per-function fold the
-    // next module pass derives its input from.
-    entry.outputHash = output;
-    cache_->store(input, spec, std::move(entry));
-    return true;
-  }
-
-  auto &fnPass = static_cast<FunctionPass &>(pass);
-  const std::string spec = pass.spec();
-  std::vector<ir::Op *> missed;
-  for (ir::Op *func : collectFuncs(module)) {
-    Hash128 input = hashOf(func, st);
-    if (auto hit = cache_->lookup(input, spec)) {
-      if (applyHit(module, func, std::move(*hit), lazy, st))
-        continue;
-      // Unparseable entry: treat as a miss and recompute.
-    }
-    // The pass must run on this function's real IR.
-    ir::Op *live = materialize(module, func, st);
-    if (!live) {
-      diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                              "(print/parse round-trip bug)");
-      return false;
-    }
-    missed.push_back(live);
-  }
-  if (missed.empty()) {
-    cache_->notePassReplayed();
-    return true;
-  }
-  cache_->notePassExecuted();
-  scope.executed = missed;
-  size_t errorsAtStart = diag.numErrors();
-  if (!runOnFunctions(fnPass, missed, diag, pool) ||
-      diag.numErrors() > errorsAtStart)
-    return false;
-  for (ir::Op *func : missed) {
-    // The entry payload is the printed text (replay splices text); the
-    // chain key is the structural hash, matching what a fresh walk of
-    // the spliced replay would produce.
-    Hash128 outputHash = ir::hashOp(func);
-    Hash128 input = st.irHash[func];
-    cache_->store(input, spec, ir::printOp(func), outputHash);
-    st.irHash[func] = outputHash;
-  }
-  return true;
-}
-
-runtime::ThreadPool *PassManager::acquirePool(
-    std::unique_ptr<runtime::ThreadPool> &owned, bool wantPool) {
-  if (!wantPool || threads_ <= 1 || runtime::ThreadPool::insideParallel())
-    return nullptr;
-  if (externalPool_)
-    return externalPool_;
-  owned = std::make_unique<runtime::ThreadPool>(threads_);
-  return owned.get();
-}
-
 bool PassManager::run(ModuleOp module, DiagnosticEngine &diag) {
-  std::unique_ptr<runtime::ThreadPool> owned;
-  bool anyFunctionPass =
-      std::any_of(passes_.begin(), passes_.end(),
-                  [](const auto &p) { return p->isFunctionPass(); });
-  runtime::ThreadPool *pool = acquirePool(owned, anyFunctionPass);
-
-  size_t errorsAtStart = diag.numErrors();
-  for (auto &pass : passes_) {
-    pass->setStatisticsEnabled(collectStats_);
-    pass->setAnalysisManager(&analysisManager_);
-  }
-  // Entries from a previously compiled module must not survive into this
-  // run (a fresh func allocated at a recycled Op address would false-hit
-  // them); entries primed for *this* module's functions are kept.
-  analysisManager_.retainOnly(collectFuncs(module));
-
-  // Chained per-function structural IR hashes for the result cache: the
-  // initial keying is one hashOp walk per function (no printing), each
-  // executed pass re-walks its output once (becoming the next pass's
-  // input hash), and replayed passes reuse the stored output hash — so a
-  // fully cached pipeline never prints or parses IR at all. Laziness is
-  // per pass: around a pass no instrumentation inspects, hits park their
-  // cached text and only advance the hash chain; before a pass some
-  // instrumentation does inspect, every pending replay is materialized
-  // so the hooks (and the pass) observe real IR.
-  CacheState st;
-  if (cache_)
-    for (ir::Op *op : module.body())
-      if (op->kind() == ir::OpKind::Func)
-        st.irHash[op] = ir::hashOp(op);
-
-  for (auto &pass : passes_) {
-    pass->beginRun();
-    bool lazy = true;
-    for (const auto &ins : instrumentations_)
-      lazy = lazy && !ins->inspectsIR(*pass);
-    if (cache_ && !lazy && !materializeAll(module, st)) {
-      diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                              "(print/parse round-trip bug)");
-      return false;
-    }
-    for (auto &ins : instrumentations_)
-      ins->beforePass(*pass, module);
-    bool ok;
-    RunScope scope;
-    {
-      trace::TraceSpan span(spanName("pass:", pass->name()), "pm");
-      if (cache_) {
-        ok = runPassCached(*pass, module, diag, pool, lazy, st, scope);
-        if (span.active())
-          span.annotate("cache", scope.wholeModule || !scope.executed.empty()
-                                     ? "run"
-                                     : "replay");
-      } else {
-        scope.wholeModule = true;
-        if (pass->isFunctionPass())
-          ok = runOnFunctions(static_cast<FunctionPass &>(*pass),
-                              collectFuncs(module), diag, pool);
-        else
-          ok = runPassContained(pass->name(), diag,
-                                [&] { return pass->run(module, diag); });
-      }
-    }
-    // Reverse order so instrumentations nest (first installed =
-    // outermost); e.g. timing installed last excludes the cost of
-    // earlier-installed IR printing / verification from its window.
-    for (auto it = instrumentations_.rbegin();
-         it != instrumentations_.rend(); ++it)
-      ok = (*it)->afterPass(*pass, module, diag) && ok;
-    if (!ok || diag.numErrors() > errorsAtStart) {
-      // Leave the module in a consistent (materialized) state even on
-      // abort; failures here are secondary to the abort being reported.
-      materializeAll(module, st);
-      return false;
-    }
-    // Drop analyses the pass did not preserve — only where it actually
-    // ran. Functions replayed from the cache are fresh Op instances (or
-    // park pending text) with no cached analyses, so replays need no
-    // invalidation at all.
-    PreservedAnalyses preserved = pass->preservedAnalyses();
-    if (scope.wholeModule)
-      analysisManager_.invalidate(preserved);
-    else
-      for (ir::Op *func : scope.executed)
-        analysisManager_.invalidate(func, preserved);
-  }
-  if (!materializeAll(module, st)) {
-    diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                            "(print/parse round-trip bug)");
-    return false;
-  }
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Cross-module batch scheduling
-//===----------------------------------------------------------------------===//
-
-void PassManager::runFunctionPassBatch(
-    FunctionPass &pass, const std::vector<ModuleOp> &modules,
-    const std::vector<DiagnosticEngine *> &diags, std::vector<char> &ok,
-    runtime::ThreadPool *pool, bool lazy, std::vector<CacheState> &st) {
-  // (module, function) work items: the union across every live module is
-  // what keeps the pool busy when individual modules hold 1-2 kernels.
-  struct Item {
-    size_t mod;
-    ir::Op *func;
-  };
-  std::vector<Item> missed;
-  const std::string spec = pass.spec();
-  for (size_t i = 0; i < modules.size(); ++i) {
-    if (!ok[i])
-      continue;
-    bool roundTripBug = false;
-    for (ir::Op *func : collectFuncs(modules[i])) {
-      if (!cache_) {
-        missed.push_back({i, func});
-        continue;
-      }
-      Hash128 input = hashOf(func, st[i]);
-      if (auto hit = cache_->lookup(input, spec)) {
-        if (applyHit(modules[i], func, std::move(*hit), lazy, st[i]))
-          continue;
-        // Unparseable entry: treat as a miss and recompute.
-      }
-      ir::Op *live = materialize(modules[i], func, st[i]);
-      if (!live) {
-        roundTripBug = true;
-        break;
-      }
-      missed.push_back({i, live});
-    }
-    if (roundTripBug) {
-      diags[i]->error(SourceLoc(), "pass-cache: cached IR failed to "
-                                   "re-parse (print/parse round-trip bug)");
-      ok[i] = 0;
-      materializeAll(modules[i], st[i]);
-      missed.erase(std::remove_if(missed.begin(), missed.end(),
-                                  [&](const Item &it) { return it.mod == i; }),
-                   missed.end());
-    }
-  }
-  if (cache_) {
-    if (missed.empty()) {
-      cache_->notePassReplayed();
-      return;
-    }
-    cache_->notePassExecuted();
-  }
-  if (missed.empty())
-    return;
-
-  // Dedup identical functions across the batch: the same kernel text in
-  // several modules (suite harnesses, copied benchmarks) executes once;
-  // the duplicates replay the representative's stored result below.
-  std::vector<Item> dups;
-  if (cache_) {
-    std::vector<Item> uniq;
-    std::unordered_map<std::string, char> seen;
-    for (const Item &it : missed) {
-      if (seen.emplace(st[it.mod].irHash[it.func].hex(), 1).second)
-        uniq.push_back(it);
-      else
-        dups.push_back(it);
-    }
-    missed = std::move(uniq);
-  }
-
-  // Run the union; per-item diagnostics merge back in item (module,
-  // body) order so the output is deterministic regardless of scheduling.
-  const size_t n = missed.size();
-  std::vector<DiagnosticEngine> localDiags(n);
-  for (size_t k = 0; k < n; ++k)
-    localDiags[k].setModuleName(diags[missed[k].mod]->moduleName());
-  std::vector<char> localOk(n, 1);
-  auto runOne = [&](size_t k) {
-    return runPassContained(pass.name(), localDiags[k], [&] {
-             return pass.runOnFunction(missed[k].func, localDiags[k]);
-           })
-               ? 1
-               : 0;
-  };
-  if (!pool || n < 2) {
-    for (size_t k = 0; k < n; ++k)
-      localOk[k] = runOne(k);
-  } else {
-    std::atomic<size_t> next{0};
-    pool->parallel([&](unsigned, runtime::Team &) {
-      for (size_t k = next.fetch_add(1); k < n; k = next.fetch_add(1))
-        localOk[k] = runOne(k);
-    });
-  }
-  for (size_t k = 0; k < n; ++k) {
-    size_t i = missed[k].mod;
-    diags[i]->mergeFrom(localDiags[k]);
-    if (!localOk[k] || localDiags[k].hasErrors())
-      ok[i] = 0;
-  }
-  // Failed modules keep their (partially transformed) IR materialized and
-  // stop advancing; healthy modules record results and move the hash
-  // chain forward.
-  for (size_t k = 0; k < n; ++k) {
-    size_t i = missed[k].mod;
-    if (!ok[i])
-      continue;
-    if (cache_) {
-      Hash128 outputHash = ir::hashOp(missed[k].func);
-      Hash128 input = st[i].irHash[missed[k].func];
-      cache_->store(input, spec, ir::printOp(missed[k].func), outputHash);
-      st[i].irHash[missed[k].func] = outputHash;
-    }
-  }
-  // Duplicates replay the representative's freshly stored entry; if the
-  // representative's module failed (nothing stored), run them directly.
-  for (const Item &it : dups) {
-    size_t i = it.mod;
-    if (!ok[i])
-      continue;
-    Hash128 input = st[i].irHash[it.func];
-    if (auto hit = cache_->lookup(input, spec)) {
-      if (applyHit(modules[i], it.func, std::move(*hit), lazy, st[i]))
-        continue;
-      // Unparseable entry: fall through and run the duplicate directly.
-    }
-    size_t errorsBefore = diags[i]->numErrors();
-    DiagnosticEngine local;
-    local.setModuleName(diags[i]->moduleName());
-    bool itemOk = runPassContained(
-        pass.name(), local, [&] { return pass.runOnFunction(it.func, local); });
-    diags[i]->mergeFrom(local);
-    if (!itemOk || diags[i]->numErrors() > errorsBefore) {
-      ok[i] = 0;
-      continue;
-    }
-    Hash128 outputHash = ir::hashOp(it.func);
-    cache_->store(input, spec, ir::printOp(it.func), outputHash);
-    st[i].irHash[it.func] = outputHash;
-  }
-  for (size_t i = 0; i < modules.size(); ++i)
-    if (!ok[i])
-      materializeAll(modules[i], st[i]);
-}
-
-std::vector<char>
-PassManager::runOnModules(const std::vector<ModuleOp> &modules,
-                          const std::vector<DiagnosticEngine *> &diags,
-                          const BatchOptions &opts) {
-  assert(modules.size() == diags.size());
-  std::vector<char> ok(modules.size(), 1);
-  std::unique_ptr<runtime::ThreadPool> owned;
-  runtime::ThreadPool *pool = acquirePool(
-      owned, std::any_of(passes_.begin(), passes_.end(),
-                         [](const auto &p) { return p->isFunctionPass(); }));
-
-  for (auto &pass : passes_) {
-    pass->setStatisticsEnabled(collectStats_);
-    pass->setAnalysisManager(&analysisManager_);
-  }
-  std::vector<ir::Op *> allFuncs;
-  for (ModuleOp module : modules)
-    for (ir::Op *func : collectFuncs(module))
-      allFuncs.push_back(func);
-  analysisManager_.retainOnly(allFuncs);
-
-  // Per-module hash chains (see run()); functions hash identically across
-  // modules, so two modules containing the same kernel share every cache
-  // entry within this one batch. The initial keying fans the per-function
-  // ir::hashOp walks across the pool (hashOp is deterministic, so the
-  // keys are bit-identical to serial keying); only the map fills stay on
-  // this thread, because concurrent inserts into one module's map would
-  // race.
-  std::vector<CacheState> st(modules.size());
-  const bool lazy = !opts.verifyEach;
-  if (cache_) {
-    struct KeyItem {
-      size_t mod;
-      ir::Op *func;
-    };
-    std::vector<KeyItem> items;
-    for (size_t i = 0; i < modules.size(); ++i)
-      for (ir::Op *func : collectFuncs(modules[i]))
-        items.push_back({i, func});
-    std::vector<Hash128> hashes(items.size());
-    if (pool && items.size() >= 2) {
-      std::atomic<size_t> next{0};
-      pool->parallel([&](unsigned, runtime::Team &) {
-        for (size_t k = next.fetch_add(1); k < items.size();
-             k = next.fetch_add(1))
-          hashes[k] = ir::hashOp(items[k].func);
-      });
-    } else {
-      for (size_t k = 0; k < items.size(); ++k)
-        hashes[k] = ir::hashOp(items[k].func);
-    }
-    for (size_t k = 0; k < items.size(); ++k)
-      st[items[k].mod].irHash[items[k].func] = hashes[k];
-  }
-
-  auto batchArenaBytes = [&] {
-    uint64_t total = 0;
-    for (const ModuleOp &m : modules)
-      total += m.op->arena().bytesAllocated();
-    return total;
-  };
-
-  for (auto &pass : passes_) {
-    // Cancellation/deadline poll at the pass boundary: an expired module
-    // drops out before this pass runs; the rest of the batch continues.
-    for (size_t i = 0; i < modules.size(); ++i) {
-      if (!ok[i] || i >= opts.cancels.size() || !opts.cancels[i])
-        continue;
-      std::string reason = opts.cancels[i]->expiredReason();
-      if (reason.empty())
-        continue;
-      diags[i]->error(SourceLoc(),
-                      reason + " in pass '" + pass->name() + "'");
-      ok[i] = 0;
-      materializeAll(modules[i], st[i]);
-    }
-    pass->beginRun();
-    uint64_t rssStart = 0;
-    uint64_t arenaStart = 0;
-    std::chrono::steady_clock::time_point t0;
-    if (opts.timing) {
-      rssStart = readPeakRssBytes();
-      arenaStart = batchArenaBytes();
-      t0 = std::chrono::steady_clock::now();
-    }
-
-    {
-      trace::TraceSpan span(spanName("pass:", pass->name()), "pm");
-      if (pass->isFunctionPass()) {
-        runFunctionPassBatch(static_cast<FunctionPass &>(*pass), modules,
-                             diags, ok, pool, lazy, st);
-      } else {
-        // Module passes run per module; a failure stays that module's.
-        for (size_t i = 0; i < modules.size(); ++i) {
-          if (!ok[i])
-            continue;
-          size_t errorsBefore = diags[i]->numErrors();
-          bool passOk;
-          if (cache_) {
-            RunScope scope;
-            passOk = runPassCached(*pass, modules[i], *diags[i], nullptr,
-                                   lazy, st[i], scope);
-          } else {
-            passOk = pass->run(modules[i], *diags[i]);
-          }
-          if (!passOk || diags[i]->numErrors() > errorsBefore) {
-            ok[i] = 0;
-            materializeAll(modules[i], st[i]);
-          }
-        }
-      }
-    }
-
-    if (opts.timing) {
-      double secs = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-      uint64_t rssEnd = readPeakRssBytes();
-      uint64_t arenaEnd = batchArenaBytes();
-      opts.timing->records.push_back(
-          {pass->spec(), secs, rssEnd > rssStart ? rssEnd - rssStart : 0,
-           arenaEnd > arenaStart ? arenaEnd - arenaStart : 0, {}});
-      passSecondsHistogram().observe(secs);
-    }
-
-    if (opts.verifyEach) {
-      // lazy is off, so every module is fully materialized here.
-      for (size_t i = 0; i < modules.size(); ++i) {
-        if (!ok[i])
-          continue;
-        for (const std::string &e : ir::verify(modules[i].op)) {
-          diags[i]->error(SourceLoc(), "pass '" + pass->name() +
-                                           "' broke invariant: " + e);
-          ok[i] = 0;
-        }
-      }
-    }
-
-    // Per-module arena cap: runaway IR growth becomes a clean per-job
-    // OOM failure, not process death.
-    if (opts.maxArenaBytes) {
-      for (size_t i = 0; i < modules.size(); ++i) {
-        if (!ok[i])
-          continue;
-        uint64_t bytes = modules[i].op->arena().bytesAllocated();
-        if (bytes <= opts.maxArenaBytes)
-          continue;
-        diags[i]->error(SourceLoc(),
-                        "IR arena limit exceeded (" + std::to_string(bytes) +
-                            " > " + std::to_string(opts.maxArenaBytes) +
-                            " bytes) after pass '" + pass->name() + "'");
-        ok[i] = 0;
-        materializeAll(modules[i], st[i]);
-      }
-    }
-
-    // Batch invalidation is global (the union of what ran); per-module
-    // executed-scope precision matters less here because replayed
-    // functions carry no cached analyses anyway.
-    analysisManager_.invalidate(pass->preservedAnalyses());
-  }
-
-  for (size_t i = 0; i < modules.size(); ++i) {
-    if (!ok[i])
-      continue;
-    if (!materializeAll(modules[i], st[i])) {
-      diags[i]->error(SourceLoc(), "pass-cache: cached IR failed to "
-                                   "re-parse (print/parse round-trip bug)");
-      ok[i] = 0;
-    }
-  }
-  return ok;
+  // Hooks observe one module at a time on this thread; without them,
+  // function passes fan out over a pool of threads_ workers.
+  std::unique_ptr<runtime::ThreadPool> pool;
+  if (threads_ > 1 && !hasInstrumentation() &&
+      !runtime::ThreadPool::insideParallel())
+    pool = std::make_unique<runtime::ThreadPool>(threads_);
+  runtime::TaskScheduler sched(pool.get());
+  std::vector<BatchItem> items(1);
+  items[0].module = module.op;
+  items[0].diag = &diag;
+  std::shared_ptr<BatchDag> dag = scheduleBatch(sched, std::move(items), {});
+  sched.run();
+  if (timing_)
+    dag->foldTimingInto(*timing_);
+  return dag->results()[0] != 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1358,6 +739,11 @@ struct BatchDag::Mod {
   /// Whether the current step already counted a notePassExecuted (a fan
   /// join re-enters the step; the counter must bump once).
   bool stepExecuted = false;
+  /// Cache hits of the current step park their text instead of splicing
+  /// it (verify-each is off and no hook inspects the pass).
+  bool lazy = true;
+  /// The current step fired its beforePass hooks; afterPass is owed.
+  bool hooksOpen = false;
 };
 
 /// Join state of one fanned-out function-pass step: per-function run
@@ -1374,52 +760,51 @@ struct BatchDag::Fan {
 
 BatchDag::BatchDag(PassManager &pm, runtime::TaskScheduler &sched,
                    PassManager::BatchOptions opts)
-    : pm_(pm), sched_(sched), opts_(std::move(opts)),
-      lazy_(!opts_.verifyEach) {}
+    : pm_(pm), sched_(sched), opts_(std::move(opts)) {}
 
 BatchDag::~BatchDag() = default;
 
-void BatchDag::addSample(unsigned worker, size_t i, const std::string &spec,
-                         double seconds, uint64_t rssDelta,
-                         uint64_t arenaDelta) {
-  if (opts_.timing)
-    samples_[worker].push_back(
-        {i, mods_[i]->passIdx, spec, seconds, rssDelta, arenaDelta});
+template <typename Fn>
+bool BatchDag::runClocked(size_t i, const Pass &pass, DiagnosticEngine &diag,
+                          unsigned worker, Fn &&body) {
+  // Siblings of a fan allocate into the same module arena concurrently,
+  // so per-function arena deltas within one fan are approximate.
+  const ir::IRArena &arena = mods_[i]->module->arena();
+  uint64_t arenaStart = arena.bytesAllocated();
+  auto t0 = std::chrono::steady_clock::now();
+  bool ok = runPassContained(pass.name(), diag, std::forward<Fn>(body));
+  double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  passSecondsHistogram().observe(secs);
+  uint64_t arenaEnd = arena.bytesAllocated();
+  if (pm_.timing_)
+    samples_[worker].push_back({i, mods_[i]->passIdx, secs,
+                                arenaEnd > arenaStart ? arenaEnd - arenaStart
+                                                      : 0});
+  return ok;
 }
 
 void BatchDag::foldTimingInto(PassTimingReport &report) const {
   // Stable presentation order — module, then pipeline position —
   // regardless of which workers ran what when.
-  struct Key {
-    size_t mod;
-    size_t pass;
-  };
-  std::vector<std::pair<Key, PassTimingReport::Record>> rows;
+  std::map<std::pair<size_t, size_t>, PassTimingReport::Record> rows;
   for (const auto &workerSamples : samples_) {
     for (const Sample &s : workerSamples) {
-      auto it = std::find_if(rows.begin(), rows.end(), [&](const auto &r) {
-        return r.first.mod == s.mod && r.first.pass == s.pass;
-      });
-      if (it == rows.end()) {
-        rows.push_back({{s.mod, s.pass},
-                        {s.spec, s.seconds, s.rssDelta, s.arenaDelta,
-                         mods_[s.mod]->diag->moduleName()}});
-      } else {
-        it->second.seconds += s.seconds;
-        it->second.rssDeltaBytes += s.rssDelta;
-        it->second.arenaDeltaBytes += s.arenaDelta;
+      auto [it, fresh] = rows.try_emplace({s.mod, s.pass});
+      PassTimingReport::Record &r = it->second;
+      if (fresh) {
+        r.spec = pm_.passes_[s.pass]->spec();
+        r.module = mods_[s.mod]->diag->moduleName();
       }
+      r.seconds += s.seconds;
+      r.arenaDeltaBytes += s.arenaDelta;
     }
   }
-  std::sort(rows.begin(), rows.end(), [](const auto &a, const auto &b) {
-    return a.first.mod != b.first.mod ? a.first.mod < b.first.mod
-                                      : a.first.pass < b.first.pass;
-  });
   // Append (never merge into existing rows): a pipeline running the same
-  // spec at two positions keeps two rows, exactly like the per-execution
-  // records the lockstep and per-module paths emit.
+  // spec at two positions keeps two rows.
   for (auto &row : rows)
-    report.records.push_back(row.second);
+    report.records.push_back(std::move(row.second));
 }
 
 void BatchDag::spawnAdvance(size_t i) {
@@ -1431,8 +816,7 @@ void BatchDag::finish(size_t i, bool ok) {
   Mod &m = *mods_[i];
   if (ok && m.module) {
     if (!pm_.materializeAll(ModuleOp(m.module), m.st)) {
-      m.diag->error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                                 "(print/parse round-trip bug)");
+      m.diag->error(SourceLoc(), kRoundTripError);
       ok = false;
     }
   }
@@ -1443,6 +827,10 @@ void BatchDag::finish(size_t i, bool ok) {
 
 void BatchDag::fail(size_t i) {
   Mod &m = *mods_[i];
+  // A failed step still closes its hooks (afterPass runs even when the
+  // pass failed); their verdict is secondary to the failure reported.
+  if (m.hooksOpen)
+    closeHooks(i, *pm_.passes_[m.passIdx]);
   // Leave the failed module's (partially transformed) IR materialized;
   // a round-trip failure here is secondary to the abort being reported.
   if (m.module)
@@ -1450,41 +838,93 @@ void BatchDag::fail(size_t i) {
   finish(i, false);
 }
 
-bool BatchDag::verifyAfter(size_t i, Pass &pass) {
-  // verify-each turns lazy replay off, so the module is materialized.
+bool BatchDag::cancelled(size_t i, Pass &pass) {
+  if (i >= opts_.cancels.size() || !opts_.cancels[i])
+    return false;
+  std::string reason = opts_.cancels[i]->expiredReason();
+  if (reason.empty())
+    return false;
+  mods_[i]->diag->error(SourceLoc(),
+                        reason + " in pass '" + pass.name() + "'");
+  fail(i);
+  return true;
+}
+
+bool BatchDag::beginStep(size_t i, Pass &pass) {
   Mod &m = *mods_[i];
-  bool ok = true;
-  for (const std::string &e : ir::verify(m.module)) {
-    m.diag->error(SourceLoc(),
-                  "pass '" + pass.name() + "' broke invariant: " + e);
-    ok = false;
+  ModuleOp module(m.module);
+  m.stepInited = true;
+  m.lazy = !pm_.verifyEach_ && !pm_.inspectsIR(pass);
+  if (!pass.isFunctionPass()) {
+    // A module pass may erase functions (inline), and a concurrent module
+    // could recycle a freed Op address the moment it is released — so the
+    // pre-run entries must be gone *before* the pass can free anything,
+    // or the recycled address would false-hit a stale analysis (or worse,
+    // invalidate a sibling's fresh entry afterwards). Conservative for
+    // surviving functions. Hooks prime their own entries after this.
+    for (ir::Op *func : collectFuncs(module))
+      pm_.analysisManager_.invalidate(func);
   }
+  // Before a pass some hook inspects (or verify-each checks), every
+  // pending replay is spliced so the hooks and the pass see real IR.
+  if (!m.lazy && !pm_.materializeAll(module, m.st)) {
+    m.diag->error(SourceLoc(), kRoundTripError);
+    fail(i);
+    return false;
+  }
+  if (pm_.hasInstrumentation()) {
+    for (auto &ins : pm_.instrumentations_)
+      ins->beforePass(pass, module);
+    m.hooksOpen = true;
+  }
+  if (pass.isFunctionPass())
+    m.remaining = collectFuncs(module);
+  return true;
+}
+
+bool BatchDag::closeHooks(size_t i, Pass &pass) {
+  Mod &m = *mods_[i];
+  m.hooksOpen = false;
+  // Reverse order so instrumentations nest (first installed = outermost).
+  bool ok = true;
+  for (auto it = pm_.instrumentations_.rbegin();
+       it != pm_.instrumentations_.rend(); ++it)
+    ok = (*it)->afterPass(pass, ModuleOp(m.module), *m.diag) && ok;
   return ok;
 }
 
-bool BatchDag::checkJobLimits(size_t i, Pass &pass) {
+bool BatchDag::endStep(size_t i, Pass &pass) {
   Mod &m = *mods_[i];
-  if (i < opts_.cancels.size() && opts_.cancels[i]) {
-    std::string reason = opts_.cancels[i]->expiredReason();
-    if (!reason.empty()) {
+  // afterPass runs before the module pass's post-run invalidation, so the
+  // preserved-analyses check still sees the pre-pass fingerprints.
+  bool ok = !m.hooksOpen || closeHooks(i, pass);
+  if (pm_.verifyEach_) {
+    // verify-each turns lazy replay off, so the module is materialized.
+    for (const std::string &e : ir::verify(m.module)) {
       m.diag->error(SourceLoc(),
-                    reason + " in pass '" + pass.name() + "'");
-      fail(i);
-      return true;
+                    "pass '" + pass.name() + "' broke invariant: " + e);
+      ok = false;
     }
   }
-  if (opts_.maxArenaBytes && m.module) {
-    uint64_t bytes = m.module->arena().bytesAllocated();
-    if (bytes > opts_.maxArenaBytes) {
-      m.diag->error(SourceLoc(),
-                    "IR arena limit exceeded (" + std::to_string(bytes) +
-                        " > " + std::to_string(opts_.maxArenaBytes) +
-                        " bytes) in pass '" + pass.name() + "'");
-      fail(i);
-      return true;
-    }
+  if (!pass.isFunctionPass())
+    // Entries primed mid-run (by the pass or a hook) for functions the
+    // pass mutated are stale; its *current* functions are ours alone, so
+    // this touches no sibling state.
+    for (ir::Op *func : collectFuncs(ModuleOp(m.module)))
+      pm_.analysisManager_.invalidate(func);
+  // Per-module arena cap: runaway IR growth becomes a clean per-job OOM
+  // failure, not process death.
+  uint64_t bytes = m.module->arena().bytesAllocated();
+  if (ok && opts_.maxArenaBytes && bytes > opts_.maxArenaBytes) {
+    m.diag->error(SourceLoc(),
+                  "IR arena limit exceeded (" + std::to_string(bytes) +
+                      " > " + std::to_string(opts_.maxArenaBytes) +
+                      " bytes) after pass '" + pass.name() + "'");
+    ok = false;
   }
-  return false;
+  if (!ok)
+    fail(i);
+  return ok;
 }
 
 void BatchDag::startModule(size_t i, unsigned worker) {
@@ -1532,24 +972,29 @@ void BatchDag::advance(size_t i, unsigned worker) {
       return;
     }
     Pass &pass = *pm_.passes_[m.passIdx];
-    // Step boundary: cancellation/deadline and the arena cap are polled
-    // here, where no cache claims are held and the module is quiescent.
-    if (checkJobLimits(i, pass))
+    // Cancellation/deadline poll before every step (and every resumption
+    // of a yielded one): no cache claims are held here and the module is
+    // quiescent.
+    if (cancelled(i, pass))
       return;
     Step s;
     {
       trace::TraceSpan span(spanName("pass:", pass.name()), "pm");
       // Pass bodies are individually contained (runPassContained); this
       // outer catch covers the step machinery itself — cache probes,
-      // materialization, hashing — so no exception ever unwinds into the
-      // scheduler's worker loop. Claims held by an interrupted scan may
-      // leak until end of batch (waiters then fail via the session's
-      // sweep); the batch itself always survives.
+      // materialization, hashing, hooks — so no exception ever unwinds
+      // into the scheduler's worker loop. Claims held by an interrupted
+      // scan may leak until end of batch (waiters then fail via the
+      // session's sweep); the batch itself always survives.
       try {
+        if (!m.stepInited && !beginStep(i, pass))
+          return;
         s = pass.isFunctionPass()
                 ? runFunctionPass(i, static_cast<FunctionPass &>(pass),
                                   worker)
                 : runModulePass(i, pass, worker);
+        if (s == Step::Advanced && !endStep(i, pass))
+          s = Step::Failed;
       } catch (const std::exception &e) {
         m.diag->error(SourceLoc(), "pass step '" + pass.name() +
                                        "' threw: " + e.what());
@@ -1571,10 +1016,6 @@ void BatchDag::advance(size_t i, unsigned worker) {
     }
     if (s != Step::Advanced)
       return; // Yielded: a continuation owns the module now. Failed: done.
-    if (opts_.verifyEach && !verifyAfter(i, pass)) {
-      fail(i);
-      return;
-    }
     ++m.passIdx;
     m.stepInited = false;
     m.stepExecuted = false;
@@ -1591,8 +1032,9 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
   Hash128 input;
   std::string spec;
   if (cache) {
-    // Same key shape as the lockstep path: fold of the per-function
-    // hashes under a "module:" spec prefix.
+    // Module granularity: key on the fold of the per-function hashes (the
+    // module body holds only funcs). The "module:" spec prefix keeps the
+    // key space disjoint from per-function entries.
     spec = "module:" + pass.spec();
     for (ir::Op *func : collectFuncs(module))
       input = combineHash(input, pm_.hashOf(func, m.st));
@@ -1602,11 +1044,7 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
     if (ar.state == PassResultCache::AcquireState::Busy)
       return Step::Yielded;
     if (ar.state == PassResultCache::AcquireState::Hit) {
-      // Concurrent modules share the AnalysisManager, so invalidate the
-      // replaced functions individually — clear() would drop entries
-      // other modules' running passes hold references to.
-      for (ir::Op *func : collectFuncs(module))
-        pm_.analysisManager_.invalidate(func);
+      // beginStep already dropped the replaced functions' analyses.
       if (pm_.spliceModule(module, *ar.entry, m.st)) {
         cache->notePassReplayed();
         return Step::Advanced;
@@ -1617,8 +1055,7 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
       owned = true;
     }
     if (!pm_.materializeAll(module, m.st)) {
-      diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                              "(print/parse round-trip bug)");
+      diag.error(SourceLoc(), kRoundTripError);
       if (owned)
         cache->finishCompute(input, spec);
       fail(i);
@@ -1627,42 +1064,15 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
     cache->notePassExecuted();
   }
   m.stepExecuted = true;
-  // A module pass may erase functions (inline), and a concurrent module
-  // could recycle a freed Op address the moment it is released — so the
-  // pre-run entries must be gone *before* the pass can free anything, or
-  // the recycled address would false-hit a stale analysis (or worse,
-  // invalidate a sibling's fresh entry afterwards). Conservative for
-  // surviving functions.
-  for (ir::Op *func : collectFuncs(module))
-    pm_.analysisManager_.invalidate(func);
   size_t errorsBefore = diag.numErrors();
-  uint64_t rssStart = opts_.timing ? readPeakRssBytes() : 0;
-  uint64_t arenaStart = module.op->arena().bytesAllocated();
-  auto t0 = std::chrono::steady_clock::now();
-  bool okRun = runPassContained(pass.name(), diag,
-                                [&] { return pass.run(module, diag); });
-  double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  passSecondsHistogram().observe(secs);
-  if (opts_.timing) {
-    uint64_t rssEnd = readPeakRssBytes();
-    uint64_t arenaEnd = module.op->arena().bytesAllocated();
-    addSample(worker, i, pass.spec(), secs,
-              rssEnd > rssStart ? rssEnd - rssStart : 0,
-              arenaEnd > arenaStart ? arenaEnd - arenaStart : 0);
-  }
+  bool okRun = runClocked(i, pass, diag, worker,
+                          [&] { return pass.run(module, diag); });
   if (!okRun || diag.numErrors() > errorsBefore) {
     if (owned)
       cache->finishCompute(input, spec);
     fail(i);
     return Step::Failed;
   }
-  // Entries the pass primed mid-run for functions it then mutated are
-  // stale too; its *current* functions are ours alone, so this touches
-  // no sibling state (pre-run pointers may be dead — never revisit them).
-  for (ir::Op *func : collectFuncs(module))
-    pm_.analysisManager_.invalidate(func);
   if (cache) {
     m.st.irHash.clear();
     PassResultCache::Entry entry;
@@ -1674,6 +1084,8 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
       output = combineHash(output, h);
     }
     entry.ir = ir::printOp(module.op);
+    // The chain key of a module entry is the same per-function fold the
+    // next module pass derives its input from.
     entry.outputHash = output;
     cache->store(input, spec, std::move(entry));
     cache->finishCompute(input, spec);
@@ -1687,10 +1099,6 @@ BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
   ModuleOp module(m.module);
   PassResultCache *cache = pm_.cache_;
   const std::string spec = pass.spec();
-  if (!m.stepInited) {
-    m.remaining = collectFuncs(module);
-    m.stepInited = true;
-  }
   if (!cache) {
     // No cache: nothing to key, replay, or dedup — run every function.
     std::vector<FuncRun> toRun;
@@ -1712,7 +1120,7 @@ BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
       Hash128 input = pm_.hashOf(func, m.st);
       auto ar = cache->acquire(input, spec, nullptr);
       if (ar.state == PassResultCache::AcquireState::Hit) {
-        if (pm_.applyHit(module, func, std::move(*ar.entry), lazy_, m.st)) {
+        if (pm_.applyHit(module, func, std::move(*ar.entry), m.lazy, m.st)) {
           it = m.remaining.erase(it);
           continue;
         }
@@ -1725,8 +1133,7 @@ BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
       // real IR.
       ir::Op *live = pm_.materialize(module, func, m.st);
       if (!live) {
-        m.diag->error(SourceLoc(), "pass-cache: cached IR failed to "
-                                   "re-parse (print/parse round-trip bug)");
+        m.diag->error(SourceLoc(), kRoundTripError);
         // Release every claim collected so far, not just this one — a
         // leaked claim would park other modules' waiters forever.
         if (ar.state == PassResultCache::AcquireState::Owned)
@@ -1765,15 +1172,14 @@ BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
     if (ar.state == PassResultCache::AcquireState::Busy)
       return Step::Yielded;
     if (ar.state == PassResultCache::AcquireState::Hit) {
-      if (pm_.applyHit(module, func, std::move(*ar.entry), lazy_, m.st)) {
+      if (pm_.applyHit(module, func, std::move(*ar.entry), m.lazy, m.st)) {
         m.remaining.erase(m.remaining.begin());
         continue;
       }
       // Corrupt entry: run it unclaimed.
       ir::Op *live = pm_.materialize(module, func, m.st);
       if (!live) {
-        m.diag->error(SourceLoc(), "pass-cache: cached IR failed to "
-                                   "re-parse (print/parse round-trip bug)");
+        m.diag->error(SourceLoc(), kRoundTripError);
         fail(i);
         return Step::Failed;
       }
@@ -1787,8 +1193,7 @@ BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
     // run the function ourselves.
     ir::Op *live = pm_.materialize(module, func, m.st);
     if (!live) {
-      m.diag->error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                                 "(print/parse round-trip bug)");
+      m.diag->error(SourceLoc(), kRoundTripError);
       cache->finishCompute(input, spec);
       fail(i);
       return Step::Failed;
@@ -1798,6 +1203,12 @@ BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
     if (s != Step::Advanced)
       return s;
   }
+}
+
+bool BatchDag::runOne(size_t i, Fan &fan, size_t k, unsigned worker) {
+  return runClocked(i, *fan.pass, fan.diags[k], worker, [&] {
+    return fan.pass->runOnFunction(fan.items[k].func, fan.diags[k]);
+  });
 }
 
 BatchDag::Step BatchDag::executeMisses(size_t i, FunctionPass &pass,
@@ -1829,31 +1240,7 @@ BatchDag::Step BatchDag::executeMisses(size_t i, FunctionPass &pass,
         trace::TraceSpan span(spanName("fn:", fan->spec), "pm");
         if (span.active())
           span.annotate("mod", fan->diags[k].moduleName());
-        uint64_t rssStart = self->opts_.timing ? readPeakRssBytes() : 0;
-        // Siblings of this fan allocate into the same module arena
-        // concurrently, so per-function arena deltas within one fan are
-        // approximate; the per-(module,pass) fold remains exact.
-        uint64_t arenaStart = fan->items[k].func->arena().bytesAllocated();
-        auto t0 = std::chrono::steady_clock::now();
-        fan->oks[k] = runPassContained(fan->pass->name(), fan->diags[k],
-                                       [&] {
-                                         return fan->pass->runOnFunction(
-                                             fan->items[k].func,
-                                             fan->diags[k]);
-                                       })
-                          ? 1
-                          : 0;
-        double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        passSecondsHistogram().observe(secs);
-        if (self->opts_.timing) {
-          uint64_t rssEnd = readPeakRssBytes();
-          uint64_t arenaEnd = fan->items[k].func->arena().bytesAllocated();
-          self->addSample(w, i, fan->spec, secs,
-                          rssEnd > rssStart ? rssEnd - rssStart : 0,
-                          arenaEnd > arenaStart ? arenaEnd - arenaStart : 0);
-        }
+        fan->oks[k] = self->runOne(i, *fan, k, w) ? 1 : 0;
         if (fan->left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
           // Last finisher completes the step and resumes the chain
           // (rescanning the step, or moving on when it is drained).
@@ -1865,29 +1252,8 @@ BatchDag::Step BatchDag::executeMisses(size_t i, FunctionPass &pass,
     return Step::Yielded;
   }
   // Inline: run on this worker, then complete the step directly.
-  for (size_t k = 0; k < fan->items.size(); ++k) {
-    uint64_t rssStart = opts_.timing ? readPeakRssBytes() : 0;
-    uint64_t arenaStart = fan->items[k].func->arena().bytesAllocated();
-    auto t0 = std::chrono::steady_clock::now();
-    fan->oks[k] = runPassContained(pass.name(), fan->diags[k],
-                                   [&] {
-                                     return pass.runOnFunction(
-                                         fan->items[k].func, fan->diags[k]);
-                                   })
-                      ? 1
-                      : 0;
-    double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    passSecondsHistogram().observe(secs);
-    if (opts_.timing) {
-      uint64_t rssEnd = readPeakRssBytes();
-      uint64_t arenaEnd = fan->items[k].func->arena().bytesAllocated();
-      addSample(worker, i, spec, secs,
-                rssEnd > rssStart ? rssEnd - rssStart : 0,
-                arenaEnd > arenaStart ? arenaEnd - arenaStart : 0);
-    }
-  }
+  for (size_t k = 0; k < fan->items.size(); ++k)
+    fan->oks[k] = runOne(i, *fan, k, worker) ? 1 : 0;
   return completeStep(i, *fan) ? Step::Advanced : Step::Failed;
 }
 
@@ -1901,8 +1267,8 @@ bool BatchDag::completeStep(size_t i, Fan &fan) {
   }
   if (anyFailed) {
     // Release every claim unstored: parked waiters re-acquire, miss, and
-    // run the work themselves (lockstep parity: a failed module stores
-    // nothing for the step).
+    // run the work themselves (a failed module stores nothing for the
+    // step).
     if (cache)
       for (const FuncRun &r : fan.items)
         if (r.owned)
@@ -1912,12 +1278,18 @@ bool BatchDag::completeStep(size_t i, Fan &fan) {
   }
   for (const FuncRun &r : fan.items) {
     if (cache) {
+      // The entry payload is the printed text (replay splices text); the
+      // chain key is the structural hash, matching what a fresh walk of
+      // the spliced replay would produce.
       Hash128 outputHash = ir::hashOp(r.func);
       cache->store(r.input, fan.spec, ir::printOp(r.func), outputHash);
       m.st.irHash[r.func] = outputHash;
       if (r.owned)
         cache->finishCompute(r.input, fan.spec);
     }
+    // Drop analyses the pass did not preserve — only where it actually
+    // ran. Functions replayed from the cache are fresh Op instances (or
+    // park pending text) with no cached analyses.
     pm_.analysisManager_.invalidate(r.func, fan.pass->preservedAnalyses());
     m.remaining.erase(
         std::find(m.remaining.begin(), m.remaining.end(), r.func));
@@ -1930,19 +1302,24 @@ PassManager::scheduleBatch(runtime::TaskScheduler &sched,
                            std::vector<BatchItem> items, BatchOptions opts) {
   // One beginRun per pass per batch, before any task runs: pass objects
   // are shared by every module in flight, and their per-run state is
-  // already required to tolerate concurrent runOnFunction calls (the
-  // lockstep scheduler fans one pass across workers under a single
-  // beginRun); dynamic preservation only accumulates toward "changed
-  // more", i.e. stays conservative when modules interleave.
+  // already required to tolerate concurrent runOnFunction calls (a step
+  // fans one pass across workers); dynamic preservation only accumulates
+  // toward "changed more", i.e. stays conservative when modules
+  // interleave.
   for (auto &pass : passes_) {
     pass->setStatisticsEnabled(collectStats_);
     pass->setAnalysisManager(&analysisManager_);
     pass->beginRun();
   }
   // Entries from a previous batch could false-hit through a recycled Op
-  // address, and the per-module retainOnly is impossible before the
-  // parse leaves have produced the functions — drop everything.
-  analysisManager_.clear();
+  // address; only those primed for this batch's pre-parsed modules are
+  // kept (modules still to be parsed have no functions yet).
+  std::vector<ir::Op *> primed;
+  for (const BatchItem &item : items)
+    if (item.module)
+      for (ir::Op *func : collectFuncs(ModuleOp(item.module)))
+        primed.push_back(func);
+  analysisManager_.retainOnly(primed);
 
   auto dag = std::shared_ptr<BatchDag>(
       new BatchDag(*this, sched, std::move(opts)));
@@ -1954,7 +1331,10 @@ PassManager::scheduleBatch(runtime::TaskScheduler &sched,
     mod->prepare = std::move(item.prepare);
     dag->mods_.push_back(std::move(mod));
   }
-  dag->ok_.assign(items.size(), 1);
+  // finish() records each module's outcome; a chain severed by an
+  // exception the scheduler contained never gets there and reads as
+  // failed.
+  dag->ok_.assign(items.size(), 0);
   dag->samples_.resize(sched.workers());
   for (size_t i = 0; i < dag->mods_.size(); ++i)
     sched.spawn(

@@ -4,16 +4,18 @@
 //    with declared options (for textual pipelines) and statistics counters.
 //  - FunctionPass: a pass that runs independently on each func, making it
 //    schedulable across kernels in parallel on the runtime thread pool.
-//  - Instrumentation: hooks around every pass execution. Built-ins cover
-//    per-pass wall-clock timing + peak-RSS growth, --print-ir-before/
-//    after, verify-after-each-pass with a "pass X broke invariant Y"
-//    diagnostic, and the preserved-analyses cross-checker.
+//  - Instrumentation: hooks around every (module, pass) step. Built-ins
+//    cover --print-ir-before/after and the preserved-analyses
+//    cross-checker; per-pass timing and verify-after-each-pass are
+//    PassManager switches the executor honours directly.
 //  - PassManager: owns an ordered pipeline of passes plus instrumentations
-//    and schedules them over a module. It threads an AnalysisManager
-//    (transforms/analysis_manager.h) through the pipeline — invalidating
-//    per each pass's PreservedAnalyses — and optionally a PassResultCache
-//    (transforms/pass_cache.h) that replays cached IR for unchanged
-//    (function, pass) pairs instead of re-running passes.
+//    and schedules them over modules. Its one executor is the
+//    dependency-DAG batch (BatchDag): run() is a one-module batch. It
+//    threads an AnalysisManager (transforms/analysis_manager.h) through
+//    the pipeline — invalidating per each pass's PreservedAnalyses — and
+//    optionally a PassResultCache (transforms/pass_cache.h) that replays
+//    cached IR for unchanged (function, pass) pairs instead of re-running
+//    passes.
 //
 // Textual pipelines ("unroll{max-trip=16},cpuify{mincut=false}",
 // "repeat{n=2}(canonicalize,cse)") are parsed/printed by
@@ -39,7 +41,6 @@
 
 namespace paralift::runtime {
 class TaskScheduler;
-class ThreadPool;
 }
 
 namespace paralift::transforms {
@@ -259,19 +260,15 @@ size_t countNestedOps(ir::Op *root);
 /// Number of nested ops of one kind.
 size_t countNestedOps(ir::Op *root, ir::OpKind kind);
 
-/// Current peak RSS of the process (Linux VmHWM) in bytes; 0 where the
-/// platform offers no cheap reading. Peak RSS is monotonic, so the
-/// per-pass delta attributes memory growth to the pass that caused it.
-uint64_t readPeakRssBytes();
-
 //===----------------------------------------------------------------------===//
 // Instrumentation
 //===----------------------------------------------------------------------===//
 
-/// Instrumentations nest around each pass execution: beforePass hooks
-/// fire in installation order and afterPass hooks in reverse, so the
-/// first-installed instrumentation is outermost. Install timing last to
-/// keep other instrumentations' work out of its measurement window.
+/// Instrumentations nest around each (module, pass) step: beforePass
+/// hooks fire in installation order and afterPass hooks in reverse, so
+/// the first-installed instrumentation is outermost. Hooks see one module
+/// at a time, so a manager with any installed drains its batches on the
+/// calling thread (PassManager::hasInstrumentation).
 class Instrumentation {
 public:
   virtual ~Instrumentation() = default;
@@ -289,10 +286,10 @@ public:
     return true;
   }
   /// Whether the hooks read the module IR around `pass`. When every
-  /// installed instrumentation answers false for a pass (e.g. timing
-  /// only, or a filtered IR printer watching another pass), the result
-  /// cache may defer splicing replayed IR past it — consecutive cache
-  /// hits then cost hash-chain lookups instead of parse round-trips.
+  /// installed instrumentation answers false for a pass (e.g. a filtered
+  /// IR printer watching another pass), the result cache may defer
+  /// splicing replayed IR past it — consecutive cache hits then cost
+  /// hash-chain lookups instead of parse round-trips.
   /// Laziness is decided per pass: before a pass some instrumentation
   /// does inspect, the PassManager materializes every pending replay so
   /// the hooks (and the pass) observe real IR.
@@ -302,49 +299,29 @@ public:
   }
 };
 
-/// Per-pass wall-clock timing and peak-RSS growth, one record per pass
-/// execution in pipeline order. Filled by the timing instrumentation
-/// PassManager::enableTiming installs; batch runs append through fold().
+/// Per-pass execution time and IR growth, one record per (module, pass)
+/// step that executed the pass, in module order then pipeline order.
+/// PassManager::enableTiming points the executor at one; BatchDag folds
+/// its per-worker clock samples into it when the batch drains.
 struct PassTimingReport {
   struct Record {
     std::string spec; ///< canonical pass spec at execution time
     double seconds = 0;
-    /// Peak-RSS growth (bytes) during the pass; 0 when the pass stayed
-    /// within the high-water mark or the platform has no reading. VmHWM
-    /// is process-wide: concurrent steps race to observe growth, and a
-    /// pass allocating below the existing high-water mark reads as 0 —
-    /// treat it as "which pass pushed the process peak", not a per-pass
-    /// footprint. The arena column below is the per-pass figure.
-    uint64_t rssDeltaBytes = 0;
-    /// IR-arena growth (bytes) of the module(s) the pass ran on: the
+    /// IR-arena growth (bytes) of the module the pass ran on: the
     /// difference in IRArena::bytesAllocated() across the pass. Arena
     /// memory is monotonic per module (erase is unlink-without-free), so
     /// this is an exact, per-module attribution of IR materialized by
-    /// the pass — immune to the VmHWM caveats above.
+    /// the pass.
     uint64_t arenaDeltaBytes = 0;
-    /// Module the time is attributed to; empty for whole-batch rows
-    /// (lockstep scheduling) and single-module runs. The DAG scheduler
-    /// folds per-worker clocks by (module, pass) into one row each, so
-    /// --timing reports true per-module per-pass time under parallel
-    /// batch scheduling.
+    /// Module the time is attributed to (its diagnostic name; empty for
+    /// an unnamed run()).
     std::string module;
   };
   std::vector<Record> records;
   double totalSeconds() const;
-  uint64_t totalRssDeltaBytes() const;
   uint64_t totalArenaDeltaBytes() const;
   /// Renders the report as a table ("===- Pass execution timing -===").
   std::string str() const;
-};
-
-/// Verifies the module after every pass; on violation reports
-///   pass 'X' broke invariant: Y
-/// and aborts the pipeline. This replaces the old end-of-pipeline-only
-/// verifier check, which could not attribute breakage to a pass.
-class VerifyInstrumentation : public Instrumentation {
-public:
-  bool afterPass(const Pass &pass, ModuleOp module,
-                 DiagnosticEngine &diag) override;
 };
 
 /// Cross-checks PreservedAnalyses declarations by recomputation: before
@@ -356,9 +333,10 @@ public:
 /// and aborts the pipeline. Entries are re-primed from the current IR
 /// each pass, so every lie is attributed to exactly the pass that told
 /// it. Expensive by design; enable for validation runs.
-class AnalysisVerifyInstrumentation : public Instrumentation {
+class AnalysisCrossCheckInstrumentation : public Instrumentation {
 public:
-  explicit AnalysisVerifyInstrumentation(AnalysisManager &am) : am_(am) {}
+  explicit AnalysisCrossCheckInstrumentation(AnalysisManager &am)
+      : am_(am) {}
   void beforePass(const Pass &pass, ModuleOp module) override;
   bool afterPass(const Pass &pass, ModuleOp module,
                  DiagnosticEngine &diag) override;
@@ -398,12 +376,12 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Cooperative cancellation and deadline for one compile job. The batch
-/// schedulers (runOnModules / scheduleBatch) poll it at pass/step
-/// boundaries — an expired job fails with an attributed diagnostic
-/// ("cancelled ..." / "deadline exceeded after Ns in pass P") before its
-/// next pass starts; the pass currently executing is never interrupted
-/// mid-flight, so IR and cache state stay consistent. Thread-safe: any
-/// thread may cancel() while workers poll.
+/// executor (scheduleBatch, and run() through it) polls it before every
+/// (module, pass) step — an expired job fails with an attributed
+/// diagnostic ("cancelled in pass P" / "deadline exceeded after Ns in
+/// pass P") before its next pass starts; the pass currently executing is
+/// never interrupted mid-flight, so IR and cache state stay consistent.
+/// Thread-safe: any thread may cancel() while workers poll.
 class CancellationToken {
 public:
   /// Requests cancellation. Idempotent.
@@ -448,17 +426,25 @@ public:
 
   void addInstrumentation(std::unique_ptr<Instrumentation> ins);
 
-  /// Installs timing instrumentation; per-pass records land in `report`
-  /// (owned by the caller, written during run()).
-  void enableTiming(PassTimingReport *report);
-  /// Installs verify-after-each-pass.
-  void enableVerifyEach();
+  /// Whether any instrumentation is installed. Hooks observe one module at
+  /// a time, so batches of such a manager drain on the calling thread.
+  bool hasInstrumentation() const { return !instrumentations_.empty(); }
+
+  /// Collects per-(module, pass) execution time and IR-arena growth.
+  /// run() appends its records to `report` (owned by the caller) when it
+  /// returns; batch callers fold them with BatchDag::foldTimingInto.
+  void enableTiming(PassTimingReport *report) { timing_ = report; }
+  /// Verifies each module after every pass; on violation reports
+  ///   pass 'X' broke invariant: Y
+  /// and fails that module. Turns lazy cache replay off, so every pass
+  /// leaves real IR behind.
+  void enableVerifyEach() { verifyEach_ = true; }
   /// Installs IR printing around passes (see IRPrintInstrumentation).
   void enableIRPrinting(bool before, bool after, std::string filter = "",
                         std::FILE *out = stderr);
 
   /// Installs the preserved-analyses cross-checker (see
-  /// AnalysisVerifyInstrumentation).
+  /// AnalysisCrossCheckInstrumentation).
   void enableAnalysisVerify();
 
   /// Also collect the statistics that need extra IR walks (off by
@@ -480,44 +466,31 @@ public:
   void setResultCache(PassResultCache *cache) { cache_ = cache; }
   PassResultCache *resultCache() const { return cache_; }
 
-  /// Number of threads used to fan function passes out across functions.
-  /// 1 (the default) disables parallel scheduling.
+  /// Number of threads run() fans function passes out across (on a pool
+  /// it creates per run). 1 (the default) runs serially.
   void setThreadCount(unsigned n) { threads_ = n == 0 ? 1 : n; }
   unsigned threadCount() const { return threads_; }
 
-  /// Uses an externally owned worker pool for parallel scheduling instead
-  /// of creating one per run — the CompilerSession layer shares a single
-  /// pool across every compile it drives, amortizing worker startup.
-  /// setThreadCount(>1) still gates whether parallel scheduling happens.
-  void setThreadPool(runtime::ThreadPool *pool) { externalPool_ = pool; }
-
-  /// Runs every pass in order. Stops at the first failure (a pass
+  /// Runs every pass in order over one module: a one-item scheduleBatch,
+  /// drained on the calling thread (or across threadCount() workers when
+  /// no instrumentation is installed). Stops at the first failure (a pass
   /// returning false, a new diagnostic error, or an instrumentation
   /// abort) and returns false.
   bool run(ModuleOp module, DiagnosticEngine &diag);
 
-  /// Knobs for the batch schedulers (runOnModules / scheduleBatch).
-  /// Instrumentations installed via enable* hook per-module pass
-  /// executions and do not apply to batch runs; batch supports the hooks
-  /// that matter for sessions directly.
+  /// Per-batch knobs for scheduleBatch. The manager's own switches
+  /// (enableVerifyEach, enableTiming, instrumentations) apply too.
   struct BatchOptions {
-    /// Verify every module after every pass, attributing breakage to the
-    /// pass and failing only the broken module.
-    bool verifyEach = false;
-    /// Lockstep: one timing record per pass covering the whole batch.
-    /// DAG: enables per-worker clock collection, folded by (module,
-    /// pass) into this report by BatchDag::foldTimingInto.
-    PassTimingReport *timing = nullptr;
-    /// DAG only: invoked (on whatever worker ran the final step) the
-    /// moment a module's last pass — or terminal cache splice — has
-    /// completed and its IR is materialized, long before the rest of the
-    /// batch drains. This is what lets CompileJob futures resolve
-    /// incrementally inside one batch.
+    /// Invoked (on whatever worker ran the final step) the moment a
+    /// module's last pass — or terminal cache splice — has completed and
+    /// its IR is materialized, long before the rest of the batch drains.
+    /// This is what lets CompileJob futures resolve incrementally inside
+    /// one batch.
     std::function<void(size_t index, bool ok)> onModuleDone;
-    /// Per-module cancellation/deadline tokens, parallel to the
-    /// modules/items vector (missing or null slots are never cancelled).
-    /// Polled before every pass/step; an expired module fails with the
-    /// token's reason attributed to the pass it would have run next.
+    /// Per-module cancellation/deadline tokens, parallel to the items
+    /// vector (missing or null slots are never cancelled). Polled before
+    /// every step; an expired module fails with the token's reason
+    /// attributed to the pass it would have run next.
     std::vector<const CancellationToken *> cancels;
     /// Per-module IR-arena byte cap; a module whose arena exceeds it
     /// after a pass fails with a per-job OOM diagnostic instead of
@@ -536,44 +509,25 @@ public:
     std::function<std::optional<ModuleOp>()> prepare;
   };
 
-  /// Cross-module batch scheduling: runs the pipeline over all `modules`
-  /// in lockstep — pass k completes on every module before pass k+1
-  /// starts anywhere — so each function pass fans out across the union
-  /// of all modules' functions on one pool. This is what makes
-  /// --pm-threads visible on suites whose modules hold only 1-2 kernels
-  /// each (per-module fan-out starves the workers; the union does not).
-  /// Function passes never look outside their function and each module's
-  /// passes still run in pipeline order, so results are bit-identical to
-  /// compiling every module serially. The result cache (setResultCache)
-  /// is consulted per function across the whole batch, so identical
-  /// kernels in different modules share entries within one run.
-  ///
-  /// Returns per-module success. A failing module (pass error, verifier
-  /// breakage) is dropped from subsequent passes and left materialized;
-  /// the remaining modules continue unaffected (job-level isolation).
-  std::vector<char> runOnModules(const std::vector<ModuleOp> &modules,
-                                 const std::vector<DiagnosticEngine *> &diags,
-                                 const BatchOptions &opts);
-  std::vector<char>
-  runOnModules(const std::vector<ModuleOp> &modules,
-               const std::vector<DiagnosticEngine *> &diags) {
-    return runOnModules(modules, diags, BatchOptions());
-  }
-
-  /// Dependency-DAG batch scheduling, the alternative to the lockstep
-  /// runOnModules: enqueues onto `sched` one leaf task per module
-  /// (prepare/parse + initial ir::hashOp keying) and one task per
-  /// (module, pass) step, chained only by each module's own pipeline
-  /// order — module B runs pass 3 while module A is still parsing, and a
-  /// module's CompileJob resolves (opts.onModuleDone) the moment its own
-  /// last step lands instead of at end of batch. In-batch dedup of
-  /// identical kernels goes through the result cache's in-flight
-  /// registry (PassResultCache::acquire): the first claimant executes, a
+  /// Dependency-DAG batch scheduling, the one executor: enqueues onto
+  /// `sched` one leaf task per module (prepare/parse + initial
+  /// ir::hashOp keying) and one task per (module, pass) step, chained
+  /// only by each module's own pipeline order — module B runs pass 3
+  /// while module A is still parsing, and a module resolves
+  /// (opts.onModuleDone) the moment its own last step lands instead of
+  /// at end of batch. Within a step, functions that miss the cache fan
+  /// out as their own tasks. In-batch dedup of identical kernels goes
+  /// through the result cache's in-flight registry
+  /// (PassResultCache::acquire): the first claimant executes, a
   /// concurrent duplicate parks and replays the stored entry. Pass
   /// execution on a given input is deterministic, so outputs are
-  /// bit-for-bit identical to lockstep (and to serial compiles)
-  /// regardless of interleaving; per-module failure isolation and lazy
-  /// cache-chain advancement carry over unchanged.
+  /// bit-for-bit identical to serial compiles regardless of
+  /// interleaving. A failing module (pass error, verifier breakage) stops
+  /// and is left materialized; the rest of the batch is unaffected.
+  ///
+  /// Instrumentation hooks fire around every (module, pass) step; with
+  /// any installed, `sched` must drain serially (a TaskScheduler without
+  /// a pool), which runs each module's chain to completion in item order.
   ///
   /// The caller runs `sched` (several PassManagers — pipeline groups —
   /// may schedule onto one scheduler; their graphs interleave freely)
@@ -605,20 +559,8 @@ public:
 private:
   friend class BatchDag;
 
-  /// Runs a function pass over `funcs` (serially, or fanned out on
-  /// `pool` when given and profitable), merging worker diagnostics in
-  /// function order.
-  bool runOnFunctions(FunctionPass &pass, const std::vector<ir::Op *> &funcs,
-                      DiagnosticEngine &diag, runtime::ThreadPool *pool);
-
-  /// What one pass execution touched, for analysis invalidation.
-  struct RunScope {
-    bool wholeModule = false;        ///< module pass (or cache disabled)
-    std::vector<ir::Op *> executed;  ///< functions the pass actually ran on
-  };
-  bool runPassCached(Pass &pass, ModuleOp module, DiagnosticEngine &diag,
-                     runtime::ThreadPool *pool, bool lazy, CacheState &st,
-                     RunScope &scope);
+  /// Whether some installed instrumentation reads the IR around `pass`.
+  bool inspectsIR(const Pass &pass) const;
   /// Structural hash (ir::hashOp) of `func`'s logical IR, walking it on
   /// first use; never prints.
   const Hash128 &hashOf(ir::Op *func, CacheState &st);
@@ -642,27 +584,14 @@ private:
   bool spliceModule(ModuleOp module, const PassResultCache::Entry &entry,
                     CacheState &st);
 
-  /// The pool to schedule on for this run: the external pool when set,
-  /// else a fresh one parked in `owned`. Null when threads_ == 1, when
-  /// called from inside a parallel region, or when `wantPool` is false.
-  runtime::ThreadPool *acquirePool(std::unique_ptr<runtime::ThreadPool> &owned,
-                                   bool wantPool);
-
-  /// One function pass across every live module's functions (cache-aware;
-  /// see runOnModules). Updates `ok` in place for modules that failed.
-  void runFunctionPassBatch(FunctionPass &pass,
-                            const std::vector<ModuleOp> &modules,
-                            const std::vector<DiagnosticEngine *> &diags,
-                            std::vector<char> &ok, runtime::ThreadPool *pool,
-                            bool lazy, std::vector<CacheState> &st);
-
   std::vector<std::unique_ptr<Pass>> passes_;
   std::vector<std::unique_ptr<Instrumentation>> instrumentations_;
   unsigned threads_ = 1;
   bool collectStats_ = false;
+  bool verifyEach_ = false;
+  PassTimingReport *timing_ = nullptr;
   AnalysisManager analysisManager_;
   PassResultCache *cache_ = nullptr;
-  runtime::ThreadPool *externalPool_ = nullptr;
 };
 
 //===----------------------------------------------------------------------===//
@@ -681,9 +610,7 @@ public:
 
   /// Folds the per-worker (module, pass) clock samples collected while
   /// the graph ran into `report`, in module order then pipeline order.
-  /// Only meaningful when BatchOptions::timing was set. Note: the
-  /// peak-RSS column attributes the process-global high-water mark to
-  /// whichever concurrently running step observed the growth first.
+  /// Empty unless the manager had timing enabled (enableTiming).
   void foldTimingInto(PassTimingReport &report) const;
 
 private:
@@ -703,9 +630,7 @@ private:
   struct Sample {
     size_t mod;
     size_t pass;
-    std::string spec;
     double seconds;
-    uint64_t rssDelta;
     uint64_t arenaDelta;
   };
   /// How one pass step over one module ended.
@@ -721,6 +646,18 @@ private:
   void spawnAdvance(size_t i);
   void startModule(size_t i, unsigned worker);
   void advance(size_t i, unsigned worker);
+  /// Opens the module's step for `pass`: decides lazy replay, drops the
+  /// analyses a module pass could leave dangling, materializes pending
+  /// replays when the IR is inspected, and fires beforePass hooks. False
+  /// (after fail(i)) on a materialization failure.
+  bool beginStep(size_t i, Pass &pass);
+  /// Closes a completed step: afterPass hooks, verify-each, the module
+  /// pass's post-run invalidation, and the arena cap. False (after
+  /// fail(i)) when any of them rejects the module.
+  bool endStep(size_t i, Pass &pass);
+  /// Fires the afterPass hooks of an open step (reverse order); false if
+  /// any hook aborts.
+  bool closeHooks(size_t i, Pass &pass);
   Step runModulePass(size_t i, Pass &pass, unsigned worker);
   Step runFunctionPass(size_t i, FunctionPass &pass, unsigned worker);
   Step executeMisses(size_t i, FunctionPass &pass, const std::string &spec,
@@ -730,32 +667,36 @@ private:
   /// owned claim unstored and fails the module (false), or stores the
   /// results, advances the hash chain, and drains `remaining` (true).
   bool completeStep(size_t i, Fan &fan);
-  bool verifyAfter(size_t i, Pass &pass);
-  /// Polls the module's cancellation token (before a step) or arena cap
-  /// (after); on violation records the diagnostic, fails the module, and
-  /// returns true (abort the chain). Called only between steps, where no
-  /// cache claims are held.
-  bool checkJobLimits(size_t i, Pass &pass);
+  /// Polls the module's cancellation token before a step; on expiry
+  /// records the diagnostic, fails the module, and returns true (abort
+  /// the chain). Called only where no cache claims are held.
+  bool cancelled(size_t i, Pass &pass);
   void finish(size_t i, bool ok);
+  /// Fails the module: closes an open step's hooks, leaves the IR
+  /// materialized, and resolves it.
   void fail(size_t i);
-  void addSample(unsigned worker, size_t i, const std::string &spec,
-                 double seconds, uint64_t rssDelta, uint64_t arenaDelta);
+  /// Runs one pass body of module i contained (a throw becomes a
+  /// diagnostic), clocked into pm.pass_seconds and — with timing enabled
+  /// — a (module, pass) sample of its time and IR-arena growth.
+  template <typename Fn>
+  bool runClocked(size_t i, const Pass &pass, DiagnosticEngine &diag,
+                  unsigned worker, Fn &&body);
+  /// Runs function k of a step's fan (runClocked).
+  bool runOne(size_t i, Fan &fan, size_t k, unsigned worker);
 
   PassManager &pm_;
   runtime::TaskScheduler &sched_;
   PassManager::BatchOptions opts_;
-  bool lazy_ = true;
   std::vector<std::unique_ptr<Mod>> mods_;
   std::vector<char> ok_; ///< distinct elements written by distinct owners
   std::vector<std::vector<Sample>> samples_; ///< one vector per worker
 };
 
-/// Renders one "  <secs> s (<pct>%)  <+rssMB>  <+arenaMB>  <label>"
-/// timing row (peak-RSS growth, then per-module IR-arena growth); shared
-/// by PassTimingReport::str and the benchmark aggregators so the two
-/// table formats cannot drift.
+/// Renders one "  <secs> s (<pct>%)  ir <+arenaMB>  <label>" timing row
+/// (per-module IR-arena growth); shared by PassTimingReport::str and the
+/// benchmark aggregators so the two table formats cannot drift.
 std::string formatTimingRow(double seconds, double total,
-                            uint64_t rssDeltaBytes, uint64_t arenaDeltaBytes,
+                            uint64_t arenaDeltaBytes,
                             const std::string &label);
 
 } // namespace paralift::transforms

@@ -173,7 +173,7 @@ std::unique_ptr<Pass> createOmpLowerPass(const OmpLowerOptions &opts = {});
 /// Execution knobs for one pipeline run, orthogonal to *what* runs
 /// (PipelineOptions) — instrumentation, scheduling, and caching only.
 struct PassRunConfig {
-  /// Per-pass wall-clock + peak-RSS records land here when non-null.
+  /// Per-(module, pass) time + IR-arena records land here when non-null.
   PassTimingReport *timing = nullptr;
   /// Verify after every pass, attributing breakage to the pass.
   bool verifyEach = false;

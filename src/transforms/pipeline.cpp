@@ -81,7 +81,6 @@ bool runPipeline(ModuleOp module, const PipelineOptions &opts,
                  DiagnosticEngine &diag, const PassRunConfig &config) {
   PassManager pm;
   buildPipeline(pm, opts);
-  // Timing last = innermost: verification cost stays out of the window.
   if (config.verifyAnalyses)
     pm.enableAnalysisVerify();
   if (config.verifyEach)

@@ -36,14 +36,19 @@ struct FailpointGuard {
   ~FailpointGuard() { failpoint::clearAll(); }
 };
 
-driver::SessionOptions
-batchOptions(unsigned threads, transforms::PassResultCache *cache,
-             driver::ScheduleMode schedule = driver::ScheduleMode::Dag) {
+/// `instrumented` adds verify-each and the preserved-analyses
+/// cross-check: its hooks make the session drain the batch on the
+/// calling thread, the shape the containment tests sweep beside the
+/// plain parallel drain.
+driver::SessionOptions batchOptions(unsigned threads,
+                                    transforms::PassResultCache *cache,
+                                    bool instrumented = false) {
   driver::SessionOptions so;
   so.threads = threads;
   so.cache = cache;
-  so.schedule = schedule;
   so.useEnvCache = false; // results must not depend on the environment
+  so.verifyEach = instrumented;
+  so.verifyAnalyses = instrumented;
   return so;
 }
 
@@ -233,13 +238,12 @@ TEST(FaultContainmentTest, PassFaultFailsJobBatchSurvives) {
   std::vector<std::string> golden;
   for (int i = 0; i < 4; ++i)
     golden.push_back(serialReference(suite[i].cudaSource));
-  for (auto schedule :
-       {driver::ScheduleMode::Dag, driver::ScheduleMode::Lockstep}) {
+  for (bool instrumented : {false, true}) {
     std::string err;
     // One early pass run throws (every 3rd): some jobs fail mid-pipeline.
     ASSERT_TRUE(failpoint::configure("pass.run=throw:0,3", &err)) << err;
     transforms::PassResultCache cache;
-    driver::CompilerSession session(batchOptions(4, &cache, schedule));
+    driver::CompilerSession session(batchOptions(4, &cache, instrumented));
     std::vector<driver::CompileJob *> jobs;
     for (int i = 0; i < 4; ++i)
       jobs.push_back(&session.addSource(suite[i].id, suite[i].cudaSource));
@@ -315,13 +319,12 @@ TEST(CancellationTest, JobTimeoutCancelsCleanly) {
   FailpointGuard guard;
   std::string err;
   // Make every pass take ~30ms so a 10ms deadline reliably expires at
-  // the first post-pass boundary, in both schedulers.
+  // the first post-pass boundary, plain or instrumented.
   ASSERT_TRUE(failpoint::configure("pass.run=delay(30)", &err)) << err;
   const auto &suite = rodinia::suite();
-  for (auto schedule :
-       {driver::ScheduleMode::Dag, driver::ScheduleMode::Lockstep}) {
+  for (bool instrumented : {false, true}) {
     transforms::PassResultCache cache;
-    driver::SessionOptions so = batchOptions(2, &cache, schedule);
+    driver::SessionOptions so = batchOptions(4, &cache, instrumented);
     so.jobTimeoutSeconds = 0.01;
     driver::CompilerSession session(std::move(so));
     std::vector<driver::CompileJob *> jobs;
@@ -339,12 +342,31 @@ TEST(CancellationTest, JobTimeoutCancelsCleanly) {
   }
 }
 
+TEST(CancellationTest, InstrumentedJobPollsDeadlineMidPipeline) {
+  FailpointGuard guard;
+  std::string err;
+  // Every pass run sleeps 100ms against a 300ms deadline: the first pass
+  // starts well inside it, so the expiry must be caught by a poll before
+  // a later step, not before the pipeline starts.
+  ASSERT_TRUE(failpoint::configure("pass.run=delay(100)", &err)) << err;
+  const auto &suite = rodinia::suite();
+  driver::SessionOptions so = batchOptions(4, nullptr, /*instrumented=*/true);
+  so.jobTimeoutSeconds = 0.3;
+  driver::CompilerSession session(std::move(so));
+  auto &job = session.addSource(suite[0].id, suite[0].cudaSource);
+  EXPECT_FALSE(session.compileAll());
+  std::string diag = job.diagnostics().str();
+  EXPECT_NE(diag.find("deadline exceeded after 0.3s in pass '"),
+            std::string::npos)
+      << diag;
+  EXPECT_EQ(diag.find("in pass 'inline'"), std::string::npos) << diag;
+}
+
 TEST(CancellationTest, ArenaCapFailsJobWithCleanDiagnostic) {
   const auto &suite = rodinia::suite();
-  for (auto schedule :
-       {driver::ScheduleMode::Dag, driver::ScheduleMode::Lockstep}) {
+  for (bool instrumented : {false, true}) {
     transforms::PassResultCache cache;
-    driver::SessionOptions so = batchOptions(2, &cache, schedule);
+    driver::SessionOptions so = batchOptions(4, &cache, instrumented);
     so.maxArenaBytesPerModule = 1; // everything breaches immediately
     driver::CompilerSession session(std::move(so));
     auto &job = session.addSource("capped", suite[0].cudaSource);
@@ -452,7 +474,7 @@ namespace {
 /// returns, every future resolves, failed jobs carry attributed
 /// diagnostics, succeeded jobs are bit-identical to the fault-free
 /// reference.
-void soakRound(unsigned seed, driver::ScheduleMode schedule,
+void soakRound(unsigned seed, bool instrumented,
                const std::vector<std::string> &golden) {
   std::string s = std::to_string(seed);
   std::string spec = "pass.run=throw:" + s + ",0.02"
@@ -468,7 +490,7 @@ void soakRound(unsigned seed, driver::ScheduleMode schedule,
     // A disk-backed cache so the cache.disk.* faults have a real IO
     // path to corrupt (read/write errors retry, then demote cleanly).
     transforms::PassResultCache cache(dir);
-    driver::CompilerSession session(batchOptions(4, &cache, schedule));
+    driver::CompilerSession session(batchOptions(4, &cache, instrumented));
     std::vector<driver::CompileJob *> jobs;
     for (const auto &b : suite)
       jobs.push_back(&session.addSource(b.id, b.cudaSource));
@@ -513,8 +535,8 @@ TEST(FaultSoakTest, RodiniaSurvivesSeededFaultSchedules) {
   uint64_t triggeredBefore = counterVal("failpoint.triggered.pass.run") +
                              counterVal("failpoint.triggered.parse.module");
   for (unsigned seed : seeds) {
-    soakRound(seed, driver::ScheduleMode::Dag, golden);
-    soakRound(seed, driver::ScheduleMode::Lockstep, golden);
+    soakRound(seed, /*instrumented=*/false, golden);
+    soakRound(seed, /*instrumented=*/true, golden);
   }
   // The soak must actually have injected something, or it proved nothing.
   EXPECT_GT(counterVal("failpoint.triggered.pass.run") +

@@ -1,7 +1,7 @@
 // DAG-scheduler stress tests: a 4x-duplicated Rodinia suite with a
 // deterministic random per-module pipeline mix, compiled under
 // --pm-threads={1,2,8} against one shared cache, repeatedly — asserting
-// bit-for-bit output identity with the lockstep executor, no deadlocks
+// bit-for-bit output identity with a serial session, no deadlocks
 // (a hang fails the ctest timeout), correct in-flight dedup across the
 // duplicated modules, and raw TaskScheduler invariants (dynamic spawn,
 // join counters, injection from outside the pool).
@@ -46,11 +46,9 @@ std::vector<StressJob> stressJobs() {
 
 std::vector<std::string> compileStress(const std::vector<StressJob> &jobs,
                                        unsigned threads,
-                                       driver::ScheduleMode schedule,
                                        transforms::PassResultCache *cache) {
   driver::SessionOptions so;
   so.threads = threads;
-  so.schedule = schedule;
   so.cache = cache;
   so.useEnvCache = false;
   driver::CompilerSession session(std::move(so));
@@ -69,12 +67,11 @@ std::vector<std::string> compileStress(const std::vector<StressJob> &jobs,
 
 } // namespace
 
-TEST(SchedulerStressTest, DuplicatedSuiteMixedPipelinesMatchesLockstep) {
+TEST(SchedulerStressTest, DuplicatedSuiteMixedPipelinesMatchesSerial) {
   std::vector<StressJob> jobs = stressJobs();
-  // Lockstep reference: serial, fresh cache.
+  // Reference: a 1-thread session, fresh cache.
   transforms::PassResultCache refCache;
-  std::vector<std::string> expected =
-      compileStress(jobs, 1, driver::ScheduleMode::Lockstep, &refCache);
+  std::vector<std::string> expected = compileStress(jobs, 1, &refCache);
 
   for (unsigned threads : {1u, 2u, 8u}) {
     // One shared cache per thread count, reused across repeated runs:
@@ -82,8 +79,7 @@ TEST(SchedulerStressTest, DuplicatedSuiteMixedPipelinesMatchesLockstep) {
     // contention. Any deadlock hangs the test past its ctest timeout.
     transforms::PassResultCache cache;
     for (int run = 0; run < 3; ++run) {
-      std::vector<std::string> got =
-          compileStress(jobs, threads, driver::ScheduleMode::Dag, &cache);
+      std::vector<std::string> got = compileStress(jobs, threads, &cache);
       ASSERT_EQ(got.size(), expected.size());
       for (size_t i = 0; i < got.size(); ++i)
         EXPECT_EQ(got[i], expected[i])

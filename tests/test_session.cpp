@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <unistd.h>
 
@@ -21,13 +23,11 @@ using transforms::PipelineOptions;
 
 namespace {
 
-driver::SessionOptions
-batchOptions(unsigned threads, transforms::PassResultCache *cache,
-             driver::ScheduleMode schedule = driver::ScheduleMode::Dag) {
+driver::SessionOptions batchOptions(unsigned threads,
+                                    transforms::PassResultCache *cache) {
   driver::SessionOptions so;
   so.threads = threads;
   so.cache = cache;
-  so.schedule = schedule;
   so.useEnvCache = false; // results must not depend on the environment
   return so;
 }
@@ -76,9 +76,9 @@ ir::OwnedModule parseOk(const std::string &text) {
 //===----------------------------------------------------------------------===//
 
 TEST(SessionBatchTest, RodiniaBatchMatchesSerialAllModes) {
-  // The golden contract: DAG and lockstep batch scheduling are both
-  // bit-for-bit identical to serial one-shot compiles, in every
-  // pipeline mode — so the DAG reordering is unobservable in outputs.
+  // The golden contract: a 4-thread DAG batch is bit-for-bit identical
+  // to serial one-shot compiles, in every pipeline mode — so the DAG
+  // reordering is unobservable in outputs.
   struct Mode {
     const char *name;
     PipelineOptions opts;
@@ -86,36 +86,26 @@ TEST(SessionBatchTest, RodiniaBatchMatchesSerialAllModes) {
   const Mode modes[] = {{"full", PipelineOptions{}},
                         {"optDisabled", PipelineOptions::optDisabled()},
                         {"mcuda", PipelineOptions::mcuda()}};
-  struct Sched {
-    const char *name;
-    driver::ScheduleMode mode;
-  };
-  const Sched scheds[] = {{"dag", driver::ScheduleMode::Dag},
-                          {"lockstep", driver::ScheduleMode::Lockstep}};
   for (const Mode &mode : modes) {
     std::vector<std::string> expected;
     for (const auto &b : rodinia::suite())
       expected.push_back(serialReference(b.cudaSource, mode.opts));
 
-    for (const Sched &sched : scheds) {
-      // The whole suite as one batch: threaded pool, one shared cache.
-      transforms::PassResultCache cache;
-      driver::CompilerSession session(
-          batchOptions(/*threads=*/4, &cache, sched.mode));
-      std::vector<driver::CompileJob *> jobs;
-      for (const auto &b : rodinia::suite())
-        jobs.push_back(&session.addSource(b.id, b.cudaSource, mode.opts));
-      EXPECT_TRUE(session.compileAll()) << mode.name << "/" << sched.name;
+    // The whole suite as one batch: threaded pool, one shared cache.
+    transforms::PassResultCache cache;
+    driver::CompilerSession session(batchOptions(/*threads=*/4, &cache));
+    std::vector<driver::CompileJob *> jobs;
+    for (const auto &b : rodinia::suite())
+      jobs.push_back(&session.addSource(b.id, b.cudaSource, mode.opts));
+    EXPECT_TRUE(session.compileAll()) << mode.name;
 
-      size_t i = 0;
-      for (const auto &b : rodinia::suite()) {
-        ASSERT_TRUE(jobs[i]->ok())
-            << mode.name << "/" << sched.name << "/" << b.id << ": "
-            << jobs[i]->diagnostics().str();
-        EXPECT_EQ(ir::printOp(jobs[i]->result().module.op()), expected[i])
-            << mode.name << "/" << sched.name << "/" << b.id;
-        ++i;
-      }
+    size_t i = 0;
+    for (const auto &b : rodinia::suite()) {
+      ASSERT_TRUE(jobs[i]->ok()) << mode.name << "/" << b.id << ": "
+                                 << jobs[i]->diagnostics().str();
+      EXPECT_EQ(ir::printOp(jobs[i]->result().module.op()), expected[i])
+          << mode.name << "/" << b.id;
+      ++i;
     }
   }
 }
@@ -169,35 +159,75 @@ TEST(SessionBatchTest, SharedCacheReplaysAcrossSessions) {
 
 TEST(SessionBatchTest, ParallelKeyingMatchesSerialKeying) {
   // Keys produced by the fanned-out ir::hashOp leaf tasks must be
-  // identical to serial keying: a cache populated by a serial lockstep
-  // session must replay a threaded DAG session without a single new miss
-  // or executed pass, and vice versa. A keying divergence in either
-  // direction would surface as misses.
-  for (bool dagFirst : {false, true}) {
+  // identical to serial keying: a cache populated by a 1-thread session
+  // must replay a 4-thread session without a single new miss or executed
+  // pass, and vice versa. A keying divergence in either direction would
+  // surface as misses.
+  for (bool threadedFirst : {false, true}) {
     transforms::PassResultCache cache;
     {
-      driver::CompilerSession session(batchOptions(
-          dagFirst ? 4u : 1u, &cache,
-          dagFirst ? driver::ScheduleMode::Dag
-                   : driver::ScheduleMode::Lockstep));
+      driver::CompilerSession session(
+          batchOptions(threadedFirst ? 4u : 1u, &cache));
       for (const auto &b : rodinia::suite())
         session.addSource(b.id, b.cudaSource, PipelineOptions{});
       ASSERT_TRUE(session.compileAll());
     }
     auto populated = cache.stats();
-    driver::CompilerSession session(batchOptions(
-        dagFirst ? 1u : 4u, &cache,
-        dagFirst ? driver::ScheduleMode::Lockstep
-                 : driver::ScheduleMode::Dag));
+    driver::CompilerSession session(
+        batchOptions(threadedFirst ? 1u : 4u, &cache));
     for (const auto &b : rodinia::suite())
       session.addSource(b.id, b.cudaSource, PipelineOptions{});
     ASSERT_TRUE(session.compileAll());
     auto warmed = cache.stats();
-    EXPECT_EQ(warmed.misses, populated.misses) << "dagFirst=" << dagFirst;
+    EXPECT_EQ(warmed.misses, populated.misses)
+        << "threadedFirst=" << threadedFirst;
     EXPECT_EQ(warmed.passesExecuted, populated.passesExecuted)
-        << "dagFirst=" << dagFirst;
+        << "threadedFirst=" << threadedFirst;
     EXPECT_GT(warmed.passesReplayed, populated.passesReplayed);
   }
+}
+
+TEST(SessionBatchTest, HookOutputIsJobOrderedAndThreadCountIndependent) {
+  // configurePassManager hooks fire inside the DAG; a hooked session
+  // drains on the calling thread, so printed IR comes out whole per
+  // module, in job order, and byte-identical for any pool size. Timing
+  // rides the same graph, so its rows are attributed to their jobs.
+  const auto &suite = rodinia::suite();
+  auto printed = [&](unsigned threads, size_t first, size_t count) {
+    char *buf = nullptr;
+    size_t size = 0;
+    std::FILE *mem = open_memstream(&buf, &size);
+    EXPECT_NE(mem, nullptr);
+    driver::SessionOptions so = batchOptions(threads, nullptr);
+    so.collectTiming = true;
+    so.configurePassManager = [mem](transforms::PassManager &pm) {
+      pm.enableIRPrinting(/*before=*/false, /*after=*/true, "cpuify", mem);
+    };
+    {
+      driver::CompilerSession session(std::move(so));
+      std::vector<std::string> jobOrder;
+      for (size_t i = first; i < first + count; ++i) {
+        session.addSource(suite[i].id, suite[i].cudaSource);
+        jobOrder.push_back(suite[i].id);
+      }
+      EXPECT_TRUE(session.compileAll());
+      std::vector<std::string> timedOrder;
+      for (const auto &r : session.timingReport().records)
+        if (timedOrder.empty() || timedOrder.back() != r.module)
+          timedOrder.push_back(r.module);
+      EXPECT_EQ(timedOrder, jobOrder);
+    }
+    std::fclose(mem);
+    std::string out(buf, size);
+    std::free(buf);
+    return out;
+  };
+  std::string serial = printed(1, 0, 3);
+  EXPECT_NE(serial.find("IR after pass 'cpuify"), std::string::npos);
+  EXPECT_EQ(printed(4, 0, 3), serial);
+  // Job order, one module at a time: the batch prints exactly what the
+  // three jobs print compiled one by one.
+  EXPECT_EQ(printed(1, 0, 1) + printed(1, 1, 1) + printed(1, 2, 1), serial);
 }
 
 //===----------------------------------------------------------------------===//
@@ -300,8 +330,7 @@ TEST(SessionTest, FuturesResolveIncrementallyUnderDag) {
   // runs depth-first, so the first job observably resolves while other
   // modules still have passes left to execute — the cache's
   // passes-executed counter at that instant must be short of its final
-  // value. (Under lockstep every pass has executed before any job
-  // resolves, so this probe is exactly the incremental-futures contract.)
+  // value.
   transforms::PassResultCache cache;
   driver::SessionOptions so = batchOptions(1, &cache);
   std::atomic<uint64_t> executedAtFirstCompletion{0};
@@ -408,7 +437,9 @@ TEST(SessionTest, SessionTimingAggregatesAcrossBatch) {
   ASSERT_TRUE(session.compileAll());
   const auto &report = session.timingReport();
   ASSERT_FALSE(report.records.empty());
-  // Batch mode: one record per pass of the (single) group's pipeline.
-  for (const auto &r : report.records)
+  // One record per executed (module, pass) step, attributed to its job.
+  for (const auto &r : report.records) {
     EXPECT_GE(r.seconds, 0.0);
+    EXPECT_FALSE(r.module.empty());
+  }
 }
