@@ -1171,12 +1171,26 @@ private:
     EV rhs = genExpr(*e.children[1]);
     Value value = convert(rhs.scalar, rhs.ty.scalar, lv.elem);
     if (e.text != "=") {
-      Value old = b_.load(lv.mem, lv.idxs);
+      const std::string op = e.text.substr(0, e.text.size() - 1);
       bool isF = lv.elem == ScalarTy::Float || lv.elem == ScalarTy::Double;
-      OpKind kind = e.text == "+=" ? (isF ? OpKind::AddF : OpKind::AddI)
-                    : e.text == "-=" ? (isF ? OpKind::SubF : OpKind::SubI)
-                    : e.text == "*=" ? (isF ? OpKind::MulF : OpKind::MulI)
-                                     : (isF ? OpKind::DivF : OpKind::DivSI);
+      bool intOnly = op != "+" && op != "-" && op != "*" && op != "/";
+      if (intOnly && (isF || rhs.ty.scalar == ScalarTy::Float ||
+                      rhs.ty.scalar == ScalarTy::Double)) {
+        diag_.error(e.loc,
+                    "operator " + e.text + " requires integer operands");
+        return makeScalar(b_.constI32(0), ScalarTy::Int);
+      }
+      Value old = b_.load(lv.mem, lv.idxs);
+      OpKind kind = op == "+"    ? (isF ? OpKind::AddF : OpKind::AddI)
+                    : op == "-"  ? (isF ? OpKind::SubF : OpKind::SubI)
+                    : op == "*"  ? (isF ? OpKind::MulF : OpKind::MulI)
+                    : op == "/"  ? (isF ? OpKind::DivF : OpKind::DivSI)
+                    : op == "%"  ? OpKind::RemSI
+                    : op == "<<" ? OpKind::ShLI
+                    : op == ">>" ? OpKind::ShRSI
+                    : op == "&"  ? OpKind::AndI
+                    : op == "|"  ? OpKind::OrI
+                                 : OpKind::XOrI;
       value = b_.binary(kind, old, value);
     }
     b_.store(value, lv.mem, lv.idxs);

@@ -171,7 +171,7 @@ private:
     case '?': t.kind = Tok::Question; return t;
     case ':': t.kind = Tok::Colon; return t;
     case '~': t.kind = Tok::Tilde; return t;
-    case '^': t.kind = Tok::Caret; return t;
+    case '^': t.kind = match('=') ? Tok::CaretAssign : Tok::Caret; return t;
     case '+':
       t.kind = match('+') ? Tok::PlusPlus
                : match('=') ? Tok::PlusAssign
@@ -184,9 +184,19 @@ private:
       return t;
     case '*': t.kind = match('=') ? Tok::StarAssign : Tok::Star; return t;
     case '/': t.kind = match('=') ? Tok::SlashAssign : Tok::Slash; return t;
-    case '%': t.kind = Tok::Percent; return t;
-    case '&': t.kind = match('&') ? Tok::AndAnd : Tok::Amp; return t;
-    case '|': t.kind = match('|') ? Tok::OrOr : Tok::Pipe; return t;
+    case '%':
+      t.kind = match('=') ? Tok::PercentAssign : Tok::Percent;
+      return t;
+    case '&':
+      t.kind = match('&')   ? Tok::AndAnd
+               : match('=') ? Tok::AmpAssign
+                            : Tok::Amp;
+      return t;
+    case '|':
+      t.kind = match('|')   ? Tok::OrOr
+               : match('=') ? Tok::PipeAssign
+                            : Tok::Pipe;
+      return t;
     case '!': t.kind = match('=') ? Tok::NotEq : Tok::Not; return t;
     case '=': t.kind = match('=') ? Tok::EqEq : Tok::Assign; return t;
     case '<':
@@ -196,7 +206,10 @@ private:
         t.kind = Tok::LaunchOpen;
         return t;
       }
-      t.kind = match('<') ? Tok::Shl : match('=') ? Tok::Le : Tok::Lt;
+      if (match('<'))
+        t.kind = match('=') ? Tok::ShlAssign : Tok::Shl;
+      else
+        t.kind = match('=') ? Tok::Le : Tok::Lt;
       return t;
     case '>':
       if (peek() == '>' && peek(1) == '>') {
@@ -205,7 +218,10 @@ private:
         t.kind = Tok::LaunchClose;
         return t;
       }
-      t.kind = match('>') ? Tok::Shr : match('=') ? Tok::Ge : Tok::Gt;
+      if (match('>'))
+        t.kind = match('=') ? Tok::ShrAssign : Tok::Shr;
+      else
+        t.kind = match('=') ? Tok::Ge : Tok::Gt;
       return t;
     default:
       break;

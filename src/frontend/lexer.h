@@ -22,7 +22,8 @@ enum class Tok : uint8_t {
   Amp, Pipe, Caret, Tilde, Not,
   Shl, Shr, Lt, Le, Gt, Ge, EqEq, NotEq,
   AndAnd, OrOr,
-  Assign, PlusAssign, MinusAssign, StarAssign, SlashAssign,
+  Assign, PlusAssign, MinusAssign, StarAssign, SlashAssign, PercentAssign,
+  ShlAssign, ShrAssign, AmpAssign, PipeAssign, CaretAssign,
   PlusPlus, MinusMinus,
   LaunchOpen, LaunchClose, // <<< >>>
   // keywords

@@ -1,5 +1,7 @@
 #include "frontend/parser.h"
 
+#include "ir/intmath.h"
+
 namespace paralift::frontend {
 
 namespace {
@@ -302,7 +304,9 @@ private:
     s.stmts.push_back(std::move(cfg));
   }
 
-  /// Evaluates integer constant expressions (array dimensions).
+  /// Evaluates integer constant expressions (array dimensions) with the
+  /// IR's integer semantics (ir/intmath.h). A division by zero is not a
+  /// constant.
   bool evalConstInt(const Expr &e, int64_t &out) {
     switch (e.kind) {
     case ExprKind::IntLit:
@@ -310,7 +314,7 @@ private:
       return true;
     case ExprKind::Unary:
       if (e.text == "-" && evalConstInt(*e.children[0], out)) {
-        out = -out;
+        out = ir::intmath::sub(0, out);
         return true;
       }
       return false;
@@ -319,14 +323,16 @@ private:
       if (!evalConstInt(*e.children[0], a) ||
           !evalConstInt(*e.children[1], b))
         return false;
-      if (e.text == "+") out = a + b;
-      else if (e.text == "-") out = a - b;
-      else if (e.text == "*") out = a * b;
-      else if (e.text == "/" && b != 0) out = a / b;
-      else if (e.text == "%" && b != 0) out = a % b;
-      else if (e.text == "<<") out = a << b;
-      else if (e.text == ">>") out = a >> b;
+      ir::OpKind k;
+      if (e.text == "+") k = ir::OpKind::AddI;
+      else if (e.text == "-") k = ir::OpKind::SubI;
+      else if (e.text == "*") k = ir::OpKind::MulI;
+      else if (e.text == "/" && b != 0) k = ir::OpKind::DivSI;
+      else if (e.text == "%" && b != 0) k = ir::OpKind::RemSI;
+      else if (e.text == "<<") k = ir::OpKind::ShLI;
+      else if (e.text == ">>") k = ir::OpKind::ShRSI;
       else return false;
+      out = ir::intmath::binary(k, a, b);
       return true;
     }
     default:
@@ -344,20 +350,34 @@ private:
     ExprPtr lhs = parseTernary();
     switch (cur().kind) {
     case Tok::Assign: case Tok::PlusAssign: case Tok::MinusAssign:
-    case Tok::StarAssign: case Tok::SlashAssign: {
+    case Tok::StarAssign: case Tok::SlashAssign: case Tok::PercentAssign:
+    case Tok::ShlAssign: case Tok::ShrAssign: case Tok::AmpAssign:
+    case Tok::PipeAssign: case Tok::CaretAssign: {
       Token op = advance();
       auto e = std::make_unique<Expr>(ExprKind::Assign, op.loc);
-      e->text = op.kind == Tok::Assign        ? "="
-                : op.kind == Tok::PlusAssign  ? "+="
-                : op.kind == Tok::MinusAssign ? "-="
-                : op.kind == Tok::StarAssign  ? "*="
-                                              : "/=";
+      e->text = assignSpelling(op.kind);
       e->children.push_back(std::move(lhs));
       e->children.push_back(parseAssignment());
       return e;
     }
     default:
       return lhs;
+    }
+  }
+
+  static const char *assignSpelling(Tok k) {
+    switch (k) {
+    case Tok::PlusAssign: return "+=";
+    case Tok::MinusAssign: return "-=";
+    case Tok::StarAssign: return "*=";
+    case Tok::SlashAssign: return "/=";
+    case Tok::PercentAssign: return "%=";
+    case Tok::ShlAssign: return "<<=";
+    case Tok::ShrAssign: return ">>=";
+    case Tok::AmpAssign: return "&=";
+    case Tok::PipeAssign: return "|=";
+    case Tok::CaretAssign: return "^=";
+    default: return "=";
     }
   }
 

@@ -1,0 +1,99 @@
+// Integer semantics of the IR, defined once. The VM interpreter
+// (vm::Interp::step), canonicalize's constant folder, the frontend's
+// array-extent evaluator and unroll's trip-count evaluator all compute
+// through these functions, so a value folded at compile time always
+// equals the value the VM computes at run time, and no operand makes the
+// compiler or the VM trap.
+//
+// Values are int64_t; narrower types are computed in 64 bits and then
+// cut to their width with `truncate`. Every operation is total:
+//  - add, sub and mul wrap around modulo 2^64;
+//  - x / 0 == 0 and x % 0 == 0;
+//  - INT64_MIN / -1 == INT64_MIN (the wrapped quotient) and
+//    INT64_MIN % -1 == 0;
+//  - a shift count is taken modulo 64: only its low six bits are used,
+//    as x86-64 does for 64-bit shifts, so 1 << 64 == 1 and
+//    1 << 70 == 64. >> is arithmetic.
+#pragma once
+
+#include "ir/op.h"
+
+#include <algorithm>
+#include <cassert>
+#include <cstdint>
+
+namespace paralift::ir::intmath {
+
+inline int64_t add(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
+inline int64_t sub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+
+inline int64_t mul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+
+inline int64_t div(int64_t a, int64_t b) {
+  if (b == 0)
+    return 0;
+  if (b == -1)
+    return sub(0, a);
+  return a / b;
+}
+
+inline int64_t rem(int64_t a, int64_t b) {
+  return b == 0 || b == -1 ? 0 : a % b;
+}
+
+inline int64_t shl(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) << (b & 63));
+}
+
+inline int64_t shr(int64_t a, int64_t b) { return a >> (b & 63); }
+
+/// Cuts a 64-bit result to the width of `t`: i32 wraps to 32 bits
+/// (sign-extended), i1 keeps bit 0, i64 and index are unchanged.
+inline int64_t truncate(TypeKind t, int64_t v) {
+  return t == TypeKind::I32 ? static_cast<int32_t>(v)
+         : t == TypeKind::I1 ? (v & 1)
+                             : v;
+}
+
+/// Evaluates the integer binary op `k` (AddI .. MaxSI) in 64 bits.
+inline int64_t binary(OpKind k, int64_t a, int64_t b) {
+  switch (k) {
+  case OpKind::AddI: return add(a, b);
+  case OpKind::SubI: return sub(a, b);
+  case OpKind::MulI: return mul(a, b);
+  case OpKind::DivSI: return div(a, b);
+  case OpKind::RemSI: return rem(a, b);
+  case OpKind::AndI: return a & b;
+  case OpKind::OrI: return a | b;
+  case OpKind::XOrI: return a ^ b;
+  case OpKind::ShLI: return shl(a, b);
+  case OpKind::ShRSI: return shr(a, b);
+  case OpKind::MinSI: return std::min(a, b);
+  case OpKind::MaxSI: return std::max(a, b);
+  default: assert(false && "not an integer binary op"); return 0;
+  }
+}
+
+inline bool compare(CmpIPred p, int64_t a, int64_t b) {
+  switch (p) {
+  case CmpIPred::eq: return a == b;
+  case CmpIPred::ne: return a != b;
+  case CmpIPred::slt: return a < b;
+  case CmpIPred::sle: return a <= b;
+  case CmpIPred::sgt: return a > b;
+  case CmpIPred::sge: return a >= b;
+  }
+  return false;
+}
+
+} // namespace paralift::ir::intmath

@@ -237,6 +237,15 @@ bool isDefinedOutside(Value v, Op *op) {
   return !(owner && op->isAncestorOf(owner));
 }
 
+bool containsBarrier(Op *op) {
+  bool found = false;
+  op->walk([&](Op *inner) {
+    if (inner->kind() == OpKind::Barrier)
+      found = true;
+  });
+  return found;
+}
+
 Op *getEnclosing(Op *op, OpKind kind) {
   for (Op *cur = op->parentOp(); cur; cur = cur->parentOp())
     if (cur->kind() == kind)

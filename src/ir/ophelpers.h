@@ -216,6 +216,9 @@ Op *cloneOp(Op *src, std::unordered_map<ValueImpl *, Value> &map);
 /// True if `v` is defined outside `op` (i.e. usable as an operand of `op`).
 bool isDefinedOutside(Value v, Op *op);
 
+/// True if `op` is, or has nested in its regions, a polygeist.barrier.
+bool containsBarrier(Op *op);
+
 /// Returns the closest enclosing op of the given kind, or nullptr.
 Op *getEnclosing(Op *op, OpKind kind);
 

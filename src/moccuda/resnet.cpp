@@ -127,6 +127,8 @@ PolygeistKernels::PolygeistKernels(unsigned maxThreads) {
 
 void PolygeistKernels::setNumThreads(unsigned n) { exec_->setNumThreads(n); }
 
+const char *PolygeistKernels::source() { return kPytorchKernels; }
+
 void PolygeistKernels::add(float *dst, const float *src, int n) {
   exec_->run("run_add",
              {driver::Executor::bufferF32(dst, {n}),

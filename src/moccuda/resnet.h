@@ -40,6 +40,10 @@ public:
 
   void setNumThreads(unsigned n);
 
+  /// The CUDA source the kernels are transpiled from: nll_kernel and the
+  /// elementwise kernels, each launched by its own `run_*` host function.
+  static const char *source();
+
 private:
   std::unique_ptr<driver::Executor> exec_;
 };

@@ -3,6 +3,7 @@
 // conditions/trip counts, and dead code elimination. Runs to fixpoint.
 #include "analysis/memory.h"
 #include "ir/builder.h"
+#include "ir/intmath.h"
 #include "ir/ophelpers.h"
 #include "transforms/passes.h"
 
@@ -13,24 +14,6 @@ using namespace paralift::ir;
 namespace paralift::transforms {
 
 namespace {
-
-int64_t foldIntBinary(OpKind k, int64_t a, int64_t b) {
-  switch (k) {
-  case OpKind::AddI: return a + b;
-  case OpKind::SubI: return a - b;
-  case OpKind::MulI: return a * b;
-  case OpKind::DivSI: return b == 0 ? 0 : a / b;
-  case OpKind::RemSI: return b == 0 ? 0 : a % b;
-  case OpKind::AndI: return a & b;
-  case OpKind::OrI: return a | b;
-  case OpKind::XOrI: return a ^ b;
-  case OpKind::ShLI: return a << b;
-  case OpKind::ShRSI: return a >> b;
-  case OpKind::MinSI: return std::min(a, b);
-  case OpKind::MaxSI: return std::max(a, b);
-  default: assert(false); return 0;
-  }
-}
 
 double foldFloatBinary(OpKind k, double a, double b) {
   switch (k) {
@@ -62,18 +45,6 @@ double foldFloatUnary(OpKind k, double a) {
   }
 }
 
-bool foldCmpI(CmpIPred p, int64_t a, int64_t b) {
-  switch (p) {
-  case CmpIPred::eq: return a == b;
-  case CmpIPred::ne: return a != b;
-  case CmpIPred::slt: return a < b;
-  case CmpIPred::sle: return a <= b;
-  case CmpIPred::sgt: return a > b;
-  case CmpIPred::sge: return a >= b;
-  }
-  return false;
-}
-
 bool foldCmpF(CmpFPred p, double a, double b) {
   switch (p) {
   case CmpFPred::oeq: return a == b;
@@ -86,15 +57,6 @@ bool foldCmpF(CmpFPred p, double a, double b) {
   return false;
 }
 
-/// Narrows an integer constant to the width of `t` (i1 gets bit 0).
-int64_t truncateToType(int64_t v, Type t) {
-  switch (t.kind()) {
-  case TypeKind::I1: return v & 1;
-  case TypeKind::I32: return static_cast<int32_t>(v);
-  default: return v;
-  }
-}
-
 /// Replaces `op`'s single result with a fresh constant and erases it.
 /// Structural: folding an operand of a non-affine expression to a
 /// constant can make an access index newly decomposable (e.g.
@@ -104,8 +66,8 @@ void replaceWithConstInt(Op *op, int64_t v, bool &structural) {
   structural = true;
   Builder b;
   b.setInsertionPoint(op);
-  Value c = b.constInt(truncateToType(v, op->result().type()),
-                       op->result().type());
+  Type t = op->result().type();
+  Value c = b.constInt(intmath::truncate(t.kind(), v), t);
   op->result().replaceAllUsesWith(c);
   op->erase();
 }
@@ -189,7 +151,7 @@ bool canonicalizeOp(Op *op, bool &structural) {
     auto c0 = getConstInt(op->operand(0));
     auto c1 = getConstInt(op->operand(1));
     if (c0 && c1) {
-      replaceWithConstInt(op, foldIntBinary(k, *c0, *c1), structural);
+      replaceWithConstInt(op, intmath::binary(k, *c0, *c1), structural);
       return true;
     }
     // Identities.
@@ -263,7 +225,8 @@ bool canonicalizeOp(Op *op, bool &structural) {
     auto c1 = getConstInt(op->operand(1));
     if (c0 && c1) {
       auto pred = static_cast<CmpIPred>(op->attrs().getInt("pred"));
-      replaceWithConstInt(op, foldCmpI(pred, *c0, *c1) ? 1 : 0, structural);
+      replaceWithConstInt(op, intmath::compare(pred, *c0, *c1) ? 1 : 0,
+                          structural);
       return true;
     }
     return false;

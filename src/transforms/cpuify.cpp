@@ -33,15 +33,6 @@ namespace paralift::transforms {
 
 namespace {
 
-bool containsBarrier(Op *op) {
-  bool found = false;
-  op->walk([&](Op *inner) {
-    if (inner->kind() == OpKind::Barrier)
-      found = true;
-  });
-  return found;
-}
-
 /// Remaps operands of `op` and all nested ops through `map`.
 void remapUses(Op *op, const std::unordered_map<ValueImpl *, Value> &map) {
   op->walk([&](Op *inner) {

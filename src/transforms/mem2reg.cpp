@@ -30,15 +30,6 @@ namespace paralift::transforms {
 
 namespace {
 
-bool containsBarrier(Op *op) {
-  bool found = false;
-  op->walk([&](Op *inner) {
-    if (inner->kind() == OpKind::Barrier)
-      found = true;
-  });
-  return found;
-}
-
 class Promoter {
 public:
   Promoter(Op *allocaOp)

@@ -9,7 +9,9 @@
 //          canonicalize / cse / mem2reg / store-forward / licm (incl.
 //          parallel LICM, §IV-C) / barrier-elim (§IV-A) / barrier-motion
 //     -> affine opts            [function passes]
-//          unroll{max-trip=N} of constant-trip barrier loops + cleanup
+//          unroll{max-trip=N}: raise counted scf.while loops to scf.for,
+//          fully unroll constant-trip loops (barrier loops up to 32
+//          trips), then mem2reg (with core opts) + cleanup
 //     -> cpuify{mincut=BOOL}    barrier lowering by parallel-loop fission
 //          with min-cut (§III-B1) and interchange (§III-B2)
 //     -> omp-lower{collapse,fuse,hoist,inner-serialize,outer-only}
@@ -65,7 +67,10 @@ struct PipelineOptions {
   bool barrierMotion = true;
   /// OpenMP region fusion/hoisting/collapse ("openmpopt").
   bool openmpOpt = true;
-  /// Raising + unrolling of constant-trip loops ("affine").
+  /// Raising + unrolling of constant-trip loops ("affine"): counted
+  /// scf.while loops become scf.for, loops within the unroll budget are
+  /// fully unrolled, and (with coreOpts) mem2reg promotes the scalars the
+  /// unrolled copies read, so cpuify lowers their barriers by fission.
   bool affineOpts = true;
   /// Serialize thread-level loops instead of nested parallelism
   /// ("innerser"; PolygeistInnerSer vs PolygeistInnerPar).
@@ -129,9 +134,10 @@ void runBarrierElim(ModuleOp module);
 /// bytes live across the barrier, shrinking cpuify's fission caches).
 void runBarrierMotion(ModuleOp module);
 
-/// Fully unrolls scf.for loops with constant trip count <= threshold.
-/// Loops containing barriers are prioritized (enables straight-line
-/// fission; the paper's backprop 2.6x case).
+/// Raises counted scf.while loops to scf.for (see transforms/unroll.cpp)
+/// and fully unrolls scf.for loops with constant trip count <= threshold.
+/// Loops containing barriers get a budget of at least 32 (enables
+/// straight-line fission; the paper's backprop 2.6x case).
 void runUnroll(ModuleOp module, int64_t maxTrip = 8);
 
 /// Barrier lowering: eliminates every polygeist.barrier by parallel-loop

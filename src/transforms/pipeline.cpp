@@ -46,6 +46,11 @@ void buildPipeline(PassManager &pm, const PipelineOptions &opts) {
 
   if (opts.affineOpts) {
     pm.addPass(createUnrollPass());
+    // Unrolling a raised while leaves its control scalars (and the thread
+    // indices it read) as straight-line stores: promote them so the
+    // canonicalize below folds the per-trip constants before cpuify.
+    if (opts.coreOpts)
+      pm.addPass(createMem2RegPass());
     pm.addPass(createCanonicalizePass());
     if (opts.coreOpts) {
       pm.addPass(createCSEPass());

@@ -33,8 +33,8 @@ std::vector<PassInfo> buildRegistry() {
                     "hoist barriers to shrink fission caches (§IV-A)",
                     [] { return createBarrierMotionPass(); }});
   passes.push_back({"unroll",
-                    "fully unroll constant-trip scf.for loops "
-                    "(options: max-trip)",
+                    "raise counted scf.while loops and fully unroll "
+                    "constant-trip loops (options: max-trip)",
                     [] { return createUnrollPass(); }});
   passes.push_back({"cpuify",
                     "lower barriers by fission + interchange "

@@ -1,6 +1,6 @@
 #include "vm/interp.h"
 
-#include "ir/op.h"
+#include "ir/intmath.h"
 #include "support/diagnostics.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
@@ -13,6 +13,7 @@
 namespace paralift::vm {
 
 using runtime::Team;
+namespace intmath = ir::intmath;
 
 namespace {
 
@@ -32,19 +33,6 @@ metrics::Counter &vmExecErrors() {
   return *c;
 }
 
-int64_t cmpI(int64_t pred, int64_t a, int64_t b) {
-  using ir::CmpIPred;
-  switch (static_cast<CmpIPred>(pred)) {
-  case CmpIPred::eq: return a == b;
-  case CmpIPred::ne: return a != b;
-  case CmpIPred::slt: return a < b;
-  case CmpIPred::sle: return a <= b;
-  case CmpIPred::sgt: return a > b;
-  case CmpIPred::sge: return a >= b;
-  }
-  return 0;
-}
-
 int64_t cmpF(int64_t pred, double a, double b) {
   using ir::CmpFPred;
   switch (static_cast<CmpFPred>(pred)) {
@@ -56,13 +44,6 @@ int64_t cmpF(int64_t pred, double a, double b) {
   case CmpFPred::oge: return a >= b;
   }
   return 0;
-}
-
-/// Integer result normalization: i32 arithmetic wraps to 32 bits.
-inline int64_t normInt(ir::TypeKind t, int64_t v) {
-  return t == TypeKind::I32 ? static_cast<int32_t>(v)
-         : t == TypeKind::I1 ? (v & 1)
-                             : v;
 }
 
 inline double normFloat(TypeKind t, double v) {
@@ -166,33 +147,40 @@ Interp::StepResult Interp::step(const BCFunction &fn, Slot *regs, Ctx &ctx,
   case BC::ConstF: regs[in.d].f = in.fimm; break;
   case BC::Copy: regs[in.d] = regs[in.a]; break;
   case BC::AddI:
-    regs[in.d].i = normInt(in.t, regs[in.a].i + regs[in.b].i);
+    regs[in.d].i =
+        intmath::truncate(in.t, intmath::add(regs[in.a].i, regs[in.b].i));
     break;
   case BC::SubI:
-    regs[in.d].i = normInt(in.t, regs[in.a].i - regs[in.b].i);
+    regs[in.d].i =
+        intmath::truncate(in.t, intmath::sub(regs[in.a].i, regs[in.b].i));
     break;
   case BC::MulI:
-    regs[in.d].i = normInt(in.t, regs[in.a].i * regs[in.b].i);
+    regs[in.d].i =
+        intmath::truncate(in.t, intmath::mul(regs[in.a].i, regs[in.b].i));
     break;
   case BC::DivSI:
     regs[in.d].i =
-        regs[in.b].i == 0 ? 0 : normInt(in.t, regs[in.a].i / regs[in.b].i);
+        intmath::truncate(in.t, intmath::div(regs[in.a].i, regs[in.b].i));
     break;
   case BC::RemSI:
     regs[in.d].i =
-        regs[in.b].i == 0 ? 0 : normInt(in.t, regs[in.a].i % regs[in.b].i);
+        intmath::truncate(in.t, intmath::rem(regs[in.a].i, regs[in.b].i));
     break;
   case BC::AndI: regs[in.d].i = regs[in.a].i & regs[in.b].i; break;
   case BC::OrI: regs[in.d].i = regs[in.a].i | regs[in.b].i; break;
   case BC::XOrI: regs[in.d].i = regs[in.a].i ^ regs[in.b].i; break;
   case BC::ShLI:
-    regs[in.d].i = normInt(in.t, regs[in.a].i << regs[in.b].i);
+    regs[in.d].i =
+        intmath::truncate(in.t, intmath::shl(regs[in.a].i, regs[in.b].i));
     break;
-  case BC::ShRSI: regs[in.d].i = regs[in.a].i >> regs[in.b].i; break;
+  case BC::ShRSI:
+    regs[in.d].i = intmath::shr(regs[in.a].i, regs[in.b].i);
+    break;
   case BC::MinSI: regs[in.d].i = std::min(regs[in.a].i, regs[in.b].i); break;
   case BC::MaxSI: regs[in.d].i = std::max(regs[in.a].i, regs[in.b].i); break;
   case BC::CmpI:
-    regs[in.d].i = cmpI(in.imm, regs[in.a].i, regs[in.b].i);
+    regs[in.d].i = intmath::compare(static_cast<ir::CmpIPred>(in.imm),
+                                    regs[in.a].i, regs[in.b].i);
     break;
   case BC::AddF:
     regs[in.d].f = normFloat(in.t, regs[in.a].f + regs[in.b].f);

@@ -7,8 +7,12 @@
 #include "frontend/lexer.h"
 
 #include "driver/compiler.h"
+#include "frontend/irgen.h"
+#include "ir/printer.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace paralift;
 using namespace paralift::frontend;
@@ -119,6 +123,22 @@ TEST(LexerTest, CompoundAssignAndIncrement) {
   EXPECT_TRUE(plusAssign);
   EXPECT_TRUE(plusPlus);
   EXPECT_TRUE(starAssign);
+}
+
+TEST(LexerTest, CompoundAssignVersusShiftsAndChevrons) {
+  auto ks = kinds("a >>= 1; b <<= 2; c %= 3; d &= e; f |= g; h ^= i;"
+                  "j = j >> 1 << 2; k<<<1, 32>>>(a);");
+  auto count = [&](Tok t) { return std::count(ks.begin(), ks.end(), t); };
+  EXPECT_EQ(count(Tok::ShrAssign), 1);
+  EXPECT_EQ(count(Tok::ShlAssign), 1);
+  EXPECT_EQ(count(Tok::PercentAssign), 1);
+  EXPECT_EQ(count(Tok::AmpAssign), 1);
+  EXPECT_EQ(count(Tok::PipeAssign), 1);
+  EXPECT_EQ(count(Tok::CaretAssign), 1);
+  EXPECT_EQ(count(Tok::Shr), 1);
+  EXPECT_EQ(count(Tok::Shl), 1);
+  EXPECT_EQ(count(Tok::LaunchOpen), 1);
+  EXPECT_EQ(count(Tok::LaunchClose), 1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -285,4 +305,142 @@ void run(float* a) { k<<<2, 16>>>(a); }
   exec.run("run", {driver::Executor::bufferF32(a.data(), {32})});
   for (int i = 0; i < 32; ++i)
     EXPECT_EQ(a[i], static_cast<float>(i));
+}
+
+//===----------------------------------------------------------------------===//
+// Compound assignment
+//===----------------------------------------------------------------------===//
+
+TEST(CompoundAssignTest, MatchesLongForm) {
+  struct Case {
+    const char *op;
+    int64_t a, b, expected;
+  };
+  const Case cases[] = {
+      {"+", 13, 3, 16},   {"-", 13, 3, 10},   {"*", 13, 3, 39},
+      {"/", -40, 3, -13}, {"%", -40, 3, -1},  {"%", 13, 5, 3},
+      {"<<", 13, 3, 104}, {">>", -40, 2, -10}, {">>", 255, 7, 1},
+      {"&", 12, 10, 8},   {"|", 12, 10, 14},  {"^", 12, 10, 6},
+  };
+  for (const Case &c : cases) {
+    std::string op = c.op;
+    SCOPED_TRACE(op + "=");
+    int64_t compound =
+        runBody("int x = a; x " + op + "= b; return x;", c.a, c.b);
+    int64_t longForm =
+        runBody("int x = a; x = x " + op + " b; return x;", c.a, c.b);
+    EXPECT_EQ(compound, longForm);
+    EXPECT_EQ(compound, c.expected);
+  }
+  // The assignment's value is the stored value, as in C.
+  EXPECT_EQ(runBody("int x = a; int y = (x >>= 2) + 1; return x * 100 + y;",
+                    40, 0),
+            1011);
+}
+
+TEST(CompoundAssignTest, IntegerOnlyOperatorsRejectFloats) {
+  const char *sources[] = {
+      "float f(float a, int b) { float x = a; x %= b; return x; }",
+      "int f(int a, float b) { int x = a; x <<= b; return x; }",
+      "double f(double a, int b) { double x = a; x ^= b; return x; }",
+  };
+  for (const char *src : sources) {
+    DiagnosticEngine diag;
+    frontend::compileToIR(src, diag);
+    EXPECT_TRUE(diag.hasErrors()) << src;
+    EXPECT_NE(diag.str().find("requires integer operands"), std::string::npos)
+        << diag.str();
+  }
+}
+
+TEST(CompoundAssignTest, ShiftAssignReductionMatchesSimt) {
+  // The canonical CUDA spelling of the block tree reduction.
+  const char *src = R"(
+#define TB 64
+__global__ void red(float* in, float* out) {
+  __shared__ float buf[TB];
+  int tx = threadIdx.x;
+  buf[tx] = in[blockIdx.x * TB + tx];
+  __syncthreads();
+  for (int s = TB / 2; s > 0; s >>= 1) {
+    if (tx < s) {
+      buf[tx] += buf[tx + s];
+    }
+    __syncthreads();
+  }
+  if (tx == 0) {
+    out[blockIdx.x] = buf[0];
+  }
+}
+void run(float* in, float* out) { red<<<4, TB>>>(in, out); }
+)";
+  std::vector<float> in(256);
+  for (int i = 0; i < 256; ++i)
+    in[i] = 0.125f * float(i % 13) - 0.75f;
+  auto runWith = [&](driver::CompileResult &cc) {
+    std::vector<float> out(4, 0.0f);
+    driver::Executor exec(cc.module.get(), 2);
+    exec.run("run", {driver::Executor::bufferF32(in.data(), {256}),
+                     driver::Executor::bufferF32(out.data(), {4})});
+    return out;
+  };
+  DiagnosticEngine diag;
+  auto oracle = driver::compileForSimt(src, diag);
+  ASSERT_TRUE(oracle.ok) << diag.str();
+  std::vector<float> expected = runWith(oracle);
+  using transforms::PipelineOptions;
+  for (const PipelineOptions &opts :
+       {PipelineOptions{}, PipelineOptions::optDisabled(),
+        PipelineOptions::mcuda()}) {
+    auto cc = driver::compile(src, opts, diag);
+    ASSERT_TRUE(cc.ok) << diag.str();
+    EXPECT_EQ(runWith(cc), expected) << ir::printOp(cc.module.op());
+  }
+  // With affine opts the loop is raised and unrolled: no while is left.
+  auto full = driver::compile(src, PipelineOptions{}, diag);
+  ASSERT_TRUE(full.ok) << diag.str();
+  int whiles = 0;
+  full.module.op()->walk(
+      [&](ir::Op *op) { whiles += op->kind() == ir::OpKind::ScfWhile; });
+  EXPECT_EQ(whiles, 0) << ir::printOp(full.module.op());
+}
+
+//===----------------------------------------------------------------------===//
+// Constant array extents
+//===----------------------------------------------------------------------===//
+
+TEST(ConstExprTest, ArrayExtentsUseIrIntegerSemantics) {
+  // The parser folds extents with ir/intmath.h: INT64_MIN / -1 wraps
+  // instead of trapping, overflow wraps, and shift counts are taken
+  // modulo 64.
+  struct Case {
+    const char *extent;
+    int64_t expected;
+  };
+  const Case cases[] = {
+      {"(-9223372036854775807 - 1) / -1", INT64_MIN},
+      {"(-9223372036854775807 - 1) % -1 + 4", 4},
+      {"9223372036854775807 + 9223372036854775807 + 10", 8},
+      {"1 << 70", 64},
+      {"(1 << 64) + 1", 2},
+      {"-16 >> 66", -4},
+  };
+  for (const Case &c : cases) {
+    SCOPED_TRACE(c.extent);
+    std::string src = std::string("__global__ void k(float* a) {\n"
+                                  "  __shared__ float t[") +
+                      c.extent +
+                      "];\n  a[0] = 1.0f;\n}\n"
+                      "void run(float* a) { k<<<1, 1>>>(a); }\n";
+    DiagnosticEngine diag;
+    ir::OwnedModule m = frontend::compileToIR(src, diag);
+    ASSERT_FALSE(diag.hasErrors()) << diag.str();
+    std::vector<int64_t> extents;
+    m.op()->walk([&](ir::Op *op) {
+      if (op->kind() == ir::OpKind::Alloca &&
+          op->result().type().rank() == 1)
+        extents.push_back(op->result().type().shape()[0]);
+    });
+    EXPECT_EQ(extents, std::vector<int64_t>{c.expected});
+  }
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 #include <sstream>
 #include <string>
@@ -21,6 +22,23 @@ namespace {
 constexpr int kBlockSize = 16;
 constexpr int kGridSize = 4;
 constexpr int kN = kBlockSize * kGridSize;
+/// Seeds of the differential sweep: enough that every halving spelling of
+/// the tree-reduction phase is drawn by at least four of them.
+constexpr uint32_t kFuzzSeeds = 120;
+
+/// The halving updates of the tree-reduction phase, `@` standing for the
+/// loop variable. Each is drawn as a `for` increment, and the first also
+/// as the statement form `while (w > 0) { ...; w = w / 2; }`. All of them
+/// lower to the same memory-form scf.while.
+const char *const kHalvingSpellings[] = {"@ = @ / 2", "@ /= 2", "@ = @ >> 1",
+                                         "@ >>= 1", "while"};
+constexpr int kNumHalvingSpellings = std::size(kHalvingSpellings);
+
+std::string spell(std::string pattern, const std::string &var) {
+  for (size_t p; (p = pattern.find('@')) != std::string::npos;)
+    pattern.replace(p, 1, var);
+  return pattern;
+}
 
 /// Generates a random race-free kernel. The program alternates "write
 /// phases" (each thread writes only s[tx] / out[gid]) and "read phases"
@@ -30,6 +48,11 @@ constexpr int kN = kBlockSize * kGridSize;
 class KernelGen {
 public:
   explicit KernelGen(uint32_t seed) : rng_(seed) {}
+
+  /// How often generate() emitted each halving spelling.
+  const std::array<int, kNumHalvingSpellings> &spellingsDrawn() const {
+    return spellingsDrawn_;
+  }
 
   std::string generate() {
     std::ostringstream os;
@@ -82,7 +105,7 @@ private:
   }
 
   void emitPhase(std::ostringstream &os, int phase) {
-    switch (rng_() % 6) {
+    switch (rng_() % 7) {
     case 0: {
       // Read phase into a register, optionally guarded (reads are always
       // safe to guard).
@@ -154,6 +177,9 @@ private:
       os << "  }\n";
       break;
     }
+    case 5:
+      emitTreeReduction(os, phase);
+      break;
     default:
       // Global write phase: out is strictly thread-private, no barrier
       // needed; also mutates a register to keep values flowing.
@@ -163,7 +189,42 @@ private:
     }
   }
 
+  /// Block tree reduction on s: each trip, threads below the stride w add
+  /// the slot w above them, then sync. The writes (s[0..w)) and the other
+  /// threads' reads (s[w..2w)) are disjoint, and w <= kBlockSize / 2 keeps
+  /// tx + w in range. Half the time w starts from a constant, so the loop
+  /// is raised and unrolled; otherwise from a value depending on the
+  /// kernel argument u, so it stays a while and cpuify interchanges it.
+  void emitTreeReduction(std::ostringstream &os, int phase) {
+    std::string w = "w" + std::to_string(phase);
+    std::string start;
+    if (rng_() % 2 == 0)
+      start = std::to_string(1 + rng_() % (kBlockSize / 2));
+    else
+      start = "u % " + std::to_string(kBlockSize / 2) + " + 1";
+    int spelling = static_cast<int>(rng_() % kNumHalvingSpellings);
+    ++spellingsDrawn_[spelling];
+    bool statementForm = spelling == kNumHalvingSpellings - 1;
+    // Retire the pending reads of s before the first write.
+    os << "  __syncthreads();\n";
+    if (statementForm)
+      os << "  int " << w << " = " << start << ";\n"
+         << "  while (" << w << " > 0) {\n";
+    else
+      os << "  for (int " << w << " = " << start << "; " << w << " > 0; "
+         << spell(kHalvingSpellings[spelling], w) << ") {\n";
+    os << "    if (tx < " << w << ") {\n"
+       << "      s[tx] = s[tx] + s[tx + " << w << "];\n"
+       << "    }\n"
+       << "    __syncthreads();\n";
+    if (statementForm)
+      os << "    " << spell(kHalvingSpellings[0], w) << ";\n";
+    os << "  }\n"
+       << "  r0 = s[0] * 0.5f + r0;\n";
+  }
+
   std::mt19937 rng_;
+  std::array<int, kNumHalvingSpellings> spellingsDrawn_{};
 };
 
 /// The pipeline configurations under test.
@@ -245,7 +306,7 @@ namespace {
 
 std::vector<FuzzCase> allFuzzCases() {
   std::vector<FuzzCase> cases;
-  for (uint32_t seed = 0; seed < 40; ++seed)
+  for (uint32_t seed = 0; seed < kFuzzSeeds; ++seed)
     for (const FuzzConfig &cfg : fuzzConfigs())
       cases.push_back({seed, cfg});
   return cases;
@@ -259,6 +320,18 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(info.param.seed) + "_" +
              info.param.config.name;
     });
+
+TEST(KernelGenTest, SweepDrawsEveryHalvingSpelling) {
+  std::array<int, kNumHalvingSpellings> seedsDrawing{};
+  for (uint32_t seed = 0; seed < kFuzzSeeds; ++seed) {
+    KernelGen gen(seed);
+    gen.generate();
+    for (int i = 0; i < kNumHalvingSpellings; ++i)
+      seedsDrawing[i] += gen.spellingsDrawn()[i] > 0;
+  }
+  for (int i = 0; i < kNumHalvingSpellings; ++i)
+    EXPECT_GE(seedsDrawing[i], 4) << kHalvingSpellings[i];
+}
 
 //===----------------------------------------------------------------------===//
 // Thread-count invariance: the transpiled program must be deterministic

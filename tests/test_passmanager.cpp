@@ -563,6 +563,8 @@ bool legacyRunPipeline(ModuleOp module, const PipelineOptions &opts,
   }
   if (opts.affineOpts) {
     runUnroll(module);
+    if (opts.coreOpts)
+      runMem2Reg(module);
     runCanonicalize(module);
     if (opts.coreOpts) {
       runCSE(module);

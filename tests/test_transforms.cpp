@@ -4,8 +4,10 @@
 // region fusion/hoisting (Figs. 10/11), and frontend diagnostics.
 #include "analysis/barrier.h"
 #include "driver/compiler.h"
+#include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
+#include "moccuda/resnet.h"
 #include "rodinia/rodinia.h"
 #include "transforms/mincut.h"
 #include "transforms/passes.h"
@@ -307,6 +309,28 @@ int f() {
   EXPECT_EQ(r[0].i, 13);
 }
 
+TEST(CanonicalizeTest, FoldsInt64MinOverMinusOneWithoutTrapping) {
+  // y is INT64_MIN; the folder divides it by -1 with the VM's semantics
+  // (ir/intmath.h: the wrapped quotient, INT64_MIN) instead of trapping.
+  const char *src = R"(
+long f(long a) {
+  long x = -2147483647 - 1;
+  long y = x * 65536 * 65536;
+  long z = y / -1;
+  return z + a;
+}
+)";
+  OwnedModule m = frontendIR(src);
+  runMem2Reg(m.get());
+  runCanonicalize(m.get());
+  EXPECT_EQ(countOps(m.op(), OpKind::DivSI), 0) << printOp(m.op());
+  EXPECT_EQ(countOps(m.op(), OpKind::MulI), 0);
+  driver::Executor exec(m.get(), 1);
+  auto r = exec.run("f", {int64_t(5)});
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].i, INT64_MIN + 5);
+}
+
 TEST(UnrollTest, FullyUnrollsConstantTripLoop) {
   const char *src = R"(
 void f(float* a) {
@@ -583,6 +607,246 @@ TEST(Mem2RegTest, BackpropLayerforwardHasNoPerThreadIndexCache) {
         << "per-thread i32 cache:\n"
         << ir::printOp(cc.module.op());
   });
+}
+
+//===----------------------------------------------------------------------===//
+// unroll: raising counted scf.while loops
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A block kernel over s[16] running `loop`, in which `BODY` stands for a
+/// tree-reduction step with stride `w`.
+std::string reductionKernel(const std::string &loop) {
+  const std::string body = R"(
+    if (tx < w) {
+      s[tx] = s[tx] + s[tx + w];
+    }
+    __syncthreads();
+)";
+  std::string l = loop;
+  if (size_t at = l.find("BODY"); at != std::string::npos)
+    l.replace(at, 4, body);
+  return R"(
+__global__ void red(float* a, float* out, int u) {
+  __shared__ float s[16];
+  int tx = threadIdx.x;
+  int gid = blockIdx.x * blockDim.x + threadIdx.x;
+  s[tx] = a[gid];
+  __syncthreads();
+)" + l + R"(
+  out[gid] = s[tx] + s[0];
+}
+void run(float* a, float* out, int u) { red<<<4, 16>>>(a, out, u); }
+)";
+}
+
+/// Frontend IR after the cleanup and promotion that precede unroll in the
+/// pipeline, then unroll at its default budget.
+OwnedModule unrolledIR(const std::string &src) {
+  OwnedModule m = frontendIR(src);
+  runCanonicalize(m.get());
+  runMem2Reg(m.get());
+  runCanonicalize(m.get());
+  runUnroll(m.get());
+  EXPECT_TRUE(verifyOk(m.op())) << printOp(m.op());
+  return m;
+}
+
+} // namespace
+
+TEST(UnrollTest, RaisesAndUnrollsEveryHalvingSpelling) {
+  const char *loops[] = {
+      "for (int w = 8; w > 0; w = w / 2) { BODY }",
+      "for (int w = 8; w > 0; w /= 2) { BODY }",
+      "for (int w = 8; w > 0; w = w >> 1) { BODY }",
+      "for (int w = 8; w > 0; w >>= 1) { BODY }",
+      "int w = 8; while (w > 0) { BODY w = w / 2; }",
+  };
+  for (const char *loop : loops) {
+    SCOPED_TRACE(loop);
+    std::string src = reductionKernel(loop);
+    OwnedModule m = unrolledIR(src);
+    EXPECT_EQ(countOps(m.op(), OpKind::ScfWhile), 0) << printOp(m.op());
+    EXPECT_EQ(countOps(m.op(), OpKind::ScfFor), 0);
+    // The barrier before the loop plus one per trip (w = 8, 4, 2, 1).
+    EXPECT_EQ(countOps(m.op(), OpKind::Barrier), 1 + 4);
+    expectMatchesSimtOracle(src.c_str());
+  }
+}
+
+TEST(UnrollTest, DropsZeroTripCountedWhile) {
+  // The condition fails on entry and the before region is pure, so the
+  // whole loop goes.
+  std::string src =
+      reductionKernel("for (int w = 0; w > 0; w = w / 2) { BODY }");
+  OwnedModule m = unrolledIR(src);
+  EXPECT_EQ(countOps(m.op(), OpKind::ScfWhile), 0) << printOp(m.op());
+  EXPECT_EQ(countOps(m.op(), OpKind::ScfFor), 0);
+  EXPECT_EQ(countOps(m.op(), OpKind::Barrier), 1);
+  expectMatchesSimtOracle(src.c_str());
+}
+
+TEST(UnrollTest, RaisingHonorsTheBarrierBudget) {
+  // A barrier loop may unroll up to 32 trips; a 33rd keeps the while.
+  auto kernel = [](int trips) {
+    return reductionKernel("for (int w = " + std::to_string(trips) +
+                           "; w != 0; w = w - 1) {"
+                           "  out[gid] = out[gid] + s[(tx + w) % 16];"
+                           "  __syncthreads(); }");
+  };
+  std::string at = kernel(32);
+  OwnedModule atM = unrolledIR(at);
+  EXPECT_EQ(countOps(atM.op(), OpKind::ScfWhile), 0);
+  EXPECT_EQ(countOps(atM.op(), OpKind::Barrier), 1 + 32);
+  expectMatchesSimtOracle(at.c_str());
+  std::string over = kernel(33);
+  OwnedModule overM = unrolledIR(over);
+  EXPECT_EQ(countOps(overM.op(), OpKind::ScfWhile), 1);
+  EXPECT_EQ(countOps(overM.op(), OpKind::Barrier), 2);
+  expectMatchesSimtOracle(over.c_str());
+}
+
+TEST(UnrollTest, LeavesUncountedWhilesAlone) {
+  struct Case {
+    const char *why;
+    const char *loop;
+    bool runOracle;
+  };
+  const Case cases[] = {
+      {"start depends on a kernel argument",
+       "for (int w = u; w > 0; w = w / 2) { BODY }", true},
+      {"update stored under an if",
+       "int w = 8; while (w > 0) { BODY if (u > 0) { w = w / 2; } }", true},
+      {"start may be overwritten under an if",
+       "int w = 1; if (u > 1) { w = 8; } while (w > 0) { BODY w = w / 2; }",
+       true},
+      {"condition reads other memory",
+       "for (int w = 8; w > (int)a[0]; w = w / 2) { BODY }", false},
+      {"do-while whose before region has side effects",
+       "int w = 8; do { BODY out[gid] = 1.0f; w = w / 2; } while (w > 0);",
+       true},
+  };
+  for (const Case &c : cases) {
+    SCOPED_TRACE(c.why);
+    std::string src = reductionKernel(c.loop);
+    OwnedModule m = unrolledIR(src);
+    EXPECT_EQ(countOps(m.op(), OpKind::ScfWhile), 1) << printOp(m.op());
+    if (c.runOracle)
+      expectMatchesSimtOracle(src.c_str());
+  }
+}
+
+TEST(UnrollTest, LeavesSharedCounterWhileAlone) {
+  // The kWhileBarrierSrc shape of test_e2e: the trip count lives in a
+  // __shared__ int that thread 0 updates under an if.
+  const char *src = R"(
+__global__ void relax(float* data, int rounds) {
+  __shared__ int iter;
+  int tid = threadIdx.x;
+  if (tid == 0) {
+    iter = 0;
+  }
+  __syncthreads();
+  do {
+    data[tid] = data[tid] * 0.5f + 1.0f;
+    __syncthreads();
+    if (tid == 0) {
+      iter = iter + 1;
+    }
+    __syncthreads();
+  } while (iter < 4);
+}
+void run(float* data, int rounds) { relax<<<1, 32>>>(data, rounds); }
+)";
+  OwnedModule m = unrolledIR(src);
+  EXPECT_EQ(countOps(m.op(), OpKind::ScfWhile), 1) << printOp(m.op());
+}
+
+TEST(UnrollTest, LeavesWhileWithEscapingControlScalarAlone) {
+  // The same counted loop twice: once plain (raised), once with the
+  // control scalar's address passed to a call (left alone).
+  auto module = [](bool escape) {
+    std::string text = R"(module {
+  func {sym_name = "sink", res_types = []} {
+    [%0: memref<i32>]:
+    return
+  }
+  func {sym_name = "f", res_types = []} {
+    [%1: memref<?xf32>]:
+    %2 = memref.alloca : memref<i32>
+)";
+    if (escape)
+      text += "    call(%2) {callee = \"sink\"}\n";
+    text += R"(    %3 = const.int {value = 8} : i32
+    memref.store(%3, %2)
+    %4 = const.int {value = 0} : i32
+    scf.while {
+      %5 = memref.load(%2) : i32
+      %6 = cmpi(%5, %4) {pred = 4} : i1
+      condition(%6)
+    } {
+      %7 = memref.load(%2) : i32
+      %8 = index.cast(%7) : index
+      %9 = const.float {value = 1.0} : f32
+      memref.store(%9, %1, %8)
+      %10 = const.int {value = 2} : i32
+      %11 = divsi(%7, %10) : i32
+      memref.store(%11, %2)
+      yield
+    }
+    return
+  }
+}
+)";
+    DiagnosticEngine diag;
+    auto m = ir::parseModule(text, diag);
+    EXPECT_TRUE(m.has_value()) << diag.str();
+    return std::move(*m);
+  };
+  OwnedModule plain = module(false);
+  runUnroll(plain.get());
+  EXPECT_EQ(countOps(plain.op(), OpKind::ScfWhile), 0);
+  EXPECT_EQ(countOps(plain.op(), OpKind::Store), 1 + 2 * 4);
+  OwnedModule escaping = module(true);
+  runUnroll(escaping.get());
+  EXPECT_EQ(countOps(escaping.op(), OpKind::ScfWhile), 1);
+}
+
+TEST(UnrollTest, TreeReductionsLeaveNoWhileOrPerThreadCache) {
+  // srad_v1's reduce, particlefilter's likelihood_kernel and both
+  // reductions of MocCUDA's nll_kernel halve a stride from a constant
+  // around __syncthreads. Raised and unrolled, cpuify lowers them by
+  // fission alone: no while is left inside a kernel, and `s` and `tx` get
+  // no per-thread memref<?xi32> cache. (srad_v1's host loop stays a
+  // while; its other kernels have none.)
+  auto check = [](const std::string &label, const char *source,
+                  const char *func) {
+    SCOPED_TRACE(label);
+    DiagnosticEngine diag;
+    auto cc = driver::compile(source, PipelineOptions{}, diag);
+    ASSERT_TRUE(cc.ok) << diag.str();
+    Op *fn = cc.module.get().lookupFunc(func);
+    ASSERT_NE(fn, nullptr);
+    fn->walk([&](Op *op) {
+      if (op->kind() == OpKind::ScfWhile) {
+        EXPECT_EQ(getEnclosing(op, OpKind::OmpParallel), nullptr)
+            << "while inside a kernel:\n" << printOp(fn);
+      }
+      if (op->kind() != OpKind::Alloca)
+        return;
+      Type t = op->result().type();
+      EXPECT_FALSE(t.rank() == 1 && t.numDynamicDims() == 1 &&
+                   t.elemKind() == TypeKind::I32)
+          << "per-thread i32 cache:\n" << printOp(fn);
+    });
+  };
+  for (const char *id : {"srad_v1", "particlefilter_float"}) {
+    const rodinia::Benchmark *bench = rodinia::find(id);
+    ASSERT_NE(bench, nullptr) << id;
+    check(id, bench->cudaSource, "run");
+  }
+  check("nll_kernel", moccuda::PolygeistKernels::source(), "run_nll");
 }
 
 //===----------------------------------------------------------------------===//

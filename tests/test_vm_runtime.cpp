@@ -1,10 +1,13 @@
 // Unit tests for the execution layer: thread pool teams and barriers,
 // nested-parallel policies, dispatch queues, VM arithmetic semantics
-// (f32 rounding, i32 wrapping, division guards), memref bounds checking,
+// (f32 rounding, i32 wrapping, division guards, the shared integer edge
+// cases of ir/intmath.h), memref bounds checking,
 // arena scoping and recycling of allocas, structured call errors
 // (tryCall/tryRun), and the lockstep SIMT emulator's barrier semantics
 // under divergent-looking but block-uniform control flow.
 #include "driver/compiler.h"
+#include "ir/printer.h"
+#include "transforms/passes.h"
 #include "runtime/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -294,6 +297,62 @@ TEST(TryCallTest, RunStillAbortsOnUnknownName) {
   ASSERT_TRUE(cc.ok) << diag.str();
   driver::Executor exec(cc.module.get(), 1);
   EXPECT_DEATH(exec.run("nope", {int64_t(1)}), "no such function");
+}
+
+//===----------------------------------------------------------------------===//
+// Integer edge cases: the VM and the constant folder share one definition
+// (ir/intmath.h), so neither traps and both compute the same value.
+//===----------------------------------------------------------------------===//
+
+TEST(IntSemanticsTest, EdgeCasesExecuteAndFoldToTheSameValue) {
+  struct Case {
+    const char *op;
+    ir::OpKind kind;
+    int64_t a, b, expected;
+  };
+  const Case cases[] = {
+      {"/", ir::OpKind::DivSI, INT64_MIN, -1, INT64_MIN},
+      {"%", ir::OpKind::RemSI, INT64_MIN, -1, 0},
+      {"/", ir::OpKind::DivSI, 7, 0, 0},
+      {"%", ir::OpKind::RemSI, 7, 0, 0},
+      {"+", ir::OpKind::AddI, INT64_MAX, 1, INT64_MIN},
+      {"-", ir::OpKind::SubI, INT64_MIN, 1, INT64_MAX},
+      {"*", ir::OpKind::MulI, INT64_MAX, 2, -2},
+      // Shift counts are taken modulo 64.
+      {"<<", ir::OpKind::ShLI, 1, 64, 1},
+      {"<<", ir::OpKind::ShLI, 1, 70, 64},
+      {"<<", ir::OpKind::ShLI, 3, -1, INT64_MIN},
+      {">>", ir::OpKind::ShRSI, -16, 66, -4},
+      {">>", ir::OpKind::ShRSI, INT64_MIN, 63, -1},
+  };
+  for (const Case &c : cases) {
+    SCOPED_TRACE(std::to_string(c.a) + " " + c.op + " " + std::to_string(c.b));
+    // Executed: the VM computes a OP b from its arguments.
+    DiagnosticEngine diag;
+    std::string src =
+        std::string("long f(long a, long b) { return a ") + c.op + " b; }";
+    auto cc = driver::compile(src, transforms::PipelineOptions{}, diag);
+    ASSERT_TRUE(cc.ok) << diag.str();
+    driver::Executor exec(cc.module.get(), 1);
+    vm::CallResult r = exec.tryRun("f", {c.a, c.b});
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_EQ(r.results.size(), 1u);
+    EXPECT_EQ(r.results[0].i, c.expected);
+
+    // Folded: the same op on i64 constants (frontend literals are i32, so
+    // the function is built directly), canonicalized to one constant.
+    ir::OwnedModule m;
+    ir::FuncOp g = ir::FuncOp::create(m.get(), "g", {}, {ir::Type::i64()});
+    ir::Builder b(&g.body());
+    b.ret({b.binary(c.kind, b.constInt(c.a, ir::Type::i64()),
+                    b.constInt(c.b, ir::Type::i64()))});
+    transforms::runCanonicalize(m.get());
+    ir::Op *ret = g.body().terminator();
+    ASSERT_NE(ret, nullptr);
+    auto folded = ir::getConstInt(ret->operand(0));
+    ASSERT_TRUE(folded.has_value()) << ir::printOp(m.op());
+    EXPECT_EQ(*folded, c.expected);
+  }
 }
 
 //===----------------------------------------------------------------------===//
