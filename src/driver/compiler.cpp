@@ -85,7 +85,9 @@ vm::CallResult Executor::tryRun(const std::string &fn,
       slots.push_back(interp_->makeMemRef(b.elem, b.data, b.dims));
     }
   }
-  return interp_->tryCall(fn, std::move(slots));
+  vm::CallResult r = interp_->tryCall(fn, std::move(slots));
+  interp_->releaseMemRefs();
+  return r;
 }
 
 } // namespace paralift::driver

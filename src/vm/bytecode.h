@@ -6,6 +6,11 @@
 // closures: separately compiled functions receiving captured values plus
 // induction variables as leading registers.
 //
+// Value-preserving casts (index.cast, extsi, fpext, fptrunc, and trunci to
+// anything but i32) emit no instruction: the result is an alias of the
+// operand's register. Integers are stored sign-extended and f32 rounding
+// happens at each arithmetic op, so a copy would hold the same bits.
+//
 // Both the transpiled-CUDA and the reference-OpenMP sides of every
 // benchmark run on this same VM, so relative performance comparisons
 // isolate the compiler's effects (see DESIGN.md).
@@ -94,6 +99,8 @@ enum class BC : uint8_t {
   Jump,        ///< pc <- imm; imm on an instruction boundary in [0, size]
                ///< (size = fall off the end, legal only with 0 results)
   JumpIfFalse, ///< if !a: pc <- imm; a int; same target rule as Jump
+  JumpIfGE,    ///< if a >= b (signed): pc <- imm; a and b int; same
+               ///< target rule as Jump (the fused loop-header exit test)
   Call,      ///< imm = valid callee index; extras[b..b+c) initialized args,
              ///< extras[b+c..b+c+d) result regs; c == callee.numArgs,
              ///< d == callee.numResults. Argument typestates propagate

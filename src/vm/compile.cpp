@@ -86,6 +86,17 @@ private:
   }
   int32_t newTemp() { return nextReg_++; }
 
+  /// A value-preserving cast names its operand's register instead of
+  /// copying it (see vm/bytecode.h). Sound because every register the
+  /// lowering overwrites (loop IVs, iter args, while arguments, region
+  /// results, wsloop IVs) is overwritten only after every SSA use of a
+  /// cast of it in the same iteration, and for-loop yields go through
+  /// temps.
+  void aliasCast(Op *op) {
+    assert(!regs_.count(op->result().impl()));
+    regs_[op->result().impl()] = regOf(op->operand(0));
+  }
+
   size_t emit(Instr in) {
     cur_->instrs.push_back(in);
     return cur_->instrs.size() - 1;
@@ -214,19 +225,14 @@ private:
     case OpKind::ExtSI:
     case OpKind::FPExt:
     case OpKind::FPTrunc:
-      // Integers are stored sign-extended; f32 rounding happens at each
-      // arithmetic op, so these are register copies.
-      emit({BC::Copy, op->result().type().kind(), regOf(op->operand(0)), 0,
-            0, regOf(op->result()), 0, 0});
+      aliasCast(op);
       return;
     case OpKind::TruncI:
-      if (op->result().type().kind() == TypeKind::I32) {
+      if (op->result().type().kind() == TypeKind::I32)
         emit({BC::TruncI32, TypeKind::I32, regOf(op->operand(0)), 0, 0,
               regOf(op->result()), 0, 0});
-      } else {
-        emit({BC::Copy, op->result().type().kind(), regOf(op->operand(0)),
-              0, 0, regOf(op->result()), 0, 0});
-      }
+      else
+        aliasCast(op);
       return;
     case OpKind::Alloca:
     case OpKind::Alloc: {
@@ -343,11 +349,18 @@ private:
     compileBlockContents(ifOp.thenBlock());
     copyYields(ifOp.thenBlock().terminator(), op);
     size_t jumpEnd = emit({BC::Jump, TypeKind::None, 0, 0, 0, 0, -1, 0});
-    patchJump(jumpFalse, here());
     if (ifOp.hasElse()) {
       compileBlockContents(ifOp.elseBlock());
       copyYields(ifOp.elseBlock().terminator(), op);
     }
+    if (here() == jumpEnd + 1) {
+      // Nothing on the else side: the then branch falls through to the
+      // join instead of jumping to the next instruction.
+      cur_->instrs.pop_back();
+      patchJump(jumpFalse, jumpEnd);
+      return;
+    }
+    patchJump(jumpFalse, jumpEnd + 1);
     patchJump(jumpEnd, here());
   }
 
@@ -378,11 +391,8 @@ private:
       emit({BC::Copy, f.iterArg(i).type().kind(), regOf(f.init(i)), 0, 0,
             regOf(f.iterArg(i)), 0, 0});
     size_t head = here();
-    int32_t cond = newTemp();
-    emit({BC::CmpI, TypeKind::Index, iv, regOf(f.ub()), 0, cond,
-          static_cast<int64_t>(CmpIPred::slt), 0});
-    size_t exitJump =
-        emit({BC::JumpIfFalse, TypeKind::None, cond, 0, 0, 0, -1, 0});
+    size_t exitJump = emit(
+        {BC::JumpIfGE, TypeKind::None, iv, regOf(f.ub()), 0, 0, -1, 0});
     bool scoped = blockContainsAlloca(body);
     if (scoped)
       emit({BC::ScopePush, TypeKind::None, 0, 0, 0, 0, 0, 0});
@@ -446,54 +456,59 @@ private:
   }
 
   /// omp.wsloop: static chunking over the linearized iteration space,
-  /// compiled inline in the current frame.
+  /// compiled inline in the current frame. Each team member takes the
+  /// chunk [tid*total/n, (tid+1)*total/n) of the row-major order,
+  /// delinearizes its first index once, then advances the IVs like an
+  /// odometer: step the innermost IV and its counter, and when the counter
+  /// reaches that dimension's extent, reset both and carry into the next
+  /// dimension out. No division runs per iteration. Extents are clamped at
+  /// 0, so one empty dimension empties the space (two negative extents
+  /// must not multiply to a positive total).
   void compileWsLoop(Op *op) {
     ir::ParallelOp par(op);
     unsigned dims = par.numDims();
-    // extents_i = (ub-lb+step-1)/step ; total = prod extents
-    std::vector<int32_t> extents;
+    Block &body = par.body();
+    // extent_i = max((ub_i - lb_i + step_i - 1) / step_i, 0)
+    // total = prod extent_i
+    int32_t zero = emitConstI(0);
     int32_t one = emitConstI(1);
+    std::vector<int32_t> extents;
     int32_t total = one;
     for (unsigned i = 0; i < dims; ++i) {
-      int32_t range =
-          emitBin(BC::SubI, regOf(par.ub(i)), regOf(par.lb(i)));
-      int32_t stepm1 = emitBin(BC::SubI, regOf(par.step(i)), one);
-      int32_t ext = emitBin(BC::DivSI, emitBin(BC::AddI, range, stepm1),
-                            regOf(par.step(i)));
+      int32_t step = regOf(par.step(i));
+      int32_t range = emitBin(BC::SubI, regOf(par.ub(i)), regOf(par.lb(i)));
+      int32_t stepm1 = emitBin(BC::SubI, step, one);
+      int32_t ext = emitBin(
+          BC::MaxSI,
+          emitBin(BC::DivSI, emitBin(BC::AddI, range, stepm1), step), zero);
       extents.push_back(ext);
       total = (i == 0) ? ext : emitBin(BC::MulI, total, ext);
     }
     int32_t tid = newTemp(), nthreads = newTemp();
     emit({BC::GetTid, TypeKind::I64, 0, 0, 0, tid, 0, 0});
     emit({BC::GetTeamSize, TypeKind::I64, 0, 0, 0, nthreads, 0, 0});
-    // begin = tid*total/n ; end = (tid+1)*total/n
-    int32_t begin =
+    // lin = begin = tid*total/n ; end = (tid+1)*total/n
+    int32_t lin =
         emitBin(BC::DivSI, emitBin(BC::MulI, tid, total), nthreads);
     int32_t end = emitBin(
         BC::DivSI, emitBin(BC::MulI, emitBin(BC::AddI, tid, one), total),
         nthreads);
-    int32_t lin = newTemp();
-    emit({BC::Copy, TypeKind::I64, begin, 0, 0, lin, 0, 0});
-    size_t head = here();
-    int32_t cond = newTemp();
-    emit({BC::CmpI, TypeKind::I64, lin, end, 0, cond,
-          static_cast<int64_t>(CmpIPred::slt), 0});
-    size_t exitJump =
-        emit({BC::JumpIfFalse, TypeKind::None, cond, 0, 0, 0, -1, 0});
-    // Delinearize into the body ivs: iv_i = lb_i + (tmp % ext_i)*step_i.
-    Block &body = par.body();
-    int32_t tmp = newTemp();
-    emit({BC::Copy, TypeKind::I64, lin, 0, 0, tmp, 0, 0});
+    // Delinearize `begin` into the body IVs and per-dimension counters:
+    // count_i = rest % extent_i, iv_i = lb_i + count_i * step_i.
+    std::vector<int32_t> counts(dims);
+    int32_t rest = lin;
     for (int i = static_cast<int>(dims) - 1; i >= 0; --i) {
-      int32_t rem = emitBin(BC::RemSI, tmp, extents[i]);
-      int32_t scaled = emitBin(BC::MulI, rem, regOf(par.step(i)));
-      int32_t iv = emitBin(BC::AddI, scaled, regOf(par.lb(i)));
-      emit({BC::Copy, TypeKind::Index, iv, 0, 0, regOf(body.arg(i)), 0, 0});
-      if (i > 0) {
-        int32_t q = emitBin(BC::DivSI, tmp, extents[i]);
-        emit({BC::Copy, TypeKind::I64, q, 0, 0, tmp, 0, 0});
-      }
+      int32_t iv = regOf(body.arg(i));
+      counts[i] = emitBin(BC::RemSI, rest, extents[i]);
+      emit({BC::MulI, TypeKind::I64, counts[i], regOf(par.step(i)), 0, iv, 0,
+            0});
+      emit({BC::AddI, TypeKind::I64, iv, regOf(par.lb(i)), 0, iv, 0, 0});
+      if (i > 0)
+        rest = emitBin(BC::DivSI, rest, extents[i]);
     }
+    size_t head = here();
+    size_t exitJump =
+        emit({BC::JumpIfGE, TypeKind::None, lin, end, 0, 0, -1, 0});
     bool scoped = blockContainsAlloca(body);
     if (scoped)
       emit({BC::ScopePush, TypeKind::None, 0, 0, 0, 0, 0, 0});
@@ -501,6 +516,22 @@ private:
     if (scoped)
       emit({BC::ScopePop, TypeKind::None, 0, 0, 0, 0, 0, 0});
     emit({BC::AddI, TypeKind::I64, lin, one, 0, lin, 0, 0});
+    // The odometer. The outermost dimension never wraps inside a chunk
+    // (lin reaches end first), so it has no counter test.
+    for (int i = static_cast<int>(dims) - 1; i >= 0; --i) {
+      int32_t iv = regOf(body.arg(i));
+      emit({BC::AddI, TypeKind::I64, iv, regOf(par.step(i)), 0, iv, 0, 0});
+      if (i == 0)
+        break;
+      emit({BC::AddI, TypeKind::I64, counts[i], one, 0, counts[i], 0, 0});
+      size_t carry = emit({BC::JumpIfGE, TypeKind::None, counts[i],
+                           extents[i], 0, 0, -1, 0});
+      emit({BC::Jump, TypeKind::None, 0, 0, 0, 0, static_cast<int64_t>(head),
+            0});
+      patchJump(carry, here());
+      emit({BC::Copy, TypeKind::Index, regOf(par.lb(i)), 0, 0, iv, 0, 0});
+      emit({BC::ConstI, TypeKind::I64, 0, 0, 0, counts[i], 0, 0});
+    }
     emit({BC::Jump, TypeKind::None, 0, 0, 0, 0, static_cast<int64_t>(head),
           0});
     patchJump(exitJump, here());

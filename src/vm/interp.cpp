@@ -141,278 +141,298 @@ MemRef *Interp::doAlloca(const BCFunction &fn, const Instr &in, Slot *regs,
 Interp::StepResult Interp::step(const BCFunction &fn, Slot *regs, Ctx &ctx,
                                 std::vector<Arena::Mark> &scopes, size_t &pc,
                                 std::vector<Slot> *results) {
-  const Instr &in = fn.instrs[pc];
-  switch (in.op) {
-  case BC::ConstI: regs[in.d].i = in.imm; break;
-  case BC::ConstF: regs[in.d].f = in.fimm; break;
-  case BC::Copy: regs[in.d] = regs[in.a]; break;
-  case BC::AddI:
-    regs[in.d].i =
-        intmath::truncate(in.t, intmath::add(regs[in.a].i, regs[in.b].i));
-    break;
-  case BC::SubI:
-    regs[in.d].i =
-        intmath::truncate(in.t, intmath::sub(regs[in.a].i, regs[in.b].i));
-    break;
-  case BC::MulI:
-    regs[in.d].i =
-        intmath::truncate(in.t, intmath::mul(regs[in.a].i, regs[in.b].i));
-    break;
-  case BC::DivSI:
-    regs[in.d].i =
-        intmath::truncate(in.t, intmath::div(regs[in.a].i, regs[in.b].i));
-    break;
-  case BC::RemSI:
-    regs[in.d].i =
-        intmath::truncate(in.t, intmath::rem(regs[in.a].i, regs[in.b].i));
-    break;
-  case BC::AndI: regs[in.d].i = regs[in.a].i & regs[in.b].i; break;
-  case BC::OrI: regs[in.d].i = regs[in.a].i | regs[in.b].i; break;
-  case BC::XOrI: regs[in.d].i = regs[in.a].i ^ regs[in.b].i; break;
-  case BC::ShLI:
-    regs[in.d].i =
-        intmath::truncate(in.t, intmath::shl(regs[in.a].i, regs[in.b].i));
-    break;
-  case BC::ShRSI:
-    regs[in.d].i = intmath::shr(regs[in.a].i, regs[in.b].i);
-    break;
-  case BC::MinSI: regs[in.d].i = std::min(regs[in.a].i, regs[in.b].i); break;
-  case BC::MaxSI: regs[in.d].i = std::max(regs[in.a].i, regs[in.b].i); break;
-  case BC::CmpI:
-    regs[in.d].i = intmath::compare(static_cast<ir::CmpIPred>(in.imm),
-                                    regs[in.a].i, regs[in.b].i);
-    break;
-  case BC::AddF:
-    regs[in.d].f = normFloat(in.t, regs[in.a].f + regs[in.b].f);
-    break;
-  case BC::SubF:
-    regs[in.d].f = normFloat(in.t, regs[in.a].f - regs[in.b].f);
-    break;
-  case BC::MulF:
-    regs[in.d].f = normFloat(in.t, regs[in.a].f * regs[in.b].f);
-    break;
-  case BC::DivF:
-    regs[in.d].f = normFloat(in.t, regs[in.a].f / regs[in.b].f);
-    break;
-  case BC::RemF:
-    regs[in.d].f = normFloat(in.t, std::fmod(regs[in.a].f, regs[in.b].f));
-    break;
-  case BC::MinF: regs[in.d].f = std::fmin(regs[in.a].f, regs[in.b].f); break;
-  case BC::MaxF: regs[in.d].f = std::fmax(regs[in.a].f, regs[in.b].f); break;
-  case BC::PowF:
-    regs[in.d].f = normFloat(in.t, std::pow(regs[in.a].f, regs[in.b].f));
-    break;
-  case BC::NegF: regs[in.d].f = -regs[in.a].f; break;
-  case BC::SqrtF: regs[in.d].f = normFloat(in.t, std::sqrt(regs[in.a].f)); break;
-  case BC::ExpF: regs[in.d].f = normFloat(in.t, std::exp(regs[in.a].f)); break;
-  case BC::LogF: regs[in.d].f = normFloat(in.t, std::log(regs[in.a].f)); break;
-  case BC::AbsF: regs[in.d].f = std::fabs(regs[in.a].f); break;
-  case BC::SinF: regs[in.d].f = normFloat(in.t, std::sin(regs[in.a].f)); break;
-  case BC::CosF: regs[in.d].f = normFloat(in.t, std::cos(regs[in.a].f)); break;
-  case BC::TanhF:
-    regs[in.d].f = normFloat(in.t, std::tanh(regs[in.a].f));
-    break;
-  case BC::FloorF: regs[in.d].f = std::floor(regs[in.a].f); break;
-  case BC::CeilF: regs[in.d].f = std::ceil(regs[in.a].f); break;
-  case BC::CmpF:
-    regs[in.d].i = cmpF(in.imm, regs[in.a].f, regs[in.b].f);
-    break;
-  case BC::Select:
-    regs[in.d] = regs[in.a].i ? regs[in.b] : regs[in.c];
-    break;
-  case BC::SIToFP:
-    regs[in.d].f = normFloat(in.t, static_cast<double>(regs[in.a].i));
-    break;
-  case BC::FPToSI: regs[in.d].i = static_cast<int64_t>(regs[in.a].f); break;
-  case BC::TruncI32:
-    regs[in.d].i = static_cast<int32_t>(regs[in.a].i);
-    break;
-  case BC::Alloca:
-  case BC::AllocHeap:
-    regs[in.d].p = doAlloca(fn, in, regs, *ctx.arena);
-    break;
-  case BC::Dealloc:
-    break; // arena-managed
-  case BC::Load: {
-    const MemRef &m = *static_cast<MemRef *>(regs[in.a].p);
-    if (opts_.boundsCheck && checkDescriptors_ && m.rank != in.c)
-      throw VmTrap("load rank mismatch: " + std::to_string(in.c) +
-                 " indices vs rank " + std::to_string(m.rank) + " in " +
-                 fn.name);
-    int64_t off = 0;
-    for (int32_t i = 0; i < in.c; ++i) {
-      int64_t idx = regs[fn.extras[in.b + i]].i;
-      if (opts_.boundsCheck && (idx < 0 || idx >= m.sizes[i]))
-        throw VmTrap("load index out of bounds: dim " + std::to_string(i) +
-                   " idx " + std::to_string(idx) + " size " +
-                   std::to_string(m.sizes[i]) + " in " + fn.name);
-      off = off * m.sizes[i] + idx;
+  // Everything the loop reads on every instruction lives in locals, so a
+  // store through `regs` never forces a reload of the program counter,
+  // the code or the trust flags.
+  const Instr *const code = fn.instrs.data();
+  const int32_t *const extras = fn.extras.data();
+  const size_t n = fn.instrs.size();
+  const bool boundsCheck = opts_.boundsCheck;
+  const bool checkDescriptors = boundsCheck && checkDescriptors_;
+  size_t at = pc;
+  while (at < n) {
+    const Instr &in = code[at];
+    switch (in.op) {
+    case BC::ConstI: regs[in.d].i = in.imm; break;
+    case BC::ConstF: regs[in.d].f = in.fimm; break;
+    case BC::Copy: regs[in.d] = regs[in.a]; break;
+    case BC::AddI:
+      regs[in.d].i =
+          intmath::truncate(in.t, intmath::add(regs[in.a].i, regs[in.b].i));
+      break;
+    case BC::SubI:
+      regs[in.d].i =
+          intmath::truncate(in.t, intmath::sub(regs[in.a].i, regs[in.b].i));
+      break;
+    case BC::MulI:
+      regs[in.d].i =
+          intmath::truncate(in.t, intmath::mul(regs[in.a].i, regs[in.b].i));
+      break;
+    case BC::DivSI:
+      regs[in.d].i =
+          intmath::truncate(in.t, intmath::div(regs[in.a].i, regs[in.b].i));
+      break;
+    case BC::RemSI:
+      regs[in.d].i =
+          intmath::truncate(in.t, intmath::rem(regs[in.a].i, regs[in.b].i));
+      break;
+    case BC::AndI: regs[in.d].i = regs[in.a].i & regs[in.b].i; break;
+    case BC::OrI: regs[in.d].i = regs[in.a].i | regs[in.b].i; break;
+    case BC::XOrI: regs[in.d].i = regs[in.a].i ^ regs[in.b].i; break;
+    case BC::ShLI:
+      regs[in.d].i =
+          intmath::truncate(in.t, intmath::shl(regs[in.a].i, regs[in.b].i));
+      break;
+    case BC::ShRSI:
+      regs[in.d].i = intmath::shr(regs[in.a].i, regs[in.b].i);
+      break;
+    case BC::MinSI: regs[in.d].i = std::min(regs[in.a].i, regs[in.b].i); break;
+    case BC::MaxSI: regs[in.d].i = std::max(regs[in.a].i, regs[in.b].i); break;
+    case BC::CmpI:
+      regs[in.d].i = intmath::compare(static_cast<ir::CmpIPred>(in.imm),
+                                      regs[in.a].i, regs[in.b].i);
+      break;
+    case BC::AddF:
+      regs[in.d].f = normFloat(in.t, regs[in.a].f + regs[in.b].f);
+      break;
+    case BC::SubF:
+      regs[in.d].f = normFloat(in.t, regs[in.a].f - regs[in.b].f);
+      break;
+    case BC::MulF:
+      regs[in.d].f = normFloat(in.t, regs[in.a].f * regs[in.b].f);
+      break;
+    case BC::DivF:
+      regs[in.d].f = normFloat(in.t, regs[in.a].f / regs[in.b].f);
+      break;
+    case BC::RemF:
+      regs[in.d].f = normFloat(in.t, std::fmod(regs[in.a].f, regs[in.b].f));
+      break;
+    case BC::MinF: regs[in.d].f = std::fmin(regs[in.a].f, regs[in.b].f); break;
+    case BC::MaxF: regs[in.d].f = std::fmax(regs[in.a].f, regs[in.b].f); break;
+    case BC::PowF:
+      regs[in.d].f = normFloat(in.t, std::pow(regs[in.a].f, regs[in.b].f));
+      break;
+    case BC::NegF: regs[in.d].f = -regs[in.a].f; break;
+    case BC::SqrtF:
+      regs[in.d].f = normFloat(in.t, std::sqrt(regs[in.a].f));
+      break;
+    case BC::ExpF:
+      regs[in.d].f = normFloat(in.t, std::exp(regs[in.a].f));
+      break;
+    case BC::LogF:
+      regs[in.d].f = normFloat(in.t, std::log(regs[in.a].f));
+      break;
+    case BC::AbsF: regs[in.d].f = std::fabs(regs[in.a].f); break;
+    case BC::SinF:
+      regs[in.d].f = normFloat(in.t, std::sin(regs[in.a].f));
+      break;
+    case BC::CosF:
+      regs[in.d].f = normFloat(in.t, std::cos(regs[in.a].f));
+      break;
+    case BC::TanhF:
+      regs[in.d].f = normFloat(in.t, std::tanh(regs[in.a].f));
+      break;
+    case BC::FloorF: regs[in.d].f = std::floor(regs[in.a].f); break;
+    case BC::CeilF: regs[in.d].f = std::ceil(regs[in.a].f); break;
+    case BC::CmpF:
+      regs[in.d].i = cmpF(in.imm, regs[in.a].f, regs[in.b].f);
+      break;
+    case BC::Select:
+      regs[in.d] = regs[in.a].i ? regs[in.b] : regs[in.c];
+      break;
+    case BC::SIToFP:
+      regs[in.d].f = normFloat(in.t, static_cast<double>(regs[in.a].i));
+      break;
+    case BC::FPToSI: regs[in.d].i = static_cast<int64_t>(regs[in.a].f); break;
+    case BC::TruncI32:
+      regs[in.d].i = static_cast<int32_t>(regs[in.a].i);
+      break;
+    case BC::Alloca:
+    case BC::AllocHeap:
+      regs[in.d].p = doAlloca(fn, in, regs, *ctx.arena);
+      break;
+    case BC::Dealloc:
+      break; // arena-managed
+    case BC::Load: {
+      const MemRef &m = *static_cast<MemRef *>(regs[in.a].p);
+      if (checkDescriptors && m.rank != in.c)
+        throw VmTrap("load rank mismatch: " + std::to_string(in.c) +
+                     " indices vs rank " + std::to_string(m.rank) + " in " +
+                     fn.name);
+      int64_t off = 0;
+      for (int32_t i = 0; i < in.c; ++i) {
+        int64_t idx = regs[extras[in.b + i]].i;
+        if (boundsCheck && (idx < 0 || idx >= m.sizes[i]))
+          throw VmTrap("load index out of bounds: dim " + std::to_string(i) +
+                       " idx " + std::to_string(idx) + " size " +
+                       std::to_string(m.sizes[i]) + " in " + fn.name);
+        off = off * m.sizes[i] + idx;
+      }
+      switch (m.elem) {
+      case TypeKind::F32:
+        regs[in.d].f = reinterpret_cast<const float *>(m.data)[off];
+        break;
+      case TypeKind::F64:
+        regs[in.d].f = reinterpret_cast<const double *>(m.data)[off];
+        break;
+      case TypeKind::I32:
+        regs[in.d].i = reinterpret_cast<const int32_t *>(m.data)[off];
+        break;
+      case TypeKind::I64:
+      case TypeKind::Index:
+        regs[in.d].i = reinterpret_cast<const int64_t *>(m.data)[off];
+        break;
+      case TypeKind::I1:
+        regs[in.d].i = m.data[off] != 0;
+        break;
+      default:
+        throw VmTrap("bad load elem kind");
+      }
+      break;
     }
-    switch (m.elem) {
-    case TypeKind::F32:
-      regs[in.d].f = reinterpret_cast<const float *>(m.data)[off];
+    case BC::Store: {
+      const MemRef &m = *static_cast<MemRef *>(regs[in.a].p);
+      if (checkDescriptors && m.rank != in.c)
+        throw VmTrap("store rank mismatch: " + std::to_string(in.c) +
+                     " indices vs rank " + std::to_string(m.rank) + " in " +
+                     fn.name);
+      int64_t off = 0;
+      for (int32_t i = 0; i < in.c; ++i) {
+        int64_t idx = regs[extras[in.b + i]].i;
+        if (boundsCheck && (idx < 0 || idx >= m.sizes[i]))
+          throw VmTrap("store index out of bounds: dim " + std::to_string(i) +
+                       " idx " + std::to_string(idx) + " size " +
+                       std::to_string(m.sizes[i]) + " in " + fn.name);
+        off = off * m.sizes[i] + idx;
+      }
+      switch (m.elem) {
+      case TypeKind::F32:
+        reinterpret_cast<float *>(m.data)[off] =
+            static_cast<float>(regs[in.d].f);
+        break;
+      case TypeKind::F64:
+        reinterpret_cast<double *>(m.data)[off] = regs[in.d].f;
+        break;
+      case TypeKind::I32:
+        reinterpret_cast<int32_t *>(m.data)[off] =
+            static_cast<int32_t>(regs[in.d].i);
+        break;
+      case TypeKind::I64:
+      case TypeKind::Index:
+        reinterpret_cast<int64_t *>(m.data)[off] = regs[in.d].i;
+        break;
+      case TypeKind::I1:
+        m.data[off] = regs[in.d].i ? 1 : 0;
+        break;
+      default:
+        throw VmTrap("bad store elem kind");
+      }
       break;
-    case TypeKind::F64:
-      regs[in.d].f = reinterpret_cast<const double *>(m.data)[off];
-      break;
-    case TypeKind::I32:
-      regs[in.d].i = reinterpret_cast<const int32_t *>(m.data)[off];
-      break;
-    case TypeKind::I64:
-    case TypeKind::Index:
-      regs[in.d].i = reinterpret_cast<const int64_t *>(m.data)[off];
-      break;
-    case TypeKind::I1:
-      regs[in.d].i = m.data[off] != 0;
-      break;
-    default:
-      throw VmTrap("bad load elem kind");
     }
-    break;
-  }
-  case BC::Store: {
-    const MemRef &m = *static_cast<MemRef *>(regs[in.a].p);
-    if (opts_.boundsCheck && checkDescriptors_ && m.rank != in.c)
-      throw VmTrap("store rank mismatch: " + std::to_string(in.c) +
-                 " indices vs rank " + std::to_string(m.rank) + " in " +
-                 fn.name);
-    int64_t off = 0;
-    for (int32_t i = 0; i < in.c; ++i) {
-      int64_t idx = regs[fn.extras[in.b + i]].i;
-      if (opts_.boundsCheck && (idx < 0 || idx >= m.sizes[i]))
-        throw VmTrap("store index out of bounds: dim " + std::to_string(i) +
-                   " idx " + std::to_string(idx) + " size " +
-                   std::to_string(m.sizes[i]) + " in " + fn.name);
-      off = off * m.sizes[i] + idx;
-    }
-    switch (m.elem) {
-    case TypeKind::F32:
-      reinterpret_cast<float *>(m.data)[off] =
-          static_cast<float>(regs[in.d].f);
+    case BC::Dim: {
+      const MemRef &m = *static_cast<MemRef *>(regs[in.a].p);
+      if (checkDescriptors && (in.imm < 0 || in.imm >= m.rank))
+        throw VmTrap("dim index " + std::to_string(in.imm) +
+                     " out of range for rank " + std::to_string(m.rank) +
+                     " in " + fn.name);
+      regs[in.d].i = m.sizes[in.imm];
       break;
-    case TypeKind::F64:
-      reinterpret_cast<double *>(m.data)[off] = regs[in.d].f;
-      break;
-    case TypeKind::I32:
-      reinterpret_cast<int32_t *>(m.data)[off] =
-          static_cast<int32_t>(regs[in.d].i);
-      break;
-    case TypeKind::I64:
-    case TypeKind::Index:
-      reinterpret_cast<int64_t *>(m.data)[off] = regs[in.d].i;
-      break;
-    case TypeKind::I1:
-      m.data[off] = regs[in.d].i ? 1 : 0;
-      break;
-    default:
-      throw VmTrap("bad store elem kind");
     }
-    break;
-  }
-  case BC::Dim: {
-    const MemRef &m = *static_cast<MemRef *>(regs[in.a].p);
-    if (opts_.boundsCheck && checkDescriptors_ &&
-        (in.imm < 0 || in.imm >= m.rank))
-      throw VmTrap("dim index " + std::to_string(in.imm) +
-                 " out of range for rank " + std::to_string(m.rank) +
-                 " in " + fn.name);
-    regs[in.d].i = m.sizes[in.imm];
-    break;
-  }
-  case BC::SubView: {
-    const MemRef &m = *static_cast<MemRef *>(regs[in.a].p);
-    if (opts_.boundsCheck && checkDescriptors_ && in.c > m.rank)
-      throw VmTrap("subview rank mismatch: drops " + std::to_string(in.c) +
-                 " dims vs rank " + std::to_string(m.rank) + " in " +
-                 fn.name);
-    MemRef *v = ctx.arena->newDesc();
-    v->elem = m.elem;
-    v->rank = static_cast<uint8_t>(m.rank - in.c);
-    int64_t off = 0;
-    for (int32_t i = 0; i < in.c; ++i) {
-      int64_t idx = regs[fn.extras[in.b + i]].i;
-      if (opts_.boundsCheck && (idx < 0 || idx >= m.sizes[i]))
-        throw VmTrap("subview index out of bounds");
-      off = off * m.sizes[i] + idx;
+    case BC::SubView: {
+      const MemRef &m = *static_cast<MemRef *>(regs[in.a].p);
+      if (checkDescriptors && in.c > m.rank)
+        throw VmTrap("subview rank mismatch: drops " + std::to_string(in.c) +
+                     " dims vs rank " + std::to_string(m.rank) + " in " +
+                     fn.name);
+      MemRef *v = ctx.arena->newDesc();
+      v->elem = m.elem;
+      v->rank = static_cast<uint8_t>(m.rank - in.c);
+      int64_t off = 0;
+      for (int32_t i = 0; i < in.c; ++i) {
+        int64_t idx = regs[extras[in.b + i]].i;
+        if (boundsCheck && (idx < 0 || idx >= m.sizes[i]))
+          throw VmTrap("subview index out of bounds");
+        off = off * m.sizes[i] + idx;
+      }
+      int64_t inner = 1;
+      for (unsigned i = in.c; i < m.rank; ++i) {
+        v->sizes[i - in.c] = m.sizes[i];
+        inner *= m.sizes[i];
+      }
+      v->data = m.data + off * inner * ir::byteWidth(m.elem);
+      regs[in.d].p = v;
+      break;
     }
-    int64_t inner = 1;
-    for (unsigned i = in.c; i < m.rank; ++i) {
-      v->sizes[i - in.c] = m.sizes[i];
-      inner *= m.sizes[i];
-    }
-    v->data = m.data + off * inner * ir::byteWidth(m.elem);
-    regs[in.d].p = v;
-    break;
-  }
-  case BC::Jump:
-    pc = static_cast<size_t>(in.imm);
-    return StepResult::Continue;
-  case BC::JumpIfFalse:
-    if (!regs[in.a].i) {
-      pc = static_cast<size_t>(in.imm);
-      return StepResult::Continue;
-    }
-    break;
-  case BC::Call: {
-    const BCFunction &callee = mod_.fns[in.imm];
-    std::vector<Slot> calleeRegs(callee.numRegs);
-    for (int32_t i = 0; i < in.c; ++i)
-      calleeRegs[i] = regs[fn.extras[in.b + i]];
-    std::vector<Slot> res;
-    exec(callee, calleeRegs.data(), ctx, &res);
-    for (int32_t i = 0; i < in.d; ++i)
-      regs[fn.extras[in.b + in.c + i]] = res[i];
-    break;
-  }
-  case BC::Ret:
-    if (results) {
-      results->clear();
+    case BC::Jump:
+      at = static_cast<size_t>(in.imm);
+      continue;
+    case BC::JumpIfFalse:
+      if (!regs[in.a].i) {
+        at = static_cast<size_t>(in.imm);
+        continue;
+      }
+      break;
+    case BC::JumpIfGE:
+      if (regs[in.a].i >= regs[in.b].i) {
+        at = static_cast<size_t>(in.imm);
+        continue;
+      }
+      break;
+    case BC::Call: {
+      const BCFunction &callee = mod_.fns[in.imm];
+      std::vector<Slot> calleeRegs(callee.numRegs);
       for (int32_t i = 0; i < in.c; ++i)
-        results->push_back(regs[fn.extras[in.b + i]]);
+        calleeRegs[i] = regs[extras[in.b + i]];
+      std::vector<Slot> res;
+      exec(callee, calleeRegs.data(), ctx, &res);
+      for (int32_t i = 0; i < in.d; ++i)
+        regs[extras[in.b + in.c + i]] = res[i];
+      break;
     }
-    return StepResult::Returned;
-  case BC::GetTid: regs[in.d].i = ctx.tid; break;
-  case BC::GetTeamSize:
-    regs[in.d].i = ctx.team ? ctx.team->size() : 1;
-    break;
-  case BC::TeamBarrier:
-    if (ctx.team)
-      ctx.team->barrier();
-    break;
-  case BC::SimtBarrier:
-    ++pc;
-    return StepResult::Barrier;
-  case BC::ParallelOmp:
-    execParallelOmp(fn, fn.closures[in.imm], regs, ctx);
-    break;
-  case BC::ParallelScf:
-    execParallelScf(fn, fn.closures[in.imm], regs, ctx);
-    break;
-  case BC::ScopePush:
-    scopes.push_back(ctx.arena->mark());
-    break;
-  case BC::ScopePop:
-    ctx.arena->release(scopes.back());
-    scopes.pop_back();
-    break;
+    case BC::Ret:
+      if (results) {
+        results->clear();
+        for (int32_t i = 0; i < in.c; ++i)
+          results->push_back(regs[extras[in.b + i]]);
+      }
+      return StepResult::Returned;
+    case BC::GetTid: regs[in.d].i = ctx.tid; break;
+    case BC::GetTeamSize:
+      regs[in.d].i = ctx.team ? ctx.team->size() : 1;
+      break;
+    case BC::TeamBarrier:
+      if (ctx.team)
+        ctx.team->barrier();
+      break;
+    case BC::SimtBarrier:
+      pc = at + 1;
+      return StepResult::Barrier;
+    case BC::ParallelOmp:
+      execParallelOmp(fn, fn.closures[in.imm], regs, ctx);
+      break;
+    case BC::ParallelScf:
+      execParallelScf(fn, fn.closures[in.imm], regs, ctx);
+      break;
+    case BC::ScopePush:
+      scopes.push_back(ctx.arena->mark());
+      break;
+    case BC::ScopePop:
+      ctx.arena->release(scopes.back());
+      scopes.pop_back();
+      break;
+    }
+    ++at;
   }
-  ++pc;
-  return StepResult::Continue;
+  return StepResult::Returned; // fell off the end
 }
 
 void Interp::exec(const BCFunction &fn, Slot *regs, Ctx &ctx,
                   std::vector<Slot> *results) {
   std::vector<Arena::Mark> scopes;
   size_t pc = 0;
-  const size_t n = fn.instrs.size();
-  while (pc < n) {
-    StepResult r = step(fn, regs, ctx, scopes, pc, results);
-    if (r == StepResult::Returned)
-      return;
-    if (r == StepResult::Barrier)
-      throw VmTrap("polygeist.barrier outside lockstep execution; run "
+  if (step(fn, regs, ctx, scopes, pc, results) == StepResult::Barrier)
+    throw VmTrap("polygeist.barrier outside lockstep execution; run "
                  "cpuify or use the SIMT executor");
-  }
 }
 
 void Interp::execParallelOmp(const BCFunction &fn, const Closure &c,
@@ -562,7 +582,8 @@ void Interp::execLockstep(const BCFunction &body,
       threads[t].regs[numCaptures + i].i = ivTuples[t][i];
   }
 
-  const size_t n = body.instrs.size();
+  // One phase per round: each live thread runs from where it suspended
+  // up to its next barrier (or its end).
   bool anyActive = true;
   while (anyActive) {
     anyActive = false;
@@ -571,19 +592,10 @@ void Interp::execLockstep(const BCFunction &body,
         continue;
       Ctx ctx;
       ctx.arena = &tc.arena;
-      while (tc.pc < n) {
-        StepResult r =
-            step(body, tc.regs.data(), ctx, tc.scopes, tc.pc, nullptr);
-        if (r == StepResult::Barrier)
-          break; // suspend until all threads arrive
-        if (r == StepResult::Returned) {
-          tc.done = true;
-          break;
-        }
-      }
-      if (tc.pc >= n)
+      if (step(body, tc.regs.data(), ctx, tc.scopes, tc.pc, nullptr) ==
+          StepResult::Returned)
         tc.done = true;
-      if (!tc.done)
+      else
         anyActive = true;
     }
   }

@@ -175,10 +175,16 @@ public:
   /// parallel region joins.
   CallResult tryCall(const std::string &name, std::vector<Slot> args);
 
-  /// Wraps an external buffer in a descriptor owned by this Interp (alive
-  /// until destruction).
+  /// Wraps an external buffer in a descriptor owned by this Interp, valid
+  /// until releaseMemRefs() or destruction.
   Slot makeMemRef(TypeKind elem, void *data,
                   const std::vector<int64_t> &sizes);
+
+  /// Recycles every descriptor makeMemRef has handed out. A caller that
+  /// wraps its buffers anew for each call releases them after the call,
+  /// so a long-lived Interp does not grow by a descriptor per buffer per
+  /// call.
+  void releaseMemRefs() { external_.release({0, 0}); }
 
 private:
   struct Ctx {
@@ -187,10 +193,15 @@ private:
     Arena *arena = nullptr;
   };
 
-  enum class StepResult { Continue, Returned, Barrier };
+  enum class StepResult { Returned, Barrier };
 
-  /// Executes the instruction at `pc`, advancing it. The workhorse shared
-  /// by the serial interpreter and the lockstep engine.
+  /// The dispatch loop, one call per frame: runs `fn` from `pc` until it
+  /// executes Ret or falls off the end (Returned), or reaches a
+  /// SimtBarrier (Barrier, with `pc` set just past it). Shared by the
+  /// serial/team interpreter (exec, which calls it once per frame and
+  /// traps on Barrier) and the lockstep engine, which calls it once per
+  /// thread per barrier phase and resumes each thread at the returned
+  /// `pc`.
   StepResult step(const BCFunction &fn, Slot *regs, Ctx &ctx,
                   std::vector<Arena::Mark> &scopes, size_t &pc,
                   std::vector<Slot> *results);

@@ -67,6 +67,7 @@ const char *bcName(BC op) {
   case BC::SubView: return "SubView";
   case BC::Jump: return "Jump";
   case BC::JumpIfFalse: return "JumpIfFalse";
+  case BC::JumpIfGE: return "JumpIfGE";
   case BC::Call: return "Call";
   case BC::Ret: return "Ret";
   case BC::GetTid: return "GetTid";
@@ -517,6 +518,11 @@ private:
       checkReg(in.a, "a");
       checkJumpTarget(in.imm);
       break;
+    case BC::JumpIfGE:
+      checkReg(in.a, "a");
+      checkReg(in.b, "b");
+      checkJumpTarget(in.imm);
+      break;
     case BC::Call: {
       if (in.imm < 0 || static_cast<uint64_t>(in.imm) >= mod_.fns.size()) {
         error(fnIdx, pc,
@@ -713,8 +719,8 @@ private:
 
   /// Runs the intra-function worklist to its fixpoint over basic blocks.
   /// In-states are stored only at block leaders: pc 0, every jump
-  /// target, the pc after each Jump/JumpIfFalse/Ret, and the implicit
-  /// end point n. A block is walked on one working state with the
+  /// target, the pc after each Jump/JumpIfFalse/JumpIfGE/Ret, and the
+  /// implicit end point n. A block is walked on one working state with the
   /// per-instruction transfer, so a visit costs O(block length + regs)
   /// instead of O(block length x regs). With report=false, invocation-
   /// site and Ret summaries are joined into argSeeds_/retStates_ (the
@@ -743,7 +749,8 @@ private:
     blockOf[0] = blockOf[n] = 0;
     for (size_t pc = 0; pc < n; ++pc) {
       const Instr &in = fn.instrs[pc];
-      if (in.op == BC::Jump || in.op == BC::JumpIfFalse) {
+      if (in.op == BC::Jump || in.op == BC::JumpIfFalse ||
+          in.op == BC::JumpIfGE) {
         blockOf[static_cast<size_t>(in.imm)] = 0;
         blockOf[pc + 1] = 0;
       } else if (in.op == BC::Ret) {
@@ -1063,6 +1070,12 @@ private:
       break;
     case BC::JumpIfFalse:
       readInt(in.a, "JumpIfFalse condition");
+      flowInto(static_cast<size_t>(in.imm), st);
+      next(st);
+      break;
+    case BC::JumpIfGE:
+      readInt(in.a, "JumpIfGE");
+      readInt(in.b, "JumpIfGE");
       flowInto(static_cast<size_t>(in.imm), st);
       next(st);
       break;

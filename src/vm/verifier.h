@@ -10,9 +10,9 @@
 //    are valid, Call/Ret arities match the callee's numArgs/numResults,
 //    and closure numIvs is consistent with its bound vectors.
 //  - Layer 2 (flow-sensitive, interprocedural): a worklist abstract
-//    interpretation over the CFG induced by Jump/JumpIfFalse propagates
-//    a per-register typestate lattice (Uninit / Int / Float / Scalar /
-//    MemRef(elem,rank) / Any) with joins at merge points, rejecting
+//    interpretation over the CFG induced by Jump/JumpIfFalse/JumpIfGE
+//    propagates a per-register typestate lattice (Uninit / Int / Float /
+//    Scalar / MemRef(elem,rank) / Any) with joins at merge points, rejecting
 //    reads of uninitialized registers, type confusion on the Slot union
 //    (Load from a non-MemRef register, Dim/SubView rank violations,
 //    float arithmetic on integers), unbalanced ScopePush/ScopePop along
@@ -32,7 +32,7 @@
 //    or CFG path carries it.
 //    The analysis is block-level: flow states are stored only at block
 //    leaders (pc 0, jump targets, the pc after each Jump/JumpIfFalse/
-//    Ret, and the fall-off point n), and each block is walked on one
+//    JumpIfGE/Ret, and the fall-off point n), and each block is walked on one
 //    working state, so one visit of a function costs
 //    O(instrs + blocks x regs) rather than O(instrs x regs). Errors are
 //    reported by re-walking each reachable block once from its converged

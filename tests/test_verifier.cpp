@@ -176,6 +176,27 @@ TEST(VerifierStructural, FrameLimitAndArgOverflow) {
       << r.str();
 }
 
+TEST(VerifierStructural, JumpIfGERegisterOutOfRange) {
+  BCFunction f;
+  f.numRegs = 2;
+  f.instrs = {ins(BC::ConstI, 0, 0, 0, /*d=*/0, 1),
+              ins(BC::JumpIfGE, /*a=*/0, /*b=*/5, 0, 0, /*imm=*/2),
+              ins(BC::Ret)};
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  expectError(r, 1, "register b=5 out of range (numRegs 2)");
+  EXPECT_EQ(r.errors.front().op, BC::JumpIfGE);
+}
+
+TEST(VerifierStructural, JumpIfGETargetPastTheEnd) {
+  BCFunction f;
+  f.numRegs = 1;
+  f.instrs = {ins(BC::ConstI, 0, 0, 0, /*d=*/0, 1),
+              ins(BC::JumpIfGE, /*a=*/0, /*b=*/0, 0, 0, /*imm=*/9),
+              ins(BC::Ret)};
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  expectError(r, 1, "jump target 9 outside the function (instruction count 3)");
+}
+
 //===----------------------------------------------------------------------===//
 // Layer 2: flow-sensitive typestate rules
 //===----------------------------------------------------------------------===//
@@ -220,6 +241,27 @@ TEST(VerifierFlow, FloatOpOnInt) {
               ins(BC::SqrtF, /*a=*/0, 0, 0, /*d=*/1), ins(BC::Ret)};
   VerifyResult r = verifyModule(singleFn(std::move(f)));
   expectError(r, 1, "reads r0 as float but it is int");
+}
+
+TEST(VerifierFlow, JumpIfGEFloatOperand) {
+  BCFunction f;
+  f.numRegs = 2;
+  f.instrs = {ins(BC::ConstI, 0, 0, 0, /*d=*/0, 1),
+              ins(BC::ConstF, 0, 0, 0, /*d=*/1),
+              ins(BC::JumpIfGE, /*a=*/0, /*b=*/1, 0, 0, /*imm=*/3),
+              ins(BC::Ret)};
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  expectError(r, 2, "JumpIfGE reads r1 as int but it is float");
+}
+
+TEST(VerifierFlow, JumpIfGEUninitializedOperand) {
+  BCFunction f;
+  f.numRegs = 2;
+  f.instrs = {ins(BC::ConstI, 0, 0, 0, /*d=*/1, 1),
+              ins(BC::JumpIfGE, /*a=*/0, /*b=*/1, 0, 0, /*imm=*/2),
+              ins(BC::Ret)};
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  expectError(r, 1, "JumpIfGE reads r0 as int but it is uninitialized");
 }
 
 TEST(VerifierFlow, LoadRankMismatch) {
@@ -396,6 +438,34 @@ TEST(VerifierBlocks, LoopWidensToConflictOnSecondTrip) {
   };
   VerifyResult r = verifyModule(singleFn(std::move(f)));
   expectError(r, 4, "reads r1 as int but it is path-dependent");
+}
+
+TEST(VerifierBlocks, JumpIfGETargetAndFallThroughAreLeaders) {
+  // A backward JumpIfGE into the middle of straight-line code: its target
+  // (pc 1) and its fall-through (pc 4) are leaders only because of it.
+  // The back edge carries r2 as a float into pc 1, where the join with
+  // the entry path's int is read; the error keeps its own pc.
+  BCFunction f;
+  f.numRegs = 4;
+  f.numArgs = 2; // r0, r1: loop bounds
+  f.instrs = {
+      ins(BC::ConstI, 0, 0, 0, /*d=*/2, 0),                   // 0
+      ins(BC::AddI, /*a=*/2, /*b=*/2, 0, /*d=*/3),            // 1: target
+      ins(BC::ConstF, 0, 0, 0, /*d=*/2),                      // 2
+      ins(BC::JumpIfGE, /*a=*/0, /*b=*/1, 0, 0, /*imm=*/1),   // 3
+      ins(BC::Ret),                                           // 4
+  };
+  auto &reg = metrics::MetricsRegistry::instance();
+  uint64_t blocks0 = reg.counterValue("vm.verify.blocks");
+  VerifyResult r = verifyModule(singleFn(f));
+  expectError(r, 1, "reads r2 as int but it is path-dependent");
+  EXPECT_EQ(r.errors.size(), 2u) << r.str(); // both operands of the AddI
+  // Leader states stored: pc 0, the target pc 1, the fall-through pc 4.
+  EXPECT_EQ(reg.counterValue("vm.verify.blocks"), blocks0 + 3);
+
+  // Without the float on the back edge the loop verifies clean.
+  f.instrs[2] = ins(BC::ConstI, 0, 0, 0, /*d=*/2, 1);
+  EXPECT_TRUE(verifyModule(singleFn(std::move(f))).ok());
 }
 
 TEST(VerifierBlocks, UnreachableCodeNeverReported) {

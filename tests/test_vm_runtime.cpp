@@ -3,18 +3,29 @@
 // (f32 rounding, i32 wrapping, division guards, the shared integer edge
 // cases of ir/intmath.h), memref bounds checking,
 // arena scoping and recycling of allocas, structured call errors
-// (tryCall/tryRun), and the lockstep SIMT emulator's barrier semantics
-// under divergent-looking but block-uniform control flow.
+// (tryCall/tryRun) and per-call buffer descriptor recycling, the
+// lockstep SIMT emulator's barrier semantics under divergent-looking but
+// block-uniform control flow, and the bytecode lowering of loops:
+// omp.wsloop iteration coverage against plain C++ loops at team sizes
+// 1-5, empty iteration spaces, and the shape of the bytecode the
+// transpiled kernels execute.
 #include "driver/compiler.h"
+#include "ir/parser.h"
 #include "ir/printer.h"
+#include "moccuda/resnet.h"
 #include "transforms/passes.h"
 #include "runtime/thread_pool.h"
+#include "vm/compile.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <functional>
+#include <malloc.h>
 #include <numeric>
+#include <set>
+#include <sstream>
 
 using namespace paralift;
 using namespace paralift::runtime;
@@ -297,6 +308,37 @@ TEST(TryCallTest, RunStillAbortsOnUnknownName) {
   ASSERT_TRUE(cc.ok) << diag.str();
   driver::Executor exec(cc.module.get(), 1);
   EXPECT_DEATH(exec.run("nope", {int64_t(1)}), "no such function");
+}
+
+TEST(TryCallTest, RepeatedCallsRecycleBufferDescriptors) {
+  // Every call wraps its buffer in a fresh descriptor; the executor
+  // recycles them after the call, so a long-lived executor's heap does
+  // not grow with the number of calls (a leaked descriptor is 80 bytes).
+  const char *src = R"(
+__global__ void k(float* a, int n) {
+  int i = threadIdx.x;
+  if (i < n) {
+    a[i] = 1.0f * i;
+  }
+}
+void run(float* a, int n) { k<<<1, 4>>>(a, n); }
+)";
+  DiagnosticEngine diag;
+  auto cc = driver::compile(src, transforms::PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  driver::Executor exec(cc.module.get(), 1);
+  std::vector<float> a(4);
+  auto call = [&] {
+    exec.run("run", {driver::Executor::bufferF32(a.data(), {4}), int64_t(4)});
+  };
+  for (int i = 0; i < 100; ++i)
+    call(); // warm up the pool and the allocator's caches
+  auto inUse = [] { return static_cast<int64_t>(mallinfo2().uordblks); };
+  int64_t before = inUse();
+  for (int i = 0; i < 10000; ++i)
+    call();
+  EXPECT_LT(inUse() - before, 64 * 1024);
+  EXPECT_FLOAT_EQ(a[3], 3.0f);
 }
 
 //===----------------------------------------------------------------------===//
@@ -584,4 +626,303 @@ void run(float* out) { k<<<1, 8>>>(out); }
   exec.run("run", {driver::Executor::bufferF32(out.data(), {8})});
   for (int t = 0; t < 8; ++t)
     EXPECT_FLOAT_EQ(out[t], 4.0f * t + 6.0f) << t;
+}
+
+//===----------------------------------------------------------------------===//
+// omp.wsloop lowering: static chunks, the IV odometer, empty spaces
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Bounds of a `dims`-deep iteration space: iv_i runs from lb[i] while
+/// below ub[i], by step[i].
+struct Space {
+  std::vector<int64_t> lb, ub, step;
+};
+
+/// `run(buf, lb..., ub..., step...)`: one omp.wsloop inside omp.parallel
+/// whose body increments buf[iv_0]...[iv_{dims-1}].
+ir::OwnedModule wsloopCounterModule(unsigned dims) {
+  std::ostringstream ivs, os;
+  for (unsigned i = 0; i < dims; ++i)
+    ivs << ", %" << 3 * dims + 1 + i;
+  unsigned v = 4 * dims + 1; // first free value number
+  os << "module {\n  func {sym_name = \"run\", res_types = []} {\n"
+     << "    [%0: memref<";
+  for (unsigned i = 0; i < dims; ++i)
+    os << "?x";
+  os << "i32>";
+  for (unsigned i = 1; i <= 3 * dims; ++i)
+    os << ", %" << i << ": index";
+  os << "]:\n    omp.parallel {\n      omp.wsloop(";
+  for (unsigned i = 1; i <= 3 * dims; ++i)
+    os << (i > 1 ? ", %" : "%") << i;
+  os << ") {dims = " << dims << "} {\n        [";
+  for (unsigned i = 0; i < dims; ++i)
+    os << (i ? ", %" : "%") << 3 * dims + 1 + i << ": index";
+  os << "]:\n"
+     << "        %" << v << " = memref.load(%0" << ivs.str() << ") : i32\n"
+     << "        %" << v + 1 << " = const.int {value = 1} : i32\n"
+     << "        %" << v + 2 << " = addi(%" << v << ", %" << v + 1
+     << ") : i32\n"
+     << "        memref.store(%" << v + 2 << ", %0" << ivs.str() << ")\n"
+     << "        yield\n      }\n      yield\n    }\n    return\n  }\n}\n";
+  DiagnosticEngine diag;
+  auto m = ir::parseModule(os.str(), diag);
+  EXPECT_TRUE(m.has_value()) << diag.str() << os.str();
+  return std::move(*m);
+}
+
+/// Runs the counter module over a zeroed buffer of `sizes` at team size
+/// `team`, with bounds checks on (an IV outside the buffer traps), and
+/// returns the per-tuple visit counts in row-major order.
+std::vector<int32_t> countVisits(const ir::OwnedModule &m, const Space &s,
+                                 const std::vector<int64_t> &sizes,
+                                 unsigned team) {
+  driver::Executor exec(m.get(), team);
+  exec.setNumThreads(team);
+  std::vector<int32_t> counts(std::accumulate(
+      sizes.begin(), sizes.end(), int64_t(1), std::multiplies<int64_t>()));
+  std::vector<driver::Executor::Arg> args{
+      driver::Executor::bufferI32(counts.data(), sizes)};
+  for (const auto *bounds : {&s.lb, &s.ub, &s.step})
+    for (int64_t b : *bounds)
+      args.push_back(b);
+  vm::CallResult r = exec.tryRun("run", args);
+  EXPECT_TRUE(r.ok()) << r.error;
+  return counts;
+}
+
+/// The same visit counts from plain C++ nested loops.
+std::vector<int32_t> nestedLoopVisits(const Space &s,
+                                      const std::vector<int64_t> &sizes) {
+  std::vector<int32_t> counts(std::accumulate(
+      sizes.begin(), sizes.end(), int64_t(1), std::multiplies<int64_t>()));
+  std::function<void(size_t, int64_t)> visit = [&](size_t d, int64_t off) {
+    if (d == s.lb.size()) {
+      ++counts[off];
+      return;
+    }
+    for (int64_t iv = s.lb[d]; iv < s.ub[d]; iv += s.step[d])
+      visit(d + 1, off * sizes[d] + iv);
+  };
+  visit(0, 0);
+  return counts;
+}
+
+} // namespace
+
+TEST(WsLoopTest, EveryIterationVisitedOnceAtEveryTeamSize) {
+  // Nonzero lower bounds, steps 1-3, and iteration counts that no team
+  // size but 1 divides evenly, so chunks start and end mid-row and the
+  // odometer carries from a delinearized start. The 3-iteration space
+  // leaves members of the 4- and 5-thread teams without work.
+  const Space spaces[] = {
+      {{3}, {20}, {2}},                   // 9
+      {{1}, {4}, {1}},                    // 3
+      {{1, 2}, {8, 11}, {2, 3}},          // 4 x 3
+      {{2, 1}, {9, 6}, {3, 1}},           // 3 x 5
+      {{1, 0, 2}, {4, 7, 11}, {1, 3, 2}}, // 3 x 3 x 5
+      {{0, 1, 1}, {2, 3, 8}, {1, 1, 3}},  // 2 x 2 x 3
+  };
+  for (const Space &s : spaces) {
+    unsigned dims = static_cast<unsigned>(s.lb.size());
+    ir::OwnedModule m = wsloopCounterModule(dims);
+    std::vector<int64_t> sizes = s.ub;
+    std::vector<int32_t> want = nestedLoopVisits(s, sizes);
+    for (unsigned team = 1; team <= 5; ++team) {
+      SCOPED_TRACE(std::to_string(dims) + "-D space, ub[0] " +
+                   std::to_string(s.ub[0]) + ", team " +
+                   std::to_string(team));
+      EXPECT_EQ(countVisits(m, s, sizes, team), want);
+    }
+  }
+}
+
+TEST(WsLoopTest, NegativeExtentsInTwoDimensionsRunNothing) {
+  // Both extents are -k; their product must not become k*k iterations.
+  const int64_t k = 3;
+  ir::OwnedModule m = wsloopCounterModule(2);
+  Space s{{0, 0}, {-k, -k}, {1, 1}};
+  for (unsigned team : {1u, 2u, 4u}) {
+    SCOPED_TRACE("team " + std::to_string(team));
+    std::vector<int32_t> counts = countVisits(m, s, {k, k}, team);
+    EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0), 0);
+  }
+}
+
+TEST(WsLoopTest, NegativeGridInBothDimensionsLaunchesNoBlock) {
+  // A dim3(n, n) grid with n = -1 launches nothing on the SIMT oracle;
+  // the transpiled grid loop must agree.
+  const char *src = R"(
+__global__ void k(int* c) { if (threadIdx.x == 0) { c[blockIdx.x * 0] = 7; } }
+void run(int* c, int n) { k<<<dim3(n, n), 1>>>(c); }
+)";
+  for (bool simt : {true, false}) {
+    SCOPED_TRACE(simt ? "simt" : "full pipeline");
+    DiagnosticEngine diag;
+    auto cc = simt ? driver::compileForSimt(src, diag)
+                   : driver::compile(src, transforms::PipelineOptions{}, diag);
+    ASSERT_TRUE(cc.ok) << diag.str();
+    std::vector<int32_t> c(1, 0);
+    driver::Executor exec(cc.module.get(), 4);
+    exec.run("run", {driver::Executor::bufferI32(c.data(), {1}), int64_t(-1)});
+    EXPECT_EQ(c[0], 0);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Bytecode shape: what the transpiled kernels execute per element
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The Copies the lowering emits for structured control flow: a for
+/// loop's IV and iter-arg initialization, its yields (through temps) and
+/// results; a while's arguments and forwarded values; an if's results;
+/// the wsloop odometer's lower-bound resets. A cast contributes none.
+size_t structuralCopies(ir::Op *root) {
+  size_t n = 0;
+  root->walk([&](ir::Op *op) {
+    switch (op->kind()) {
+    case ir::OpKind::ScfFor:
+      n += 1 + 3 * ir::ForOp(op).numIterArgs() + op->numResults();
+      break;
+    case ir::OpKind::ScfIf:
+      n += op->numResults() * (ir::IfOp(op).hasElse() ? 2 : 1);
+      break;
+    case ir::OpKind::ScfWhile: {
+      ir::WhileOp w(op);
+      n += op->numOperands() +
+           2 * (w.before().terminator()->numOperands() - 1) +
+           w.after().terminator()->numOperands();
+      break;
+    }
+    case ir::OpKind::OmpWsLoop:
+      n += ir::ParallelOp(op).numDims() - 1;
+      break;
+    default:
+      break;
+    }
+  });
+  return n;
+}
+
+size_t countIr(ir::Op *root, std::initializer_list<ir::OpKind> kinds) {
+  size_t n = 0;
+  root->walk([&](ir::Op *op) {
+    for (ir::OpKind k : kinds)
+      n += op->kind() == k;
+  });
+  return n;
+}
+
+size_t countBc(const vm::BCModule &bc, vm::BC op) {
+  size_t n = 0;
+  for (const vm::BCFunction &fn : bc.fns)
+    for (const vm::Instr &in : fn.instrs)
+      n += in.op == op;
+  return n;
+}
+
+void expectNoJumpToNext(const vm::BCModule &bc) {
+  for (size_t f = 0; f < bc.fns.size(); ++f)
+    for (size_t pc = 0; pc < bc.fns[f].instrs.size(); ++pc) {
+      const vm::Instr &in = bc.fns[f].instrs[pc];
+      EXPECT_FALSE(in.op == vm::BC::Jump &&
+                   in.imm == static_cast<int64_t>(pc) + 1)
+          << "fn #" << f << " pc " << pc << " jumps to the next instruction";
+    }
+}
+
+/// Loop heads of `fn`: the targets of its backward jumps.
+std::set<size_t> loopHeads(const vm::BCFunction &fn) {
+  std::set<size_t> heads;
+  for (size_t pc = 0; pc < fn.instrs.size(); ++pc)
+    if (fn.instrs[pc].op == vm::BC::Jump &&
+        fn.instrs[pc].imm <= static_cast<int64_t>(pc))
+      heads.insert(static_cast<size_t>(fn.instrs[pc].imm));
+  return heads;
+}
+
+driver::CompileResult compileFull(const char *src) {
+  DiagnosticEngine diag;
+  driver::CompileResult cc =
+      driver::compile(src, transforms::PipelineOptions{}, diag);
+  EXPECT_TRUE(cc.ok) << diag.str();
+  return cc;
+}
+
+} // namespace
+
+TEST(BytecodeShapeTest, MocCudaElementwiseKernelsLoopWithoutCastsOrDivisions) {
+  driver::CompileResult cc = compileFull(moccuda::PolygeistKernels::source());
+  ASSERT_TRUE(cc.ok);
+  ir::Op *root = cc.module.get().op;
+  vm::BCModule bc = vm::compileModule(cc.module.get());
+  // Casts are register aliases: every Copy left is structural.
+  ASSERT_GT(countIr(root, {ir::OpKind::IndexCast, ir::OpKind::ExtSI}), 4u);
+  EXPECT_EQ(countBc(bc, vm::BC::Copy), structuralCopies(root));
+  expectNoJumpToNext(bc);
+  // The elementwise closures delinearize once per chunk: no division
+  // between the wsloop head and its back-edges.
+  for (const char *entry : {"run_relu", "run_add"}) {
+    const vm::BCFunction *host = bc.lookup(entry);
+    ASSERT_NE(host, nullptr) << entry;
+    ASSERT_EQ(host->closures.size(), 1u) << entry;
+    const vm::BCFunction &body = bc.fns[host->closures[0].fnIndex];
+    std::set<size_t> heads = loopHeads(body);
+    ASSERT_EQ(heads.size(), 1u) << entry;
+    EXPECT_EQ(body.instrs[*heads.begin()].op, vm::BC::JumpIfGE) << entry;
+    for (size_t pc = *heads.begin(); pc < body.instrs.size(); ++pc)
+      EXPECT_TRUE(body.instrs[pc].op != vm::BC::DivSI &&
+                  body.instrs[pc].op != vm::BC::RemSI)
+          << entry << " pc " << pc << " divides inside the loop";
+  }
+}
+
+TEST(BytecodeShapeTest, ScfForHeaderIsOneFusedBranch) {
+  // After the full pipeline: an scf.for with an f32 iter arg nested in
+  // the grid's omp.wsloop, with index casts of both IVs.
+  const char *src = R"(
+__global__ void rowsum(float* a, float* b, int m) {
+  int i = blockIdx.x;
+  float s = 0.0f;
+  for (int j = 0; j < m; j++) {
+    a[i * m + j] = a[i * m + j] * 2.0f;
+    s += a[i * m + j];
+  }
+  b[i] = s;
+}
+void run(float* a, float* b, int n, int m) { rowsum<<<n, 1>>>(a, b, m); }
+)";
+  driver::CompileResult cc = compileFull(src);
+  ASSERT_TRUE(cc.ok);
+  ir::Op *root = cc.module.get().op;
+  vm::BCModule bc = vm::compileModule(cc.module.get());
+  size_t loops = countIr(root, {ir::OpKind::ScfFor, ir::OpKind::OmpWsLoop});
+  ASSERT_EQ(countIr(root, {ir::OpKind::ScfFor}), 1u) << ir::printOp(root);
+  EXPECT_EQ(countBc(bc, vm::BC::Copy), structuralCopies(root));
+  expectNoJumpToNext(bc);
+  // Every loop head is a single JumpIfGE, and the lowering adds no
+  // compare of its own.
+  size_t heads = 0;
+  for (const vm::BCFunction &fn : bc.fns)
+    for (size_t head : loopHeads(fn)) {
+      EXPECT_EQ(fn.instrs[head].op, vm::BC::JumpIfGE) << "pc " << head;
+      ++heads;
+    }
+  EXPECT_EQ(heads, loops);
+  EXPECT_EQ(countBc(bc, vm::BC::CmpI), countIr(root, {ir::OpKind::CmpI}));
+
+  // And it still computes the rows.
+  const int n = 3, m = 5;
+  std::vector<float> a(n * m), b(n, -1.0f);
+  std::iota(a.begin(), a.end(), 0.0f);
+  driver::Executor exec(cc.module.get(), 2);
+  exec.run("run", {driver::Executor::bufferF32(a.data(), {n * m}),
+                   driver::Executor::bufferF32(b.data(), {n}), int64_t(n),
+                   int64_t(m)});
+  for (int i = 0; i < n; ++i)
+    EXPECT_FLOAT_EQ(b[i], 2.0f * (m * i * m + m * (m - 1) / 2.0f)) << i;
 }
