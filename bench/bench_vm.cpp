@@ -1,15 +1,12 @@
 // VM-tier benchmark (ROADMAP "Hardened + faster VM tier" tracking file):
-// suite-execution wall time of the bytecode interpreter under the three
-// trust configurations the static verifier (vm/verifier.h) defines:
+// suite-execution wall time of the bytecode interpreter under its two
+// configurations, both built from the static verifier's VerifiedModule
+// token (vm/verifier.h):
 //
-//   checked       - unverified module, boundsCheck on: per-access index
-//                   checks plus the descriptor sanity checks (rank/dim
-//                   arity) the interpreter must assume nothing about
-//   verified-fast - VerifiedModule token, boundsCheck off: every check
-//                   statically discharged, the trusted-run fast path
-//   unverified    - raw module, boundsCheck off: the pre-verifier fast
-//                   path, shown so verified-fast's "no slower than
-//                   blind trust" claim is measured, not asserted
+//   checked       - boundsCheck on: per-access data-dependent index
+//                   checks, the untrusted-input configuration
+//   verified-fast - boundsCheck off: every check statically discharged,
+//                   the trusted-run fast path
 //
 // Plus a one-time cost row: verifying the whole suite's bytecode, timed
 // over kVerifyReps runs and reported as median with quartiles.
@@ -39,7 +36,7 @@ constexpr int kReps = 7;
 constexpr int kVerifyReps = 15;
 
 /// The Executor::run argument conversion, against an explicit Interp so
-/// each trust configuration drives the same bytecode.
+/// both configurations drive the same bytecode.
 std::vector<vm::Slot> toSlots(vm::Interp &interp,
                               const std::vector<driver::Executor::Arg> &args) {
   std::vector<vm::Slot> slots;
@@ -65,7 +62,6 @@ struct BenchRow {
   std::string id;
   double checked = 0;
   double verifiedFast = 0;
-  double unverified = 0;
 };
 
 struct VerifyCost {
@@ -75,15 +71,15 @@ struct VerifyCost {
   uint64_t errors = 0;
 };
 
-/// Times all three trust configurations with their reps interleaved
-/// (rotating order each rep) so slow machine drift lands on every
-/// configuration equally instead of biasing whichever was timed last.
-void timeConfigs(const rodinia::Benchmark &b, vm::Interp *interps[3],
-                 double out[3]) {
-  std::vector<double> times[3];
+/// Times both configurations with their reps interleaved (alternating
+/// order each rep) so slow machine drift lands on both equally instead
+/// of biasing whichever was timed last.
+void timeConfigs(const rodinia::Benchmark &b, vm::Interp *interps[2],
+                 double out[2]) {
+  std::vector<double> times[2];
   for (int r = 0; r < kReps; ++r) {
-    for (int k = 0; k < 3; ++k) {
-      int c = (r + k) % 3;
+    for (int k = 0; k < 2; ++k) {
+      int c = (r + k) % 2;
       rodinia::Workload w = b.makeWorkload(kScale);
       vm::Interp &in = *interps[c];
       std::vector<vm::Slot> slots = toSlots(in, w.args());
@@ -92,7 +88,7 @@ void timeConfigs(const rodinia::Benchmark &b, vm::Interp *interps[3],
       times[c].push_back(now() - t0);
     }
   }
-  for (int c = 0; c < 3; ++c) {
+  for (int c = 0; c < 2; ++c) {
     std::sort(times[c].begin(), times[c].end());
     out[c] = times[c][times[c].size() / 2];
   }
@@ -159,11 +155,10 @@ int main(int argc, char **argv) {
   std::printf("\n=== Suite execution wall (seconds, scale=%d, threads=%u, "
               "median of %d) ===\n\n",
               kScale, kThreads, kReps);
-  std::printf("%-28s%14s%16s%14s\n", "benchmark", "checked",
-              "verified-fast", "unverified");
+  std::printf("%-28s%14s%16s\n", "benchmark", "checked", "verified-fast");
 
   std::vector<BenchRow> rows;
-  double totChecked = 0, totVerified = 0, totUnverified = 0;
+  double totChecked = 0, totVerified = 0;
   size_t idx = 0;
   for (const auto &b : rodinia::suite()) {
     size_t i = idx++;
@@ -180,34 +175,27 @@ int main(int argc, char **argv) {
 
     vm::ExecOptions checkedOpts;
     checkedOpts.boundsCheck = true;
-    vm::Interp checked(bc, pool, checkedOpts);
+    vm::Interp checked(*token, pool, checkedOpts);
     vm::ExecOptions fastOpts;
     fastOpts.boundsCheck = false;
     vm::Interp verifiedFast(*token, pool, fastOpts);
-    vm::Interp unverified(bc, pool, fastOpts);
 
     BenchRow row;
     row.id = b.id;
-    vm::Interp *interps[3] = {&checked, &verifiedFast, &unverified};
-    double t[3];
+    vm::Interp *interps[2] = {&checked, &verifiedFast};
+    double t[2];
     timeConfigs(b, interps, t);
     row.checked = t[0];
     row.verifiedFast = t[1];
-    row.unverified = t[2];
     totChecked += row.checked;
     totVerified += row.verifiedFast;
-    totUnverified += row.unverified;
-    std::printf("%-28s%14.6f%16.6f%14.6f\n", b.id.c_str(), row.checked,
-                row.verifiedFast, row.unverified);
+    std::printf("%-28s%14.6f%16.6f\n", b.id.c_str(), row.checked,
+                row.verifiedFast);
     rows.push_back(std::move(row));
   }
-  std::printf("%-28s%14.6f%16.6f%14.6f\n", "TOTAL", totChecked, totVerified,
-              totUnverified);
+  std::printf("%-28s%14.6f%16.6f\n", "TOTAL", totChecked, totVerified);
   std::printf("\n  checked / verified-fast : %.3fx\n",
               totVerified > 0 ? totChecked / totVerified : 0.0);
-  std::printf("  unverified / verified-fast : %.3fx (1.0 = proof costs "
-              "nothing at run time)\n",
-              totVerified > 0 ? totUnverified / totVerified : 0.0);
 
   if (!jsonPath.empty()) {
     std::FILE *f = std::fopen(jsonPath.c_str(), "w");
@@ -235,18 +223,16 @@ int main(int argc, char **argv) {
     for (size_t i = 0; i < rows.size(); ++i)
       std::fprintf(f,
                    "    {\"benchmark\": \"%s\", \"checked_s\": %.6f, "
-                   "\"verified_fast_s\": %.6f, \"unverified_s\": %.6f}%s\n",
+                   "\"verified_fast_s\": %.6f}%s\n",
                    rows[i].id.c_str(), rows[i].checked, rows[i].verifiedFast,
-                   rows[i].unverified, i + 1 < rows.size() ? "," : "");
+                   i + 1 < rows.size() ? "," : "");
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
                  "  \"suite_total\": {\"checked_s\": %.6f, "
-                 "\"verified_fast_s\": %.6f, \"unverified_s\": %.6f, "
-                 "\"checked_over_verified_fast\": %.3f, "
-                 "\"unverified_over_verified_fast\": %.3f}\n",
-                 totChecked, totVerified, totUnverified,
-                 totVerified > 0 ? totChecked / totVerified : 0.0,
-                 totVerified > 0 ? totUnverified / totVerified : 0.0);
+                 "\"verified_fast_s\": %.6f, "
+                 "\"checked_over_verified_fast\": %.3f}\n",
+                 totChecked, totVerified,
+                 totVerified > 0 ? totChecked / totVerified : 0.0);
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", jsonPath.c_str());

@@ -152,10 +152,6 @@ bool conflicts(const EffectSet &a, const EffectSet &b) {
   return conflictsImpl(a, b, {});
 }
 
-bool conflicts(const EffectSet &a, const EffectSet &b, ir::Op *threadPar) {
-  return conflictsImpl(a, b, threadIvsOf(threadPar));
-}
-
 bool isBarrierRedundant(Op *barrier, Op *threadPar) {
   EffectSet before = effectsBefore(barrier, threadPar);
   if (before.empty())

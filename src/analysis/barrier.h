@@ -38,13 +38,6 @@ EffectSet effectsAfter(ir::Op *barrier, ir::Op *threadPar);
 /// unknown location, at least one write/alloc/free).
 bool conflicts(const EffectSet &a, const EffectSet &b);
 
-/// As above, but excluding same-index thread-private pairs w.r.t.
-/// `threadPar`'s IVs (the §III-A hole) — the exact criterion
-/// isBarrierRedundant applies. Exposed so callers that already hold the
-/// effect sets (e.g. the AnalysisManager's BarrierAnalysis) avoid
-/// recomputing them.
-bool conflicts(const EffectSet &a, const EffectSet &b, ir::Op *threadPar);
-
 /// True if `barrier` is redundant per the paper's criterion:
 /// (M†_before ∩ M_after) \ RAR = ∅.
 bool isBarrierRedundant(ir::Op *barrier, ir::Op *threadPar);

@@ -15,7 +15,6 @@ CompileResult compile(const std::string &source,
   SessionOptions so;
   so.threads = config.threads;
   so.verifyEach = config.verifyEach;
-  so.verifyAnalyses = config.verifyAnalyses;
   so.collectTiming = config.timing != nullptr;
   so.cache = config.cache; // null: session falls back to the env cache
   CompilerSession session(std::move(so));

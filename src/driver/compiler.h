@@ -49,9 +49,8 @@ CompileResult compile(const std::string &source,
 
 /// As above with pass-manager instrumentation/scheduling knobs: per-pass
 /// time + IR-arena growth (config.timing), verify-after-each-pass,
-/// preserved-analyses cross-checking (config.verifyAnalyses), parallel
-/// per-kernel scheduling of function passes (config.threads), and a
-/// pass-result cache (config.cache).
+/// parallel per-kernel scheduling of function passes (config.threads),
+/// and a pass-result cache (config.cache).
 ///
 /// When config.cache is null and PARALIFT_CACHE_DIR is set in the
 /// environment, a process-wide persistent cache rooted there is used

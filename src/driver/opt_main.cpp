@@ -4,8 +4,7 @@
 //
 // Usage:
 //   paralift-opt [file...] [--cuda] [--passes=PIPELINE] [--list-passes]
-//                [--timing] [--stats] [--verify-each] [--verify-analyses]
-//                [--verify-bytecode]
+//                [--timing] [--stats] [--verify-each] [--verify-bytecode]
 //                [--pm-threads=N]
 //                [--cache-dir=DIR] [--cache-limit=MB]
 //                [--no-pass-cache] [--cache-stats]
@@ -39,10 +38,10 @@
 // Batches schedule as a dependency DAG (each file parses, keys, and runs
 // its passes as an independent task chain on the --pm-threads pool;
 // every file's output is ready the moment its own last pass lands).
-// --print-ir-before/after and --verify-analyses hook every (file, pass)
-// step of that graph; with either set the batch drains on one thread,
-// file by file in command-line order, so the hook output is the same for
-// every --pm-threads value.
+// --print-ir-before/after hook every (file, pass) step of that graph;
+// with either set the batch drains on one thread, file by file in
+// command-line order, so the hook output is the same for every
+// --pm-threads value.
 //
 // Pass results are cached persistently under --cache-dir (or
 // $PARALIFT_CACHE_DIR when set): re-running an unchanged file through an
@@ -50,8 +49,6 @@
 // --cache-limit=<MB> (or $PARALIFT_CACHE_LIMIT) bounds the on-disk store,
 // sweeping oldest entries at exit. --no-pass-cache forces caching off;
 // --cache-stats prints the hit/miss/replay counters to stderr.
-// --verify-analyses cross-checks every pass's PreservedAnalyses
-// declaration by recomputation.
 //
 // --verify-bytecode additionally lowers every successful module to VM
 // bytecode and runs the static verifier (vm/verifier.h) over it: any
@@ -100,8 +97,7 @@ int listPasses() {
 int usage(const char *argv0) {
   std::printf(
       "usage: %s [file...] [--cuda] [--passes=PIPELINE] [--list-passes]\n"
-      "       [--timing] [--stats] [--verify-each] [--verify-analyses]\n"
-      "       [--verify-bytecode]\n"
+      "       [--timing] [--stats] [--verify-each] [--verify-bytecode]\n"
       "       [--pm-threads=N]\n"
       "       [--cache-dir=DIR] [--cache-limit=MB]\n"
       "       [--no-pass-cache] [--cache-stats]\n"
@@ -114,8 +110,7 @@ int usage(const char *argv0) {
       "\n"
       "Multiple files compile as one batch session sharing the\n"
       "--pm-threads worker pool and the pass-result cache. IR printing\n"
-      "and --verify-analyses compile the batch on one thread, in file\n"
-      "order.\n",
+      "compiles the batch on one thread, in file order.\n",
       argv0);
   return 0;
 }
@@ -186,7 +181,6 @@ int optMain(int argc, char **argv) {
   bool timing = false;
   bool stats = false;
   bool verifyEach = false;
-  bool verifyAnalyses = false;
   bool verifyBytecode = false;
   bool noPassCache = false;
   bool cacheStats = false;
@@ -213,8 +207,6 @@ int optMain(int argc, char **argv) {
       stats = true;
     } else if (arg == "--verify-each") {
       verifyEach = true;
-    } else if (arg == "--verify-analyses") {
-      verifyAnalyses = true;
     } else if (arg == "--verify-bytecode") {
       verifyBytecode = true;
     } else if (arg == "--no-pass-cache") {
@@ -312,7 +304,6 @@ int optMain(int argc, char **argv) {
   so.threads = pmThreads;
   so.jobTimeoutSeconds = jobTimeoutSeconds;
   so.verifyEach = verifyEach;
-  so.verifyAnalyses = verifyAnalyses;
   so.collectTiming = timing;
   so.collectStatistics = stats;
   so.traceJsonPath = traceJsonPath;

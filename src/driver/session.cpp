@@ -358,11 +358,8 @@ bool CompilerSession::compileAll() {
         pm.setResultCache(cache_);
         if (opts_.collectStatistics)
           pm.enableStatistics();
-        // Custom hooks outermost, then the analysis cross-check.
         if (opts_.configurePassManager)
           opts_.configurePassManager(pm);
-        if (opts_.verifyAnalyses)
-          pm.enableAnalysisVerify();
         if (opts_.verifyEach)
           pm.enableVerifyEach();
         if (opts_.collectTiming)

@@ -44,8 +44,9 @@
 // per-worker clocks are folded by (module, pass), so the report
 // attributes true per-module per-pass time.
 //
-// Instrumentation hooks (verifyAnalyses, configurePassManager's IR
-// printers) fire around every (module, pass) step of the same graph.
+// Instrumentation hooks (configurePassManager's IR printers and any
+// other transforms::Instrumentation it installs) fire around every
+// (module, pass) step of the same graph.
 // They observe one module at a time, so a session with any installed
 // drains the graph on the calling thread: each module's chain runs to
 // completion in job order, and hook output is module-contiguous and the
@@ -195,10 +196,6 @@ struct SessionOptions {
   /// Verify every module after every pass, attributing breakage to the
   /// pass; a broken module fails alone (job-level isolation).
   bool verifyEach = false;
-  /// Cross-check every pass's PreservedAnalyses declaration by
-  /// recomputation. Expensive; its hooks drain the batch on the calling
-  /// thread.
-  bool verifyAnalyses = false;
   /// Record per-(module, pass) execution time and IR-arena growth into
   /// timingReport().
   bool collectTiming = false;

@@ -4,8 +4,7 @@
 //    content-hash primitives shared by the pass-result cache (on-disk
 //    payload integrity, key filenames) and the structural hasher.
 //  - HashStream: an incremental word-granularity mixer for hashing
-//    structured data without materializing it as text; also backs the
-//    AnalysisManager result fingerprints.
+//    structured data without materializing it as text.
 //  - hashOp: a *structural* hash of an op tree — one walk over op kinds,
 //    operand/result value numbering, attributes, types, and region/block
 //    structure, with no string materialization. It distinguishes exactly
@@ -81,10 +80,6 @@ public:
   }
 
   Hash128 finish() const { return {lo_, hi_}; }
-  /// Folded 64-bit digest (AnalysisManager fingerprints).
-  uint64_t finish64() const {
-    return mix(lo_ ^ (hi_ * 0x9e3779b97f4a7c15ull));
-  }
 
 private:
   static uint64_t mix(uint64_t x) {

@@ -4,7 +4,6 @@
 // (no effects at all, adjacent barriers) and the Fig. 9 backprop cases.
 #include "analysis/barrier.h"
 #include "ir/ophelpers.h"
-#include "transforms/analysis_manager.h"
 #include "transforms/passes.h"
 
 using namespace paralift::ir;
@@ -13,14 +12,10 @@ namespace paralift::transforms {
 
 namespace {
 
-/// `cached` (when present and valid — guaranteed by the AnalysisManager)
-/// short-circuits the first sweep: if no barrier is redundant the whole
-/// fixpoint loop is provably a no-op. A positive verdict still falls back
-/// to the sequential loop, whose per-barrier recomputation observes the
-/// erasures made earlier in the same round.
-unsigned barrierElimRoot(Op *root, const BarrierAnalysis *cached) {
-  if (cached && cached->noneRedundant())
-    return 0;
+/// Sweeps to a fixpoint: each barrier's redundancy is recomputed at the
+/// moment it is visited, so it observes the erasures made earlier in the
+/// same round.
+unsigned barrierElimRoot(Op *root) {
   unsigned erased = 0;
   bool changed = true;
   while (changed) {
@@ -51,44 +46,22 @@ public:
         erased_(&statistic("barriers-erased")) {}
 
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
-    const BarrierAnalysis *cached = nullptr;
-    if (AnalysisManager *am = getAnalysisManager())
-      cached = &am->getBarrier(func);
-    unsigned erased = barrierElimRoot(func, cached);
+    unsigned erased = barrierElimRoot(func);
     *erased_ += erased;
-    if (erased) {
-      changed_.store(true, std::memory_order_relaxed);
+    if (erased)
       noteIRChanged();
-    }
     return true;
   }
 
   bool tracksIRChange() const override { return true; }
 
-  void beginRun() override {
-    changed_.store(false, std::memory_order_relaxed);
-  }
-
-  /// Erasing a barrier merges its neighbours' effect ranges (barrier
-  /// results change) but touches no access or parallel structure.
-  PreservedAnalyses preservedAnalyses() const override {
-    if (!changed_.load(std::memory_order_relaxed))
-      return PreservedAnalyses::all();
-    return PreservedAnalyses::none()
-        .preserve(AnalysisKind::Memory)
-        .preserve(AnalysisKind::Affine);
-  }
-
 private:
   Statistic *erased_;
-  std::atomic<bool> changed_{false};
 };
 
 } // namespace
 
-void runBarrierElim(ModuleOp module) {
-  barrierElimRoot(module.op, /*cached=*/nullptr);
-}
+void runBarrierElim(ModuleOp module) { barrierElimRoot(module.op); }
 
 std::unique_ptr<Pass> createBarrierElimPass() {
   return std::make_unique<BarrierElimPass>();

@@ -125,33 +125,15 @@ public:
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
     unsigned moved = barrierMotionRoot(func);
     *moved_ += moved;
-    if (moved) {
-      changed_.store(true, std::memory_order_relaxed);
+    if (moved)
       noteIRChanged();
-    }
     return true;
   }
 
   bool tracksIRChange() const override { return true; }
 
-  void beginRun() override {
-    changed_.store(false, std::memory_order_relaxed);
-  }
-
-  /// Moving a barrier redistributes its before/after effect sets
-  /// (barrier results change) but touches no access or parallel
-  /// structure.
-  PreservedAnalyses preservedAnalyses() const override {
-    if (!changed_.load(std::memory_order_relaxed))
-      return PreservedAnalyses::all();
-    return PreservedAnalyses::none()
-        .preserve(AnalysisKind::Memory)
-        .preserve(AnalysisKind::Affine);
-  }
-
 private:
   Statistic *moved_;
-  std::atomic<bool> changed_{false};
 };
 
 } // namespace

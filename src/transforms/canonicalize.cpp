@@ -58,12 +58,7 @@ bool foldCmpF(CmpFPred p, double a, double b) {
 }
 
 /// Replaces `op`'s single result with a fresh constant and erases it.
-/// Structural: folding an operand of a non-affine expression to a
-/// constant can make an access index newly decomposable (e.g.
-/// muli(%tid, addi(2,3)) -> muli(%tid, 5)), flipping thread-privacy and
-/// barrier-redundancy verdicts.
-void replaceWithConstInt(Op *op, int64_t v, bool &structural) {
-  structural = true;
+void replaceWithConstInt(Op *op, int64_t v) {
   Builder b;
   b.setInsertionPoint(op);
   Type t = op->result().type();
@@ -72,8 +67,7 @@ void replaceWithConstInt(Op *op, int64_t v, bool &structural) {
   op->erase();
 }
 
-void replaceWithConstFloat(Op *op, double v, bool &structural) {
-  structural = true;
+void replaceWithConstFloat(Op *op, double v) {
   Builder b;
   b.setInsertionPoint(op);
   if (op->result().type() == Type::f32())
@@ -112,14 +106,8 @@ void inlineRegionBefore(Op *op, Region &region) {
 }
 
 /// One canonicalization attempt on `op`. Returns true if IR changed
-/// (including erasure of `op`). Sets `structural` for folds that can
-/// change analysis results: anything that destroys/restructures regions,
-/// erases memory ops, redirects uses to an *existing* value (merging SSA
-/// identities changes syntactic access equality, the §IV-B/§IV-A rules),
-/// or replaces a value with a fresh constant (which can make an index
-/// expression newly affine-decomposable). The only analysis-invariant
-/// rewrite is DCE of pure region-less ops.
-bool canonicalizeOp(Op *op, bool &structural) {
+/// (including erasure of `op`).
+bool canonicalizeOp(Op *op) {
   OpKind k = op->kind();
 
   // DCE: pure op with no uses.
@@ -129,7 +117,6 @@ bool canonicalizeOp(Op *op, bool &structural) {
   }
   // Allocation with no uses.
   if ((k == OpKind::Alloca || k == OpKind::Alloc) && !op->hasAnyUse()) {
-    structural = true;
     op->erase();
     return true;
   }
@@ -151,39 +138,35 @@ bool canonicalizeOp(Op *op, bool &structural) {
     auto c0 = getConstInt(op->operand(0));
     auto c1 = getConstInt(op->operand(1));
     if (c0 && c1) {
-      replaceWithConstInt(op, intmath::binary(k, *c0, *c1), structural);
+      replaceWithConstInt(op, intmath::binary(k, *c0, *c1));
       return true;
     }
     // Identities.
     if (c1 && *c1 == 0 && (k == OpKind::AddI || k == OpKind::SubI ||
                            k == OpKind::ShLI || k == OpKind::ShRSI ||
                            k == OpKind::OrI || k == OpKind::XOrI)) {
-      structural = true;
       op->result().replaceAllUsesWith(op->operand(0));
       op->erase();
       return true;
     }
     if (c0 && *c0 == 0 && k == OpKind::AddI) {
-      structural = true;
       op->result().replaceAllUsesWith(op->operand(1));
       op->erase();
       return true;
     }
     if (c1 && *c1 == 1 && (k == OpKind::MulI || k == OpKind::DivSI)) {
-      structural = true;
       op->result().replaceAllUsesWith(op->operand(0));
       op->erase();
       return true;
     }
     if (c0 && *c0 == 1 && k == OpKind::MulI) {
-      structural = true;
       op->result().replaceAllUsesWith(op->operand(1));
       op->erase();
       return true;
     }
     if (((c0 && *c0 == 0) || (c1 && *c1 == 0)) &&
         (k == OpKind::MulI || k == OpKind::AndI)) {
-      replaceWithConstInt(op, 0, structural);
+      replaceWithConstInt(op, 0);
       return true;
     }
     return false;
@@ -199,7 +182,7 @@ bool canonicalizeOp(Op *op, bool &structural) {
     auto c0 = getConstFloat(op->operand(0));
     auto c1 = getConstFloat(op->operand(1));
     if (c0 && c1) {
-      replaceWithConstFloat(op, foldFloatBinary(k, *c0, *c1), structural);
+      replaceWithConstFloat(op, foldFloatBinary(k, *c0, *c1));
       return true;
     }
     return false;
@@ -215,7 +198,7 @@ bool canonicalizeOp(Op *op, bool &structural) {
   case OpKind::Floor:
   case OpKind::Ceil: {
     if (auto c = getConstFloat(op->operand(0))) {
-      replaceWithConstFloat(op, foldFloatUnary(k, *c), structural);
+      replaceWithConstFloat(op, foldFloatUnary(k, *c));
       return true;
     }
     return false;
@@ -225,8 +208,7 @@ bool canonicalizeOp(Op *op, bool &structural) {
     auto c1 = getConstInt(op->operand(1));
     if (c0 && c1) {
       auto pred = static_cast<CmpIPred>(op->attrs().getInt("pred"));
-      replaceWithConstInt(op, intmath::compare(pred, *c0, *c1) ? 1 : 0,
-                          structural);
+      replaceWithConstInt(op, intmath::compare(pred, *c0, *c1) ? 1 : 0);
       return true;
     }
     return false;
@@ -236,20 +218,18 @@ bool canonicalizeOp(Op *op, bool &structural) {
     auto c1 = getConstFloat(op->operand(1));
     if (c0 && c1) {
       auto pred = static_cast<CmpFPred>(op->attrs().getInt("pred"));
-      replaceWithConstInt(op, foldCmpF(pred, *c0, *c1) ? 1 : 0, structural);
+      replaceWithConstInt(op, foldCmpF(pred, *c0, *c1) ? 1 : 0);
       return true;
     }
     return false;
   }
   case OpKind::Select: {
     if (auto c = getConstInt(op->operand(0))) {
-      structural = true;
       op->result().replaceAllUsesWith(op->operand(*c ? 1 : 2));
       op->erase();
       return true;
     }
     if (op->operand(1) == op->operand(2)) {
-      structural = true;
       op->result().replaceAllUsesWith(op->operand(1));
       op->erase();
       return true;
@@ -258,14 +238,14 @@ bool canonicalizeOp(Op *op, bool &structural) {
   }
   case OpKind::SIToFP: {
     if (auto c = getConstInt(op->operand(0))) {
-      replaceWithConstFloat(op, static_cast<double>(*c), structural);
+      replaceWithConstFloat(op, static_cast<double>(*c));
       return true;
     }
     return false;
   }
   case OpKind::FPToSI: {
     if (auto c = getConstFloat(op->operand(0))) {
-      replaceWithConstInt(op, static_cast<int64_t>(*c), structural);
+      replaceWithConstInt(op, static_cast<int64_t>(*c));
       return true;
     }
     return false;
@@ -274,14 +254,13 @@ bool canonicalizeOp(Op *op, bool &structural) {
   case OpKind::ExtSI:
   case OpKind::TruncI: {
     if (auto c = getConstInt(op->operand(0))) {
-      replaceWithConstInt(op, *c, structural);
+      replaceWithConstInt(op, *c);
       return true;
     }
     // Fold cast-of-cast to the same type as the original value.
     if (Op *def = op->operand(0).definingOp())
       if ((def->kind() == OpKind::IndexCast || def->kind() == OpKind::ExtSI) &&
           def->operand(0).type() == op->result().type()) {
-        structural = true;
         op->result().replaceAllUsesWith(def->operand(0));
         op->erase();
         return true;
@@ -291,7 +270,7 @@ bool canonicalizeOp(Op *op, bool &structural) {
   case OpKind::FPExt:
   case OpKind::FPTrunc: {
     if (auto c = getConstFloat(op->operand(0))) {
-      replaceWithConstFloat(op, *c, structural);
+      replaceWithConstFloat(op, *c);
       return true;
     }
     return false;
@@ -299,7 +278,6 @@ bool canonicalizeOp(Op *op, bool &structural) {
   case OpKind::ScfIf: {
     // Fold a constant condition by inlining the taken branch.
     if (auto c = getConstInt(op->operand(0))) {
-      structural = true;
       if (*c) {
         inlineRegionBefore(op, op->region(0));
         return true;
@@ -314,7 +292,6 @@ bool canonicalizeOp(Op *op, bool &structural) {
     }
     // DCE: no results and both branches effect-free.
     if (op->numResults() == 0 && analysis::isEffectFree(op)) {
-      structural = true; // the branches may still hold barriers/regions
       op->erase();
       return true;
     }
@@ -326,7 +303,6 @@ bool canonicalizeOp(Op *op, bool &structural) {
     auto step = getConstInt(ForOp(op).step());
     // Zero-trip loop: results are the inits.
     if (lb && ub && *lb >= *ub) {
-      structural = true;
       ForOp f(op);
       for (unsigned i = 0; i < f.numIterArgs(); ++i)
         op->result(i).replaceAllUsesWith(f.init(i));
@@ -335,7 +311,6 @@ bool canonicalizeOp(Op *op, bool &structural) {
     }
     // Single-trip loop: inline the body.
     if (lb && ub && step && *lb + *step >= *ub) {
-      structural = true;
       ForOp f(op);
       Block &body = f.body();
       Builder b;
@@ -365,7 +340,6 @@ bool canonicalizeOp(Op *op, bool &structural) {
     }
     // DCE: unused results, effect-free body.
     if (!op->hasAnyUse() && analysis::isEffectFree(op)) {
-      structural = true; // the body may still hold barriers/parallels
       op->erase();
       return true;
     }
@@ -375,7 +349,6 @@ bool canonicalizeOp(Op *op, bool &structural) {
     // DCE for empty parallel bodies (only the yield remains).
     Block &body = op->region(0).front();
     if (body.front() == body.terminator()) {
-      structural = true;
       op->erase();
       return true;
     }
@@ -384,7 +357,6 @@ bool canonicalizeOp(Op *op, bool &structural) {
   case OpKind::SubView: {
     // subview with zero indices is the identity.
     if (op->numOperands() == 1) {
-      structural = true; // merges memref identities
       op->result().replaceAllUsesWith(op->operand(0));
       op->erase();
       return true;
@@ -396,13 +368,8 @@ bool canonicalizeOp(Op *op, bool &structural) {
   }
 }
 
-/// Runs canonicalization to fixpoint; returns whether any structural
-/// (analysis-affecting) fold fired. `changedAny` (optional) additionally
-/// reports whether *any* fold fired, structural or not — the exact
-/// per-call signal repeat{until=fixpoint} consumes (non-structural folds
-/// like pure DCE still change the IR).
-bool canonicalizeRoot(Op *root, bool *changedAny = nullptr) {
-  bool structural = false;
+/// Runs canonicalization to fixpoint; returns whether any fold fired.
+bool canonicalizeRoot(Op *root) {
   bool ever = false;
   bool changed = true;
   while (changed) {
@@ -412,13 +379,11 @@ bool canonicalizeRoot(Op *root, bool *changedAny = nullptr) {
     root->walkPostOrder([&](Op *op) {
       if (op->kind() == OpKind::Module || op->kind() == OpKind::Func)
         return;
-      changed |= canonicalizeOp(op, structural);
+      changed |= canonicalizeOp(op);
     });
     ever |= changed;
   }
-  if (changedAny)
-    *changedAny = ever;
-  return structural;
+  return ever;
 }
 
 class CanonicalizePass : public FunctionPass {
@@ -429,19 +394,16 @@ public:
         removed_(&statistic("ops-removed")) {}
 
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
-    bool structural;
-    bool any = false;
+    bool any;
     if (!statisticsEnabled()) {
-      structural = canonicalizeRoot(func, &any);
+      any = canonicalizeRoot(func);
     } else {
       size_t before = countNestedOps(func);
-      structural = canonicalizeRoot(func, &any);
+      any = canonicalizeRoot(func);
       size_t after = countNestedOps(func);
       if (after < before)
         *removed_ += before - after;
     }
-    if (structural)
-      structural_.store(true, std::memory_order_relaxed);
     if (any)
       noteIRChanged();
     return true;
@@ -449,23 +411,8 @@ public:
 
   bool tracksIRChange() const override { return true; }
 
-  void beginRun() override {
-    structural_.store(false, std::memory_order_relaxed);
-  }
-
-  /// Pure DCE is analysis-invariant; any fold (constants, identity
-  /// merges, region folds, memory-op erasure) conservatively invalidates
-  /// everything — in the steady state canonicalize finds nothing to do
-  /// and preserves all.
-  PreservedAnalyses preservedAnalyses() const override {
-    return structural_.load(std::memory_order_relaxed)
-               ? PreservedAnalyses::none()
-               : PreservedAnalyses::all();
-  }
-
 private:
   Statistic *removed_;
-  std::atomic<bool> structural_{false};
 };
 
 } // namespace

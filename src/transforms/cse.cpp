@@ -85,10 +85,8 @@ public:
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
     size_t before = statisticsEnabled() ? countNestedOps(func) : 0;
     std::vector<ScopeMap> scopes;
-    if (cseBlock(FuncOp(func).body(), scopes)) {
-      changed_.store(true, std::memory_order_relaxed);
+    if (cseBlock(FuncOp(func).body(), scopes))
       noteIRChanged();
-    }
     if (statisticsEnabled()) {
       size_t after = countNestedOps(func);
       if (after < before)
@@ -99,25 +97,8 @@ public:
 
   bool tracksIRChange() const override { return true; }
 
-  void beginRun() override {
-    changed_.store(false, std::memory_order_relaxed);
-  }
-
-  /// CSE erases duplicate pure ops only: memory-effect counts and the
-  /// per-parallel access/thread-privateness counts are untouched, but
-  /// merging SSA identities can change syntactic access equality (the
-  /// §IV-A same-index rule), so barrier results are dropped on change.
-  PreservedAnalyses preservedAnalyses() const override {
-    if (!changed_.load(std::memory_order_relaxed))
-      return PreservedAnalyses::all();
-    return PreservedAnalyses::none()
-        .preserve(AnalysisKind::Memory)
-        .preserve(AnalysisKind::Affine);
-  }
-
 private:
   Statistic *removed_;
-  std::atomic<bool> changed_{false};
 };
 
 } // namespace

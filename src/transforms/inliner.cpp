@@ -6,7 +6,6 @@
 #include "ir/verifier.h"
 #include "transforms/passes.h"
 
-#include <atomic>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -69,8 +68,7 @@ bool isInKernelNest(Op *op) {
 
 } // namespace
 
-bool runInliner(ModuleOp module, bool onlyInKernels) {
-  bool any = false;
+void runInliner(ModuleOp module, bool onlyInKernels) {
   // Iterate: inlining may expose further call sites. Guard against
   // recursion with an iteration cap proportional to module size.
   for (int iter = 0; iter < 64; ++iter) {
@@ -81,15 +79,13 @@ bool runInliner(ModuleOp module, bool onlyInKernels) {
         sites.push_back(op);
     });
     if (sites.empty())
-      return any;
+      return;
     bool changed = false;
     for (Op *call : sites)
       changed |= inlineCall(module, call);
     if (!changed)
-      return any;
-    any = true;
+      return;
   }
-  return any;
 }
 
 namespace {
@@ -106,45 +102,20 @@ public:
   }
 
   bool run(ModuleOp module, DiagnosticEngine &) override {
-    // Change detection comes from the transform itself: a call-count
-    // delta would miss the case where an inlined callee body carries a
-    // non-inlinable call of its own (count unchanged, IR changed).
     if (!statisticsEnabled()) {
-      noteChanged(runInliner(module, kernelsOnly_));
+      runInliner(module, kernelsOnly_);
       return true;
     }
     size_t before = countNestedOps(module.op, OpKind::Call);
-    noteChanged(runInliner(module, kernelsOnly_));
+    runInliner(module, kernelsOnly_);
     size_t after = countNestedOps(module.op, OpKind::Call);
     if (after < before)
       statistic("calls-inlined") += before - after;
     return true;
   }
 
-  void beginRun() override {
-    changed_.store(false, std::memory_order_relaxed);
-  }
-
-  /// Inlining splices callee bodies into kernels — everything shifts; a
-  /// run that found no inlinable calls (every rerun after the first)
-  /// preserves everything.
-  PreservedAnalyses preservedAnalyses() const override {
-    return changed_.load(std::memory_order_relaxed)
-               ? PreservedAnalyses::none()
-               : PreservedAnalyses::all();
-  }
-
 private:
-  /// ORs across every module run since beginRun — like the function
-  /// passes' dynamic declarations, and required because a batch runs one
-  /// pass object on several modules concurrently.
-  void noteChanged(bool c) {
-    if (c)
-      changed_.store(true, std::memory_order_relaxed);
-  }
-
   bool kernelsOnly_ = false;
-  std::atomic<bool> changed_{false};
 };
 
 } // namespace

@@ -160,31 +160,15 @@ public:
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
     unsigned rounds = licmRoot(func);
     *hoistRounds_ += rounds;
-    if (rounds) {
-      changed_.store(true, std::memory_order_relaxed);
+    if (rounds)
       noteIRChanged();
-    }
     return true;
   }
 
   bool tracksIRChange() const override { return true; }
 
-  void beginRun() override {
-    changed_.store(false, std::memory_order_relaxed);
-  }
-
-  /// Hoisting only *moves* ops, so memory-effect counts survive; but an
-  /// access hoisted out of a parallel/loop changes the per-parallel
-  /// affine picture and the barrier before/after sets.
-  PreservedAnalyses preservedAnalyses() const override {
-    if (!changed_.load(std::memory_order_relaxed))
-      return PreservedAnalyses::all();
-    return PreservedAnalyses::none().preserve(AnalysisKind::Memory);
-  }
-
 private:
   Statistic *hoistRounds_;
-  std::atomic<bool> changed_{false};
 };
 
 } // namespace

@@ -227,33 +227,15 @@ public:
         promoted_(&statistic("allocas-promoted")) {}
 
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
-    if (mem2regRoot(func, promoted_)) {
-      changed_.store(true, std::memory_order_relaxed);
+    if (mem2regRoot(func, promoted_))
       noteIRChanged();
-    }
     return true;
   }
 
   bool tracksIRChange() const override { return true; }
 
-  void beginRun() override {
-    changed_.store(false, std::memory_order_relaxed);
-  }
-
-  /// Promotion erases scalar-alloca accesses and rewrites control flow
-  /// into iter-args: every summary can shift (verify-mode showed even
-  /// barrier effect sets change on Rodinia, via scalars that live
-  /// outside the barrier-containing region but feed accesses inside
-  /// it), so a changing run keeps nothing.
-  PreservedAnalyses preservedAnalyses() const override {
-    return changed_.load(std::memory_order_relaxed)
-               ? PreservedAnalyses::none()
-               : PreservedAnalyses::all();
-  }
-
 private:
   Statistic *promoted_;
-  std::atomic<bool> changed_{false};
 };
 
 } // namespace

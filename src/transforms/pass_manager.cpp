@@ -227,19 +227,10 @@ std::string RepeatPass::spec() const {
   return out + ")";
 }
 
-void RepeatPass::beginRun() {
-  for (auto &c : children_) {
-    c->setStatisticsEnabled(statisticsEnabled());
-    c->setAnalysisManager(getAnalysisManager());
-    c->beginRun();
-  }
-}
-
-PreservedAnalyses RepeatPass::preservedAnalyses() const {
-  PreservedAnalyses p = PreservedAnalyses::all();
-  for (const auto &c : children_)
-    p = p.intersect(c->preservedAnalyses());
-  return p;
+void RepeatPass::setStatisticsEnabled(bool on) {
+  Pass::setStatisticsEnabled(on);
+  for (auto &c : children_)
+    c->setStatisticsEnabled(on);
 }
 
 bool RepeatPass::tracksIRChange() const {
@@ -251,7 +242,6 @@ bool RepeatPass::tracksIRChange() const {
 
 bool RepeatPass::runOnFunction(ir::Op *func, DiagnosticEngine &diag) {
   size_t errorsAtStart = diag.numErrors();
-  AnalysisManager *am = getAnalysisManager();
   const bool fixpoint = isFixpoint();
   // Exact per-call change flags drive convergence when every child
   // reports them; a non-tracking child degrades to comparing the printed
@@ -274,13 +264,6 @@ bool RepeatPass::runOnFunction(ir::Op *func, DiagnosticEngine &diag) {
           diag.numErrors() > errorsAtStart)
         return false;
       roundChanged |= threadIRChanged();
-      // The PassManager only invalidates between top-level passes; an
-      // analysis-consuming child must not see results a mutating sibling
-      // (or a previous round) left stale. The child's dynamic
-      // declaration is an OR across every function it has touched this
-      // run, which is conservative here.
-      if (am)
-        am->invalidate(func, c->preservedAnalyses());
     }
     anyChange |= roundChanged;
     if (!fixpoint)
@@ -397,54 +380,6 @@ std::string spanName(const char *prefix, const std::string &rest) {
 
 } // namespace
 
-void AnalysisCrossCheckInstrumentation::beforePass(const Pass &,
-                                                   ModuleOp module) {
-  // Prime every analysis for every function so the after-pass check
-  // always has a pre-pass result to compare against.
-  for (ir::Op *op : module.body()) {
-    if (op->kind() != ir::OpKind::Func)
-      continue;
-    am_.getBarrier(op);
-    am_.getMemory(op);
-    am_.getAffine(op);
-  }
-}
-
-bool AnalysisCrossCheckInstrumentation::afterPass(const Pass &pass,
-                                                  ModuleOp module,
-                                                  DiagnosticEngine &diag) {
-  PreservedAnalyses preserved = pass.preservedAnalyses();
-  bool ok = true;
-  for (ir::Op *op : module.body()) {
-    if (op->kind() != ir::OpKind::Func)
-      continue;
-    auto check = [&](AnalysisKind k, uint64_t fresh) {
-      // No cached entry: the function is new (created or spliced in by
-      // the result cache during this pass) — nothing to compare.
-      std::optional<uint64_t> cached = am_.cachedFingerprint(op, k);
-      if (!cached || *cached == fresh)
-        return;
-      diag.error(SourceLoc(),
-                 "pass '" + pass.name() + "' declared analysis '" +
-                     analysisKindName(k) +
-                     "' preserved but it changed for function '" +
-                     ir::FuncOp(op).name() + "'");
-      ok = false;
-    };
-    if (preserved.isPreserved(AnalysisKind::Barrier))
-      check(AnalysisKind::Barrier, BarrierAnalysis::compute(op).fingerprint());
-    if (preserved.isPreserved(AnalysisKind::Memory))
-      check(AnalysisKind::Memory, MemoryAnalysis::compute(op).fingerprint());
-    if (preserved.isPreserved(AnalysisKind::Affine))
-      check(AnalysisKind::Affine, AffineAnalysis::compute(op).fingerprint());
-  }
-  // Drop everything; the next beforePass re-primes from the current IR,
-  // so each cross-check attributes exactly one pass. (Fingerprint
-  // equality is transitive, so per-pass checks imply chain validity.)
-  am_.clear();
-  return ok;
-}
-
 void IRPrintInstrumentation::beforePass(const Pass &pass, ModuleOp module) {
   if (!before_ || !matches(pass))
     return;
@@ -556,11 +491,6 @@ void PassManager::enableIRPrinting(bool before, bool after,
       before, after, std::move(filter), out));
 }
 
-void PassManager::enableAnalysisVerify() {
-  addInstrumentation(
-      std::make_unique<AnalysisCrossCheckInstrumentation>(analysisManager_));
-}
-
 bool PassManager::inspectsIR(const Pass &pass) const {
   return std::any_of(instrumentations_.begin(), instrumentations_.end(),
                      [&](const auto &ins) { return ins->inspectsIR(pass); });
@@ -628,7 +558,6 @@ bool PassManager::applyHit(ModuleOp module, ir::Op *func,
   ir::Op *replacement = spliceFunction(module, func, hit.ir);
   if (!replacement)
     return false;
-  analysisManager_.invalidate(func);
   st.irHash.erase(func);
   // A leftover lazy entry from an earlier pass would otherwise
   // materialize outdated IR over the spliced result at the next
@@ -648,9 +577,8 @@ ir::Op *PassManager::materialize(ModuleOp module, ir::Op *func,
   ir::Op *replacement = spliceFunction(module, func, text);
   if (!replacement)
     return nullptr;
-  // The old op (and its cached analyses) are gone; the hash chain
-  // continues under the replacement's identity.
-  analysisManager_.invalidate(func);
+  // The old op is gone; the hash chain continues under the replacement's
+  // identity.
   auto hashIt = st.irHash.find(func);
   if (hashIt != st.irHash.end()) {
     Hash128 h = hashIt->second;
@@ -855,16 +783,6 @@ bool BatchDag::beginStep(size_t i, Pass &pass) {
   ModuleOp module(m.module);
   m.stepInited = true;
   m.lazy = !pm_.verifyEach_ && !pm_.inspectsIR(pass);
-  if (!pass.isFunctionPass()) {
-    // A module pass may erase functions (inline), and a concurrent module
-    // could recycle a freed Op address the moment it is released — so the
-    // pre-run entries must be gone *before* the pass can free anything,
-    // or the recycled address would false-hit a stale analysis (or worse,
-    // invalidate a sibling's fresh entry afterwards). Conservative for
-    // surviving functions. Hooks prime their own entries after this.
-    for (ir::Op *func : collectFuncs(module))
-      pm_.analysisManager_.invalidate(func);
-  }
   // Before a pass some hook inspects (or verify-each checks), every
   // pending replay is spliced so the hooks and the pass see real IR.
   if (!m.lazy && !pm_.materializeAll(module, m.st)) {
@@ -895,8 +813,6 @@ bool BatchDag::closeHooks(size_t i, Pass &pass) {
 
 bool BatchDag::endStep(size_t i, Pass &pass) {
   Mod &m = *mods_[i];
-  // afterPass runs before the module pass's post-run invalidation, so the
-  // preserved-analyses check still sees the pre-pass fingerprints.
   bool ok = !m.hooksOpen || closeHooks(i, pass);
   if (pm_.verifyEach_) {
     // verify-each turns lazy replay off, so the module is materialized.
@@ -906,12 +822,6 @@ bool BatchDag::endStep(size_t i, Pass &pass) {
       ok = false;
     }
   }
-  if (!pass.isFunctionPass())
-    // Entries primed mid-run (by the pass or a hook) for functions the
-    // pass mutated are stale; its *current* functions are ours alone, so
-    // this touches no sibling state.
-    for (ir::Op *func : collectFuncs(ModuleOp(m.module)))
-      pm_.analysisManager_.invalidate(func);
   // Per-module arena cap: runaway IR growth becomes a clean per-job OOM
   // failure, not process death.
   uint64_t bytes = m.module->arena().bytesAllocated();
@@ -1044,7 +954,6 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
     if (ar.state == PassResultCache::AcquireState::Busy)
       return Step::Yielded;
     if (ar.state == PassResultCache::AcquireState::Hit) {
-      // beginStep already dropped the replaced functions' analyses.
       if (pm_.spliceModule(module, *ar.entry, m.st)) {
         cache->notePassReplayed();
         return Step::Advanced;
@@ -1287,10 +1196,6 @@ bool BatchDag::completeStep(size_t i, Fan &fan) {
       if (r.owned)
         cache->finishCompute(r.input, fan.spec);
     }
-    // Drop analyses the pass did not preserve — only where it actually
-    // ran. Functions replayed from the cache are fresh Op instances (or
-    // park pending text) with no cached analyses.
-    pm_.analysisManager_.invalidate(r.func, fan.pass->preservedAnalyses());
     m.remaining.erase(
         std::find(m.remaining.begin(), m.remaining.end(), r.func));
   }
@@ -1300,27 +1205,10 @@ bool BatchDag::completeStep(size_t i, Fan &fan) {
 std::shared_ptr<BatchDag>
 PassManager::scheduleBatch(runtime::TaskScheduler &sched,
                            std::vector<BatchItem> items, BatchOptions opts) {
-  // One beginRun per pass per batch, before any task runs: pass objects
-  // are shared by every module in flight, and their per-run state is
-  // already required to tolerate concurrent runOnFunction calls (a step
-  // fans one pass across workers); dynamic preservation only accumulates
-  // toward "changed more", i.e. stays conservative when modules
-  // interleave.
-  for (auto &pass : passes_) {
+  // Set before any task runs: pass objects are shared by every module in
+  // flight.
+  for (auto &pass : passes_)
     pass->setStatisticsEnabled(collectStats_);
-    pass->setAnalysisManager(&analysisManager_);
-    pass->beginRun();
-  }
-  // Entries from a previous batch could false-hit through a recycled Op
-  // address; only those primed for this batch's pre-parsed modules are
-  // kept (modules still to be parsed have no functions yet).
-  std::vector<ir::Op *> primed;
-  for (const BatchItem &item : items)
-    if (item.module)
-      for (ir::Op *func : collectFuncs(ModuleOp(item.module)))
-        primed.push_back(func);
-  analysisManager_.retainOnly(primed);
-
   auto dag = std::shared_ptr<BatchDag>(
       new BatchDag(*this, sched, std::move(opts)));
   dag->mods_.reserve(items.size());

@@ -4,18 +4,17 @@
 //    with declared options (for textual pipelines) and statistics counters.
 //  - FunctionPass: a pass that runs independently on each func, making it
 //    schedulable across kernels in parallel on the runtime thread pool.
-//  - Instrumentation: hooks around every (module, pass) step. Built-ins
-//    cover --print-ir-before/after and the preserved-analyses
-//    cross-checker; per-pass timing and verify-after-each-pass are
-//    PassManager switches the executor honours directly.
+//  - Instrumentation: hooks around every (module, pass) step. The
+//    built-in one covers --print-ir-before/after; per-pass timing and
+//    verify-after-each-pass are PassManager switches the executor honours
+//    directly.
 //  - PassManager: owns an ordered pipeline of passes plus instrumentations
 //    and schedules them over modules. Its one executor is the
-//    dependency-DAG batch (BatchDag): run() is a one-module batch. It
-//    threads an AnalysisManager (transforms/analysis_manager.h) through
-//    the pipeline — invalidating per each pass's PreservedAnalyses — and
-//    optionally a PassResultCache (transforms/pass_cache.h) that replays
+//    dependency-DAG batch (BatchDag): run() is a one-module batch.
+//    Optionally a PassResultCache (transforms/pass_cache.h) replays
 //    cached IR for unchanged (function, pass) pairs instead of re-running
-//    passes.
+//    passes. Nothing else is carried between passes: a pass that needs an
+//    analysis computes it from the IR it is given.
 //
 // Textual pipelines ("unroll{max-trip=16},cpuify{mincut=false}",
 // "repeat{n=2}(canonicalize,cse)") are parsed/printed by
@@ -26,7 +25,6 @@
 #include "ir/ophelpers.h"
 #include "support/diagnostics.h"
 #include "support/metrics.h"
-#include "transforms/analysis_manager.h"
 #include "transforms/pass_cache.h"
 
 #include <atomic>
@@ -68,9 +66,8 @@ public:
   virtual bool isFunctionPass() const { return false; }
 
   // IR-change tracking --------------------------------------------------------
-  // Passes that know exactly when they mutate IR (the same bookkeeping
-  // that backs their dynamic PreservedAnalyses refinement) report each
-  // mutating call through a thread-local flag, so composite passes
+  // Passes that know exactly when they mutate IR report each mutating
+  // call through a thread-local flag, so composite passes
   // (repeat{until=fixpoint}) can detect per-function convergence even
   // while sibling workers run the same pass objects on other functions.
 
@@ -89,27 +86,6 @@ public:
   /// Module-scope entry point. Returns false on a hard error (which must
   /// also be reported through `diag`).
   virtual bool run(ModuleOp module, DiagnosticEngine &diag) = 0;
-
-  // Preserved analyses --------------------------------------------------------
-
-  /// Called by the PassManager immediately before each execution; passes
-  /// with dynamic preservation reset their per-run state here.
-  virtual void beginRun() {}
-
-  /// The analyses this pass's *last* execution kept valid; everything
-  /// else is invalidated by the PassManager afterwards. The default is
-  /// maximally conservative. Passes may refine the answer dynamically
-  /// (e.g. return all() when the run changed nothing) — the declaration
-  /// is cross-checked by recomputation under --verify-analyses.
-  virtual PreservedAnalyses preservedAnalyses() const {
-    return PreservedAnalyses::none();
-  }
-
-  /// The AnalysisManager of the owning PassManager, set for the duration
-  /// of a pipeline run; null when the pass runs standalone. Cached
-  /// results obtained from it are valid by construction (stale results
-  /// were invalidated after the pass that broke them).
-  void setAnalysisManager(AnalysisManager *am) { analysisManager_ = am; }
 
   // Options -------------------------------------------------------------------
   // Subclasses declare options in their constructor; the registry's
@@ -160,8 +136,9 @@ public:
   /// Statistics whose collection needs extra IR walks (before/after op
   /// counts) are only gathered when enabled; counters that fall out of
   /// the transform itself are always collected. PassManager toggles this
-  /// per run (see PassManager::enableStatistics).
-  void setStatisticsEnabled(bool on) { statsEnabled_ = on; }
+  /// per batch (see PassManager::enableStatistics); composite passes
+  /// forward it to their children.
+  virtual void setStatisticsEnabled(bool on) { statsEnabled_ = on; }
   bool statisticsEnabled() const { return statsEnabled_; }
 
 protected:
@@ -179,8 +156,6 @@ protected:
   /// Passes call this from runOnFunction when they mutated IR (see
   /// tracksIRChange).
   static void noteIRChanged();
-
-  AnalysisManager *getAnalysisManager() const { return analysisManager_; }
 
 private:
   struct Option {
@@ -202,7 +177,6 @@ private:
   std::vector<Option> options_;
   std::vector<std::unique_ptr<Statistic>> stats_;
   bool statsEnabled_ = false;
-  AnalysisManager *analysisManager_ = nullptr;
 };
 
 /// A pass that transforms one function at a time and never looks outside
@@ -227,8 +201,7 @@ public:
 /// compared against the previous round's. Children must be function
 /// passes (the repeat is then itself schedulable per function, and
 /// cacheable as one unit whose spec covers the whole body); the registry
-/// rejects module passes inside repeat. Preserves the intersection of
-/// what every child preserved.
+/// rejects module passes inside repeat.
 class RepeatPass : public FunctionPass {
 public:
   RepeatPass();
@@ -239,8 +212,7 @@ public:
   const std::vector<std::unique_ptr<Pass>> *childPasses() const override {
     return &children_;
   }
-  void beginRun() override;
-  PreservedAnalyses preservedAnalyses() const override;
+  void setStatisticsEnabled(bool on) override;
   bool runOnFunction(ir::Op *func, DiagnosticEngine &diag) override;
   /// Exact iff every child is exact (then a repeat nests inside an
   /// enclosing fixpoint repeat without forcing the print fallback).
@@ -322,27 +294,6 @@ struct PassTimingReport {
   uint64_t totalArenaDeltaBytes() const;
   /// Renders the report as a table ("===- Pass execution timing -===").
   std::string str() const;
-};
-
-/// Cross-checks PreservedAnalyses declarations by recomputation: before
-/// every pass, primes every analysis for every function; after the pass,
-/// recomputes each analysis the pass declared preserved and compares
-/// fingerprints against the cached (pre-pass) result. A mismatch reports
-///   pass 'X' declared analysis 'Y' preserved but it changed for
-///   function 'f'
-/// and aborts the pipeline. Entries are re-primed from the current IR
-/// each pass, so every lie is attributed to exactly the pass that told
-/// it. Expensive by design; enable for validation runs.
-class AnalysisCrossCheckInstrumentation : public Instrumentation {
-public:
-  explicit AnalysisCrossCheckInstrumentation(AnalysisManager &am)
-      : am_(am) {}
-  void beforePass(const Pass &pass, ModuleOp module) override;
-  bool afterPass(const Pass &pass, ModuleOp module,
-                 DiagnosticEngine &diag) override;
-
-private:
-  AnalysisManager &am_;
 };
 
 /// Prints the IR before/after passes to `out` (default stderr). An empty
@@ -443,17 +394,9 @@ public:
   void enableIRPrinting(bool before, bool after, std::string filter = "",
                         std::FILE *out = stderr);
 
-  /// Installs the preserved-analyses cross-checker (see
-  /// AnalysisCrossCheckInstrumentation).
-  void enableAnalysisVerify();
-
   /// Also collect the statistics that need extra IR walks (off by
   /// default so compile hot paths pay nothing for unread counters).
   void enableStatistics() { collectStats_ = true; }
-
-  /// The per-function analysis cache threaded through every pass of this
-  /// manager. Invalidation follows each pass's preservedAnalyses().
-  AnalysisManager &analysisManager() { return analysisManager_; }
 
   /// Attaches a pass-result cache (owned by the caller; shareable across
   /// PassManagers and threads). When set, each pass execution is keyed on
@@ -590,7 +533,6 @@ private:
   bool collectStats_ = false;
   bool verifyEach_ = false;
   PassTimingReport *timing_ = nullptr;
-  AnalysisManager analysisManager_;
   PassResultCache *cache_ = nullptr;
 };
 
@@ -646,14 +588,14 @@ private:
   void spawnAdvance(size_t i);
   void startModule(size_t i, unsigned worker);
   void advance(size_t i, unsigned worker);
-  /// Opens the module's step for `pass`: decides lazy replay, drops the
-  /// analyses a module pass could leave dangling, materializes pending
-  /// replays when the IR is inspected, and fires beforePass hooks. False
-  /// (after fail(i)) on a materialization failure.
+  /// Opens the module's step for `pass`: decides lazy replay,
+  /// materializes pending replays when the IR is inspected, and fires
+  /// beforePass hooks. False (after fail(i)) on a materialization
+  /// failure.
   bool beginStep(size_t i, Pass &pass);
-  /// Closes a completed step: afterPass hooks, verify-each, the module
-  /// pass's post-run invalidation, and the arena cap. False (after
-  /// fail(i)) when any of them rejects the module.
+  /// Closes a completed step: afterPass hooks, verify-each, and the
+  /// arena cap. False (after fail(i)) when any of them rejects the
+  /// module.
   bool endStep(size_t i, Pass &pass);
   /// Fires the afterPass hooks of an open step (reverse order); false if
   /// any hook aborts.

@@ -17,23 +17,16 @@
 //     -> omp-lower{collapse,fuse,hoist,inner-serialize,outer-only}
 //          collapse / fusion / hoisting / inner serialization (§IV-D)
 //
-// Caching & analyses (transforms/analysis_manager.h, pass_cache.h):
+// Caching (transforms/pass_cache.h):
 //
-//   The PassManager threads an AnalysisManager through the stages above.
-//   Every pass declares the analyses its execution preserved
-//   (PreservedAnalyses over {barrier, memory, affine}); the cheap cleanup
-//   stages refine the declaration dynamically ("changed nothing this
-//   run => preserved everything"), so e.g. barrier results computed once
-//   survive the canonicalize/cse pairs instead of being recomputed per
-//   stage. Declarations are cross-checked by recomputation under
-//   PassRunConfig::verifyAnalyses / --verify-analyses.
-//
-//   Independently, a PassResultCache (PassRunConfig::cache, --cache-dir)
-//   keys every pass execution on (canonical pass spec, hash of the
-//   function's printed IR) and replays cached output IR for hits:
-//   recompiling an unchanged kernel through an unchanged pipeline prefix
-//   executes zero transform passes, and ablation sweeps whose stages
-//   diverge at pass k re-run only from k onwards.
+//   A PassResultCache (PassRunConfig::cache, --cache-dir) keys every pass
+//   execution on (canonical pass spec, structural hash of the function's
+//   IR) and replays cached output IR for hits: recompiling an unchanged
+//   kernel through an unchanged pipeline prefix executes zero transform
+//   passes, and ablation sweeps whose stages diverge at pass k re-run
+//   only from k onwards. It is the only state carried between passes;
+//   analyses (barrier effects, memory effects, thread-privacy) are
+//   computed by the pass that reads them, from the IR in front of it.
 //
 // Every stage is exposed three ways:
 //   1. a legacy free function (runCanonicalize(...)), kept for tests and
@@ -106,8 +99,8 @@ void runCSE(ModuleOp module);
 
 /// Inlines calls to module-local functions. With `onlyInKernels`, only
 /// call sites nested in gpu parallel nests are inlined (device
-/// functions). Returns whether any call was inlined.
-bool runInliner(ModuleOp module, bool onlyInKernels = false);
+/// functions).
+void runInliner(ModuleOp module, bool onlyInKernels = false);
 
 /// Scalar (rank-0 alloca) promotion to SSA across structured control flow.
 /// Respects the barrier hole: a scalar only read inside a
@@ -183,9 +176,6 @@ struct PassRunConfig {
   PassTimingReport *timing = nullptr;
   /// Verify after every pass, attributing breakage to the pass.
   bool verifyEach = false;
-  /// Cross-check every pass's PreservedAnalyses declaration by
-  /// recomputation (expensive; validation runs only).
-  bool verifyAnalyses = false;
   /// Threads used to fan function passes out across kernels (1 = serial).
   unsigned threads = 1;
   /// Pass-result cache (owned by the caller, shareable across compiles

@@ -14,7 +14,7 @@ namespace {
 /// repeat{n=2}(canonicalize,cse): one round folds and deduplicates, the
 /// second mops up what the first exposed (a cheap fixpoint surrogate —
 /// both passes are internally idempotent, so round two is usually a
-/// no-op that preserves all analyses).
+/// no-op).
 std::unique_ptr<Pass> createCleanupPair() {
   auto pair = std::make_unique<RepeatPass>();
   pair->addChild(createCanonicalizePass());
@@ -86,8 +86,6 @@ bool runPipeline(ModuleOp module, const PipelineOptions &opts,
                  DiagnosticEngine &diag, const PassRunConfig &config) {
   PassManager pm;
   buildPipeline(pm, opts);
-  if (config.verifyAnalyses)
-    pm.enableAnalysisVerify();
   if (config.verifyEach)
     pm.enableVerifyEach();
   if (config.timing)

@@ -169,31 +169,15 @@ public:
       if (after < before)
         *removed_ += before - after;
     }
-    if (any) {
-      changed_.store(true, std::memory_order_relaxed);
+    if (any)
       noteIRChanged();
-    }
     return true;
   }
 
   bool tracksIRChange() const override { return true; }
 
-  void beginRun() override {
-    changed_.store(false, std::memory_order_relaxed);
-  }
-
-  /// Forwarding rewires load users and deletes loads/stores (including
-  /// thread-private ones that *do* appear in barrier effect sets), so a
-  /// changing run keeps nothing; the frequent no-op runs keep everything.
-  PreservedAnalyses preservedAnalyses() const override {
-    return changed_.load(std::memory_order_relaxed)
-               ? PreservedAnalyses::none()
-               : PreservedAnalyses::all();
-  }
-
 private:
   Statistic *removed_;
-  std::atomic<bool> changed_{false};
 };
 
 } // namespace

@@ -347,31 +347,16 @@ public:
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
     unsigned unrolled = unrollRoot(func, maxTrip_);
     *unrolled_ += unrolled;
-    if (unrolled) {
-      changed_.store(true, std::memory_order_relaxed);
+    if (unrolled)
       noteIRChanged();
-    }
     return true;
   }
 
   bool tracksIRChange() const override { return true; }
 
-  void beginRun() override {
-    changed_.store(false, std::memory_order_relaxed);
-  }
-
-  /// Unrolling replicates loop bodies (every summary grows); a no-op run
-  /// preserves everything.
-  PreservedAnalyses preservedAnalyses() const override {
-    return changed_.load(std::memory_order_relaxed)
-               ? PreservedAnalyses::none()
-               : PreservedAnalyses::all();
-  }
-
 private:
   int64_t maxTrip_ = 8;
   Statistic *unrolled_;
-  std::atomic<bool> changed_{false};
 };
 
 } // namespace

@@ -17,7 +17,7 @@ namespace intmath = ir::intmath;
 
 namespace {
 
-/// A VM runtime trap: bounds/rank violation under boundsCheck, arena-cap
+/// A VM runtime trap: bounds violation under boundsCheck, arena-cap
 /// breach, barrier misplacement. Thrown from the interpreter core,
 /// caught at the tryCall boundary and surfaced as CallResult::error —
 /// never an assert/abort, so a long-lived service survives hostile
@@ -89,9 +89,8 @@ CallResult Interp::tryCall(const std::string &name, std::vector<Slot> args) {
                 std::to_string(fn->numArgs);
     return out;
   }
-  // The verifier guarantees numArgs <= numRegs; guard the unverified
-  // path too so the copy can never run past the frame.
-  std::vector<Slot> regs(std::max<size_t>(fn->numRegs, args.size()));
+  // The verifier guarantees numArgs <= numRegs.
+  std::vector<Slot> regs(fn->numRegs);
   std::copy(args.begin(), args.end(), regs.begin());
   Arena arena;
   Ctx ctx;
@@ -143,12 +142,11 @@ Interp::StepResult Interp::step(const BCFunction &fn, Slot *regs, Ctx &ctx,
                                 std::vector<Slot> *results) {
   // Everything the loop reads on every instruction lives in locals, so a
   // store through `regs` never forces a reload of the program counter,
-  // the code or the trust flags.
+  // the code or the bounds-check flag.
   const Instr *const code = fn.instrs.data();
   const int32_t *const extras = fn.extras.data();
   const size_t n = fn.instrs.size();
   const bool boundsCheck = opts_.boundsCheck;
-  const bool checkDescriptors = boundsCheck && checkDescriptors_;
   size_t at = pc;
   while (at < n) {
     const Instr &in = code[at];
@@ -255,10 +253,6 @@ Interp::StepResult Interp::step(const BCFunction &fn, Slot *regs, Ctx &ctx,
       break; // arena-managed
     case BC::Load: {
       const MemRef &m = *static_cast<MemRef *>(regs[in.a].p);
-      if (checkDescriptors && m.rank != in.c)
-        throw VmTrap("load rank mismatch: " + std::to_string(in.c) +
-                     " indices vs rank " + std::to_string(m.rank) + " in " +
-                     fn.name);
       int64_t off = 0;
       for (int32_t i = 0; i < in.c; ++i) {
         int64_t idx = regs[extras[in.b + i]].i;
@@ -292,10 +286,6 @@ Interp::StepResult Interp::step(const BCFunction &fn, Slot *regs, Ctx &ctx,
     }
     case BC::Store: {
       const MemRef &m = *static_cast<MemRef *>(regs[in.a].p);
-      if (checkDescriptors && m.rank != in.c)
-        throw VmTrap("store rank mismatch: " + std::to_string(in.c) +
-                     " indices vs rank " + std::to_string(m.rank) + " in " +
-                     fn.name);
       int64_t off = 0;
       for (int32_t i = 0; i < in.c; ++i) {
         int64_t idx = regs[extras[in.b + i]].i;
@@ -331,19 +321,11 @@ Interp::StepResult Interp::step(const BCFunction &fn, Slot *regs, Ctx &ctx,
     }
     case BC::Dim: {
       const MemRef &m = *static_cast<MemRef *>(regs[in.a].p);
-      if (checkDescriptors && (in.imm < 0 || in.imm >= m.rank))
-        throw VmTrap("dim index " + std::to_string(in.imm) +
-                     " out of range for rank " + std::to_string(m.rank) +
-                     " in " + fn.name);
       regs[in.d].i = m.sizes[in.imm];
       break;
     }
     case BC::SubView: {
       const MemRef &m = *static_cast<MemRef *>(regs[in.a].p);
-      if (checkDescriptors && in.c > m.rank)
-        throw VmTrap("subview rank mismatch: drops " + std::to_string(in.c) +
-                     " dims vs rank " + std::to_string(m.rank) + " in " +
-                     fn.name);
       MemRef *v = ctx.arena->newDesc();
       v->elem = m.elem;
       v->rank = static_cast<uint8_t>(m.rank - in.c);

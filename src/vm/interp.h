@@ -23,21 +23,20 @@
 // rank-consistent with the memref it touches, scopes balanced, and
 // barriers placed where their execution regime always exists.
 //
-// What that proof buys at runtime:
-//  - Constructing an Interp from a VerifiedModule elides the per-access
-//    *descriptor* checks (Load/Store rank-vs-index-count, Dim/SubView
-//    rank range) — they are statically discharged.
-//  - `ExecOptions::boundsCheck` is demoted to "unverified or
-//    untrusted-data input only": it guards the *data-dependent* index
-//    comparisons (idx vs sizes[i]) which no static analysis can remove.
-//    Trusted runs (our own compiler's verified output on workloads whose
-//    indexing was validated) turn it off for the fast path measured in
-//    BENCH_vm.json.
-//  - Untrusted cached bytecode (the daemon scenario) wants
-//    VerifiedModule + boundsCheck=true: verification stops forged
-//    descriptors/registers, bounds checks stop hostile index math —
-//    and the process answers a bad request with an error (tryCall)
-//    instead of dying.
+// An Interp can only be constructed from a VerifiedModule, so there is
+// no trusted bypass. What that proof buys at runtime:
+//  - The interpreter performs no descriptor checks (Load/Store
+//    rank-vs-index-count, Dim/SubView rank range) and sizes frames by
+//    `numRegs` alone — the verifier discharged all of that statically.
+//  - `ExecOptions::boundsCheck` is the one runtime knob: it guards the
+//    *data-dependent* index comparisons (idx vs sizes[i]) which no static
+//    analysis can remove. Trusted runs (our own compiler's output on
+//    workloads whose indexing was validated) turn it off for the fast
+//    path measured in BENCH_vm.json.
+//  - Untrusted cached bytecode (the daemon scenario) keeps
+//    boundsCheck=true: verification stops forged descriptors/registers,
+//    bounds checks stop hostile index math — and the process answers a
+//    bad request with an error (tryCall) instead of dying.
 #pragma once
 
 #include "runtime/thread_pool.h"
@@ -119,9 +118,7 @@ private:
 
 struct ExecOptions {
   /// Data-dependent index checking (idx vs sizes) on Load/Store/SubView.
-  /// See "Bytecode verification" above: with a VerifiedModule this is
-  /// only needed for untrusted input; without one it also enables the
-  /// descriptor sanity checks.
+  /// See "Bytecode verification" above: only untrusted input needs it.
   bool boundsCheck = true;
   /// Per-execution-arena byte cap (each serial run and each team/SIMT
   /// thread context has its own arena). A breach traps — surfaced as a
@@ -132,7 +129,7 @@ struct ExecOptions {
 
 /// Outcome of Interp::tryCall: results on success, a non-empty error
 /// otherwise — unknown function, arity mismatch, or a runtime trap
-/// (bounds/rank violation under boundsCheck, arena-cap breach, an
+/// (bounds violation under boundsCheck, arena-cap breach, an
 /// injected "vm.exec" fault). Traps are counted in the "vm.exec.errors"
 /// metric. Lets a long-lived server answer a bad request instead of
 /// aborting the process.
@@ -144,21 +141,12 @@ struct CallResult {
 
 class Interp {
 public:
-  /// Trusted-module constructor (bytecode straight out of vm::compile in
-  /// this process). Runs with descriptor sanity checks when boundsCheck
-  /// is on.
-  Interp(const BCModule &mod, runtime::ThreadPool &pool,
-         ExecOptions opts = {})
-      : mod_(mod), pool_(pool), opts_(opts) {}
-
-  /// Verified-module constructor: the token proves every structural and
-  /// typestate invariant, so descriptor checks are elided and
+  /// The token proves every structural and typestate invariant, so
   /// boundsCheck=false is safe for trusted data. The module behind the
   /// token must outlive this Interp.
   Interp(const VerifiedModule &verified, runtime::ThreadPool &pool,
          ExecOptions opts = {})
-      : mod_(verified.module()), pool_(pool), opts_(opts),
-        checkDescriptors_(false) {}
+      : mod_(verified.module()), pool_(pool), opts_(opts) {}
 
   /// Calls a named function; args are pre-populated registers (scalars or
   /// MemRef* created via makeMemRef). Returns the function results.
@@ -223,9 +211,6 @@ private:
   const BCModule &mod_;
   runtime::ThreadPool &pool_;
   ExecOptions opts_;
-  /// False when constructed from a VerifiedModule: rank/descriptor
-  /// checks are statically discharged (see header comment).
-  bool checkDescriptors_ = true;
   Arena external_; ///< descriptors for user-supplied buffers
 };
 

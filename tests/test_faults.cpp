@@ -36,10 +36,11 @@ struct FailpointGuard {
   ~FailpointGuard() { failpoint::clearAll(); }
 };
 
-/// `instrumented` adds verify-each and the preserved-analyses
-/// cross-check: its hooks make the session drain the batch on the
-/// calling thread, the shape the containment tests sweep beside the
-/// plain parallel drain.
+/// `instrumented` adds verify-each and a pass-manager hook: the hook
+/// makes the session drain the batch on the calling thread, the shape the
+/// containment tests sweep beside the plain parallel drain. The default
+/// Instrumentation inspects the IR around every pass, so cache replay
+/// stays eager as well.
 driver::SessionOptions batchOptions(unsigned threads,
                                     transforms::PassResultCache *cache,
                                     bool instrumented = false) {
@@ -48,7 +49,10 @@ driver::SessionOptions batchOptions(unsigned threads,
   so.cache = cache;
   so.useEnvCache = false; // results must not depend on the environment
   so.verifyEach = instrumented;
-  so.verifyAnalyses = instrumented;
+  if (instrumented)
+    so.configurePassManager = [](transforms::PassManager &pm) {
+      pm.addInstrumentation(std::make_unique<transforms::Instrumentation>());
+    };
   return so;
 }
 
@@ -445,10 +449,12 @@ void run(float* out) { k<<<1, 4>>>(out); }
   auto cc = driver::compile(src, PipelineOptions{}, diag);
   ASSERT_TRUE(cc.ok) << diag.str();
   vm::BCModule bc = vm::compileModule(cc.module.get());
+  std::optional<vm::VerifiedModule> token = vm::VerifiedModule::create(bc);
+  ASSERT_TRUE(token.has_value());
   runtime::ThreadPool pool(2);
   vm::ExecOptions opts;
   opts.maxArenaBytes = 16; // 64 floats never fit
-  vm::Interp interp(bc, pool, opts);
+  vm::Interp interp(*token, pool, opts);
   std::vector<float> out(4);
   std::vector<vm::Slot> args{
       interp.makeMemRef(ir::TypeKind::F32, out.data(), {4})};
@@ -457,7 +463,7 @@ void run(float* out) { k<<<1, 4>>>(out); }
   EXPECT_NE(r.error.find("VM arena limit exceeded"), std::string::npos)
       << r.error;
   // Uncapped, the same bytecode executes fine.
-  vm::Interp unlimited(bc, pool, vm::ExecOptions{});
+  vm::Interp unlimited(*token, pool, vm::ExecOptions{});
   vm::CallResult ok = unlimited.tryCall("run", args);
   EXPECT_TRUE(ok.ok()) << ok.error;
   EXPECT_EQ(out[0], 2016.0f); // sum 0..63

@@ -367,6 +367,30 @@ TEST(PassStatisticsTest, WalkBasedStatsAreGatedOnEnable) {
   }
 }
 
+TEST(PassStatisticsTest, RepeatForwardsStatisticsEnableToChildren) {
+  // The manager toggles statistics on its top-level passes only; a
+  // canonicalize nested in repeat{} gathers ops-removed exactly when the
+  // manager has statistics enabled.
+  for (bool enabled : {false, true}) {
+    OwnedModule m = parseOk(kLoopModule);
+    PassManager pm;
+    DiagnosticEngine diag;
+    ASSERT_TRUE(buildPipelineFromSpec(
+        pm, "unroll{max-trip=4},repeat{n=1}(canonicalize)", diag))
+        << diag.str();
+    if (enabled)
+      pm.enableStatistics();
+    ASSERT_TRUE(pm.run(m.get(), diag)) << diag.str();
+    const Pass &canon = *(*pm.passes()[1]->childPasses())[0];
+    ASSERT_EQ(canon.name(), "canonicalize");
+    uint64_t removed = canon.statistics()[0]->value.load();
+    if (enabled)
+      EXPECT_GT(removed, 0u);
+    else
+      EXPECT_EQ(removed, 0u);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Instrumentation
 //===----------------------------------------------------------------------===//
