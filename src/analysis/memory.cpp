@@ -53,6 +53,29 @@ bool mayWrite(Op *op) {
 
 bool isReadOnly(Op *op) { return !mayWrite(op); }
 
+bool isReadOnlySerial(Op *op) {
+  if (op->kind() == OpKind::Load)
+    return true;
+  if (op->numRegions() == 0 || !isReadOnly(op))
+    return false;
+  bool serial = true;
+  op->walk([&](Op *inner) {
+    switch (inner->kind()) {
+    case OpKind::ScfParallel:
+    case OpKind::OmpParallel:
+    case OpKind::OmpWsLoop:
+    case OpKind::Barrier:
+    case OpKind::OmpBarrier:
+    case OpKind::Call:
+      serial = false;
+      break;
+    default:
+      break;
+    }
+  });
+  return serial;
+}
+
 bool isEffectFree(Op *op) {
   std::vector<MemoryEffect> effects;
   getEffectsRecursive(op, effects);

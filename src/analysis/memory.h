@@ -40,6 +40,11 @@ void getEffectsRecursive(Op *op, std::vector<MemoryEffect> &out);
 bool mayWrite(Op *op);
 /// True if `op` (recursively) only reads or is pure.
 bool isReadOnly(Op *op);
+/// True for serial code that only reads memory: a load, or a read-only
+/// region op (e.g. a reduction scf.for) with no parallel op, barrier or
+/// call inside. LICM hoists such code out of loops, and omp-lower's
+/// region fusion runs it on every thread of a fused region.
+bool isReadOnlySerial(Op *op);
 /// True if `op` (recursively) has no memory effects at all.
 bool isEffectFree(Op *op);
 

@@ -1,9 +1,9 @@
 // Integer semantics of the IR, defined once. The VM interpreter
-// (vm::Interp::step), canonicalize's constant folder, the frontend's
-// array-extent evaluator and unroll's trip-count evaluator all compute
-// through these functions, so a value folded at compile time always
-// equals the value the VM computes at run time, and no operand makes the
-// compiler or the VM trap.
+// (vm::Interp::step), canonicalize's constant folder and loop-bound
+// folds, the frontend's array-extent evaluator and unroll's trip-count
+// evaluator all compute through these functions, so a value folded at
+// compile time always equals the value the VM computes at run time, and
+// no operand makes the compiler or the VM trap.
 //
 // Values are int64_t; narrower types are computed in 64 bits and then
 // cut to their width with `truncate`. Every operation is total:
@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 
 namespace paralift::ir::intmath {
 
@@ -94,6 +95,26 @@ inline bool compare(CmpIPred p, int64_t a, int64_t b) {
   case CmpIPred::sge: return a >= b;
   }
   return false;
+}
+
+/// The number of trips of a loop from `lb` to `ub` (exclusive) by
+/// `step`, as the VM runs it: the IV starts at lb, and the loop exits once
+/// the IV, stepped with wrap-around, is >= ub. Nullopt ("unknown") when
+/// the loop does not stop: step <= 0 with lb < ub, or an exact count
+/// whose arithmetic overflows int64_t, including a last step past ub that
+/// wraps the IV below ub again.
+inline std::optional<int64_t> tripCount(int64_t lb, int64_t ub,
+                                        int64_t step) {
+  if (lb >= ub)
+    return 0;
+  int64_t span, end;
+  if (step <= 0 || __builtin_sub_overflow(ub, lb, &span))
+    return std::nullopt;
+  int64_t trips = span / step + (span % step != 0);
+  if (__builtin_mul_overflow(trips, step, &end) ||
+      __builtin_add_overflow(lb, end, &end))
+    return std::nullopt;
+  return trips;
 }
 
 } // namespace paralift::ir::intmath

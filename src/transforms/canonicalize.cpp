@@ -1,12 +1,34 @@
 // Canonicalization: constant folding (integer, float, and math ops),
 // algebraic identities, folding of structured control flow with constant
-// conditions/trip counts, and dead code elimination. Runs to fixpoint.
+// conditions/trip counts, guarded-loop index-set restriction, and dead
+// code elimination. Runs to fixpoint.
+//
+// Guarded-loop index-set restriction shrinks a loop to the iterations in
+// which its body does anything. It applies alike to each dimension of an
+// scf.parallel and to an scf.for without iter-args, when:
+//  - the body holds only pure region-free ops plus exactly one
+//    result-less scf.if with an empty else and no polygeist.barrier or
+//    omp.barrier inside (so the iterations the guard rejects have no
+//    effect);
+//  - the guard is a cmpi (eq, slt, sle, sgt, sge, in either operand
+//    order) between the IV, used directly or through index.cast/extsi,
+//    and a constant, or `remsi(iv, P) == 0` with a constant P > 0;
+//  - lb, ub and step are constants with 0 <= lb, ub <= INT32_MAX and
+//    step 1, so every cast of the IV is exact.
+// The dimension's [lb, ub) is intersected with the guard's range (`% P`
+// instead raises lb to a multiple of P and sets step P), and the guard's
+// condition becomes `true`, so the scf.if fold inlines it and the trip
+// folds below remove a loop left with zero or one trip. Guards with a
+// non-constant comparand, an offset (`bx * 64 + tx < n`, which needs a
+// no-wrap proof) or an `&&` chain are left alone.
 #include "analysis/memory.h"
 #include "ir/builder.h"
 #include "ir/intmath.h"
 #include "ir/ophelpers.h"
 #include "transforms/passes.h"
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
 
 using namespace paralift::ir;
@@ -103,6 +125,142 @@ void inlineRegionBefore(Op *op, Region &region) {
   for (unsigned i = 0; i < op->numResults(); ++i)
     op->result(i).replaceAllUsesWith(yielded[i]);
   op->erase();
+}
+
+bool containsAnyBarrier(Op *op) {
+  bool found = false;
+  op->walk([&](Op *inner) {
+    found |= inner->kind() == OpKind::Barrier ||
+             inner->kind() == OpKind::OmpBarrier;
+  });
+  return found;
+}
+
+/// The one guard of a loop body that otherwise holds only pure
+/// region-free ops: a result-less, barrier-free scf.if with an empty
+/// else. Null if the body has any other shape.
+Op *soleGuard(Block &body) {
+  Op *guard = nullptr;
+  for (Op *op : body) {
+    if (op == body.terminator() ||
+        (isPure(op->kind()) && op->numRegions() == 0))
+      continue;
+    if (op->kind() != OpKind::ScfIf || guard)
+      return nullptr;
+    guard = op;
+  }
+  if (!guard || guard->numResults() != 0 || containsAnyBarrier(guard))
+    return nullptr;
+  IfOp ifOp(guard);
+  if (ifOp.hasElse() &&
+      ifOp.elseBlock().front() != ifOp.elseBlock().terminator())
+    return nullptr;
+  return guard;
+}
+
+/// `v` seen through the exact integer casts (index.cast, extsi) that
+/// carry an IV to a guard.
+Value stripIntCasts(Value v) {
+  while (Op *def = v.definingOp()) {
+    if ((def->kind() != OpKind::IndexCast && def->kind() != OpKind::ExtSI) ||
+        def->result().type() == Type::i1())
+      break;
+    v = def->operand(0);
+  }
+  return v;
+}
+
+/// The iterations `lb, lb + step, ... < ub` of a loop dimension.
+struct IndexSet {
+  int64_t lb, ub, step;
+};
+
+/// If `cond` is a guard on `iv` (see the file comment), the iterations of
+/// `[lb, ub)` with step 1 in which it holds. Requires 0 <= lb and
+/// ub <= INT32_MAX.
+std::optional<IndexSet> guardedIndexSet(Value cond, Value iv, int64_t lb,
+                                        int64_t ub) {
+  Op *cmp = cond.definingOp();
+  if (!cmp || cmp->kind() != OpKind::CmpI)
+    return std::nullopt;
+  auto pred = static_cast<CmpIPred>(cmp->attrs().getInt("pred"));
+  Value x = cmp->operand(0);
+  std::optional<int64_t> c = getConstInt(cmp->operand(1));
+  if (!c) {
+    // `c pred x` is `x pred' c` with the comparison mirrored.
+    x = cmp->operand(1);
+    c = getConstInt(cmp->operand(0));
+    pred = pred == CmpIPred::slt   ? CmpIPred::sgt
+           : pred == CmpIPred::sle ? CmpIPred::sge
+           : pred == CmpIPred::sgt ? CmpIPred::slt
+           : pred == CmpIPred::sge ? CmpIPred::sle
+                                   : pred;
+  }
+  if (!c)
+    return std::nullopt;
+
+  // `iv % P == 0`: the multiples of P from the first one >= lb.
+  if (Op *rem = x.definingOp(); rem && rem->kind() == OpKind::RemSI) {
+    std::optional<int64_t> p = getConstInt(rem->operand(1));
+    if (pred != CmpIPred::eq || *c != 0 || !p || *p <= 0 ||
+        stripIntCasts(rem->operand(0)) != iv)
+      return std::nullopt;
+    // ceil(lb / P) * P, or unknown if it overflows.
+    std::optional<int64_t> k = intmath::tripCount(0, lb, *p);
+    if (!k)
+      return std::nullopt;
+    int64_t first = *k * *p;
+    return IndexSet{first, std::max(first, ub), *p};
+  }
+
+  if (stripIntCasts(x) != iv)
+    return std::nullopt;
+  // Clamping c to [lb - 1, ub] keeps the guard's value on every
+  // iteration and keeps c + 1 from overflowing.
+  int64_t k = std::clamp(*c, lb - 1, ub);
+  int64_t lo = lb, hi = ub;
+  switch (pred) {
+  case CmpIPred::eq: lo = k, hi = k + 1; break;
+  case CmpIPred::slt: hi = k; break;
+  case CmpIPred::sle: hi = k + 1; break;
+  case CmpIPred::sgt: lo = k + 1; break;
+  case CmpIPred::sge: lo = k; break;
+  case CmpIPred::ne: return std::nullopt;
+  }
+  lo = std::max(lo, lb);
+  return IndexSet{lo, std::max(lo, std::min(hi, ub)), 1};
+}
+
+/// Guarded-loop index-set restriction (see the file comment) on an
+/// scf.for or scf.parallel. Returns true if a dimension was restricted.
+bool restrictGuardedLoop(Op *loop) {
+  Block &body = loop->region(0).front();
+  Op *guard = soleGuard(body);
+  if (!guard)
+    return false;
+  // scf.for's (lb, ub, step) operands have scf.parallel's layout with
+  // one dimension.
+  unsigned dims = loop->kind() == OpKind::ScfFor
+                      ? 1
+                      : ParallelOp(loop).numDims();
+  for (unsigned d = 0; d < dims; ++d) {
+    auto lb = getConstInt(loop->operand(d));
+    auto ub = getConstInt(loop->operand(dims + d));
+    auto step = getConstInt(loop->operand(2 * dims + d));
+    if (!lb || !ub || !step || *step != 1 || *lb < 0 || *ub > INT32_MAX)
+      continue;
+    auto set = guardedIndexSet(IfOp(guard).cond(), body.arg(d), *lb, *ub);
+    if (!set)
+      continue;
+    Builder b;
+    b.setInsertionPoint(loop);
+    loop->setOperand(d, b.constIndex(set->lb));
+    loop->setOperand(dims + d, b.constIndex(set->ub));
+    loop->setOperand(2 * dims + d, b.constIndex(set->step));
+    guard->setOperand(0, b.constBool(true));
+    return true;
+  }
+  return false;
 }
 
 /// One canonicalization attempt on `op`. Returns true if IR changed
@@ -310,7 +468,7 @@ bool canonicalizeOp(Op *op) {
       return true;
     }
     // Single-trip loop: inline the body.
-    if (lb && ub && step && *lb + *step >= *ub) {
+    if (lb && ub && step && intmath::tripCount(*lb, *ub, *step) == 1) {
       ForOp f(op);
       Block &body = f.body();
       Builder b;
@@ -343,16 +501,24 @@ bool canonicalizeOp(Op *op) {
       op->erase();
       return true;
     }
-    return false;
+    return ForOp(op).numIterArgs() == 0 && restrictGuardedLoop(op);
   }
   case OpKind::ScfParallel: {
-    // DCE for empty parallel bodies (only the yield remains).
-    Block &body = op->region(0).front();
-    if (body.front() == body.terminator()) {
+    // DCE for empty parallel bodies (only the yield remains) and for
+    // loops with a zero-trip dimension.
+    ParallelOp par(op);
+    Block &body = par.body();
+    bool dead = body.front() == body.terminator();
+    for (unsigned d = 0; d < par.numDims() && !dead; ++d) {
+      auto lb = getConstInt(par.lb(d));
+      auto ub = getConstInt(par.ub(d));
+      dead = lb && ub && *lb >= *ub;
+    }
+    if (dead) {
       op->erase();
       return true;
     }
-    return false;
+    return restrictGuardedLoop(op);
   }
   case OpKind::SubView: {
     // subview with zero indices is the identity.

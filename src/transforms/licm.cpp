@@ -22,16 +22,6 @@ namespace paralift::transforms {
 
 namespace {
 
-bool containsBarrierOrCall(Op *op) {
-  bool found = false;
-  op->walk([&](Op *inner) {
-    if (inner->kind() == OpKind::Barrier || inner->kind() == OpKind::Call ||
-        inner->kind() == OpKind::OmpBarrier)
-      found = true;
-  });
-  return found;
-}
-
 /// All operands (including those of nested ops referencing outer values)
 /// defined outside `loop`.
 bool allOperandsOutside(Op *op, Op *loop) {
@@ -102,16 +92,9 @@ bool hoistFromLoop(Op *loop) {
     bool hoistable = false;
     if (isPure(op->kind()) && op->numRegions() == 0) {
       hoistable = allOperandsOutside(op, loop);
-    } else if (op->kind() == OpKind::Load ||
-               (op->numRegions() > 0 && !containsBarrierOrCall(op) &&
-                op->kind() != OpKind::ScfParallel &&
-                op->kind() != OpKind::OmpParallel &&
-                op->kind() != OpKind::OmpWsLoop)) {
-      // Loads and read-only region ops (e.g. a reduction for-loop).
-      if (allOperandsOutside(op, loop) && isReadOnly(op)) {
-        const auto &writes = isParallel ? priorWrites : allWrites;
-        hoistable = !readsConflictWithWrites(op, writes);
-      }
+    } else if (isReadOnlySerial(op) && allOperandsOutside(op, loop)) {
+      const auto &writes = isParallel ? priorWrites : allWrites;
+      hoistable = !readsConflictWithWrites(op, writes);
     }
 
     if (hoistable) {

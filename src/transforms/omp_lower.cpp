@@ -2,15 +2,18 @@
 //   - collapse of grid x block loops into one parallel loop when the grid
 //     body holds no shared memory,
 //   - omp.parallel { omp.wsloop } structure for outer loops,
-//   - parallel-region fusion across adjacent regions (Fig. 10),
+//   - parallel-region fusion across adjacent regions (Fig. 10), also
+//     across the read-only serial code between them,
 //   - parallel-region hoisting out of serial for loops (Fig. 11),
 //   - inner serialization: nested (block-level) scf.parallel loops become
 //     serial scf.for nests (PolygeistInnerSer) or nested omp regions
 //     (PolygeistInnerPar).
+#include "analysis/memory.h"
 #include "ir/builder.h"
 #include "ir/ophelpers.h"
 #include "transforms/passes.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 using namespace paralift::ir;
@@ -146,37 +149,83 @@ void serialize(Op *parOp) {
   parOp->erase();
 }
 
-/// Fig. 10: fuse adjacent omp.parallel siblings, separated only by pure
-/// ops, inserting an omp.barrier between their bodies.
+/// May `second` write memory that `moved` reads?
+bool clobbersReads(const std::vector<Op *> &moved, Op *second) {
+  std::vector<analysis::MemoryEffect> reads, writes;
+  for (Op *m : moved)
+    analysis::getEffectsRecursive(m, reads);
+  analysis::getEffectsRecursive(second, writes);
+  for (auto &w : writes) {
+    if (w.kind == analysis::EffectKind::Read)
+      continue;
+    for (auto &r : reads)
+      if (!w.base || !r.base || analysis::mayAlias(w.base, r.base))
+        return true;
+  }
+  return false;
+}
+
+/// Fig. 10: fuse adjacent omp.parallel siblings, inserting an omp.barrier
+/// between their bodies. Between the two regions there may be:
+///  - pure ops, which move above the first region so they stay visible
+///    to both;
+///  - read-only serial ops (analysis::isReadOnlySerial), with the pure ops
+///    that depend on them, whose results are used only by each other or
+///    inside the second region. They move into the fused region after
+///    the barrier, where every thread runs them, followed by a second
+///    omp.barrier if the second body may write memory they read.
 bool fuseAdjacent(Block &block) {
   for (Op *op = block.front(); op; op = op->next()) {
     if (op->kind() != OpKind::OmpParallel)
       continue;
-    // Find the next omp.parallel, skipping pure ops (which we move above
-    // the first region so they stay visible to both).
-    std::vector<Op *> between;
+    std::vector<Op *> hoisted, moved;
+    auto dependsOnMoved = [&](Op *cur) {
+      for (unsigned i = 0; i < cur->numOperands(); ++i)
+        if (std::find(moved.begin(), moved.end(),
+                      cur->operand(i).definingOp()) != moved.end())
+          return true;
+      return false;
+    };
     Op *second = nullptr;
     for (Op *cur = op->next(); cur; cur = cur->next()) {
       if (cur->kind() == OpKind::OmpParallel) {
         second = cur;
         break;
       }
-      if (isPure(cur->kind()) && cur->numRegions() == 0) {
-        between.push_back(cur);
-        continue;
-      }
-      break;
+      bool pure = isPure(cur->kind()) && cur->numRegions() == 0;
+      if (pure && !dependsOnMoved(cur))
+        hoisted.push_back(cur);
+      else if (pure || analysis::isReadOnlySerial(cur))
+        moved.push_back(cur);
+      else
+        break;
     }
     if (!second)
       continue;
-    for (Op *p : between)
+    // Moved results stay inside the fused region.
+    bool contained = std::all_of(moved.begin(), moved.end(), [&](Op *m) {
+      for (unsigned r = 0; r < m->numResults(); ++r)
+        for (auto &use : m->result(r).uses())
+          if (!second->isAncestorOf(use.first) &&
+              std::find(moved.begin(), moved.end(), use.first) ==
+                  moved.end())
+            return false;
+      return true;
+    });
+    if (!contained)
+      continue;
+    for (Op *p : hoisted)
       p->moveBefore(op);
     Block &firstBody = op->region(0).front();
+    Op *end = firstBody.terminator();
     Builder b;
-    b.setInsertionPoint(firstBody.terminator());
+    b.setInsertionPoint(end);
     b.createOp(OpKind::OmpBarrier, {}, {});
-    spliceBefore(second->region(0).front(), firstBody,
-                 firstBody.terminator());
+    for (Op *m : moved)
+      m->moveBefore(end);
+    if (!moved.empty() && clobbersReads(moved, second))
+      b.createOp(OpKind::OmpBarrier, {}, {});
+    spliceBefore(second->region(0).front(), firstBody, end);
     second->erase();
     return true;
   }

@@ -6,8 +6,10 @@
 //   frontend IR
 //     -> inline                 (device functions into kernels; module pass)
 //     -> core opts              [function passes, parallelizable per kernel]
-//          canonicalize / cse / mem2reg / store-forward / licm (incl.
-//          parallel LICM, §IV-C) / barrier-elim (§IV-A) / barrier-motion
+//          canonicalize (incl. restricting loops whose body is one guard
+//          on the IV, e.g. `if (tx == 0)`, to the iterations that pass
+//          it) / cse / mem2reg / store-forward / licm (incl. parallel
+//          LICM, §IV-C) / barrier-elim (§IV-A) / barrier-motion
 //     -> affine opts            [function passes]
 //          unroll{max-trip=N}: raise counted scf.while loops to scf.for,
 //          fully unroll constant-trip loops (barrier loops up to 32
@@ -15,7 +17,8 @@
 //     -> cpuify{mincut=BOOL}    barrier lowering by parallel-loop fission
 //          with min-cut (§III-B1) and interchange (§III-B2)
 //     -> omp-lower{collapse,fuse,hoist,inner-serialize,outer-only}
-//          collapse / fusion / hoisting / inner serialization (§IV-D)
+//          collapse / fusion (also across read-only serial code) /
+//          hoisting / inner serialization (§IV-D)
 //
 // Caching (transforms/pass_cache.h):
 //
@@ -91,7 +94,11 @@ struct PipelineOptions {
 // Individual passes ----------------------------------------------------------
 
 /// Constant folding, algebraic simplification, structured-control-flow
-/// folding and dead-code elimination, to fixpoint.
+/// folding and dead-code elimination, to fixpoint. Also restricts an
+/// scf.for or scf.parallel dimension whose body is pure ops plus one
+/// guard comparing the IV with a constant (`iv < c`, `iv == c`,
+/// `iv % P == 0`, ...) to the iterations that pass the guard, which then
+/// folds away (see transforms/canonicalize.cpp for the exact rule).
 void runCanonicalize(ModuleOp module);
 
 /// Common subexpression elimination of pure ops (per-block scope).
@@ -148,7 +155,9 @@ struct OmpLowerOptions {
 };
 
 /// Lowers scf.parallel to omp.parallel/omp.wsloop with the §IV-D
-/// optimizations.
+/// optimizations. Fusion also crosses read-only serial code between two
+/// regions (loads, read-only loops), which every thread then runs
+/// between barriers inside the fused region.
 void runOmpLower(ModuleOp module, const OmpLowerOptions &opts);
 
 // Pass factories -------------------------------------------------------------

@@ -320,12 +320,12 @@ unsigned unrollRoot(Op *root, int64_t maxTrip) {
       auto lb = getConstInt(forOp.lb());
       auto ub = getConstInt(forOp.ub());
       auto step = getConstInt(forOp.step());
-      if (!lb || !ub || !step || *step <= 0)
+      if (!lb || !ub || !step)
         continue;
-      int64_t trips = (*ub - *lb + *step - 1) / *step;
-      if (trips <= 0 || trips > tripBudget(op, maxTrip))
+      auto trips = intmath::tripCount(*lb, *ub, *step);
+      if (!trips || *trips == 0 || *trips > tripBudget(op, maxTrip))
         continue;
-      unrollFor(op, *lb, *step, trips);
+      unrollFor(op, *lb, *step, *trips);
       ++unrolled;
       changed = true;
       break; // re-collect: nested loops may have been cloned

@@ -23,8 +23,9 @@ constexpr int kBlockSize = 16;
 constexpr int kGridSize = 4;
 constexpr int kN = kBlockSize * kGridSize;
 /// Seeds of the differential sweep: enough that every halving spelling of
-/// the tree-reduction phase is drawn by at least four of them.
-constexpr uint32_t kFuzzSeeds = 120;
+/// the tree-reduction phase and every guard form of the guarded write
+/// phase is drawn by at least four of them.
+constexpr uint32_t kFuzzSeeds = 200;
 
 /// The halving updates of the tree-reduction phase, `@` standing for the
 /// loop variable. Each is drawn as a `for` increment, and the first also
@@ -33,6 +34,14 @@ constexpr uint32_t kFuzzSeeds = 120;
 const char *const kHalvingSpellings[] = {"@ = @ / 2", "@ /= 2", "@ = @ >> 1",
                                          "@ >>= 1", "while"};
 constexpr int kNumHalvingSpellings = std::size(kHalvingSpellings);
+
+/// The guard forms of the guarded write phase: each comparison of tx
+/// with a constant (drawn with tx on either side), the reversed operand
+/// order `c OP tx` (over every comparison), and `tx % p == 0`.
+const char *const kGuardForms[] = {"==", "<",        "<=", ">",
+                                   ">=", "reversed", "%"};
+constexpr int kNumGuardForms = std::size(kGuardForms);
+constexpr int kNumComparisons = 5, kReversedForm = 5, kModuloForm = 6;
 
 std::string spell(std::string pattern, const std::string &var) {
   for (size_t p; (p = pattern.find('@')) != std::string::npos;)
@@ -52,6 +61,10 @@ public:
   /// How often generate() emitted each halving spelling.
   const std::array<int, kNumHalvingSpellings> &spellingsDrawn() const {
     return spellingsDrawn_;
+  }
+  /// How often generate() emitted each guard form.
+  const std::array<int, kNumGuardForms> &guardFormsDrawn() const {
+    return guardFormsDrawn_;
   }
 
   std::string generate() {
@@ -105,7 +118,7 @@ private:
   }
 
   void emitPhase(std::ostringstream &os, int phase) {
-    switch (rng_() % 7) {
+    switch (rng_() % 8) {
     case 0: {
       // Read phase into a register, optionally guarded (reads are always
       // safe to guard).
@@ -180,6 +193,9 @@ private:
     case 5:
       emitTreeReduction(os, phase);
       break;
+    case 6:
+      emitGuardedWrite(os);
+      break;
     default:
       // Global write phase: out is strictly thread-private, no barrier
       // needed; also mutates a register to keep values flowing.
@@ -223,8 +239,58 @@ private:
        << "  r0 = s[0] * 0.5f + r0;\n";
   }
 
+  /// A read of another thread's slot of s, or of out within the block.
+  std::string otherSlot(const std::string &array) {
+    std::ostringstream os;
+    os << array << "[" << (array == "out" ? "blockIdx.x * blockDim.x + " : "")
+       << "(tx + " << 1 + rng_() % (kBlockSize - 1) << ") % " << kBlockSize
+       << "]";
+    return os.str();
+  }
+
+  /// Guarded own-slot write: the threads passing a guard on tx rewrite
+  /// s[tx]. The constant is drawn from [-2, kBlockSize + 2], so the guard
+  /// holds for no thread, some or all of them. Around the guard, the
+  /// registers are spilled to out and restarted from other threads' slots
+  /// of s and out: no register is live across it, and the cross-thread
+  /// reads keep the barriers on both sides. After fission the guard is
+  /// then the whole body of its thread loop, which canonicalize restricts
+  /// to the threads that pass it.
+  void emitGuardedWrite(std::ostringstream &os) {
+    static const char *mirrored[kNumComparisons] = {"==", ">", ">=", "<",
+                                                    "<="};
+    static const char *values[] = {"a[gid]", "b[gid]", "1.5f", "-1.0f"};
+    // One of the comparisons or the modulo test, alike.
+    int form = static_cast<int>(rng_() % (kNumComparisons + 1));
+    std::ostringstream guard;
+    if (form == kNumComparisons) {
+      guard << "tx % " << 1 + rng_() % (kBlockSize + 2) << " == 0";
+      form = kModuloForm;
+    } else {
+      int c = static_cast<int>(rng_() % (kBlockSize + 5)) - 2;
+      if (rng_() % 2 == 0) {
+        guard << "tx " << kGuardForms[form] << " " << c;
+      } else {
+        guard << c << " " << mirrored[form] << " tx";
+        ++guardFormsDrawn_[kReversedForm];
+      }
+    }
+    ++guardFormsDrawn_[form];
+    os << "  out[gid] = r0 + r1 * " << otherSlot("s") << ";\n"
+       << "  __syncthreads();\n"
+       << "  if (" << guard.str() << ") {\n"
+       << "    s[tx] = s[tx] * 0.5f + " << values[rng_() % std::size(values)]
+       << ";\n"
+       << "  }\n"
+       << "  __syncthreads();\n"
+       << "  r0 = " << otherSlot("s") << " + " << otherSlot("out") << ";\n"
+       << "  r1 = s[tx];\n"
+       << "  __syncthreads();\n";
+  }
+
   std::mt19937 rng_;
   std::array<int, kNumHalvingSpellings> spellingsDrawn_{};
+  std::array<int, kNumGuardForms> guardFormsDrawn_{};
 };
 
 /// The pipeline configurations under test.
@@ -331,6 +397,18 @@ TEST(KernelGenTest, SweepDrawsEveryHalvingSpelling) {
   }
   for (int i = 0; i < kNumHalvingSpellings; ++i)
     EXPECT_GE(seedsDrawing[i], 4) << kHalvingSpellings[i];
+}
+
+TEST(KernelGenTest, SweepDrawsEveryGuardForm) {
+  std::array<int, kNumGuardForms> seedsDrawing{};
+  for (uint32_t seed = 0; seed < kFuzzSeeds; ++seed) {
+    KernelGen gen(seed);
+    gen.generate();
+    for (int i = 0; i < kNumGuardForms; ++i)
+      seedsDrawing[i] += gen.guardFormsDrawn()[i] > 0;
+  }
+  for (int i = 0; i < kNumGuardForms; ++i)
+    EXPECT_GE(seedsDrawing[i], 4) << kGuardForms[i];
 }
 
 //===----------------------------------------------------------------------===//

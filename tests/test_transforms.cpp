@@ -4,6 +4,7 @@
 // region fusion/hoisting (Figs. 10/11), and frontend diagnostics.
 #include "analysis/barrier.h"
 #include "driver/compiler.h"
+#include "ir/intmath.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
@@ -14,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
 #include <regex>
 
 using namespace paralift;
@@ -37,6 +40,28 @@ int countOps(Op *root, OpKind kind) {
       ++n;
   });
   return n;
+}
+
+/// Runs `run(a, out, 2)` over 64 floats through the default pipeline and
+/// through the lockstep SIMT oracle; the outputs must be bit-identical.
+void expectMatchesSimtOracle(const char *src) {
+  constexpr int kN = 64;
+  auto runWith = [&](driver::CompileResult &cc) {
+    std::vector<float> a(kN), out(kN, 0.0f);
+    for (int i = 0; i < kN; ++i)
+      a[i] = 0.25f * float(i % 7) - 0.5f;
+    driver::Executor exec(cc.module.get(), 2);
+    exec.run("run", {driver::Executor::bufferF32(a.data(), {kN}),
+                     driver::Executor::bufferF32(out.data(), {kN}),
+                     int64_t(2)});
+    return out;
+  };
+  DiagnosticEngine diag;
+  auto oracle = driver::compileForSimt(src, diag);
+  ASSERT_TRUE(oracle.ok) << diag.str();
+  auto cc = driver::compile(src, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  EXPECT_EQ(runWith(cc), runWith(oracle)) << ir::printOp(cc.module.op());
 }
 
 } // namespace
@@ -331,6 +356,60 @@ long f(long a) {
   EXPECT_EQ(r[0].i, INT64_MIN + 5);
 }
 
+namespace {
+
+/// `f(a)` running `body` (IR text over `%0 = a` and the IV `%4`) in an
+/// scf.for with the given constant bounds.
+OwnedModule constantBoundsLoop(int64_t lb, int64_t ub, int64_t step,
+                               const std::string &body = R"(
+      %5 = const.int {value = 0} : index
+      %6 = const.float {value = 1.0} : f32
+      memref.store(%6, %0, %5))") {
+  std::string text = R"(module {
+  func {sym_name = "f", res_types = []} {
+    [%0: memref<?xf32>]:
+    %1 = const.int {value = )" + std::to_string(lb) + R"(} : index
+    %2 = const.int {value = )" + std::to_string(ub) + R"(} : index
+    %3 = const.int {value = )" + std::to_string(step) + R"(} : index
+    scf.for(%1, %2, %3) {
+      [%4: index]:)" + body + R"(
+      yield
+    }
+    return
+  }
+}
+)";
+  DiagnosticEngine diag;
+  auto m = parseModule(text, diag);
+  EXPECT_TRUE(m) << diag.str();
+  return std::move(*m);
+}
+
+} // namespace
+
+TEST(CanonicalizeTest, TripCountNearInt64MaxDoesNotOverflow) {
+  // lb + step overflows int64_t. The VM's IV wraps past ub after the
+  // first trip and the loop goes on, so the trip count is unknown and the
+  // single-trip fold must not fire.
+  OwnedModule m = constantBoundsLoop(INT64_MAX - 1, INT64_MAX, 5);
+  runCanonicalize(m.get());
+  EXPECT_EQ(countOps(m.op(), OpKind::ScfFor), 1) << printOp(m.op());
+  EXPECT_EQ(intmath::tripCount(INT64_MAX - 1, INT64_MAX, 5), std::nullopt);
+  EXPECT_EQ(intmath::tripCount(INT64_MAX - 5, INT64_MAX, 5), 1);
+  EXPECT_EQ(intmath::tripCount(3, 3, 0), 0);
+  EXPECT_EQ(intmath::tripCount(0, 3, 0), std::nullopt);
+}
+
+TEST(UnrollTest, TripCountAcrossInt64RangeDoesNotOverflow) {
+  // ub - lb overflows int64_t: the trip count is unknown, so the loop is
+  // not unrolled.
+  OwnedModule m = constantBoundsLoop(-INT64_MAX, INT64_MAX, INT64_MAX);
+  runUnroll(m.get(), 8);
+  EXPECT_EQ(countOps(m.op(), OpKind::ScfFor), 1) << printOp(m.op());
+  EXPECT_EQ(intmath::tripCount(-INT64_MAX, INT64_MAX, INT64_MAX),
+            std::nullopt);
+}
+
 TEST(UnrollTest, FullyUnrollsConstantTripLoop) {
   const char *src = R"(
 void f(float* a) {
@@ -462,6 +541,117 @@ void run(float* a, int n, int iters) {
     EXPECT_FLOAT_EQ(a[i], 5.0f);
 }
 
+namespace {
+
+/// Two launches in a host loop with `between` on the host between them:
+/// k1 adds 1 to a[i] and thread 0 of block b writes part[b]; k2 writes
+/// out[i] = a[i] + x, where `between` defines x, and then runs `k2Tail`.
+std::string twoLaunchProgram(const std::string &between,
+                             const std::string &after = "",
+                             const std::string &k2Tail = "") {
+  return R"(
+__global__ void k1(float* a, float* part) {
+  int i = blockIdx.x * 16 + threadIdx.x;
+  a[i] = a[i] + 1.0f;
+  if (threadIdx.x == 0) {
+    part[blockIdx.x] = a[i] * 2.0f;
+  }
+}
+__global__ void k2(float* a, float* out, float* part, float x) {
+  int i = blockIdx.x * 16 + threadIdx.x;
+  out[i] = a[i] + x;
+)" + k2Tail + R"(
+}
+void run(float* a, float* out, int iters) {
+  float part[4];
+  for (int t = 0; t < iters; t++) {
+    k1<<<4, 16>>>(a, part);
+)" + between + R"(
+    k2<<<4, 16>>>(a, out, part, x);
+)" + after + R"(
+  }
+}
+)";
+}
+
+/// A reduction over part[] on the host, into x.
+const char *kPartSum = R"(
+    float x = 0.0f;
+    for (int b = 0; b < iters + 2; b++) {
+      x = x + part[b];
+    }
+)";
+
+int countOmpParallelInsideFor(Op *root) {
+  int n = 0;
+  root->walk([&](Op *op) {
+    if (op->kind() == OpKind::OmpParallel && getEnclosing(op, OpKind::ScfFor))
+      ++n;
+  });
+  return n;
+}
+
+} // namespace
+
+TEST(OmpLowerTest, FusesAcrossReadOnlyReduction) {
+  // The reduction over part[] between the launches only reads memory, so
+  // the two regions fuse around it (every thread runs it after a barrier)
+  // and the fused region is hoisted out of the host loop.
+  std::string src = twoLaunchProgram(kPartSum);
+  DiagnosticEngine diag;
+  auto cc = driver::compile(src, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  EXPECT_EQ(countOps(cc.module.op(), OpKind::OmpParallel), 1)
+      << printOp(cc.module.op());
+  EXPECT_EQ(countOmpParallelInsideFor(cc.module.op()), 0)
+      << printOp(cc.module.op());
+  // One barrier after k1 and one closing each host iteration: k2 does
+  // not write part[], so no barrier follows the reduction.
+  EXPECT_EQ(countOps(cc.module.op(), OpKind::OmpBarrier), 2)
+      << printOp(cc.module.op());
+  expectMatchesSimtOracle(src.c_str());
+}
+
+TEST(OmpLowerTest, FusesWithSecondBarrierBeforeClobberingRegion) {
+  // k2 overwrites part[], which the reduction reads: a second barrier
+  // keeps every thread's reduction ahead of those writes.
+  std::string src = twoLaunchProgram(
+      kPartSum, "", "  if (threadIdx.x == 0) { part[blockIdx.x] = x; }");
+  DiagnosticEngine diag;
+  auto cc = driver::compile(src, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  EXPECT_EQ(countOps(cc.module.op(), OpKind::OmpParallel), 1)
+      << printOp(cc.module.op());
+  EXPECT_EQ(countOps(cc.module.op(), OpKind::OmpBarrier), 3)
+      << printOp(cc.module.op());
+  expectMatchesSimtOracle(src.c_str());
+}
+
+TEST(OmpLowerTest, DoesNotFuseWhenMovedValueOutlivesSecondRegion) {
+  // x is loaded between the regions but also stored after the second:
+  // inside a fused region it would not reach that store.
+  std::string src =
+      twoLaunchProgram("    float x = part[iters];\n",
+                       "    out[0] = x;\n");
+  DiagnosticEngine diag;
+  auto cc = driver::compile(src, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  EXPECT_EQ(countOps(cc.module.op(), OpKind::OmpParallel), 2)
+      << printOp(cc.module.op());
+  expectMatchesSimtOracle(src.c_str());
+}
+
+TEST(OmpLowerTest, DoesNotFuseAcrossWrite) {
+  std::string src = twoLaunchProgram(
+      "    float x = part[iters];\n    a[iters] = x;\n");
+  DiagnosticEngine diag;
+  auto cc = driver::compile(src, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  EXPECT_EQ(countOps(cc.module.op(), OpKind::OmpParallel), 2)
+      << printOp(cc.module.op());
+  expectMatchesSimtOracle(src.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // mem2reg
 //===----------------------------------------------------------------------===//
@@ -497,28 +687,6 @@ int countScalarAllocas(Op *root) {
       ++n;
   });
   return n;
-}
-
-/// Runs `run(a, out, 2)` over 64 floats through the default pipeline and
-/// through the lockstep SIMT oracle; the outputs must be bit-identical.
-void expectMatchesSimtOracle(const char *src) {
-  constexpr int kN = 64;
-  auto runWith = [&](driver::CompileResult &cc) {
-    std::vector<float> a(kN), out(kN, 0.0f);
-    for (int i = 0; i < kN; ++i)
-      a[i] = 0.25f * float(i % 7) - 0.5f;
-    driver::Executor exec(cc.module.get(), 2);
-    exec.run("run", {driver::Executor::bufferF32(a.data(), {kN}),
-                     driver::Executor::bufferF32(out.data(), {kN}),
-                     int64_t(2)});
-    return out;
-  };
-  DiagnosticEngine diag;
-  auto oracle = driver::compileForSimt(src, diag);
-  ASSERT_TRUE(oracle.ok) << diag.str();
-  auto cc = driver::compile(src, PipelineOptions{}, diag);
-  ASSERT_TRUE(cc.ok) << diag.str();
-  EXPECT_EQ(runWith(cc), runWith(oracle)) << ir::printOp(cc.module.op());
 }
 
 } // namespace
@@ -847,6 +1015,266 @@ TEST(UnrollTest, TreeReductionsLeaveNoWhileOrPerThreadCache) {
     check(id, bench->cudaSource, "run");
   }
   check("nll_kernel", moccuda::PolygeistKernels::source(), "run_nll");
+}
+
+//===----------------------------------------------------------------------===//
+// canonicalize: guarded-loop index-set restriction
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A kernel over 4 blocks of 16 threads whose thread loop holds one
+/// guarded store; `prefix` and `elseBody` add statements around it.
+std::string guardedKernel(const std::string &guard,
+                          const std::string &prefix = "",
+                          const std::string &elseBody = "",
+                          const std::string &block = "16") {
+  return R"(
+__global__ void k(float* a, float* out, int u) {
+  int tx = threadIdx.x;
+  int gid = blockIdx.x * 16 + tx;
+)" + prefix + R"(
+  if ()" + guard + R"() {
+    out[gid] = a[gid] * 2.0f + 1.0f;
+  })" + (elseBody.empty() ? "" : " else { " + elseBody + " }") + R"(
+}
+void run(float* a, float* out, int u) { k<<<4, )" + block + R"(>>>(a, out, u); }
+)";
+}
+
+/// Frontend IR after the promotion and canonicalize that precede cpuify.
+OwnedModule canonicalizedIR(const std::string &src) {
+  OwnedModule m = frontendIR(src);
+  runMem2Reg(m.get());
+  runCanonicalize(m.get());
+  EXPECT_TRUE(verifyOk(m.op())) << printOp(m.op());
+  return m;
+}
+
+using Bounds = std::array<int64_t, 3>;
+
+/// (lb, ub, step) of the first dimension of the thread loop, or nullopt if
+/// there is none.
+std::optional<Bounds> threadLoopBounds(Op *root) {
+  std::optional<Bounds> bounds;
+  root->walk([&](Op *op) {
+    if (op->kind() != OpKind::ScfParallel || !ParallelOp(op).isBlock())
+      return;
+    ParallelOp par(op);
+    auto lb = getConstInt(par.lb(0)), ub = getConstInt(par.ub(0)),
+         step = getConstInt(par.step(0));
+    bounds = Bounds{lb.value_or(-1), ub.value_or(-1), step.value_or(-1)};
+  });
+  return bounds;
+}
+
+} // namespace
+
+TEST(GuardBoundsTest, RestrictsEveryPredicateInEitherOrder) {
+  const std::pair<const char *, Bounds> cases[] = {
+      {"tx == 5", {5, 6, 1}},  {"5 == tx", {5, 6, 1}},
+      {"tx < 5", {0, 5, 1}},   {"5 > tx", {0, 5, 1}},
+      {"tx <= 5", {0, 6, 1}},  {"5 >= tx", {0, 6, 1}},
+      {"tx > 5", {6, 16, 1}},  {"5 < tx", {6, 16, 1}},
+      {"tx >= 5", {5, 16, 1}}, {"5 <= tx", {5, 16, 1}},
+  };
+  for (const auto &[guard, bounds] : cases) {
+    SCOPED_TRACE(guard);
+    std::string src = guardedKernel(guard);
+    OwnedModule m = canonicalizedIR(src);
+    EXPECT_EQ(countOps(m.op(), OpKind::ScfIf), 0) << printOp(m.op());
+    EXPECT_EQ(threadLoopBounds(m.op()), bounds) << printOp(m.op());
+    expectMatchesSimtOracle(src.c_str());
+  }
+}
+
+TEST(GuardBoundsTest, RestrictsModuloGuardToMultiples) {
+  const std::pair<const char *, Bounds> cases[] = {
+      {"tx % 4 == 0", {0, 16, 4}},
+      {"0 == tx % 3", {0, 16, 3}},
+      {"tx % 20 == 0", {0, 16, 20}},
+  };
+  for (const auto &[guard, bounds] : cases) {
+    SCOPED_TRACE(guard);
+    std::string src = guardedKernel(guard);
+    OwnedModule m = canonicalizedIR(src);
+    EXPECT_EQ(countOps(m.op(), OpKind::ScfIf), 0) << printOp(m.op());
+    EXPECT_EQ(threadLoopBounds(m.op()), bounds) << printOp(m.op());
+    expectMatchesSimtOracle(src.c_str());
+  }
+}
+
+TEST(GuardBoundsTest, ComparandOutsideTheRange) {
+  // An empty range erases the thread loop (and the kernel with it); a
+  // range covering every thread keeps the loop and drops the guard.
+  const std::pair<const char *, std::optional<Bounds>> cases[] = {
+      {"tx == 20", std::nullopt},
+      {"tx < -1", std::nullopt},
+      {"-2 >= tx", std::nullopt},
+      {"tx < 20", Bounds{0, 16, 1}},
+      {"tx >= -2", Bounds{0, 16, 1}},
+      {"18 > tx", Bounds{0, 16, 1}},
+  };
+  for (const auto &[guard, bounds] : cases) {
+    SCOPED_TRACE(guard);
+    std::string src = guardedKernel(guard);
+    OwnedModule m = canonicalizedIR(src);
+    EXPECT_EQ(countOps(m.op(), OpKind::ScfIf), 0) << printOp(m.op());
+    EXPECT_EQ(threadLoopBounds(m.op()), bounds) << printOp(m.op());
+    if (!bounds) {
+      EXPECT_EQ(countOps(m.op(), OpKind::Store), 0) << printOp(m.op());
+    }
+    expectMatchesSimtOracle(src.c_str());
+  }
+}
+
+TEST(GuardBoundsTest, RestrictsSerialLoop) {
+  // The same rule on an scf.for: `== 7` leaves one trip, which the
+  // single-trip fold inlines; `% 10 == 0` steps by 10.
+  const char *src = R"(
+void f(float* a) {
+  for (int i = 0; i < 100; i++) {
+    if (i == 7) {
+      a[i] = 3.0f;
+    }
+  }
+  for (int j = 0; j < 100; j++) {
+    if (j % 10 == 0) {
+      a[j] = a[j] + 1.0f;
+    }
+  }
+}
+)";
+  OwnedModule m = canonicalizedIR(src);
+  EXPECT_EQ(countOps(m.op(), OpKind::ScfIf), 0) << printOp(m.op());
+  EXPECT_EQ(countOps(m.op(), OpKind::ScfFor), 1) << printOp(m.op());
+  std::vector<float> a(100, 0.0f);
+  driver::Executor exec(m.get(), 1);
+  exec.run("f", {driver::Executor::bufferF32(a.data(), {100})});
+  for (int i = 0; i < 100; ++i)
+    EXPECT_EQ(a[i], (i == 7 ? 3.0f : 0.0f) + (i % 10 == 0 ? 1.0f : 0.0f))
+        << i;
+}
+
+TEST(GuardBoundsTest, LeavesOtherLoopsAlone) {
+  struct Case {
+    const char *what;
+    std::string src;
+    bool runs; // valid CUDA: also checked against the SIMT oracle
+  };
+  const Case cases[] = {
+      {"barrier inside the guard",
+       R"(
+__global__ void k(float* a, float* out, int u) {
+  __shared__ float s[16];
+  int tx = threadIdx.x;
+  int gid = blockIdx.x * 16 + tx;
+  if (tx < 16) {
+    s[tx] = a[gid];
+    __syncthreads();
+    out[gid] = s[15 - tx];
+  }
+}
+void run(float* a, float* out, int u) { k<<<4, 16>>>(a, out, u); }
+)",
+       false},
+      {"second effectful op", guardedKernel("tx == 3", "  out[gid] = 0.5f;"),
+       true},
+      {"non-empty else", guardedKernel("tx == 3", "", "out[gid] = 0.5f;"),
+       true},
+      {"non-constant comparand", guardedKernel("tx < u"), true},
+      {"non-constant bounds", guardedKernel("tx == 3", "", "", "u * 8"),
+       true},
+      {"iter-args",
+       R"(
+__global__ void k(float* a, float* out, int u) {
+  int gid = blockIdx.x * 16 + threadIdx.x;
+  float acc = a[gid];
+  for (int i = 0; i < 40; i++) {
+    acc = acc * 0.5f;
+    if (i == 3) {
+      out[gid] = acc;
+    }
+  }
+}
+void run(float* a, float* out, int u) { k<<<4, 16>>>(a, out, u); }
+)",
+       true},
+  };
+  for (const Case &c : cases) {
+    SCOPED_TRACE(c.what);
+    OwnedModule m = canonicalizedIR(c.src);
+    EXPECT_EQ(countOps(m.op(), OpKind::ScfIf), 1) << printOp(m.op());
+    if (c.runs)
+      expectMatchesSimtOracle(c.src.c_str());
+  }
+}
+
+TEST(GuardBoundsTest, LeavesBoundsOutsideInt32Alone) {
+  // The i32 cast of the IV is exact only for 0 <= lb and ub <= INT32_MAX.
+  const std::pair<std::pair<int64_t, int64_t>, bool> cases[] = {
+      {{0, INT32_MAX}, true},
+      {{0, int64_t(INT32_MAX) + 1}, false},
+      {{-1, 100}, false},
+  };
+  for (const auto &[range, restricts] : cases) {
+    SCOPED_TRACE(std::to_string(range.first) + ".." +
+                 std::to_string(range.second));
+    // The store writes a[iv] when iv == 3.
+    OwnedModule m = constantBoundsLoop(range.first, range.second, 1, R"(
+      %5 = index.cast(%4) : i32
+      %6 = const.int {value = 3} : i32
+      %7 = cmpi(%5, %6) {pred = 0} : i1
+      scf.if(%7) {
+        %8 = const.float {value = 1.0} : f32
+        memref.store(%8, %0, %4)
+        yield
+      } {})");
+    runCanonicalize(m.get());
+    EXPECT_EQ(countOps(m.op(), OpKind::ScfIf), restricts ? 0 : 1)
+        << printOp(m.op());
+    EXPECT_EQ(countOps(m.op(), OpKind::ScfFor), restricts ? 0 : 1);
+  }
+}
+
+TEST(GuardBoundsTest, BackpropLayerforwardKeepsOnlyTheSharedLoopGuard) {
+  // Of layerforward's seven thread loops, five are a whole-body guard on
+  // tx or ty (`tx == 0` twice, `ty % 2|4|8 == 0`) and are restricted. The
+  // one guard left is `ty % 16 == 0`, which shares its loop with an
+  // unguarded store.
+  const rodinia::Benchmark *bench = rodinia::find("backprop_layerforward");
+  ASSERT_NE(bench, nullptr);
+  DiagnosticEngine diag;
+  auto cc = driver::compile(bench->cudaSource, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  Op *root = cc.module.op();
+  EXPECT_EQ(countOps(root, OpKind::RemSI), 1) << printOp(root);
+  root->walk([&](Op *op) {
+    if (op->kind() != OpKind::ScfIf)
+      return;
+    Block &body = *op->parent();
+    bool onlyGuard = true;
+    for (Op *other : body)
+      onlyGuard &= other == op || other == body.terminator() ||
+                   (isPure(other->kind()) && other->numRegions() == 0);
+    EXPECT_FALSE(onlyGuard) << "loop body is a single guard:\n"
+                            << printOp(root);
+  });
+}
+
+TEST(OmpLowerTest, ParticlefilterCompilesToOneHoistedRegion) {
+  // Restricting normalize_weights' `threadIdx.x == 0` loop lets LICM hoist
+  // its partial-sum loop out of the grid; fusion across that read-only
+  // loop keeps one omp.parallel, hoisted out of the host loop.
+  const rodinia::Benchmark *bench = rodinia::find("particlefilter_float");
+  ASSERT_NE(bench, nullptr);
+  DiagnosticEngine diag;
+  auto cc = driver::compile(bench->cudaSource, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  EXPECT_EQ(countOps(cc.module.op(), OpKind::OmpParallel), 1)
+      << printOp(cc.module.op());
+  EXPECT_EQ(countOmpParallelInsideFor(cc.module.op()), 0)
+      << printOp(cc.module.op());
 }
 
 //===----------------------------------------------------------------------===//
