@@ -223,9 +223,9 @@ compileSuiteSession(const transforms::PipelineOptions &opts,
 }
 
 /// Cache-keying cost over the parsed suite: the structural hasher
-/// (ir::hashOp — what the pass cache keys on). Keying is what the DAG
-/// scheduler fans out as per-module leaf tasks, so the per-function cost
-/// here is the unit of that parallel work.
+/// (ir::hashOp — what the pass cache keys on). Each module's batch task
+/// keys its functions before its first pass, so the per-function cost
+/// here is part of every module's compile.
 struct KeyingTimes {
   double structuralSeconds = 0;
   size_t funcs = 0;

@@ -46,30 +46,11 @@ void printTable() {
 }
 
 /// Per-pass compile-time breakdown across the suite for the full
-/// pipeline, plus the effect of parallel per-kernel pass scheduling.
+/// pipeline.
 void printPassBreakdown() {
   std::printf("\n=== Per-pass compile time, full pipeline (seconds, summed "
               "over suite) ===\n\n");
   timeSuiteCompiles(transforms::PipelineOptions{}).print();
-
-  std::printf("\n=== Compile throughput vs --pm-threads, serial per-module "
-              "(whole suite, seconds) ===\n\n");
-  for (unsigned threads : {1u, 2u, 4u}) {
-    double t = medianTime(
-        [&] {
-          for (const auto &b : rodinia::suite()) {
-            DiagnosticEngine diag;
-            transforms::PassRunConfig config;
-            config.threads = threads;
-            auto cc = driver::compile(b.cudaSource,
-                                      transforms::PipelineOptions{}, diag,
-                                      config);
-            benchmark::DoNotOptimize(cc.ok);
-          }
-        },
-        3);
-    std::printf("  pm-threads=%u  %10.4f s\n", threads, t);
-  }
 }
 
 /// One measured batch compile of the whole suite through a session.
@@ -337,7 +318,7 @@ void printFailpointOverhead(const FailpointOverhead &t) {
 }
 
 /// Cold-populate cache behavior of one DAG suite batch (hits include
-/// in-batch dedup of kernels shared across modules).
+/// entries another module of the batch stored first).
 transforms::PassResultCache::StatsSnapshot measureCacheStats() {
   transforms::PassResultCache cache;
   driver::CompilerSession session = makeSuiteSession(4, &cache);

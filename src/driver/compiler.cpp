@@ -13,7 +13,6 @@ CompileResult compile(const std::string &source,
                       DiagnosticEngine &diag,
                       const transforms::PassRunConfig &config) {
   SessionOptions so;
-  so.threads = config.threads;
   so.verifyEach = config.verifyEach;
   so.collectTiming = config.timing != nullptr;
   so.cache = config.cache; // null: session falls back to the env cache

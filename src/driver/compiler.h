@@ -4,9 +4,10 @@
 // The primary interface is driver::CompilerSession (driver/session.h): a
 // long-lived object owning the shared thread pool, pass-result cache,
 // and run configuration, compiling any number of modules — batched, so
-// every queued module's function passes schedule across one pool, and
-// asynchronously, with CompileJob futures. Suites, benchmarks, and
-// embedders compiling more than one module should hold a session:
+// the queued modules compile in parallel on one pool, one task per
+// module, and asynchronously, with CompileJob futures. Suites,
+// benchmarks, and embedders compiling more than one module should hold
+// a session:
 //
 //   driver::SessionOptions so;
 //   so.threads = 4;                 // one pool for the whole suite
@@ -47,10 +48,11 @@ CompileResult compile(const std::string &source,
                       const transforms::PipelineOptions &opts,
                       DiagnosticEngine &diag);
 
-/// As above with pass-manager instrumentation/scheduling knobs: per-pass
-/// time + IR-arena growth (config.timing), verify-after-each-pass,
-/// parallel per-kernel scheduling of function passes (config.threads),
-/// and a pass-result cache (config.cache).
+/// As above with pass-manager instrumentation and caching knobs: per-pass
+/// time + IR-arena growth (config.timing), verify-after-each-pass, and a
+/// pass-result cache (config.cache). The compile runs on the calling
+/// thread; a CompilerSession with threads > 1 compiles several modules
+/// in parallel.
 ///
 /// When config.cache is null and PARALIFT_CACHE_DIR is set in the
 /// environment, a process-wide persistent cache rooted there is used

@@ -26,19 +26,21 @@
 // optional {key=value,...} parameters and (for repeat) a parenthesized
 // child list. With no file, reads stdin. With no --passes, just
 // parse/verify/print (round-trip mode). Multiple positional files compile
-// as one batch session: --pm-threads=N schedules every file's function
-// passes across one worker pool, and all files share one pass-result
-// cache — identical kernels across files replay instead of re-running.
+// as one batch session: --pm-threads=N spreads the files, not their
+// functions, across one worker pool (each file's passes run on one
+// thread, so a single file gains nothing from it), and all files share
+// one pass-result cache — a kernel another file already stored replays
+// instead of re-running.
 // Examples:
 //   paralift-opt kernel.ir --passes=canonicalize,cse,barrier-elim
 //   paralift-opt kernel.cu --cuda --passes='cpuify{mincut=false},omp-lower'
 //   paralift-opt a.cu b.cu c.cu --cuda --pm-threads=4
 //     --passes='repeat{until=fixpoint}(canonicalize,cse),cpuify,omp-lower'
 //
-// Batches schedule as a dependency DAG (each file parses, keys, and runs
-// its passes as an independent task chain on the --pm-threads pool;
-// every file's output is ready the moment its own last pass lands).
-// --print-ir-before/after hook every (file, pass) step of that graph;
+// Batches schedule one task per file (each file parses, keys, and runs
+// all its passes on one task of the --pm-threads pool; every file's
+// output is ready the moment its own last pass lands).
+// --print-ir-before/after hook every (file, pass) step of those tasks;
 // with either set the batch drains on one thread, file by file in
 // command-line order, so the hook output is the same for every
 // --pm-threads value.
@@ -109,8 +111,9 @@ int usage(const char *argv0) {
       "                   unroll{max-trip=16},cpuify{mincut=false}'\n"
       "\n"
       "Multiple files compile as one batch session sharing the\n"
-      "--pm-threads worker pool and the pass-result cache. IR printing\n"
-      "compiles the batch on one thread, in file order.\n",
+      "--pm-threads worker pool (which spreads files, not functions)\n"
+      "and the pass-result cache. IR printing compiles the batch on one\n"
+      "thread, in file order.\n",
       argv0);
   return 0;
 }

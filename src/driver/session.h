@@ -3,17 +3,16 @@
 //
 // A session is a long-lived object owning everything that should be
 // shared across compiles instead of rebuilt per call: the runtime
-// ThreadPool that schedules function passes (and whole-batch work), the
-// PassResultCache, and the run configuration (threads, verification,
-// timing, cache bounds). Sources are queued with addSource (each returns
-// a CompileJob handle carrying a per-module DiagnosticEngine stamped with
-// the module's name), then compileAll() compiles every queued module —
-// scheduling *all* modules' function passes across the one pool, so
-// parallel compilation stays busy even when each module holds only one
-// or two kernels (the Rodinia shape). compileAllAsync() runs the same
-// batch on a background thread; CompileJob::wait()/result() are the
-// futures that let callers overlap their own work (workload setup,
-// parsing more sources) with compilation.
+// ThreadPool that runs the batch's module tasks, the PassResultCache,
+// and the run configuration (threads, verification, timing, cache
+// bounds). Sources are queued with addSource (each returns a CompileJob
+// handle carrying a per-module DiagnosticEngine stamped with the
+// module's name), then compileAll() compiles every queued module —
+// the modules in parallel across the one pool, each module's pipeline
+// on one task. compileAllAsync() runs the same batch on a background
+// thread; CompileJob::wait()/result() are the futures that let callers
+// overlap their own work (workload setup, parsing more sources) with
+// compilation.
 //
 //   driver::CompilerSession session({.threads = 4});
 //   auto &a = session.addSource("a.cu", srcA, PipelineOptions{});
@@ -28,27 +27,27 @@
 //
 // Batch scheduling
 // ----------------
-// compileAll turns every queued module into a chain of tasks on a
-// work-stealing scheduler over the session pool (PassManager::
-// scheduleBatch): a leaf task that parses the source and keys its
-// functions (ir::hashOp), then one task per (module, pass) step, with
-// fan-out per function inside a step when several functions miss the
-// cache. The only edges are each module's own pipeline order, so module
-// B's kernels run pass 3 while module A is still parsing, and each
-// CompileJob future resolves the moment *its* module's last pass (or
-// terminal cache splice) completes rather than at end of batch. In-batch
-// dedup of identical kernels flows through the shared cache's in-flight
-// registry: the first claimant executes, concurrent duplicates park and
-// replay its stored entry. Pass execution is deterministic per input, so
-// outputs are bit-for-bit identical to serial compiles. Under --timing,
-// per-worker clocks are folded by (module, pass), so the report
+// compileAll turns every queued module into one task on a work-stealing
+// scheduler over the session pool (PassManager::scheduleBatch). The
+// module is the unit of compile parallelism: its task parses the source,
+// keys its functions (ir::hashOp), and runs every pass step in pipeline
+// order, looking up, running and storing the module's functions one
+// after another. So module B's kernels run pass 3 while module A is
+// still parsing, and each CompileJob future resolves the moment *its*
+// module's last pass (or terminal cache splice) completes rather than at
+// end of batch. Modules share the cache only through lookup and store:
+// a kernel another module stored earlier replays, while two modules
+// computing the same kernel at the same time both run it and store the
+// same result. Pass execution is deterministic per input, so outputs
+// are bit-for-bit identical to serial compiles. Under --timing, each
+// module's clocks are folded by (module, pass), so the report
 // attributes true per-module per-pass time.
 //
 // Instrumentation hooks (configurePassManager's IR printers and any
 // other transforms::Instrumentation it installs) fire around every
-// (module, pass) step of the same graph.
+// (module, pass) step of the same tasks.
 // They observe one module at a time, so a session with any installed
-// drains the graph on the calling thread: each module's chain runs to
+// drains the batch on the calling thread: each module's task runs to
 // completion in job order, and hook output is module-contiguous and the
 // same for every thread count.
 //
@@ -71,9 +70,8 @@
 //    the *created*, not the surviving, op count.
 //  - Cross-module splices never share arenas. Cache replays and clones
 //    parse/clone directly into the destination module's arena
-//    (ir::parseModuleInto, ir::cloneOpInto), so worker threads may
-//    replay into a live module under --pm-threads without transferring
-//    ownership; the arena's allocation path is thread-safe.
+//    (ir::parseModuleInto, ir::cloneOpInto), on the module's own task,
+//    without transferring ownership.
 //
 // Observability
 // -------------
@@ -87,10 +85,10 @@
 //    lane ("worker-N"); every job contributes an async span from batch
 //    start to job completion, nested over its frontend parse span, one
 //    span per (module, pass) step annotated with the cache outcome
-//    ("cache: run" vs "cache: replay"), per-function fan-out spans, and
-//    cache disk-IO/eviction spans. $PARALIFT_TRACE=FILE does the same
-//    process-wide without API involvement (written at exit), and
-//    trace::enable()/writeJson() are available for embedders. When
+//    ("cache: run" vs "cache: replay"), and cache disk-IO/eviction
+//    spans. $PARALIFT_TRACE=FILE does the same process-wide without API
+//    involvement (written at exit), and trace::enable()/writeJson() are
+//    available for embedders. When
 //    disabled (the default), instrumentation costs one relaxed atomic
 //    load per site — the recorder is compiled in but never buffers.
 //
@@ -110,16 +108,19 @@
 //    returns, and the process never terminates on a job failure.
 //    Exceptions escaping a scheduler task are additionally contained by
 //    the worker loop itself (scheduler.task_exceptions metric); any job
-//    whose task chain was severed that way is swept and marked failed
-//    when the batch drains, so futures still resolve.
+//    whose task was severed that way is swept and marked failed when
+//    the batch drains, so futures still resolve. A job holds no cache
+//    state between a lookup and its store, so a fault in one job's cache
+//    probe cannot fail another job that shares the cache, in this
+//    session or a later one.
 //
 //  - Cancellation and deadlines. CompileJob::cancel() requests
 //    cooperative cancellation; SessionOptions::jobTimeoutSeconds arms a
 //    per-job deadline at batch start. Both are polled before every
 //    (module, pass) step, instrumented sessions included — the pass
-//    currently executing always finishes, so IR, cache, and in-flight
-//    claims stay consistent; the job then fails with "cancelled in pass
-//    P" or "deadline exceeded after Ns in pass P" before its next pass.
+//    currently executing always finishes, so IR and cache stay
+//    consistent; the job then fails with "cancelled in pass P" or
+//    "deadline exceeded after Ns in pass P" before its next pass.
 //    A compile that is between passes reacts within one step; one stuck
 //    *inside* a pass is not interrupted (cooperative, not preemptive).
 //
@@ -139,7 +140,7 @@
 //
 //  - Metrics. A process-wide MetricsRegistry aggregates named counters,
 //    gauges, and log2-bucket latency histograms across every subsystem:
-//    "cache.*" (hits/misses/stores/waits/disk/evictions), "scheduler.*"
+//    "cache.*" (hits/misses/stores/disk/evictions), "scheduler.*"
 //    (tasks/steals/injects/parks/idle-wakeups), "session.*" (jobs
 //    completed/failed, job-latency histogram), "pm.pass_seconds",
 //    "pass.<pass>.<stat>" (mirrors of every Pass::Statistic), and
@@ -188,9 +189,10 @@ class CompileJob;
 struct SessionOptions {
   SessionMode mode = SessionMode::Optimize;
 
-  /// Workers in the session's shared pool; >1 schedules every queued
-  /// module's parse and pass steps across them (see "Batch
-  /// scheduling"). 1 disables the pool entirely.
+  /// Workers in the session's shared pool; >1 compiles that many queued
+  /// modules at a time, one task per module (see "Batch scheduling"). A
+  /// module's own passes always run on one thread, so a one-module batch
+  /// gains nothing from threads. 1 disables the pool entirely.
   unsigned threads = 1;
 
   /// Verify every module after every pass, attributing breakage to the
@@ -395,8 +397,8 @@ private:
   std::vector<CompileJob *> takeQueued();
   void markDone(CompileJob &job, bool ok);
   /// Frontend for one job: parse + (in Optimize mode) IR verification.
-  /// Thread-safe across distinct jobs; the DAG scheduler runs it as each
-  /// module's leaf task.
+  /// Thread-safe across distinct jobs; the batch runs it at the start of
+  /// each module's task.
   void runFrontendOne(CompileJob &job);
   /// Simt mode: frontend then device-function inlining, fanned across
   /// the pool.

@@ -19,12 +19,14 @@
 //     node's memory stays in the arena until the module dies. Memory is
 //     monotonic per module and bounded by what the pipeline materializes.
 //
-// Allocation is thread-safe because the batch schedulers fan function
-// passes of one module across workers: the hot path is one atomic
-// fetch_add on the current slab; slab exhaustion takes a mutex to chain a
-// new slab (doubling size, capped). Destructor registration is a lock-free
-// CAS push (rare path). Two threads may allocate concurrently, but — as
-// before this arena existed — must not mutate the same IR node.
+// Allocation is thread-safe: the hot path is one atomic fetch_add on the
+// current slab; slab exhaustion takes a mutex to chain a new slab
+// (doubling size, capped). Destructor registration is a lock-free CAS
+// push (rare path). Two threads may allocate concurrently, but — as
+// before this arena existed — must not mutate the same IR node. The
+// compiler itself never allocates into one arena from two threads at
+// once: the batch executor runs each module's whole pipeline, cache
+// replays included, on the module's own task.
 #pragma once
 
 #include <atomic>

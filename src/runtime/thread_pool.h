@@ -89,24 +89,26 @@ private:
   NestedPolicy nested_ = NestedPolicy::Serialize;
 };
 
-/// Dynamic work-stealing task scheduler for dependency-DAG workloads
-/// (notably the compile-time batch DAG of PassManager::scheduleBatch).
+/// Dynamic work-stealing task scheduler for dependency-DAG workloads.
 /// Tasks are closures spawned either before run() or from inside running
 /// tasks; dependency edges are expressed by the producer spawning the
 /// successor when its predecessors complete (the last-finisher-spawns
 /// pattern), so there is no static edge table to size up front and the
-/// graph can grow as parsing discovers work.
+/// graph can grow as work is discovered. The compile batch
+/// (PassManager::scheduleBatch) is its main user and the simplest
+/// shape: one task per module, all spawned from outside the pool before
+/// run(), none of which spawns another — so its tasks all pass through
+/// the injection queue below.
 ///
 /// Scheduling: each worker owns a deque. Own work is pushed and popped
-/// LIFO — a chain of continuations (e.g. one module's pipeline) runs
-/// depth-first on one worker, keeping its IR cache-hot and completing
-/// whole jobs early instead of breadth-first last. Other workers steal
-/// FIFO, taking the oldest queued task (typically an unstarted job's
-/// leaf). External spawns land in a shared injection queue consumed
-/// before stealing. Idle workers sleep on a condition variable with a
-/// short timed wait (the timeout makes a lost wakeup cost a millisecond,
-/// never a hang), and run() returns once every spawned task — including
-/// transitively spawned ones — has finished.
+/// LIFO — a chain of continuations runs depth-first on one worker,
+/// keeping its data cache-hot and completing whole jobs early instead of
+/// breadth-first last. Other workers steal FIFO, taking the oldest
+/// queued task. External spawns land in a shared injection queue
+/// consumed before stealing. Idle workers sleep on a condition variable
+/// with a short timed wait (the timeout makes a lost wakeup cost a
+/// millisecond, never a hang), and run() returns once every spawned
+/// task — including transitively spawned ones — has finished.
 class TaskScheduler {
 public:
   /// A unit of work; receives the executing worker's index in

@@ -37,7 +37,6 @@ struct CacheCounters {
   metrics::Counter &diskHits;
   metrics::Counter &passesExecuted;
   metrics::Counter &passesReplayed;
-  metrics::Counter &waits;
   metrics::Counter &evictedFiles;
   metrics::Counter &evictedBytes;
 };
@@ -49,8 +48,7 @@ CacheCounters &cacheCounters() {
       reg.counter("cache.stores"),        reg.counter("cache.disk_hits"),
       reg.counter("cache.passes_executed"),
       reg.counter("cache.passes_replayed"),
-      reg.counter("cache.waits"),         reg.counter("cache.evicted_files"),
-      reg.counter("cache.evicted_bytes")};
+      reg.counter("cache.evicted_files"), reg.counter("cache.evicted_bytes")};
   return *c;
 }
 } // namespace
@@ -206,8 +204,8 @@ PassResultCache::lookup(const Hash128 &input, const std::string &spec) {
       return it->second;
     }
   }
-  // Disk I/O happens outside the lock so --pm-threads workers hitting
-  // memory entries never queue behind a file read.
+  // Disk I/O happens outside the lock so module tasks hitting memory
+  // entries never queue behind a file read.
   if (diskEnabled()) {
     if (auto fromDisk = loadFromDisk(key, input, spec)) {
       // Refresh the entry's mtime: the eviction sweep is LRU-by-mtime,
@@ -230,97 +228,6 @@ PassResultCache::lookup(const Hash128 &input, const std::string &spec) {
   ++stats_.misses;
   cacheCounters().misses.add();
   return std::nullopt;
-}
-
-PassResultCache::AcquireResult
-PassResultCache::acquire(const Hash128 &input, const std::string &spec,
-                         std::function<void()> onReady) {
-  Hash128 key = keyHash(input, spec);
-  AcquireResult out;
-  // The lookup half mirrors lookup() — memory probe, disk probe outside
-  // the lock — but the claim half re-checks memory under the same lock
-  // that owns inflight_, so an owner finishing between the two halves is
-  // observed as either its stored entry or a free key, never missed. A
-  // key already in flight short-circuits before the disk probe: its
-  // owner cannot have stored yet, so the file read is a guaranteed miss
-  // (and Busy rescans would otherwise pay it on every pass).
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++stats_.hits;
-      cacheCounters().hits.add();
-      out.state = AcquireState::Hit;
-      out.entry = it->second;
-      return out;
-    }
-    auto fl = inflight_.find(key);
-    if (fl != inflight_.end()) {
-      out.state = AcquireState::Busy;
-      if (onReady) {
-        ++stats_.waits;
-        cacheCounters().waits.add();
-        fl->second.push_back(std::move(onReady));
-      }
-      return out;
-    }
-  }
-  if (diskEnabled()) {
-    if (auto fromDisk = loadFromDisk(key, input, spec)) {
-      std::error_code ec;
-      std::filesystem::last_write_time(
-          keyFile(key), std::filesystem::file_time_type::clock::now(), ec);
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.hits;
-      ++stats_.diskHits;
-      cacheCounters().hits.add();
-      cacheCounters().diskHits.add();
-      entries_.emplace(key, *fromDisk);
-      out.state = AcquireState::Hit;
-      out.entry = std::move(fromDisk);
-      return out;
-    }
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) { // stored while we probed the disk
-    ++stats_.hits;
-    cacheCounters().hits.add();
-    out.state = AcquireState::Hit;
-    out.entry = it->second;
-    return out;
-  }
-  auto fl = inflight_.find(key);
-  if (fl == inflight_.end()) {
-    ++stats_.misses;
-    cacheCounters().misses.add();
-    inflight_.emplace(key, std::vector<std::function<void()>>());
-    out.state = AcquireState::Owned;
-    return out;
-  }
-  out.state = AcquireState::Busy;
-  if (onReady) {
-    ++stats_.waits;
-    cacheCounters().waits.add();
-    fl->second.push_back(std::move(onReady));
-  }
-  return out;
-}
-
-void PassResultCache::finishCompute(const Hash128 &input,
-                                    const std::string &spec) {
-  Hash128 key = keyHash(input, spec);
-  std::vector<std::function<void()>> waiters;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = inflight_.find(key);
-    if (it == inflight_.end())
-      return;
-    waiters = std::move(it->second);
-    inflight_.erase(it);
-  }
-  for (auto &cb : waiters)
-    cb();
 }
 
 void PassResultCache::store(const Hash128 &input, const std::string &spec,
@@ -508,7 +415,7 @@ std::string PassResultCache::statsStr() const {
   os << "pass-cache: hits=" << s.hits << " misses=" << s.misses
      << " stores=" << s.stores << " disk-hits=" << s.diskHits
      << " passes-executed=" << s.passesExecuted
-     << " passes-replayed=" << s.passesReplayed << " waits=" << s.waits;
+     << " passes-replayed=" << s.passesReplayed;
   return os.str();
 }
 

@@ -26,15 +26,15 @@
 // by the key hash, written atomically (temp + rename) so concurrent
 // compilers sharing a --cache-dir never observe torn entries. Entries
 // embed their full key and are re-verified on load; mismatches and
-// corrupt files degrade to a miss. All operations are thread-safe (the
-// PassManager queries the cache from --pm-threads workers).
+// corrupt files degrade to a miss. All operations are thread-safe: the
+// module tasks of a batch share one cache through lookup() and store(),
+// under its mutex alone.
 #pragma once
 
 #include "ir/hasher.h"
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -82,7 +82,9 @@ public:
 
   /// Finds the result of running `spec` on IR whose structural hash is
   /// `input`. Checks memory first, then disk; disk hits are promoted into
-  /// memory. Returns nullopt on miss (and counts it).
+  /// memory. Returns nullopt on miss (and counts it). Nothing is claimed:
+  /// two callers missing on one key both compute it, and both store the
+  /// same result.
   std::optional<Entry> lookup(const Hash128 &input, const std::string &spec);
 
   /// Records a pass result. Overwrites any existing entry for the key
@@ -103,36 +105,6 @@ public:
   bool diskDemoted() const {
     return diskDisabled_.load(std::memory_order_relaxed);
   }
-
-  // In-flight computation registry -------------------------------------------
-  // In-batch dedup for concurrent schedulers (PassManager::scheduleBatch):
-  // the first task to miss on a key claims it and computes; tasks
-  // reaching the same in-flight key park a callback instead of
-  // duplicating the work, then re-probe once the owner finishes — hitting
-  // its stored entry, or claiming in turn when the owner failed and
-  // stored nothing. Claims are only ever held for the duration of one
-  // executing pass step (owners always finish), so waiting cannot cycle.
-
-  enum class AcquireState {
-    Hit,   ///< entry found; no claim taken
-    Owned, ///< key claimed — caller must finishCompute() exactly once
-    Busy   ///< another caller owns the key
-  };
-  struct AcquireResult {
-    AcquireState state = AcquireState::Busy;
-    std::optional<Entry> entry; ///< set for Hit
-  };
-  /// Atomic lookup-or-claim. Hit returns the entry like lookup() (and
-  /// counts a hit); Owned claims the key for the caller, which must call
-  /// finishCompute(input, spec) exactly once, whether or not it stored a
-  /// result (counts a miss); Busy means the key is in flight elsewhere —
-  /// a non-null `onReady` is parked and invoked after the owner's
-  /// finishCompute, a null one just probes (neither counts).
-  AcquireResult acquire(const Hash128 &input, const std::string &spec,
-                        std::function<void()> onReady);
-  /// Releases a key claimed via acquire(), invoking parked callbacks
-  /// (outside the cache lock, on the finishing caller's thread).
-  void finishCompute(const Hash128 &input, const std::string &spec);
 
   // Disk size bounds ---------------------------------------------------------
   // The on-disk store grows without bound by default (every distinct
@@ -172,7 +144,9 @@ public:
     uint64_t diskHits = 0;  ///< subset of hits served from disk
     uint64_t passesExecuted = 0; ///< pass runs that executed transform code
     uint64_t passesReplayed = 0; ///< pass runs fully satisfied from cache
-    uint64_t waits = 0; ///< acquire() calls parked behind an in-flight key
+    /// Always 0: lookups never wait behind another caller's
+    /// computation. Kept for readers of the snapshot.
+    uint64_t waits = 0;
   };
   StatsSnapshot stats() const;
   /// One line, e.g. "pass-cache: hits=12 misses=3 stores=3 disk-hits=0
@@ -211,11 +185,6 @@ private:
   std::string dir_;
   mutable std::mutex mutex_;
   std::unordered_map<Hash128, Entry, Hash128Hasher> entries_;
-  /// Keys claimed by an in-flight computation, with the callbacks parked
-  /// behind each (see acquire()).
-  std::unordered_map<Hash128, std::vector<std::function<void()>>,
-                     Hash128Hasher>
-      inflight_;
   StatsSnapshot stats_;
   uint64_t diskLimitBytes_ = 0;
   std::atomic<uint64_t> bytesSinceSweep_{0};

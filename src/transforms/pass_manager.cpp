@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -170,8 +169,8 @@ std::string Pass::spec() const {
 //===----------------------------------------------------------------------===//
 
 namespace {
-// Per-thread so concurrent workers running one pass object on distinct
-// functions observe only their own call's changes.
+// Per-thread so module tasks running one pass object on distinct modules
+// observe only their own call's changes.
 thread_local bool tlsIRChanged = false;
 } // namespace
 
@@ -632,13 +631,8 @@ bool PassManager::spliceModule(ModuleOp module,
 }
 
 bool PassManager::run(ModuleOp module, DiagnosticEngine &diag) {
-  // Hooks observe one module at a time on this thread; without them,
-  // function passes fan out over a pool of threads_ workers.
-  std::unique_ptr<runtime::ThreadPool> pool;
-  if (threads_ > 1 && !hasInstrumentation() &&
-      !runtime::ThreadPool::insideParallel())
-    pool = std::make_unique<runtime::ThreadPool>(threads_);
-  runtime::TaskScheduler sched(pool.get());
+  // A one-module batch: its one task runs on this thread.
+  runtime::TaskScheduler sched(nullptr);
   std::vector<BatchItem> items(1);
   items[0].module = module.op;
   items[0].diag = &diag;
@@ -650,94 +644,73 @@ bool PassManager::run(ModuleOp module, DiagnosticEngine &diag) {
 }
 
 //===----------------------------------------------------------------------===//
-// Dependency-DAG batch scheduling
+// Batch execution
 //===----------------------------------------------------------------------===//
 
-/// One module's scheduling state (owned by exactly one task at a time;
-/// see the ownership note in the header).
 struct BatchDag::Mod {
   ir::Op *module = nullptr;
   DiagnosticEngine *diag = nullptr;
   std::function<std::optional<ModuleOp>()> prepare;
   PassManager::CacheState st;
-  /// Functions not yet advanced past the current pass step.
-  std::vector<ir::Op *> remaining;
   size_t passIdx = 0;
-  bool stepInited = false;
-  /// Whether the current step already counted a notePassExecuted (a fan
-  /// join re-enters the step; the counter must bump once).
+  /// The current step ran transform code, rather than replaying every
+  /// result from the cache.
   bool stepExecuted = false;
   /// Cache hits of the current step park their text instead of splicing
   /// it (verify-each is off and no hook inspects the pass).
   bool lazy = true;
   /// The current step fired its beforePass hooks; afterPass is owed.
   bool hooksOpen = false;
+  /// One per clocked pass body, in execution order (timing enabled).
+  struct Sample {
+    size_t pass;
+    double seconds;
+    uint64_t arenaDelta;
+  };
+  std::vector<Sample> samples;
 };
 
-/// Join state of one fanned-out function-pass step: per-function run
-/// tasks decrement `left`; the last finisher completes the step and
-/// resumes the module chain.
-struct BatchDag::Fan {
-  FunctionPass *pass = nullptr;
-  std::string spec;
-  std::vector<FuncRun> items;
-  std::vector<DiagnosticEngine> diags;
-  std::vector<char> oks;
-  std::atomic<size_t> left{0};
-};
-
-BatchDag::BatchDag(PassManager &pm, runtime::TaskScheduler &sched,
-                   PassManager::BatchOptions opts)
-    : pm_(pm), sched_(sched), opts_(std::move(opts)) {}
+BatchDag::BatchDag(PassManager &pm, PassManager::BatchOptions opts)
+    : pm_(pm), opts_(std::move(opts)) {}
 
 BatchDag::~BatchDag() = default;
 
 template <typename Fn>
-bool BatchDag::runClocked(size_t i, const Pass &pass, DiagnosticEngine &diag,
-                          unsigned worker, Fn &&body) {
-  // Siblings of a fan allocate into the same module arena concurrently,
-  // so per-function arena deltas within one fan are approximate.
-  const ir::IRArena &arena = mods_[i]->module->arena();
+bool BatchDag::runClocked(size_t i, const Pass &pass, Fn &&body) {
+  Mod &m = *mods_[i];
+  // Only the module's own task allocates in its arena, so the delta is
+  // exactly what this body materialized.
+  const ir::IRArena &arena = m.module->arena();
   uint64_t arenaStart = arena.bytesAllocated();
   auto t0 = std::chrono::steady_clock::now();
-  bool ok = runPassContained(pass.name(), diag, std::forward<Fn>(body));
+  bool ok = runPassContained(pass.name(), *m.diag, std::forward<Fn>(body));
   double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   passSecondsHistogram().observe(secs);
-  uint64_t arenaEnd = arena.bytesAllocated();
   if (pm_.timing_)
-    samples_[worker].push_back({i, mods_[i]->passIdx, secs,
-                                arenaEnd > arenaStart ? arenaEnd - arenaStart
-                                                      : 0});
+    m.samples.push_back(
+        {m.passIdx, secs, arena.bytesAllocated() - arenaStart});
   return ok;
 }
 
 void BatchDag::foldTimingInto(PassTimingReport &report) const {
-  // Stable presentation order — module, then pipeline position —
-  // regardless of which workers ran what when.
-  std::map<std::pair<size_t, size_t>, PassTimingReport::Record> rows;
-  for (const auto &workerSamples : samples_) {
-    for (const Sample &s : workerSamples) {
-      auto [it, fresh] = rows.try_emplace({s.mod, s.pass});
-      PassTimingReport::Record &r = it->second;
-      if (fresh) {
-        r.spec = pm_.passes_[s.pass]->spec();
-        r.module = mods_[s.mod]->diag->moduleName();
+  // Append (never merge into existing rows): a pipeline running the same
+  // spec at two positions keeps two rows. A function pass clocks each
+  // function it runs; one step's samples are adjacent and fold into one
+  // row.
+  for (const auto &m : mods_) {
+    size_t rowPass = SIZE_MAX;
+    for (const Mod::Sample &s : m->samples) {
+      if (s.pass != rowPass) {
+        rowPass = s.pass;
+        report.records.push_back(
+            {pm_.passes_[s.pass]->spec(), 0, 0, m->diag->moduleName()});
       }
-      r.seconds += s.seconds;
-      r.arenaDeltaBytes += s.arenaDelta;
+      report.records.back().seconds += s.seconds;
+      report.records.back().arenaDeltaBytes += s.arenaDelta;
     }
   }
-  // Append (never merge into existing rows): a pipeline running the same
-  // spec at two positions keeps two rows.
-  for (auto &row : rows)
-    report.records.push_back(std::move(row.second));
-}
-
-void BatchDag::spawnAdvance(size_t i) {
-  auto self = shared_from_this();
-  sched_.spawn([self, i](unsigned worker) { self->advance(i, worker); });
 }
 
 void BatchDag::finish(size_t i, bool ok) {
@@ -781,7 +754,7 @@ bool BatchDag::cancelled(size_t i, Pass &pass) {
 bool BatchDag::beginStep(size_t i, Pass &pass) {
   Mod &m = *mods_[i];
   ModuleOp module(m.module);
-  m.stepInited = true;
+  m.stepExecuted = false;
   m.lazy = !pm_.verifyEach_ && !pm_.inspectsIR(pass);
   // Before a pass some hook inspects (or verify-each checks), every
   // pending replay is spliced so the hooks and the pass see real IR.
@@ -795,8 +768,6 @@ bool BatchDag::beginStep(size_t i, Pass &pass) {
       ins->beforePass(pass, module);
     m.hooksOpen = true;
   }
-  if (pass.isFunctionPass())
-    m.remaining = collectFuncs(module);
   return true;
 }
 
@@ -837,7 +808,7 @@ bool BatchDag::endStep(size_t i, Pass &pass) {
   return ok;
 }
 
-void BatchDag::startModule(size_t i, unsigned worker) {
+void BatchDag::compileModule(size_t i) {
   Mod &m = *mods_[i];
   {
     trace::TraceSpan span(spanName("start:", m.diag->moduleName()), "pm");
@@ -862,83 +833,59 @@ void BatchDag::startModule(size_t i, unsigned worker) {
       }
       m.module = parsed->op;
     }
-    // Initial keying: one structural-hash walk per function, on whatever
-    // worker this leaf landed on — with every module a separate leaf, the
-    // walks fan across the pool instead of forming a serial prologue.
+    // Initial keying: one structural-hash walk per function.
     if (pm_.cache_) {
       ModuleOp module(m.module);
       for (ir::Op *func : collectFuncs(module))
         m.st.irHash[func] = ir::hashOp(func);
     }
   }
-  advance(i, worker);
-}
-
-void BatchDag::advance(size_t i, unsigned worker) {
-  Mod &m = *mods_[i];
-  while (true) {
-    if (m.passIdx >= pm_.passes_.size()) {
-      finish(i, true);
-      return;
-    }
+  for (; m.passIdx < pm_.passes_.size(); ++m.passIdx) {
     Pass &pass = *pm_.passes_[m.passIdx];
-    // Cancellation/deadline poll before every step (and every resumption
-    // of a yielded one): no cache claims are held here and the module is
-    // quiescent.
+    // Cancellation/deadline poll before every step.
     if (cancelled(i, pass))
       return;
-    Step s;
-    {
-      trace::TraceSpan span(spanName("pass:", pass.name()), "pm");
-      // Pass bodies are individually contained (runPassContained); this
-      // outer catch covers the step machinery itself — cache probes,
-      // materialization, hashing, hooks — so no exception ever unwinds
-      // into the scheduler's worker loop. Claims held by an interrupted
-      // scan may leak until end of batch (waiters then fail via the
-      // session's sweep); the batch itself always survives.
-      try {
-        if (!m.stepInited && !beginStep(i, pass))
-          return;
-        s = pass.isFunctionPass()
-                ? runFunctionPass(i, static_cast<FunctionPass &>(pass),
-                                  worker)
-                : runModulePass(i, pass, worker);
-        if (s == Step::Advanced && !endStep(i, pass))
-          s = Step::Failed;
-      } catch (const std::exception &e) {
-        m.diag->error(SourceLoc(), "pass step '" + pass.name() +
-                                       "' threw: " + e.what());
-        fail(i);
-        return;
-      } catch (...) {
-        m.diag->error(SourceLoc(),
-                      "pass step '" + pass.name() +
-                          "' threw a non-standard exception");
-        fail(i);
-        return;
-      }
-      if (span.active()) {
-        if (s == Step::Advanced)
-          span.annotate("cache", m.stepExecuted ? "run" : "replay");
-        else
-          span.annotate("step", s == Step::Yielded ? "yielded" : "failed");
-      }
+    trace::TraceSpan span(spanName("pass:", pass.name()), "pm");
+    bool ok;
+    // Pass bodies are individually contained (runPassContained); this
+    // outer catch covers the step machinery itself — cache probes,
+    // materialization, hashing, hooks — so no exception ever unwinds
+    // into the scheduler's worker loop, and a throw fails this module
+    // alone.
+    try {
+      ok = beginStep(i, pass) &&
+           (pass.isFunctionPass()
+                ? runFunctionPass(i, static_cast<FunctionPass &>(pass))
+                : runModulePass(i, pass)) &&
+           endStep(i, pass);
+    } catch (const std::exception &e) {
+      m.diag->error(SourceLoc(), "pass step '" + pass.name() +
+                                     "' threw: " + e.what());
+      fail(i);
+      return;
+    } catch (...) {
+      m.diag->error(SourceLoc(), "pass step '" + pass.name() +
+                                     "' threw a non-standard exception");
+      fail(i);
+      return;
     }
-    if (s != Step::Advanced)
-      return; // Yielded: a continuation owns the module now. Failed: done.
-    ++m.passIdx;
-    m.stepInited = false;
-    m.stepExecuted = false;
+    if (span.active()) {
+      if (ok)
+        span.annotate("cache", m.stepExecuted ? "run" : "replay");
+      else
+        span.annotate("step", "failed");
+    }
+    if (!ok)
+      return;
   }
+  finish(i, true);
 }
 
-BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
-                                       unsigned worker) {
+bool BatchDag::runModulePass(size_t i, Pass &pass) {
   Mod &m = *mods_[i];
   ModuleOp module(m.module);
   DiagnosticEngine &diag = *m.diag;
   PassResultCache *cache = pm_.cache_;
-  bool owned = false;
   Hash128 input;
   std::string spec;
   if (cache) {
@@ -948,39 +895,27 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
     spec = "module:" + pass.spec();
     for (ir::Op *func : collectFuncs(module))
       input = combineHash(input, pm_.hashOf(func, m.st));
-    auto self = shared_from_this();
-    auto ar = cache->acquire(input, spec,
-                             [self, i] { self->spawnAdvance(i); });
-    if (ar.state == PassResultCache::AcquireState::Busy)
-      return Step::Yielded;
-    if (ar.state == PassResultCache::AcquireState::Hit) {
-      if (pm_.spliceModule(module, *ar.entry, m.st)) {
+    if (auto hit = cache->lookup(input, spec)) {
+      if (pm_.spliceModule(module, *hit, m.st)) {
         cache->notePassReplayed();
-        return Step::Advanced;
+        return true;
       }
-      // Unparseable entry: recompute without a claim (rare; the corrupt
-      // key is simply overwritten by the store below).
-    } else {
-      owned = true;
+      // Unparseable entry (rare): recompute; the store below overwrites
+      // the corrupt key.
     }
     if (!pm_.materializeAll(module, m.st)) {
       diag.error(SourceLoc(), kRoundTripError);
-      if (owned)
-        cache->finishCompute(input, spec);
       fail(i);
-      return Step::Failed;
+      return false;
     }
     cache->notePassExecuted();
   }
   m.stepExecuted = true;
   size_t errorsBefore = diag.numErrors();
-  bool okRun = runClocked(i, pass, diag, worker,
-                          [&] { return pass.run(module, diag); });
+  bool okRun = runClocked(i, pass, [&] { return pass.run(module, diag); });
   if (!okRun || diag.numErrors() > errorsBefore) {
-    if (owned)
-      cache->finishCompute(input, spec);
     fail(i);
-    return Step::Failed;
+    return false;
   }
   if (cache) {
     m.st.irHash.clear();
@@ -997,208 +932,62 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
     // next module pass derives its input from.
     entry.outputHash = output;
     cache->store(input, spec, std::move(entry));
-    cache->finishCompute(input, spec);
   }
-  return Step::Advanced;
+  return true;
 }
 
-BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
-                                         unsigned worker) {
+bool BatchDag::runFunctionPass(size_t i, FunctionPass &pass) {
   Mod &m = *mods_[i];
   ModuleOp module(m.module);
+  DiagnosticEngine &diag = *m.diag;
   PassResultCache *cache = pm_.cache_;
-  const std::string spec = pass.spec();
-  if (!cache) {
-    // No cache: nothing to key, replay, or dedup — run every function.
-    std::vector<FuncRun> toRun;
-    for (ir::Op *func : m.remaining)
-      toRun.push_back({func, Hash128(), false});
-    return toRun.empty() ? Step::Advanced
-                         : executeMisses(i, pass, spec, std::move(toRun),
-                                         worker);
-  }
-  while (true) {
-    // Scan: hits advance in place; first-claimant misses collect for
-    // execution; keys in flight elsewhere stay in `remaining` for a
-    // later rescan. Claims taken here are always released by the
-    // executeMisses call below (or its fan join) before any wait, so
-    // module A parking on a key module B owns can never cycle.
-    std::vector<FuncRun> toRun;
-    for (auto it = m.remaining.begin(); it != m.remaining.end();) {
-      ir::Op *func = *it;
-      Hash128 input = pm_.hashOf(func, m.st);
-      auto ar = cache->acquire(input, spec, nullptr);
-      if (ar.state == PassResultCache::AcquireState::Hit) {
-        if (pm_.applyHit(module, func, std::move(*ar.entry), m.lazy, m.st)) {
-          it = m.remaining.erase(it);
-          continue;
-        }
-        // Unparseable entry: recompute without a claim (rare).
-      } else if (ar.state == PassResultCache::AcquireState::Busy) {
-        ++it;
+  const std::string spec = cache ? pass.spec() : std::string();
+  // One function after another: a hit advances the hash chain in place
+  // (parked or spliced); a miss runs the pass on the function's real IR.
+  // Every miss runs even after one fails, so each reports its
+  // diagnostics, in function order.
+  std::vector<std::pair<ir::Op *, Hash128>> ran;
+  bool ok = true;
+  for (ir::Op *func : collectFuncs(module)) {
+    Hash128 input;
+    if (cache) {
+      input = pm_.hashOf(func, m.st);
+      std::optional<PassResultCache::Entry> hit = cache->lookup(input, spec);
+      if (hit && pm_.applyHit(module, func, std::move(*hit), m.lazy, m.st))
         continue;
-      }
-      // Owned (or corrupt hit): the pass must run on this function's
-      // real IR.
-      ir::Op *live = pm_.materialize(module, func, m.st);
-      if (!live) {
-        m.diag->error(SourceLoc(), kRoundTripError);
-        // Release every claim collected so far, not just this one — a
-        // leaked claim would park other modules' waiters forever.
-        if (ar.state == PassResultCache::AcquireState::Owned)
-          cache->finishCompute(input, spec);
-        for (const FuncRun &r : toRun)
-          if (r.owned)
-            cache->finishCompute(r.input, spec);
+      // A miss, or an entry that fails to splice (rare).
+      func = pm_.materialize(module, func, m.st);
+      if (!func) {
+        diag.error(SourceLoc(), kRoundTripError);
         fail(i);
-        return Step::Failed;
+        return false;
       }
-      *it = live;
-      toRun.push_back(
-          {live, input, ar.state == PassResultCache::AcquireState::Owned});
-      ++it;
-    }
-    if (!toRun.empty()) {
-      Step s = executeMisses(i, pass, spec, std::move(toRun), worker);
-      if (s != Step::Advanced)
-        return s;
-      continue; // rescan: keys that were busy may have landed meanwhile
-    }
-    if (m.remaining.empty()) {
       if (!m.stepExecuted)
-        cache->notePassReplayed();
-      return Step::Advanced;
+        cache->notePassExecuted();
     }
-    // Everything left is in flight in some other module: park one
-    // continuation on the first such key and hand it the module's
-    // ownership token. Re-acquiring with the callback is what makes the
-    // registration atomic with the busy check.
-    ir::Op *func = m.remaining.front();
-    Hash128 input = pm_.hashOf(func, m.st);
-    auto self = shared_from_this();
-    auto ar =
-        cache->acquire(input, spec, [self, i] { self->spawnAdvance(i); });
-    if (ar.state == PassResultCache::AcquireState::Busy)
-      return Step::Yielded;
-    if (ar.state == PassResultCache::AcquireState::Hit) {
-      if (pm_.applyHit(module, func, std::move(*ar.entry), m.lazy, m.st)) {
-        m.remaining.erase(m.remaining.begin());
-        continue;
-      }
-      // Corrupt entry: run it unclaimed.
-      ir::Op *live = pm_.materialize(module, func, m.st);
-      if (!live) {
-        m.diag->error(SourceLoc(), kRoundTripError);
-        fail(i);
-        return Step::Failed;
-      }
-      m.remaining.front() = live;
-      Step s = executeMisses(i, pass, spec, {{live, input, false}}, worker);
-      if (s != Step::Advanced)
-        return s;
-      continue;
-    }
-    // Owned: the previous owner finished without storing (it failed);
-    // run the function ourselves.
-    ir::Op *live = pm_.materialize(module, func, m.st);
-    if (!live) {
-      m.diag->error(SourceLoc(), kRoundTripError);
-      cache->finishCompute(input, spec);
-      fail(i);
-      return Step::Failed;
-    }
-    m.remaining.front() = live;
-    Step s = executeMisses(i, pass, spec, {{live, input, true}}, worker);
-    if (s != Step::Advanced)
-      return s;
-  }
-}
-
-bool BatchDag::runOne(size_t i, Fan &fan, size_t k, unsigned worker) {
-  return runClocked(i, *fan.pass, fan.diags[k], worker, [&] {
-    return fan.pass->runOnFunction(fan.items[k].func, fan.diags[k]);
-  });
-}
-
-BatchDag::Step BatchDag::executeMisses(size_t i, FunctionPass &pass,
-                                       const std::string &spec,
-                                       std::vector<FuncRun> toRun,
-                                       unsigned worker) {
-  Mod &m = *mods_[i];
-  PassResultCache *cache = pm_.cache_;
-  if (!m.stepExecuted) {
     m.stepExecuted = true;
-    if (cache)
-      cache->notePassExecuted();
+    size_t errorsBefore = diag.numErrors();
+    ok = runClocked(i, pass,
+                    [&] { return pass.runOnFunction(func, diag); }) &&
+         diag.numErrors() == errorsBefore && ok;
+    ran.emplace_back(func, input);
   }
-  auto fan = std::make_shared<Fan>();
-  fan->pass = &pass;
-  fan->spec = spec;
-  fan->items = std::move(toRun);
-  fan->diags.resize(fan->items.size());
-  fan->oks.assign(fan->items.size(), 0);
-  for (DiagnosticEngine &d : fan->diags)
-    d.setModuleName(m.diag->moduleName());
-  if (fan->items.size() >= 2 && sched_.workers() > 1) {
-    // Fan the functions out as their own (function, pass-index) tasks;
-    // the last finisher completes the step and resumes the chain.
-    fan->left.store(fan->items.size(), std::memory_order_relaxed);
-    auto self = shared_from_this();
-    for (size_t k = 0; k < fan->items.size(); ++k) {
-      sched_.spawn([self, i, fan, k](unsigned w) {
-        trace::TraceSpan span(spanName("fn:", fan->spec), "pm");
-        if (span.active())
-          span.annotate("mod", fan->diags[k].moduleName());
-        fan->oks[k] = self->runOne(i, *fan, k, w) ? 1 : 0;
-        if (fan->left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Last finisher completes the step and resumes the chain
-          // (rescanning the step, or moving on when it is drained).
-          if (self->completeStep(i, *fan))
-            self->advance(i, w);
-        }
-      });
-    }
-    return Step::Yielded;
-  }
-  // Inline: run on this worker, then complete the step directly.
-  for (size_t k = 0; k < fan->items.size(); ++k)
-    fan->oks[k] = runOne(i, *fan, k, worker) ? 1 : 0;
-  return completeStep(i, *fan) ? Step::Advanced : Step::Failed;
-}
-
-bool BatchDag::completeStep(size_t i, Fan &fan) {
-  Mod &m = *mods_[i];
-  PassResultCache *cache = pm_.cache_;
-  bool anyFailed = false;
-  for (size_t k = 0; k < fan.items.size(); ++k) {
-    m.diag->mergeFrom(fan.diags[k]);
-    anyFailed |= !fan.oks[k] || fan.diags[k].hasErrors();
-  }
-  if (anyFailed) {
-    // Release every claim unstored: parked waiters re-acquire, miss, and
-    // run the work themselves (a failed module stores nothing for the
-    // step).
-    if (cache)
-      for (const FuncRun &r : fan.items)
-        if (r.owned)
-          cache->finishCompute(r.input, fan.spec);
-    fail(i);
+  if (!ok) {
+    fail(i); // a failed step stores nothing
     return false;
   }
-  for (const FuncRun &r : fan.items) {
-    if (cache) {
-      // The entry payload is the printed text (replay splices text); the
-      // chain key is the structural hash, matching what a fresh walk of
-      // the spliced replay would produce.
-      Hash128 outputHash = ir::hashOp(r.func);
-      cache->store(r.input, fan.spec, ir::printOp(r.func), outputHash);
-      m.st.irHash[r.func] = outputHash;
-      if (r.owned)
-        cache->finishCompute(r.input, fan.spec);
-    }
-    m.remaining.erase(
-        std::find(m.remaining.begin(), m.remaining.end(), r.func));
+  if (!cache)
+    return true;
+  for (const auto &[func, input] : ran) {
+    // The entry payload is the printed text (replay splices text); the
+    // chain key is the structural hash, matching what a fresh walk of
+    // the spliced replay would produce.
+    Hash128 outputHash = ir::hashOp(func);
+    cache->store(input, spec, ir::printOp(func), outputHash);
+    m.st.irHash[func] = outputHash;
   }
+  if (!m.stepExecuted)
+    cache->notePassReplayed();
   return true;
 }
 
@@ -1209,8 +998,7 @@ PassManager::scheduleBatch(runtime::TaskScheduler &sched,
   // flight.
   for (auto &pass : passes_)
     pass->setStatisticsEnabled(collectStats_);
-  auto dag = std::shared_ptr<BatchDag>(
-      new BatchDag(*this, sched, std::move(opts)));
+  auto dag = std::shared_ptr<BatchDag>(new BatchDag(*this, std::move(opts)));
   dag->mods_.reserve(items.size());
   for (BatchItem &item : items) {
     auto mod = std::make_unique<BatchDag::Mod>();
@@ -1219,14 +1007,12 @@ PassManager::scheduleBatch(runtime::TaskScheduler &sched,
     mod->prepare = std::move(item.prepare);
     dag->mods_.push_back(std::move(mod));
   }
-  // finish() records each module's outcome; a chain severed by an
+  // finish() records each module's outcome; a task severed by an
   // exception the scheduler contained never gets there and reads as
   // failed.
   dag->ok_.assign(items.size(), 0);
-  dag->samples_.resize(sched.workers());
   for (size_t i = 0; i < dag->mods_.size(); ++i)
-    sched.spawn(
-        [dag, i](unsigned worker) { dag->startModule(i, worker); });
+    sched.spawn([dag, i](unsigned) { dag->compileModule(i); });
   return dag;
 }
 

@@ -2,15 +2,16 @@
 //
 //  - Pass: a named, parameterized, restartable unit of IR transformation
 //    with declared options (for textual pipelines) and statistics counters.
-//  - FunctionPass: a pass that runs independently on each func, making it
-//    schedulable across kernels in parallel on the runtime thread pool.
+//  - FunctionPass: a pass that runs independently on each func, so its
+//    results are cached (and replayed) per function.
 //  - Instrumentation: hooks around every (module, pass) step. The
 //    built-in one covers --print-ir-before/after; per-pass timing and
 //    verify-after-each-pass are PassManager switches the executor honours
 //    directly.
 //  - PassManager: owns an ordered pipeline of passes plus instrumentations
-//    and schedules them over modules. Its one executor is the
-//    dependency-DAG batch (BatchDag): run() is a one-module batch.
+//    and runs them over modules. Its one executor is the batch
+//    (BatchDag): one scheduler task per module, which runs the module's
+//    whole pipeline; run() is a one-module batch.
 //    Optionally a PassResultCache (transforms/pass_cache.h) replays
 //    cached IR for unchanged (function, pass) pairs instead of re-running
 //    passes. Nothing else is carried between passes: a pass that needs an
@@ -61,15 +62,15 @@ public:
   const std::string &name() const { return name_; }
   const std::string &description() const { return description_; }
 
-  /// True for FunctionPass subclasses: the pass runs per-func and may be
-  /// scheduled across functions in parallel.
+  /// True for FunctionPass subclasses: the pass runs per func, and its
+  /// results are cached per function.
   virtual bool isFunctionPass() const { return false; }
 
   // IR-change tracking --------------------------------------------------------
   // Passes that know exactly when they mutate IR report each mutating
   // call through a thread-local flag, so composite passes
   // (repeat{until=fixpoint}) can detect per-function convergence even
-  // while sibling workers run the same pass objects on other functions.
+  // while other module tasks run the same pass objects on other modules.
 
   /// Whether runOnFunction reports exact per-call change information via
   /// noteIRChanged. Passes answering false force hash-based convergence
@@ -126,7 +127,7 @@ public:
 
   /// Finds or creates the named counter. Counter bumps are thread-safe,
   /// but creation is not: passes that bump statistics from runOnFunction
-  /// (which may run on parallel workers) must create them up front in
+  /// (which module tasks run concurrently) must create them up front in
   /// their constructor.
   Statistic &statistic(const std::string &name);
   const std::vector<std::unique_ptr<Statistic>> &statistics() const {
@@ -180,10 +181,9 @@ private:
 };
 
 /// A pass that transforms one function at a time and never looks outside
-/// it. The default module-scope run() applies runOnFunction to every func
-/// serially; the PassManager may instead fan functions out across the
-/// runtime thread pool (each function is a disjoint IR subtree, so
-/// concurrent runs on distinct functions are safe).
+/// it. The module-scope run() applies runOnFunction to every func in
+/// order; the PassManager instead calls runOnFunction itself, so it can
+/// look up, replay and store each function's result in the cache.
 class FunctionPass : public Pass {
 public:
   using Pass::Pass;
@@ -274,7 +274,7 @@ public:
 /// Per-pass execution time and IR growth, one record per (module, pass)
 /// step that executed the pass, in module order then pipeline order.
 /// PassManager::enableTiming points the executor at one; BatchDag folds
-/// its per-worker clock samples into it when the batch drains.
+/// each module's clock samples into it when the batch drains.
 struct PassTimingReport {
   struct Record {
     std::string spec; ///< canonical pass spec at execution time
@@ -409,14 +409,8 @@ public:
   void setResultCache(PassResultCache *cache) { cache_ = cache; }
   PassResultCache *resultCache() const { return cache_; }
 
-  /// Number of threads run() fans function passes out across (on a pool
-  /// it creates per run). 1 (the default) runs serially.
-  void setThreadCount(unsigned n) { threads_ = n == 0 ? 1 : n; }
-  unsigned threadCount() const { return threads_; }
-
   /// Runs every pass in order over one module: a one-item scheduleBatch,
-  /// drained on the calling thread (or across threadCount() workers when
-  /// no instrumentation is installed). Stops at the first failure (a pass
+  /// drained on the calling thread. Stops at the first failure (a pass
   /// returning false, a new diagnostic error, or an instrumentation
   /// abort) and returns false.
   bool run(ModuleOp module, DiagnosticEngine &diag);
@@ -424,7 +418,7 @@ public:
   /// Per-batch knobs for scheduleBatch. The manager's own switches
   /// (enableVerifyEach, enableTiming, instrumentations) apply too.
   struct BatchOptions {
-    /// Invoked (on whatever worker ran the final step) the moment a
+    /// Invoked (on the worker that ran the module's task) the moment a
     /// module's last pass — or terminal cache splice — has completed and
     /// its IR is materialized, long before the rest of the batch drains.
     /// This is what lets CompileJob futures resolve incrementally inside
@@ -441,9 +435,9 @@ public:
     uint64_t maxArenaBytes = 0;
   };
 
-  /// One module of a DAG batch (scheduleBatch). Either `module` is a
-  /// live module op, or `prepare` produces one as a leaf task of the
-  /// graph — so parsing one module overlaps other modules' passes.
+  /// One module of a batch (scheduleBatch). Either `module` is a live
+  /// module op, or `prepare` produces one at the start of the module's
+  /// task — so parsing one module overlaps other modules' passes.
   struct BatchItem {
     ir::Op *module = nullptr; ///< pre-parsed module, or null with prepare
     DiagnosticEngine *diag = nullptr;
@@ -452,28 +446,29 @@ public:
     std::function<std::optional<ModuleOp>()> prepare;
   };
 
-  /// Dependency-DAG batch scheduling, the one executor: enqueues onto
-  /// `sched` one leaf task per module (prepare/parse + initial
-  /// ir::hashOp keying) and one task per (module, pass) step, chained
-  /// only by each module's own pipeline order — module B runs pass 3
-  /// while module A is still parsing, and a module resolves
-  /// (opts.onModuleDone) the moment its own last step lands instead of
-  /// at end of batch. Within a step, functions that miss the cache fan
-  /// out as their own tasks. In-batch dedup of identical kernels goes
-  /// through the result cache's in-flight registry
-  /// (PassResultCache::acquire): the first claimant executes, a
-  /// concurrent duplicate parks and replays the stored entry. Pass
-  /// execution on a given input is deterministic, so outputs are
-  /// bit-for-bit identical to serial compiles regardless of
-  /// interleaving. A failing module (pass error, verifier breakage) stops
-  /// and is left materialized; the rest of the batch is unaffected.
+  /// Batch execution, the one executor: enqueues onto `sched` one task
+  /// per module. The module is the unit of compile parallelism: its task
+  /// parses it (prepare), keys its functions (ir::hashOp), and runs the
+  /// whole pipeline, so module B runs pass 3 while module A is still
+  /// parsing, and a module resolves (opts.onModuleDone) the moment its
+  /// own last step lands instead of at end of batch. A function-pass
+  /// step looks up, runs and stores the module's functions one after
+  /// another on that task; no task spawns another, and no module is
+  /// touched by two threads. Modules share the result cache only
+  /// through PassResultCache::lookup/store, so two modules computing the
+  /// same (function, pass) entry at the same time both run it and store
+  /// identical results. Pass execution on a given input is
+  /// deterministic, so outputs are bit-for-bit identical to serial
+  /// compiles regardless of interleaving. A failing module (pass error,
+  /// verifier breakage) stops and is left materialized; the rest of the
+  /// batch is unaffected.
   ///
   /// Instrumentation hooks fire around every (module, pass) step; with
   /// any installed, `sched` must drain serially (a TaskScheduler without
-  /// a pool), which runs each module's chain to completion in item order.
+  /// a pool), which runs each module's task to completion in item order.
   ///
   /// The caller runs `sched` (several PassManagers — pipeline groups —
-  /// may schedule onto one scheduler; their graphs interleave freely)
+  /// may schedule onto one scheduler; their tasks interleave freely)
   /// and must keep the returned state alive until the scheduler drains;
   /// BatchDag::results() then holds per-module success.
   std::shared_ptr<BatchDag> scheduleBatch(runtime::TaskScheduler &sched,
@@ -529,7 +524,6 @@ private:
 
   std::vector<std::unique_ptr<Pass>> passes_;
   std::vector<std::unique_ptr<Instrumentation>> instrumentations_;
-  unsigned threads_ = 1;
   bool collectStats_ = false;
   bool verifyEach_ = false;
   PassTimingReport *timing_ = nullptr;
@@ -540,54 +534,33 @@ private:
 // BatchDag
 //===----------------------------------------------------------------------===//
 
-/// Live state of one pipeline group's dependency-DAG batch, handed out
-/// by PassManager::scheduleBatch and kept alive jointly by the caller
-/// and the in-flight tasks. Query after the scheduler drained.
-class BatchDag : public std::enable_shared_from_this<BatchDag> {
+/// Live state of one pipeline group's batch, handed out by
+/// PassManager::scheduleBatch and kept alive jointly by the caller and
+/// the module tasks. Query after the scheduler drained.
+class BatchDag {
 public:
   ~BatchDag();
 
   /// Per-module success, in item order; stable once the scheduler ran.
   const std::vector<char> &results() const { return ok_; }
 
-  /// Folds the per-worker (module, pass) clock samples collected while
-  /// the graph ran into `report`, in module order then pipeline order.
+  /// Folds each module's (module, pass) clock samples, collected while
+  /// the batch ran, into `report`, in module order then pipeline order.
   /// Empty unless the manager had timing enabled (enableTiming).
   void foldTimingInto(PassTimingReport &report) const;
 
 private:
   friend class PassManager;
 
-  /// One module's scheduling state. Exactly one task at a time owns a
-  /// Mod — ownership passes from the leaf task along the pass chain,
-  /// through fan-out joins and in-flight-key continuations — so none of
-  /// these fields need locks.
+  /// One module's compile state. Only the module's own task touches it,
+  /// so none of its fields need locks.
   struct Mod;
-  struct Fan;
-  struct FuncRun {
-    ir::Op *func = nullptr;
-    Hash128 input;
-    bool owned = false; ///< holds an in-flight claim to release
-  };
-  struct Sample {
-    size_t mod;
-    size_t pass;
-    double seconds;
-    uint64_t arenaDelta;
-  };
-  /// How one pass step over one module ended.
-  enum class Step {
-    Advanced, ///< step complete; the module may move to the next pass
-    Yielded,  ///< ownership handed to a continuation (fan join / parked)
-    Failed    ///< module failed; fail(i) has run
-  };
 
-  BatchDag(PassManager &pm, runtime::TaskScheduler &sched,
-           PassManager::BatchOptions opts);
+  BatchDag(PassManager &pm, PassManager::BatchOptions opts);
 
-  void spawnAdvance(size_t i);
-  void startModule(size_t i, unsigned worker);
-  void advance(size_t i, unsigned worker);
+  /// The module's task: prepare, initial keying, then every pass step
+  /// in pipeline order until one fails or the pipeline ends.
+  void compileModule(size_t i);
   /// Opens the module's step for `pass`: decides lazy replay,
   /// materializes pending replays when the IR is inspected, and fires
   /// beforePass hooks. False (after fail(i)) on a materialization
@@ -600,18 +573,13 @@ private:
   /// Fires the afterPass hooks of an open step (reverse order); false if
   /// any hook aborts.
   bool closeHooks(size_t i, Pass &pass);
-  Step runModulePass(size_t i, Pass &pass, unsigned worker);
-  Step runFunctionPass(size_t i, FunctionPass &pass, unsigned worker);
-  Step executeMisses(size_t i, FunctionPass &pass, const std::string &spec,
-                     std::vector<FuncRun> toRun, unsigned worker);
-  /// Shared completion tail of a function-pass step (inline and fanned):
-  /// merges worker diagnostics in item order, then either releases every
-  /// owned claim unstored and fails the module (false), or stores the
-  /// results, advances the hash chain, and drains `remaining` (true).
-  bool completeStep(size_t i, Fan &fan);
+  /// Runs one step; true when the module may move to the next pass,
+  /// false after fail(i).
+  bool runModulePass(size_t i, Pass &pass);
+  bool runFunctionPass(size_t i, FunctionPass &pass);
   /// Polls the module's cancellation token before a step; on expiry
   /// records the diagnostic, fails the module, and returns true (abort
-  /// the chain). Called only where no cache claims are held.
+  /// the pipeline).
   bool cancelled(size_t i, Pass &pass);
   void finish(size_t i, bool ok);
   /// Fails the module: closes an open step's hooks, leaves the IR
@@ -620,18 +588,12 @@ private:
   /// Runs one pass body of module i contained (a throw becomes a
   /// diagnostic), clocked into pm.pass_seconds and — with timing enabled
   /// — a (module, pass) sample of its time and IR-arena growth.
-  template <typename Fn>
-  bool runClocked(size_t i, const Pass &pass, DiagnosticEngine &diag,
-                  unsigned worker, Fn &&body);
-  /// Runs function k of a step's fan (runClocked).
-  bool runOne(size_t i, Fan &fan, size_t k, unsigned worker);
+  template <typename Fn> bool runClocked(size_t i, const Pass &pass, Fn &&body);
 
   PassManager &pm_;
-  runtime::TaskScheduler &sched_;
   PassManager::BatchOptions opts_;
   std::vector<std::unique_ptr<Mod>> mods_;
-  std::vector<char> ok_; ///< distinct elements written by distinct owners
-  std::vector<std::vector<Sample>> samples_; ///< one vector per worker
+  std::vector<char> ok_; ///< distinct elements written by distinct tasks
 };
 
 /// Renders one "  <secs> s (<pct>%)  ir <+arenaMB>  <label>" timing row

@@ -5,7 +5,7 @@
 //
 //   frontend IR
 //     -> inline                 (device functions into kernels; module pass)
-//     -> core opts              [function passes, parallelizable per kernel]
+//     -> core opts              [function passes, cached per kernel]
 //          canonicalize (incl. restricting loops whose body is one guard
 //          on the IV, e.g. `if (tx == 0)`, to the iterations that pass
 //          it) / cse / mem2reg / store-forward / licm (incl. parallel
@@ -179,14 +179,12 @@ std::unique_ptr<Pass> createOmpLowerPass(const OmpLowerOptions &opts = {});
 // Pipeline -------------------------------------------------------------------
 
 /// Execution knobs for one pipeline run, orthogonal to *what* runs
-/// (PipelineOptions) — instrumentation, scheduling, and caching only.
+/// (PipelineOptions) — instrumentation and caching only.
 struct PassRunConfig {
   /// Per-(module, pass) time + IR-arena records land here when non-null.
   PassTimingReport *timing = nullptr;
   /// Verify after every pass, attributing breakage to the pass.
   bool verifyEach = false;
-  /// Threads used to fan function passes out across kernels (1 = serial).
-  unsigned threads = 1;
   /// Pass-result cache (owned by the caller, shareable across compiles
   /// and threads); null disables caching.
   PassResultCache *cache = nullptr;
@@ -200,7 +198,7 @@ void buildPipeline(PassManager &pm, const PipelineOptions &opts);
 bool runPipeline(ModuleOp module, const PipelineOptions &opts,
                  DiagnosticEngine &diag);
 
-/// As above with instrumentation/scheduling knobs.
+/// As above with instrumentation and caching knobs.
 bool runPipeline(ModuleOp module, const PipelineOptions &opts,
                  DiagnosticEngine &diag, const PassRunConfig &config);
 

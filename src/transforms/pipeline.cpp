@@ -2,7 +2,7 @@
 // PipelineOptions into a PassManager (see passes.h for the stage
 // diagram). The pass sequence reproduces the paper's pipeline exactly;
 // PassRunConfig adds orthogonal instrumentation (per-pass timing,
-// verify-after-each-pass) and parallel per-kernel scheduling.
+// verify-after-each-pass) and the pass-result cache.
 #include "ir/verifier.h"
 #include "transforms/passes.h"
 
@@ -90,7 +90,6 @@ bool runPipeline(ModuleOp module, const PipelineOptions &opts,
     pm.enableVerifyEach();
   if (config.timing)
     pm.enableTiming(config.timing);
-  pm.setThreadCount(config.threads);
   pm.setResultCache(config.cache);
   if (!pm.run(module, diag))
     return false;

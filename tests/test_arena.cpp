@@ -2,8 +2,8 @@
 // alignment, destructor records, attr-name interning), the arena-root
 // ownership model (clone-then-destroy-source independence, erase-is-
 // unlink reuse inside one module), and cache replay splicing into a live
-// arena while a threaded pass manager runs (the TSan CI job exercises
-// this file under -DPARALIFT_SANITIZE=thread).
+// arena (the TSan CI job runs this file for the concurrent bump
+// allocation under -DPARALIFT_SANITIZE=thread).
 #include "ir/arena.h"
 #include "ir/builder.h"
 #include "ir/hasher.h"
@@ -215,7 +215,7 @@ TEST(ArenaLifecycleTest, ModuleTeardownIsSlabRelease) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cache replay into a live arena under a threaded pass manager
+// Cache replay into a live arena
 //===----------------------------------------------------------------------===//
 
 TEST(ArenaReplayTest, SplicedReplayLandsInDestinationArena) {
@@ -249,9 +249,10 @@ TEST(ArenaReplayTest, SplicedReplayLandsInDestinationArena) {
   EXPECT_EQ(&func->arena(), &replay.arena());
 }
 
-TEST(ArenaReplayTest, ThreadedReplayIntoLiveArena) {
-  // Multi-function module so --pm-threads actually fans functions of one
-  // module (one arena) across pool threads, both executing and replaying.
+TEST(ArenaReplayTest, RepeatedMultiFunctionReplayIntoFreshArenas) {
+  // A six-function module through a four-pass pipeline, replayed three
+  // times into fresh modules while the cache (and its stored text)
+  // outlives each of them.
   std::string text = "module {\n";
   for (int i = 0; i < 6; ++i) {
     std::string n = std::to_string(i);
@@ -283,7 +284,6 @@ TEST(ArenaReplayTest, ThreadedReplayIntoLiveArena) {
     PassManager pm;
     ASSERT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
     pm.setResultCache(&cache);
-    pm.setThreadCount(4);
     ASSERT_TRUE(pm.run(first.get(), diag)) << diag.str();
   }
   std::string expected = printOp(first.op());
@@ -293,7 +293,6 @@ TEST(ArenaReplayTest, ThreadedReplayIntoLiveArena) {
     PassManager pm;
     ASSERT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
     pm.setResultCache(&cache);
-    pm.setThreadCount(4);
     ASSERT_TRUE(pm.run(m.get(), diag)) << diag.str();
     EXPECT_EQ(printOp(m.op()), expected);
     EXPECT_TRUE(verifyOk(m.op()));

@@ -296,6 +296,48 @@ TEST(FaultContainmentTest, SchedulerTaskFaultNeverHangsTheBatch) {
   EXPECT_GT(counterVal("scheduler.task_exceptions"), exceptionsBefore);
 }
 
+TEST(FaultContainmentTest, ThrowDuringCacheProbeDoesNotFailLaterCompiles) {
+  // A throw in the middle of one module's cache scan fails that module
+  // alone: nothing it leaves in the shared cache may fail a later compile
+  // of the same kernels, even in a session with no fault armed.
+  FailpointGuard guard;
+  const std::string src =
+      "__global__ void k1(float* a, int n) { int i = blockIdx.x; "
+      "if (i < n) a[i] = 2.0f * a[i]; }\n"
+      "__global__ void k2(float* a, int n) { int i = blockIdx.x; "
+      "if (i < n) a[i] = a[i] + 3.0f; }\n"
+      "void run1(float* a, int n) { k1<<<n, 1>>>(a, n); }\n"
+      "void run2(float* a, int n) { k2<<<n, 1>>>(a, n); }\n";
+  std::string golden = serialReference(src);
+  std::string dir = tempDir("probe-throw");
+  transforms::PassResultCache cache(dir);
+  {
+    std::string err;
+    // Disk probes 0 and 3 throw: job a on its first probe (the inline
+    // module pass), job b on its second function's probe in the first
+    // function-pass step, after probing its first function.
+    ASSERT_TRUE(failpoint::configure("cache.disk.read=throw:0,3", &err))
+        << err;
+    driver::CompilerSession session(batchOptions(1, &cache));
+    auto &a = session.addSource("a", src);
+    auto &b = session.addSource("b", src);
+    EXPECT_FALSE(session.compileAll());
+    for (driver::CompileJob *job : {&a, &b}) {
+      EXPECT_FALSE(job->ok());
+      EXPECT_NE(job->diagnostics().str().find("injected fault"),
+                std::string::npos)
+          << job->diagnostics().str();
+    }
+    failpoint::clearAll();
+  }
+  driver::CompilerSession session(batchOptions(1, &cache));
+  auto &c = session.addSource("c", src);
+  EXPECT_TRUE(session.compileAll());
+  ASSERT_TRUE(c.ok()) << c.diagnostics().str();
+  EXPECT_EQ(ir::printOp(c.result().module.op()), golden);
+  std::filesystem::remove_all(dir);
+}
+
 //===----------------------------------------------------------------------===//
 // Cancellation, deadlines, arena caps
 //===----------------------------------------------------------------------===//

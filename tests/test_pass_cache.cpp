@@ -3,7 +3,8 @@
 // downstream prefix misses), replay fidelity (cached compiles are
 // IR-identical to uncached ones across the Rodinia suite, with zero
 // transform pass executions on the second compile), disk persistence
-// with corrupt-entry tolerance, and thread safety under --pm-threads.
+// with corrupt-entry tolerance, and thread safety across the module
+// tasks of a threaded session sharing one cache.
 #include "driver/compiler.h"
 #include "frontend/irgen.h"
 #include "ir/parser.h"
@@ -71,12 +72,11 @@ std::string twoFuncModule(const char *gConst) {
 
 /// Runs `pipeline` over `m` with `cache`; returns printed IR.
 std::string runCached(ModuleOp m, const std::string &pipeline,
-                      PassResultCache *cache, unsigned threads = 1) {
+                      PassResultCache *cache) {
   PassManager pm;
   DiagnosticEngine diag;
   EXPECT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
   pm.setResultCache(cache);
-  pm.setThreadCount(threads);
   EXPECT_TRUE(pm.run(m, diag)) << diag.str();
   return printOp(m.op);
 }
@@ -359,8 +359,9 @@ TEST(PassCacheTest, UnwritableDirectoryDegradesToMemoryOnly) {
 
 namespace {
 
-/// CUDA-subset source with many independent kernels so --pm-threads has
-/// real fan-out against one shared cache.
+/// CUDA-subset source with many independent kernels: 8 host functions
+/// per module, so concurrent modules probe and store many entries of one
+/// shared cache.
 std::string manyKernelSource() {
   std::string src;
   for (int k = 0; k < 8; ++k) {
@@ -391,16 +392,24 @@ TEST(PassCacheTest, ThreadSafeUnderPmThreads) {
 
   std::string dir = tempDir("threads");
   PassResultCache cache(dir);
-  transforms::PassRunConfig config;
-  config.cache = &cache;
-  config.threads = 4;
-  // Cold populate and warm replay, both under parallel scheduling, both
-  // IR-identical to the serial uncached compile.
+  // Cold populate and warm replay: four copies of the source compile as
+  // the module tasks of one 4-thread session sharing one disk cache, and
+  // every output is IR-identical to the serial uncached compile.
   for (int round = 0; round < 2; ++round) {
-    DiagnosticEngine diag;
-    auto cc = driver::compile(src, PipelineOptions{}, diag, config);
-    ASSERT_TRUE(cc.ok) << diag.str();
-    EXPECT_EQ(printOp(cc.module.op()), golden) << "round " << round;
+    driver::SessionOptions so;
+    so.threads = 4;
+    so.cache = &cache;
+    so.useEnvCache = false;
+    driver::CompilerSession session(std::move(so));
+    std::vector<driver::CompileJob *> jobs;
+    for (int j = 0; j < 4; ++j)
+      jobs.push_back(&session.addSource("m" + std::to_string(j), src));
+    EXPECT_TRUE(session.compileAll());
+    for (driver::CompileJob *job : jobs) {
+      ASSERT_TRUE(job->ok()) << job->diagnostics().str();
+      EXPECT_EQ(printOp(job->result().module.op()), golden)
+          << "round " << round << " " << job->name();
+    }
   }
   EXPECT_GT(cache.stats().passesReplayed, 0u);
   std::filesystem::remove_all(dir);

@@ -1,7 +1,7 @@
 // PassManager infrastructure tests: the Pass interface (options,
 // statistics), textual pipeline parsing with parameters and round-trip
-// printing, instrumentation (timing, verify-after-each-pass), parallel
-// per-kernel scheduling, and the guarantee that the declarative
+// printing, instrumentation (timing, verify-after-each-pass), failing
+// function-pass steps, and the guarantee that the declarative
 // buildPipeline reproduces the pre-PassManager hardcoded pass sequence
 // bit-for-bit on the Rodinia suite.
 #include "driver/compiler.h"
@@ -485,52 +485,12 @@ TEST(IRPrintTest, PrintsAroundMatchingPass) {
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel per-kernel scheduling
+// Function-pass failures
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// CUDA-subset source with several independent kernels, so function
-/// passes have real fan-out.
-std::string manyKernelSource() {
-  std::string src;
-  for (int k = 0; k < 6; ++k) {
-    std::string n = std::to_string(k);
-    src += "__global__ void kern" + n + "(float* a, float* b, int n) {\n"
-           "  int i = blockIdx.x * blockDim.x + threadIdx.x;\n"
-           "  if (i < n) {\n"
-           "    float x = a[i] * " + std::to_string(k + 2) + ".0f;\n"
-           "    float y = a[i] * " + std::to_string(k + 2) + ".0f;\n"
-           "    b[i] = x + y;\n"
-           "  }\n"
-           "}\n"
-           "void launch" + n + "(float* a, float* b, int n) {\n"
-           "  kern" + n + "<<<(n + 63) / 64, 64>>>(a, b, n);\n"
-           "}\n";
-  }
-  return src;
-}
-
-} // namespace
-
-TEST(ParallelSchedulingTest, ThreadedRunMatchesSerial) {
-  std::string src = manyKernelSource();
-  auto compileWith = [&](unsigned threads) {
-    DiagnosticEngine diag;
-    PassRunConfig config;
-    config.threads = threads;
-    auto cc = driver::compile(src, PipelineOptions{}, diag, config);
-    EXPECT_TRUE(cc.ok) << diag.str();
-    return printOp(cc.module.op());
-  };
-  std::string serial = compileWith(1);
-  std::string threaded = compileWith(4);
-  EXPECT_EQ(serial, threaded);
-}
-
-TEST(ParallelSchedulingTest, ErrorsSurviveParallelRun) {
-  // A barrier outside any parallel nest is a cpuify hard error; it must
-  // be reported identically under parallel scheduling.
+TEST(FunctionPassTest, FailingStepRunsAndReportsEveryFunction) {
+  // A barrier outside any parallel nest is a cpuify hard error. The step
+  // fails, but every function still runs: both bad functions report.
   const char *bad = R"(module {
   func {sym_name = "f", res_types = []} {
     polygeist.barrier
@@ -540,20 +500,19 @@ TEST(ParallelSchedulingTest, ErrorsSurviveParallelRun) {
     return
   }
   func {sym_name = "h", res_types = []} {
+    polygeist.barrier
     return
   }
 })";
-  for (unsigned threads : {1u, 4u}) {
-    OwnedModule m = parseOk(bad);
-    PassManager pm;
-    pm.addPass(createCpuifyPass());
-    pm.setThreadCount(threads);
-    DiagnosticEngine diag;
-    EXPECT_FALSE(pm.run(m.get(), diag)) << "threads=" << threads;
-    EXPECT_NE(diag.str().find("barrier outside thread-parallel loop"),
-              std::string::npos)
-        << diag.str();
-  }
+  OwnedModule m = parseOk(bad);
+  PassManager pm;
+  pm.addPass(createCpuifyPass());
+  DiagnosticEngine diag;
+  EXPECT_FALSE(pm.run(m.get(), diag));
+  EXPECT_EQ(diag.numErrors(), 2u) << diag.str();
+  EXPECT_NE(diag.str().find("barrier outside thread-parallel loop"),
+            std::string::npos)
+      << diag.str();
 }
 
 //===----------------------------------------------------------------------===//
@@ -657,9 +616,8 @@ TEST(PipelineEquivalenceTest, RodiniaSuiteMcuda) {
                                 b.id);
 }
 
-TEST(PipelineEquivalenceTest, ParallelSchedulingMatchesLegacy) {
+TEST(PipelineEquivalenceTest, VerifyEachMatchesLegacy) {
   PassRunConfig config;
-  config.threads = 4;
   config.verifyEach = true;
   for (const auto &b : rodinia::suite()) {
     DiagnosticEngine d1;

@@ -3,11 +3,13 @@
 // (in every pipeline mode), job-level failure isolation (one bad module
 // doesn't poison the session), double-compileAll idempotence, async
 // futures, Simt mode parity with compileForSimt, per-module diagnostic
-// attribution, and shared-cache replay across sessions.
+// attribution, shared-cache replay across sessions, and one scheduler
+// task per module.
 #include "driver/compiler.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "rodinia/rodinia.h"
+#include "support/metrics.h"
 #include "transforms/pass_cache.h"
 
 #include <gtest/gtest.h>
@@ -67,6 +69,23 @@ ir::OwnedModule parseOk(const std::string &text) {
   auto m = ir::parseModule(text, diag);
   EXPECT_TRUE(m.has_value()) << diag.str();
   return std::move(*m);
+}
+
+/// CUDA-subset source with six host functions, each launching its own
+/// kernel: six functions per module after the frontend.
+std::string sixKernelSource() {
+  std::string src;
+  for (int k = 0; k < 6; ++k) {
+    std::string n = std::to_string(k);
+    src += "__global__ void kern" + n + "(float* a, int n) {\n"
+           "  int i = blockIdx.x * blockDim.x + threadIdx.x;\n"
+           "  if (i < n) a[i] = a[i] * " + std::to_string(k + 2) + ".0f;\n"
+           "}\n"
+           "void launch" + n + "(float* a, int n) {\n"
+           "  kern" + n + "<<<(n + 63) / 64, 64>>>(a, n);\n"
+           "}\n";
+  }
+  return src;
 }
 
 } // namespace
@@ -158,8 +177,8 @@ TEST(SessionBatchTest, SharedCacheReplaysAcrossSessions) {
 }
 
 TEST(SessionBatchTest, ParallelKeyingMatchesSerialKeying) {
-  // Keys produced by the fanned-out ir::hashOp leaf tasks must be
-  // identical to serial keying: a cache populated by a 1-thread session
+  // Keys produced by module tasks on a 4-thread pool must be identical
+  // to serial keying: a cache populated by a 1-thread session
   // must replay a 4-thread session without a single new miss or executed
   // pass, and vice versa. A keying divergence in either direction would
   // surface as misses.
@@ -228,6 +247,35 @@ TEST(SessionBatchTest, HookOutputIsJobOrderedAndThreadCountIndependent) {
   // Job order, one module at a time: the batch prints exactly what the
   // three jobs print compiled one by one.
   EXPECT_EQ(printed(1, 0, 1) + printed(1, 1, 1) + printed(1, 2, 1), serial);
+}
+
+TEST(SessionBatchTest, OneTaskPerModule) {
+  // The module is the unit of compile parallelism: however many
+  // functions a module holds, its pipeline runs on one scheduler task,
+  // no lookup waits on another module's computation, and the outputs
+  // equal a 1-thread session's.
+  const std::string src = sixKernelSource();
+  auto compile = [&](unsigned threads, transforms::PassResultCache &cache) {
+    driver::CompilerSession session(batchOptions(threads, &cache));
+    std::vector<driver::CompileJob *> jobs;
+    for (int j = 0; j < 3; ++j)
+      jobs.push_back(&session.addSource("six" + std::to_string(j), src));
+    EXPECT_TRUE(session.compileAll());
+    std::vector<std::string> out;
+    for (driver::CompileJob *job : jobs)
+      out.push_back(ir::printOp(job->result().module.op()));
+    return out;
+  };
+  transforms::PassResultCache serialCache;
+  std::vector<std::string> serial = compile(1, serialCache);
+
+  auto &reg = metrics::MetricsRegistry::instance();
+  transforms::PassResultCache cache;
+  uint64_t tasksBefore = reg.counterValue("scheduler.tasks");
+  std::vector<std::string> threaded = compile(4, cache);
+  EXPECT_EQ(reg.counterValue("scheduler.tasks") - tasksBefore, 3u);
+  EXPECT_EQ(cache.stats().waits, 0u);
+  EXPECT_EQ(threaded, serial);
 }
 
 //===----------------------------------------------------------------------===//
