@@ -390,14 +390,12 @@ void writeJson(const std::string &path,
   const auto &reg = metrics::MetricsRegistry::instance();
   std::fprintf(f,
                "  \"metrics\": {\"cache_hits\": %llu, "
-               "\"scheduler_tasks\": %llu, \"scheduler_steals\": %llu, "
+               "\"scheduler_tasks\": %llu, "
                "\"session_jobs_completed\": %llu, "
                "\"arena_peak_bytes\": %lld}\n",
                static_cast<unsigned long long>(reg.counterValue("cache.hits")),
                static_cast<unsigned long long>(
                    reg.counterValue("scheduler.tasks")),
-               static_cast<unsigned long long>(
-                   reg.counterValue("scheduler.steals")),
                static_cast<unsigned long long>(
                    reg.counterValue("session.jobs_completed")),
                static_cast<long long>(reg.gaugePeak("arena.reserved_bytes")));

@@ -9,7 +9,6 @@
 #include "transforms/registry.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -254,28 +253,18 @@ void CompilerSession::runFrontendOne(CompileJob &job) {
 
 void CompilerSession::compileSimt(const std::vector<CompileJob *> &jobs) {
   // Each job owns its module and engine, so the jobs fan out trivially.
-  auto simtOne = [this](CompileJob &job) {
+  runtime::runTasks(pool_.get(), jobs.size(), [&](size_t k) {
+    CompileJob &job = *jobs[k];
     if (!job.preparsed_)
       runFrontendOne(job);
-    if (!job.frontendOk_)
-      return false;
-    transforms::runInliner(job.result_.module.get(), /*onlyInKernels=*/true);
-    return ir::verifyOk(job.result_.module.op());
-  };
-  std::vector<char> oks(jobs.size(), 0);
-  if (pool_ && jobs.size() >= 2) {
-    std::atomic<size_t> next{0};
-    pool_->parallel([&](unsigned, runtime::Team &) {
-      for (size_t k = next.fetch_add(1); k < jobs.size();
-           k = next.fetch_add(1))
-        oks[k] = simtOne(*jobs[k]) ? 1 : 0;
-    });
-  } else {
-    for (size_t k = 0; k < jobs.size(); ++k)
-      oks[k] = simtOne(*jobs[k]) ? 1 : 0;
-  }
-  for (size_t k = 0; k < jobs.size(); ++k)
-    markDone(*jobs[k], oks[k] != 0);
+    bool ok = job.frontendOk_;
+    if (ok) {
+      transforms::runInliner(job.result_.module.get(),
+                             /*onlyInKernels=*/true);
+      ok = ir::verifyOk(job.result_.module.op());
+    }
+    markDone(job, ok);
+  });
 }
 
 bool CompilerSession::finalVerify(const transforms::PassManager &pm,
@@ -305,7 +294,7 @@ bool CompilerSession::compileAll() {
         job->cancel_.setDeadline(opts_.jobTimeoutSeconds);
     // One async span per job, from batch admission to markDone — in the
     // trace these are the per-job "queue + compile" lifetimes that start
-    // together and resolve incrementally under the DAG scheduler.
+    // together and resolve incrementally as each job's task finishes.
     if (trace::enabled())
       for (CompileJob *job : batch)
         trace::asyncBegin("job:" + job->name_,
@@ -314,11 +303,11 @@ bool CompilerSession::compileAll() {
       compileSimt(batch);
     } else {
       // Group jobs by pipeline; each group compiles against one
-      // PassManager so the batch scheduler sees the union of kernels.
-      // The key is the built pipeline's canonical spec — not the
-      // PipelineOptions fields — so a future option can never silently
-      // misgroup jobs onto another job's pipeline; the PassManager built
-      // for each group's first job is the one the group then runs.
+      // PassManager. The key is the built pipeline's canonical spec — not
+      // the PipelineOptions fields — so a future option can never
+      // silently misgroup jobs onto another job's pipeline; the
+      // PassManager built for each group's first job is the one the group
+      // then runs.
       struct Group {
         std::string key;
         std::unique_ptr<transforms::PassManager> pm;
@@ -366,80 +355,78 @@ bool CompilerSession::compileAll() {
           pm.enableTiming(&timing_);
         hooked = hooked || pm.hasInstrumentation();
       }
-      // Every group's graph goes onto one scheduler: parse/keying leaves
-      // and pass steps of all pipelines interleave freely, and each job
-      // is marked done the moment its own chain completes. Hooks observe
-      // one module at a time, so a hooked batch drains on this thread,
-      // each module's chain in job order.
-      {
-        runtime::TaskScheduler sched(hooked ? nullptr : pool_.get());
-        std::vector<std::shared_ptr<transforms::BatchDag>> states;
-        for (Group &group : groups) {
-          transforms::PassManager &pm = *group.pm;
-          std::vector<transforms::PassManager::BatchItem> items;
-          for (CompileJob *job : group.jobs) {
-            transforms::PassManager::BatchItem item;
-            item.diag = &job->diag_;
-            if (job->preparsed_)
-              item.module = job->result_.module.op();
-            else
-              item.prepare = [this, job]() -> std::optional<ir::ModuleOp> {
-                runFrontendOne(*job);
-                if (!job->frontendOk_)
-                  return std::nullopt;
-                return job->result_.module.get();
-              };
-            items.push_back(std::move(item));
-          }
-          transforms::PassManager::BatchOptions bo;
-          bo.maxArenaBytes = opts_.maxArenaBytesPerModule;
-          for (CompileJob *job : group.jobs)
-            bo.cancels.push_back(&job->cancel_);
-          transforms::PassManager *pmPtr = &pm;
-          std::vector<CompileJob *> groupJobs = group.jobs;
-          bo.onModuleDone = [this, pmPtr, groupJobs](size_t idx, bool ok) {
-            CompileJob *job = groupJobs[idx];
-            {
-              trace::TraceSpan span(trace::enabled()
-                                        ? "finalize:" + job->name_
-                                        : std::string(),
-                                    "session");
-              ok = finalVerify(*pmPtr, job->result_.module.get(),
-                               job->diag_, ok);
-            }
-            markDone(*job, ok);
-          };
-          states.push_back(
-              pm.scheduleBatch(sched, std::move(items), std::move(bo)));
+      // Every group's modules go into one task list, groups in order of
+      // first appearance and jobs in order within a group, so the
+      // pipelines interleave on the pool and each job is marked done the
+      // moment its own task completes. Hooks observe one module at a
+      // time, so a hooked batch runs on this thread, in job order.
+      std::vector<std::unique_ptr<transforms::BatchDag>> batches;
+      std::vector<std::pair<transforms::BatchDag *, size_t>> tasks;
+      for (Group &group : groups) {
+        transforms::PassManager &pm = *group.pm;
+        std::vector<transforms::PassManager::BatchItem> items;
+        for (CompileJob *job : group.jobs) {
+          transforms::PassManager::BatchItem item;
+          item.diag = &job->diag_;
+          if (job->preparsed_)
+            item.module = job->result_.module.op();
+          else
+            item.prepare = [this, job]() -> std::optional<ir::ModuleOp> {
+              runFrontendOne(*job);
+              if (!job->frontendOk_)
+                return std::nullopt;
+              return job->result_.module.get();
+            };
+          items.push_back(std::move(item));
         }
-        sched.run();
-        // Containment sweep: a task chain severed mid-batch (an
-        // exception contained by the scheduler's worker loop, e.g. an
-        // injected "scheduler.task" fault) leaves its job un-resolved
-        // even though run() drained. Every future must resolve, so any
-        // job still not Done here failed — attribute and mark it.
-        for (CompileJob *job : batch) {
-          bool done;
+        transforms::PassManager::BatchOptions bo;
+        bo.maxArenaBytes = opts_.maxArenaBytesPerModule;
+        for (CompileJob *job : group.jobs)
+          bo.cancels.push_back(&job->cancel_);
+        bo.onModuleDone = [this, &pm, &group](size_t idx, bool ok) {
+          CompileJob *job = group.jobs[idx];
           {
-            std::lock_guard<std::mutex> lock(mutex_);
-            done = job->state_ == CompileJob::State::Done;
+            trace::TraceSpan span(trace::enabled()
+                                      ? "finalize:" + job->name_
+                                      : std::string(),
+                                  "session");
+            ok = finalVerify(pm, job->result_.module.get(), job->diag_, ok);
           }
-          if (!done) {
-            job->diag_.error(SourceLoc(),
-                             "compile task aborted before completion "
-                             "(exception contained by the scheduler)");
-            markDone(*job, false);
-          }
-        }
-        for (auto &state : states)
-          state->foldTimingInto(timing_);
+          markDone(*job, ok);
+        };
+        batches.push_back(pm.makeBatch(std::move(items), std::move(bo)));
+        for (size_t i = 0; i < batches.back()->size(); ++i)
+          tasks.emplace_back(batches.back().get(), i);
       }
+      runtime::runTasks(hooked ? nullptr : pool_.get(), tasks.size(),
+                        [&](size_t t) {
+                          tasks[t].first->compileModule(tasks[t].second);
+                        });
+      for (auto &dag : batches)
+        dag->foldTimingInto(timing_);
       // Retained only for statisticsStr(); a long-lived session that
       // never reads statistics must not accumulate one PassManager per
       // batch.
       if (opts_.collectStatistics)
         for (Group &group : groups)
           pms_.push_back(std::move(group.pm));
+    }
+    // Containment sweep: a task that runTasks cut short with a contained
+    // exception (e.g. an injected "scheduler.task" fault) leaves its job
+    // unresolved. Every future must resolve, so any job still not Done
+    // here failed — attribute and mark it.
+    for (CompileJob *job : batch) {
+      bool done;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        done = job->state_ == CompileJob::State::Done;
+      }
+      if (!done) {
+        job->diag_.error(SourceLoc(),
+                         "compile task aborted before completion "
+                         "(exception contained by the scheduler)");
+        markDone(*job, false);
+      }
     }
   }
   // Keep a long-lived session within its disk budget between batches:

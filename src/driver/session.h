@@ -27,12 +27,15 @@
 //
 // Batch scheduling
 // ----------------
-// compileAll turns every queued module into one task on a work-stealing
-// scheduler over the session pool (PassManager::scheduleBatch). The
-// module is the unit of compile parallelism: its task parses the source,
-// keys its functions (ir::hashOp), and runs every pass step in pipeline
-// order, looking up, running and storing the module's functions one
-// after another. So module B's kernels run pass 3 while module A is
+// compileAll turns every queued module into one task
+// (PassManager::makeBatch) and runs the batch's tasks as one parallel
+// loop on the session pool (runtime::runTasks): each worker takes the
+// next task until none is left. (Simt mode runs one task per job the
+// same way: frontend, then device-function inlining.) The module is the
+// unit of compile parallelism: its task parses the source, keys its
+// functions (ir::hashOp), and runs every pass step in pipeline order,
+// looking up, running and storing the module's functions one after
+// another. So module B's kernels run pass 3 while module A is
 // still parsing, and each CompileJob future resolves the moment *its*
 // module's last pass (or terminal cache splice) completes rather than at
 // end of batch. Modules share the cache only through lookup and store:
@@ -47,7 +50,7 @@
 // other transforms::Instrumentation it installs) fire around every
 // (module, pass) step of the same tasks.
 // They observe one module at a time, so a session with any installed
-// drains the batch on the calling thread: each module's task runs to
+// runs the batch on the calling thread: each module's task runs to
 // completion in job order, and hook output is module-contiguous and the
 // same for every thread count.
 //
@@ -106,13 +109,14 @@
 //    (module name, failing pass or stage, reason). The rest of the batch
 //    compiles normally, every CompileJob::wait() returns, compileAll()
 //    returns, and the process never terminates on a job failure.
-//    Exceptions escaping a scheduler task are additionally contained by
-//    the worker loop itself (scheduler.task_exceptions metric); any job
-//    whose task was severed that way is swept and marked failed when
-//    the batch drains, so futures still resolve. A job holds no cache
-//    state between a lookup and its store, so a fault in one job's cache
-//    probe cannot fail another job that shares the cache, in this
-//    session or a later one.
+//    In either mode, an exception escaping a job's task is additionally
+//    contained by runtime::runTasks (scheduler.task_exceptions metric);
+//    any job whose task was cut short that way is swept and marked
+//    failed ("compile task aborted before completion") when the batch
+//    ends, so futures still resolve. A job holds no cache state between
+//    a lookup and its store, so a fault in one job's cache probe cannot
+//    fail another job that shares the cache, in this session or a later
+//    one.
 //
 //  - Cancellation and deadlines. CompileJob::cancel() requests
 //    cooperative cancellation; SessionOptions::jobTimeoutSeconds arms a
@@ -141,13 +145,13 @@
 //  - Metrics. A process-wide MetricsRegistry aggregates named counters,
 //    gauges, and log2-bucket latency histograms across every subsystem:
 //    "cache.*" (hits/misses/stores/disk/evictions), "scheduler.*"
-//    (tasks/steals/injects/parks/idle-wakeups), "session.*" (jobs
-//    completed/failed, job-latency histogram), "pm.pass_seconds",
-//    "pass.<pass>.<stat>" (mirrors of every Pass::Statistic), and
-//    "arena.reserved_bytes" (live IR slab bytes; .peak tracks the
-//    high-water mark). SessionOptions::metricsToStderr prints the text
-//    snapshot at session destruction; metricsJsonPath writes the JSON
-//    snapshot (--metrics / --metrics=FILE at the CLI). The registry is
+//    (tasks/task_exceptions), "session.*" (jobs completed/failed,
+//    job-latency histogram), "pm.pass_seconds", "pass.<pass>.<stat>"
+//    (mirrors of every Pass::Statistic), and "arena.reserved_bytes"
+//    (live IR slab bytes; .peak tracks the high-water mark).
+//    SessionOptions::metricsToStderr prints the text snapshot at
+//    session destruction; metricsJsonPath writes the JSON snapshot
+//    (--metrics / --metrics=FILE at the CLI). The registry is
 //    process-global on purpose: one snapshot shows cache, scheduler,
 //    arena, and per-pass activity side by side, regardless of how many
 //    sessions produced it.
@@ -351,10 +355,10 @@ public:
   CompileJob &addModule(std::string name, ir::OwnedModule module,
                         transforms::PipelineOptions pipeline = {});
 
-  /// Compiles every job still queued as one DAG batch (see "Batch
+  /// Compiles every job still queued as one batch (see "Batch
   /// scheduling"): jobs sharing a pipeline share one PassManager, every
-  /// job's parse and pass steps schedule across the session pool, and
-  /// each future resolves as soon as its own chain completes.
+  /// job's task runs on the session pool, and each future resolves as
+  /// soon as its own task completes.
   /// Already-compiled jobs are not recompiled (a second compileAll is a
   /// no-op for them). Returns whether every job in the session has
   /// compiled successfully.
@@ -400,8 +404,8 @@ private:
   /// Thread-safe across distinct jobs; the batch runs it at the start of
   /// each module's task.
   void runFrontendOne(CompileJob &job);
-  /// Simt mode: frontend then device-function inlining, fanned across
-  /// the pool.
+  /// Simt mode: frontend then device-function inlining, one task per
+  /// job on the pool; each job resolves when its task completes.
   void compileSimt(const std::vector<CompileJob *> &jobs);
   /// End-of-pipeline verification gate: skipped when verify-each already
   /// covered the final module (any non-empty pipeline); otherwise reports

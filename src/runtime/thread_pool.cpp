@@ -4,8 +4,8 @@
 #include "support/metrics.h"
 #include "support/trace.h"
 
+#include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstdio>
 
 namespace paralift::runtime {
@@ -124,195 +124,56 @@ void ThreadPool::runNested(const TeamFn &fn) {
 }
 
 //===----------------------------------------------------------------------===//
-// TaskScheduler
+// runTasks
 //===----------------------------------------------------------------------===//
 
 namespace {
-// Routes spawn() calls from inside a task to the executing worker's own
-// deque (depth-first chains); spawns from any other thread fall back to
-// the injection queue.
-thread_local TaskScheduler *tlsScheduler = nullptr;
-thread_local unsigned tlsSchedulerWorker = 0;
-
-// Process-wide scheduler counters, resolved once. Individual schedulers
-// additionally keep per-instance figures (TaskScheduler::stats()); the
-// registry aggregates across every scheduler the process creates.
-struct SchedCounters {
+struct TaskCounters {
   metrics::Counter &tasks;
-  metrics::Counter &steals;
-  metrics::Counter &injects;
-  metrics::Counter &parks;
-  metrics::Counter &idleWakeups;
-  metrics::Counter &taskExceptions;
+  metrics::Counter &exceptions;
 };
 
-SchedCounters &schedCounters() {
+TaskCounters &taskCounters() {
   auto &reg = metrics::MetricsRegistry::instance();
-  static SchedCounters *c = new SchedCounters{
-      reg.counter("scheduler.tasks"), reg.counter("scheduler.steals"),
-      reg.counter("scheduler.injects"), reg.counter("scheduler.parks"),
-      reg.counter("scheduler.idle_wakeups"),
-      reg.counter("scheduler.task_exceptions")};
+  static TaskCounters *c = new TaskCounters{
+      reg.counter("scheduler.tasks"), reg.counter("scheduler.task_exceptions")};
   return *c;
+}
+
+/// Runs one task contained: a throw (an injected "scheduler.task" fault
+/// included) must neither unwind into ThreadPool's worker loop, where it
+/// would call std::terminate, nor skip the indices still to run.
+void runTask(const std::function<void(size_t)> &task, size_t i) {
+  trace::TraceSpan span("task", "sched");
+  try {
+    failpoint::evaluate("scheduler.task");
+    task(i);
+  } catch (...) {
+    span.annotate("error", "exception");
+    taskCounters().exceptions.add();
+  }
+  taskCounters().tasks.add();
 }
 } // namespace
 
-TaskScheduler::TaskScheduler(ThreadPool *pool)
-    : pool_(pool),
-      workers_(pool && pool->numThreads() > 1 && !ThreadPool::insideParallel()
-                   ? pool->numThreads()
-                   : 1) {
-  queues_.reserve(workers_);
-  for (unsigned i = 0; i < workers_; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
-}
-
-void TaskScheduler::spawn(Task task) {
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  if (tlsScheduler == this) {
-    WorkerQueue &wq = *queues_[tlsSchedulerWorker];
-    std::scoped_lock lock(wq.mutex);
-    wq.tasks.push_back(std::move(task));
-  } else {
-    {
-      std::scoped_lock lock(injectMutex_);
-      inject_.push_back(std::move(task));
-    }
-    injects_.fetch_add(1, std::memory_order_relaxed);
-    schedCounters().injects.add();
-  }
-  idleCv_.notify_one();
-}
-
-bool TaskScheduler::tryTake(unsigned self, Task &out, bool &stolen) {
-  stolen = false;
-  // Own deque first, newest first: continuations of the task that just
-  // ran, still hot.
-  {
-    WorkerQueue &wq = *queues_[self];
-    std::scoped_lock lock(wq.mutex);
-    if (!wq.tasks.empty()) {
-      out = std::move(wq.tasks.back());
-      wq.tasks.pop_back();
-      return true;
-    }
-  }
-  // Externally injected work, oldest first.
-  {
-    std::scoped_lock lock(injectMutex_);
-    if (!inject_.empty()) {
-      out = std::move(inject_.front());
-      inject_.pop_front();
-      return true;
-    }
-  }
-  // Steal the oldest task of a sibling (its least-recently-touched work).
-  for (unsigned d = 1; d < workers_; ++d) {
-    WorkerQueue &wq = *queues_[(self + d) % workers_];
-    std::scoped_lock lock(wq.mutex);
-    if (!wq.tasks.empty()) {
-      out = std::move(wq.tasks.front());
-      wq.tasks.pop_front();
-      stolen = true;
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      schedCounters().steals.add();
-      return true;
-    }
-  }
-  return false;
-}
-
-void TaskScheduler::workerLoop(unsigned self) {
-  TaskScheduler *prevSched = tlsScheduler;
-  unsigned prevWorker = tlsSchedulerWorker;
-  tlsScheduler = this;
-  tlsSchedulerWorker = self;
-  if (trace::enabled()) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "worker-%u", self);
-    trace::setThreadName(name);
-  }
-  Task task;
-  bool parked = false; // last loop iteration slept
-  while (true) {
-    bool stolen = false;
-    if (tryTake(self, task, stolen)) {
-      if (parked) {
-        idleWakeups_.fetch_add(1, std::memory_order_relaxed);
-        schedCounters().idleWakeups.add();
-        parked = false;
-      }
-      {
-        trace::TraceSpan span("task", "sched");
-        if (stolen)
-          span.annotate("origin", "stolen");
-        // Last-line containment: an exception escaping a task must not
-        // unwind into the worker loop (std::terminate kills every
-        // in-flight job) and must not skip the pending_ decrement below
-        // (run() would never return). Batch tasks catch at the job
-        // boundary themselves; this only covers a missed site.
-        try {
-          failpoint::evaluate("scheduler.task");
-          task(self);
-        } catch (const std::exception &e) {
-          span.annotate("error", "exception");
-          taskExceptions_.fetch_add(1, std::memory_order_relaxed);
-          schedCounters().taskExceptions.add();
-          if (onTaskException_)
-            onTaskException_(e.what());
-        } catch (...) {
-          span.annotate("error", "exception");
-          taskExceptions_.fetch_add(1, std::memory_order_relaxed);
-          schedCounters().taskExceptions.add();
-          if (onTaskException_)
-            onTaskException_("");
-        }
-      }
-      tasksExecuted_.fetch_add(1, std::memory_order_relaxed);
-      schedCounters().tasks.add();
-      task = nullptr; // drop captures before possibly sleeping
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-        idleCv_.notify_all();
-      continue;
-    }
-    if (pending_.load(std::memory_order_acquire) == 0)
-      break;
-    // Work may land in a sibling deque between tryTake and the wait
-    // (deque pushes are not covered by injectMutex_); the timed wait
-    // bounds that race to a millisecond of latency instead of a hang.
-    std::unique_lock lock(injectMutex_);
-    if (!inject_.empty() || pending_.load(std::memory_order_acquire) == 0)
-      continue;
-    parks_.fetch_add(1, std::memory_order_relaxed);
-    schedCounters().parks.add();
-    parked = true;
-    idleCv_.wait_for(lock, std::chrono::milliseconds(1));
-  }
-  tlsScheduler = prevSched;
-  tlsSchedulerWorker = prevWorker;
-}
-
-TaskScheduler::Stats TaskScheduler::stats() const {
-  Stats s;
-  s.tasksExecuted = tasksExecuted_.load(std::memory_order_relaxed);
-  s.steals = steals_.load(std::memory_order_relaxed);
-  s.injects = injects_.load(std::memory_order_relaxed);
-  s.parks = parks_.load(std::memory_order_relaxed);
-  s.idleWakeups = idleWakeups_.load(std::memory_order_relaxed);
-  s.taskExceptions = taskExceptions_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void TaskScheduler::run() {
-  if (pending_.load(std::memory_order_acquire) == 0)
+void runTasks(ThreadPool *pool, size_t n,
+              const std::function<void(size_t)> &task) {
+  if (n == 0)
     return;
-  if (workers_ <= 1) {
-    // Serial drain on the caller: tasks only appear from running tasks,
-    // so an empty take with pending > 0 is impossible here.
-    workerLoop(0);
-    return;
-  }
-  pool_->parallel([this](unsigned tid, Team &) { workerLoop(tid); });
+  std::atomic<size_t> next{0};
+  auto member = [&](unsigned tid) {
+    if (trace::enabled()) {
+      char name[32];
+      std::snprintf(name, sizeof(name), "worker-%u", tid);
+      trace::setThreadName(name);
+    }
+    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1))
+      runTask(task, i);
+  };
+  if (!pool || pool->numThreads() == 1 || ThreadPool::insideParallel())
+    member(0);
+  else
+    pool->parallel([&](unsigned tid, Team &) { member(tid); });
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,14 +6,14 @@
 // follow a configurable policy: Serialize (team of one — the paper's
 // inner-serialization mode) or Spawn (fresh std::threads, reproducing the
 // real cost of OpenMP nested parallelism that Fig. 12 measures).
+//
+// runTasks runs a list of independent tasks as one parallel loop on a
+// team; the compile session runs each batch's module tasks through it.
 #pragma once
 
-#include <atomic>
 #include <barrier>
 #include <condition_variable>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -89,102 +89,20 @@ private:
   NestedPolicy nested_ = NestedPolicy::Serialize;
 };
 
-/// Dynamic work-stealing task scheduler for dependency-DAG workloads.
-/// Tasks are closures spawned either before run() or from inside running
-/// tasks; dependency edges are expressed by the producer spawning the
-/// successor when its predecessors complete (the last-finisher-spawns
-/// pattern), so there is no static edge table to size up front and the
-/// graph can grow as work is discovered. The compile batch
-/// (PassManager::scheduleBatch) is its main user and the simplest
-/// shape: one task per module, all spawned from outside the pool before
-/// run(), none of which spawns another — so its tasks all pass through
-/// the injection queue below.
+/// Runs task(0) .. task(n-1) as one fork-join parallel loop on a team of
+/// `pool`: each member takes the next index from one shared counter until
+/// none is left, and the call returns when every task has returned. With
+/// a null pool, a one-thread pool, or a caller already inside a parallel
+/// region, the tasks run on the calling thread in index order.
 ///
-/// Scheduling: each worker owns a deque. Own work is pushed and popped
-/// LIFO — a chain of continuations runs depth-first on one worker,
-/// keeping its data cache-hot and completing whole jobs early instead of
-/// breadth-first last. Other workers steal FIFO, taking the oldest
-/// queued task. External spawns land in a shared injection queue
-/// consumed before stealing. Idle workers sleep on a condition variable
-/// with a short timed wait (the timeout makes a lost wakeup cost a
-/// millisecond, never a hang), and run() returns once every spawned
-/// task — including transitively spawned ones — has finished.
-class TaskScheduler {
-public:
-  /// A unit of work; receives the executing worker's index in
-  /// [0, workers()).
-  using Task = std::function<void(unsigned worker)>;
-
-  /// Schedules onto `pool` (every member of one team drains the graph
-  /// together). A null pool, a one-thread pool, or a caller already
-  /// inside a parallel region degrade to draining every task on the
-  /// calling thread (depth-first, deterministic).
-  explicit TaskScheduler(ThreadPool *pool);
-
-  /// Enqueues a task. Thread-safe; callable before run() and from inside
-  /// running tasks (which is how DAG edges are expressed).
-  void spawn(Task task);
-
-  /// Runs tasks until none are pending, then returns. Not reentrant; may
-  /// be called repeatedly after spawning more work.
-  void run();
-
-  /// Worker count run() will use (1 in the serial fallback).
-  unsigned workers() const { return workers_; }
-
-  /// Scheduling introspection, accumulated over this scheduler's
-  /// lifetime. The same figures feed the process-wide MetricsRegistry
-  /// ("scheduler.*"), where they aggregate across schedulers.
-  struct Stats {
-    uint64_t tasksExecuted = 0;  ///< tasks run to completion
-    uint64_t steals = 0;         ///< takes from a sibling's deque
-    uint64_t injects = 0;        ///< spawns from outside any worker
-    uint64_t parks = 0;          ///< idle waits on the condition variable
-    uint64_t idleWakeups = 0;    ///< parks that woke to find work
-    uint64_t taskExceptions = 0; ///< tasks that exited via exception
-  };
-  Stats stats() const;
-
-  /// Last-line containment: a task lambda that exits via exception is
-  /// swallowed here (counted in Stats::taskExceptions and the
-  /// "scheduler.task_exceptions" metric) instead of unwinding into the
-  /// worker loop and calling std::terminate. Failure *attribution* is the
-  /// spawner's job — batch tasks catch at the job boundary and record a
-  /// diagnostic; this hook only guarantees the scheduler and its pending
-  /// count survive a missed catch. The handler runs on the throwing
-  /// worker with the exception message (or "" for non-std exceptions).
-  void setExceptionHandler(std::function<void(const char *)> handler) {
-    onTaskException_ = std::move(handler);
-  }
-
-private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<Task> tasks;
-  };
-
-  bool tryTake(unsigned self, Task &out, bool &stolen);
-  void workerLoop(unsigned self);
-
-  ThreadPool *pool_;
-  unsigned workers_;
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::mutex injectMutex_;
-  std::condition_variable idleCv_;
-  std::deque<Task> inject_;
-  /// Tasks spawned but not yet completed; 0 means the graph is drained
-  /// (running tasks hold their own count until they return, so 0 is
-  /// stable).
-  std::atomic<size_t> pending_{0};
-
-  std::atomic<uint64_t> tasksExecuted_{0};
-  std::atomic<uint64_t> steals_{0};
-  std::atomic<uint64_t> injects_{0};
-  std::atomic<uint64_t> parks_{0};
-  std::atomic<uint64_t> idleWakeups_{0};
-  std::atomic<uint64_t> taskExceptions_{0};
-  std::function<void(const char *)> onTaskException_;
-};
+/// Every task is contained: the "scheduler.task" failpoint fires before
+/// it, and an exception escaping it is caught and counted
+/// ("scheduler.task_exceptions") instead of unwinding into the team, so
+/// the remaining indices still run. Attributing the failure is the
+/// caller's job. Each task is counted ("scheduler.tasks") and traced as a
+/// "task" span; with tracing on, member t names its thread "worker-t".
+void runTasks(ThreadPool *pool, size_t n,
+              const std::function<void(size_t)> &task);
 
 /// A serial dispatch queue in the style of Grand Central Dispatch, used by
 /// the MocCUDA CUDART layer to emulate CUDA streams (§V-B): work items

@@ -88,7 +88,7 @@ private:
 };
 
 /// The process-wide registry. Names are dotted paths by convention:
-/// "cache.hits", "scheduler.steals", "session.job_latency_s",
+/// "cache.hits", "scheduler.tasks", "session.job_latency_s",
 /// "arena.reserved_bytes", "pass.cse.num-erased".
 class MetricsRegistry {
 public:

@@ -96,8 +96,8 @@ class InlinerPass : public Pass {
 public:
   InlinerPass() : Pass("inline", "inline module-local calls") {
     declareBoolOption("kernels-only", &kernelsOnly_, false);
-    // Created up front: statistic() creation is not thread-safe, and the
-    // DAG batch scheduler runs this pass on several modules at once.
+    // Created up front: statistic() creation is not thread-safe, and a
+    // batch runs this pass on several modules at once.
     statistic("calls-inlined");
   }
 

@@ -4,7 +4,6 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
-#include "runtime/thread_pool.h"
 #include "support/failpoint.h"
 #include "support/trace.h"
 
@@ -447,8 +446,6 @@ namespace {
 /// "pass.run" failpoint, runs `body`, and converts any escaping
 /// exception into a structured diagnostic attributed to the pass — a
 /// throwing pass fails its module, never the batch or the process.
-/// Essential on scheduler workers, where an uncaught exception would
-/// otherwise unwind into the worker loop.
 template <typename Fn>
 bool runPassContained(const std::string &passName, DiagnosticEngine &diag,
                       Fn &&body) {
@@ -631,16 +628,14 @@ bool PassManager::spliceModule(ModuleOp module,
 }
 
 bool PassManager::run(ModuleOp module, DiagnosticEngine &diag) {
-  // A one-module batch: its one task runs on this thread.
-  runtime::TaskScheduler sched(nullptr);
   std::vector<BatchItem> items(1);
   items[0].module = module.op;
   items[0].diag = &diag;
-  std::shared_ptr<BatchDag> dag = scheduleBatch(sched, std::move(items), {});
-  sched.run();
+  std::unique_ptr<BatchDag> batch = makeBatch(std::move(items), {});
+  batch->compileModule(0);
   if (timing_)
-    dag->foldTimingInto(*timing_);
-  return dag->results()[0] != 0;
+    batch->foldTimingInto(*timing_);
+  return batch->results()[0] != 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -813,10 +808,9 @@ void BatchDag::compileModule(size_t i) {
   {
     trace::TraceSpan span(spanName("start:", m.diag->moduleName()), "pm");
     if (m.prepare) {
-      // The prepare hook crosses into frontend code on a scheduler
-      // worker; contain anything it throws as this module's parse
-      // failure (the session's own hook catches too — this covers
-      // callers that schedule batches directly).
+      // The prepare hook crosses into frontend code; contain anything it
+      // throws as this module's parse failure (the session's own hook
+      // catches too — this covers callers that build batches directly).
       std::optional<ModuleOp> parsed;
       try {
         parsed = m.prepare();
@@ -849,9 +843,8 @@ void BatchDag::compileModule(size_t i) {
     bool ok;
     // Pass bodies are individually contained (runPassContained); this
     // outer catch covers the step machinery itself — cache probes,
-    // materialization, hashing, hooks — so no exception ever unwinds
-    // into the scheduler's worker loop, and a throw fails this module
-    // alone.
+    // materialization, hashing, hooks — so a throw fails this module
+    // alone, with a diagnostic naming the step.
     try {
       ok = beginStep(i, pass) &&
            (pass.isFunctionPass()
@@ -991,29 +984,25 @@ bool BatchDag::runFunctionPass(size_t i, FunctionPass &pass) {
   return true;
 }
 
-std::shared_ptr<BatchDag>
-PassManager::scheduleBatch(runtime::TaskScheduler &sched,
-                           std::vector<BatchItem> items, BatchOptions opts) {
+std::unique_ptr<BatchDag> PassManager::makeBatch(std::vector<BatchItem> items,
+                                                BatchOptions opts) {
   // Set before any task runs: pass objects are shared by every module in
   // flight.
   for (auto &pass : passes_)
     pass->setStatisticsEnabled(collectStats_);
-  auto dag = std::shared_ptr<BatchDag>(new BatchDag(*this, std::move(opts)));
-  dag->mods_.reserve(items.size());
+  std::unique_ptr<BatchDag> batch(new BatchDag(*this, std::move(opts)));
+  batch->mods_.reserve(items.size());
   for (BatchItem &item : items) {
     auto mod = std::make_unique<BatchDag::Mod>();
     mod->module = item.module;
     mod->diag = item.diag;
     mod->prepare = std::move(item.prepare);
-    dag->mods_.push_back(std::move(mod));
+    batch->mods_.push_back(std::move(mod));
   }
-  // finish() records each module's outcome; a task severed by an
-  // exception the scheduler contained never gets there and reads as
-  // failed.
-  dag->ok_.assign(items.size(), 0);
-  for (size_t i = 0; i < dag->mods_.size(); ++i)
-    sched.spawn([dag, i](unsigned) { dag->compileModule(i); });
-  return dag;
+  // finish() records each module's outcome; a task that exits by
+  // exception never gets there and reads as failed.
+  batch->ok_.assign(items.size(), 0);
+  return batch;
 }
 
 std::string PassManager::pipelineSpec() const {

@@ -10,8 +10,9 @@
 //    directly.
 //  - PassManager: owns an ordered pipeline of passes plus instrumentations
 //    and runs them over modules. Its one executor is the batch
-//    (BatchDag): one scheduler task per module, which runs the module's
-//    whole pipeline; run() is a one-module batch.
+//    (BatchDag): one task per module, which runs the module's whole
+//    pipeline; the caller decides which threads run the tasks, and run()
+//    is a one-module batch on the calling thread.
 //    Optionally a PassResultCache (transforms/pass_cache.h) replays
 //    cached IR for unchanged (function, pass) pairs instead of re-running
 //    passes. Nothing else is carried between passes: a pass that needs an
@@ -37,10 +38,6 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-namespace paralift::runtime {
-class TaskScheduler;
-}
 
 namespace paralift::transforms {
 
@@ -327,12 +324,12 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Cooperative cancellation and deadline for one compile job. The batch
-/// executor (scheduleBatch, and run() through it) polls it before every
-/// (module, pass) step — an expired job fails with an attributed
-/// diagnostic ("cancelled in pass P" / "deadline exceeded after Ns in
-/// pass P") before its next pass starts; the pass currently executing is
-/// never interrupted mid-flight, so IR and cache state stay consistent.
-/// Thread-safe: any thread may cancel() while workers poll.
+/// executor (BatchDag::compileModule, and run() through it) polls it
+/// before every (module, pass) step — an expired job fails with an
+/// attributed diagnostic ("cancelled in pass P" / "deadline exceeded
+/// after Ns in pass P") before its next pass starts; the pass currently
+/// executing is never interrupted mid-flight, so IR and cache state stay
+/// consistent. Thread-safe: any thread may cancel() while workers poll.
 class CancellationToken {
 public:
   /// Requests cancellation. Idempotent.
@@ -409,16 +406,16 @@ public:
   void setResultCache(PassResultCache *cache) { cache_ = cache; }
   PassResultCache *resultCache() const { return cache_; }
 
-  /// Runs every pass in order over one module: a one-item scheduleBatch,
-  /// drained on the calling thread. Stops at the first failure (a pass
+  /// Runs every pass in order over one module: a one-item batch,
+  /// compiled on the calling thread. Stops at the first failure (a pass
   /// returning false, a new diagnostic error, or an instrumentation
   /// abort) and returns false.
   bool run(ModuleOp module, DiagnosticEngine &diag);
 
-  /// Per-batch knobs for scheduleBatch. The manager's own switches
+  /// Per-batch knobs for makeBatch. The manager's own switches
   /// (enableVerifyEach, enableTiming, instrumentations) apply too.
   struct BatchOptions {
-    /// Invoked (on the worker that ran the module's task) the moment a
+    /// Invoked (on the thread that ran the module's task) the moment a
     /// module's last pass — or terminal cache splice — has completed and
     /// its IR is materialized, long before the rest of the batch drains.
     /// This is what lets CompileJob futures resolve incrementally inside
@@ -435,7 +432,7 @@ public:
     uint64_t maxArenaBytes = 0;
   };
 
-  /// One module of a batch (scheduleBatch). Either `module` is a live
+  /// One module of a batch (makeBatch). Either `module` is a live
   /// module op, or `prepare` produces one at the start of the module's
   /// task — so parsing one module overlaps other modules' passes.
   struct BatchItem {
@@ -446,14 +443,14 @@ public:
     std::function<std::optional<ModuleOp>()> prepare;
   };
 
-  /// Batch execution, the one executor: enqueues onto `sched` one task
-  /// per module. The module is the unit of compile parallelism: its task
-  /// parses it (prepare), keys its functions (ir::hashOp), and runs the
-  /// whole pipeline, so module B runs pass 3 while module A is still
-  /// parsing, and a module resolves (opts.onModuleDone) the moment its
-  /// own last step lands instead of at end of batch. A function-pass
-  /// step looks up, runs and stores the module's functions one after
-  /// another on that task; no task spawns another, and no module is
+  /// Batch execution, the one executor: one task per module, which
+  /// BatchDag::compileModule runs. The module is the unit of compile
+  /// parallelism: its task parses it (prepare), keys its functions
+  /// (ir::hashOp), and runs the whole pipeline, so module B runs pass 3
+  /// while module A is still parsing, and a module resolves
+  /// (opts.onModuleDone) the moment its own last step lands instead of
+  /// at end of batch. A function-pass step looks up, runs and stores the
+  /// module's functions one after another on that task, and no module is
   /// touched by two threads. Modules share the result cache only
   /// through PassResultCache::lookup/store, so two modules computing the
   /// same (function, pass) entry at the same time both run it and store
@@ -464,16 +461,15 @@ public:
   /// batch is unaffected.
   ///
   /// Instrumentation hooks fire around every (module, pass) step; with
-  /// any installed, `sched` must drain serially (a TaskScheduler without
-  /// a pool), which runs each module's task to completion in item order.
+  /// any installed, the caller must run the tasks one at a time, to
+  /// completion, in item order.
   ///
-  /// The caller runs `sched` (several PassManagers — pipeline groups —
-  /// may schedule onto one scheduler; their tasks interleave freely)
-  /// and must keep the returned state alive until the scheduler drains;
-  /// BatchDag::results() then holds per-module success.
-  std::shared_ptr<BatchDag> scheduleBatch(runtime::TaskScheduler &sched,
-                                          std::vector<BatchItem> items,
-                                          BatchOptions opts);
+  /// The caller owns the returned batch and calls compileModule(i) once
+  /// for each i in [0, size()), on any threads; several pipeline groups'
+  /// batches may share one parallel loop. results() and foldTimingInto
+  /// are valid once every call has returned.
+  std::unique_ptr<BatchDag> makeBatch(std::vector<BatchItem> items,
+                                      BatchOptions opts);
 
   /// The canonical textual pipeline, e.g. "inline,canonicalize,
   /// unroll{max-trip=16}". Feeding it back through the registry's
@@ -534,14 +530,23 @@ private:
 // BatchDag
 //===----------------------------------------------------------------------===//
 
-/// Live state of one pipeline group's batch, handed out by
-/// PassManager::scheduleBatch and kept alive jointly by the caller and
-/// the module tasks. Query after the scheduler drained.
+/// One pipeline group's batch, built by PassManager::makeBatch and owned
+/// by the caller: one independent task per module. Query after every
+/// task has returned.
 class BatchDag {
 public:
   ~BatchDag();
 
-  /// Per-module success, in item order; stable once the scheduler ran.
+  /// Number of modules, and so of tasks.
+  size_t size() const { return mods_.size(); }
+
+  /// Module i's task: prepare, initial keying, then every pass step in
+  /// pipeline order until one fails or the pipeline ends. Call once per
+  /// module; distinct modules' tasks may run concurrently.
+  void compileModule(size_t i);
+
+  /// Per-module success, in item order. A module whose task exited by
+  /// exception reads as failed.
   const std::vector<char> &results() const { return ok_; }
 
   /// Folds each module's (module, pass) clock samples, collected while
@@ -558,9 +563,6 @@ private:
 
   BatchDag(PassManager &pm, PassManager::BatchOptions opts);
 
-  /// The module's task: prepare, initial keying, then every pass step
-  /// in pipeline order until one fails or the pipeline ends.
-  void compileModule(size_t i);
   /// Opens the module's step for `pass`: decides lazy replay,
   /// materializes pending replays when the IR is inspected, and fires
   /// beforePass hooks. False (after fail(i)) on a materialization

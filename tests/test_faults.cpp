@@ -296,6 +296,37 @@ TEST(FaultContainmentTest, SchedulerTaskFaultNeverHangsTheBatch) {
   EXPECT_GT(counterVal("scheduler.task_exceptions"), exceptionsBefore);
 }
 
+TEST(FaultContainmentTest, SimtTaskFaultIsContained) {
+  // SIMT jobs cross the same contained task boundary as optimize jobs:
+  // a throw at the boundary fails that job alone, with the sweep's
+  // diagnostic, on any pool member, and never terminates the process.
+  FailpointGuard guard;
+  std::string err;
+  uint64_t exceptionsBefore = counterVal("scheduler.task_exceptions");
+  ASSERT_TRUE(failpoint::configure("scheduler.task=throw:0,3", &err)) << err;
+  driver::SessionOptions so = batchOptions(4, nullptr);
+  so.mode = driver::SessionMode::Simt;
+  driver::CompilerSession session(std::move(so));
+  std::vector<driver::CompileJob *> jobs;
+  for (const auto &b : rodinia::suite())
+    jobs.push_back(&session.addSource(b.id, b.cudaSource));
+  session.compileAll();
+  uint64_t failed = 0;
+  for (driver::CompileJob *job : jobs) {
+    ASSERT_TRUE(job->ready()) << job->name();
+    if (job->ok())
+      continue;
+    ++failed;
+    EXPECT_NE(job->diagnostics().str().find("aborted before completion"),
+              std::string::npos)
+        << job->diagnostics().str();
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_LT(failed, jobs.size());
+  EXPECT_EQ(counterVal("scheduler.task_exceptions") - exceptionsBefore,
+            failed);
+}
+
 TEST(FaultContainmentTest, ThrowDuringCacheProbeDoesNotFailLaterCompiles) {
   // A throw in the middle of one module's cache scan fails that module
   // alone: nothing it leaves in the shared cache may fail a later compile

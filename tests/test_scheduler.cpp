@@ -3,12 +3,14 @@
 // --pm-threads={1,2,8} against one shared cache, repeatedly — asserting
 // bit-for-bit output identity with a serial session, no deadlocks
 // (a hang fails the ctest timeout), replay of the duplicated modules
-// from the shared cache, and raw TaskScheduler invariants (dynamic
-// spawn, join counters, injection from outside the pool).
+// from the shared cache — and runtime::runTasks invariants (every index
+// runs once, the serial fallback's order and thread, and per-task
+// exception containment).
 #include "driver/compiler.h"
 #include "ir/printer.h"
 #include "rodinia/rodinia.h"
 #include "runtime/thread_pool.h"
+#include "support/metrics.h"
 #include "transforms/pass_cache.h"
 
 #include <gtest/gtest.h>
@@ -96,8 +98,8 @@ TEST(SchedulerStressTest, DuplicatedSuiteMixedPipelinesMatchesSerial) {
 TEST(SchedulerStressTest, FuturesResolveBeforeCompileAllReturns) {
   // Async batch: every future must resolve during the batch; with >1
   // module the first future resolves while the batch is still in flight
-  // (asserted via the job-completion hook, which fires mid-batch under
-  // the DAG scheduler).
+  // (asserted via the job-completion hook, which fires mid-batch as each
+  // job's task completes).
   std::vector<StressJob> jobs = stressJobs();
   transforms::PassResultCache cache;
   driver::SessionOptions so;
@@ -127,54 +129,73 @@ TEST(SchedulerStressTest, FuturesResolveBeforeCompileAllReturns) {
 }
 
 //===----------------------------------------------------------------------===//
-// Raw TaskScheduler invariants
+// runTasks invariants
 //===----------------------------------------------------------------------===//
 
-TEST(TaskSchedulerTest, DynamicSpawnChainsAndJoinsDrainCompletely) {
-  runtime::ThreadPool pool(4);
-  runtime::TaskScheduler sched(&pool);
-  std::atomic<int> leaves{0};
-  std::atomic<int> joins{0};
-  // 32 chains of depth 3; each tail fans into 4 leaves joined by a
-  // last-finisher continuation — the DAG shapes scheduleBatch emits.
-  for (int c = 0; c < 32; ++c) {
-    sched.spawn([&, c](unsigned) {
-      sched.spawn([&](unsigned) {
-        sched.spawn([&](unsigned) {
-          auto left = std::make_shared<std::atomic<int>>(4);
-          for (int l = 0; l < 4; ++l)
-            sched.spawn([&, left](unsigned) {
-              leaves.fetch_add(1);
-              if (left->fetch_sub(1) == 1)
-                joins.fetch_add(1);
-            });
-        });
-      });
-    });
+TEST(RunTasksTest, EveryIndexRunsExactlyOnce) {
+  for (unsigned threads : {0u, 1u, 2u, 8u}) { // 0: no pool
+    std::unique_ptr<runtime::ThreadPool> pool;
+    if (threads)
+      pool = std::make_unique<runtime::ThreadPool>(threads);
+    for (size_t n : {size_t(0), size_t(1), size_t(64)}) {
+      std::vector<std::atomic<int>> runs(n);
+      runtime::runTasks(pool.get(), n,
+                        [&](size_t i) { runs[i].fetch_add(1); });
+      for (size_t i = 0; i < n; ++i)
+        EXPECT_EQ(runs[i].load(), 1)
+            << "threads=" << threads << " n=" << n << " index " << i;
+    }
   }
-  sched.run();
-  EXPECT_EQ(leaves.load(), 32 * 4);
-  EXPECT_EQ(joins.load(), 32);
-  // A drained scheduler accepts and drains further work.
-  std::atomic<int> more{0};
-  for (int i = 0; i < 8; ++i)
-    sched.spawn([&](unsigned) { more.fetch_add(1); });
-  sched.run();
-  EXPECT_EQ(more.load(), 8);
 }
 
-TEST(TaskSchedulerTest, SerialFallbackRunsDepthFirst) {
-  // Without a pool the drain is deterministic and depth-first: a chain's
-  // continuation runs before the next root task starts.
-  runtime::TaskScheduler sched(nullptr);
-  std::vector<int> order;
-  for (int c = 0; c < 3; ++c)
-    sched.spawn([&, c](unsigned) {
-      order.push_back(c * 10);
-      sched.spawn([&, c](unsigned) { order.push_back(c * 10 + 1); });
+TEST(RunTasksTest, SerialFallbackRunsInIndexOrderOnTheCaller) {
+  // Each case runs 16 tasks and reports the order they ran in and
+  // whether all of them ran on the calling thread.
+  auto runSerial = [](runtime::ThreadPool *pool) {
+    std::thread::id caller = std::this_thread::get_id();
+    std::vector<size_t> order;
+    bool onCaller = true;
+    runtime::runTasks(pool, 16, [&](size_t i) {
+      order.push_back(i);
+      onCaller = onCaller && std::this_thread::get_id() == caller;
     });
-  sched.run();
-  ASSERT_EQ(order.size(), 6u);
-  for (int c = 0; c < 3; ++c)
-    EXPECT_EQ(order[2 * c] + 1, order[2 * c + 1]);
+    EXPECT_TRUE(onCaller);
+    return order;
+  };
+  std::vector<size_t> expected(16);
+  for (size_t i = 0; i < expected.size(); ++i)
+    expected[i] = i;
+
+  EXPECT_EQ(runSerial(nullptr), expected);
+  runtime::ThreadPool one(1);
+  EXPECT_EQ(runSerial(&one), expected);
+  // Inside a parallel region every member runs its own serial loop.
+  runtime::ThreadPool four(4);
+  std::vector<std::vector<size_t>> nested(4);
+  four.parallel([&](unsigned tid, runtime::Team &) {
+    nested[tid] = runSerial(&four);
+  });
+  for (const auto &order : nested)
+    EXPECT_EQ(order, expected);
+}
+
+TEST(RunTasksTest, ThrowingTaskIsCountedAndTheRestStillRun) {
+  auto &reg = metrics::MetricsRegistry::instance();
+  runtime::ThreadPool pool(4);
+  for (runtime::ThreadPool *p : {static_cast<runtime::ThreadPool *>(nullptr),
+                                 &pool}) {
+    uint64_t exceptionsBefore = reg.counterValue("scheduler.task_exceptions");
+    uint64_t tasksBefore = reg.counterValue("scheduler.tasks");
+    std::vector<std::atomic<int>> runs(32);
+    runtime::runTasks(p, runs.size(), [&](size_t i) {
+      runs[i].fetch_add(1);
+      if (i % 8 == 3)
+        throw std::runtime_error("task failed");
+    });
+    for (size_t i = 0; i < runs.size(); ++i)
+      EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+    EXPECT_EQ(reg.counterValue("scheduler.task_exceptions") - exceptionsBefore,
+              4u);
+    EXPECT_EQ(reg.counterValue("scheduler.tasks") - tasksBefore, 32u);
+  }
 }

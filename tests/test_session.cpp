@@ -373,12 +373,11 @@ TEST(SessionTest, AsyncCompileAllAndFutures) {
 }
 
 TEST(SessionTest, FuturesResolveIncrementallyUnderDag) {
-  // Completion-order probe: under the DAG scheduler a job is marked done
-  // the moment its own chain completes. With threads=1 the serial drain
-  // runs depth-first, so the first job observably resolves while other
-  // modules still have passes left to execute — the cache's
-  // passes-executed counter at that instant must be short of its final
-  // value.
+  // Completion-order probe: a job is marked done the moment its own task
+  // completes. With threads=1 the tasks run one after another, so the
+  // first job observably resolves while other modules still have passes
+  // left to execute — the cache's passes-executed counter at that
+  // instant must be short of its final value.
   transforms::PassResultCache cache;
   driver::SessionOptions so = batchOptions(1, &cache);
   std::atomic<uint64_t> executedAtFirstCompletion{0};

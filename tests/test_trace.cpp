@@ -357,14 +357,11 @@ TEST_F(TraceTest, SpanEnabledAtOpenDroppedWhenDisabledAtClose) {
 
 TEST_F(TraceTest, EightThreadSchedulerRunIsConsistent) {
   runtime::ThreadPool pool(8);
-  runtime::TaskScheduler sched(&pool);
   std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i)
-    sched.spawn([&](unsigned) {
-      trace::TraceSpan s("unit", "test");
-      ran.fetch_add(1);
-    });
-  sched.run();
+  runtime::runTasks(&pool, 64, [&](size_t) {
+    trace::TraceSpan s("unit", "test");
+    ran.fetch_add(1);
+  });
   EXPECT_EQ(ran.load(), 64);
 
   JsonValue root = parseTraceJson();
@@ -382,7 +379,7 @@ TEST_F(TraceTest, EightThreadSchedulerRunIsConsistent) {
     }
   }
   EXPECT_EQ(units, 64u);
-  // The scheduler's own task spans appear on the worker lanes.
+  // runTasks' own task spans appear on the worker lanes.
   bool sawTask = false;
   for (auto &[tid, iv] : byTid)
     for (const Interval &i : iv)
