@@ -64,9 +64,10 @@ CompileResult compile(const std::string &source,
                       DiagnosticEngine &diag,
                       const transforms::PassRunConfig &config);
 
-/// One-shot wrapper for SessionMode::Simt: frontend + device-function
-/// inlining only. Barriers are preserved; kernels execute on the
-/// lockstep SIMT emulator giving ground-truth CUDA semantics.
+/// One-shot wrapper for SessionMode::Simt: the frontend, then the
+/// one-pass pipeline inline{kernels-only=true} (device-function inlining
+/// only). Barriers are preserved; kernels execute on the lockstep SIMT
+/// emulator giving ground-truth CUDA semantics.
 CompileResult compileForSimt(const std::string &source,
                              DiagnosticEngine &diag);
 

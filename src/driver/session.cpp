@@ -238,33 +238,15 @@ void CompilerSession::runFrontendOne(CompileJob &job) {
   }
   if (job.diag_.hasErrors())
     return;
-  if (opts_.mode == SessionMode::Optimize) {
-    // Same gate the facade always applied: diagnostics clean AND the
-    // produced IR structurally valid.
-    auto errors = ir::verify(job.result_.module.op());
-    if (!errors.empty()) {
-      for (const std::string &e : errors)
-        job.diag_.error(SourceLoc(), "frontend produced invalid IR: " + e);
-      return;
-    }
+  // In either mode: diagnostics clean AND the produced IR structurally
+  // valid.
+  auto errors = ir::verify(job.result_.module.op());
+  if (!errors.empty()) {
+    for (const std::string &e : errors)
+      job.diag_.error(SourceLoc(), "frontend produced invalid IR: " + e);
+    return;
   }
   job.frontendOk_ = true;
-}
-
-void CompilerSession::compileSimt(const std::vector<CompileJob *> &jobs) {
-  // Each job owns its module and engine, so the jobs fan out trivially.
-  runtime::runTasks(pool_.get(), jobs.size(), [&](size_t k) {
-    CompileJob &job = *jobs[k];
-    if (!job.preparsed_)
-      runFrontendOne(job);
-    bool ok = job.frontendOk_;
-    if (ok) {
-      transforms::runInliner(job.result_.module.get(),
-                             /*onlyInKernels=*/true);
-      ok = ir::verifyOk(job.result_.module.op());
-    }
-    markDone(job, ok);
-  });
 }
 
 bool CompilerSession::finalVerify(const transforms::PassManager &pm,
@@ -299,118 +281,98 @@ bool CompilerSession::compileAll() {
       for (CompileJob *job : batch)
         trace::asyncBegin("job:" + job->name_,
                           reinterpret_cast<uintptr_t>(job));
-    if (opts_.mode == SessionMode::Simt) {
-      compileSimt(batch);
-    } else {
-      // Group jobs by pipeline; each group compiles against one
-      // PassManager. The key is the built pipeline's canonical spec — not
-      // the PipelineOptions fields — so a future option can never
-      // silently misgroup jobs onto another job's pipeline; the
-      // PassManager built for each group's first job is the one the group
-      // then runs.
-      struct Group {
-        std::string key;
-        std::unique_ptr<transforms::PassManager> pm;
-        std::vector<CompileJob *> jobs;
-      };
-      std::vector<Group> groups;
-      if (opts_.pipelineSpec) {
-        auto pm = std::make_unique<transforms::PassManager>();
-        DiagnosticEngine specDiag;
-        if (!transforms::buildPipelineFromSpec(*pm, *opts_.pipelineSpec,
-                                               specDiag)) {
-          for (CompileJob *job : batch) {
-            job->diag_.mergeFrom(specDiag);
-            markDone(*job, false);
-          }
-        } else {
-          groups.push_back({*opts_.pipelineSpec, std::move(pm), batch});
+    // Group jobs by pipeline; each group compiles against one
+    // PassManager. The key is the built pipeline's canonical spec — not
+    // the PipelineOptions fields — so a future option can never silently
+    // misgroup jobs onto another job's pipeline; the PassManager built
+    // for each group's first job is the one the group then runs. Simt
+    // mode is the one-pass pipeline the lockstep SIMT executor needs:
+    // device functions inlined into kernels, barriers kept.
+    std::optional<std::string> spec = opts_.pipelineSpec;
+    if (opts_.mode == SessionMode::Simt)
+      spec = "inline{kernels-only=true}";
+    struct Group {
+      std::string key;
+      std::unique_ptr<transforms::PassManager> pm;
+      std::vector<CompileJob *> jobs;
+    };
+    std::vector<Group> groups;
+    if (spec) {
+      auto pm = std::make_unique<transforms::PassManager>();
+      DiagnosticEngine specDiag;
+      if (!transforms::buildPipelineFromSpec(*pm, *spec, specDiag)) {
+        for (CompileJob *job : batch) {
+          job->diag_.mergeFrom(specDiag);
+          markDone(*job, false);
         }
       } else {
-        for (CompileJob *job : batch) {
-          auto pm = std::make_unique<transforms::PassManager>();
-          transforms::buildPipeline(*pm, job->pipelineOpts_);
-          std::string key = pm->pipelineSpec();
-          auto it =
-              std::find_if(groups.begin(), groups.end(),
-                           [&](const Group &g) { return g.key == key; });
-          if (it == groups.end()) {
-            groups.push_back({std::move(key), std::move(pm), {}});
-            it = groups.end() - 1;
-          }
-          it->jobs.push_back(job);
-        }
+        groups.push_back({*spec, std::move(pm), batch});
       }
-      bool hooked = false;
-      for (Group &group : groups) {
-        transforms::PassManager &pm = *group.pm;
-        pm.setResultCache(cache_);
-        if (opts_.collectStatistics)
-          pm.enableStatistics();
-        if (opts_.configurePassManager)
-          opts_.configurePassManager(pm);
-        if (opts_.verifyEach)
-          pm.enableVerifyEach();
-        if (opts_.collectTiming)
-          pm.enableTiming(&timing_);
-        hooked = hooked || pm.hasInstrumentation();
-      }
-      // Every group's modules go into one task list, groups in order of
-      // first appearance and jobs in order within a group, so the
-      // pipelines interleave on the pool and each job is marked done the
-      // moment its own task completes. Hooks observe one module at a
-      // time, so a hooked batch runs on this thread, in job order.
-      std::vector<std::unique_ptr<transforms::BatchDag>> batches;
-      std::vector<std::pair<transforms::BatchDag *, size_t>> tasks;
-      for (Group &group : groups) {
-        transforms::PassManager &pm = *group.pm;
-        std::vector<transforms::PassManager::BatchItem> items;
-        for (CompileJob *job : group.jobs) {
-          transforms::PassManager::BatchItem item;
-          item.diag = &job->diag_;
-          if (job->preparsed_)
-            item.module = job->result_.module.op();
-          else
-            item.prepare = [this, job]() -> std::optional<ir::ModuleOp> {
-              runFrontendOne(*job);
-              if (!job->frontendOk_)
-                return std::nullopt;
-              return job->result_.module.get();
-            };
-          items.push_back(std::move(item));
+    } else {
+      for (CompileJob *job : batch) {
+        auto pm = std::make_unique<transforms::PassManager>();
+        transforms::buildPipeline(*pm, job->pipelineOpts_);
+        std::string key = pm->pipelineSpec();
+        auto it = std::find_if(groups.begin(), groups.end(),
+                               [&](const Group &g) { return g.key == key; });
+        if (it == groups.end()) {
+          groups.push_back({std::move(key), std::move(pm), {}});
+          it = groups.end() - 1;
         }
-        transforms::PassManager::BatchOptions bo;
-        bo.maxArenaBytes = opts_.maxArenaBytesPerModule;
-        for (CompileJob *job : group.jobs)
-          bo.cancels.push_back(&job->cancel_);
-        bo.onModuleDone = [this, &pm, &group](size_t idx, bool ok) {
-          CompileJob *job = group.jobs[idx];
+        it->jobs.push_back(job);
+      }
+    }
+    bool hooked = false;
+    // One task per job, groups in order of first appearance and jobs in
+    // order within a group, so the pipelines interleave on the pool and
+    // each job is marked done the moment its own task completes.
+    std::vector<std::pair<transforms::PassManager *, CompileJob *>> tasks;
+    for (Group &group : groups) {
+      transforms::PassManager &pm = *group.pm;
+      pm.setResultCache(cache_);
+      if (opts_.collectStatistics)
+        pm.enableStatistics();
+      if (opts_.configurePassManager)
+        opts_.configurePassManager(pm);
+      if (opts_.verifyEach)
+        pm.enableVerifyEach();
+      hooked = hooked || pm.hasInstrumentation();
+      for (CompileJob *job : group.jobs)
+        tasks.emplace_back(&pm, job);
+    }
+    // One timing report per task: tasks appending to one shared report
+    // would race and lose the task order the fold below keeps.
+    std::vector<transforms::PassTimingReport> reports(
+        opts_.collectTiming ? tasks.size() : 0);
+    // Hooks observe one module at a time, so a hooked batch runs on this
+    // thread, in job order.
+    runtime::runTasks(
+        hooked ? nullptr : pool_.get(), tasks.size(), [&](size_t t) {
+          auto [pm, job] = tasks[t];
+          if (!job->preparsed_)
+            runFrontendOne(*job);
+          transforms::PassManager::RunOptions runOpts;
+          runOpts.cancel = &job->cancel_;
+          runOpts.timing = opts_.collectTiming ? &reports[t] : nullptr;
+          runOpts.maxArenaBytes = opts_.maxArenaBytesPerModule;
+          bool ok = job->frontendOk_ &&
+                    pm->run(job->result_.module.get(), job->diag_, runOpts);
           {
-            trace::TraceSpan span(trace::enabled()
-                                      ? "finalize:" + job->name_
-                                      : std::string(),
-                                  "session");
-            ok = finalVerify(pm, job->result_.module.get(), job->diag_, ok);
+            trace::TraceSpan span(
+                trace::enabled() ? "finalize:" + job->name_ : std::string(),
+                "session");
+            ok = finalVerify(*pm, job->result_.module.get(), job->diag_, ok);
           }
           markDone(*job, ok);
-        };
-        batches.push_back(pm.makeBatch(std::move(items), std::move(bo)));
-        for (size_t i = 0; i < batches.back()->size(); ++i)
-          tasks.emplace_back(batches.back().get(), i);
-      }
-      runtime::runTasks(hooked ? nullptr : pool_.get(), tasks.size(),
-                        [&](size_t t) {
-                          tasks[t].first->compileModule(tasks[t].second);
-                        });
-      for (auto &dag : batches)
-        dag->foldTimingInto(timing_);
-      // Retained only for statisticsStr(); a long-lived session that
-      // never reads statistics must not accumulate one PassManager per
-      // batch.
-      if (opts_.collectStatistics)
-        for (Group &group : groups)
-          pms_.push_back(std::move(group.pm));
-    }
+        });
+    for (const transforms::PassTimingReport &report : reports)
+      timing_.records.insert(timing_.records.end(), report.records.begin(),
+                             report.records.end());
+    // Retained only for statisticsStr(); a long-lived session that never
+    // reads statistics must not accumulate one PassManager per batch.
+    if (opts_.collectStatistics)
+      for (Group &group : groups)
+        pms_.push_back(std::move(group.pm));
     // Containment sweep: a task that runTasks cut short with a contained
     // exception (e.g. an injected "scheduler.task" fault) leaves its job
     // unresolved. Every future must resolve, so any job still not Done

@@ -27,24 +27,27 @@
 //
 // Batch scheduling
 // ----------------
-// compileAll turns every queued module into one task
-// (PassManager::makeBatch) and runs the batch's tasks as one parallel
-// loop on the session pool (runtime::runTasks): each worker takes the
-// next task until none is left. (Simt mode runs one task per job the
-// same way: frontend, then device-function inlining.) The module is the
-// unit of compile parallelism: its task parses the source, keys its
-// functions (ir::hashOp), and runs every pass step in pipeline order,
-// looking up, running and storing the module's functions one after
-// another. So module B's kernels run pass 3 while module A is
-// still parsing, and each CompileJob future resolves the moment *its*
-// module's last pass (or terminal cache splice) completes rather than at
-// end of batch. Modules share the cache only through lookup and store:
-// a kernel another module stored earlier replays, while two modules
-// computing the same kernel at the same time both run it and store the
-// same result. Pass execution is deterministic per input, so outputs
-// are bit-for-bit identical to serial compiles. Under --timing, each
-// module's clocks are folded by (module, pass), so the report
-// attributes true per-module per-pass time.
+// compileAll groups the queued jobs by pipeline (one PassManager per
+// canonical pipeline spec; in Simt mode every job runs the one-pass
+// pipeline inline{kernels-only=true}) and turns every job into one
+// task: frontend, PassManager::run with the job's cancellation token,
+// arena cap and timing report, final verification, then the job is
+// marked done. The tasks run as one parallel loop on the session pool
+// (runtime::runTasks): each worker takes the next task until none is
+// left. The module is the unit of compile parallelism: its task parses
+// the source, keys its functions (ir::hashOp), and runs every pass step
+// in pipeline order, looking up, running and storing the module's
+// functions one after another. So module B's kernels run pass 3 while
+// module A is still parsing, and each CompileJob future resolves the
+// moment *its* module's task completes rather than at end of batch.
+// Modules share the cache only through lookup and store: a kernel
+// another module stored earlier replays, while two modules computing the
+// same kernel at the same time both run it and store the same result.
+// Pass execution is deterministic per input, so outputs are bit-for-bit
+// identical to serial compiles. Under --timing, each task records its
+// own module's (module, pass) rows, and the batch appends them in task
+// order, so the report attributes true per-module per-pass time and
+// reads the same at any thread count.
 //
 // Instrumentation hooks (configurePassManager's IR printers and any
 // other transforms::Instrumentation it installs) fire around every
@@ -184,8 +187,11 @@ struct CompileResult {
 };
 
 /// What a session's compiles produce. Optimize runs the full pipeline
-/// (driver::compile); Simt runs frontend + device-function inlining only,
+/// (driver::compile); Simt runs the frontend and the one-pass pipeline
+/// inline{kernels-only=true} (device-function inlining, barriers kept),
 /// for the lockstep SIMT reference executor (driver::compileForSimt).
+/// Both modes run through PassManager::run, so cancellation, deadlines,
+/// the arena cap, timing and statistics apply to either.
 enum class SessionMode { Optimize, Simt };
 
 class CompileJob;
@@ -400,13 +406,10 @@ private:
   /// Jobs to compile in this batch (flips them to Compiling).
   std::vector<CompileJob *> takeQueued();
   void markDone(CompileJob &job, bool ok);
-  /// Frontend for one job: parse + (in Optimize mode) IR verification.
+  /// Frontend for one job: parse + IR verification, in either mode.
   /// Thread-safe across distinct jobs; the batch runs it at the start of
   /// each module's task.
   void runFrontendOne(CompileJob &job);
-  /// Simt mode: frontend then device-function inlining, one task per
-  /// job on the pool; each job resolves when its task completes.
-  void compileSimt(const std::vector<CompileJob *> &jobs);
   /// End-of-pipeline verification gate: skipped when verify-each already
   /// covered the final module (any non-empty pipeline); otherwise reports
   /// "final module is invalid" into `diag`. Returns the updated ok.

@@ -3,7 +3,8 @@
 // folds, the frontend's array-extent evaluator and unroll's trip-count
 // evaluator all compute through these functions, so a value folded at
 // compile time always equals the value the VM computes at run time, and
-// no operand makes the compiler or the VM trap.
+// no operand makes the compiler or the VM trap or hit undefined
+// behaviour.
 //
 // Values are int64_t; narrower types are computed in 64 bits and then
 // cut to their width with `truncate`. Every operation is total:
@@ -13,7 +14,10 @@
 //    INT64_MIN % -1 == 0;
 //  - a shift count is taken modulo 64: only its low six bits are used,
 //    as x86-64 does for 64-bit shifts, so 1 << 64 == 1 and
-//    1 << 70 == 64. >> is arithmetic.
+//    1 << 70 == 64. >> is arithmetic;
+//  - a float converts to int64_t truncating toward zero, and NaN or a
+//    value outside [-2^63, 2^63) converts to INT64_MIN, as x86-64's
+//    cvttsd2si does (a plain C++ cast is undefined for those).
 #pragma once
 
 #include "ir/op.h"
@@ -57,6 +61,12 @@ inline int64_t shl(int64_t a, int64_t b) {
 }
 
 inline int64_t shr(int64_t a, int64_t b) { return a >> (b & 63); }
+
+/// FPToSI: `x` truncated toward zero; INT64_MIN for NaN and for values
+/// outside [-2^63, 2^63).
+inline int64_t fpToSI(double x) {
+  return x >= -0x1p63 && x < 0x1p63 ? static_cast<int64_t>(x) : INT64_MIN;
+}
 
 /// Cuts a 64-bit result to the width of `t`: i32 wraps to 32 bits
 /// (sign-extended), i1 keeps bit 0, i64 and index are unchanged.

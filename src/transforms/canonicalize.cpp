@@ -403,7 +403,7 @@ bool canonicalizeOp(Op *op) {
   }
   case OpKind::FPToSI: {
     if (auto c = getConstFloat(op->operand(0))) {
-      replaceWithConstInt(op, static_cast<int64_t>(*c));
+      replaceWithConstInt(op, intmath::fpToSI(*c));
       return true;
     }
     return false;

@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace paralift::transforms {
 
@@ -474,7 +476,16 @@ const char *kRoundTripError =
 PassManager::~PassManager() = default;
 
 void PassManager::addPass(std::unique_ptr<Pass> pass) {
+  // Set here and in enableStatistics, never in run(): concurrent runs
+  // share the pass objects.
+  pass->setStatisticsEnabled(collectStats_);
   passes_.push_back(std::move(pass));
+}
+
+void PassManager::enableStatistics() {
+  collectStats_ = true;
+  for (auto &pass : passes_)
+    pass->setStatisticsEnabled(true);
 }
 
 void PassManager::addInstrumentation(std::unique_ptr<Instrumentation> ins) {
@@ -502,17 +513,10 @@ std::vector<ir::Op *> collectFuncs(ModuleOp module) {
   return funcs;
 }
 
-} // namespace
-
-const Hash128 &PassManager::hashOf(ir::Op *func, CacheState &st) {
-  auto it = st.irHash.find(func);
-  if (it == st.irHash.end())
-    it = st.irHash.emplace(func, ir::hashOp(func)).first;
-  return it->second;
-}
-
-ir::Op *PassManager::spliceFunction(ModuleOp module, ir::Op *oldFunc,
-                                    const std::string &text) {
+/// Replaces `oldFunc` with the function parsed from cached `text`;
+/// returns the new func, or nullptr if the entry fails to parse.
+ir::Op *spliceFunction(ModuleOp module, ir::Op *oldFunc,
+                       const std::string &text) {
   // Cached entries hold a standalone printed func; wrap it into module
   // syntax for the parser. Parse directly into the destination module's
   // arena — ops must never migrate between arenas.
@@ -541,112 +545,26 @@ ir::Op *PassManager::spliceFunction(ModuleOp module, ir::Op *oldFunc,
   return newFunc;
 }
 
-bool PassManager::applyHit(ModuleOp module, ir::Op *func,
-                           PassResultCache::Entry &&hit, bool lazy,
-                           CacheState &st) {
-  if (lazy) {
-    // Accept the hit without splicing: the hash chain advances and the
-    // latest cached text supersedes any earlier pending text.
-    st.irHash[func] = hit.outputHash;
-    st.pending[func] = std::move(hit.ir);
-    return true;
-  }
-  ir::Op *replacement = spliceFunction(module, func, hit.ir);
-  if (!replacement)
-    return false;
-  st.irHash.erase(func);
-  // A leftover lazy entry from an earlier pass would otherwise
-  // materialize outdated IR over the spliced result at the next
-  // materialize of `func`.
-  st.pending.erase(func);
-  st.irHash[replacement] = hit.outputHash;
-  return true;
-}
+} // namespace
 
-ir::Op *PassManager::materialize(ModuleOp module, ir::Op *func,
-                                 CacheState &st) {
-  auto pendingIt = st.pending.find(func);
-  if (pendingIt == st.pending.end())
-    return func;
-  std::string text = std::move(pendingIt->second);
-  st.pending.erase(pendingIt);
-  ir::Op *replacement = spliceFunction(module, func, text);
-  if (!replacement)
-    return nullptr;
-  // The old op is gone; the hash chain continues under the replacement's
-  // identity.
-  auto hashIt = st.irHash.find(func);
-  if (hashIt != st.irHash.end()) {
-    Hash128 h = hashIt->second;
-    st.irHash.erase(hashIt);
-    st.irHash[replacement] = h;
-  }
-  return replacement;
-}
+/// One run() call: the module's cache bookkeeping and its open step. Only
+/// the calling thread touches it, so none of its fields need locks.
+struct PassManager::ModuleRun {
+  ModuleRun(PassManager &pm, ModuleOp module, DiagnosticEngine &diag,
+            const RunOptions &opts)
+      : pm(pm), module(module), diag(diag), opts(opts) {}
 
-bool PassManager::materializeAll(ModuleOp module, CacheState &st) {
-  while (!st.pending.empty())
-    if (!materialize(module, st.pending.begin()->first, st))
-      return false;
-  return true;
-}
-
-bool PassManager::spliceModule(ModuleOp module,
-                               const PassResultCache::Entry &entry,
-                               CacheState &st) {
-  DiagnosticEngine localDiag;
-  ir::Op *top =
-      ir::parseModuleInto(module.op->arena(), entry.ir, localDiag);
-  if (!top || localDiag.hasErrors()) {
-    if (top)
-      ir::Op::destroy(top);
-    return false;
-  }
-  for (ir::Op *op : collectFuncs(module))
-    op->erase();
-  st.irHash.clear();
-  st.pending.clear();
-  std::vector<ir::Op *> newOps;
-  for (ir::Op *op : top->region(0).front())
-    newOps.push_back(op);
-  size_t funcIdx = 0;
-  for (ir::Op *op : newOps) {
-    op->removeFromParent();
-    module.body().push_back(op);
-    if (op->kind() != ir::OpKind::Func)
-      continue;
-    // The entry records the per-function result hashes; fall back to
-    // rehashing only when the metadata is absent (older cache files).
-    if (funcIdx < entry.funcHashes.size())
-      st.irHash[op] = entry.funcHashes[funcIdx];
-    else
-      st.irHash[op] = ir::hashOp(op);
-    ++funcIdx;
-  }
-  ir::Op::destroy(top); // detach the scaffolding module op
-  return true;
-}
-
-bool PassManager::run(ModuleOp module, DiagnosticEngine &diag) {
-  std::vector<BatchItem> items(1);
-  items[0].module = module.op;
-  items[0].diag = &diag;
-  std::unique_ptr<BatchDag> batch = makeBatch(std::move(items), {});
-  batch->compileModule(0);
-  if (timing_)
-    batch->foldTimingInto(*timing_);
-  return batch->results()[0] != 0;
-}
-
-//===----------------------------------------------------------------------===//
-// Batch execution
-//===----------------------------------------------------------------------===//
-
-struct BatchDag::Mod {
-  ir::Op *module = nullptr;
-  DiagnosticEngine *diag = nullptr;
-  std::function<std::optional<ModuleOp>()> prepare;
-  PassManager::CacheState st;
+  PassManager &pm;
+  ModuleOp module;
+  DiagnosticEngine &diag;
+  const RunOptions &opts;
+  /// The chained per-function structural IR hashes, plus — for lazily
+  /// replayed passes — cached result text accepted but not yet spliced
+  /// into the module (consecutive hits only advance the hash chain; IR is
+  /// materialized when a pass actually has to execute, when an
+  /// instrumentation inspects it, or at end of run).
+  std::unordered_map<ir::Op *, Hash128> irHash;
+  std::unordered_map<ir::Op *, std::string> pending;
   size_t passIdx = 0;
   /// The current step ran transform code, rather than replaying every
   /// result from the cache.
@@ -656,353 +574,375 @@ struct BatchDag::Mod {
   bool lazy = true;
   /// The current step fired its beforePass hooks; afterPass is owed.
   bool hooksOpen = false;
-  /// One per clocked pass body, in execution order (timing enabled).
-  struct Sample {
-    size_t pass;
-    double seconds;
-    uint64_t arenaDelta;
-  };
-  std::vector<Sample> samples;
-};
+  /// Pass index of the last opts.timing row this run appended. A function
+  /// pass clocks each function it runs; one step's clocks fold into one
+  /// row, and a spec running at two positions keeps two rows.
+  size_t timedPass = SIZE_MAX;
 
-BatchDag::BatchDag(PassManager &pm, PassManager::BatchOptions opts)
-    : pm_(pm), opts_(std::move(opts)) {}
-
-BatchDag::~BatchDag() = default;
-
-template <typename Fn>
-bool BatchDag::runClocked(size_t i, const Pass &pass, Fn &&body) {
-  Mod &m = *mods_[i];
-  // Only the module's own task allocates in its arena, so the delta is
-  // exactly what this body materialized.
-  const ir::IRArena &arena = m.module->arena();
-  uint64_t arenaStart = arena.bytesAllocated();
-  auto t0 = std::chrono::steady_clock::now();
-  bool ok = runPassContained(pass.name(), *m.diag, std::forward<Fn>(body));
-  double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  passSecondsHistogram().observe(secs);
-  if (pm_.timing_)
-    m.samples.push_back(
-        {m.passIdx, secs, arena.bytesAllocated() - arenaStart});
-  return ok;
-}
-
-void BatchDag::foldTimingInto(PassTimingReport &report) const {
-  // Append (never merge into existing rows): a pipeline running the same
-  // spec at two positions keeps two rows. A function pass clocks each
-  // function it runs; one step's samples are adjacent and fold into one
-  // row.
-  for (const auto &m : mods_) {
-    size_t rowPass = SIZE_MAX;
-    for (const Mod::Sample &s : m->samples) {
-      if (s.pass != rowPass) {
-        rowPass = s.pass;
-        report.records.push_back(
-            {pm_.passes_[s.pass]->spec(), 0, 0, m->diag->moduleName()});
-      }
-      report.records.back().seconds += s.seconds;
-      report.records.back().arenaDeltaBytes += s.arenaDelta;
+  /// Initial keying, then every pass step in pipeline order until one
+  /// fails or the pipeline ends.
+  bool compile() {
+    {
+      trace::TraceSpan span(spanName("start:", diag.moduleName()), "pm");
+      // Initial keying: one structural-hash walk per function.
+      if (pm.cache_)
+        for (ir::Op *func : collectFuncs(module))
+          irHash[func] = ir::hashOp(func);
     }
-  }
-}
-
-void BatchDag::finish(size_t i, bool ok) {
-  Mod &m = *mods_[i];
-  if (ok && m.module) {
-    if (!pm_.materializeAll(ModuleOp(m.module), m.st)) {
-      m.diag->error(SourceLoc(), kRoundTripError);
-      ok = false;
-    }
-  }
-  ok_[i] = ok ? 1 : 0;
-  if (opts_.onModuleDone)
-    opts_.onModuleDone(i, ok);
-}
-
-void BatchDag::fail(size_t i) {
-  Mod &m = *mods_[i];
-  // A failed step still closes its hooks (afterPass runs even when the
-  // pass failed); their verdict is secondary to the failure reported.
-  if (m.hooksOpen)
-    closeHooks(i, *pm_.passes_[m.passIdx]);
-  // Leave the failed module's (partially transformed) IR materialized;
-  // a round-trip failure here is secondary to the abort being reported.
-  if (m.module)
-    pm_.materializeAll(ModuleOp(m.module), m.st);
-  finish(i, false);
-}
-
-bool BatchDag::cancelled(size_t i, Pass &pass) {
-  if (i >= opts_.cancels.size() || !opts_.cancels[i])
-    return false;
-  std::string reason = opts_.cancels[i]->expiredReason();
-  if (reason.empty())
-    return false;
-  mods_[i]->diag->error(SourceLoc(),
-                        reason + " in pass '" + pass.name() + "'");
-  fail(i);
-  return true;
-}
-
-bool BatchDag::beginStep(size_t i, Pass &pass) {
-  Mod &m = *mods_[i];
-  ModuleOp module(m.module);
-  m.stepExecuted = false;
-  m.lazy = !pm_.verifyEach_ && !pm_.inspectsIR(pass);
-  // Before a pass some hook inspects (or verify-each checks), every
-  // pending replay is spliced so the hooks and the pass see real IR.
-  if (!m.lazy && !pm_.materializeAll(module, m.st)) {
-    m.diag->error(SourceLoc(), kRoundTripError);
-    fail(i);
-    return false;
-  }
-  if (pm_.hasInstrumentation()) {
-    for (auto &ins : pm_.instrumentations_)
-      ins->beforePass(pass, module);
-    m.hooksOpen = true;
-  }
-  return true;
-}
-
-bool BatchDag::closeHooks(size_t i, Pass &pass) {
-  Mod &m = *mods_[i];
-  m.hooksOpen = false;
-  // Reverse order so instrumentations nest (first installed = outermost).
-  bool ok = true;
-  for (auto it = pm_.instrumentations_.rbegin();
-       it != pm_.instrumentations_.rend(); ++it)
-    ok = (*it)->afterPass(pass, ModuleOp(m.module), *m.diag) && ok;
-  return ok;
-}
-
-bool BatchDag::endStep(size_t i, Pass &pass) {
-  Mod &m = *mods_[i];
-  bool ok = !m.hooksOpen || closeHooks(i, pass);
-  if (pm_.verifyEach_) {
-    // verify-each turns lazy replay off, so the module is materialized.
-    for (const std::string &e : ir::verify(m.module)) {
-      m.diag->error(SourceLoc(),
-                    "pass '" + pass.name() + "' broke invariant: " + e);
-      ok = false;
-    }
-  }
-  // Per-module arena cap: runaway IR growth becomes a clean per-job OOM
-  // failure, not process death.
-  uint64_t bytes = m.module->arena().bytesAllocated();
-  if (ok && opts_.maxArenaBytes && bytes > opts_.maxArenaBytes) {
-    m.diag->error(SourceLoc(),
-                  "IR arena limit exceeded (" + std::to_string(bytes) +
-                      " > " + std::to_string(opts_.maxArenaBytes) +
-                      " bytes) after pass '" + pass.name() + "'");
-    ok = false;
-  }
-  if (!ok)
-    fail(i);
-  return ok;
-}
-
-void BatchDag::compileModule(size_t i) {
-  Mod &m = *mods_[i];
-  {
-    trace::TraceSpan span(spanName("start:", m.diag->moduleName()), "pm");
-    if (m.prepare) {
-      // The prepare hook crosses into frontend code; contain anything it
-      // throws as this module's parse failure (the session's own hook
-      // catches too — this covers callers that build batches directly).
-      std::optional<ModuleOp> parsed;
+    for (; passIdx < pm.passes_.size(); ++passIdx) {
+      Pass &pass = *pm.passes_[passIdx];
+      // Cancellation/deadline poll before every step.
+      if (cancelled(pass))
+        return fail();
+      trace::TraceSpan span(spanName("pass:", pass.name()), "pm");
+      bool ok;
+      // Pass bodies are individually contained (runPassContained); this
+      // outer catch covers the step machinery itself — cache probes,
+      // materialization, hashing, hooks — so a throw fails this module
+      // alone, with a diagnostic naming the step.
       try {
-        parsed = m.prepare();
+        ok = beginStep(pass) &&
+             (pass.isFunctionPass()
+                  ? runFunctionPass(static_cast<FunctionPass &>(pass))
+                  : runModulePass(pass)) &&
+             endStep(pass);
       } catch (const std::exception &e) {
-        m.diag->error(SourceLoc(),
-                      std::string("module preparation threw: ") + e.what());
+        diag.error(SourceLoc(),
+                   "pass step '" + pass.name() + "' threw: " + e.what());
+        ok = false;
       } catch (...) {
-        m.diag->error(SourceLoc(),
-                      "module preparation threw a non-standard exception");
+        diag.error(SourceLoc(), "pass step '" + pass.name() +
+                                    "' threw a non-standard exception");
+        ok = false;
       }
-      if (!parsed) {
-        finish(i, false);
-        return;
+      if (span.active()) {
+        if (ok)
+          span.annotate("cache", stepExecuted ? "run" : "replay");
+        else
+          span.annotate("step", "failed");
       }
-      m.module = parsed->op;
+      if (!ok)
+        return fail();
     }
-    // Initial keying: one structural-hash walk per function.
-    if (pm_.cache_) {
-      ModuleOp module(m.module);
-      for (ir::Op *func : collectFuncs(module))
-        m.st.irHash[func] = ir::hashOp(func);
-    }
-  }
-  for (; m.passIdx < pm_.passes_.size(); ++m.passIdx) {
-    Pass &pass = *pm_.passes_[m.passIdx];
-    // Cancellation/deadline poll before every step.
-    if (cancelled(i, pass))
-      return;
-    trace::TraceSpan span(spanName("pass:", pass.name()), "pm");
-    bool ok;
-    // Pass bodies are individually contained (runPassContained); this
-    // outer catch covers the step machinery itself — cache probes,
-    // materialization, hashing, hooks — so a throw fails this module
-    // alone, with a diagnostic naming the step.
-    try {
-      ok = beginStep(i, pass) &&
-           (pass.isFunctionPass()
-                ? runFunctionPass(i, static_cast<FunctionPass &>(pass))
-                : runModulePass(i, pass)) &&
-           endStep(i, pass);
-    } catch (const std::exception &e) {
-      m.diag->error(SourceLoc(), "pass step '" + pass.name() +
-                                     "' threw: " + e.what());
-      fail(i);
-      return;
-    } catch (...) {
-      m.diag->error(SourceLoc(), "pass step '" + pass.name() +
-                                     "' threw a non-standard exception");
-      fail(i);
-      return;
-    }
-    if (span.active()) {
-      if (ok)
-        span.annotate("cache", m.stepExecuted ? "run" : "replay");
-      else
-        span.annotate("step", "failed");
-    }
-    if (!ok)
-      return;
-  }
-  finish(i, true);
-}
-
-bool BatchDag::runModulePass(size_t i, Pass &pass) {
-  Mod &m = *mods_[i];
-  ModuleOp module(m.module);
-  DiagnosticEngine &diag = *m.diag;
-  PassResultCache *cache = pm_.cache_;
-  Hash128 input;
-  std::string spec;
-  if (cache) {
-    // Module granularity: key on the fold of the per-function hashes (the
-    // module body holds only funcs). The "module:" spec prefix keeps the
-    // key space disjoint from per-function entries.
-    spec = "module:" + pass.spec();
-    for (ir::Op *func : collectFuncs(module))
-      input = combineHash(input, pm_.hashOf(func, m.st));
-    if (auto hit = cache->lookup(input, spec)) {
-      if (pm_.spliceModule(module, *hit, m.st)) {
-        cache->notePassReplayed();
-        return true;
-      }
-      // Unparseable entry (rare): recompute; the store below overwrites
-      // the corrupt key.
-    }
-    if (!pm_.materializeAll(module, m.st)) {
+    if (!materializeAll()) {
       diag.error(SourceLoc(), kRoundTripError);
-      fail(i);
       return false;
     }
-    cache->notePassExecuted();
+    return true;
   }
-  m.stepExecuted = true;
-  size_t errorsBefore = diag.numErrors();
-  bool okRun = runClocked(i, pass, [&] { return pass.run(module, diag); });
-  if (!okRun || diag.numErrors() > errorsBefore) {
-    fail(i);
+
+  /// Polls the cancellation token before a step; on expiry records the
+  /// diagnostic and returns true (abort the pipeline).
+  bool cancelled(const Pass &pass) {
+    std::string reason = opts.cancel ? opts.cancel->expiredReason() : "";
+    if (reason.empty())
+      return false;
+    diag.error(SourceLoc(), reason + " in pass '" + pass.name() + "'");
+    return true;
+  }
+
+  /// Fails the module: closes an open step's hooks and leaves the IR
+  /// materialized. Returns false.
+  bool fail() {
+    // A failed step still closes its hooks (afterPass runs even when the
+    // pass failed); their verdict is secondary to the failure reported.
+    if (hooksOpen)
+      closeHooks(*pm.passes_[passIdx]);
+    // Leave the failed module's (partially transformed) IR materialized;
+    // a round-trip failure here is secondary to the abort being reported.
+    materializeAll();
     return false;
   }
-  if (cache) {
-    m.st.irHash.clear();
-    PassResultCache::Entry entry;
-    Hash128 output;
-    for (ir::Op *func : collectFuncs(module)) {
-      Hash128 h = ir::hashOp(func);
-      m.st.irHash[func] = h;
-      entry.funcHashes.push_back(h);
-      output = combineHash(output, h);
-    }
-    entry.ir = ir::printOp(module.op);
-    // The chain key of a module entry is the same per-function fold the
-    // next module pass derives its input from.
-    entry.outputHash = output;
-    cache->store(input, spec, std::move(entry));
-  }
-  return true;
-}
 
-bool BatchDag::runFunctionPass(size_t i, FunctionPass &pass) {
-  Mod &m = *mods_[i];
-  ModuleOp module(m.module);
-  DiagnosticEngine &diag = *m.diag;
-  PassResultCache *cache = pm_.cache_;
-  const std::string spec = cache ? pass.spec() : std::string();
-  // One function after another: a hit advances the hash chain in place
-  // (parked or spliced); a miss runs the pass on the function's real IR.
-  // Every miss runs even after one fails, so each reports its
-  // diagnostics, in function order.
-  std::vector<std::pair<ir::Op *, Hash128>> ran;
-  bool ok = true;
-  for (ir::Op *func : collectFuncs(module)) {
-    Hash128 input;
-    if (cache) {
-      input = pm_.hashOf(func, m.st);
-      std::optional<PassResultCache::Entry> hit = cache->lookup(input, spec);
-      if (hit && pm_.applyHit(module, func, std::move(*hit), m.lazy, m.st))
+  /// Opens the step for `pass`: decides lazy replay, materializes pending
+  /// replays when the IR is inspected, and fires beforePass hooks.
+  bool beginStep(Pass &pass) {
+    stepExecuted = false;
+    lazy = !pm.verifyEach_ && !pm.inspectsIR(pass);
+    // Before a pass some hook inspects (or verify-each checks), every
+    // pending replay is spliced so the hooks and the pass see real IR.
+    if (!lazy && !materializeAll()) {
+      diag.error(SourceLoc(), kRoundTripError);
+      return false;
+    }
+    if (pm.hasInstrumentation()) {
+      for (auto &ins : pm.instrumentations_)
+        ins->beforePass(pass, module);
+      hooksOpen = true;
+    }
+    return true;
+  }
+
+  /// Fires the afterPass hooks of the open step (reverse order); false if
+  /// any hook aborts.
+  bool closeHooks(Pass &pass) {
+    hooksOpen = false;
+    // Reverse order so instrumentations nest (first installed = outermost).
+    bool ok = true;
+    for (auto it = pm.instrumentations_.rbegin();
+         it != pm.instrumentations_.rend(); ++it)
+      ok = (*it)->afterPass(pass, module, diag) && ok;
+    return ok;
+  }
+
+  /// Closes a completed step: afterPass hooks, verify-each, and the arena
+  /// cap. False when any of them rejects the module.
+  bool endStep(Pass &pass) {
+    bool ok = !hooksOpen || closeHooks(pass);
+    if (pm.verifyEach_) {
+      // verify-each turns lazy replay off, so the module is materialized.
+      for (const std::string &e : ir::verify(module.op)) {
+        diag.error(SourceLoc(),
+                   "pass '" + pass.name() + "' broke invariant: " + e);
+        ok = false;
+      }
+    }
+    // Per-module arena cap: runaway IR growth becomes a clean per-job OOM
+    // failure, not process death.
+    uint64_t bytes = module.op->arena().bytesAllocated();
+    if (ok && opts.maxArenaBytes && bytes > opts.maxArenaBytes) {
+      diag.error(SourceLoc(), "IR arena limit exceeded (" +
+                                  std::to_string(bytes) + " > " +
+                                  std::to_string(opts.maxArenaBytes) +
+                                  " bytes) after pass '" + pass.name() + "'");
+      ok = false;
+    }
+    return ok;
+  }
+
+  /// Runs one pass body contained (a throw becomes a diagnostic), clocked
+  /// into pm.pass_seconds and — with opts.timing — into this step's row of
+  /// time and IR-arena growth.
+  template <typename Fn> bool runClocked(const Pass &pass, Fn &&body) {
+    // Only this run allocates in the module's arena, so the delta is
+    // exactly what this body materialized.
+    const ir::IRArena &arena = module.op->arena();
+    uint64_t arenaStart = arena.bytesAllocated();
+    auto t0 = std::chrono::steady_clock::now();
+    bool ok = runPassContained(pass.name(), diag, std::forward<Fn>(body));
+    double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    passSecondsHistogram().observe(secs);
+    if (opts.timing) {
+      auto &rows = opts.timing->records;
+      if (timedPass != passIdx) {
+        timedPass = passIdx;
+        rows.push_back({pass.spec(), 0, 0, diag.moduleName()});
+      }
+      rows.back().seconds += secs;
+      rows.back().arenaDeltaBytes += arena.bytesAllocated() - arenaStart;
+    }
+    return ok;
+  }
+
+  /// Structural hash (ir::hashOp) of `func`'s logical IR, walking it on
+  /// first use; never prints.
+  const Hash128 &hashOf(ir::Op *func) {
+    auto it = irHash.find(func);
+    if (it == irHash.end())
+      it = irHash.emplace(func, ir::hashOp(func)).first;
+    return it->second;
+  }
+
+  /// Applies a per-function cache hit: lazy mode parks the cached text
+  /// and advances the hash chain; eager mode splices immediately. False
+  /// when the entry fails to splice (caller treats it as a miss).
+  bool applyHit(ir::Op *func, PassResultCache::Entry &&hit) {
+    if (lazy) {
+      // Accept the hit without splicing: the hash chain advances and the
+      // latest cached text supersedes any earlier pending text.
+      irHash[func] = hit.outputHash;
+      pending[func] = std::move(hit.ir);
+      return true;
+    }
+    ir::Op *replacement = spliceFunction(module, func, hit.ir);
+    if (!replacement)
+      return false;
+    irHash.erase(func);
+    // A leftover lazy entry from an earlier pass would otherwise
+    // materialize outdated IR over the spliced result at the next
+    // materialize of `func`.
+    pending.erase(func);
+    irHash[replacement] = hit.outputHash;
+    return true;
+  }
+
+  /// Splices `func`'s pending cached text into the module (no-op without
+  /// pending text). Returns the replacement op, or nullptr on a
+  /// print/parse round-trip failure (reported by the caller).
+  ir::Op *materialize(ir::Op *func) {
+    auto pendingIt = pending.find(func);
+    if (pendingIt == pending.end())
+      return func;
+    std::string text = std::move(pendingIt->second);
+    pending.erase(pendingIt);
+    ir::Op *replacement = spliceFunction(module, func, text);
+    if (!replacement)
+      return nullptr;
+    // The old op is gone; the hash chain continues under the
+    // replacement's identity.
+    auto hashIt = irHash.find(func);
+    if (hashIt != irHash.end()) {
+      Hash128 h = hashIt->second;
+      irHash.erase(hashIt);
+      irHash[replacement] = h;
+    }
+    return replacement;
+  }
+
+  /// Materializes every pending function; false on round-trip failure.
+  bool materializeAll() {
+    while (!pending.empty())
+      if (!materialize(pending.begin()->first))
+        return false;
+    return true;
+  }
+
+  /// Replaces the whole module body from a cached module entry, re-keying
+  /// the hash chain (via the entry's funcHashes when present).
+  bool spliceModule(const PassResultCache::Entry &entry) {
+    DiagnosticEngine localDiag;
+    ir::Op *top = ir::parseModuleInto(module.op->arena(), entry.ir, localDiag);
+    if (!top || localDiag.hasErrors()) {
+      if (top)
+        ir::Op::destroy(top);
+      return false;
+    }
+    for (ir::Op *op : collectFuncs(module))
+      op->erase();
+    irHash.clear();
+    pending.clear();
+    std::vector<ir::Op *> newOps;
+    for (ir::Op *op : top->region(0).front())
+      newOps.push_back(op);
+    size_t funcIdx = 0;
+    for (ir::Op *op : newOps) {
+      op->removeFromParent();
+      module.body().push_back(op);
+      if (op->kind() != ir::OpKind::Func)
         continue;
-      // A miss, or an entry that fails to splice (rare).
-      func = pm_.materialize(module, func, m.st);
-      if (!func) {
+      // The entry records the per-function result hashes; fall back to
+      // rehashing only when the metadata is absent (older cache files).
+      if (funcIdx < entry.funcHashes.size())
+        irHash[op] = entry.funcHashes[funcIdx];
+      else
+        irHash[op] = ir::hashOp(op);
+      ++funcIdx;
+    }
+    ir::Op::destroy(top); // detach the scaffolding module op
+    return true;
+  }
+
+  /// Replays the step from a module cache entry, or runs the module pass
+  /// and stores its result.
+  bool runModulePass(Pass &pass) {
+    PassResultCache *cache = pm.cache_;
+    Hash128 input;
+    std::string spec;
+    if (cache) {
+      // Module granularity: key on the fold of the per-function hashes
+      // (the module body holds only funcs). The "module:" spec prefix
+      // keeps the key space disjoint from per-function entries.
+      spec = "module:" + pass.spec();
+      for (ir::Op *func : collectFuncs(module))
+        input = combineHash(input, hashOf(func));
+      if (auto hit = cache->lookup(input, spec)) {
+        if (spliceModule(*hit)) {
+          cache->notePassReplayed();
+          return true;
+        }
+        // Unparseable entry (rare): recompute; the store below overwrites
+        // the corrupt key.
+      }
+      if (!materializeAll()) {
         diag.error(SourceLoc(), kRoundTripError);
-        fail(i);
         return false;
       }
-      if (!m.stepExecuted)
-        cache->notePassExecuted();
+      cache->notePassExecuted();
     }
-    m.stepExecuted = true;
+    stepExecuted = true;
     size_t errorsBefore = diag.numErrors();
-    ok = runClocked(i, pass,
-                    [&] { return pass.runOnFunction(func, diag); }) &&
-         diag.numErrors() == errorsBefore && ok;
-    ran.emplace_back(func, input);
-  }
-  if (!ok) {
-    fail(i); // a failed step stores nothing
-    return false;
-  }
-  if (!cache)
+    if (!runClocked(pass, [&] { return pass.run(module, diag); }) ||
+        diag.numErrors() > errorsBefore)
+      return false;
+    if (cache) {
+      irHash.clear();
+      PassResultCache::Entry entry;
+      Hash128 output;
+      for (ir::Op *func : collectFuncs(module)) {
+        Hash128 h = ir::hashOp(func);
+        irHash[func] = h;
+        entry.funcHashes.push_back(h);
+        output = combineHash(output, h);
+      }
+      entry.ir = ir::printOp(module.op);
+      // The chain key of a module entry is the same per-function fold the
+      // next module pass derives its input from.
+      entry.outputHash = output;
+      cache->store(input, spec, std::move(entry));
+    }
     return true;
-  for (const auto &[func, input] : ran) {
-    // The entry payload is the printed text (replay splices text); the
-    // chain key is the structural hash, matching what a fresh walk of
-    // the spliced replay would produce.
-    Hash128 outputHash = ir::hashOp(func);
-    cache->store(input, spec, ir::printOp(func), outputHash);
-    m.st.irHash[func] = outputHash;
   }
-  if (!m.stepExecuted)
-    cache->notePassReplayed();
-  return true;
+
+  /// Replays or runs the function pass on each function, one after
+  /// another, and stores what ran.
+  bool runFunctionPass(FunctionPass &pass) {
+    PassResultCache *cache = pm.cache_;
+    const std::string spec = cache ? pass.spec() : std::string();
+    // A hit advances the hash chain in place (parked or spliced); a miss
+    // runs the pass on the function's real IR. Every miss runs even after
+    // one fails, so each reports its diagnostics, in function order.
+    std::vector<std::pair<ir::Op *, Hash128>> ran;
+    bool ok = true;
+    for (ir::Op *func : collectFuncs(module)) {
+      Hash128 input;
+      if (cache) {
+        input = hashOf(func);
+        std::optional<PassResultCache::Entry> hit = cache->lookup(input, spec);
+        if (hit && applyHit(func, std::move(*hit)))
+          continue;
+        // A miss, or an entry that fails to splice (rare).
+        func = materialize(func);
+        if (!func) {
+          diag.error(SourceLoc(), kRoundTripError);
+          return false;
+        }
+        if (!stepExecuted)
+          cache->notePassExecuted();
+      }
+      stepExecuted = true;
+      size_t errorsBefore = diag.numErrors();
+      ok = runClocked(pass,
+                      [&] { return pass.runOnFunction(func, diag); }) &&
+           diag.numErrors() == errorsBefore && ok;
+      ran.emplace_back(func, input);
+    }
+    if (!ok)
+      return false; // a failed step stores nothing
+    if (!cache)
+      return true;
+    for (const auto &[func, input] : ran) {
+      // The entry payload is the printed text (replay splices text); the
+      // chain key is the structural hash, matching what a fresh walk of
+      // the spliced replay would produce.
+      Hash128 outputHash = ir::hashOp(func);
+      cache->store(input, spec, ir::printOp(func), outputHash);
+      irHash[func] = outputHash;
+    }
+    if (!stepExecuted)
+      cache->notePassReplayed();
+    return true;
+  }
+};
+
+bool PassManager::run(ModuleOp module, DiagnosticEngine &diag,
+                      const RunOptions &opts) {
+  return ModuleRun(*this, module, diag, opts).compile();
 }
 
-std::unique_ptr<BatchDag> PassManager::makeBatch(std::vector<BatchItem> items,
-                                                BatchOptions opts) {
-  // Set before any task runs: pass objects are shared by every module in
-  // flight.
-  for (auto &pass : passes_)
-    pass->setStatisticsEnabled(collectStats_);
-  std::unique_ptr<BatchDag> batch(new BatchDag(*this, std::move(opts)));
-  batch->mods_.reserve(items.size());
-  for (BatchItem &item : items) {
-    auto mod = std::make_unique<BatchDag::Mod>();
-    mod->module = item.module;
-    mod->diag = item.diag;
-    mod->prepare = std::move(item.prepare);
-    batch->mods_.push_back(std::move(mod));
-  }
-  // finish() records each module's outcome; a task that exits by
-  // exception never gets there and reads as failed.
-  batch->ok_.assign(items.size(), 0);
-  return batch;
+bool PassManager::run(ModuleOp module, DiagnosticEngine &diag) {
+  return run(module, diag, RunOptions{});
 }
 
 std::string PassManager::pipelineSpec() const {

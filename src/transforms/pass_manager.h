@@ -5,14 +5,16 @@
 //  - FunctionPass: a pass that runs independently on each func, so its
 //    results are cached (and replayed) per function.
 //  - Instrumentation: hooks around every (module, pass) step. The
-//    built-in one covers --print-ir-before/after; per-pass timing and
-//    verify-after-each-pass are PassManager switches the executor honours
-//    directly.
+//    built-in one covers --print-ir-before/after; verify-after-each-pass
+//    is a PassManager switch, and per-pass timing a per-run option, that
+//    the executor honours directly.
 //  - PassManager: owns an ordered pipeline of passes plus instrumentations
-//    and runs them over modules. Its one executor is the batch
-//    (BatchDag): one task per module, which runs the module's whole
-//    pipeline; the caller decides which threads run the tasks, and run()
-//    is a one-module batch on the calling thread.
+//    and runs them over modules. Its one executor is run(): one call
+//    compiles one module's whole pipeline on the calling thread, and
+//    concurrent calls on distinct modules are safe, so the caller decides
+//    which threads compile which modules (the session runs one task per
+//    module on its pool). Each call takes the job's cancellation token,
+//    timing report and IR-arena cap (PassManager::RunOptions).
 //    Optionally a PassResultCache (transforms/pass_cache.h) replays
 //    cached IR for unchanged (function, pass) pairs instead of re-running
 //    passes. Nothing else is carried between passes: a pass that needs an
@@ -32,11 +34,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace paralift::transforms {
@@ -133,9 +132,9 @@ public:
 
   /// Statistics whose collection needs extra IR walks (before/after op
   /// counts) are only gathered when enabled; counters that fall out of
-  /// the transform itself are always collected. PassManager toggles this
-  /// per batch (see PassManager::enableStatistics); composite passes
-  /// forward it to their children.
+  /// the transform itself are always collected. PassManager sets this
+  /// when a pass is added and on enableStatistics, never while running;
+  /// composite passes forward it to their children.
   virtual void setStatisticsEnabled(bool on) { statsEnabled_ = on; }
   bool statisticsEnabled() const { return statsEnabled_; }
 
@@ -235,9 +234,10 @@ size_t countNestedOps(ir::Op *root, ir::OpKind kind);
 
 /// Instrumentations nest around each (module, pass) step: beforePass
 /// hooks fire in installation order and afterPass hooks in reverse, so
-/// the first-installed instrumentation is outermost. Hooks see one module
-/// at a time, so a manager with any installed drains its batches on the
-/// calling thread (PassManager::hasInstrumentation).
+/// the first-installed instrumentation is outermost. Hooks are not
+/// synchronized and expect one module at a time, so modules of a manager
+/// with any installed are run one after another
+/// (PassManager::hasInstrumentation).
 class Instrumentation {
 public:
   virtual ~Instrumentation() = default;
@@ -270,8 +270,9 @@ public:
 
 /// Per-pass execution time and IR growth, one record per (module, pass)
 /// step that executed the pass, in module order then pipeline order.
-/// PassManager::enableTiming points the executor at one; BatchDag folds
-/// each module's clock samples into it when the batch drains.
+/// PassManager::run appends one module's records (RunOptions::timing); a
+/// caller running modules concurrently gives each run its own report and
+/// concatenates them in module order.
 struct PassTimingReport {
   struct Record {
     std::string spec; ///< canonical pass spec at execution time
@@ -323,13 +324,14 @@ private:
 // CancellationToken
 //===----------------------------------------------------------------------===//
 
-/// Cooperative cancellation and deadline for one compile job. The batch
-/// executor (BatchDag::compileModule, and run() through it) polls it
-/// before every (module, pass) step — an expired job fails with an
-/// attributed diagnostic ("cancelled in pass P" / "deadline exceeded
-/// after Ns in pass P") before its next pass starts; the pass currently
-/// executing is never interrupted mid-flight, so IR and cache state stay
-/// consistent. Thread-safe: any thread may cancel() while workers poll.
+/// Cooperative cancellation and deadline for one compile job.
+/// PassManager::run (RunOptions::cancel) polls it before every
+/// (module, pass) step — an expired job fails with an attributed
+/// diagnostic ("cancelled in pass P" / "deadline exceeded after Ns in
+/// pass P") before its next pass starts; the pass currently executing is
+/// never interrupted mid-flight, so IR and cache state stay consistent.
+/// A one-pass pipeline is therefore polled once, before its only pass.
+/// Thread-safe: any thread may cancel() while workers poll.
 class CancellationToken {
 public:
   /// Requests cancellation. Idempotent.
@@ -360,8 +362,6 @@ private:
 // PassManager
 //===----------------------------------------------------------------------===//
 
-class BatchDag;
-
 class PassManager {
 public:
   PassManager() = default;
@@ -375,13 +375,10 @@ public:
   void addInstrumentation(std::unique_ptr<Instrumentation> ins);
 
   /// Whether any instrumentation is installed. Hooks observe one module at
-  /// a time, so batches of such a manager drain on the calling thread.
+  /// a time, so a caller compiling several modules of such a manager runs
+  /// them one after another, on one thread.
   bool hasInstrumentation() const { return !instrumentations_.empty(); }
 
-  /// Collects per-(module, pass) execution time and IR-arena growth.
-  /// run() appends its records to `report` (owned by the caller) when it
-  /// returns; batch callers fold them with BatchDag::foldTimingInto.
-  void enableTiming(PassTimingReport *report) { timing_ = report; }
   /// Verifies each module after every pass; on violation reports
   ///   pass 'X' broke invariant: Y
   /// and fails that module. Turns lazy cache replay off, so every pass
@@ -393,7 +390,9 @@ public:
 
   /// Also collect the statistics that need extra IR walks (off by
   /// default so compile hot paths pay nothing for unread counters).
-  void enableStatistics() { collectStats_ = true; }
+  /// Applies to passes added before and after the call; call it before
+  /// the first run().
+  void enableStatistics();
 
   /// Attaches a pass-result cache (owned by the caller; shareable across
   /// PassManagers and threads). When set, each pass execution is keyed on
@@ -406,70 +405,45 @@ public:
   void setResultCache(PassResultCache *cache) { cache_ = cache; }
   PassResultCache *resultCache() const { return cache_; }
 
-  /// Runs every pass in order over one module: a one-item batch,
-  /// compiled on the calling thread. Stops at the first failure (a pass
-  /// returning false, a new diagnostic error, or an instrumentation
-  /// abort) and returns false.
-  bool run(ModuleOp module, DiagnosticEngine &diag);
-
-  /// Per-batch knobs for makeBatch. The manager's own switches
-  /// (enableVerifyEach, enableTiming, instrumentations) apply too.
-  struct BatchOptions {
-    /// Invoked (on the thread that ran the module's task) the moment a
-    /// module's last pass — or terminal cache splice — has completed and
-    /// its IR is materialized, long before the rest of the batch drains.
-    /// This is what lets CompileJob futures resolve incrementally inside
-    /// one batch.
-    std::function<void(size_t index, bool ok)> onModuleDone;
-    /// Per-module cancellation/deadline tokens, parallel to the items
-    /// vector (missing or null slots are never cancelled). Polled before
-    /// every step; an expired module fails with the token's reason
-    /// attributed to the pass it would have run next.
-    std::vector<const CancellationToken *> cancels;
-    /// Per-module IR-arena byte cap; a module whose arena exceeds it
-    /// after a pass fails with a per-job OOM diagnostic instead of
-    /// growing until the process dies. 0 = unlimited.
+  /// What one run() call carries besides the manager's own switches
+  /// (verify-each, statistics, instrumentations, cache).
+  struct RunOptions {
+    /// Polled before every step; an expired token fails the module with
+    /// its reason attributed to the pass it would have run next. Null:
+    /// never cancelled.
+    const CancellationToken *cancel = nullptr;
+    /// When set, this module's (module, pass) rows are appended here, one
+    /// per step that executed its pass.
+    PassTimingReport *timing = nullptr;
+    /// IR-arena byte cap, checked after every step; a module whose arena
+    /// exceeds it fails with a per-job OOM diagnostic instead of growing
+    /// until the process dies. 0 = unlimited.
     uint64_t maxArenaBytes = 0;
   };
 
-  /// One module of a batch (makeBatch). Either `module` is a live
-  /// module op, or `prepare` produces one at the start of the module's
-  /// task — so parsing one module overlaps other modules' passes.
-  struct BatchItem {
-    ir::Op *module = nullptr; ///< pre-parsed module, or null with prepare
-    DiagnosticEngine *diag = nullptr;
-    /// Parses/builds the module on a worker; nullopt on frontend failure
-    /// (which must be reported through `diag`).
-    std::function<std::optional<ModuleOp>()> prepare;
-  };
-
-  /// Batch execution, the one executor: one task per module, which
-  /// BatchDag::compileModule runs. The module is the unit of compile
-  /// parallelism: its task parses it (prepare), keys its functions
-  /// (ir::hashOp), and runs the whole pipeline, so module B runs pass 3
-  /// while module A is still parsing, and a module resolves
-  /// (opts.onModuleDone) the moment its own last step lands instead of
-  /// at end of batch. A function-pass step looks up, runs and stores the
-  /// module's functions one after another on that task, and no module is
-  /// touched by two threads. Modules share the result cache only
-  /// through PassResultCache::lookup/store, so two modules computing the
-  /// same (function, pass) entry at the same time both run it and store
-  /// identical results. Pass execution on a given input is
-  /// deterministic, so outputs are bit-for-bit identical to serial
-  /// compiles regardless of interleaving. A failing module (pass error,
-  /// verifier breakage) stops and is left materialized; the rest of the
-  /// batch is unaffected.
+  /// The executor: runs every pass in order over one module, on the
+  /// calling thread. Stops at the first failure (a pass returning false,
+  /// a new diagnostic error, an instrumentation abort, an expired
+  /// `opts.cancel`, a breached `opts.maxArenaBytes`) and returns false,
+  /// leaving the module's IR materialized; on success the module holds
+  /// real IR (no replay left pending).
   ///
-  /// Instrumentation hooks fire around every (module, pass) step; with
-  /// any installed, the caller must run the tasks one at a time, to
-  /// completion, in item order.
+  /// Each step polls the cancellation token, then replays the step from
+  /// the cache or runs the pass (function passes one function after
+  /// another), then closes it with the afterPass hooks, verify-each and
+  /// the arena cap. A throw from a pass body or from the step machinery
+  /// fails this module with a diagnostic naming the pass.
   ///
-  /// The caller owns the returned batch and calls compileModule(i) once
-  /// for each i in [0, size()), on any threads; several pipeline groups'
-  /// batches may share one parallel loop. results() and foldTimingInto
-  /// are valid once every call has returned.
-  std::unique_ptr<BatchDag> makeBatch(std::vector<BatchItem> items,
-                                      BatchOptions opts);
+  /// Concurrent calls on distinct modules are safe: they share the pass
+  /// objects (whose statistics counters are atomic) and the result cache
+  /// (only through PassResultCache::lookup/store), and nothing else. Two
+  /// runs computing the same (function, pass) entry at once both run it
+  /// and store identical results; pass execution on a given input is
+  /// deterministic, so outputs are bit-for-bit identical to a serial
+  /// compile whatever the interleaving. Instrumentation hooks are not
+  /// serialized: with any installed, run modules one at a time.
+  bool run(ModuleOp module, DiagnosticEngine &diag, const RunOptions &opts);
+  bool run(ModuleOp module, DiagnosticEngine &diag);
 
   /// The canonical textual pipeline, e.g. "inline,canonicalize,
   /// unroll{max-trip=16}". Feeding it back through the registry's
@@ -479,123 +453,19 @@ public:
   /// Renders non-zero statistics of all passes as a table.
   std::string statisticsStr() const;
 
-  /// Per-run cache bookkeeping: the chained per-function structural IR
-  /// hashes plus — for lazily replayed passes — cached result text
-  /// accepted but not yet spliced into the module (consecutive hits only
-  /// advance the hash chain; IR is materialized when a pass actually has
-  /// to execute, when an instrumentation inspects it, or at end of run).
-  /// Public only for BatchDag's per-module state; not a client API.
-  struct CacheState {
-    std::unordered_map<ir::Op *, Hash128> irHash;
-    std::unordered_map<ir::Op *, std::string> pending;
-  };
-
 private:
-  friend class BatchDag;
+  /// One run() call's state: the module's cache bookkeeping and the open
+  /// step. Defined in pass_manager.cpp.
+  struct ModuleRun;
 
   /// Whether some installed instrumentation reads the IR around `pass`.
   bool inspectsIR(const Pass &pass) const;
-  /// Structural hash (ir::hashOp) of `func`'s logical IR, walking it on
-  /// first use; never prints.
-  const Hash128 &hashOf(ir::Op *func, CacheState &st);
-  /// Splices `func`'s pending cached text into the module (no-op without
-  /// pending text). Returns the replacement op, or nullptr on a
-  /// print/parse round-trip failure (reported by the caller).
-  ir::Op *materialize(ModuleOp module, ir::Op *func, CacheState &st);
-  /// Materializes every pending function; false on round-trip failure.
-  bool materializeAll(ModuleOp module, CacheState &st);
-  /// Replaces `oldFunc` with the function parsed from cached `text`;
-  /// returns the new func, or nullptr if the entry fails to parse.
-  ir::Op *spliceFunction(ModuleOp module, ir::Op *oldFunc,
-                         const std::string &text);
-  /// Applies a per-function cache hit: lazy mode parks the cached text
-  /// and advances the hash chain; eager mode splices immediately. False
-  /// when the entry fails to splice (caller treats it as a miss).
-  bool applyHit(ModuleOp module, ir::Op *func, PassResultCache::Entry &&hit,
-                bool lazy, CacheState &st);
-  /// Replaces the whole module body from a cached module entry,
-  /// re-keying the hash chain (via the entry's funcHashes when present).
-  bool spliceModule(ModuleOp module, const PassResultCache::Entry &entry,
-                    CacheState &st);
 
   std::vector<std::unique_ptr<Pass>> passes_;
   std::vector<std::unique_ptr<Instrumentation>> instrumentations_;
   bool collectStats_ = false;
   bool verifyEach_ = false;
-  PassTimingReport *timing_ = nullptr;
   PassResultCache *cache_ = nullptr;
-};
-
-//===----------------------------------------------------------------------===//
-// BatchDag
-//===----------------------------------------------------------------------===//
-
-/// One pipeline group's batch, built by PassManager::makeBatch and owned
-/// by the caller: one independent task per module. Query after every
-/// task has returned.
-class BatchDag {
-public:
-  ~BatchDag();
-
-  /// Number of modules, and so of tasks.
-  size_t size() const { return mods_.size(); }
-
-  /// Module i's task: prepare, initial keying, then every pass step in
-  /// pipeline order until one fails or the pipeline ends. Call once per
-  /// module; distinct modules' tasks may run concurrently.
-  void compileModule(size_t i);
-
-  /// Per-module success, in item order. A module whose task exited by
-  /// exception reads as failed.
-  const std::vector<char> &results() const { return ok_; }
-
-  /// Folds each module's (module, pass) clock samples, collected while
-  /// the batch ran, into `report`, in module order then pipeline order.
-  /// Empty unless the manager had timing enabled (enableTiming).
-  void foldTimingInto(PassTimingReport &report) const;
-
-private:
-  friend class PassManager;
-
-  /// One module's compile state. Only the module's own task touches it,
-  /// so none of its fields need locks.
-  struct Mod;
-
-  BatchDag(PassManager &pm, PassManager::BatchOptions opts);
-
-  /// Opens the module's step for `pass`: decides lazy replay,
-  /// materializes pending replays when the IR is inspected, and fires
-  /// beforePass hooks. False (after fail(i)) on a materialization
-  /// failure.
-  bool beginStep(size_t i, Pass &pass);
-  /// Closes a completed step: afterPass hooks, verify-each, and the
-  /// arena cap. False (after fail(i)) when any of them rejects the
-  /// module.
-  bool endStep(size_t i, Pass &pass);
-  /// Fires the afterPass hooks of an open step (reverse order); false if
-  /// any hook aborts.
-  bool closeHooks(size_t i, Pass &pass);
-  /// Runs one step; true when the module may move to the next pass,
-  /// false after fail(i).
-  bool runModulePass(size_t i, Pass &pass);
-  bool runFunctionPass(size_t i, FunctionPass &pass);
-  /// Polls the module's cancellation token before a step; on expiry
-  /// records the diagnostic, fails the module, and returns true (abort
-  /// the pipeline).
-  bool cancelled(size_t i, Pass &pass);
-  void finish(size_t i, bool ok);
-  /// Fails the module: closes an open step's hooks, leaves the IR
-  /// materialized, and resolves it.
-  void fail(size_t i);
-  /// Runs one pass body of module i contained (a throw becomes a
-  /// diagnostic), clocked into pm.pass_seconds and — with timing enabled
-  /// — a (module, pass) sample of its time and IR-arena growth.
-  template <typename Fn> bool runClocked(size_t i, const Pass &pass, Fn &&body);
-
-  PassManager &pm_;
-  PassManager::BatchOptions opts_;
-  std::vector<std::unique_ptr<Mod>> mods_;
-  std::vector<char> ok_; ///< distinct elements written by distinct tasks
 };
 
 /// Renders one "  <secs> s (<pct>%)  ir <+arenaMB>  <label>" timing row

@@ -88,10 +88,10 @@ bool runPipeline(ModuleOp module, const PipelineOptions &opts,
   buildPipeline(pm, opts);
   if (config.verifyEach)
     pm.enableVerifyEach();
-  if (config.timing)
-    pm.enableTiming(config.timing);
   pm.setResultCache(config.cache);
-  if (!pm.run(module, diag))
+  PassManager::RunOptions runOpts;
+  runOpts.timing = config.timing;
+  if (!pm.run(module, diag, runOpts))
     return false;
   // With verify-each on, every intermediate module (including the final
   // one) has already been verified.

@@ -241,7 +241,7 @@ Interp::StepResult Interp::step(const BCFunction &fn, Slot *regs, Ctx &ctx,
     case BC::SIToFP:
       regs[in.d].f = normFloat(in.t, static_cast<double>(regs[in.a].i));
       break;
-    case BC::FPToSI: regs[in.d].i = static_cast<int64_t>(regs[in.a].f); break;
+    case BC::FPToSI: regs[in.d].i = intmath::fpToSI(regs[in.a].f); break;
     case BC::TruncI32:
       regs[in.d].i = static_cast<int32_t>(regs[in.a].i);
       break;

@@ -68,6 +68,18 @@ std::string serialReference(const std::string &source,
   return ir::printOp(cc.module.op());
 }
 
+/// Fault-free reference compile of `source` in `mode`: the serial
+/// optimize compile, or compileForSimt.
+std::string modeReference(driver::SessionMode mode,
+                          const std::string &source) {
+  if (mode == driver::SessionMode::Optimize)
+    return serialReference(source);
+  DiagnosticEngine diag;
+  auto cc = driver::compileForSimt(source, diag);
+  EXPECT_TRUE(cc.ok) << diag.str();
+  return ir::printOp(cc.module.op());
+}
+
 uint64_t counterVal(const std::string &name) {
   return metrics::MetricsRegistry::instance().counterValue(name);
 }
@@ -375,33 +387,53 @@ TEST(FaultContainmentTest, ThrowDuringCacheProbeDoesNotFailLaterCompiles) {
 
 TEST(CancellationTest, CancelledJobFailsOthersComplete) {
   const auto &suite = rodinia::suite();
-  std::string golden = serialReference(suite[0].cudaSource);
-  transforms::PassResultCache cache;
-  driver::CompilerSession session(batchOptions(2, &cache));
-  auto &a = session.addSource("a", suite[0].cudaSource);
-  auto &b = session.addSource("b", suite[0].cudaSource);
-  auto &c = session.addSource("c", suite[0].cudaSource);
-  b.cancel(); // before the batch starts: b never runs a pass
-  EXPECT_FALSE(session.compileAll());
-  EXPECT_TRUE(a.ok()) << a.diagnostics().str();
-  EXPECT_TRUE(c.ok()) << c.diagnostics().str();
-  EXPECT_FALSE(b.ok());
-  EXPECT_NE(b.diagnostics().str().find("cancelled"), std::string::npos)
-      << b.diagnostics().str();
-  EXPECT_EQ(ir::printOp(a.result().module.op()), golden);
-  EXPECT_EQ(ir::printOp(c.result().module.op()), golden);
+  for (driver::SessionMode mode :
+       {driver::SessionMode::Optimize, driver::SessionMode::Simt}) {
+    SCOPED_TRACE(mode == driver::SessionMode::Simt ? "simt" : "optimize");
+    std::string golden = modeReference(mode, suite[0].cudaSource);
+    transforms::PassResultCache cache;
+    driver::SessionOptions so = batchOptions(2, &cache);
+    so.mode = mode;
+    driver::CompilerSession session(std::move(so));
+    auto &a = session.addSource("a", suite[0].cudaSource);
+    auto &b = session.addSource("b", suite[0].cudaSource);
+    auto &c = session.addSource("c", suite[0].cudaSource);
+    b.cancel(); // before the batch starts: b never runs a pass
+    EXPECT_FALSE(session.compileAll());
+    EXPECT_TRUE(a.ok()) << a.diagnostics().str();
+    EXPECT_TRUE(c.ok()) << c.diagnostics().str();
+    EXPECT_FALSE(b.ok());
+    EXPECT_NE(b.diagnostics().str().find("cancelled"), std::string::npos)
+        << b.diagnostics().str();
+    EXPECT_EQ(ir::printOp(a.result().module.op()), golden);
+    EXPECT_EQ(ir::printOp(c.result().module.op()), golden);
+  }
 }
 
 TEST(CancellationTest, JobTimeoutCancelsCleanly) {
   FailpointGuard guard;
-  std::string err;
-  // Make every pass take ~30ms so a 10ms deadline reliably expires at
-  // the first post-pass boundary, plain or instrumented.
-  ASSERT_TRUE(failpoint::configure("pass.run=delay(30)", &err)) << err;
   const auto &suite = rodinia::suite();
-  for (bool instrumented : {false, true}) {
+  struct Input {
+    driver::SessionMode mode;
+    bool instrumented;
+    const char *failpoints;
+  };
+  // Every pass takes ~30ms, so a 10ms deadline reliably expires at the
+  // first post-pass boundary, plain or instrumented. The SIMT pipeline
+  // has one pass, polled only before it starts, so there the frontend is
+  // what takes ~30ms.
+  const Input inputs[] = {
+      {driver::SessionMode::Optimize, false, "pass.run=delay(30)"},
+      {driver::SessionMode::Optimize, true, "pass.run=delay(30)"},
+      {driver::SessionMode::Simt, false, "parse.module=delay(30)"},
+  };
+  for (const Input &in : inputs) {
+    SCOPED_TRACE(in.failpoints);
+    std::string err;
+    ASSERT_TRUE(failpoint::configure(in.failpoints, &err)) << err;
     transforms::PassResultCache cache;
-    driver::SessionOptions so = batchOptions(4, &cache, instrumented);
+    driver::SessionOptions so = batchOptions(4, &cache, in.instrumented);
+    so.mode = in.mode;
     so.jobTimeoutSeconds = 0.01;
     driver::CompilerSession session(std::move(so));
     std::vector<driver::CompileJob *> jobs;
@@ -441,9 +473,15 @@ TEST(CancellationTest, InstrumentedJobPollsDeadlineMidPipeline) {
 
 TEST(CancellationTest, ArenaCapFailsJobWithCleanDiagnostic) {
   const auto &suite = rodinia::suite();
-  for (bool instrumented : {false, true}) {
+  const std::pair<driver::SessionMode, bool> inputs[] = {
+      {driver::SessionMode::Optimize, false},
+      {driver::SessionMode::Optimize, true},
+      {driver::SessionMode::Simt, false},
+  };
+  for (auto [mode, instrumented] : inputs) {
     transforms::PassResultCache cache;
     driver::SessionOptions so = batchOptions(4, &cache, instrumented);
+    so.mode = mode;
     so.maxArenaBytesPerModule = 1; // everything breaches immediately
     driver::CompilerSession session(std::move(so));
     auto &job = session.addSource("capped", suite[0].cudaSource);

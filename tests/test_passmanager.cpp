@@ -399,11 +399,12 @@ TEST(PassTimingTest, RecordsEveryPassInOrder) {
   OwnedModule m = parseOk(kLoopModule);
   PassManager pm;
   PassTimingReport report;
-  pm.enableTiming(&report);
+  PassManager::RunOptions opts;
+  opts.timing = &report;
   DiagnosticEngine diag;
   ASSERT_TRUE(buildPipelineFromSpec(
       pm, "unroll{max-trip=16},canonicalize,cse", diag));
-  ASSERT_TRUE(pm.run(m.get(), diag)) << diag.str();
+  ASSERT_TRUE(pm.run(m.get(), diag, opts)) << diag.str();
   ASSERT_EQ(report.records.size(), 3u);
   EXPECT_EQ(report.records[0].spec, "unroll{max-trip=16}");
   EXPECT_EQ(report.records[1].spec, "canonicalize");

@@ -476,17 +476,44 @@ TEST(SessionTest, CompileAllSweepsTheDiskLimit) {
 }
 
 TEST(SessionTest, SessionTimingAggregatesAcrossBatch) {
-  driver::SessionOptions so = batchOptions(2, nullptr);
-  so.collectTiming = true;
-  driver::CompilerSession session(std::move(so));
-  for (const auto &b : rodinia::suite())
-    session.addSource(b.id, b.cudaSource);
-  ASSERT_TRUE(session.compileAll());
-  const auto &report = session.timingReport();
-  ASSERT_FALSE(report.records.empty());
-  // One record per executed (module, pass) step, attributed to its job.
-  for (const auto &r : report.records) {
-    EXPECT_GE(r.seconds, 0.0);
-    EXPECT_FALSE(r.module.empty());
-  }
+  // Each task records its own module's timing rows, and the batch appends
+  // them in task order; the tasks share the pass objects and their
+  // statistics counters. So the (module, spec) rows and the statistics
+  // are the same at any thread count.
+  struct Run {
+    std::vector<std::pair<std::string, std::string>> rows;
+    std::string stats;
+  };
+  auto runSession = [](unsigned threads, driver::SessionMode mode) {
+    driver::SessionOptions so = batchOptions(threads, nullptr);
+    so.mode = mode;
+    so.collectTiming = true;
+    so.collectStatistics = true;
+    driver::CompilerSession session(std::move(so));
+    for (const auto &b : rodinia::suite())
+      session.addSource(b.id, b.cudaSource);
+    EXPECT_TRUE(session.compileAll());
+    Run run;
+    // One record per executed (module, pass) step, attributed to its job.
+    for (const auto &r : session.timingReport().records) {
+      EXPECT_GE(r.seconds, 0.0);
+      EXPECT_FALSE(r.module.empty());
+      run.rows.emplace_back(r.module, r.spec);
+    }
+    run.stats = session.statisticsStr();
+    return run;
+  };
+  Run serial = runSession(1, driver::SessionMode::Optimize);
+  Run threaded = runSession(4, driver::SessionMode::Optimize);
+  ASSERT_FALSE(serial.rows.empty());
+  EXPECT_EQ(threaded.rows, serial.rows);
+  EXPECT_NE(serial.stats.find("Pass statistics"), std::string::npos);
+  EXPECT_EQ(threaded.stats, serial.stats);
+  // Simt mode is the one-pass pipeline: one row per job.
+  Run simt = runSession(4, driver::SessionMode::Simt);
+  const auto &suite = rodinia::suite();
+  const std::string inlineSpec = "inline{kernels-only=true}";
+  ASSERT_EQ(simt.rows.size(), suite.size());
+  for (size_t i = 0; i < suite.size(); ++i)
+    EXPECT_EQ(simt.rows[i], std::make_pair(suite[i].id, inlineSpec));
 }

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <optional>
 #include <regex>
 
@@ -354,6 +355,39 @@ long f(long a) {
   auto r = exec.run("f", {int64_t(5)});
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r[0].i, INT64_MIN + 5);
+}
+
+TEST(CanonicalizeTest, FoldsNaNAndOutOfRangeFloatToIntLikeTheVM) {
+  // A float-to-int conversion of NaN, or of a value outside int64_t,
+  // folds to INT64_MIN (ir/intmath.h): the value the VM computes from
+  // the same conversion at run time. `int c = 1.0e30f` is INT64_MIN cut
+  // to i32, 0.
+  const char *src = R"(
+long fnan() { double z = 0.0; return (long)(z / z); }
+long fbig() { return (long)1.0e30; }
+long fsmall() { return (long)-1.0e30; }
+int fint() { int c = 1.0e30f; return c; }
+long run(double x) { return (long)x; }
+)";
+  OwnedModule m = frontendIR(src);
+  runMem2Reg(m.get());
+  runCanonicalize(m.get());
+  // Only run's conversion of its argument is left.
+  EXPECT_EQ(countOps(m.op(), OpKind::FPToSI), 1) << printOp(m.op());
+  driver::Executor exec(m.get(), 1);
+  for (const char *fn : {"fnan", "fbig", "fsmall"}) {
+    auto r = exec.run(fn, {});
+    ASSERT_EQ(r.size(), 1u);
+    EXPECT_EQ(r[0].i, INT64_MIN) << fn;
+  }
+  auto c = exec.run("fint", {});
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c[0].i, 0);
+  for (double x : {std::nan(""), 1e30, -1e30}) {
+    auto r = exec.run("run", {x});
+    ASSERT_EQ(r.size(), 1u);
+    EXPECT_EQ(r[0].i, INT64_MIN) << x;
+  }
 }
 
 namespace {

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <malloc.h>
 #include <numeric>
 #include <set>
@@ -388,6 +389,44 @@ TEST(IntSemanticsTest, EdgeCasesExecuteAndFoldToTheSameValue) {
     ir::Builder b(&g.body());
     b.ret({b.binary(c.kind, b.constInt(c.a, ir::Type::i64()),
                     b.constInt(c.b, ir::Type::i64()))});
+    transforms::runCanonicalize(m.get());
+    ir::Op *ret = g.body().terminator();
+    ASSERT_NE(ret, nullptr);
+    auto folded = ir::getConstInt(ret->operand(0));
+    ASSERT_TRUE(folded.has_value()) << ir::printOp(m.op());
+    EXPECT_EQ(*folded, c.expected);
+  }
+}
+
+TEST(IntSemanticsTest, FloatToIntExecutesAndFoldsToTheSameValue) {
+  // A C++ cast is undefined for NaN and for values outside int64_t; the
+  // IR defines them as INT64_MIN (ir/intmath.h).
+  struct Case {
+    double x;
+    int64_t expected;
+  };
+  const Case cases[] = {
+      {std::numeric_limits<double>::quiet_NaN(), INT64_MIN},
+      {1e30, INT64_MIN},
+      {-1e30, INT64_MIN},
+      {0x1p63, INT64_MIN},
+      {-0x1p63, INT64_MIN},
+      {1.5, 1},
+      {-1.5, -1},
+  };
+  for (const Case &c : cases) {
+    SCOPED_TRACE(c.x);
+    // Executed: the VM converts its argument.
+    EXPECT_EQ(runIntFn("long f(double x) { return (long)x; }", "f", {c.x}),
+              c.expected);
+
+    // Folded: the conversion of an f64 constant, canonicalized to one
+    // constant.
+    ir::OwnedModule m;
+    ir::FuncOp g = ir::FuncOp::create(m.get(), "g", {}, {ir::Type::i64()});
+    ir::Builder b(&g.body());
+    b.ret({b.cast(ir::OpKind::FPToSI, b.constFloat(c.x, ir::Type::f64()),
+                  ir::Type::i64())});
     transforms::runCanonicalize(m.get());
     ir::Op *ret = g.body().terminator();
     ASSERT_NE(ret, nullptr);
