@@ -224,8 +224,9 @@ compileSuiteSession(const transforms::PipelineOptions &opts,
 
 /// Cache-keying cost over the parsed suite: the structural hasher
 /// (ir::hashOp — what the pass cache keys on). Each module's batch task
-/// keys its functions before its first pass, so the per-function cost
-/// here is part of every module's compile.
+/// keys the whole module before its first pass, one walk over its
+/// functions, so the per-function walks summed here are part of every
+/// module's compile.
 struct KeyingTimes {
   double structuralSeconds = 0;
   size_t funcs = 0;

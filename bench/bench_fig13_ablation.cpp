@@ -148,7 +148,7 @@ void printPassTimingBreakdown(const SuiteModules &suite) {
               warmTotal, warmTotal > 0 ? coldTotal / warmTotal : 0.0);
   std::printf("  %s\n", cache.statsStr().c_str());
 
-  // Where the populate overhead went: keying each (function, pass)
+  // Where the populate overhead went: keying each (module, pass)
   // boundary. Structural hashing removed the print from that path.
   printKeyingTime(suite);
 }

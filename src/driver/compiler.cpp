@@ -10,26 +10,12 @@ namespace paralift::driver {
 
 CompileResult compile(const std::string &source,
                       const transforms::PipelineOptions &opts,
-                      DiagnosticEngine &diag,
-                      const transforms::PassRunConfig &config) {
-  SessionOptions so;
-  so.verifyEach = config.verifyEach;
-  so.collectTiming = config.timing != nullptr;
-  so.cache = config.cache; // null: session falls back to the env cache
-  CompilerSession session(std::move(so));
+                      DiagnosticEngine &diag) {
+  CompilerSession session;
   CompileJob &job = session.addSource("", source, opts);
   session.compileAll();
   diag.mergeFrom(job.diagnostics());
-  if (config.timing)
-    for (const auto &r : session.timingReport().records)
-      config.timing->records.push_back(r);
   return job.take();
-}
-
-CompileResult compile(const std::string &source,
-                      const transforms::PipelineOptions &opts,
-                      DiagnosticEngine &diag) {
-  return compile(source, opts, diag, transforms::PassRunConfig{});
 }
 
 CompileResult compileForSimt(const std::string &source,

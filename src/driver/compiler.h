@@ -25,11 +25,12 @@
 //   DiagnosticEngine diag;
 //   auto cc = driver::compile(source, PipelineOptions{}, diag);
 //
-// Migration from the pre-session facade: compile(src, opts, diag[, cfg])
-// and compileForSimt(src, diag) behave exactly as before (including the
+// Migration from the pre-session facade: compile(src, opts, diag) and
+// compileForSimt(src, diag) behave exactly as before (including the
 // $PARALIFT_CACHE_DIR process-wide cache); every former call site that
 // compiled several modules in a loop can instead queue them on one
-// session and share its pool and cache.
+// session and share its pool and cache. Verify-each, timing and an
+// explicit cache are SessionOptions fields.
 #pragma once
 
 #include "driver/session.h"
@@ -43,26 +44,15 @@
 namespace paralift::driver {
 
 /// One-shot wrapper: full pipeline (frontend -> optimization/cpuify/
-/// omp-lowering) through a temporary session.
+/// omp-lowering) through a temporary session, on the calling thread.
+///
+/// When PARALIFT_CACHE_DIR is set in the environment, a process-wide
+/// persistent cache rooted there is used (bounded by PARALIFT_CACHE_LIMIT
+/// MB when set); with PARALIFT_CACHE_STATS=1 its stats line is printed to
+/// stderr at process exit.
 CompileResult compile(const std::string &source,
                       const transforms::PipelineOptions &opts,
                       DiagnosticEngine &diag);
-
-/// As above with pass-manager instrumentation and caching knobs: per-pass
-/// time + IR-arena growth (config.timing), verify-after-each-pass, and a
-/// pass-result cache (config.cache). The compile runs on the calling
-/// thread; a CompilerSession with threads > 1 compiles several modules
-/// in parallel.
-///
-/// When config.cache is null and PARALIFT_CACHE_DIR is set in the
-/// environment, a process-wide persistent cache rooted there is used
-/// (bounded by PARALIFT_CACHE_LIMIT MB when set); with
-/// PARALIFT_CACHE_STATS=1 its stats line is printed to stderr at
-/// process exit.
-CompileResult compile(const std::string &source,
-                      const transforms::PipelineOptions &opts,
-                      DiagnosticEngine &diag,
-                      const transforms::PassRunConfig &config);
 
 /// One-shot wrapper for SessionMode::Simt: the frontend, then the
 /// one-pass pipeline inline{kernels-only=true} (device-function inlining

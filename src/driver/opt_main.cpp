@@ -29,8 +29,8 @@
 // as one batch session: --pm-threads=N spreads the files, not their
 // functions, across one worker pool (each file's passes run on one
 // thread, so a single file gains nothing from it), and all files share
-// one pass-result cache — a kernel another file already stored replays
-// instead of re-running.
+// one pass-result cache — a file whose module another file already
+// compiled through the same passes replays instead of re-running.
 // Examples:
 //   paralift-opt kernel.ir --passes=canonicalize,cse,barrier-elim
 //   paralift-opt kernel.cu --cuda --passes='cpuify{mincut=false},omp-lower'

@@ -34,15 +34,17 @@
 // arena cap and timing report, final verification, then the job is
 // marked done. The tasks run as one parallel loop on the session pool
 // (runtime::runTasks): each worker takes the next task until none is
-// left. The module is the unit of compile parallelism: its task parses
-// the source, keys its functions (ir::hashOp), and runs every pass step
-// in pipeline order, looking up, running and storing the module's
-// functions one after another. So module B's kernels run pass 3 while
+// left. The module is the unit of compile parallelism and of caching:
+// its task parses the source, keys the module (ir::hashOp), and runs
+// every pass step in pipeline order, each step replaying or running and
+// storing one entry for the whole module. So module B runs pass 3 while
 // module A is still parsing, and each CompileJob future resolves the
 // moment *its* module's task completes rather than at end of batch.
-// Modules share the cache only through lookup and store: a kernel
-// another module stored earlier replays, while two modules computing the
-// same kernel at the same time both run it and store the same result.
+// Modules share the cache only through lookup and store: a step another
+// job stored earlier for identical IR replays (jobs compiling one source
+// through different pipelines share their common prefix), while two jobs
+// computing the same step at the same time both run it and store the
+// same result.
 // Pass execution is deterministic per input, so outputs are bit-for-bit
 // identical to serial compiles. Under --timing, each task records its
 // own module's (module, pass) rows, and the batch appends them in task

@@ -49,8 +49,8 @@ inline Hash128 hashBytes(const std::string &bytes) {
   return hashBytes(bytes.data(), bytes.size());
 }
 
-/// Folds `next` into an accumulating hash; used to derive a module-level
-/// hash from the per-function hashes in body order.
+/// Folds `next` into an accumulating hash, order-sensitively; the pass
+/// cache folds a pass spec's hash into the input IR's hash this way.
 Hash128 combineHash(const Hash128 &acc, const Hash128 &next);
 
 //===----------------------------------------------------------------------===//

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #ifdef _WIN32
 #include <process.h>
@@ -231,8 +232,9 @@ PassResultCache::lookup(const Hash128 &input, const std::string &spec) {
 }
 
 void PassResultCache::store(const Hash128 &input, const std::string &spec,
-                            Entry entry) {
+                            std::string ir, const Hash128 &outputHash) {
   Hash128 key = keyHash(input, spec);
+  Entry entry{std::move(ir), outputHash};
   // Write the file outside the lock (the temp+rename protocol already
   // tolerates concurrent writers of one key; same key implies same
   // value for deterministic passes).
@@ -258,20 +260,20 @@ void PassResultCache::store(const Hash128 &input, const std::string &spec,
 }
 
 // On-disk entry format (header lines, a separator, then the IR verbatim):
-//   paralift-pass-cache v2
+//   paralift-pass-cache v3
 //   input <32 hex>                    (structural hash of the pass input)
 //   spec <canonical pass spec>
 //   output <32 hex>                   (structural hash of the result; the
 //                                      next pass's input key)
 //   text <32 hex>                     (hashBytes of the payload below)
-//   funcs <32 hex>,<32 hex>,...       (module entries only)
 //   ---
-//   <ir text>
+//   <printed module>
 // The header repeats the full key so a (vanishingly unlikely) filename
 // hash collision, or a stale file from an incompatible version, reads as
 // a miss instead of replaying wrong IR; the text hash catches truncated
-// or corrupted payloads. v1 files (printed-text keying, no text line)
-// fail the magic check and degrade to misses.
+// or corrupted payloads. Older files fail the magic check and degrade to
+// misses: v1 (printed-text keying, no text line) and v2 (per-function
+// entries, and module entries with a "funcs" line).
 std::optional<PassResultCache::Entry>
 PassResultCache::loadFromDisk(const Hash128 &key, const Hash128 &input,
                               const std::string &spec) {
@@ -294,7 +296,7 @@ PassResultCache::loadFromDisk(const Hash128 &key, const Hash128 &input,
   if (span.active())
     span.annotate("spec", spec);
   std::string magic, inputLine, specLine, outputLine, textLine, line;
-  if (!std::getline(in, magic) || magic != "paralift-pass-cache v2")
+  if (!std::getline(in, magic) || magic != "paralift-pass-cache v3")
     return std::nullopt;
   if (!std::getline(in, inputLine) || inputLine.rfind("input ", 0) != 0)
     return std::nullopt;
@@ -304,27 +306,7 @@ PassResultCache::loadFromDisk(const Hash128 &key, const Hash128 &input,
     return std::nullopt;
   if (!std::getline(in, textLine) || textLine.rfind("text ", 0) != 0)
     return std::nullopt;
-  if (!std::getline(in, line))
-    return std::nullopt;
-  Entry entry;
-  if (line.rfind("funcs ", 0) == 0) {
-    std::string list = line.substr(6);
-    for (size_t pos = 0; pos < list.size();) {
-      size_t comma = list.find(',', pos);
-      std::string hex = list.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      auto h = Hash128::fromHex(hex);
-      if (!h)
-        return std::nullopt;
-      entry.funcHashes.push_back(*h);
-      if (comma == std::string::npos)
-        break;
-      pos = comma + 1;
-    }
-    if (!std::getline(in, line))
-      return std::nullopt;
-  }
-  if (line != "---")
+  if (!std::getline(in, line) || line != "---")
     return std::nullopt;
   auto storedInput = Hash128::fromHex(inputLine.substr(6));
   auto storedOutput = Hash128::fromHex(outputLine.substr(7));
@@ -334,6 +316,7 @@ PassResultCache::loadFromDisk(const Hash128 &key, const Hash128 &input,
     return std::nullopt;
   std::ostringstream ir;
   ir << in.rdbuf();
+  Entry entry;
   entry.ir = ir.str();
   entry.outputHash = *storedOutput;
   if (hashBytes(entry.ir) != *storedText)
@@ -366,18 +349,12 @@ uint64_t PassResultCache::writeToDisk(const Hash128 &key,
     std::ofstream out(tmp.str(), std::ios::binary | std::ios::trunc);
     if (!out)
       return 0;
-    out << "paralift-pass-cache v2\n"
+    out << "paralift-pass-cache v3\n"
         << "input " << input.hex() << "\n"
         << "spec " << spec << "\n"
         << "output " << entry.outputHash.hex() << "\n"
-        << "text " << hashBytes(entry.ir).hex() << "\n";
-    if (!entry.funcHashes.empty()) {
-      out << "funcs ";
-      for (size_t i = 0; i < entry.funcHashes.size(); ++i)
-        out << (i ? "," : "") << entry.funcHashes[i].hex();
-      out << "\n";
-    }
-    out << "---\n";
+        << "text " << hashBytes(entry.ir).hex() << "\n"
+        << "---\n";
     size_t irBytes = entry.ir.size();
     if (inject == failpoint::Action::PartialWrite)
       irBytes /= 2; // torn payload, "successful" write

@@ -1,11 +1,11 @@
 // Persistent pass-result cache: maps (canonical pass spec, structural
-// hash of the input IR) to the printed IR the pass produced, so
-// re-compiling an unchanged function through an unchanged pipeline prefix
+// hash of the input module) to the printed module the pass produced, so
+// re-compiling an unchanged module through an unchanged pipeline prefix
 // replays cached IR instead of re-running passes.
 //
 // Keying: lookups are keyed on ir::hashOp — a direct structural hash
 // (one walk over op kinds, operand numbering, attrs, types, regions) —
-// never on a hash of printed text, so keying a function costs no string
+// never on a hash of printed text, so keying a module costs no string
 // materialization. Entries carry the structural hash of their *output*
 // (Entry::outputHash), which becomes the next pass's input key; replayed
 // and executed passes therefore advance identical hash chains. Two
@@ -17,10 +17,11 @@
 // (replay splices stored text, so the stored text is what must be
 // intact).
 //
-// Granularity: function passes cache one entry per function (editing one
-// function only misses its own entries); module passes (inline, and any
-// repeat wrapping one) cache whole-module entries under a "module:"
-// spec prefix so the two key spaces cannot collide.
+// Granularity: one entry per (module, pass) step, for module and
+// function passes alike. The module is the unit of caching as it is of
+// compile parallelism: editing one function of a module misses every
+// later step of that module, and a module replays a step only when its
+// whole IR matches the stored input.
 //
 // With a directory the cache is persistent: each entry is one file named
 // by the key hash, written atomically (temp + rename) so concurrent
@@ -39,7 +40,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace paralift::transforms {
 
@@ -67,17 +67,12 @@ public:
   PassResultCache &operator=(const PassResultCache &) = delete;
 
   struct Entry {
-    std::string ir;     ///< printed IR produced by the pass
-    /// Structural hash (ir::hashOp) of the produced IR; the next pass's
-    /// input key. Splicing `ir` back in reproduces it exactly (the
+    std::string ir; ///< printed module produced by the pass
+    /// Structural hash (ir::hashOp) of the produced module; the next
+    /// pass's input key. Splicing `ir` back in reproduces it exactly (the
     /// print/parse round trip preserves structure), so replayed and
     /// executed passes advance identical hash chains.
     Hash128 outputHash;
-    /// For module-granularity entries: the per-function structural
-    /// hashes of the result, in body order, so replay re-keys the hash
-    /// chain without re-hashing each function. Empty for function
-    /// entries.
-    std::vector<Hash128> funcHashes;
   };
 
   /// Finds the result of running `spec` on IR whose structural hash is
@@ -89,11 +84,8 @@ public:
 
   /// Records a pass result. Overwrites any existing entry for the key
   /// (same key implies same value for deterministic passes).
-  void store(const Hash128 &input, const std::string &spec, Entry entry);
   void store(const Hash128 &input, const std::string &spec, std::string ir,
-             const Hash128 &outputHash) {
-    store(input, spec, Entry{std::move(ir), outputHash, {}});
-  }
+             const Hash128 &outputHash);
 
   const std::string &directory() const { return dir_; }
 

@@ -12,7 +12,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 namespace paralift::transforms {
 
@@ -464,9 +464,6 @@ bool runPassContained(const std::string &passName, DiagnosticEngine &diag,
   return false;
 }
 
-const char *kRoundTripError =
-    "pass-cache: cached IR failed to re-parse (print/parse round-trip bug)";
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -503,50 +500,6 @@ bool PassManager::inspectsIR(const Pass &pass) const {
                      [&](const auto &ins) { return ins->inspectsIR(pass); });
 }
 
-namespace {
-
-std::vector<ir::Op *> collectFuncs(ModuleOp module) {
-  std::vector<ir::Op *> funcs;
-  for (ir::Op *op : module.body())
-    if (op->kind() == ir::OpKind::Func)
-      funcs.push_back(op);
-  return funcs;
-}
-
-/// Replaces `oldFunc` with the function parsed from cached `text`;
-/// returns the new func, or nullptr if the entry fails to parse.
-ir::Op *spliceFunction(ModuleOp module, ir::Op *oldFunc,
-                       const std::string &text) {
-  // Cached entries hold a standalone printed func; wrap it into module
-  // syntax for the parser. Parse directly into the destination module's
-  // arena — ops must never migrate between arenas.
-  DiagnosticEngine localDiag;
-  ir::Op *top = ir::parseModuleInto(module.op->arena(),
-                                    "module {\n" + text + "\n}\n", localDiag);
-  if (!top || localDiag.hasErrors()) {
-    if (top)
-      ir::Op::destroy(top);
-    return nullptr;
-  }
-  ir::Op *newFunc = nullptr;
-  for (ir::Op *op : top->region(0).front())
-    if (op->kind() == ir::OpKind::Func) {
-      newFunc = op;
-      break;
-    }
-  if (!newFunc) {
-    ir::Op::destroy(top);
-    return nullptr;
-  }
-  newFunc->removeFromParent();
-  ir::Op::destroy(top); // detach the scaffolding; memory stays in the arena
-  module.body().insertBefore(oldFunc, newFunc);
-  oldFunc->erase();
-  return newFunc;
-}
-
-} // namespace
-
 /// One run() call: the module's cache bookkeeping and its open step. Only
 /// the calling thread touches it, so none of its fields need locks.
 struct PassManager::ModuleRun {
@@ -558,36 +511,30 @@ struct PassManager::ModuleRun {
   ModuleOp module;
   DiagnosticEngine &diag;
   const RunOptions &opts;
-  /// The chained per-function structural IR hashes, plus — for lazily
-  /// replayed passes — cached result text accepted but not yet spliced
-  /// into the module (consecutive hits only advance the hash chain; IR is
-  /// materialized when a pass actually has to execute, when an
-  /// instrumentation inspects it, or at end of run).
-  std::unordered_map<ir::Op *, Hash128> irHash;
-  std::unordered_map<ir::Op *, std::string> pending;
+  /// Structural hash (ir::hashOp) of the module's logical IR: the next
+  /// step's cache key. Maintained only with a cache.
+  Hash128 irHash;
+  /// The printed module of the latest replayed step, accepted but not yet
+  /// parsed in; empty while the module holds its logical IR. Consecutive
+  /// hits only replace it; it is spliced when a pass has to execute, when
+  /// a hook or verify-each inspects the IR, or at the end of the run.
+  std::string pending;
   size_t passIdx = 0;
-  /// The current step ran transform code, rather than replaying every
-  /// result from the cache.
+  /// The current step ran its pass, rather than replaying the cache.
   bool stepExecuted = false;
-  /// Cache hits of the current step park their text instead of splicing
-  /// it (verify-each is off and no hook inspects the pass).
-  bool lazy = true;
+  /// The current step's IR is read by a hook or by verify-each, so a
+  /// replayed result is spliced before the step closes.
+  bool inspected = false;
   /// The current step fired its beforePass hooks; afterPass is owed.
   bool hooksOpen = false;
-  /// Pass index of the last opts.timing row this run appended. A function
-  /// pass clocks each function it runs; one step's clocks fold into one
-  /// row, and a spec running at two positions keeps two rows.
-  size_t timedPass = SIZE_MAX;
 
   /// Initial keying, then every pass step in pipeline order until one
   /// fails or the pipeline ends.
   bool compile() {
     {
       trace::TraceSpan span(spanName("start:", diag.moduleName()), "pm");
-      // Initial keying: one structural-hash walk per function.
       if (pm.cache_)
-        for (ir::Op *func : collectFuncs(module))
-          irHash[func] = ir::hashOp(func);
+        irHash = ir::hashOp(module.op);
     }
     for (; passIdx < pm.passes_.size(); ++passIdx) {
       Pass &pass = *pm.passes_[passIdx];
@@ -598,14 +545,10 @@ struct PassManager::ModuleRun {
       bool ok;
       // Pass bodies are individually contained (runPassContained); this
       // outer catch covers the step machinery itself — cache probes,
-      // materialization, hashing, hooks — so a throw fails this module
-      // alone, with a diagnostic naming the step.
+      // splicing, hashing, hooks — so a throw fails this module alone,
+      // with a diagnostic naming the step.
       try {
-        ok = beginStep(pass) &&
-             (pass.isFunctionPass()
-                  ? runFunctionPass(static_cast<FunctionPass &>(pass))
-                  : runModulePass(pass)) &&
-             endStep(pass);
+        ok = beginStep(pass) && runStep(pass) && endStep(pass);
       } catch (const std::exception &e) {
         diag.error(SourceLoc(),
                    "pass step '" + pass.name() + "' threw: " + e.what());
@@ -624,11 +567,7 @@ struct PassManager::ModuleRun {
       if (!ok)
         return fail();
     }
-    if (!materializeAll()) {
-      diag.error(SourceLoc(), kRoundTripError);
-      return false;
-    }
-    return true;
+    return splicePending();
   }
 
   /// Polls the cancellation token before a step; on expiry records the
@@ -650,25 +589,54 @@ struct PassManager::ModuleRun {
       closeHooks(*pm.passes_[passIdx]);
     // Leave the failed module's (partially transformed) IR materialized;
     // a round-trip failure here is secondary to the abort being reported.
-    materializeAll();
+    parsePending();
     return false;
   }
 
-  /// Opens the step for `pass`: decides lazy replay, materializes pending
-  /// replays when the IR is inspected, and fires beforePass hooks.
+  /// Opens the step for `pass`: splices a pending replay when the IR is
+  /// inspected, and fires beforePass hooks.
   bool beginStep(Pass &pass) {
     stepExecuted = false;
-    lazy = !pm.verifyEach_ && !pm.inspectsIR(pass);
-    // Before a pass some hook inspects (or verify-each checks), every
-    // pending replay is spliced so the hooks and the pass see real IR.
-    if (!lazy && !materializeAll()) {
-      diag.error(SourceLoc(), kRoundTripError);
+    inspected = pm.verifyEach_ || pm.inspectsIR(pass);
+    if (inspected && !splicePending())
       return false;
-    }
     if (pm.hasInstrumentation()) {
       for (auto &ins : pm.instrumentations_)
         ins->beforePass(pass, module);
       hooksOpen = true;
+    }
+    return true;
+  }
+
+  /// Replays the step from the cache, or runs the pass and stores its
+  /// result. Module and function passes alike: a function pass's run()
+  /// applies it to every function of the module in order.
+  bool runStep(Pass &pass) {
+    PassResultCache *cache = pm.cache_;
+    std::string spec;
+    const Hash128 input = irHash;
+    if (cache) {
+      spec = pass.spec();
+      if (std::optional<PassResultCache::Entry> hit =
+              cache->lookup(input, spec)) {
+        // The entry's output hash is what a fresh walk of the spliced
+        // text would give, so the chain advances without parsing it.
+        irHash = hit->outputHash;
+        pending = std::move(hit->ir);
+        cache->notePassReplayed();
+        return true;
+      }
+      if (!splicePending())
+        return false;
+      cache->notePassExecuted();
+    }
+    stepExecuted = true;
+    size_t errorsBefore = diag.numErrors();
+    if (!runClocked(pass) || diag.numErrors() > errorsBefore)
+      return false; // a failed step stores nothing
+    if (cache) {
+      irHash = ir::hashOp(module.op);
+      cache->store(input, spec, ir::printOp(module.op), irHash);
     }
     return true;
   }
@@ -688,9 +656,11 @@ struct PassManager::ModuleRun {
   /// Closes a completed step: afterPass hooks, verify-each, and the arena
   /// cap. False when any of them rejects the module.
   bool endStep(Pass &pass) {
+    if (inspected && !splicePending())
+      return false;
     bool ok = !hooksOpen || closeHooks(pass);
     if (pm.verifyEach_) {
-      // verify-each turns lazy replay off, so the module is materialized.
+      // verify-each marks every step inspected, so the module is real IR.
       for (const std::string &e : ir::verify(module.op)) {
         diag.error(SourceLoc(),
                    "pass '" + pass.name() + "' broke invariant: " + e);
@@ -710,228 +680,66 @@ struct PassManager::ModuleRun {
     return ok;
   }
 
-  /// Runs one pass body contained (a throw becomes a diagnostic), clocked
-  /// into pm.pass_seconds and — with opts.timing — into this step's row of
-  /// time and IR-arena growth.
-  template <typename Fn> bool runClocked(const Pass &pass, Fn &&body) {
+  /// Runs the pass body contained (a throw becomes a diagnostic), clocked
+  /// into pm.pass_seconds and — with opts.timing — into one row of time
+  /// and IR-arena growth for this step.
+  bool runClocked(Pass &pass) {
     // Only this run allocates in the module's arena, so the delta is
     // exactly what this body materialized.
     const ir::IRArena &arena = module.op->arena();
     uint64_t arenaStart = arena.bytesAllocated();
     auto t0 = std::chrono::steady_clock::now();
-    bool ok = runPassContained(pass.name(), diag, std::forward<Fn>(body));
+    bool ok = runPassContained(pass.name(), diag,
+                               [&] { return pass.run(module, diag); });
     double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     passSecondsHistogram().observe(secs);
-    if (opts.timing) {
-      auto &rows = opts.timing->records;
-      if (timedPass != passIdx) {
-        timedPass = passIdx;
-        rows.push_back({pass.spec(), 0, 0, diag.moduleName()});
-      }
-      rows.back().seconds += secs;
-      rows.back().arenaDeltaBytes += arena.bytesAllocated() - arenaStart;
-    }
+    if (opts.timing)
+      opts.timing->records.push_back({pass.spec(), secs,
+                                      arena.bytesAllocated() - arenaStart,
+                                      diag.moduleName()});
     return ok;
   }
 
-  /// Structural hash (ir::hashOp) of `func`'s logical IR, walking it on
-  /// first use; never prints.
-  const Hash128 &hashOf(ir::Op *func) {
-    auto it = irHash.find(func);
-    if (it == irHash.end())
-      it = irHash.emplace(func, ir::hashOp(func)).first;
-    return it->second;
-  }
-
-  /// Applies a per-function cache hit: lazy mode parks the cached text
-  /// and advances the hash chain; eager mode splices immediately. False
-  /// when the entry fails to splice (caller treats it as a miss).
-  bool applyHit(ir::Op *func, PassResultCache::Entry &&hit) {
-    if (lazy) {
-      // Accept the hit without splicing: the hash chain advances and the
-      // latest cached text supersedes any earlier pending text.
-      irHash[func] = hit.outputHash;
-      pending[func] = std::move(hit.ir);
+  /// Splices the pending replay, if any, reporting a print/parse
+  /// round-trip failure. False on that failure.
+  bool splicePending() {
+    if (parsePending())
       return true;
-    }
-    ir::Op *replacement = spliceFunction(module, func, hit.ir);
-    if (!replacement)
-      return false;
-    irHash.erase(func);
-    // A leftover lazy entry from an earlier pass would otherwise
-    // materialize outdated IR over the spliced result at the next
-    // materialize of `func`.
-    pending.erase(func);
-    irHash[replacement] = hit.outputHash;
-    return true;
+    diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
+                            "(print/parse round-trip bug)");
+    return false;
   }
 
-  /// Splices `func`'s pending cached text into the module (no-op without
-  /// pending text). Returns the replacement op, or nullptr on a
-  /// print/parse round-trip failure (reported by the caller).
-  ir::Op *materialize(ir::Op *func) {
-    auto pendingIt = pending.find(func);
-    if (pendingIt == pending.end())
-      return func;
-    std::string text = std::move(pendingIt->second);
-    pending.erase(pendingIt);
-    ir::Op *replacement = spliceFunction(module, func, text);
-    if (!replacement)
-      return nullptr;
-    // The old op is gone; the hash chain continues under the
-    // replacement's identity.
-    auto hashIt = irHash.find(func);
-    if (hashIt != irHash.end()) {
-      Hash128 h = hashIt->second;
-      irHash.erase(hashIt);
-      irHash[replacement] = h;
-    }
-    return replacement;
-  }
-
-  /// Materializes every pending function; false on round-trip failure.
-  bool materializeAll() {
-    while (!pending.empty())
-      if (!materialize(pending.begin()->first))
-        return false;
-    return true;
-  }
-
-  /// Replaces the whole module body from a cached module entry, re-keying
-  /// the hash chain (via the entry's funcHashes when present).
-  bool spliceModule(const PassResultCache::Entry &entry) {
+  /// Replaces the module body with the pending printed module, if any,
+  /// parsed into the module's own arena (ops never migrate between
+  /// arenas), and clears it. False when the text fails to parse.
+  bool parsePending() {
+    if (pending.empty())
+      return true;
+    std::string text = std::exchange(pending, std::string());
     DiagnosticEngine localDiag;
-    ir::Op *top = ir::parseModuleInto(module.op->arena(), entry.ir, localDiag);
+    ir::Op *top = ir::parseModuleInto(module.op->arena(), text, localDiag);
     if (!top || localDiag.hasErrors()) {
       if (top)
         ir::Op::destroy(top);
       return false;
     }
-    for (ir::Op *op : collectFuncs(module))
+    ir::Block &body = module.body();
+    for (ir::Op *op = body.front(), *next = nullptr; op; op = next) {
+      next = op->next();
       op->erase();
-    irHash.clear();
-    pending.clear();
-    std::vector<ir::Op *> newOps;
-    for (ir::Op *op : top->region(0).front())
-      newOps.push_back(op);
-    size_t funcIdx = 0;
-    for (ir::Op *op : newOps) {
-      op->removeFromParent();
-      module.body().push_back(op);
-      if (op->kind() != ir::OpKind::Func)
-        continue;
-      // The entry records the per-function result hashes; fall back to
-      // rehashing only when the metadata is absent (older cache files).
-      if (funcIdx < entry.funcHashes.size())
-        irHash[op] = entry.funcHashes[funcIdx];
-      else
-        irHash[op] = ir::hashOp(op);
-      ++funcIdx;
     }
-    ir::Op::destroy(top); // detach the scaffolding module op
-    return true;
-  }
-
-  /// Replays the step from a module cache entry, or runs the module pass
-  /// and stores its result.
-  bool runModulePass(Pass &pass) {
-    PassResultCache *cache = pm.cache_;
-    Hash128 input;
-    std::string spec;
-    if (cache) {
-      // Module granularity: key on the fold of the per-function hashes
-      // (the module body holds only funcs). The "module:" spec prefix
-      // keeps the key space disjoint from per-function entries.
-      spec = "module:" + pass.spec();
-      for (ir::Op *func : collectFuncs(module))
-        input = combineHash(input, hashOf(func));
-      if (auto hit = cache->lookup(input, spec)) {
-        if (spliceModule(*hit)) {
-          cache->notePassReplayed();
-          return true;
-        }
-        // Unparseable entry (rare): recompute; the store below overwrites
-        // the corrupt key.
+    if (!top->region(0).empty()) {
+      ir::Block &src = top->region(0).front();
+      for (ir::Op *op = src.front(), *next = nullptr; op; op = next) {
+        next = op->next();
+        src.unlink(op);
+        body.push_back(op);
       }
-      if (!materializeAll()) {
-        diag.error(SourceLoc(), kRoundTripError);
-        return false;
-      }
-      cache->notePassExecuted();
     }
-    stepExecuted = true;
-    size_t errorsBefore = diag.numErrors();
-    if (!runClocked(pass, [&] { return pass.run(module, diag); }) ||
-        diag.numErrors() > errorsBefore)
-      return false;
-    if (cache) {
-      irHash.clear();
-      PassResultCache::Entry entry;
-      Hash128 output;
-      for (ir::Op *func : collectFuncs(module)) {
-        Hash128 h = ir::hashOp(func);
-        irHash[func] = h;
-        entry.funcHashes.push_back(h);
-        output = combineHash(output, h);
-      }
-      entry.ir = ir::printOp(module.op);
-      // The chain key of a module entry is the same per-function fold the
-      // next module pass derives its input from.
-      entry.outputHash = output;
-      cache->store(input, spec, std::move(entry));
-    }
-    return true;
-  }
-
-  /// Replays or runs the function pass on each function, one after
-  /// another, and stores what ran.
-  bool runFunctionPass(FunctionPass &pass) {
-    PassResultCache *cache = pm.cache_;
-    const std::string spec = cache ? pass.spec() : std::string();
-    // A hit advances the hash chain in place (parked or spliced); a miss
-    // runs the pass on the function's real IR. Every miss runs even after
-    // one fails, so each reports its diagnostics, in function order.
-    std::vector<std::pair<ir::Op *, Hash128>> ran;
-    bool ok = true;
-    for (ir::Op *func : collectFuncs(module)) {
-      Hash128 input;
-      if (cache) {
-        input = hashOf(func);
-        std::optional<PassResultCache::Entry> hit = cache->lookup(input, spec);
-        if (hit && applyHit(func, std::move(*hit)))
-          continue;
-        // A miss, or an entry that fails to splice (rare).
-        func = materialize(func);
-        if (!func) {
-          diag.error(SourceLoc(), kRoundTripError);
-          return false;
-        }
-        if (!stepExecuted)
-          cache->notePassExecuted();
-      }
-      stepExecuted = true;
-      size_t errorsBefore = diag.numErrors();
-      ok = runClocked(pass,
-                      [&] { return pass.runOnFunction(func, diag); }) &&
-           diag.numErrors() == errorsBefore && ok;
-      ran.emplace_back(func, input);
-    }
-    if (!ok)
-      return false; // a failed step stores nothing
-    if (!cache)
-      return true;
-    for (const auto &[func, input] : ran) {
-      // The entry payload is the printed text (replay splices text); the
-      // chain key is the structural hash, matching what a fresh walk of
-      // the spliced replay would produce.
-      Hash128 outputHash = ir::hashOp(func);
-      cache->store(input, spec, ir::printOp(func), outputHash);
-      irHash[func] = outputHash;
-    }
-    if (!stepExecuted)
-      cache->notePassReplayed();
+    ir::Op::destroy(top); // detach the scaffolding; memory stays in the arena
     return true;
   }
 };

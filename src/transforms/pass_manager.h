@@ -2,8 +2,8 @@
 //
 //  - Pass: a named, parameterized, restartable unit of IR transformation
 //    with declared options (for textual pipelines) and statistics counters.
-//  - FunctionPass: a pass that runs independently on each func, so its
-//    results are cached (and replayed) per function.
+//  - FunctionPass: a pass that runs independently on each func; its
+//    module-scope run() applies it to every func in order.
 //  - Instrumentation: hooks around every (module, pass) step. The
 //    built-in one covers --print-ir-before/after; verify-after-each-pass
 //    is a PassManager switch, and per-pass timing a per-run option, that
@@ -16,8 +16,9 @@
 //    module on its pool). Each call takes the job's cancellation token,
 //    timing report and IR-arena cap (PassManager::RunOptions).
 //    Optionally a PassResultCache (transforms/pass_cache.h) replays
-//    cached IR for unchanged (function, pass) pairs instead of re-running
-//    passes. Nothing else is carried between passes: a pass that needs an
+//    cached IR for unchanged (module, pass) steps instead of re-running
+//    passes; module and function passes are keyed, run and replayed
+//    alike. Nothing else is carried between passes: a pass that needs an
 //    analysis computes it from the IR it is given.
 //
 // Textual pipelines ("unroll{max-trip=16},cpuify{mincut=false}",
@@ -58,8 +59,8 @@ public:
   const std::string &name() const { return name_; }
   const std::string &description() const { return description_; }
 
-  /// True for FunctionPass subclasses: the pass runs per func, and its
-  /// results are cached per function.
+  /// True for FunctionPass subclasses: the pass runs per func (so it may
+  /// be a child of repeat).
   virtual bool isFunctionPass() const { return false; }
 
   // IR-change tracking --------------------------------------------------------
@@ -178,8 +179,8 @@ private:
 
 /// A pass that transforms one function at a time and never looks outside
 /// it. The module-scope run() applies runOnFunction to every func in
-/// order; the PassManager instead calls runOnFunction itself, so it can
-/// look up, replay and store each function's result in the cache.
+/// order; the PassManager runs, caches and replays it through run(), like
+/// any other pass. RepeatPass calls runOnFunction on its children.
 class FunctionPass : public Pass {
 public:
   using Pass::Pass;
@@ -195,9 +196,9 @@ public:
 /// 1024 rounds): when every child tracksIRChange, convergence is read off
 /// the per-pass change tracking; otherwise a round's printed IR is
 /// compared against the previous round's. Children must be function
-/// passes (the repeat is then itself schedulable per function, and
-/// cacheable as one unit whose spec covers the whole body); the registry
-/// rejects module passes inside repeat.
+/// passes (the repeat then iterates each function to its own fixpoint,
+/// and caches as one step whose spec covers the whole body); the
+/// registry rejects module passes inside repeat.
 class RepeatPass : public FunctionPass {
 public:
   RepeatPass();
@@ -259,9 +260,9 @@ public:
   /// IR printer watching another pass), the result cache may defer
   /// splicing replayed IR past it — consecutive cache hits then cost
   /// hash-chain lookups instead of parse round-trips.
-  /// Laziness is decided per pass: before a pass some instrumentation
-  /// does inspect, the PassManager materializes every pending replay so
-  /// the hooks (and the pass) observe real IR.
+  /// Laziness is decided per pass: around a pass some instrumentation
+  /// does inspect, the PassManager splices the pending replay so the
+  /// hooks (and the pass) observe real IR.
   virtual bool inspectsIR(const Pass &pass) const {
     (void)pass;
     return true;
@@ -395,13 +396,15 @@ public:
   void enableStatistics();
 
   /// Attaches a pass-result cache (owned by the caller; shareable across
-  /// PassManagers and threads). When set, each pass execution is keyed on
-  /// (canonical pass spec, ir::hashOp structural hash of the input IR)
-  /// per function — per module for module passes, folding the
-  /// per-function hashes — and cache hits splice the stored IR in
-  /// instead of running the pass. Keying never prints IR; the structural
-  /// hash is one walk per (function, pass) boundary, and replayed passes
-  /// reuse the stored output hash without any walk at all.
+  /// PassManagers and threads). When set, every step, module pass or
+  /// function pass, is keyed on (canonical pass spec, ir::hashOp of the
+  /// module before it). A miss runs the pass and stores the printed
+  /// module with its output hash. A hit parks the stored text instead of
+  /// running the pass; the parked text is parsed in only when a later
+  /// pass must execute, a hook or verify-each inspects the IR, or the run
+  /// ends, so a run of hits parses the module once. Keying never prints
+  /// IR: the module is hashed at the start of a run and after each
+  /// executed step, and a replayed step reuses its entry's output hash.
   void setResultCache(PassResultCache *cache) { cache_ = cache; }
   PassResultCache *resultCache() const { return cache_; }
 
@@ -429,15 +432,16 @@ public:
   /// real IR (no replay left pending).
   ///
   /// Each step polls the cancellation token, then replays the step from
-  /// the cache or runs the pass (function passes one function after
-  /// another), then closes it with the afterPass hooks, verify-each and
-  /// the arena cap. A throw from a pass body or from the step machinery
-  /// fails this module with a diagnostic naming the pass.
+  /// the cache or runs the pass (a function pass over every function, in
+  /// order), then closes it with the afterPass hooks, verify-each and the
+  /// arena cap. A throw from a pass body or from the step machinery fails
+  /// this module with a diagnostic naming the pass; a throw on one
+  /// function ends the step before the module's later functions run.
   ///
   /// Concurrent calls on distinct modules are safe: they share the pass
   /// objects (whose statistics counters are atomic) and the result cache
   /// (only through PassResultCache::lookup/store), and nothing else. Two
-  /// runs computing the same (function, pass) entry at once both run it
+  /// runs computing the same (module, pass) entry at once both run it
   /// and store identical results; pass execution on a given input is
   /// deterministic, so outputs are bit-for-bit identical to a serial
   /// compile whatever the interleaving. Instrumentation hooks are not

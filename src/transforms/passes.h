@@ -5,7 +5,7 @@
 //
 //   frontend IR
 //     -> inline                 (device functions into kernels; module pass)
-//     -> core opts              [function passes, cached per kernel]
+//     -> core opts              [function passes]
 //          canonicalize (incl. restricting loops whose body is one guard
 //          on the IV, e.g. `if (tx == 0)`, to the iterations that pass
 //          it) / cse / mem2reg / store-forward / licm (incl. parallel
@@ -22,14 +22,15 @@
 //
 // Caching (transforms/pass_cache.h):
 //
-//   A PassResultCache (PassRunConfig::cache, --cache-dir) keys every pass
-//   execution on (canonical pass spec, structural hash of the function's
-//   IR) and replays cached output IR for hits: recompiling an unchanged
-//   kernel through an unchanged pipeline prefix executes zero transform
-//   passes, and ablation sweeps whose stages diverge at pass k re-run
-//   only from k onwards. It is the only state carried between passes;
-//   analyses (barrier effects, memory effects, thread-privacy) are
-//   computed by the pass that reads them, from the IR in front of it.
+//   A PassResultCache (PassManager::setResultCache; SessionOptions, or
+//   --cache-dir at the CLI) keys every pass step on (canonical pass spec,
+//   structural hash of the module's IR) and replays cached output IR for
+//   hits: recompiling an unchanged module through an unchanged pipeline
+//   prefix executes zero transform passes, and ablation sweeps whose
+//   stages diverge at pass k re-run only from k onwards. It is the only
+//   state carried between passes; analyses (barrier effects, memory
+//   effects, thread-privacy) are computed by the pass that reads them,
+//   from the IR in front of it.
 //
 // Every stage is exposed three ways:
 //   1. a legacy free function (runCanonicalize(...)), kept for tests and
@@ -178,28 +179,14 @@ std::unique_ptr<Pass> createOmpLowerPass(const OmpLowerOptions &opts = {});
 
 // Pipeline -------------------------------------------------------------------
 
-/// Execution knobs for one pipeline run, orthogonal to *what* runs
-/// (PipelineOptions) — instrumentation and caching only.
-struct PassRunConfig {
-  /// Per-(module, pass) time + IR-arena records land here when non-null.
-  PassTimingReport *timing = nullptr;
-  /// Verify after every pass, attributing breakage to the pass.
-  bool verifyEach = false;
-  /// Pass-result cache (owned by the caller, shareable across compiles
-  /// and threads); null disables caching.
-  PassResultCache *cache = nullptr;
-};
-
 /// Appends the full compilation pipeline per `opts` to `pm`, declaratively.
 void buildPipeline(PassManager &pm, const PipelineOptions &opts);
 
-/// Full pipeline per PipelineOptions. Returns false if a hard error was
-/// reported (e.g. non-uniform barrier condition).
+/// Full pipeline per PipelineOptions, uncached, then verification.
+/// Returns false if a hard error was reported (e.g. non-uniform barrier
+/// condition). Verify-each, timing and caching are set on a PassManager
+/// (buildPipeline, then PassManager::run) or a driver::CompilerSession.
 bool runPipeline(ModuleOp module, const PipelineOptions &opts,
                  DiagnosticEngine &diag);
-
-/// As above with instrumentation and caching knobs.
-bool runPipeline(ModuleOp module, const PipelineOptions &opts,
-                 DiagnosticEngine &diag, const PassRunConfig &config);
 
 } // namespace paralift::transforms

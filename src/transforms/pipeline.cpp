@@ -1,8 +1,6 @@
 // The full compilation pipeline, assembled declaratively from
 // PipelineOptions into a PassManager (see passes.h for the stage
-// diagram). The pass sequence reproduces the paper's pipeline exactly;
-// PassRunConfig adds orthogonal instrumentation (per-pass timing,
-// verify-after-each-pass) and the pass-result cache.
+// diagram). The pass sequence reproduces the paper's pipeline exactly.
 #include "ir/verifier.h"
 #include "transforms/passes.h"
 
@@ -83,24 +81,10 @@ void buildPipeline(PassManager &pm, const PipelineOptions &opts) {
 }
 
 bool runPipeline(ModuleOp module, const PipelineOptions &opts,
-                 DiagnosticEngine &diag, const PassRunConfig &config) {
+                 DiagnosticEngine &diag) {
   PassManager pm;
   buildPipeline(pm, opts);
-  if (config.verifyEach)
-    pm.enableVerifyEach();
-  pm.setResultCache(config.cache);
-  PassManager::RunOptions runOpts;
-  runOpts.timing = config.timing;
-  if (!pm.run(module, diag, runOpts))
-    return false;
-  // With verify-each on, every intermediate module (including the final
-  // one) has already been verified.
-  return config.verifyEach || ir::verifyOk(module.op);
-}
-
-bool runPipeline(ModuleOp module, const PipelineOptions &opts,
-                 DiagnosticEngine &diag) {
-  return runPipeline(module, opts, diag, PassRunConfig{});
+  return pm.run(module, diag) && ir::verifyOk(module.op);
 }
 
 } // namespace paralift::transforms

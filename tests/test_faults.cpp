@@ -56,28 +56,18 @@ driver::SessionOptions batchOptions(unsigned threads,
   return so;
 }
 
-/// Fault-free serial reference compile; must be called with no
-/// failpoints armed.
-std::string serialReference(const std::string &source,
-                            const PipelineOptions &opts = {}) {
-  DiagnosticEngine diag;
-  transforms::PassRunConfig config;
-  config.cache = nullptr;
-  auto cc = driver::compile(source, opts, diag, config);
-  EXPECT_TRUE(cc.ok) << diag.str();
-  return ir::printOp(cc.module.op());
-}
-
-/// Fault-free reference compile of `source` in `mode`: the serial
-/// optimize compile, or compileForSimt.
-std::string modeReference(driver::SessionMode mode,
-                          const std::string &source) {
-  if (mode == driver::SessionMode::Optimize)
-    return serialReference(source);
-  DiagnosticEngine diag;
-  auto cc = driver::compileForSimt(source, diag);
-  EXPECT_TRUE(cc.ok) << diag.str();
-  return ir::printOp(cc.module.op());
+/// Fault-free serial reference compile in `mode`, with no cache (not
+/// even $PARALIFT_CACHE_DIR's); must be called with no failpoints armed.
+std::string serialReference(
+    const std::string &source, const PipelineOptions &opts = {},
+    driver::SessionMode mode = driver::SessionMode::Optimize) {
+  driver::SessionOptions so = batchOptions(1, nullptr);
+  so.mode = mode;
+  driver::CompilerSession session(std::move(so));
+  driver::CompileJob &job = session.addSource("", source, opts);
+  session.compileAll();
+  EXPECT_TRUE(job.ok()) << job.diagnostics().str();
+  return ir::printOp(job.result().module.op());
 }
 
 uint64_t counterVal(const std::string &name) {
@@ -390,7 +380,7 @@ TEST(CancellationTest, CancelledJobFailsOthersComplete) {
   for (driver::SessionMode mode :
        {driver::SessionMode::Optimize, driver::SessionMode::Simt}) {
     SCOPED_TRACE(mode == driver::SessionMode::Simt ? "simt" : "optimize");
-    std::string golden = modeReference(mode, suite[0].cudaSource);
+    std::string golden = serialReference(suite[0].cudaSource, {}, mode);
     transforms::PassResultCache cache;
     driver::SessionOptions so = batchOptions(2, &cache);
     so.mode = mode;

@@ -1,10 +1,11 @@
-// PassResultCache tests: hit/miss/invalidation semantics (edit one
-// function -> only its entries miss; change a pass option -> the
-// downstream prefix misses), replay fidelity (cached compiles are
-// IR-identical to uncached ones across the Rodinia suite, with zero
-// transform pass executions on the second compile), disk persistence
-// with corrupt-entry tolerance, and thread safety across the module
-// tasks of a threaded session sharing one cache.
+// PassResultCache tests: one entry per (module, pass) step, hit/miss/
+// invalidation semantics (edit one function -> every step of its module
+// misses; change a pass option -> the downstream prefix misses), replay
+// fidelity (cached compiles are IR-identical to uncached ones across the
+// Rodinia suite, with zero transform pass executions on the second
+// compile, and a warm run parses its module once), disk persistence with
+// corrupt-entry and old-format tolerance, and thread safety across the
+// module tasks of a threaded session sharing one cache.
 #include "driver/compiler.h"
 #include "frontend/irgen.h"
 #include "ir/parser.h"
@@ -20,6 +21,8 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <thread>
 #include <unistd.h>
 
@@ -70,6 +73,22 @@ std::string twoFuncModule(const char *gConst) {
 })";
 }
 
+/// A callee and its caller: the module pass (inline) has work to do.
+const char *kCallerCalleeModule = R"(module {
+  func {sym_name = "callee", res_types = []} {
+    [%0: memref<?xf32>, %1: index]:
+    %2 = memref.load(%0, %1) : f32
+    %3 = addf(%2, %2) : f32
+    memref.store(%3, %0, %1)
+    return
+  }
+  func {sym_name = "caller", res_types = []} {
+    [%10: memref<?xf32>, %11: index]:
+    call(%10, %11) {callee = "callee"}
+    return
+  }
+})";
+
 /// Runs `pipeline` over `m` with `cache`; returns printed IR.
 std::string runCached(ModuleOp m, const std::string &pipeline,
                       PassResultCache *cache) {
@@ -79,6 +98,22 @@ std::string runCached(ModuleOp m, const std::string &pipeline,
   pm.setResultCache(cache);
   EXPECT_TRUE(pm.run(m, diag)) << diag.str();
   return printOp(m.op);
+}
+
+/// Compiles `source` through the full pipeline in a one-job session with
+/// `cache` (null: uncached). The environment's cache is never used, so
+/// an uncached compile stays uncached under $PARALIFT_CACHE_DIR.
+driver::CompileResult compileWith(const std::string &source,
+                                  PassResultCache *cache,
+                                  DiagnosticEngine &diag) {
+  driver::SessionOptions so;
+  so.cache = cache;
+  so.useEnvCache = false;
+  driver::CompilerSession session(std::move(so));
+  driver::CompileJob &job = session.addSource("", source);
+  session.compileAll();
+  diag.mergeFrom(job.diagnostics());
+  return job.take();
 }
 
 std::string tempDir(const std::string &tag) {
@@ -122,7 +157,7 @@ TEST(PassCacheTest, SecondRunReplaysWithZeroExecutions) {
   EXPECT_EQ(s1.hits, 0u);
   EXPECT_EQ(s1.passesExecuted, 4u);
   EXPECT_EQ(s1.passesReplayed, 0u);
-  EXPECT_EQ(s1.stores, 8u); // 4 passes x 2 funcs
+  EXPECT_EQ(s1.stores, 4u); // one entry per (module, pass), not per func
 
   OwnedModule m2 = parseOk(twoFuncModule("2.0"));
   std::string second = runCached(m2.get(), pipeline, &cache);
@@ -130,7 +165,7 @@ TEST(PassCacheTest, SecondRunReplaysWithZeroExecutions) {
   auto s2 = cache.stats();
   EXPECT_EQ(s2.passesExecuted, 4u); // unchanged: nothing re-ran
   EXPECT_EQ(s2.passesReplayed, 4u);
-  EXPECT_EQ(s2.hits, 8u);
+  EXPECT_EQ(s2.hits, 4u);
 }
 
 TEST(PassCacheTest, ReplayMatchesUncachedAcrossRodinia) {
@@ -139,20 +174,17 @@ TEST(PassCacheTest, ReplayMatchesUncachedAcrossRodinia) {
   // IR identical to an uncached compile.
   for (const auto &b : rodinia::suite()) {
     DiagnosticEngine d0;
-    auto uncached = driver::compile(b.cudaSource, PipelineOptions{}, d0);
+    auto uncached = compileWith(b.cudaSource, nullptr, d0);
     ASSERT_TRUE(uncached.ok) << b.id << ": " << d0.str();
 
     PassResultCache cache;
-    transforms::PassRunConfig config;
-    config.cache = &cache;
     DiagnosticEngine d1;
-    auto warm = driver::compile(b.cudaSource, PipelineOptions{}, d1, config);
+    auto warm = compileWith(b.cudaSource, &cache, d1);
     ASSERT_TRUE(warm.ok) << b.id << ": " << d1.str();
     uint64_t executedCold = cache.stats().passesExecuted;
 
     DiagnosticEngine d2;
-    auto replayed =
-        driver::compile(b.cudaSource, PipelineOptions{}, d2, config);
+    auto replayed = compileWith(b.cudaSource, &cache, d2);
     ASSERT_TRUE(replayed.ok) << b.id << ": " << d2.str();
 
     EXPECT_EQ(printOp(uncached.module.op()), printOp(replayed.module.op()))
@@ -167,22 +199,35 @@ TEST(PassCacheTest, ReplayMatchesUncachedAcrossRodinia) {
 // Invalidation granularity
 //===----------------------------------------------------------------------===//
 
-TEST(PassCacheTest, EditingOneFunctionOnlyMissesItsEntries) {
+TEST(PassCacheTest, EditingOneFunctionMissesEveryStepOfItsModule) {
+  // The module is the unit of caching: an edit to g changes the module's
+  // key, so every step misses and runs (on f as well), and the output
+  // matches an uncached run. The edit leaves the unedited module's
+  // entries intact.
   const std::string pipeline = "canonicalize,cse,unroll{max-trip=4}";
   PassResultCache cache;
   OwnedModule m1 = parseOk(twoFuncModule("2.0"));
   runCached(m1.get(), pipeline, &cache);
   cache.resetStats();
 
-  // g's body changed; f is untouched. All of f's entries must hit, all
-  // of g's must miss.
-  OwnedModule m2 = parseOk(twoFuncModule("3.0"));
-  runCached(m2.get(), pipeline, &cache);
+  OwnedModule edited = parseOk(twoFuncModule("3.0"));
+  OwnedModule reference = parseOk(twoFuncModule("3.0"));
+  DiagnosticEngine diag;
+  ASSERT_TRUE(runPassPipeline(reference.get(), pipeline, diag));
+  EXPECT_EQ(runCached(edited.get(), pipeline, &cache),
+            printOp(reference.op()));
   auto s = cache.stats();
-  EXPECT_EQ(s.hits, 3u) << "f replays through all 3 passes";
-  EXPECT_EQ(s.misses, 3u) << "g misses through all 3 passes";
-  EXPECT_EQ(s.passesReplayed, 0u); // every pass still ran (on g)
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.misses, 3u);
+  EXPECT_EQ(s.stores, 3u);
+  EXPECT_EQ(s.passesReplayed, 0u);
   EXPECT_EQ(s.passesExecuted, 3u);
+
+  cache.resetStats();
+  OwnedModule unedited = parseOk(twoFuncModule("2.0"));
+  runCached(unedited.get(), pipeline, &cache);
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().passesExecuted, 0u);
 }
 
 TEST(PassCacheTest, ChangingPassOptionMissesFromThatPassOn) {
@@ -197,15 +242,14 @@ TEST(PassCacheTest, ChangingPassOptionMissesFromThatPassOn) {
   runCached(m2.get(), "canonicalize,cse,unroll{max-trip=2},canonicalize",
             &cache);
   auto s = cache.stats();
-  // 2 funcs x (canonicalize, cse) hit; unroll{max-trip=2} is a new spec,
-  // so both functions miss and the pass executes. It refuses the 4-trip
-  // loops, so its output hash equals its input — and because keys chain
-  // on content, the final canonicalize collapses onto the entry the
-  // *first* canonicalize stored (the module was already canonical) and
-  // replays: a downstream pass only misses while the IR actually
-  // diverges.
-  EXPECT_EQ(s.hits, 6u);
-  EXPECT_EQ(s.misses, 2u);
+  // canonicalize and cse hit; unroll{max-trip=2} is a new spec, so it
+  // misses and executes. It refuses the 4-trip loops, so its output hash
+  // equals its input — and because keys chain on content, the final
+  // canonicalize collapses onto the entry the *first* canonicalize
+  // stored (the module was already canonical) and replays: a downstream
+  // pass only misses while the IR actually diverges.
+  EXPECT_EQ(s.hits, 3u);
+  EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.passesReplayed, 3u);
   EXPECT_EQ(s.passesExecuted, 1u);
 
@@ -219,7 +263,7 @@ TEST(PassCacheTest, ChangingPassOptionMissesFromThatPassOn) {
   runCached(m3.get(), "canonicalize,cse,unroll{max-trip=8},canonicalize",
             &cache);
   auto s3 = cache.stats();
-  EXPECT_EQ(s3.misses, 2u); // only the unroll spec itself
+  EXPECT_EQ(s3.misses, 1u); // only the unroll spec itself
   EXPECT_EQ(s3.passesExecuted, 1u);
 }
 
@@ -256,24 +300,10 @@ TEST(PassCacheTest, VariantNameSharesEntriesWithCanonicalSpec) {
 
 TEST(PassCacheTest, ModulePassCachesWholeModule) {
   const std::string pipeline = "inline,canonicalize";
-  const char *src = R"(module {
-  func {sym_name = "callee", res_types = []} {
-    [%0: memref<?xf32>, %1: index]:
-    %2 = memref.load(%0, %1) : f32
-    %3 = addf(%2, %2) : f32
-    memref.store(%3, %0, %1)
-    return
-  }
-  func {sym_name = "caller", res_types = []} {
-    [%10: memref<?xf32>, %11: index]:
-    call(%10, %11) {callee = "callee"}
-    return
-  }
-})";
   PassResultCache cache;
-  OwnedModule m1 = parseOk(src);
+  OwnedModule m1 = parseOk(kCallerCalleeModule);
   std::string first = runCached(m1.get(), pipeline, &cache);
-  OwnedModule m2 = parseOk(src);
+  OwnedModule m2 = parseOk(kCallerCalleeModule);
   std::string second = runCached(m2.get(), pipeline, &cache);
   EXPECT_EQ(first, second);
   auto s = cache.stats();
@@ -287,7 +317,7 @@ TEST(PassCacheTest, RepeatCachesAsOneUnit) {
   OwnedModule m1 = parseOk(twoFuncModule("2.0"));
   runCached(m1.get(), "repeat{n=3}(canonicalize,cse)", &cache);
   auto s1 = cache.stats();
-  EXPECT_EQ(s1.stores, 2u); // one entry per function for the whole repeat
+  EXPECT_EQ(s1.stores, 1u); // one entry for the module and the whole repeat
   OwnedModule m2 = parseOk(twoFuncModule("2.0"));
   runCached(m2.get(), "repeat{n=3}(canonicalize,cse)", &cache);
   EXPECT_EQ(cache.stats().passesReplayed, 1u);
@@ -386,7 +416,7 @@ std::string manyKernelSource() {
 TEST(PassCacheTest, ThreadSafeUnderPmThreads) {
   std::string src = manyKernelSource();
   DiagnosticEngine d0;
-  auto reference = driver::compile(src, PipelineOptions{}, d0);
+  auto reference = compileWith(src, nullptr, d0);
   ASSERT_TRUE(reference.ok) << d0.str();
   std::string golden = printOp(reference.module.op());
 
@@ -565,22 +595,9 @@ TEST(PassCacheTest, KeysDeterministicAcrossCacheInstances) {
   // Fresh cache instance + fresh module objects over one disk dir models
   // a second process: every key must reproduce exactly (no pointer or
   // iteration-order input), so the second run reports zero misses and
-  // zero executed passes. The pipeline includes a module pass (inline)
-  // to cover the folded module-level keys, and a repeat composite.
-  const char *src = R"(module {
-  func {sym_name = "callee", res_types = []} {
-    [%0: memref<?xf32>, %1: index]:
-    %2 = memref.load(%0, %1) : f32
-    %3 = addf(%2, %2) : f32
-    memref.store(%3, %0, %1)
-    return
-  }
-  func {sym_name = "caller", res_types = []} {
-    [%10: memref<?xf32>, %11: index]:
-    call(%10, %11) {callee = "callee"}
-    return
-  }
-})";
+  // zero executed passes. The pipeline mixes a module pass (inline),
+  // function passes and a repeat composite.
+  const char *src = kCallerCalleeModule;
   const std::string pipeline =
       "inline,repeat{n=2}(canonicalize,cse),unroll{max-trip=4}";
   std::string dir = tempDir("determinism");
@@ -601,6 +618,39 @@ TEST(PassCacheTest, KeysDeterministicAcrossCacheInstances) {
     EXPECT_EQ(s.hits, s.diskHits) << "all hits must come from disk";
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(PassCacheTest, WarmReplayParsesTheModuleOnce) {
+  // A warm run replays every step without running a pass. Each hit only
+  // parks its entry's text, so the module is parsed once, at the end of
+  // the run, from the last step's entry: its arena grows by exactly the
+  // bytes one parse of the final printed module allocates. The inline
+  // entry at the head of the pipeline is parked like the others, not
+  // spliced on its own.
+  const std::string pipeline = "inline,canonicalize,cse";
+  PassResultCache cache;
+  OwnedModule cold = parseOk(kCallerCalleeModule);
+  const std::string final = runCached(cold.get(), pipeline, &cache);
+
+  OwnedModule probe = parseOk(kCallerCalleeModule);
+  size_t probeStart = probe.arena().bytesAllocated();
+  DiagnosticEngine probeDiag;
+  Op *top = parseModuleInto(probe.arena(), final, probeDiag);
+  ASSERT_NE(top, nullptr) << probeDiag.str();
+  Op::destroy(top);
+  size_t parseBytes = probe.arena().bytesAllocated() - probeStart;
+
+  PassManager pm;
+  DiagnosticEngine diag;
+  ASSERT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
+  pm.setResultCache(&cache);
+  OwnedModule warm = parseOk(kCallerCalleeModule);
+  size_t warmStart = warm.arena().bytesAllocated();
+  ASSERT_TRUE(pm.run(warm.get(), diag)) << diag.str();
+  EXPECT_EQ(warm.arena().bytesAllocated() - warmStart, parseBytes);
+  EXPECT_EQ(printOp(warm.op()), final);
+  EXPECT_EQ(cache.stats().passesReplayed, 3u);
+  EXPECT_EQ(cache.stats().passesExecuted, 3u); // the cold run's only
 }
 
 //===----------------------------------------------------------------------===//
@@ -750,30 +800,54 @@ TEST(DiskFaultTest, TruncatedEntryIsAMissNotWrongReplay) {
 }
 
 TEST(DiskFaultTest, GarbageHeaderIsAMissNotWrongReplay) {
-  std::string dir = tempDir("fault-header");
   const std::string pipeline = "canonicalize,cse";
-  {
-    PassResultCache cache(dir);
-    OwnedModule m = parseOk(twoFuncModule("2.0"));
-    runCached(m.get(), pipeline, &cache);
+  OwnedModule reference = parseOk(twoFuncModule("2.0"));
+  DiagnosticEngine refDiag;
+  ASSERT_TRUE(runPassPipeline(reference.get(), pipeline, refDiag));
+  const std::string golden = printOp(reference.op());
+
+  // Each input rewrites the header of every stored entry.
+  struct Input {
+    const char *name;
+    std::function<std::string(const std::string &)> rewrite;
+  };
+  const Input inputs[] = {
+      // The entry's size kept, its first line destroyed.
+      {"garbage",
+       [](const std::string &file) {
+         return std::string(16, 'X') + file.substr(16);
+       }},
+      // First line rewritten to the older format's magic (v2 stored
+      // per-function entries and module entries with a funcs line).
+      {"v2 magic",
+       [](const std::string &file) {
+         return "paralift-pass-cache v2" + file.substr(file.find('\n'));
+       }},
+  };
+  for (const Input &input : inputs) {
+    std::string dir = tempDir("fault-header");
+    {
+      PassResultCache cache(dir);
+      OwnedModule m = parseOk(twoFuncModule("2.0"));
+      runCached(m.get(), pipeline, &cache);
+    }
+    for (auto &e : std::filesystem::directory_iterator(dir)) {
+      std::ifstream in(e.path(), std::ios::binary);
+      std::string file(std::istreambuf_iterator<char>(in), {});
+      in.close();
+      std::ofstream(e.path(), std::ios::binary | std::ios::trunc)
+          << input.rewrite(file);
+    }
+    {
+      PassResultCache cache(dir);
+      OwnedModule m = parseOk(twoFuncModule("2.0"));
+      EXPECT_EQ(runCached(m.get(), pipeline, &cache), golden) << input.name;
+      EXPECT_EQ(cache.stats().hits, 0u) << input.name;
+      EXPECT_EQ(cache.stats().passesExecuted, 2u) << input.name;
+      EXPECT_FALSE(cache.diskDemoted()) << input.name;
+    }
+    std::filesystem::remove_all(dir);
   }
-  // Keep each entry's size but destroy its header line.
-  for (auto &e : std::filesystem::directory_iterator(dir)) {
-    std::fstream f(e.path(),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.write("XXXXXXXXXXXXXXXX", 16);
-  }
-  {
-    PassResultCache cache(dir);
-    OwnedModule m = parseOk(twoFuncModule("2.0"));
-    OwnedModule reference = parseOk(twoFuncModule("2.0"));
-    DiagnosticEngine diag;
-    ASSERT_TRUE(runPassPipeline(reference.get(), pipeline, diag));
-    EXPECT_EQ(runCached(m.get(), pipeline, &cache), printOp(reference.op()));
-    EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_FALSE(cache.diskDemoted());
-  }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(DiskFaultTest, PartialWriteIsCaughtOnReadBack) {

@@ -618,8 +618,9 @@ TEST(PipelineEquivalenceTest, RodiniaSuiteMcuda) {
 }
 
 TEST(PipelineEquivalenceTest, VerifyEachMatchesLegacy) {
-  PassRunConfig config;
-  config.verifyEach = true;
+  PassManager pm;
+  buildPipeline(pm, PipelineOptions{});
+  pm.enableVerifyEach();
   for (const auto &b : rodinia::suite()) {
     DiagnosticEngine d1;
     OwnedModule legacy = frontend::compileToIR(b.cudaSource, d1);
@@ -629,7 +630,7 @@ TEST(PipelineEquivalenceTest, VerifyEachMatchesLegacy) {
     DiagnosticEngine d2;
     OwnedModule fresh = frontend::compileToIR(b.cudaSource, d2);
     ASSERT_FALSE(d2.hasErrors()) << b.id << ": " << d2.str();
-    bool newOk = runPipeline(fresh.get(), PipelineOptions{}, d2, config);
+    bool newOk = pm.run(fresh.get(), d2);
 
     EXPECT_EQ(legacyOk, newOk) << b.id << ": " << d1.str() << d2.str();
     EXPECT_EQ(printOp(legacy.op()), printOp(fresh.op())) << b.id;

@@ -34,15 +34,15 @@ driver::SessionOptions batchOptions(unsigned threads,
   return so;
 }
 
-/// Serial one-shot reference compile (no cache, no pool sharing).
+/// Serial one-shot reference compile (no cache, not even
+/// $PARALIFT_CACHE_DIR's, and no pool).
 std::string serialReference(const std::string &source,
                             const PipelineOptions &opts) {
-  DiagnosticEngine diag;
-  transforms::PassRunConfig config;
-  config.cache = nullptr;
-  auto cc = driver::compile(source, opts, diag, config);
-  EXPECT_TRUE(cc.ok) << diag.str();
-  return ir::printOp(cc.module.op());
+  driver::CompilerSession session(batchOptions(1, nullptr));
+  driver::CompileJob &job = session.addSource("", source, opts);
+  session.compileAll();
+  EXPECT_TRUE(job.ok()) << job.diagnostics().str();
+  return ir::printOp(job.result().module.op());
 }
 
 /// A module whose cpuify hard-errors (barrier outside any parallel
