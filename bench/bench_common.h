@@ -224,9 +224,9 @@ compileSuiteSession(const transforms::PipelineOptions &opts,
 
 /// Cache-keying cost over the parsed suite: the structural hasher
 /// (ir::hashOp — what the pass cache keys on). Each module's batch task
-/// keys the whole module before its first pass, one walk over its
-/// functions, so the per-function walks summed here are part of every
-/// module's compile.
+/// keys the whole module once, with its pipeline's spec, before it
+/// replays or runs the pipeline: one walk over its functions, so the
+/// per-function walks summed here are part of every cached compile.
 struct KeyingTimes {
   double structuralSeconds = 0;
   size_t funcs = 0;

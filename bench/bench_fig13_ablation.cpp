@@ -113,9 +113,11 @@ void printTable(const SuiteModules &suite) {
 /// Per-pass compile-time breakdown of each ablation stage, aggregated
 /// across the Rodinia suite. Shows where each enabled axis spends its
 /// compile time (the PassManager timing instrumentation), then repeats
-/// the whole sweep against a shared pass-result cache: consecutive
-/// stages differ in a single pipeline axis, so the shared prefix of
-/// every stage replays from cache and only the changed suffix re-runs.
+/// the whole sweep against a shared pass-result cache. The cache holds
+/// one entry per (module, pipeline), so the populate sweep runs every
+/// stage's whole pipeline, shared prefixes included (consecutive stages
+/// differ in a single pipeline axis), and the warm sweep replays every
+/// stage.
 void printPassTimingBreakdown(const SuiteModules &suite) {
   std::printf("\n=== Per-pass compile time per ablation stage (seconds, "
               "summed over suite) ===\n\n");
@@ -137,19 +139,19 @@ void printPassTimingBreakdown(const SuiteModules &suite) {
   for (const Stage &s : stages())
     warmTotal += timeSuiteCompiles(s.opts, suite, &cache).totalSeconds();
 
-  std::printf("\n=== Ablation sweep compile time: shared-prefix caching "
+  std::printf("\n=== Ablation sweep compile time: per-pipeline caching "
               "===\n\n");
   std::printf("  cache off      : %10.6f s total pass time\n", coldTotal);
-  std::printf("  cache populate : %10.6f s total pass time (stores every "
-              "stage's changed suffix)\n",
+  std::printf("  cache populate : %10.6f s total pass time (runs and "
+              "stores every stage's pipeline)\n",
               populateTotal);
   std::printf("  cache warm     : %10.6f s total pass time (%.2fx faster "
               "than cache off)\n",
               warmTotal, warmTotal > 0 ? coldTotal / warmTotal : 0.0);
   std::printf("  %s\n", cache.statsStr().c_str());
 
-  // Where the populate overhead went: keying each (module, pass)
-  // boundary. Structural hashing removed the print from that path.
+  // Where the populate overhead went, besides printing each stored
+  // result: keying each (module, pipeline) run.
   printKeyingTime(suite);
 }
 

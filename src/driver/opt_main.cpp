@@ -37,17 +37,21 @@
 //   paralift-opt a.cu b.cu c.cu --cuda --pm-threads=4
 //     --passes='repeat{until=fixpoint}(canonicalize,cse),cpuify,omp-lower'
 //
-// Batches schedule one task per file (each file parses, keys, and runs
-// all its passes on one task of the --pm-threads pool; every file's
-// output is ready the moment its own last pass lands).
+// Batches schedule one task per file (each file parses, keys, and then
+// replays or runs its whole pipeline on one task of the --pm-threads
+// pool; every file's output is ready the moment its own task ends).
 // --print-ir-before/after hook every (file, pass) step of those tasks;
 // with either set the batch drains on one thread, file by file in
 // command-line order, so the hook output is the same for every
-// --pm-threads value.
+// --pm-threads value. With either, or --verify-each, no file replays the
+// cache: every pass executes under the hooks, and the result is stored.
 //
 // Pass results are cached persistently under --cache-dir (or
-// $PARALIFT_CACHE_DIR when set): re-running an unchanged file through an
-// unchanged pipeline replays cached IR instead of executing passes.
+// $PARALIFT_CACHE_DIR when set), one entry per (file, pipeline):
+// re-running an unchanged file through an unchanged pipeline replays the
+// cached result instead of executing passes, while a file edited
+// anywhere, or a pipeline changed in any pass option, re-runs every
+// pass.
 // --cache-limit=<MB> (or $PARALIFT_CACHE_LIMIT) bounds the on-disk store,
 // sweeping oldest entries at exit. --no-pass-cache forces caching off;
 // --cache-stats prints the hit/miss/replay counters to stderr.

@@ -34,17 +34,18 @@
 // arena cap and timing report, final verification, then the job is
 // marked done. The tasks run as one parallel loop on the session pool
 // (runtime::runTasks): each worker takes the next task until none is
-// left. The module is the unit of compile parallelism and of caching:
-// its task parses the source, keys the module (ir::hashOp), and runs
-// every pass step in pipeline order, each step replaying or running and
-// storing one entry for the whole module. So module B runs pass 3 while
-// module A is still parsing, and each CompileJob future resolves the
-// moment *its* module's task completes rather than at end of batch.
-// Modules share the cache only through lookup and store: a step another
-// job stored earlier for identical IR replays (jobs compiling one source
-// through different pipelines share their common prefix), while two jobs
-// computing the same step at the same time both run it and store the
-// same result.
+// left. The module is the unit of compile parallelism, and the (module,
+// pipeline) job the unit of caching: its task parses the source, keys
+// the module (ir::hashOp) with its pipeline's spec once, and either
+// replays the stored result or runs every pass in pipeline order and
+// stores one entry. So module B runs pass 3 while module A is still
+// parsing, and each CompileJob future resolves the moment *its* module's
+// task completes rather than at end of batch. Modules share the cache
+// only through lookup and store: a job replays what another job stored
+// earlier for the same module through the same pipeline, while jobs
+// compiling one source through different pipelines share nothing (no
+// common prefix is stored), and two jobs computing the same entry at
+// the same time both run it and store the same result.
 // Pass execution is deterministic per input, so outputs are bit-for-bit
 // identical to serial compiles. Under --timing, each task records its
 // own module's (module, pass) rows, and the batch appends them in task
@@ -53,7 +54,8 @@
 //
 // Instrumentation hooks (configurePassManager's IR printers and any
 // other transforms::Instrumentation it installs) fire around every
-// (module, pass) step of the same tasks.
+// (module, pass) step of the same tasks; a hooked or verify-each session
+// never replays the cache, so every pass executes under its hooks.
 // They observe one module at a time, so a session with any installed
 // runs the batch on the calling thread: each module's task runs to
 // completion in job order, and hook output is module-contiguous and the
@@ -91,14 +93,15 @@
 //    trace_event JSON file ("catapult" format — load in about://tracing
 //    or Perfetto) at session destruction. Each worker thread is a named
 //    lane ("worker-N"); every job contributes an async span from batch
-//    start to job completion, nested over its frontend parse span, one
-//    span per (module, pass) step annotated with the cache outcome
-//    ("cache: run" vs "cache: replay"), and cache disk-IO/eviction
-//    spans. $PARALIFT_TRACE=FILE does the same process-wide without API
-//    involvement (written at exit), and trace::enable()/writeJson() are
-//    available for embedders. When
-//    disabled (the default), instrumentation costs one relaxed atomic
-//    load per site — the recorder is compiled in but never buffers.
+//    start to job completion, nested over its frontend parse span, the
+//    keying span of each cached run annotated with the cache outcome
+//    ("cache: run" vs "cache: replay"), one span per executed (module,
+//    pass) step, and cache disk-IO/eviction spans. $PARALIFT_TRACE=FILE
+//    does the same process-wide without API involvement (written at
+//    exit), and trace::enable()/writeJson() are available for embedders.
+//    When disabled (the default), instrumentation costs one relaxed
+//    atomic load per site — the recorder is compiled in but never
+//    buffers.
 //
 // Failure semantics
 // -----------------
@@ -125,11 +128,12 @@
 //
 //  - Cancellation and deadlines. CompileJob::cancel() requests
 //    cooperative cancellation; SessionOptions::jobTimeoutSeconds arms a
-//    per-job deadline at batch start. Both are polled before every
-//    (module, pass) step, instrumented sessions included — the pass
-//    currently executing always finishes, so IR and cache stay
-//    consistent; the job then fails with "cancelled in pass P" or
-//    "deadline exceeded after Ns in pass P" before its next pass.
+//    per-job deadline at batch start. Both are polled before the cache
+//    lookup and before every executed (module, pass) step, instrumented
+//    sessions included, so a cancelled job fails even when its result
+//    is cached. The pass currently executing always finishes, so IR and
+//    cache stay consistent; the job then fails with "cancelled in pass
+//    P" or "deadline exceeded after Ns in pass P" before its next pass.
 //    A compile that is between passes reacts within one step; one stuck
 //    *inside* a pass is not interrupted (cooperative, not preemptive).
 //

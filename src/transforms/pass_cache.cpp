@@ -193,8 +193,8 @@ std::string PassResultCache::keyFile(const Hash128 &key) const {
   return dir_ + "/" + key.hex() + ".pir";
 }
 
-std::optional<PassResultCache::Entry>
-PassResultCache::lookup(const Hash128 &input, const std::string &spec) {
+std::optional<std::string> PassResultCache::lookup(const Hash128 &input,
+                                                   const std::string &spec) {
   Hash128 key = keyHash(input, spec);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -232,21 +232,20 @@ PassResultCache::lookup(const Hash128 &input, const std::string &spec) {
 }
 
 void PassResultCache::store(const Hash128 &input, const std::string &spec,
-                            std::string ir, const Hash128 &outputHash) {
+                            std::string ir) {
   Hash128 key = keyHash(input, spec);
-  Entry entry{std::move(ir), outputHash};
   // Write the file outside the lock (the temp+rename protocol already
   // tolerates concurrent writers of one key; same key implies same
   // value for deterministic passes).
   if (diskEnabled()) {
-    uint64_t written = writeToDisk(key, input, spec, entry);
+    uint64_t written = writeToDisk(key, input, spec, ir);
     if (!written) {
       // ENOSPC, unwritable dir, rename failure (or an injected fault):
       // retry once after a short backoff — transient pressure often
       // clears — then demote to memory-only. Cache trouble degrades
       // performance, never jobs.
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      written = writeToDisk(key, input, spec, entry);
+      written = writeToDisk(key, input, spec, ir);
       if (!written)
         disableDisk("disk write failed twice");
     }
@@ -256,15 +255,13 @@ void PassResultCache::store(const Hash128 &input, const std::string &spec,
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.stores;
   cacheCounters().stores.add();
-  entries_[key] = std::move(entry);
+  entries_[key] = std::move(ir);
 }
 
 // On-disk entry format (header lines, a separator, then the IR verbatim):
-//   paralift-pass-cache v3
-//   input <32 hex>                    (structural hash of the pass input)
-//   spec <canonical pass spec>
-//   output <32 hex>                   (structural hash of the result; the
-//                                      next pass's input key)
+//   paralift-pass-cache v4
+//   input <32 hex>                    (structural hash of the input module)
+//   spec <canonical pipeline spec>
 //   text <32 hex>                     (hashBytes of the payload below)
 //   ---
 //   <printed module>
@@ -272,9 +269,10 @@ void PassResultCache::store(const Hash128 &input, const std::string &spec,
 // hash collision, or a stale file from an incompatible version, reads as
 // a miss instead of replaying wrong IR; the text hash catches truncated
 // or corrupted payloads. Older files fail the magic check and degrade to
-// misses: v1 (printed-text keying, no text line) and v2 (per-function
-// entries, and module entries with a "funcs" line).
-std::optional<PassResultCache::Entry>
+// misses: v1 (printed-text keying, no text line), v2 (per-function
+// entries, and module entries with a "funcs" line) and v3 (one entry per
+// pass step, with an "output" hash line).
+std::optional<std::string>
 PassResultCache::loadFromDisk(const Hash128 &key, const Hash128 &input,
                               const std::string &spec) {
   // Injected IO error (a real one would be an open/read failing with
@@ -295,39 +293,34 @@ PassResultCache::loadFromDisk(const Hash128 &key, const Hash128 &input,
   trace::TraceSpan span("cache:disk-read", "cache");
   if (span.active())
     span.annotate("spec", spec);
-  std::string magic, inputLine, specLine, outputLine, textLine, line;
-  if (!std::getline(in, magic) || magic != "paralift-pass-cache v3")
+  std::string magic, inputLine, specLine, textLine, line;
+  if (!std::getline(in, magic) || magic != "paralift-pass-cache v4")
     return std::nullopt;
   if (!std::getline(in, inputLine) || inputLine.rfind("input ", 0) != 0)
     return std::nullopt;
   if (!std::getline(in, specLine) || specLine.rfind("spec ", 0) != 0)
-    return std::nullopt;
-  if (!std::getline(in, outputLine) || outputLine.rfind("output ", 0) != 0)
     return std::nullopt;
   if (!std::getline(in, textLine) || textLine.rfind("text ", 0) != 0)
     return std::nullopt;
   if (!std::getline(in, line) || line != "---")
     return std::nullopt;
   auto storedInput = Hash128::fromHex(inputLine.substr(6));
-  auto storedOutput = Hash128::fromHex(outputLine.substr(7));
   auto storedText = Hash128::fromHex(textLine.substr(5));
-  if (!storedInput || !storedOutput || !storedText ||
-      *storedInput != input || specLine.substr(5) != spec)
+  if (!storedInput || !storedText || *storedInput != input ||
+      specLine.substr(5) != spec)
     return std::nullopt;
-  std::ostringstream ir;
-  ir << in.rdbuf();
-  Entry entry;
-  entry.ir = ir.str();
-  entry.outputHash = *storedOutput;
-  if (hashBytes(entry.ir) != *storedText)
+  std::ostringstream payload;
+  payload << in.rdbuf();
+  std::string ir = payload.str();
+  if (hashBytes(ir) != *storedText)
     return std::nullopt; // truncated or corrupted payload
-  return entry;
+  return ir;
 }
 
 uint64_t PassResultCache::writeToDisk(const Hash128 &key,
                                       const Hash128 &input,
                                       const std::string &spec,
-                                      const Entry &entry) {
+                                      const std::string &ir) {
   trace::TraceSpan span("cache:disk-write", "cache");
   if (span.active())
     span.annotate("spec", spec);
@@ -349,16 +342,15 @@ uint64_t PassResultCache::writeToDisk(const Hash128 &key,
     std::ofstream out(tmp.str(), std::ios::binary | std::ios::trunc);
     if (!out)
       return 0;
-    out << "paralift-pass-cache v3\n"
+    out << "paralift-pass-cache v4\n"
         << "input " << input.hex() << "\n"
         << "spec " << spec << "\n"
-        << "output " << entry.outputHash.hex() << "\n"
-        << "text " << hashBytes(entry.ir).hex() << "\n"
+        << "text " << hashBytes(ir).hex() << "\n"
         << "---\n";
-    size_t irBytes = entry.ir.size();
+    size_t irBytes = ir.size();
     if (inject == failpoint::Action::PartialWrite)
       irBytes /= 2; // torn payload, "successful" write
-    out.write(entry.ir.data(), static_cast<std::streamsize>(irBytes));
+    out.write(ir.data(), static_cast<std::streamsize>(irBytes));
     if (!out) {
       // Failed write (e.g. disk full): do not litter the shared dir.
       out.close();
@@ -372,7 +364,7 @@ uint64_t PassResultCache::writeToDisk(const Hash128 &key,
   // tracks real disk growth, not just payload size.
   uint64_t written = std::filesystem::file_size(tmp.str(), ec);
   if (ec)
-    written = entry.ir.size();
+    written = ir.size();
   std::filesystem::rename(tmp.str(), path, ec);
   if (ec) {
     std::filesystem::remove(tmp.str(), ec);
@@ -407,10 +399,10 @@ void PassResultCache::notePassExecuted() {
   cacheCounters().passesExecuted.add();
 }
 
-void PassResultCache::notePassReplayed() {
+void PassResultCache::notePassesReplayed(uint64_t passes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.passesReplayed;
-  cacheCounters().passesReplayed.add();
+  stats_.passesReplayed += passes;
+  cacheCounters().passesReplayed.add(passes);
 }
 
 } // namespace paralift::transforms

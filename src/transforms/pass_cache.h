@@ -1,27 +1,20 @@
-// Persistent pass-result cache: maps (canonical pass spec, structural
-// hash of the input module) to the printed module the pass produced, so
-// re-compiling an unchanged module through an unchanged pipeline prefix
-// replays cached IR instead of re-running passes.
+// Persistent pass-result cache: maps (canonical pipeline spec,
+// structural hash of the input module) to the printed module the
+// pipeline produced, so re-compiling an unchanged module through an
+// unchanged pipeline replays cached IR instead of re-running passes.
 //
 // Keying: lookups are keyed on ir::hashOp — a direct structural hash
 // (one walk over op kinds, operand numbering, attrs, types, regions) —
 // never on a hash of printed text, so keying a module costs no string
-// materialization. Entries carry the structural hash of their *output*
-// (Entry::outputHash), which becomes the next pass's input key; replayed
-// and executed passes therefore advance identical hash chains. Two
-// pipelines sharing a prefix share every prefix entry, and an ablation
-// sweep whose stages diverge only at pass k re-runs from pass k onwards —
-// the O(changed work) property bench_fig13_ablation exploits. Byte
-// hashing (hashBytes) survives only where text is the object itself: the
-// spec+salt key component and the on-disk payload integrity check
-// (replay splices stored text, so the stored text is what must be
-// intact).
+// materialization. Byte hashing (hashBytes) survives only where text is
+// the object itself: the spec+salt key component and the on-disk
+// payload integrity check (replay parses stored text, so the stored text
+// is what must be intact).
 //
-// Granularity: one entry per (module, pass) step, for module and
-// function passes alike. The module is the unit of caching as it is of
-// compile parallelism: editing one function of a module misses every
-// later step of that module, and a module replays a step only when its
-// whole IR matches the stored input.
+// Granularity: one entry per (module, pipeline), stored when a whole
+// pipeline run completes; intermediate steps are not stored. Editing one
+// function of a module, or changing any one pass option, misses the whole
+// pipeline, and pipelines that share a prefix share no entry.
 //
 // With a directory the cache is persistent: each entry is one file named
 // by the key hash, written atomically (temp + rename) so concurrent
@@ -55,7 +48,7 @@ using ir::hashBytes;
 
 class PassResultCache {
 public:
-  /// In-memory cache (one process; useful for ablation sweeps).
+  /// In-memory cache (one process).
   PassResultCache() = default;
   /// Persistent cache rooted at `dir` (created if absent). An empty dir
   /// string degrades to memory-only.
@@ -66,26 +59,17 @@ public:
   PassResultCache(const PassResultCache &) = delete;
   PassResultCache &operator=(const PassResultCache &) = delete;
 
-  struct Entry {
-    std::string ir; ///< printed module produced by the pass
-    /// Structural hash (ir::hashOp) of the produced module; the next
-    /// pass's input key. Splicing `ir` back in reproduces it exactly (the
-    /// print/parse round trip preserves structure), so replayed and
-    /// executed passes advance identical hash chains.
-    Hash128 outputHash;
-  };
+  /// Finds the printed module that running `spec` produced on IR whose
+  /// structural hash is `input`. Checks memory first, then disk; disk
+  /// hits are promoted into memory. Returns nullopt on miss (and counts
+  /// it). Nothing is claimed: two callers missing on one key both compute
+  /// it, and both store the same result.
+  std::optional<std::string> lookup(const Hash128 &input,
+                                    const std::string &spec);
 
-  /// Finds the result of running `spec` on IR whose structural hash is
-  /// `input`. Checks memory first, then disk; disk hits are promoted into
-  /// memory. Returns nullopt on miss (and counts it). Nothing is claimed:
-  /// two callers missing on one key both compute it, and both store the
-  /// same result.
-  std::optional<Entry> lookup(const Hash128 &input, const std::string &spec);
-
-  /// Records a pass result. Overwrites any existing entry for the key
-  /// (same key implies same value for deterministic passes).
-  void store(const Hash128 &input, const std::string &spec, std::string ir,
-             const Hash128 &outputHash);
+  /// Records a result. Overwrites any existing entry for the key (same
+  /// key implies same value for deterministic passes).
+  void store(const Hash128 &input, const std::string &spec, std::string ir);
 
   const std::string &directory() const { return dir_; }
 
@@ -130,12 +114,12 @@ public:
   // Statistics ---------------------------------------------------------------
 
   struct StatsSnapshot {
-    uint64_t hits = 0;      ///< per-entry lookups served (memory or disk)
-    uint64_t misses = 0;    ///< per-entry lookups that found nothing
+    uint64_t hits = 0;      ///< lookups served (memory or disk)
+    uint64_t misses = 0;    ///< lookups that found nothing
     uint64_t stores = 0;    ///< entries recorded
     uint64_t diskHits = 0;  ///< subset of hits served from disk
     uint64_t passesExecuted = 0; ///< pass runs that executed transform code
-    uint64_t passesReplayed = 0; ///< pass runs fully satisfied from cache
+    uint64_t passesReplayed = 0; ///< passes of the pipelines hits replayed
     /// Always 0: lookups never wait behind another caller's
     /// computation. Kept for readers of the snapshot.
     uint64_t waits = 0;
@@ -146,10 +130,10 @@ public:
   std::string statsStr() const;
   void resetStats();
 
-  /// Bumped by the PassManager: a pass run that transformed IR vs one
-  /// replayed entirely from cache.
+  /// Bumped by the PassManager: a pass run that transformed IR, and the
+  /// `passes` of a pipeline replayed from one hit.
   void notePassExecuted();
-  void notePassReplayed();
+  void notePassesReplayed(uint64_t passes);
 
 private:
   std::string keyFile(const Hash128 &key) const;
@@ -158,12 +142,13 @@ private:
   bool diskEnabled() const { return !dir_.empty() && !diskDemoted(); }
   /// One-shot demotion to memory-only (idempotent, thread-safe).
   void disableDisk(const char *reason);
-  std::optional<Entry> loadFromDisk(const Hash128 &key, const Hash128 &input,
-                                    const std::string &spec);
+  std::optional<std::string> loadFromDisk(const Hash128 &key,
+                                          const Hash128 &input,
+                                          const std::string &spec);
   /// Returns the bytes the entry file occupies on disk (header + payload),
   /// 0 when the write failed.
   uint64_t writeToDisk(const Hash128 &key, const Hash128 &input,
-                       const std::string &spec, const Entry &entry);
+                       const std::string &spec, const std::string &ir);
   /// Sweeps once stores have accumulated more than half the limit in
   /// newly written bytes (one worker sweeps; the rest keep storing).
   void maybeAutoEvict(uint64_t bytesJustWritten);
@@ -176,7 +161,7 @@ private:
 
   std::string dir_;
   mutable std::mutex mutex_;
-  std::unordered_map<Hash128, Entry, Hash128Hasher> entries_;
+  std::unordered_map<Hash128, std::string, Hash128Hasher> entries_;
   StatsSnapshot stats_;
   uint64_t diskLimitBytes_ = 0;
   std::atomic<uint64_t> bytesSinceSweep_{0};

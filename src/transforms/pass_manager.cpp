@@ -495,60 +495,58 @@ void PassManager::enableIRPrinting(bool before, bool after,
       before, after, std::move(filter), out));
 }
 
-bool PassManager::inspectsIR(const Pass &pass) const {
-  return std::any_of(instrumentations_.begin(), instrumentations_.end(),
-                     [&](const auto &ins) { return ins->inspectsIR(pass); });
-}
-
-/// One run() call: the module's cache bookkeeping and its open step. Only
-/// the calling thread touches it, so none of its fields need locks.
+/// One run() call. Only the calling thread touches it, so none of its
+/// fields need locks.
 struct PassManager::ModuleRun {
-  ModuleRun(PassManager &pm, ModuleOp module, DiagnosticEngine &diag,
-            const RunOptions &opts)
-      : pm(pm), module(module), diag(diag), opts(opts) {}
-
   PassManager &pm;
   ModuleOp module;
   DiagnosticEngine &diag;
   const RunOptions &opts;
-  /// Structural hash (ir::hashOp) of the module's logical IR: the next
-  /// step's cache key. Maintained only with a cache.
-  Hash128 irHash;
-  /// The printed module of the latest replayed step, accepted but not yet
-  /// parsed in; empty while the module holds its logical IR. Consecutive
-  /// hits only replace it; it is spliced when a pass has to execute, when
-  /// a hook or verify-each inspects the IR, or at the end of the run.
-  std::string pending;
-  size_t passIdx = 0;
-  /// The current step ran its pass, rather than replaying the cache.
-  bool stepExecuted = false;
-  /// The current step's IR is read by a hook or by verify-each, so a
-  /// replayed result is spliced before the step closes.
-  bool inspected = false;
-  /// The current step fired its beforePass hooks; afterPass is owed.
-  bool hooksOpen = false;
 
-  /// Initial keying, then every pass step in pipeline order until one
-  /// fails or the pipeline ends.
+  /// With a cache, keys the run on (ir::hashOp of the entering module,
+  /// the canonical pipeline spec): a hit replays the stored result; a
+  /// miss runs every pass in pipeline order and stores the result once.
   bool compile() {
-    {
+    if (pm.passes_.empty())
+      return true;
+    PassResultCache *cache = pm.cache_;
+    Hash128 key;
+    std::string spec;
+    if (cache) {
+      // Polled before the lookup, so an expired job fails even when its
+      // pipeline is cached.
+      if (cancelled(*pm.passes_.front()))
+        return false;
       trace::TraceSpan span(spanName("start:", diag.moduleName()), "pm");
-      if (pm.cache_)
-        irHash = ir::hashOp(module.op);
+      std::optional<std::string> hit;
+      if (!contained("lookup", [&] {
+            key = ir::hashOp(module.op);
+            spec = pm.pipelineSpec();
+            // Hooks and verify-each must see every pass execute, so an
+            // inspected run never replays; it stores like any miss.
+            if (!pm.verifyEach_ && !pm.hasInstrumentation())
+              hit = cache->lookup(key, spec);
+            return true;
+          }))
+        return false;
+      if (span.active())
+        span.annotate("cache", hit ? "replay" : "run");
+      if (hit)
+        return contained("replay", [&] { return replay(*hit); });
     }
-    for (; passIdx < pm.passes_.size(); ++passIdx) {
-      Pass &pass = *pm.passes_[passIdx];
-      // Cancellation/deadline poll before every step.
+    for (const auto &p : pm.passes_) {
+      Pass &pass = *p;
       if (cancelled(pass))
-        return fail();
+        return false;
+      if (cache)
+        cache->notePassExecuted();
       trace::TraceSpan span(spanName("pass:", pass.name()), "pm");
       bool ok;
-      // Pass bodies are individually contained (runPassContained); this
-      // outer catch covers the step machinery itself — cache probes,
-      // splicing, hashing, hooks — so a throw fails this module alone,
-      // with a diagnostic naming the step.
+      // Pass bodies are contained on their own (runPassContained); this
+      // catch covers the hooks and verify-each, so a throw fails this
+      // module alone, with a diagnostic naming the pass.
       try {
-        ok = beginStep(pass) && runStep(pass) && endStep(pass);
+        ok = runStep(pass);
       } catch (const std::exception &e) {
         diag.error(SourceLoc(),
                    "pass step '" + pass.name() + "' threw: " + e.what());
@@ -558,19 +556,34 @@ struct PassManager::ModuleRun {
                                     "' threw a non-standard exception");
         ok = false;
       }
-      if (span.active()) {
-        if (ok)
-          span.annotate("cache", stepExecuted ? "run" : "replay");
-        else
+      if (!ok) {
+        if (span.active())
           span.annotate("step", "failed");
+        return false;
       }
-      if (!ok)
-        return fail();
     }
-    return splicePending();
+    return !cache || contained("store", [&] {
+      cache->store(key, spec, ir::printOp(module.op));
+      return true;
+    });
   }
 
-  /// Polls the cancellation token before a step; on expiry records the
+  /// Runs one stage of the cache machinery; a throw fails this module
+  /// alone, with a diagnostic naming the stage.
+  template <typename Fn> bool contained(const char *stage, Fn &&body) {
+    try {
+      return body();
+    } catch (const std::exception &e) {
+      diag.error(SourceLoc(),
+                 std::string("pass-cache ") + stage + " threw: " + e.what());
+    } catch (...) {
+      diag.error(SourceLoc(), std::string("pass-cache ") + stage +
+                                  " threw a non-standard exception");
+    }
+    return false;
+  }
+
+  /// Polls the cancellation token before `pass`; on expiry records the
   /// diagnostic and returns true (abort the pipeline).
   bool cancelled(const Pass &pass) {
     std::string reason = opts.cancel ? opts.cancel->expiredReason() : "";
@@ -580,104 +593,26 @@ struct PassManager::ModuleRun {
     return true;
   }
 
-  /// Fails the module: closes an open step's hooks and leaves the IR
-  /// materialized. Returns false.
-  bool fail() {
-    // A failed step still closes its hooks (afterPass runs even when the
-    // pass failed); their verdict is secondary to the failure reported.
-    if (hooksOpen)
-      closeHooks(*pm.passes_[passIdx]);
-    // Leave the failed module's (partially transformed) IR materialized;
-    // a round-trip failure here is secondary to the abort being reported.
-    parsePending();
-    return false;
-  }
-
-  /// Opens the step for `pass`: splices a pending replay when the IR is
-  /// inspected, and fires beforePass hooks.
-  bool beginStep(Pass &pass) {
-    stepExecuted = false;
-    inspected = pm.verifyEach_ || pm.inspectsIR(pass);
-    if (inspected && !splicePending())
-      return false;
-    if (pm.hasInstrumentation()) {
-      for (auto &ins : pm.instrumentations_)
-        ins->beforePass(pass, module);
-      hooksOpen = true;
-    }
-    return true;
-  }
-
-  /// Replays the step from the cache, or runs the pass and stores its
-  /// result. Module and function passes alike: a function pass's run()
-  /// applies it to every function of the module in order.
+  /// One executed step: beforePass hooks, the pass, afterPass hooks (even
+  /// when the pass failed), verify-each and the arena cap. False when any
+  /// of them rejects the module. A function pass's run() applies it to
+  /// every function of the module in order.
   bool runStep(Pass &pass) {
-    PassResultCache *cache = pm.cache_;
-    std::string spec;
-    const Hash128 input = irHash;
-    if (cache) {
-      spec = pass.spec();
-      if (std::optional<PassResultCache::Entry> hit =
-              cache->lookup(input, spec)) {
-        // The entry's output hash is what a fresh walk of the spliced
-        // text would give, so the chain advances without parsing it.
-        irHash = hit->outputHash;
-        pending = std::move(hit->ir);
-        cache->notePassReplayed();
-        return true;
-      }
-      if (!splicePending())
-        return false;
-      cache->notePassExecuted();
-    }
-    stepExecuted = true;
+    for (auto &ins : pm.instrumentations_)
+      ins->beforePass(pass, module);
     size_t errorsBefore = diag.numErrors();
-    if (!runClocked(pass) || diag.numErrors() > errorsBefore)
-      return false; // a failed step stores nothing
-    if (cache) {
-      irHash = ir::hashOp(module.op);
-      cache->store(input, spec, ir::printOp(module.op), irHash);
-    }
-    return true;
-  }
-
-  /// Fires the afterPass hooks of the open step (reverse order); false if
-  /// any hook aborts.
-  bool closeHooks(Pass &pass) {
-    hooksOpen = false;
+    bool ok = runClocked(pass) && diag.numErrors() == errorsBefore;
     // Reverse order so instrumentations nest (first installed = outermost).
-    bool ok = true;
     for (auto it = pm.instrumentations_.rbegin();
          it != pm.instrumentations_.rend(); ++it)
       ok = (*it)->afterPass(pass, module, diag) && ok;
-    return ok;
-  }
-
-  /// Closes a completed step: afterPass hooks, verify-each, and the arena
-  /// cap. False when any of them rejects the module.
-  bool endStep(Pass &pass) {
-    if (inspected && !splicePending())
-      return false;
-    bool ok = !hooksOpen || closeHooks(pass);
-    if (pm.verifyEach_) {
-      // verify-each marks every step inspected, so the module is real IR.
+    if (ok && pm.verifyEach_)
       for (const std::string &e : ir::verify(module.op)) {
         diag.error(SourceLoc(),
                    "pass '" + pass.name() + "' broke invariant: " + e);
         ok = false;
       }
-    }
-    // Per-module arena cap: runaway IR growth becomes a clean per-job OOM
-    // failure, not process death.
-    uint64_t bytes = module.op->arena().bytesAllocated();
-    if (ok && opts.maxArenaBytes && bytes > opts.maxArenaBytes) {
-      diag.error(SourceLoc(), "IR arena limit exceeded (" +
-                                  std::to_string(bytes) + " > " +
-                                  std::to_string(opts.maxArenaBytes) +
-                                  " bytes) after pass '" + pass.name() + "'");
-      ok = false;
-    }
-    return ok;
+    return ok && withinArenaCap("pass '" + pass.name() + "'");
   }
 
   /// Runs the pass body contained (a throw becomes a diagnostic), clocked
@@ -702,28 +637,30 @@ struct PassManager::ModuleRun {
     return ok;
   }
 
-  /// Splices the pending replay, if any, reporting a print/parse
-  /// round-trip failure. False on that failure.
-  bool splicePending() {
-    if (parsePending())
+  /// Per-module arena cap: runaway IR growth becomes a clean per-job OOM
+  /// failure, not process death.
+  bool withinArenaCap(const std::string &after) {
+    uint64_t bytes = module.op->arena().bytesAllocated();
+    if (!opts.maxArenaBytes || bytes <= opts.maxArenaBytes)
       return true;
-    diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                            "(print/parse round-trip bug)");
+    diag.error(SourceLoc(), "IR arena limit exceeded (" +
+                                std::to_string(bytes) + " > " +
+                                std::to_string(opts.maxArenaBytes) +
+                                " bytes) after " + after);
     return false;
   }
 
-  /// Replaces the module body with the pending printed module, if any,
-  /// parsed into the module's own arena (ops never migrate between
-  /// arenas), and clears it. False when the text fails to parse.
-  bool parsePending() {
-    if (pending.empty())
-      return true;
-    std::string text = std::exchange(pending, std::string());
+  /// Replaces the module body with `text`, the printed module a cache hit
+  /// returned, parsed into the module's own arena (ops never migrate
+  /// between arenas); the pipeline's passes count as replayed.
+  bool replay(const std::string &text) {
     DiagnosticEngine localDiag;
     ir::Op *top = ir::parseModuleInto(module.op->arena(), text, localDiag);
     if (!top || localDiag.hasErrors()) {
       if (top)
         ir::Op::destroy(top);
+      diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
+                              "(print/parse round-trip bug)");
       return false;
     }
     ir::Block &body = module.body();
@@ -740,13 +677,14 @@ struct PassManager::ModuleRun {
       }
     }
     ir::Op::destroy(top); // detach the scaffolding; memory stays in the arena
-    return true;
+    pm.cache_->notePassesReplayed(pm.passes_.size());
+    return withinArenaCap("replaying the cached pipeline");
   }
 };
 
 bool PassManager::run(ModuleOp module, DiagnosticEngine &diag,
                       const RunOptions &opts) {
-  return ModuleRun(*this, module, diag, opts).compile();
+  return ModuleRun{*this, module, diag, opts}.compile();
 }
 
 bool PassManager::run(ModuleOp module, DiagnosticEngine &diag) {

@@ -4,10 +4,10 @@
 //    with declared options (for textual pipelines) and statistics counters.
 //  - FunctionPass: a pass that runs independently on each func; its
 //    module-scope run() applies it to every func in order.
-//  - Instrumentation: hooks around every (module, pass) step. The
-//    built-in one covers --print-ir-before/after; verify-after-each-pass
-//    is a PassManager switch, and per-pass timing a per-run option, that
-//    the executor honours directly.
+//  - Instrumentation: hooks around every executed (module, pass) step.
+//    The built-in one covers --print-ir-before/after; verify-after-each-
+//    pass is a PassManager switch, and per-pass timing a per-run option,
+//    that the executor honours directly.
 //  - PassManager: owns an ordered pipeline of passes plus instrumentations
 //    and runs them over modules. Its one executor is run(): one call
 //    compiles one module's whole pipeline on the calling thread, and
@@ -15,11 +15,11 @@
 //    which threads compile which modules (the session runs one task per
 //    module on its pool). Each call takes the job's cancellation token,
 //    timing report and IR-arena cap (PassManager::RunOptions).
-//    Optionally a PassResultCache (transforms/pass_cache.h) replays
-//    cached IR for unchanged (module, pass) steps instead of re-running
-//    passes; module and function passes are keyed, run and replayed
-//    alike. Nothing else is carried between passes: a pass that needs an
-//    analysis computes it from the IR it is given.
+//    Optionally a PassResultCache (transforms/pass_cache.h) replays the
+//    whole pipeline's result for an unchanged module instead of running
+//    its passes: one entry per (module, pipeline). Nothing else is carried
+//    between passes: a pass that needs an analysis computes it from the
+//    IR it is given.
 //
 // Textual pipelines ("unroll{max-trip=16},cpuify{mincut=false}",
 // "repeat{n=2}(canonicalize,cse)") are parsed/printed by
@@ -179,8 +179,8 @@ private:
 
 /// A pass that transforms one function at a time and never looks outside
 /// it. The module-scope run() applies runOnFunction to every func in
-/// order; the PassManager runs, caches and replays it through run(), like
-/// any other pass. RepeatPass calls runOnFunction on its children.
+/// order; the PassManager runs it through run(), like any other pass.
+/// RepeatPass calls runOnFunction on its children.
 class FunctionPass : public Pass {
 public:
   using Pass::Pass;
@@ -197,8 +197,8 @@ public:
 /// the per-pass change tracking; otherwise a round's printed IR is
 /// compared against the previous round's. Children must be function
 /// passes (the repeat then iterates each function to its own fixpoint,
-/// and caches as one step whose spec covers the whole body); the
-/// registry rejects module passes inside repeat.
+/// and is one step whose spec covers the whole body); the registry
+/// rejects module passes inside repeat.
 class RepeatPass : public FunctionPass {
 public:
   RepeatPass();
@@ -233,12 +233,13 @@ size_t countNestedOps(ir::Op *root, ir::OpKind kind);
 // Instrumentation
 //===----------------------------------------------------------------------===//
 
-/// Instrumentations nest around each (module, pass) step: beforePass
-/// hooks fire in installation order and afterPass hooks in reverse, so
-/// the first-installed instrumentation is outermost. Hooks are not
-/// synchronized and expect one module at a time, so modules of a manager
-/// with any installed are run one after another
-/// (PassManager::hasInstrumentation).
+/// Instrumentations nest around each executed (module, pass) step:
+/// beforePass hooks fire in installation order and afterPass hooks in
+/// reverse, so the first-installed instrumentation is outermost. A manager
+/// with any installed never replays the result cache, so the hooks see
+/// every pass execute. Hooks are not synchronized and expect one module
+/// at a time, so modules of a manager with any installed are run one
+/// after another (PassManager::hasInstrumentation).
 class Instrumentation {
 public:
   virtual ~Instrumentation() = default;
@@ -253,18 +254,6 @@ public:
     (void)pass;
     (void)module;
     (void)diag;
-    return true;
-  }
-  /// Whether the hooks read the module IR around `pass`. When every
-  /// installed instrumentation answers false for a pass (e.g. a filtered
-  /// IR printer watching another pass), the result cache may defer
-  /// splicing replayed IR past it — consecutive cache hits then cost
-  /// hash-chain lookups instead of parse round-trips.
-  /// Laziness is decided per pass: around a pass some instrumentation
-  /// does inspect, the PassManager splices the pending replay so the
-  /// hooks (and the pass) observe real IR.
-  virtual bool inspectsIR(const Pass &pass) const {
-    (void)pass;
     return true;
   }
 };
@@ -307,10 +296,6 @@ public:
   void beforePass(const Pass &pass, ModuleOp module) override;
   bool afterPass(const Pass &pass, ModuleOp module,
                  DiagnosticEngine &diag) override;
-  /// Only the watched pass needs materialized IR: a filtered
-  /// --print-ir-after=P no longer forces eager replay of the whole
-  /// pipeline, only of pass P.
-  bool inspectsIR(const Pass &pass) const override { return matches(pass); }
 
 private:
   bool matches(const Pass &pass) const {
@@ -326,12 +311,13 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Cooperative cancellation and deadline for one compile job.
-/// PassManager::run (RunOptions::cancel) polls it before every
-/// (module, pass) step — an expired job fails with an attributed
-/// diagnostic ("cancelled in pass P" / "deadline exceeded after Ns in
-/// pass P") before its next pass starts; the pass currently executing is
-/// never interrupted mid-flight, so IR and cache state stay consistent.
-/// A one-pass pipeline is therefore polled once, before its only pass.
+/// PassManager::run (RunOptions::cancel) polls it before the cache
+/// lookup and before every executed (module, pass) step — an expired job
+/// fails with an attributed diagnostic ("cancelled in pass P" / "deadline
+/// exceeded after Ns in pass P") before its next pass starts, even when
+/// its pipeline is cached; the pass currently executing is never
+/// interrupted mid-flight, so IR and cache state stay consistent. A
+/// one-pass pipeline is therefore polled before its only pass.
 /// Thread-safe: any thread may cancel() while workers poll.
 class CancellationToken {
 public:
@@ -382,8 +368,8 @@ public:
 
   /// Verifies each module after every pass; on violation reports
   ///   pass 'X' broke invariant: Y
-  /// and fails that module. Turns lazy cache replay off, so every pass
-  /// leaves real IR behind.
+  /// and fails that module. Runs never replay the result cache then, so
+  /// every pass executes and is verified.
   void enableVerifyEach() { verifyEach_ = true; }
   /// Installs IR printing around passes (see IRPrintInstrumentation).
   void enableIRPrinting(bool before, bool after, std::string filter = "",
@@ -396,52 +382,53 @@ public:
   void enableStatistics();
 
   /// Attaches a pass-result cache (owned by the caller; shareable across
-  /// PassManagers and threads). When set, every step, module pass or
-  /// function pass, is keyed on (canonical pass spec, ir::hashOp of the
-  /// module before it). A miss runs the pass and stores the printed
-  /// module with its output hash. A hit parks the stored text instead of
-  /// running the pass; the parked text is parsed in only when a later
-  /// pass must execute, a hook or verify-each inspects the IR, or the run
-  /// ends, so a run of hits parses the module once. Keying never prints
-  /// IR: the module is hashed at the start of a run and after each
-  /// executed step, and a replayed step reuses its entry's output hash.
+  /// PassManagers and threads). When set, each run() is keyed once, on
+  /// (ir::hashOp of the entering module, pipelineSpec()). A hit parses
+  /// the stored module into the module's arena and executes no pass; a
+  /// miss runs every pass and stores the printed result once. Runs with
+  /// verify-each or an instrumentation skip the lookup (their hooks must
+  /// see each pass execute) and store like a miss.
   void setResultCache(PassResultCache *cache) { cache_ = cache; }
   PassResultCache *resultCache() const { return cache_; }
 
   /// What one run() call carries besides the manager's own switches
   /// (verify-each, statistics, instrumentations, cache).
   struct RunOptions {
-    /// Polled before every step; an expired token fails the module with
-    /// its reason attributed to the pass it would have run next. Null:
-    /// never cancelled.
+    /// Polled before the cache lookup and before every executed step; an
+    /// expired token fails the module with its reason attributed to the
+    /// pass it would have run next. Null: never cancelled.
     const CancellationToken *cancel = nullptr;
     /// When set, this module's (module, pass) rows are appended here, one
     /// per step that executed its pass.
     PassTimingReport *timing = nullptr;
-    /// IR-arena byte cap, checked after every step; a module whose arena
-    /// exceeds it fails with a per-job OOM diagnostic instead of growing
-    /// until the process dies. 0 = unlimited.
+    /// IR-arena byte cap, checked after every executed step and after a
+    /// replay; a module whose arena exceeds it fails with a per-job OOM
+    /// diagnostic instead of growing until the process dies. 0 =
+    /// unlimited.
     uint64_t maxArenaBytes = 0;
   };
 
-  /// The executor: runs every pass in order over one module, on the
-  /// calling thread. Stops at the first failure (a pass returning false,
-  /// a new diagnostic error, an instrumentation abort, an expired
-  /// `opts.cancel`, a breached `opts.maxArenaBytes`) and returns false,
-  /// leaving the module's IR materialized; on success the module holds
-  /// real IR (no replay left pending).
+  /// The executor: runs the pipeline over one module, on the calling
+  /// thread. Stops at the first failure (a pass returning false, a new
+  /// diagnostic error, an instrumentation abort, an expired
+  /// `opts.cancel`, a breached `opts.maxArenaBytes`, a cache lookup,
+  /// replay or store that throws) and returns false, leaving the module's
+  /// (partially transformed) IR in place.
   ///
-  /// Each step polls the cancellation token, then replays the step from
-  /// the cache or runs the pass (a function pass over every function, in
-  /// order), then closes it with the afterPass hooks, verify-each and the
-  /// arena cap. A throw from a pass body or from the step machinery fails
-  /// this module with a diagnostic naming the pass; a throw on one
-  /// function ends the step before the module's later functions run.
+  /// With a cache, the run polls the cancellation token, then keys the
+  /// module once (setResultCache): a hit replays the whole pipeline's
+  /// result and checks the arena cap. Otherwise each pass in turn polls
+  /// the token, runs (a function pass over every function, in order)
+  /// between the beforePass and afterPass hooks, then is checked by
+  /// verify-each and the arena cap; after the last pass the result is
+  /// stored. A throw from a pass body, a hook or verify-each fails this
+  /// module with a diagnostic naming the pass; a throw on one function
+  /// ends the step before the module's later functions run.
   ///
   /// Concurrent calls on distinct modules are safe: they share the pass
   /// objects (whose statistics counters are atomic) and the result cache
   /// (only through PassResultCache::lookup/store), and nothing else. Two
-  /// runs computing the same (module, pass) entry at once both run it
+  /// runs computing the same (module, pipeline) entry at once both run it
   /// and store identical results; pass execution on a given input is
   /// deterministic, so outputs are bit-for-bit identical to a serial
   /// compile whatever the interleaving. Instrumentation hooks are not
@@ -458,12 +445,8 @@ public:
   std::string statisticsStr() const;
 
 private:
-  /// One run() call's state: the module's cache bookkeeping and the open
-  /// step. Defined in pass_manager.cpp.
+  /// One run() call. Defined in pass_manager.cpp.
   struct ModuleRun;
-
-  /// Whether some installed instrumentation reads the IR around `pass`.
-  bool inspectsIR(const Pass &pass) const;
 
   std::vector<std::unique_ptr<Pass>> passes_;
   std::vector<std::unique_ptr<Instrumentation>> instrumentations_;

@@ -23,14 +23,14 @@
 // Caching (transforms/pass_cache.h):
 //
 //   A PassResultCache (PassManager::setResultCache; SessionOptions, or
-//   --cache-dir at the CLI) keys every pass step on (canonical pass spec,
-//   structural hash of the module's IR) and replays cached output IR for
-//   hits: recompiling an unchanged module through an unchanged pipeline
-//   prefix executes zero transform passes, and ablation sweeps whose
-//   stages diverge at pass k re-run only from k onwards. It is the only
-//   state carried between passes; analyses (barrier effects, memory
-//   effects, thread-privacy) are computed by the pass that reads them,
-//   from the IR in front of it.
+//   --cache-dir at the CLI) keys each pipeline run once, on (canonical
+//   pipeline spec, structural hash of the entering module), and replays
+//   the stored result for hits: recompiling an unchanged module through
+//   an unchanged pipeline executes zero transform passes. A module or
+//   pipeline that differs in anything re-runs the whole pipeline;
+//   intermediate steps are never stored. No state is carried between
+//   passes; analyses (barrier effects, memory effects, thread-privacy)
+//   are computed by the pass that reads them, from the IR in front of it.
 //
 // Every stage is exposed three ways:
 //   1. a legacy free function (runCanonicalize(...)), kept for tests and

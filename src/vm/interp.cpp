@@ -137,9 +137,15 @@ MemRef *Interp::doAlloca(const BCFunction &fn, const Instr &in, Slot *regs,
   return m;
 }
 
-Interp::StepResult Interp::step(const BCFunction &fn, Slot *regs, Ctx &ctx,
-                                std::vector<Arena::Mark> &scopes, size_t &pc,
-                                std::vector<Slot> *results) {
+// Pinned to a 64-byte boundary: bench_e2e's rodinia-exec latency moved
+// by about 6% with this loop's 64-byte phase alone (a 32-byte function
+// added to a file linked before the VM shifted it and read 2.384 ->
+// 2.535 ms over 6 alternating 20 s pairs on 4 vCPUs, bytecode
+// unchanged), so code growth elsewhere must not move it.
+__attribute__((aligned(64))) Interp::StepResult
+Interp::step(const BCFunction &fn, Slot *regs, Ctx &ctx,
+             std::vector<Arena::Mark> &scopes, size_t &pc,
+             std::vector<Slot> *results) {
   // Everything the loop reads on every instruction lives in locals, so a
   // store through `regs` never forces a reload of the program counter,
   // the code or the bounds-check flag.

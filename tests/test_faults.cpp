@@ -38,9 +38,8 @@ struct FailpointGuard {
 
 /// `instrumented` adds verify-each and a pass-manager hook: the hook
 /// makes the session drain the batch on the calling thread, the shape the
-/// containment tests sweep beside the plain parallel drain. The default
-/// Instrumentation inspects the IR around every pass, so cache replay
-/// stays eager as well.
+/// containment tests sweep beside the plain parallel drain. An
+/// instrumented run never replays the cache: every pass executes.
 driver::SessionOptions batchOptions(unsigned threads,
                                     transforms::PassResultCache *cache,
                                     bool instrumented = false) {
@@ -330,9 +329,9 @@ TEST(FaultContainmentTest, SimtTaskFaultIsContained) {
 }
 
 TEST(FaultContainmentTest, ThrowDuringCacheProbeDoesNotFailLaterCompiles) {
-  // A throw in the middle of one module's cache scan fails that module
-  // alone: nothing it leaves in the shared cache may fail a later compile
-  // of the same kernels, even in a session with no fault armed.
+  // A throw in one module's cache probe fails that module alone: nothing
+  // it leaves in the shared cache may fail a later compile of the same
+  // kernels, even in a session with no fault armed.
   FailpointGuard guard;
   const std::string src =
       "__global__ void k1(float* a, int n) { int i = blockIdx.x; "
@@ -346,10 +345,9 @@ TEST(FaultContainmentTest, ThrowDuringCacheProbeDoesNotFailLaterCompiles) {
   transforms::PassResultCache cache(dir);
   {
     std::string err;
-    // Disk probes 0 and 3 throw: job a on its first probe (the inline
-    // module pass), job b on its second function's probe in the first
-    // function-pass step, after probing its first function.
-    ASSERT_TRUE(failpoint::configure("cache.disk.read=throw:0,3", &err))
+    // Every disk probe throws. Each job probes once, keying its module
+    // and pipeline, so both jobs fail before running a pass.
+    ASSERT_TRUE(failpoint::configure("cache.disk.read=throw:0,1", &err))
         << err;
     driver::CompilerSession session(batchOptions(1, &cache));
     auto &a = session.addSource("a", src);
@@ -398,6 +396,29 @@ TEST(CancellationTest, CancelledJobFailsOthersComplete) {
     EXPECT_EQ(ir::printOp(a.result().module.op()), golden);
     EXPECT_EQ(ir::printOp(c.result().module.op()), golden);
   }
+}
+
+TEST(CancellationTest, CancelledJobFailsEvenWhenItsPipelineIsCached) {
+  // The token is polled before the cache lookup: a job cancelled before
+  // its batch starts fails, and counts no hit, even though an earlier
+  // batch stored its whole pipeline's result.
+  const auto &suite = rodinia::suite();
+  transforms::PassResultCache cache;
+  {
+    driver::CompilerSession warmup(batchOptions(1, &cache));
+    warmup.addSource("warm", suite[0].cudaSource);
+    ASSERT_TRUE(warmup.compileAll());
+  }
+  cache.resetStats();
+  driver::CompilerSession session(batchOptions(1, &cache));
+  auto &job = session.addSource("cancelled", suite[0].cudaSource);
+  job.cancel();
+  EXPECT_FALSE(session.compileAll());
+  EXPECT_FALSE(job.ok());
+  EXPECT_NE(job.diagnostics().str().find("cancelled"), std::string::npos)
+      << job.diagnostics().str();
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().passesReplayed, 0u);
 }
 
 TEST(CancellationTest, JobTimeoutCancelsCleanly) {

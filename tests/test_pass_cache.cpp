@@ -1,11 +1,12 @@
-// PassResultCache tests: one entry per (module, pass) step, hit/miss/
-// invalidation semantics (edit one function -> every step of its module
-// misses; change a pass option -> the downstream prefix misses), replay
-// fidelity (cached compiles are IR-identical to uncached ones across the
-// Rodinia suite, with zero transform pass executions on the second
-// compile, and a warm run parses its module once), disk persistence with
-// corrupt-entry and old-format tolerance, and thread safety across the
-// module tasks of a threaded session sharing one cache.
+// PassResultCache tests: one entry per (module, pipeline), hit/miss/
+// invalidation semantics (edit one function or change one pass option ->
+// the whole pipeline misses; an inspected run executes every pass and
+// stores), replay fidelity (cached compiles are IR-identical to uncached
+// ones across the Rodinia suite, with zero transform pass executions on
+// the second compile, and a warm run parses its module once), disk
+// persistence with corrupt-entry and old-format tolerance, and thread
+// safety across the module tasks of a threaded session sharing one
+// cache.
 #include "driver/compiler.h"
 #include "frontend/irgen.h"
 #include "ir/parser.h"
@@ -157,15 +158,15 @@ TEST(PassCacheTest, SecondRunReplaysWithZeroExecutions) {
   EXPECT_EQ(s1.hits, 0u);
   EXPECT_EQ(s1.passesExecuted, 4u);
   EXPECT_EQ(s1.passesReplayed, 0u);
-  EXPECT_EQ(s1.stores, 4u); // one entry per (module, pass), not per func
+  EXPECT_EQ(s1.stores, 1u); // one entry per (module, pipeline)
 
   OwnedModule m2 = parseOk(twoFuncModule("2.0"));
   std::string second = runCached(m2.get(), pipeline, &cache);
   EXPECT_EQ(first, second);
   auto s2 = cache.stats();
   EXPECT_EQ(s2.passesExecuted, 4u); // unchanged: nothing re-ran
-  EXPECT_EQ(s2.passesReplayed, 4u);
-  EXPECT_EQ(s2.hits, 4u);
+  EXPECT_EQ(s2.passesReplayed, 4u); // the pipeline's four passes
+  EXPECT_EQ(s2.hits, 1u);
 }
 
 TEST(PassCacheTest, ReplayMatchesUncachedAcrossRodinia) {
@@ -199,11 +200,11 @@ TEST(PassCacheTest, ReplayMatchesUncachedAcrossRodinia) {
 // Invalidation granularity
 //===----------------------------------------------------------------------===//
 
-TEST(PassCacheTest, EditingOneFunctionMissesEveryStepOfItsModule) {
-  // The module is the unit of caching: an edit to g changes the module's
-  // key, so every step misses and runs (on f as well), and the output
-  // matches an uncached run. The edit leaves the unedited module's
-  // entries intact.
+TEST(PassCacheTest, EditingOneFunctionMissesThePipeline) {
+  // The (module, pipeline) run is the unit of caching: an edit to g
+  // changes the module's key, so the pipeline misses and every pass runs
+  // (on f as well), and the output matches an uncached run. The edit
+  // leaves the unedited module's entry intact.
   const std::string pipeline = "canonicalize,cse,unroll{max-trip=4}";
   PassResultCache cache;
   OwnedModule m1 = parseOk(twoFuncModule("2.0"));
@@ -218,53 +219,39 @@ TEST(PassCacheTest, EditingOneFunctionMissesEveryStepOfItsModule) {
             printOp(reference.op()));
   auto s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 3u);
-  EXPECT_EQ(s.stores, 3u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.stores, 1u);
   EXPECT_EQ(s.passesReplayed, 0u);
   EXPECT_EQ(s.passesExecuted, 3u);
 
   cache.resetStats();
   OwnedModule unedited = parseOk(twoFuncModule("2.0"));
   runCached(unedited.get(), pipeline, &cache);
-  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().passesExecuted, 0u);
 }
 
-TEST(PassCacheTest, ChangingPassOptionMissesFromThatPassOn) {
+TEST(PassCacheTest, ChangingAnyPassOptionMissesThePipeline) {
+  // Pipelines differing only in unroll's option are distinct keys, so
+  // the shared prefix is not shared: whether the changed pass refuses the
+  // 4-trip loops (max-trip=2) or unrolls them like the stored run
+  // (max-trip=8), the whole pipeline misses and every pass executes.
   PassResultCache cache;
-  // Same module through two pipelines differing only in unroll's option:
-  // the shared prefix hits, the changed pass misses.
   OwnedModule m1 = parseOk(twoFuncModule("2.0"));
   runCached(m1.get(), "canonicalize,cse,unroll{max-trip=4},canonicalize",
             &cache);
-  cache.resetStats();
-  OwnedModule m2 = parseOk(twoFuncModule("2.0"));
-  runCached(m2.get(), "canonicalize,cse,unroll{max-trip=2},canonicalize",
-            &cache);
-  auto s = cache.stats();
-  // canonicalize and cse hit; unroll{max-trip=2} is a new spec, so it
-  // misses and executes. It refuses the 4-trip loops, so its output hash
-  // equals its input — and because keys chain on content, the final
-  // canonicalize collapses onto the entry the *first* canonicalize
-  // stored (the module was already canonical) and replays: a downstream
-  // pass only misses while the IR actually diverges.
-  EXPECT_EQ(s.hits, 3u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.passesReplayed, 3u);
-  EXPECT_EQ(s.passesExecuted, 1u);
-
-  // With the pass that diverges for real (max-trip=4 vs 8-trip... use a
-  // third option value that *does* change the IR differently), downstream
-  // entries miss: max-trip=8 also unrolls but is a distinct spec, and its
-  // identical output re-converges the final canonicalize onto run 1's
-  // entry.
-  cache.resetStats();
-  OwnedModule m3 = parseOk(twoFuncModule("2.0"));
-  runCached(m3.get(), "canonicalize,cse,unroll{max-trip=8},canonicalize",
-            &cache);
-  auto s3 = cache.stats();
-  EXPECT_EQ(s3.misses, 1u); // only the unroll spec itself
-  EXPECT_EQ(s3.passesExecuted, 1u);
+  for (const char *pipeline :
+       {"canonicalize,cse,unroll{max-trip=2},canonicalize",
+        "canonicalize,cse,unroll{max-trip=8},canonicalize"}) {
+    cache.resetStats();
+    OwnedModule m = parseOk(twoFuncModule("2.0"));
+    runCached(m.get(), pipeline, &cache);
+    auto s = cache.stats();
+    EXPECT_EQ(s.hits, 0u) << pipeline;
+    EXPECT_EQ(s.misses, 1u) << pipeline;
+    EXPECT_EQ(s.passesReplayed, 0u) << pipeline;
+    EXPECT_EQ(s.passesExecuted, 4u) << pipeline;
+  }
 }
 
 TEST(PassCacheTest, VariantNameSharesEntriesWithCanonicalSpec) {
@@ -317,7 +304,7 @@ TEST(PassCacheTest, RepeatCachesAsOneUnit) {
   OwnedModule m1 = parseOk(twoFuncModule("2.0"));
   runCached(m1.get(), "repeat{n=3}(canonicalize,cse)", &cache);
   auto s1 = cache.stats();
-  EXPECT_EQ(s1.stores, 1u); // one entry for the module and the whole repeat
+  EXPECT_EQ(s1.stores, 1u); // one entry for the module and the pipeline
   OwnedModule m2 = parseOk(twoFuncModule("2.0"));
   runCached(m2.get(), "repeat{n=3}(canonicalize,cse)", &cache);
   EXPECT_EQ(cache.stats().passesReplayed, 1u);
@@ -459,7 +446,7 @@ TEST(PassCacheTest, DiskLimitEvictsOldestMtimeFirst) {
     for (int i = 0; i < 4; ++i) {
       std::string ir = "func " + std::to_string(i) + "\n";
       cache.store(hashBytes("input" + std::to_string(i)), "canonicalize",
-                  ir, hashBytes(ir));
+                  ir);
     }
     std::vector<std::filesystem::path> files;
     for (const auto &e : std::filesystem::directory_iterator(dir))
@@ -503,8 +490,7 @@ TEST(PassCacheTest, DestructorSweepsToLimit) {
     PassResultCache cache(dir);
     for (int i = 0; i < 6; ++i) {
       std::string ir = "func " + std::to_string(i) + "\n";
-      cache.store(hashBytes("in" + std::to_string(i)), "cse", ir,
-                  hashBytes(ir));
+      cache.store(hashBytes("in" + std::to_string(i)), "cse", ir);
     }
     // A limit below one entry's size: shutdown keeps at most one file.
     cache.setDiskLimitBytes(1);
@@ -522,7 +508,7 @@ TEST(PassCacheTest, NoLimitMeansNoEviction) {
   std::string dir = tempDir("evict-off");
   PassResultCache cache(dir);
   std::string ir = "func\n";
-  cache.store(hashBytes("in"), "cse", ir, hashBytes(ir));
+  cache.store(hashBytes("in"), "cse", ir);
   auto ev = cache.evictToDiskLimit();
   EXPECT_EQ(ev.filesRemoved, 0u);
   size_t remaining = 0;
@@ -621,12 +607,9 @@ TEST(PassCacheTest, KeysDeterministicAcrossCacheInstances) {
 }
 
 TEST(PassCacheTest, WarmReplayParsesTheModuleOnce) {
-  // A warm run replays every step without running a pass. Each hit only
-  // parks its entry's text, so the module is parsed once, at the end of
-  // the run, from the last step's entry: its arena grows by exactly the
-  // bytes one parse of the final printed module allocates. The inline
-  // entry at the head of the pipeline is parked like the others, not
-  // spliced on its own.
+  // A warm run replays the pipeline without running a pass: its one hit
+  // is parsed into the module once, so the module's arena grows by
+  // exactly the bytes one parse of the final printed module allocates.
   const std::string pipeline = "inline,canonicalize,cse";
   PassResultCache cache;
   OwnedModule cold = parseOk(kCallerCalleeModule);
@@ -677,7 +660,7 @@ TEST(PassCacheTest, StoresSweepTheDiskLimitMidRun) {
       std::string ir(400, 'a' + (i % 26));
       written += ir.size();
       cache.store(hashBytes("in" + std::to_string(i)), "canonicalize",
-                  ir, hashBytes(ir));
+                  ir);
       EXPECT_LE(dirBytes(), 3 * limit) << "store " << i;
     }
     ASSERT_GT(written, 3 * limit) << "test must overflow the limit";
@@ -692,14 +675,14 @@ TEST(PassCacheTest, StoresSweepTheDiskLimitMidRun) {
 }
 
 //===----------------------------------------------------------------------===//
-// Mixed lazy/eager replay (per-pass inspectsIR)
+// Inspected runs
 //===----------------------------------------------------------------------===//
 
-TEST(PassCacheTest, MidPipelineInspectionSeesRealIRAndKeepsReplay) {
-  // A filtered IR printer watches only "cse": passes around it replay
-  // lazily (pending text), cse itself is inspected — the pass manager
-  // must materialize pending replays before it and must not let a stale
-  // pending entry overwrite the spliced result afterwards.
+TEST(PassCacheTest, InspectedRunExecutesEveryPassAndStores) {
+  // A filtered IR printer watches only "cse". Over a warm cache the run
+  // still makes no lookup: hooks must see every pass execute, so it runs
+  // all three, prints the real post-cse module and stores its result
+  // like any miss.
   const std::string pipeline = "canonicalize,cse,canonicalize";
   OwnedModule goldenModule = parseOk(twoFuncModule("2.0"));
   DiagnosticEngine goldenDiag;
@@ -728,15 +711,12 @@ TEST(PassCacheTest, MidPipelineInspectionSeesRealIRAndKeepsReplay) {
   OwnedModule m = parseOk(twoFuncModule("2.0"));
   ASSERT_TRUE(pm.run(m.get(), diag)) << diag.str();
 
-  // Fully replayed despite the mid-pipeline inspection...
   auto s = cache.stats();
-  EXPECT_EQ(s.passesExecuted, 0u);
-  EXPECT_EQ(s.passesReplayed, 3u);
-  // ...final IR is the cse result carried through, not a stale pending
-  // splice from the earlier lazy hit...
+  EXPECT_EQ(s.hits + s.misses, 0u);
+  EXPECT_EQ(s.passesExecuted, 3u);
+  EXPECT_EQ(s.passesReplayed, 0u);
+  EXPECT_EQ(s.stores, 1u);
   EXPECT_EQ(printOp(m.op()), golden);
-  // ...and the instrumentation saw the real post-cse module, not the
-  // pre-canonicalize IR the lazy replay had left unspliced.
   std::fflush(capture);
   std::rewind(capture);
   std::string printed;
@@ -817,11 +797,16 @@ TEST(DiskFaultTest, GarbageHeaderIsAMissNotWrongReplay) {
        [](const std::string &file) {
          return std::string(16, 'X') + file.substr(16);
        }},
-      // First line rewritten to the older format's magic (v2 stored
-      // per-function entries and module entries with a funcs line).
+      // First line rewritten to an older format's magic: v2 stored
+      // per-function entries and module entries with a funcs line, v3 one
+      // entry per pass step with an output hash line.
       {"v2 magic",
        [](const std::string &file) {
          return "paralift-pass-cache v2" + file.substr(file.find('\n'));
+       }},
+      {"v3 magic",
+       [](const std::string &file) {
+         return "paralift-pass-cache v3" + file.substr(file.find('\n'));
        }},
   };
   for (const Input &input : inputs) {

@@ -20,11 +20,26 @@ struct RunResult {
   std::vector<int32_t> i;
 };
 
+/// Compiles the lockstep SIMT oracle with no cache, not even
+/// $PARALIFT_CACHE_DIR's, so a warm-cache run checks its replayed
+/// pipelines against a freshly compiled oracle.
+CompileResult compileOracle(const Benchmark &b, DiagnosticEngine &diag) {
+  driver::SessionOptions so;
+  so.mode = driver::SessionMode::Simt;
+  so.useEnvCache = false;
+  driver::CompilerSession session(std::move(so));
+  driver::CompileJob &job = session.addSource("", b.cudaSource);
+  session.compileAll();
+  diag.mergeFrom(job.diagnostics());
+  return job.take();
+}
+
+/// Runs the pipeline `opts`, or the SIMT oracle when null.
 RunResult runCuda(const Benchmark &b, const PipelineOptions *opts,
                   unsigned threads) {
   DiagnosticEngine diag;
   CompileResult cc = opts ? driver::compile(b.cudaSource, *opts, diag)
-                          : driver::compileForSimt(b.cudaSource, diag);
+                          : compileOracle(b, diag);
   EXPECT_TRUE(cc.ok) << b.id << ": " << diag.str();
   if (!cc.ok)
     return {};
