@@ -223,10 +223,11 @@ compileSuiteSession(const transforms::PipelineOptions &opts,
 }
 
 /// Cache-keying cost over the parsed suite: the structural hasher
-/// (ir::hashOp — what the pass cache keys on). Each module's batch task
-/// keys the whole module once, with its pipeline's spec, before it
-/// replays or runs the pipeline: one walk over its functions, so the
-/// per-function walks summed here are part of every cached compile.
+/// (ir::hashOp). A module job keys its whole module once, with its
+/// pipeline's spec, before it replays or runs the pipeline; a source job
+/// keys on its text, and hashes the module its frontend made only on a
+/// miss, for the entry module jobs replay. Either is one walk over the
+/// module's functions, the per-function walks summed here.
 struct KeyingTimes {
   double structuralSeconds = 0;
   size_t funcs = 0;

@@ -317,8 +317,9 @@ void printFailpointOverhead(const FailpointOverhead &t) {
               t.armedWall, t.overheadPct);
 }
 
-/// Cold-populate cache behavior of one DAG suite batch (hits include
-/// entries another module of the batch stored first).
+/// Cold-populate cache behavior of one DAG suite batch of source jobs
+/// (hits include entries another job of the batch stored first; each
+/// miss stores two entries, under its source key and its module key).
 transforms::PassResultCache::StatsSnapshot measureCacheStats() {
   transforms::PassResultCache cache;
   driver::CompilerSession session = makeSuiteSession(4, &cache);

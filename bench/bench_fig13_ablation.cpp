@@ -114,7 +114,8 @@ void printTable(const SuiteModules &suite) {
 /// across the Rodinia suite. Shows where each enabled axis spends its
 /// compile time (the PassManager timing instrumentation), then repeats
 /// the whole sweep against a shared pass-result cache. The cache holds
-/// one entry per (module, pipeline), so the populate sweep runs every
+/// one entry per (module, pipeline) for these module jobs, so the
+/// populate sweep runs every
 /// stage's whole pipeline, shared prefixes included (consecutive stages
 /// differ in a single pipeline axis), and the warm sweep replays every
 /// stage.

@@ -29,16 +29,17 @@
 // as one batch session: --pm-threads=N spreads the files, not their
 // functions, across one worker pool (each file's passes run on one
 // thread, so a single file gains nothing from it), and all files share
-// one pass-result cache — a file whose module another file already
-// compiled through the same passes replays instead of re-running.
+// one pass-result cache — a file whose text (for textual IR, whose
+// module) another file already compiled through the same passes replays
+// instead of re-running.
 // Examples:
 //   paralift-opt kernel.ir --passes=canonicalize,cse,barrier-elim
 //   paralift-opt kernel.cu --cuda --passes='cpuify{mincut=false},omp-lower'
 //   paralift-opt a.cu b.cu c.cu --cuda --pm-threads=4
 //     --passes='repeat{until=fixpoint}(canonicalize,cse),cpuify,omp-lower'
 //
-// Batches schedule one task per file (each file parses, keys, and then
-// replays or runs its whole pipeline on one task of the --pm-threads
+// Batches schedule one task per file (each file keys, then replays or
+// parses and runs its whole pipeline on one task of the --pm-threads
 // pool; every file's output is ready the moment its own task ends).
 // --print-ir-before/after hook every (file, pass) step of those tasks;
 // with either set the batch drains on one thread, file by file in
@@ -51,7 +52,9 @@
 // re-running an unchanged file through an unchanged pipeline replays the
 // cached result instead of executing passes, while a file edited
 // anywhere, or a pipeline changed in any pass option, re-runs every
-// pass.
+// pass. A --cuda file keys on its text, so a hit also skips the
+// frontend; a textual-IR file keys on the structure of the module it
+// parses to, and replays what a --cuda run of the same module stored.
 // --cache-limit=<MB> (or $PARALIFT_CACHE_LIMIT) bounds the on-disk store,
 // sweeping oldest entries at exit. --no-pass-cache forces caching off;
 // --cache-stats prints the hit/miss/replay counters to stderr.

@@ -1,11 +1,12 @@
 #include "driver/session.h"
 
+#include "ir/parser.h"
+#include "ir/printer.h"
 #include "ir/verifier.h"
 #include "runtime/thread_pool.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/trace.h"
-#include "transforms/pass_cache.h"
 #include "transforms/registry.h"
 
 #include <algorithm>
@@ -30,6 +31,20 @@ SessionMetrics &sessionMetrics() {
       reg.counter("session.jobs_failed"),
       reg.histogram("session.job_latency_s")};
   return *m;
+}
+
+/// Runs one stage of a job (its frontend, or a cache lookup, replay or
+/// store); a throw fails that job alone, with a diagnostic naming `stage`.
+template <typename Fn>
+bool contained(const std::string &stage, DiagnosticEngine &diag, Fn &&body) {
+  try {
+    return body();
+  } catch (const std::exception &e) {
+    diag.error(SourceLoc(), stage + " threw: " + e.what());
+  } catch (...) {
+    diag.error(SourceLoc(), stage + " threw a non-standard exception");
+  }
+  return false;
 }
 } // namespace
 
@@ -176,7 +191,6 @@ CompileJob &CompilerSession::addModule(std::string name,
   job.session_ = this;
   job.name_ = std::move(name);
   job.preparsed_ = true;
-  job.frontendOk_ = true;
   job.result_.module = std::move(module);
   job.pipelineOpts_ = pipeline;
   job.diag_.setModuleName(job.name_);
@@ -217,36 +231,111 @@ void CompilerSession::markDone(CompileJob &job, bool ok) {
     opts_.onJobCompleted(job);
 }
 
-void CompilerSession::runFrontendOne(CompileJob &job) {
+bool CompilerSession::runFrontendOne(CompileJob &job) {
   trace::TraceSpan span(trace::enabled() ? "parse:" + job.name_
                                          : std::string(),
                         "frontend");
   // Parser containment: a throwing frontend (or an injected
   // "parse.module" fault) fails this job with an attributed diagnostic;
   // the rest of the batch parses and compiles normally.
-  try {
-    failpoint::evaluate("parse.module");
-    job.result_.module = frontend::compileToIR(job.source_, job.diag_);
-  } catch (const std::exception &e) {
-    job.diag_.error(SourceLoc(),
-                    "module parse threw: " + std::string(e.what()));
-    return;
-  } catch (...) {
-    job.diag_.error(SourceLoc(),
-                    "module parse threw a non-standard exception");
-    return;
-  }
-  if (job.diag_.hasErrors())
-    return;
+  if (!contained("module parse", job.diag_, [&] {
+        failpoint::evaluate("parse.module");
+        job.result_.module = frontend::compileToIR(job.source_, job.diag_);
+        return !job.diag_.hasErrors();
+      }))
+    return false;
   // In either mode: diagnostics clean AND the produced IR structurally
   // valid.
   auto errors = ir::verify(job.result_.module.op());
-  if (!errors.empty()) {
-    for (const std::string &e : errors)
-      job.diag_.error(SourceLoc(), "frontend produced invalid IR: " + e);
-    return;
+  for (const std::string &e : errors)
+    job.diag_.error(SourceLoc(), "frontend produced invalid IR: " + e);
+  return errors.empty();
+}
+
+bool CompilerSession::compileJob(CompileJob &job, transforms::PassManager &pm,
+                                 const std::string &spec,
+                                 transforms::PassManager::RunOptions runOpts) {
+  DiagnosticEngine &diag = job.diag_;
+  ir::OwnedModule &module = job.result_.module;
+  // A zero-pass pipeline has nothing to replay or store.
+  transforms::PassResultCache *cache = pm.passes().empty() ? nullptr : cache_;
+  transforms::Hash128 sourceKey, moduleKey;
+  if (cache) {
+    // Polled before the lookup, so an expired job fails, and runs no
+    // frontend, even when its pipeline is cached.
+    std::string reason = job.cancel_.expiredReason();
+    if (!reason.empty()) {
+      diag.error(SourceLoc(), reason + " in pass '" +
+                                  pm.passes().front()->name() + "'");
+      return false;
+    }
+    trace::TraceSpan span(
+        trace::enabled() ? "start:" + job.name_ : std::string(), "session");
+    std::optional<std::string> hit;
+    // A source job keys on its text, before its frontend runs; a module
+    // job on the module it was given. Hooks and verify-each must see
+    // every pass execute, so an inspected job never replays; it stores
+    // like any miss.
+    if (!contained("pass-cache lookup", diag, [&] {
+          if (job.preparsed_)
+            moduleKey = ir::hashOp(module.op());
+          else
+            sourceKey = transforms::hashBytes(job.source_);
+          if (!opts_.verifyEach && !pm.hasInstrumentation())
+            hit = cache->lookup(job.preparsed_ ? moduleKey : sourceKey, spec);
+          return true;
+        }))
+      return false;
+    if (span.active())
+      span.annotate("cache", hit ? "replay" : "run");
+    // A hit's module, parsed into a fresh arena, replaces the job's.
+    if (hit)
+      return contained("pass-cache replay", diag, [&] {
+        DiagnosticEngine parseDiag;
+        std::optional<ir::OwnedModule> replayed =
+            ir::parseModule(*hit, parseDiag);
+        if (!replayed || parseDiag.hasErrors()) {
+          diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
+                                  "(print/parse round-trip bug)");
+          return false;
+        }
+        module = std::move(*replayed);
+        cache->notePassesReplayed(pm.passes().size());
+        uint64_t bytes = module.arena().bytesAllocated();
+        if (!runOpts.maxArenaBytes || bytes <= runOpts.maxArenaBytes)
+          return true;
+        diag.error(SourceLoc(), "IR arena limit exceeded (" +
+                                    std::to_string(bytes) + " > " +
+                                    std::to_string(runOpts.maxArenaBytes) +
+                                    " bytes) after replaying the cached "
+                                    "pipeline");
+        return false;
+      });
   }
-  job.frontendOk_ = true;
+  if (!job.preparsed_) {
+    if (!runFrontendOne(job))
+      return false;
+    // Also keyed on the module the frontend made, so module jobs
+    // (textual IR, modules their caller parsed) replay what this stores.
+    if (cache && !contained("pass-cache lookup", diag, [&] {
+          moduleKey = ir::hashOp(module.op());
+          return true;
+        }))
+      return false;
+  }
+  uint64_t executed = 0;
+  runOpts.passesExecuted = &executed;
+  bool ok = pm.run(module.get(), diag, runOpts);
+  if (!cache)
+    return ok;
+  cache->notePassesExecuted(executed);
+  return ok && contained("pass-cache store", diag, [&] {
+           std::string text = ir::printOp(module.op());
+           if (!job.preparsed_)
+             cache->store(sourceKey, spec, text);
+           cache->store(moduleKey, spec, std::move(text));
+           return true;
+         });
 }
 
 bool CompilerSession::finalVerify(const transforms::PassManager &pm,
@@ -306,7 +395,8 @@ bool CompilerSession::compileAll() {
           markDone(*job, false);
         }
       } else {
-        groups.push_back({*spec, std::move(pm), batch});
+        std::string key = pm->pipelineSpec();
+        groups.push_back({std::move(key), std::move(pm), batch});
       }
     } else {
       for (CompileJob *job : batch) {
@@ -326,10 +416,9 @@ bool CompilerSession::compileAll() {
     // One task per job, groups in order of first appearance and jobs in
     // order within a group, so the pipelines interleave on the pool and
     // each job is marked done the moment its own task completes.
-    std::vector<std::pair<transforms::PassManager *, CompileJob *>> tasks;
+    std::vector<std::pair<Group *, CompileJob *>> tasks;
     for (Group &group : groups) {
       transforms::PassManager &pm = *group.pm;
-      pm.setResultCache(cache_);
       if (opts_.collectStatistics)
         pm.enableStatistics();
       if (opts_.configurePassManager)
@@ -338,7 +427,7 @@ bool CompilerSession::compileAll() {
         pm.enableVerifyEach();
       hooked = hooked || pm.hasInstrumentation();
       for (CompileJob *job : group.jobs)
-        tasks.emplace_back(&pm, job);
+        tasks.emplace_back(&group, job);
     }
     // One timing report per task: tasks appending to one shared report
     // would race and lose the task order the fold below keeps.
@@ -348,20 +437,18 @@ bool CompilerSession::compileAll() {
     // thread, in job order.
     runtime::runTasks(
         hooked ? nullptr : pool_.get(), tasks.size(), [&](size_t t) {
-          auto [pm, job] = tasks[t];
-          if (!job->preparsed_)
-            runFrontendOne(*job);
+          auto [group, job] = tasks[t];
+          transforms::PassManager &pm = *group->pm;
           transforms::PassManager::RunOptions runOpts;
           runOpts.cancel = &job->cancel_;
           runOpts.timing = opts_.collectTiming ? &reports[t] : nullptr;
           runOpts.maxArenaBytes = opts_.maxArenaBytesPerModule;
-          bool ok = job->frontendOk_ &&
-                    pm->run(job->result_.module.get(), job->diag_, runOpts);
+          bool ok = compileJob(*job, pm, group->key, runOpts);
           {
             trace::TraceSpan span(
                 trace::enabled() ? "finalize:" + job->name_ : std::string(),
                 "session");
-            ok = finalVerify(*pm, job->result_.module.get(), job->diag_, ok);
+            ok = finalVerify(pm, job->result_.module.get(), job->diag_, ok);
           }
           markDone(*job, ok);
         });

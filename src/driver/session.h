@@ -29,23 +29,25 @@
 // ----------------
 // compileAll groups the queued jobs by pipeline (one PassManager per
 // canonical pipeline spec; in Simt mode every job runs the one-pass
-// pipeline inline{kernels-only=true}) and turns every job into one
-// task: frontend, PassManager::run with the job's cancellation token,
-// arena cap and timing report, final verification, then the job is
-// marked done. The tasks run as one parallel loop on the session pool
-// (runtime::runTasks): each worker takes the next task until none is
-// left. The module is the unit of compile parallelism, and the (module,
-// pipeline) job the unit of caching: its task parses the source, keys
-// the module (ir::hashOp) with its pipeline's spec once, and either
-// replays the stored result or runs every pass in pipeline order and
-// stores one entry. So module B runs pass 3 while module A is still
+// pipeline inline{kernels-only=true}) and turns every job into one task,
+// run as one parallel loop on the session pool (runtime::runTasks): each
+// worker takes the next task until none is left. The module is the unit
+// of compile parallelism, and the job the unit of caching. A task keys
+// once, on its pipeline's spec and on its source text (hashBytes, before
+// the frontend runs) or, for an addModule job, its module's ir::hashOp.
+// A hit parses the stored module into a fresh arena, with no lexer,
+// parser, irgen or pass run. A miss runs the frontend, then
+// PassManager::run with the job's cancellation token, arena cap and
+// timing report, and stores the printed result under its key and, for a
+// source job, also under the ir::hashOp of the module its frontend made,
+// so module jobs replay what source jobs stored. Final verification
+// follows either way. So module B runs pass 3 while module A is still
 // parsing, and each CompileJob future resolves the moment *its* module's
-// task completes rather than at end of batch. Modules share the cache
-// only through lookup and store: a job replays what another job stored
-// earlier for the same module through the same pipeline, while jobs
-// compiling one source through different pipelines share nothing (no
-// common prefix is stored), and two jobs computing the same entry at
-// the same time both run it and store the same result.
+// task completes rather than at end of batch. Jobs share the cache only
+// through lookup and store: jobs compiling one source through different
+// pipelines share nothing (no common prefix is stored), and two jobs
+// computing the same entry at the same time both run it and store the
+// same result.
 // Pass execution is deterministic per input, so outputs are bit-for-bit
 // identical to serial compiles. Under --timing, each task records its
 // own module's (module, pass) rows, and the batch appends them in task
@@ -78,10 +80,10 @@
 //    IR but return nothing to the allocator; the bytes are reclaimed
 //    when the module is destroyed. Peak RSS of a batch therefore tracks
 //    the *created*, not the surviving, op count.
-//  - Cross-module splices never share arenas. Cache replays and clones
-//    parse/clone directly into the destination module's arena
-//    (ir::parseModuleInto, ir::cloneOpInto), on the module's own task,
-//    without transferring ownership.
+//  - Modules never share arenas. A cache replay parses the stored module
+//    into a fresh module (ir::parseModule) that replaces the job's, and
+//    clones go directly into the destination module's arena
+//    (ir::cloneOpInto), on the module's own task.
 //
 // Observability
 // -------------
@@ -93,10 +95,11 @@
 //    trace_event JSON file ("catapult" format — load in about://tracing
 //    or Perfetto) at session destruction. Each worker thread is a named
 //    lane ("worker-N"); every job contributes an async span from batch
-//    start to job completion, nested over its frontend parse span, the
-//    keying span of each cached run annotated with the cache outcome
-//    ("cache: run" vs "cache: replay"), one span per executed (module,
-//    pass) step, and cache disk-IO/eviction spans. $PARALIFT_TRACE=FILE
+//    start to job completion, nested over the keying span of each cached
+//    job annotated with the cache outcome ("cache: run" vs "cache:
+//    replay"), its frontend parse span ("parse:<job>"; a replayed source
+//    job has none), one span per executed (module, pass) step, and cache
+//    disk-IO/eviction spans. $PARALIFT_TRACE=FILE
 //    does the same process-wide without API involvement (written at
 //    exit), and trace::enable()/writeJson() are available for embedders.
 //    When disabled (the default), instrumentation costs one relaxed
@@ -122,16 +125,17 @@
 //    any job whose task was cut short that way is swept and marked
 //    failed ("compile task aborted before completion") when the batch
 //    ends, so futures still resolve. A job holds no cache state between
-//    a lookup and its store, so a fault in one job's cache probe cannot
-//    fail another job that shares the cache, in this session or a later
-//    one.
+//    a lookup and its store, so a throw in one job's cache lookup, replay
+//    or store fails that job alone ("pass-cache <stage> threw"), never
+//    another job that shares the cache, in this session or a later one.
 //
 //  - Cancellation and deadlines. CompileJob::cancel() requests
 //    cooperative cancellation; SessionOptions::jobTimeoutSeconds arms a
 //    per-job deadline at batch start. Both are polled before the cache
-//    lookup and before every executed (module, pass) step, instrumented
-//    sessions included, so a cancelled job fails even when its result
-//    is cached. The pass currently executing always finishes, so IR and
+//    lookup (so before a cached session's frontend) and before every
+//    executed (module, pass) step, instrumented sessions included, so a
+//    cancelled job fails even when its result is cached. The pass
+//    currently executing always finishes, so IR and
 //    cache stay consistent; the job then fails with "cancelled in pass
 //    P" or "deadline exceeded after Ns in pass P" before its next pass.
 //    A compile that is between passes reacts within one step; one stuck
@@ -168,6 +172,7 @@
 
 #include "frontend/irgen.h"
 #include "support/diagnostics.h"
+#include "transforms/pass_cache.h"
 #include "transforms/passes.h"
 
 #include <chrono>
@@ -321,8 +326,9 @@ public:
   /// Requests cooperative cancellation of this job (thread-safe,
   /// idempotent, callable mid-batch from any thread). The job stops at
   /// its next pass/step boundary and fails with a "cancelled" diagnostic;
-  /// a job cancelled before its batch starts never runs a pass. Other
-  /// jobs are unaffected. No-op once the job is Done.
+  /// a job cancelled before its batch starts never runs a pass (nor, in
+  /// a cached session, its frontend). Other jobs are unaffected. No-op
+  /// once the job is Done.
   void cancel() { cancel_.cancel(); }
   /// This job's cancellation/deadline token (see
   /// transforms::CancellationToken); the session arms its deadline from
@@ -343,7 +349,6 @@ private:
   transforms::CancellationToken cancel_;
   DiagnosticEngine diag_;
   CompileResult result_;
-  bool frontendOk_ = false;
   double latencySeconds_ = -1;
   State state_ = State::Queued;
 };
@@ -413,9 +418,13 @@ private:
   std::vector<CompileJob *> takeQueued();
   void markDone(CompileJob &job, bool ok);
   /// Frontend for one job: parse + IR verification, in either mode.
-  /// Thread-safe across distinct jobs; the batch runs it at the start of
-  /// each module's task.
-  void runFrontendOne(CompileJob &job);
+  /// Thread-safe across distinct jobs. Returns whether it succeeded.
+  bool runFrontendOne(CompileJob &job);
+  /// One job's task up to final verification (see "Batch scheduling");
+  /// `spec` is pm's canonical pipeline spec.
+  bool compileJob(CompileJob &job, transforms::PassManager &pm,
+                  const std::string &spec,
+                  transforms::PassManager::RunOptions runOpts);
   /// End-of-pipeline verification gate: skipped when verify-each already
   /// covered the final module (any non-empty pipeline); otherwise reports
   /// "final module is invalid" into `diag`. Returns the updated ok.

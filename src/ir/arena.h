@@ -14,8 +14,8 @@
 //     attribute *values* — register a destructor record on first use
 //     (AttrMap does this lazily); ~IRArena runs the records, then frees
 //     slabs. Ops without string attrs never touch the list.
-//  3. Erasing IR mid-lifetime (Op::erase, Region::clear, cache-replay
-//     splices) is unlink-without-free: use-def edges are detached, the
+//  3. Erasing IR mid-lifetime (Op::erase, Region::clear) is
+//     unlink-without-free: use-def edges are detached, the
 //     node's memory stays in the arena until the module dies. Memory is
 //     monotonic per module and bounded by what the pipeline materializes.
 //

@@ -11,8 +11,9 @@
 //    what ir::printOp distinguishes: two ops hash equal iff their printed
 //    forms are equal (w.h.p.), because the hashed stream is a function of
 //    precisely the structure the printer renders (print-order value
-//    numbering included). The pass-result cache keys on hashOp, so keying
-//    a function costs one walk instead of a print + byte hash.
+//    numbering included). The pass-result cache keys module jobs on
+//    hashOp, so keying a module costs one walk instead of a print + byte
+//    hash.
 #pragma once
 
 #include <cstdint>
@@ -98,8 +99,8 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Structural hash of `op` and everything nested under it. Equal to the
-/// hash of any other op with an identical printed form (clones, spliced
-/// cache replays, a fresh parse of the same text) and different (w.h.p.)
+/// hash of any other op with an identical printed form (clones, a fresh
+/// parse of the same text such as a cache replay) and different (w.h.p.)
 /// from every op that prints differently. Pointer-free and
 /// iteration-order-free, so hashes are stable across processes sharing an
 /// on-disk pass cache.

@@ -24,8 +24,8 @@
 //    erased IR stay dereferenceable (not that code should), arena usage
 //    grows monotonically per module, and nothing may move ops BETWEEN
 //    modules: clone (cloneOpInto) or reparse (parseModuleInto) into the
-//    destination module's arena instead — the cache-replay splice paths in
-//    PassManager do exactly that.
+//    destination module's arena instead, or parse a fresh module
+//    (parseModule), as a cache replay does.
 #pragma once
 
 #include "ir/arena.h"

@@ -752,9 +752,8 @@ Op *parseModuleInto(IRArena &arena, const std::string &text,
 
 std::optional<OwnedModule> parseModule(const std::string &text,
                                        DiagnosticEngine &diag) {
-  // Spans only the top-level entry point: parseModuleInto is the hot
-  // cache-replay path, where a span per spliced function would dominate
-  // the trace.
+  // Spans only the top-level entry point: one span per module, e.g. per
+  // cache replay.
   trace::TraceSpan span("ir:parse", "parse");
   // Parse directly into the fresh module's arena; on failure the arena
   // (with any partially-parsed IR) dies with `owned`.

@@ -32,10 +32,10 @@ std::optional<OwnedModule> parseModule(const std::string &text,
 
 /// Parses a textual module, allocating every node from `arena`, and
 /// returns the *detached* module op (not the arena root) — or nullptr on
-/// error, reported through `diag`. This is how cache-replay splices
-/// materialize IR inside an existing module: parse into its arena, move
-/// the funcs over, then Op::destroy the returned top op (which only
-/// detaches it; the memory belongs to the arena).
+/// error, reported through `diag`. This is how to materialize IR inside
+/// an existing module: parse into its arena, move the funcs over, then
+/// Op::destroy the returned top op (which only detaches it; the memory
+/// belongs to the arena).
 Op *parseModuleInto(IRArena &arena, const std::string &text,
                     DiagnosticEngine &diag);
 

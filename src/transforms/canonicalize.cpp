@@ -89,10 +89,27 @@ void replaceWithConstInt(Op *op, int64_t v) {
   op->erase();
 }
 
+/// Whether the VM rounds an f32 result of `k` to float (normFloat in
+/// vm/interp.cpp). Negation, abs, floor, ceil, min, max and the float
+/// casts pass their operand's double through, as they are exact on
+/// floats; but an f32 constant keeps its literal's decimal value (the
+/// frontend does not round it), so their folds must not round either, or
+/// `-0.3f` would fold to a value the unfolded program never sees.
+bool vmRoundsF32Result(OpKind k) {
+  switch (k) {
+  case OpKind::NegF: case OpKind::Abs: case OpKind::Floor:
+  case OpKind::Ceil: case OpKind::MinF: case OpKind::MaxF:
+  case OpKind::FPExt: case OpKind::FPTrunc:
+    return false;
+  default:
+    return true;
+  }
+}
+
 void replaceWithConstFloat(Op *op, double v) {
   Builder b;
   b.setInsertionPoint(op);
-  if (op->result().type() == Type::f32())
+  if (op->result().type() == Type::f32() && vmRoundsF32Result(op->kind()))
     v = static_cast<float>(v);
   Value c = b.constFloat(v, op->result().type());
   op->result().replaceAllUsesWith(c);

@@ -117,14 +117,8 @@ private:
     // per-thread cached values (which would no longer look uniform to the
     // interchange step). Failures are diagnosed later by the interchange
     // itself.
-    if (container->kind() == OpKind::ScfFor) {
-      ForOp f(container);
-      (void)hoistUniformChain(f.lb(), threadPar);
-      (void)hoistUniformChain(f.ub(), threadPar);
-      (void)hoistUniformChain(f.step(), threadPar);
-    } else if (container->kind() == OpKind::ScfIf) {
-      (void)hoistUniformChain(IfOp(container).cond(), threadPar);
-    }
+    for (Value v : controlValues(container))
+      (void)hoistUniformChain(v, threadPar);
 
     // Decide between splitting around the container and interchanging.
     bool prefixImpure = false;
@@ -244,11 +238,35 @@ private:
     }
   }
 
+  /// The bounds of a for or the condition of an if: what interchanging a
+  /// barrier-containing container needs to be uniform.
+  static std::vector<Value> controlValues(Op *container) {
+    if (container->kind() == OpKind::ScfFor) {
+      ForOp f(container);
+      return {f.lb(), f.ub(), f.step()};
+    }
+    if (container->kind() == OpKind::ScfIf)
+      return {IfOp(container).cond()};
+    return {};
+  }
+
   bool fission(Op *threadPar, Op *barrier) {
     replicateCrossingAllocas(threadPar, barrier);
 
     Block &body = threadPar->region(0).front();
     ir::ParallelOp par(threadPar);
+    // A later container's control value computed before this barrier (CSE
+    // gives two `if (u > 1)` one condition) would be split into a
+    // per-thread cache below, which the interchange no longer sees as
+    // uniform: hoist its chain out first, where it is uniform.
+    for (Op *op = barrier->next(); op; op = op->next())
+      if (op->numRegions() > 0 && containsBarrier(op))
+        for (Value v : controlValues(op))
+          if (Op *def = v.definingOp()) {
+            Op *anc = topLevelAncestor(def, &body);
+            if (anc && isBeforeInBlock(anc, barrier))
+              (void)hoistUniformChain(v, threadPar);
+          }
 
     // Live-out analysis: values of top-level ops before the barrier used
     // at-or-after it.

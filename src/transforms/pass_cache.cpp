@@ -166,12 +166,13 @@ unsigned long getProcessId() {
 }
 
 /// Build fingerprint mixed into every key: entries written by a build
-/// with different pass semantics must read as misses, never replay.
+/// with different pass semantics, or (for source keys) a different
+/// frontend, must read as misses, never replay.
 /// PARALIFT_BUILD_STAMP is injected by CMake at configure time; the
 /// translation-unit timestamp covers direct rebuilds of this file. (An
-/// incremental rebuild that recompiles only a pass .cpp keeps the salt —
-/// clear the cache dir when iterating on pass semantics without
-/// reconfiguring.)
+/// incremental rebuild that recompiles only a pass or frontend .cpp keeps
+/// the salt — clear the cache dir when iterating on pass or frontend
+/// semantics without reconfiguring.)
 const std::string &buildSalt() {
   static const std::string salt =
 #ifdef PARALIFT_BUILD_STAMP
@@ -260,7 +261,7 @@ void PassResultCache::store(const Hash128 &input, const std::string &spec,
 
 // On-disk entry format (header lines, a separator, then the IR verbatim):
 //   paralift-pass-cache v4
-//   input <32 hex>                    (structural hash of the input module)
+//   input <32 hex>                    (the source or module key)
 //   spec <canonical pipeline spec>
 //   text <32 hex>                     (hashBytes of the payload below)
 //   ---
@@ -393,10 +394,10 @@ void PassResultCache::resetStats() {
   stats_ = StatsSnapshot{};
 }
 
-void PassResultCache::notePassExecuted() {
+void PassResultCache::notePassesExecuted(uint64_t passes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.passesExecuted;
-  cacheCounters().passesExecuted.add();
+  stats_.passesExecuted += passes;
+  cacheCounters().passesExecuted.add(passes);
 }
 
 void PassResultCache::notePassesReplayed(uint64_t passes) {

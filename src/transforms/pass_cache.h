@@ -1,20 +1,29 @@
-// Persistent pass-result cache: maps (canonical pipeline spec,
-// structural hash of the input module) to the printed module the
-// pipeline produced, so re-compiling an unchanged module through an
-// unchanged pipeline replays cached IR instead of re-running passes.
+// Persistent pass-result cache: maps (canonical pipeline spec, input
+// key) to the printed module the pipeline produced, so re-compiling an
+// unchanged input through an unchanged pipeline replays cached IR instead
+// of re-running passes.
 //
-// Keying: lookups are keyed on ir::hashOp — a direct structural hash
-// (one walk over op kinds, operand numbering, attrs, types, regions) —
-// never on a hash of printed text, so keying a module costs no string
-// materialization. Byte hashing (hashBytes) survives only where text is
-// the object itself: the spec+salt key component and the on-disk
-// payload integrity check (replay parses stored text, so the stored text
-// is what must be intact).
+// Keying: the caller (the session, driver/session.h) hashes the input;
+// the cache folds in the spec and the build salt. Two kinds of input key
+// share one key space:
+//  - a source key, hashBytes of a CUDA source's text, taken before the
+//    frontend runs, so a hit skips the frontend too. The frontend is a
+//    function of the text and of the build, and the salt covers the
+//    build.
+//  - a module key, ir::hashOp of the module entering the pipeline — a
+//    direct structural hash (one walk over op kinds, operand numbering,
+//    attrs, types, regions) that costs no string materialization. A
+//    source job's result is stored under both keys, so a module job
+//    given the frontend's module replays it.
+// Beyond those, byte hashing covers only the spec+salt key component and
+// the on-disk payload integrity check (replay parses stored text, so the
+// stored text is what must be intact).
 //
-// Granularity: one entry per (module, pipeline), stored when a whole
-// pipeline run completes; intermediate steps are not stored. Editing one
-// function of a module, or changing any one pass option, misses the whole
-// pipeline, and pipelines that share a prefix share no entry.
+// Granularity: one entry per (input, pipeline), stored when a whole
+// pipeline run completes; intermediate steps are not stored. Editing a
+// source anywhere (one trailing newline included) or one function of a
+// module, or changing any one pass option, misses the whole pipeline, and
+// pipelines that share a prefix share no entry.
 //
 // With a directory the cache is persistent: each entry is one file named
 // by the key hash, written atomically (temp + rename) so concurrent
@@ -59,11 +68,11 @@ public:
   PassResultCache(const PassResultCache &) = delete;
   PassResultCache &operator=(const PassResultCache &) = delete;
 
-  /// Finds the printed module that running `spec` produced on IR whose
-  /// structural hash is `input`. Checks memory first, then disk; disk
-  /// hits are promoted into memory. Returns nullopt on miss (and counts
-  /// it). Nothing is claimed: two callers missing on one key both compute
-  /// it, and both store the same result.
+  /// Finds the printed module that running `spec` produced on the input
+  /// keyed `input` (a source or module key; see the header). Checks
+  /// memory first, then disk; disk hits are promoted into memory. Returns
+  /// nullopt on miss (and counts it). Nothing is claimed: two callers
+  /// missing on one key both compute it, and both store the same result.
   std::optional<std::string> lookup(const Hash128 &input,
                                     const std::string &spec);
 
@@ -130,9 +139,9 @@ public:
   std::string statsStr() const;
   void resetStats();
 
-  /// Bumped by the PassManager: a pass run that transformed IR, and the
-  /// `passes` of a pipeline replayed from one hit.
-  void notePassExecuted();
+  /// Bumped by the session: the `passes` a job executed (failed steps
+  /// included), and the `passes` of a pipeline replayed from one hit.
+  void notePassesExecuted(uint64_t passes);
   void notePassesReplayed(uint64_t passes);
 
 private:

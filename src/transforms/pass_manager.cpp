@@ -1,7 +1,5 @@
 #include "transforms/pass_manager.h"
 
-#include "ir/hasher.h"
-#include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "support/failpoint.h"
@@ -9,7 +7,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -503,43 +500,14 @@ struct PassManager::ModuleRun {
   DiagnosticEngine &diag;
   const RunOptions &opts;
 
-  /// With a cache, keys the run on (ir::hashOp of the entering module,
-  /// the canonical pipeline spec): a hit replays the stored result; a
-  /// miss runs every pass in pipeline order and stores the result once.
+  /// Runs every pass in pipeline order; false at the first failure.
   bool compile() {
-    if (pm.passes_.empty())
-      return true;
-    PassResultCache *cache = pm.cache_;
-    Hash128 key;
-    std::string spec;
-    if (cache) {
-      // Polled before the lookup, so an expired job fails even when its
-      // pipeline is cached.
-      if (cancelled(*pm.passes_.front()))
-        return false;
-      trace::TraceSpan span(spanName("start:", diag.moduleName()), "pm");
-      std::optional<std::string> hit;
-      if (!contained("lookup", [&] {
-            key = ir::hashOp(module.op);
-            spec = pm.pipelineSpec();
-            // Hooks and verify-each must see every pass execute, so an
-            // inspected run never replays; it stores like any miss.
-            if (!pm.verifyEach_ && !pm.hasInstrumentation())
-              hit = cache->lookup(key, spec);
-            return true;
-          }))
-        return false;
-      if (span.active())
-        span.annotate("cache", hit ? "replay" : "run");
-      if (hit)
-        return contained("replay", [&] { return replay(*hit); });
-    }
     for (const auto &p : pm.passes_) {
       Pass &pass = *p;
       if (cancelled(pass))
         return false;
-      if (cache)
-        cache->notePassExecuted();
+      if (opts.passesExecuted)
+        ++*opts.passesExecuted;
       trace::TraceSpan span(spanName("pass:", pass.name()), "pm");
       bool ok;
       // Pass bodies are contained on their own (runPassContained); this
@@ -562,25 +530,7 @@ struct PassManager::ModuleRun {
         return false;
       }
     }
-    return !cache || contained("store", [&] {
-      cache->store(key, spec, ir::printOp(module.op));
-      return true;
-    });
-  }
-
-  /// Runs one stage of the cache machinery; a throw fails this module
-  /// alone, with a diagnostic naming the stage.
-  template <typename Fn> bool contained(const char *stage, Fn &&body) {
-    try {
-      return body();
-    } catch (const std::exception &e) {
-      diag.error(SourceLoc(),
-                 std::string("pass-cache ") + stage + " threw: " + e.what());
-    } catch (...) {
-      diag.error(SourceLoc(), std::string("pass-cache ") + stage +
-                                  " threw a non-standard exception");
-    }
-    return false;
+    return true;
   }
 
   /// Polls the cancellation token before `pass`; on expiry records the
@@ -648,37 +598,6 @@ struct PassManager::ModuleRun {
                                 std::to_string(opts.maxArenaBytes) +
                                 " bytes) after " + after);
     return false;
-  }
-
-  /// Replaces the module body with `text`, the printed module a cache hit
-  /// returned, parsed into the module's own arena (ops never migrate
-  /// between arenas); the pipeline's passes count as replayed.
-  bool replay(const std::string &text) {
-    DiagnosticEngine localDiag;
-    ir::Op *top = ir::parseModuleInto(module.op->arena(), text, localDiag);
-    if (!top || localDiag.hasErrors()) {
-      if (top)
-        ir::Op::destroy(top);
-      diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                              "(print/parse round-trip bug)");
-      return false;
-    }
-    ir::Block &body = module.body();
-    for (ir::Op *op = body.front(), *next = nullptr; op; op = next) {
-      next = op->next();
-      op->erase();
-    }
-    if (!top->region(0).empty()) {
-      ir::Block &src = top->region(0).front();
-      for (ir::Op *op = src.front(), *next = nullptr; op; op = next) {
-        next = op->next();
-        src.unlink(op);
-        body.push_back(op);
-      }
-    }
-    ir::Op::destroy(top); // detach the scaffolding; memory stays in the arena
-    pm.cache_->notePassesReplayed(pm.passes_.size());
-    return withinArenaCap("replaying the cached pipeline");
   }
 };
 

@@ -14,12 +14,10 @@
 //    concurrent calls on distinct modules are safe, so the caller decides
 //    which threads compile which modules (the session runs one task per
 //    module on its pool). Each call takes the job's cancellation token,
-//    timing report and IR-arena cap (PassManager::RunOptions).
-//    Optionally a PassResultCache (transforms/pass_cache.h) replays the
-//    whole pipeline's result for an unchanged module instead of running
-//    its passes: one entry per (module, pipeline). Nothing else is carried
-//    between passes: a pass that needs an analysis computes it from the
-//    IR it is given.
+//    timing report and IR-arena cap (PassManager::RunOptions). It runs
+//    every pass; the session replays cached results (driver/session.h).
+//    Nothing is carried between passes: a pass that needs an analysis
+//    computes it from the IR it is given.
 //
 // Textual pipelines ("unroll{max-trip=16},cpuify{mincut=false}",
 // "repeat{n=2}(canonicalize,cse)") are parsed/printed by
@@ -30,7 +28,6 @@
 #include "ir/ophelpers.h"
 #include "support/diagnostics.h"
 #include "support/metrics.h"
-#include "transforms/pass_cache.h"
 
 #include <atomic>
 #include <cstdint>
@@ -235,11 +232,11 @@ size_t countNestedOps(ir::Op *root, ir::OpKind kind);
 
 /// Instrumentations nest around each executed (module, pass) step:
 /// beforePass hooks fire in installation order and afterPass hooks in
-/// reverse, so the first-installed instrumentation is outermost. A manager
-/// with any installed never replays the result cache, so the hooks see
-/// every pass execute. Hooks are not synchronized and expect one module
-/// at a time, so modules of a manager with any installed are run one
-/// after another (PassManager::hasInstrumentation).
+/// reverse, so the first-installed instrumentation is outermost. A session
+/// whose managers have any installed never replays the result cache, so
+/// the hooks see every pass execute. Hooks are not synchronized and expect
+/// one module at a time, so modules of a manager with any installed are
+/// run one after another (PassManager::hasInstrumentation).
 class Instrumentation {
 public:
   virtual ~Instrumentation() = default;
@@ -311,11 +308,11 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Cooperative cancellation and deadline for one compile job.
-/// PassManager::run (RunOptions::cancel) polls it before the cache
-/// lookup and before every executed (module, pass) step — an expired job
-/// fails with an attributed diagnostic ("cancelled in pass P" / "deadline
-/// exceeded after Ns in pass P") before its next pass starts, even when
-/// its pipeline is cached; the pass currently executing is never
+/// PassManager::run (RunOptions::cancel) polls it before every executed
+/// (module, pass) step, and the session before its cache lookup — an
+/// expired job fails with an attributed diagnostic ("cancelled in pass P"
+/// / "deadline exceeded after Ns in pass P") before its next pass starts,
+/// even when its pipeline is cached; the pass currently executing is never
 /// interrupted mid-flight, so IR and cache state stay consistent. A
 /// one-pass pipeline is therefore polled before its only pass.
 /// Thread-safe: any thread may cancel() while workers poll.
@@ -368,8 +365,7 @@ public:
 
   /// Verifies each module after every pass; on violation reports
   ///   pass 'X' broke invariant: Y
-  /// and fails that module. Runs never replay the result cache then, so
-  /// every pass executes and is verified.
+  /// and fails that module.
   void enableVerifyEach() { verifyEach_ = true; }
   /// Installs IR printing around passes (see IRPrintInstrumentation).
   void enableIRPrinting(bool before, bool after, std::string filter = "",
@@ -381,58 +377,44 @@ public:
   /// the first run().
   void enableStatistics();
 
-  /// Attaches a pass-result cache (owned by the caller; shareable across
-  /// PassManagers and threads). When set, each run() is keyed once, on
-  /// (ir::hashOp of the entering module, pipelineSpec()). A hit parses
-  /// the stored module into the module's arena and executes no pass; a
-  /// miss runs every pass and stores the printed result once. Runs with
-  /// verify-each or an instrumentation skip the lookup (their hooks must
-  /// see each pass execute) and store like a miss.
-  void setResultCache(PassResultCache *cache) { cache_ = cache; }
-  PassResultCache *resultCache() const { return cache_; }
-
   /// What one run() call carries besides the manager's own switches
-  /// (verify-each, statistics, instrumentations, cache).
+  /// (verify-each, statistics, instrumentations).
   struct RunOptions {
-    /// Polled before the cache lookup and before every executed step; an
-    /// expired token fails the module with its reason attributed to the
-    /// pass it would have run next. Null: never cancelled.
+    /// Polled before every executed step; an expired token fails the
+    /// module with its reason attributed to the pass it would have run
+    /// next. Null: never cancelled.
     const CancellationToken *cancel = nullptr;
     /// When set, this module's (module, pass) rows are appended here, one
     /// per step that executed its pass.
     PassTimingReport *timing = nullptr;
-    /// IR-arena byte cap, checked after every executed step and after a
-    /// replay; a module whose arena exceeds it fails with a per-job OOM
-    /// diagnostic instead of growing until the process dies. 0 =
-    /// unlimited.
+    /// IR-arena byte cap, checked after every executed step; a module
+    /// whose arena exceeds it fails with a per-job OOM diagnostic instead
+    /// of growing until the process dies. 0 = unlimited.
     uint64_t maxArenaBytes = 0;
+    /// When set, incremented once per step that starts executing its
+    /// pass, failed steps included (the session's passes_executed count).
+    uint64_t *passesExecuted = nullptr;
   };
 
   /// The executor: runs the pipeline over one module, on the calling
   /// thread. Stops at the first failure (a pass returning false, a new
   /// diagnostic error, an instrumentation abort, an expired
-  /// `opts.cancel`, a breached `opts.maxArenaBytes`, a cache lookup,
-  /// replay or store that throws) and returns false, leaving the module's
-  /// (partially transformed) IR in place.
+  /// `opts.cancel`, a breached `opts.maxArenaBytes`) and returns false,
+  /// leaving the module's (partially transformed) IR in place.
   ///
-  /// With a cache, the run polls the cancellation token, then keys the
-  /// module once (setResultCache): a hit replays the whole pipeline's
-  /// result and checks the arena cap. Otherwise each pass in turn polls
-  /// the token, runs (a function pass over every function, in order)
-  /// between the beforePass and afterPass hooks, then is checked by
-  /// verify-each and the arena cap; after the last pass the result is
-  /// stored. A throw from a pass body, a hook or verify-each fails this
-  /// module with a diagnostic naming the pass; a throw on one function
-  /// ends the step before the module's later functions run.
+  /// Each pass in turn polls the token, runs (a function pass over every
+  /// function, in order) between the beforePass and afterPass hooks, then
+  /// is checked by verify-each and the arena cap. A throw from a pass
+  /// body, a hook or verify-each fails this module with a diagnostic
+  /// naming the pass; a throw on one function ends the step before the
+  /// module's later functions run.
   ///
   /// Concurrent calls on distinct modules are safe: they share the pass
-  /// objects (whose statistics counters are atomic) and the result cache
-  /// (only through PassResultCache::lookup/store), and nothing else. Two
-  /// runs computing the same (module, pipeline) entry at once both run it
-  /// and store identical results; pass execution on a given input is
-  /// deterministic, so outputs are bit-for-bit identical to a serial
-  /// compile whatever the interleaving. Instrumentation hooks are not
-  /// serialized: with any installed, run modules one at a time.
+  /// objects (whose statistics counters are atomic) and nothing else.
+  /// Pass execution on a given input is deterministic, so outputs are
+  /// bit-for-bit identical to a serial compile whatever the interleaving.
+  /// Instrumentation hooks are not serialized: with any installed, run
+  /// modules one at a time.
   bool run(ModuleOp module, DiagnosticEngine &diag, const RunOptions &opts);
   bool run(ModuleOp module, DiagnosticEngine &diag);
 
@@ -452,7 +434,6 @@ private:
   std::vector<std::unique_ptr<Instrumentation>> instrumentations_;
   bool collectStats_ = false;
   bool verifyEach_ = false;
-  PassResultCache *cache_ = nullptr;
 };
 
 /// Renders one "  <secs> s (<pct>%)  ir <+arenaMB>  <label>" timing row

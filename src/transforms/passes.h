@@ -22,15 +22,16 @@
 //
 // Caching (transforms/pass_cache.h):
 //
-//   A PassResultCache (PassManager::setResultCache; SessionOptions, or
-//   --cache-dir at the CLI) keys each pipeline run once, on (canonical
-//   pipeline spec, structural hash of the entering module), and replays
-//   the stored result for hits: recompiling an unchanged module through
-//   an unchanged pipeline executes zero transform passes. A module or
-//   pipeline that differs in anything re-runs the whole pipeline;
-//   intermediate steps are never stored. No state is carried between
-//   passes; analyses (barrier effects, memory effects, thread-privacy)
-//   are computed by the pass that reads them, from the IR in front of it.
+//   The PassManager carries no cache. A session's PassResultCache
+//   (SessionOptions, or --cache-dir at the CLI) keys each job once, on
+//   (canonical pipeline spec, hash of its source text or structural hash
+//   of its module), and replays the stored result for hits: recompiling
+//   an unchanged source through an unchanged pipeline runs no frontend
+//   and zero transform passes (driver/session.h). An input or pipeline
+//   that differs in anything re-runs the whole pipeline; intermediate
+//   steps are never stored. No state is carried between passes;
+//   analyses (barrier effects, memory effects, thread-privacy) are
+//   computed by the pass that reads them, from the IR in front of it.
 //
 // Every stage is exposed three ways:
 //   1. a legacy free function (runCanonicalize(...)), kept for tests and

@@ -1,9 +1,11 @@
 // Arena lifecycle tests: the IRArena allocator itself (slab growth,
 // alignment, destructor records, attr-name interning), the arena-root
 // ownership model (clone-then-destroy-source independence, erase-is-
-// unlink reuse inside one module), and cache replay splicing into a live
-// arena (the TSan CI job runs this file for the concurrent bump
-// allocation under -DPARALIFT_SANITIZE=thread).
+// unlink reuse inside one module), and cache replays parsing into fresh
+// arenas that outlive nothing they point at (the TSan CI job runs this
+// file for the concurrent bump allocation under
+// -DPARALIFT_SANITIZE=thread).
+#include "driver/session.h"
 #include "ir/arena.h"
 #include "ir/builder.h"
 #include "ir/hasher.h"
@@ -12,7 +14,6 @@
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "transforms/pass_cache.h"
-#include "transforms/registry.h"
 
 #include <gtest/gtest.h>
 
@@ -215,33 +216,37 @@ TEST(ArenaLifecycleTest, ModuleTeardownIsSlabRelease) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cache replay into a live arena
+// Cache replay into fresh arenas
 //===----------------------------------------------------------------------===//
 
-TEST(ArenaReplayTest, SplicedReplayLandsInDestinationArena) {
+namespace {
+
+/// Compiles `m` through `pipeline` as the module job of a one-job session
+/// over `cache`; returns the job's module.
+OwnedModule compileCached(OwnedModule m, const std::string &pipeline,
+                          PassResultCache &cache) {
+  driver::SessionOptions so;
+  so.cache = &cache;
+  so.useEnvCache = false;
+  so.pipelineSpec = pipeline;
+  driver::CompilerSession session(std::move(so));
+  driver::CompileJob &job = session.addModule("", std::move(m));
+  EXPECT_TRUE(session.compileAll()) << job.diagnostics().str();
+  return job.take().module;
+}
+
+} // namespace
+
+TEST(ArenaReplayTest, ReplayLandsInTheResultModulesArena) {
   const std::string pipeline = "canonicalize,cse";
   PassResultCache cache;
-  DiagnosticEngine diag;
+  std::string expected =
+      printOp(compileCached(parseOk(kLoopModule), pipeline, cache).op());
 
-  OwnedModule warm = parseOk(kLoopModule);
-  {
-    PassManager pm;
-    ASSERT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
-    pm.setResultCache(&cache);
-    ASSERT_TRUE(pm.run(warm.get(), diag)) << diag.str();
-  }
-  std::string expected = printOp(warm.op());
-
-  // Second run replays from cache: every spliced func must live in the
-  // destination module's arena, so destroying the module afterwards is
-  // safe and complete (ASan verifies no leak/UAF).
-  OwnedModule replay = parseOk(kLoopModule);
-  {
-    PassManager pm;
-    ASSERT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
-    pm.setResultCache(&cache);
-    ASSERT_TRUE(pm.run(replay.get(), diag)) << diag.str();
-  }
+  // Second run replays from cache: every replayed func must live in the
+  // arena of the module the job returns, so destroying the module
+  // afterwards is safe and complete (ASan verifies no leak/UAF).
+  OwnedModule replay = compileCached(parseOk(kLoopModule), pipeline, cache);
   EXPECT_GT(cache.stats().passesReplayed, 0u);
   EXPECT_EQ(printOp(replay.op()), expected);
   Op *func = replay.get().lookupFunc("axpy");
@@ -277,23 +282,11 @@ TEST(ArenaReplayTest, RepeatedMultiFunctionReplayIntoFreshArenas) {
 
   const std::string pipeline = "canonicalize,cse,licm,canonicalize";
   PassResultCache cache;
-  DiagnosticEngine diag;
-
-  OwnedModule first = parseOk(text);
-  {
-    PassManager pm;
-    ASSERT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
-    pm.setResultCache(&cache);
-    ASSERT_TRUE(pm.run(first.get(), diag)) << diag.str();
-  }
-  std::string expected = printOp(first.op());
+  std::string expected =
+      printOp(compileCached(parseOk(text), pipeline, cache).op());
 
   for (int run = 0; run < 3; ++run) {
-    OwnedModule m = parseOk(text);
-    PassManager pm;
-    ASSERT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
-    pm.setResultCache(&cache);
-    ASSERT_TRUE(pm.run(m.get(), diag)) << diag.str();
+    OwnedModule m = compileCached(parseOk(text), pipeline, cache);
     EXPECT_EQ(printOp(m.op()), expected);
     EXPECT_TRUE(verifyOk(m.op()));
     // Module (and its arena, including all replayed IR) destroyed here

@@ -210,14 +210,17 @@ TEST(FaultContainmentTest, ParseFaultFailsOnlyItsJob) {
   const auto &suite = rodinia::suite();
   std::string golden = serialReference(suite[0].cudaSource);
   std::string err;
-  // Every 2nd parse throws: half the batch fails at the frontend.
+  // Every 2nd parse throws: half the batch fails at the frontend. Each
+  // job's source differs by its trailing newlines, so each keys apart and
+  // runs its own frontend instead of replaying another job's store.
   ASSERT_TRUE(failpoint::configure("parse.module=throw:0,2", &err)) << err;
   transforms::PassResultCache cache;
   driver::CompilerSession session(batchOptions(2, &cache));
-  auto &a = session.addSource("a", suite[0].cudaSource);
-  auto &b = session.addSource("b", suite[0].cudaSource);
-  auto &c = session.addSource("c", suite[0].cudaSource);
-  auto &d = session.addSource("d", suite[0].cudaSource);
+  const std::string src = suite[0].cudaSource;
+  auto &a = session.addSource("a", src);
+  auto &b = session.addSource("b", src + "\n");
+  auto &c = session.addSource("c", src + "\n\n");
+  auto &d = session.addSource("d", src + "\n\n\n");
   EXPECT_FALSE(session.compileAll());
   int okCount = 0, failCount = 0;
   for (driver::CompileJob *job : {&a, &b, &c, &d}) {
@@ -345,8 +348,9 @@ TEST(FaultContainmentTest, ThrowDuringCacheProbeDoesNotFailLaterCompiles) {
   transforms::PassResultCache cache(dir);
   {
     std::string err;
-    // Every disk probe throws. Each job probes once, keying its module
-    // and pipeline, so both jobs fail before running a pass.
+    // Every disk probe throws. Each job probes once, keying its source
+    // and pipeline before its frontend runs, so both jobs fail before
+    // running a pass.
     ASSERT_TRUE(failpoint::configure("cache.disk.read=throw:0,1", &err))
         << err;
     driver::CompilerSession session(batchOptions(1, &cache));
@@ -419,6 +423,27 @@ TEST(CancellationTest, CancelledJobFailsEvenWhenItsPipelineIsCached) {
       << job.diagnostics().str();
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().passesReplayed, 0u);
+}
+
+TEST(CancellationTest, CancelledJobRunsNoFrontend) {
+  // In a cached session the token is polled before the lookup, which a
+  // source job makes before its frontend: a job cancelled before its
+  // batch fails with "cancelled" without reaching the (armed, throwing)
+  // parser or the cache.
+  FailpointGuard guard;
+  std::string err;
+  ASSERT_TRUE(failpoint::configure("parse.module=throw", &err)) << err;
+  uint64_t parsesBefore = counterVal("failpoint.triggered.parse.module");
+  transforms::PassResultCache cache;
+  driver::CompilerSession session(batchOptions(1, &cache));
+  auto &job = session.addSource("cancelled", rodinia::suite()[0].cudaSource);
+  job.cancel();
+  EXPECT_FALSE(session.compileAll());
+  std::string diag = job.diagnostics().str();
+  EXPECT_NE(diag.find("cancelled"), std::string::npos) << diag;
+  EXPECT_EQ(diag.find("module parse threw"), std::string::npos) << diag;
+  EXPECT_EQ(counterVal("failpoint.triggered.parse.module"), parsesBefore);
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
 }
 
 TEST(CancellationTest, JobTimeoutCancelsCleanly) {

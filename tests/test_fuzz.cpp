@@ -10,6 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -53,7 +57,10 @@ std::string spell(std::string pattern, const std::string &var) {
 /// phases" (each thread writes only s[tx] / out[gid]) and "read phases"
 /// (reads of other threads' s slots), with a __syncthreads between any
 /// write->read or read->write transition on s. Expressions use +,-,* and
-/// constants only, so all configurations are bitwise comparable.
+/// constants only, so all configurations are bitwise comparable. Besides
+/// four fixed constants they draw random f32 ones, and the neighbours of
+/// those in the last place, so a pass that tells constants apart by fewer
+/// digits than a float has merges some and changes the output.
 class KernelGen {
 public:
   explicit KernelGen(uint32_t seed) : rng_(seed) {}
@@ -96,16 +103,50 @@ public:
 private:
   /// A float expression over the registers, global inputs, and constants.
   std::string valueExpr() {
-    static const char *atoms[] = {"r0", "r1", "a[gid]", "b[gid]",
-                                  "1.5f", "0.5f", "2.0f", "-1.0f"};
-    std::string e = atoms[rng_() % std::size(atoms)];
+    std::string e = atom();
     int terms = static_cast<int>(rng_() % 3);
     for (int i = 0; i < terms; ++i) {
       static const char *ops[] = {" + ", " - ", " * "};
       e += ops[rng_() % std::size(ops)];
-      e += atoms[rng_() % std::size(atoms)];
+      e += atom();
     }
     return e;
+  }
+
+  /// A register, a global input, a fixed constant or a drawn one.
+  std::string atom() {
+    static const char *atoms[] = {"r0", "r1", "a[gid]", "b[gid]",
+                                  "1.5f", "0.5f", "2.0f", "-1.0f"};
+    size_t pick = rng_() % (std::size(atoms) + 1);
+    return pick < std::size(atoms) ? atoms[pick] : floatConstant();
+  }
+
+  /// A finite f32 literal: a random bit pattern with its exponent in
+  /// [-4, 1] (so |c| is in [1/16, 4) and sums and products stay finite),
+  /// or, one time in three, the nextafterf neighbour of a constant the
+  /// kernel already holds. %.9g round-trips every f32.
+  std::string floatConstant() {
+    float c;
+    if (!constants_.empty() && rng_() % 3 == 0) {
+      float base = constants_[rng_() % constants_.size()];
+      float toward = std::numeric_limits<float>::infinity();
+      c = std::nextafterf(base, rng_() % 2 ? toward : -toward);
+    } else {
+      // One draw per statement: the order of calls within an expression
+      // is unspecified, and the kernels must not depend on the compiler.
+      uint32_t sign = rng_() % 2;
+      uint32_t exponent = 127 - 4 + rng_() % 6;
+      uint32_t mantissa = rng_() & 0x7fffffu;
+      uint32_t bits = sign << 31 | exponent << 23 | mantissa;
+      std::memcpy(&c, &bits, sizeof(c));
+    }
+    constants_.push_back(c);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.9g", c);
+    std::string literal = buf;
+    if (literal.find('.') == std::string::npos)
+      literal += ".0"; // an integral value still needs a float literal
+    return literal + "f";
   }
 
   /// A read of another thread's shared slot (any rotation is race-free
@@ -289,6 +330,7 @@ private:
   }
 
   std::mt19937 rng_;
+  std::vector<float> constants_;
   std::array<int, kNumHalvingSpellings> spellingsDrawn_{};
   std::array<int, kNumGuardForms> guardFormsDrawn_{};
 };

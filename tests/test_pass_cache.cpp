@@ -1,12 +1,13 @@
-// PassResultCache tests: one entry per (module, pipeline), hit/miss/
-// invalidation semantics (edit one function or change one pass option ->
-// the whole pipeline misses; an inspected run executes every pass and
-// stores), replay fidelity (cached compiles are IR-identical to uncached
-// ones across the Rodinia suite, with zero transform pass executions on
-// the second compile, and a warm run parses its module once), disk
-// persistence with corrupt-entry and old-format tolerance, and thread
-// safety across the module tasks of a threaded session sharing one
-// cache.
+// PassResultCache tests: one entry per (input, pipeline), hit/miss/
+// invalidation semantics (edit one function, one byte of a source or one
+// pass option -> the whole pipeline misses; an inspected run executes
+// every pass and stores), the two key kinds (a module job replays what a
+// source job stored), replay fidelity (cached compiles are IR-identical
+// to uncached ones across the Rodinia suite, with zero transform pass
+// executions on the second compile, and a warm run parses its module
+// once), disk persistence with corrupt-entry and old-format tolerance,
+// and thread safety across the module tasks of a threaded session sharing
+// one cache.
 #include "driver/compiler.h"
 #include "frontend/irgen.h"
 #include "ir/parser.h"
@@ -90,15 +91,28 @@ const char *kCallerCalleeModule = R"(module {
   }
 })";
 
+/// Compiles `m` through `pipeline` as the module job of a one-job
+/// session with `cache` (null: uncached); `configure` may instrument the
+/// session's PassManager.
+driver::CompileResult
+compileModule(OwnedModule m, const std::string &pipeline,
+              PassResultCache *cache,
+              std::function<void(PassManager &)> configure = {}) {
+  driver::SessionOptions so;
+  so.cache = cache;
+  so.useEnvCache = false;
+  so.pipelineSpec = pipeline;
+  so.configurePassManager = std::move(configure);
+  driver::CompilerSession session(std::move(so));
+  driver::CompileJob &job = session.addModule("", std::move(m));
+  EXPECT_TRUE(session.compileAll()) << job.diagnostics().str();
+  return job.take();
+}
+
 /// Runs `pipeline` over `m` with `cache`; returns printed IR.
-std::string runCached(ModuleOp m, const std::string &pipeline,
+std::string runCached(OwnedModule m, const std::string &pipeline,
                       PassResultCache *cache) {
-  PassManager pm;
-  DiagnosticEngine diag;
-  EXPECT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
-  pm.setResultCache(cache);
-  EXPECT_TRUE(pm.run(m, diag)) << diag.str();
-  return printOp(m.op);
+  return printOp(compileModule(std::move(m), pipeline, cache).module.op());
 }
 
 /// Compiles `source` through the full pipeline in a one-job session with
@@ -153,7 +167,7 @@ TEST(PassCacheTest, SecondRunReplaysWithZeroExecutions) {
                                "canonicalize";
   PassResultCache cache;
   OwnedModule m1 = parseOk(twoFuncModule("2.0"));
-  std::string first = runCached(m1.get(), pipeline, &cache);
+  std::string first = runCached(std::move(m1), pipeline, &cache);
   auto s1 = cache.stats();
   EXPECT_EQ(s1.hits, 0u);
   EXPECT_EQ(s1.passesExecuted, 4u);
@@ -161,7 +175,7 @@ TEST(PassCacheTest, SecondRunReplaysWithZeroExecutions) {
   EXPECT_EQ(s1.stores, 1u); // one entry per (module, pipeline)
 
   OwnedModule m2 = parseOk(twoFuncModule("2.0"));
-  std::string second = runCached(m2.get(), pipeline, &cache);
+  std::string second = runCached(std::move(m2), pipeline, &cache);
   EXPECT_EQ(first, second);
   auto s2 = cache.stats();
   EXPECT_EQ(s2.passesExecuted, 4u); // unchanged: nothing re-ran
@@ -196,6 +210,60 @@ TEST(PassCacheTest, ReplayMatchesUncachedAcrossRodinia) {
   }
 }
 
+TEST(PassCacheTest, ModuleJobReplaysWhatASourceJobStored) {
+  // A source job keys on its text, and stores its result under that key
+  // and under ir::hashOp of the module its frontend produced. A module
+  // job given that same module keys on its hashOp, so it replays the
+  // entry without running a pass.
+  const auto &b = rodinia::suite().front();
+  PassResultCache cache;
+  DiagnosticEngine d1;
+  auto fromSource = compileWith(b.cudaSource, &cache, d1);
+  ASSERT_TRUE(fromSource.ok) << d1.str();
+  auto cold = cache.stats();
+  EXPECT_EQ(cold.misses, 1u);
+  EXPECT_EQ(cold.stores, 2u); // the source key and the module key
+
+  DiagnosticEngine d2;
+  OwnedModule module = frontend::compileToIR(b.cudaSource, d2);
+  ASSERT_FALSE(d2.hasErrors()) << d2.str();
+  driver::SessionOptions so;
+  so.cache = &cache;
+  so.useEnvCache = false;
+  driver::CompilerSession session(std::move(so));
+  driver::CompileJob &job = session.addModule(b.id, std::move(module));
+  ASSERT_TRUE(session.compileAll()) << job.diagnostics().str();
+  auto warm = cache.stats();
+  EXPECT_EQ(warm.hits, 1u);
+  EXPECT_EQ(warm.passesExecuted, cold.passesExecuted);
+  EXPECT_GT(warm.passesReplayed, 0u);
+  EXPECT_EQ(warm.stores, cold.stores);
+  EXPECT_EQ(printOp(job.result().module.op()),
+            printOp(fromSource.module.op()));
+}
+
+TEST(PassCacheTest, SourceEditedByATrailingNewlineMissesWithTheSameIR) {
+  // The source key is the text's hash, so any edit misses, even one the
+  // frontend ignores; the recompile yields the same IR.
+  const auto &b = rodinia::suite().front();
+  PassResultCache cache;
+  DiagnosticEngine d1;
+  auto original = compileWith(b.cudaSource, &cache, d1);
+  ASSERT_TRUE(original.ok) << d1.str();
+  uint64_t executedCold = cache.stats().passesExecuted;
+  cache.resetStats();
+
+  DiagnosticEngine d2;
+  auto edited = compileWith(std::string(b.cudaSource) + "\n", &cache, d2);
+  ASSERT_TRUE(edited.ok) << d2.str();
+  auto s = cache.stats();
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.passesExecuted, executedCold);
+  EXPECT_EQ(s.passesReplayed, 0u);
+  EXPECT_EQ(printOp(edited.module.op()), printOp(original.module.op()));
+}
+
 //===----------------------------------------------------------------------===//
 // Invalidation granularity
 //===----------------------------------------------------------------------===//
@@ -208,14 +276,14 @@ TEST(PassCacheTest, EditingOneFunctionMissesThePipeline) {
   const std::string pipeline = "canonicalize,cse,unroll{max-trip=4}";
   PassResultCache cache;
   OwnedModule m1 = parseOk(twoFuncModule("2.0"));
-  runCached(m1.get(), pipeline, &cache);
+  runCached(std::move(m1), pipeline, &cache);
   cache.resetStats();
 
   OwnedModule edited = parseOk(twoFuncModule("3.0"));
   OwnedModule reference = parseOk(twoFuncModule("3.0"));
   DiagnosticEngine diag;
   ASSERT_TRUE(runPassPipeline(reference.get(), pipeline, diag));
-  EXPECT_EQ(runCached(edited.get(), pipeline, &cache),
+  EXPECT_EQ(runCached(std::move(edited), pipeline, &cache),
             printOp(reference.op()));
   auto s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
@@ -226,7 +294,7 @@ TEST(PassCacheTest, EditingOneFunctionMissesThePipeline) {
 
   cache.resetStats();
   OwnedModule unedited = parseOk(twoFuncModule("2.0"));
-  runCached(unedited.get(), pipeline, &cache);
+  runCached(std::move(unedited), pipeline, &cache);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().passesExecuted, 0u);
 }
@@ -238,14 +306,14 @@ TEST(PassCacheTest, ChangingAnyPassOptionMissesThePipeline) {
   // (max-trip=8), the whole pipeline misses and every pass executes.
   PassResultCache cache;
   OwnedModule m1 = parseOk(twoFuncModule("2.0"));
-  runCached(m1.get(), "canonicalize,cse,unroll{max-trip=4},canonicalize",
+  runCached(std::move(m1), "canonicalize,cse,unroll{max-trip=4},canonicalize",
             &cache);
   for (const char *pipeline :
        {"canonicalize,cse,unroll{max-trip=2},canonicalize",
         "canonicalize,cse,unroll{max-trip=8},canonicalize"}) {
     cache.resetStats();
     OwnedModule m = parseOk(twoFuncModule("2.0"));
-    runCached(m.get(), pipeline, &cache);
+    runCached(std::move(m), pipeline, &cache);
     auto s = cache.stats();
     EXPECT_EQ(s.hits, 0u) << pipeline;
     EXPECT_EQ(s.misses, 1u) << pipeline;
@@ -273,10 +341,10 @@ TEST(PassCacheTest, VariantNameSharesEntriesWithCanonicalSpec) {
 })";
   PassResultCache cache;
   OwnedModule m1 = parseOk(kernel);
-  runCached(m1.get(), "cpuify{mincut=false}", &cache);
+  runCached(std::move(m1), "cpuify{mincut=false}", &cache);
   cache.resetStats();
   OwnedModule m2 = parseOk(kernel);
-  runCached(m2.get(), "cpuify-nomincut", &cache);
+  runCached(std::move(m2), "cpuify-nomincut", &cache);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 0u);
 }
@@ -289,9 +357,9 @@ TEST(PassCacheTest, ModulePassCachesWholeModule) {
   const std::string pipeline = "inline,canonicalize";
   PassResultCache cache;
   OwnedModule m1 = parseOk(kCallerCalleeModule);
-  std::string first = runCached(m1.get(), pipeline, &cache);
+  std::string first = runCached(std::move(m1), pipeline, &cache);
   OwnedModule m2 = parseOk(kCallerCalleeModule);
-  std::string second = runCached(m2.get(), pipeline, &cache);
+  std::string second = runCached(std::move(m2), pipeline, &cache);
   EXPECT_EQ(first, second);
   auto s = cache.stats();
   EXPECT_EQ(s.passesReplayed, 2u); // inline (module) + canonicalize
@@ -302,16 +370,16 @@ TEST(PassCacheTest, ModulePassCachesWholeModule) {
 TEST(PassCacheTest, RepeatCachesAsOneUnit) {
   PassResultCache cache;
   OwnedModule m1 = parseOk(twoFuncModule("2.0"));
-  runCached(m1.get(), "repeat{n=3}(canonicalize,cse)", &cache);
+  runCached(std::move(m1), "repeat{n=3}(canonicalize,cse)", &cache);
   auto s1 = cache.stats();
   EXPECT_EQ(s1.stores, 1u); // one entry for the module and the pipeline
   OwnedModule m2 = parseOk(twoFuncModule("2.0"));
-  runCached(m2.get(), "repeat{n=3}(canonicalize,cse)", &cache);
+  runCached(std::move(m2), "repeat{n=3}(canonicalize,cse)", &cache);
   EXPECT_EQ(cache.stats().passesReplayed, 1u);
   // A different n is a different spec: no sharing.
   cache.resetStats();
   OwnedModule m3 = parseOk(twoFuncModule("2.0"));
-  runCached(m3.get(), "repeat{n=2}(canonicalize,cse)", &cache);
+  runCached(std::move(m3), "repeat{n=2}(canonicalize,cse)", &cache);
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
@@ -325,7 +393,7 @@ TEST(PassCacheTest, DiskCacheSurvivesProcessesAndRejectsCorruption) {
   {
     PassResultCache cache(dir);
     OwnedModule m = parseOk(twoFuncModule("2.0"));
-    runCached(m.get(), pipeline, &cache);
+    runCached(std::move(m), pipeline, &cache);
     EXPECT_GT(cache.stats().stores, 0u);
   }
   // A fresh cache instance (fresh memory) over the same directory
@@ -336,7 +404,7 @@ TEST(PassCacheTest, DiskCacheSurvivesProcessesAndRejectsCorruption) {
     OwnedModule reference = parseOk(twoFuncModule("2.0"));
     DiagnosticEngine diag;
     ASSERT_TRUE(runPassPipeline(reference.get(), pipeline, diag));
-    EXPECT_EQ(runCached(m.get(), pipeline, &cache), printOp(reference.op()));
+    EXPECT_EQ(runCached(std::move(m), pipeline, &cache), printOp(reference.op()));
     auto s = cache.stats();
     EXPECT_EQ(s.misses, 0u);
     EXPECT_EQ(s.diskHits, s.hits);
@@ -354,7 +422,7 @@ TEST(PassCacheTest, DiskCacheSurvivesProcessesAndRejectsCorruption) {
     OwnedModule reference = parseOk(twoFuncModule("2.0"));
     DiagnosticEngine diag;
     ASSERT_TRUE(runPassPipeline(reference.get(), pipeline, diag));
-    EXPECT_EQ(runCached(m.get(), pipeline, &cache), printOp(reference.op()));
+    EXPECT_EQ(runCached(std::move(m), pipeline, &cache), printOp(reference.op()));
     auto s = cache.stats();
     EXPECT_EQ(s.hits, 0u);
     EXPECT_GT(s.misses, 0u);
@@ -366,7 +434,7 @@ TEST(PassCacheTest, UnwritableDirectoryDegradesToMemoryOnly) {
   PassResultCache cache("/proc/definitely-not-writable/cache");
   EXPECT_TRUE(cache.directory().empty());
   OwnedModule m = parseOk(twoFuncModule("2.0"));
-  runCached(m.get(), "canonicalize", &cache);
+  runCached(std::move(m), "canonicalize", &cache);
   EXPECT_GT(cache.stats().stores, 0u); // memory path still works
 }
 
@@ -557,7 +625,7 @@ TEST(PassCacheTest, NonFiniteAttrsSurviveCacheReplay) {
   {
     PassResultCache cache(dir);
     OwnedModule m = parseOk(src);
-    EXPECT_EQ(runCached(m.get(), pipeline, &cache), golden);
+    EXPECT_EQ(runCached(std::move(m), pipeline, &cache), golden);
   }
   // Fresh cache instance over the same dir: the replay must re-parse the
   // stored text (which spells inf/nan/-0.0/denormals) instead of failing
@@ -565,7 +633,7 @@ TEST(PassCacheTest, NonFiniteAttrsSurviveCacheReplay) {
   {
     PassResultCache cache(dir);
     OwnedModule m = parseOk(src);
-    EXPECT_EQ(runCached(m.get(), pipeline, &cache), golden);
+    EXPECT_EQ(runCached(std::move(m), pipeline, &cache), golden);
     auto s = cache.stats();
     EXPECT_EQ(s.misses, 0u);
     EXPECT_EQ(s.passesExecuted, 0u);
@@ -591,13 +659,13 @@ TEST(PassCacheTest, KeysDeterministicAcrossCacheInstances) {
   {
     PassResultCache cache(dir);
     OwnedModule m = parseOk(src);
-    first = runCached(m.get(), pipeline, &cache);
+    first = runCached(std::move(m), pipeline, &cache);
     EXPECT_GT(cache.stats().stores, 0u);
   }
   {
     PassResultCache cache(dir);
     OwnedModule m = parseOk(src);
-    EXPECT_EQ(runCached(m.get(), pipeline, &cache), first);
+    EXPECT_EQ(runCached(std::move(m), pipeline, &cache), first);
     auto s = cache.stats();
     EXPECT_EQ(s.misses, 0u) << "a cache key failed to reproduce";
     EXPECT_EQ(s.passesExecuted, 0u);
@@ -608,30 +676,21 @@ TEST(PassCacheTest, KeysDeterministicAcrossCacheInstances) {
 
 TEST(PassCacheTest, WarmReplayParsesTheModuleOnce) {
   // A warm run replays the pipeline without running a pass: its one hit
-  // is parsed into the module once, so the module's arena grows by
-  // exactly the bytes one parse of the final printed module allocates.
+  // is parsed once, into a fresh module that replaces the job's, so the
+  // result's arena holds exactly the bytes one parse of the final printed
+  // module allocates (a splice into the given module would add that
+  // module's own bytes).
   const std::string pipeline = "inline,canonicalize,cse";
   PassResultCache cache;
-  OwnedModule cold = parseOk(kCallerCalleeModule);
-  const std::string final = runCached(cold.get(), pipeline, &cache);
+  const std::string final =
+      runCached(parseOk(kCallerCalleeModule), pipeline, &cache);
+  const size_t parseBytes = parseOk(final).arena().bytesAllocated();
 
-  OwnedModule probe = parseOk(kCallerCalleeModule);
-  size_t probeStart = probe.arena().bytesAllocated();
-  DiagnosticEngine probeDiag;
-  Op *top = parseModuleInto(probe.arena(), final, probeDiag);
-  ASSERT_NE(top, nullptr) << probeDiag.str();
-  Op::destroy(top);
-  size_t parseBytes = probe.arena().bytesAllocated() - probeStart;
-
-  PassManager pm;
-  DiagnosticEngine diag;
-  ASSERT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
-  pm.setResultCache(&cache);
-  OwnedModule warm = parseOk(kCallerCalleeModule);
-  size_t warmStart = warm.arena().bytesAllocated();
-  ASSERT_TRUE(pm.run(warm.get(), diag)) << diag.str();
-  EXPECT_EQ(warm.arena().bytesAllocated() - warmStart, parseBytes);
-  EXPECT_EQ(printOp(warm.op()), final);
+  driver::CompileResult warm =
+      compileModule(parseOk(kCallerCalleeModule), pipeline, &cache);
+  EXPECT_EQ(warm.module.arena().bytesAllocated(), parseBytes);
+  EXPECT_EQ(printOp(warm.module.op()), final);
+  EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().passesReplayed, 3u);
   EXPECT_EQ(cache.stats().passesExecuted, 3u); // the cold run's only
 }
@@ -697,26 +756,25 @@ TEST(PassCacheTest, InspectedRunExecutesEveryPassAndStores) {
   PassResultCache cache;
   {
     OwnedModule m = parseOk(twoFuncModule("2.0"));
-    EXPECT_EQ(runCached(m.get(), pipeline, &cache), golden);
+    EXPECT_EQ(runCached(std::move(m), pipeline, &cache), golden);
   }
   cache.resetStats();
 
   std::FILE *capture = std::tmpfile();
   ASSERT_NE(capture, nullptr);
-  PassManager pm;
-  DiagnosticEngine diag;
-  ASSERT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
-  pm.setResultCache(&cache);
-  pm.enableIRPrinting(/*before=*/false, /*after=*/true, "cse", capture);
-  OwnedModule m = parseOk(twoFuncModule("2.0"));
-  ASSERT_TRUE(pm.run(m.get(), diag)) << diag.str();
+  driver::CompileResult inspected = compileModule(
+      parseOk(twoFuncModule("2.0")), pipeline, &cache,
+      [capture](PassManager &pm) {
+        pm.enableIRPrinting(/*before=*/false, /*after=*/true, "cse",
+                            capture);
+      });
 
   auto s = cache.stats();
   EXPECT_EQ(s.hits + s.misses, 0u);
   EXPECT_EQ(s.passesExecuted, 3u);
   EXPECT_EQ(s.passesReplayed, 0u);
   EXPECT_EQ(s.stores, 1u);
-  EXPECT_EQ(printOp(m.op()), golden);
+  EXPECT_EQ(printOp(inspected.module.op()), golden);
   std::fflush(capture);
   std::rewind(capture);
   std::string printed;
@@ -757,7 +815,7 @@ TEST(DiskFaultTest, TruncatedEntryIsAMissNotWrongReplay) {
   {
     PassResultCache cache(dir);
     OwnedModule m = parseOk(twoFuncModule("2.0"));
-    runCached(m.get(), pipeline, &cache);
+    runCached(std::move(m), pipeline, &cache);
   }
   // Chop every entry in half: the header parses but the payload hash no
   // longer matches (or the payload is cut mid-record).
@@ -771,7 +829,7 @@ TEST(DiskFaultTest, TruncatedEntryIsAMissNotWrongReplay) {
     OwnedModule reference = parseOk(twoFuncModule("2.0"));
     DiagnosticEngine diag;
     ASSERT_TRUE(runPassPipeline(reference.get(), pipeline, diag));
-    EXPECT_EQ(runCached(m.get(), pipeline, &cache), printOp(reference.op()));
+    EXPECT_EQ(runCached(std::move(m), pipeline, &cache), printOp(reference.op()));
     EXPECT_EQ(cache.stats().hits, 0u);
     // Corrupt *content* is a plain miss; only IO errors demote.
     EXPECT_FALSE(cache.diskDemoted());
@@ -814,7 +872,7 @@ TEST(DiskFaultTest, GarbageHeaderIsAMissNotWrongReplay) {
     {
       PassResultCache cache(dir);
       OwnedModule m = parseOk(twoFuncModule("2.0"));
-      runCached(m.get(), pipeline, &cache);
+      runCached(std::move(m), pipeline, &cache);
     }
     for (auto &e : std::filesystem::directory_iterator(dir)) {
       std::ifstream in(e.path(), std::ios::binary);
@@ -826,7 +884,7 @@ TEST(DiskFaultTest, GarbageHeaderIsAMissNotWrongReplay) {
     {
       PassResultCache cache(dir);
       OwnedModule m = parseOk(twoFuncModule("2.0"));
-      EXPECT_EQ(runCached(m.get(), pipeline, &cache), golden) << input.name;
+      EXPECT_EQ(runCached(std::move(m), pipeline, &cache), golden) << input.name;
       EXPECT_EQ(cache.stats().hits, 0u) << input.name;
       EXPECT_EQ(cache.stats().passesExecuted, 2u) << input.name;
       EXPECT_FALSE(cache.diskDemoted()) << input.name;
@@ -848,7 +906,7 @@ TEST(DiskFaultTest, PartialWriteIsCaughtOnReadBack) {
   {
     PassResultCache cache(dir);
     OwnedModule m = parseOk(twoFuncModule("2.0"));
-    runCached(m.get(), pipeline, &cache);
+    runCached(std::move(m), pipeline, &cache);
     EXPECT_FALSE(cache.diskDemoted()); // a short write is not an IO error
   }
   paralift::failpoint::clearAll();
@@ -860,7 +918,7 @@ TEST(DiskFaultTest, PartialWriteIsCaughtOnReadBack) {
     OwnedModule reference = parseOk(twoFuncModule("2.0"));
     DiagnosticEngine diag;
     ASSERT_TRUE(runPassPipeline(reference.get(), pipeline, diag));
-    EXPECT_EQ(runCached(m.get(), pipeline, &cache), printOp(reference.op()));
+    EXPECT_EQ(runCached(std::move(m), pipeline, &cache), printOp(reference.op()));
     EXPECT_EQ(cache.stats().diskHits, 0u);
   }
   std::filesystem::remove_all(dir);
@@ -877,14 +935,14 @@ TEST(DiskFaultTest, WriteErrorsRetryThenDemoteToMemoryOnly) {
   uint64_t disabledBefore = counterVal("cache.disk.disabled");
   PassResultCache cache(dir);
   OwnedModule m1 = parseOk(twoFuncModule("2.0"));
-  std::string first = runCached(m1.get(), "canonicalize,cse", &cache);
+  std::string first = runCached(std::move(m1), "canonicalize,cse", &cache);
   EXPECT_TRUE(cache.diskDemoted());
   EXPECT_EQ(counterVal("cache.disk.disabled"), disabledBefore + 1);
   // The memory tier is untouched: an identical module replays from it
   // with zero pass executions, and the IR still matches.
   uint64_t executedAfterFirst = cache.stats().passesExecuted;
   OwnedModule m2 = parseOk(twoFuncModule("2.0"));
-  EXPECT_EQ(runCached(m2.get(), "canonicalize,cse", &cache), first);
+  EXPECT_EQ(runCached(std::move(m2), "canonicalize,cse", &cache), first);
   EXPECT_EQ(cache.stats().passesExecuted, executedAfterFirst);
   std::filesystem::remove_all(dir);
 }
@@ -896,7 +954,7 @@ TEST(DiskFaultTest, ReadErrorsRetryThenDemoteToMemoryOnly) {
   {
     PassResultCache cache(dir); // populate the directory fault-free
     OwnedModule m = parseOk(twoFuncModule("2.0"));
-    runCached(m.get(), pipeline, &cache);
+    runCached(std::move(m), pipeline, &cache);
   }
   std::string err;
   ASSERT_TRUE(paralift::failpoint::configure("cache.disk.read=error", &err))
@@ -906,7 +964,7 @@ TEST(DiskFaultTest, ReadErrorsRetryThenDemoteToMemoryOnly) {
   OwnedModule reference = parseOk(twoFuncModule("2.0"));
   DiagnosticEngine diag;
   ASSERT_TRUE(runPassPipeline(reference.get(), pipeline, diag));
-  EXPECT_EQ(runCached(m.get(), pipeline, &cache), printOp(reference.op()));
+  EXPECT_EQ(runCached(std::move(m), pipeline, &cache), printOp(reference.op()));
   EXPECT_TRUE(cache.diskDemoted());
   EXPECT_EQ(cache.stats().diskHits, 0u);
   std::filesystem::remove_all(dir);
@@ -932,7 +990,7 @@ TEST(DiskFaultTest, EvictionRacingStoresIsSafe) {
         parseOk(twoFuncModule((std::to_string(i) + ".0").c_str()));
     DiagnosticEngine diag;
     ASSERT_TRUE(runPassPipeline(reference.get(), pipeline, diag));
-    EXPECT_EQ(runCached(m.get(), pipeline, &cache), printOp(reference.op()));
+    EXPECT_EQ(runCached(std::move(m), pipeline, &cache), printOp(reference.op()));
   }
   stop.store(true);
   evictor.join();

@@ -3,13 +3,14 @@
 // (in every pipeline mode), job-level failure isolation (one bad module
 // doesn't poison the session), double-compileAll idempotence, async
 // futures, Simt mode parity with compileForSimt, per-module diagnostic
-// attribution, shared-cache replay across sessions, and one scheduler
-// task per module.
+// attribution, shared-cache replay across sessions (a warm source batch
+// runs no frontend), and one scheduler task per module.
 #include "driver/compiler.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "rodinia/rodinia.h"
 #include "support/metrics.h"
+#include "support/trace.h"
 #include "transforms/pass_cache.h"
 
 #include <gtest/gtest.h>
@@ -174,6 +175,69 @@ TEST(SessionBatchTest, SharedCacheReplaysAcrossSessions) {
   EXPECT_EQ(warmed.passesExecuted, populated.passesExecuted);
   for (size_t i = 0; i < session.jobCount(); ++i)
     EXPECT_EQ(ir::printOp(session.job(i).result().module.op()), first[i]);
+}
+
+TEST(SessionBatchTest, WarmSourceBatchRunsNoFrontend) {
+  // Source jobs key on their text before the frontend runs. A 64-job
+  // batch (the Rodinia sources through four pipelines) fills a disk
+  // cache; the same batch over a fresh cache instance on that directory,
+  // as a second process would open it, replays every job from disk: no
+  // frontend parse span, no executed pass, and the cold batch's IR.
+  PipelineOptions innerPar;
+  innerPar.innerSerialize = false;
+  const PipelineOptions pipelines[] = {PipelineOptions{}, innerPar,
+                                       PipelineOptions::optDisabled(),
+                                       PipelineOptions::mcuda()};
+  const size_t jobCount = rodinia::suite().size() * std::size(pipelines);
+  auto batch = [&](transforms::PassResultCache &cache) {
+    driver::CompilerSession session(batchOptions(4, &cache));
+    std::vector<driver::CompileJob *> jobs;
+    for (const auto &b : rodinia::suite())
+      for (const PipelineOptions &p : pipelines)
+        jobs.push_back(&session.addSource(b.id, b.cudaSource, p));
+    EXPECT_TRUE(session.compileAll());
+    std::vector<std::string> out;
+    for (driver::CompileJob *job : jobs)
+      out.push_back(ir::printOp(job->result().module.op()));
+    return out;
+  };
+  auto parseSpans = [] {
+    const std::string text = trace::json();
+    size_t n = 0;
+    for (size_t at = 0;
+         (at = text.find("\"name\":\"parse:", at)) != std::string::npos;
+         ++at)
+      ++n;
+    return n;
+  };
+  auto dir = std::filesystem::temp_directory_path() /
+             ("paralift-session-warm-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  trace::enable();
+  size_t spansBefore = parseSpans();
+  std::vector<std::string> cold;
+  transforms::PassResultCache::StatsSnapshot filled;
+  {
+    transforms::PassResultCache cache(dir.string());
+    cold = batch(cache);
+    filled = cache.stats();
+  }
+  size_t spansCold = parseSpans();
+  transforms::PassResultCache cache(dir.string());
+  std::vector<std::string> warm = batch(cache);
+  size_t spansWarm = parseSpans();
+  trace::disable();
+  EXPECT_EQ(filled.misses, jobCount);
+  EXPECT_EQ(filled.stores, 2 * jobCount); // source key and module key
+  EXPECT_EQ(spansCold - spansBefore, jobCount);
+  EXPECT_EQ(spansWarm, spansCold) << "a warm job ran its frontend";
+  auto s = cache.stats();
+  EXPECT_EQ(s.hits, jobCount);
+  EXPECT_EQ(s.diskHits, jobCount);
+  EXPECT_EQ(s.passesExecuted, 0u);
+  EXPECT_EQ(s.passesReplayed, filled.passesExecuted);
+  EXPECT_EQ(warm, cold);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SessionBatchTest, ParallelKeyingMatchesSerialKeying) {

@@ -43,9 +43,11 @@ int countOps(Op *root, OpKind kind) {
   return n;
 }
 
-/// Runs `run(a, out, 2)` over 64 floats through the default pipeline and
-/// through the lockstep SIMT oracle; the outputs must be bit-identical.
-void expectMatchesSimtOracle(const char *src) {
+/// Runs `run(a, out, 2)` over 64 floats through the pipeline `opts`
+/// builds and through the lockstep SIMT oracle; the outputs must be
+/// bit-identical.
+void expectMatchesSimtOracle(const char *src,
+                             const PipelineOptions &opts = {}) {
   constexpr int kN = 64;
   auto runWith = [&](driver::CompileResult &cc) {
     std::vector<float> a(kN), out(kN, 0.0f);
@@ -60,7 +62,7 @@ void expectMatchesSimtOracle(const char *src) {
   DiagnosticEngine diag;
   auto oracle = driver::compileForSimt(src, diag);
   ASSERT_TRUE(oracle.ok) << diag.str();
-  auto cc = driver::compile(src, PipelineOptions{}, diag);
+  auto cc = driver::compile(src, opts, diag);
   ASSERT_TRUE(cc.ok) << diag.str();
   EXPECT_EQ(runWith(cc), runWith(oracle)) << ir::printOp(cc.module.op());
 }
@@ -246,6 +248,44 @@ TEST(MinCutTest, EmptyLiveOut) {
   EXPECT_TRUE(plan.recompute.empty());
 }
 
+TEST(MinCutTest, UniformConditionOfALaterIfIsNotCachedPerThread) {
+  // CSE gives both `if (u > 1)` one condition, computed before the first
+  // if, and a barrier separates it from the second. Splitting there must
+  // not cache the condition per thread (the naive split caches every
+  // live value), or the second if no longer has a uniform condition to
+  // interchange on.
+  const char *src = R"(
+__global__ void k(float* a, float* out, int u) {
+  __shared__ float s[16];
+  int tx = threadIdx.x;
+  int gid = blockIdx.x * blockDim.x + threadIdx.x;
+  s[tx] = a[gid];
+  __syncthreads();
+  if (u > 1) {
+    out[gid] = s[(tx + 1) % 16];
+    __syncthreads();
+    s[tx] = out[gid] * 0.5f;
+    __syncthreads();
+  }
+  out[gid] = out[gid] + s[(tx + 3) % 16];
+  __syncthreads();
+  if (u > 1) {
+    out[gid] = out[gid] + s[(tx + 5) % 16];
+    __syncthreads();
+    s[tx] = a[gid];
+    __syncthreads();
+  }
+  out[gid] = out[gid] + s[(tx + 7) % 16];
+}
+void run(float* a, float* out, int u) { k<<<4, 16>>>(a, out, u); }
+)";
+  PipelineOptions naive;
+  naive.minCut = false;
+  expectMatchesSimtOracle(src, naive);
+  expectMatchesSimtOracle(src, PipelineOptions::optDisabled());
+  expectMatchesSimtOracle(src);
+}
+
 //===----------------------------------------------------------------------===//
 // Parallel LICM (§IV-C): only *prior* conflicts matter
 //===----------------------------------------------------------------------===//
@@ -388,6 +428,95 @@ long run(double x) { return (long)x; }
     ASSERT_EQ(r.size(), 1u);
     EXPECT_EQ(r[0].i, INT64_MIN) << x;
   }
+}
+
+TEST(CanonicalizeTest, FoldsNegatedF32ConstantLikeTheVM) {
+  // The frontend keeps an f32 literal's decimal value, and the VM passes
+  // it through a negation unrounded, so the fold of `-c` keeps it too:
+  // rounding it to float would compute `a * -c` differently from the
+  // unfolded program, and from the SIMT oracle.
+  const char *src = R"(
+__global__ void k(float* a, float* out, int u) {
+  int gid = blockIdx.x * blockDim.x + threadIdx.x;
+  out[gid] = a[gid] * -0.3f;
+}
+void run(float* a, float* out, int u) { k<<<4, 16>>>(a, out, u); }
+)";
+  OwnedModule m = frontendIR(src);
+  runCanonicalize(m.get());
+  EXPECT_EQ(countOps(m.op(), OpKind::NegF), 0);
+  EXPECT_NE(printOp(m.op()).find("{value = -0.3} : f32"), std::string::npos)
+      << printOp(m.op());
+  expectMatchesSimtOracle(src);
+}
+
+namespace {
+
+/// Runs CSE over a function storing the constants `a` and `b` of scalar
+/// type `type` to two slots; returns how many const.float ops are left.
+int constantsLeftByCSE(const std::string &type, const std::string &a,
+                       const std::string &b) {
+  std::string text = R"(module {
+  func {sym_name = "f", res_types = []} {
+    [%0: memref<?x)" + type + R"(>]:
+    %1 = const.int {value = 0} : index
+    %2 = const.int {value = 1} : index
+    %3 = const.float {value = )" + a + "} : " + type + R"(
+    %4 = const.float {value = )" + b + "} : " + type + R"(
+    memref.store(%3, %0, %1)
+    memref.store(%4, %0, %2)
+    return
+  }
+}
+)";
+  DiagnosticEngine diag;
+  auto m = parseModule(text, diag);
+  EXPECT_TRUE(m) << diag.str();
+  if (!m)
+    return -1;
+  runCSE(m->get());
+  EXPECT_TRUE(verifyOk(m->op()));
+  return countOps(m->op(), OpKind::ConstFloat);
+}
+
+} // namespace
+
+TEST(CSETest, KeepsFloatConstantsThatDifferPastSixDigits) {
+  // Pairs that agree to six significant digits are distinct constants.
+  EXPECT_EQ(constantsLeftByCSE("f32", "1.0000001", "1.0000002"), 2);
+  EXPECT_EQ(constantsLeftByCSE("f64", "0.1234567", "0.12345671"), 2);
+  // Equal constants still merge.
+  EXPECT_EQ(constantsLeftByCSE("f32", "1.0000001", "1.0000001"), 1);
+}
+
+TEST(CSETest, KeepsPositiveAndNegativeZeroApart) {
+  // 0.0 == -0.0 as doubles, but they are different constants (1/x tells
+  // them apart), so equality compares bit patterns.
+  EXPECT_EQ(constantsLeftByCSE("f64", "0.0", "-0.0"), 2);
+  EXPECT_EQ(constantsLeftByCSE("f32", "-0.0", "-0.0"), 1);
+}
+
+TEST(CSETest, ConstantPairKernelMatchesSimtOracleBitForBit) {
+  // Through the whole pipeline, each slot gets its own constant, as the
+  // SIMT oracle computes.
+  const char *src = R"(
+__global__ void k(float* a) { a[0] = 1.0000001f; a[1] = 1.0000002f; }
+void run(float* a) { k<<<1, 1>>>(a); }
+)";
+  auto runWith = [](driver::CompileResult &cc) {
+    std::vector<float> out(2, 0.0f);
+    driver::Executor exec(cc.module.get(), 1);
+    exec.run("run", {driver::Executor::bufferF32(out.data(), {2})});
+    return out;
+  };
+  DiagnosticEngine diag;
+  auto oracle = driver::compileForSimt(src, diag);
+  ASSERT_TRUE(oracle.ok) << diag.str();
+  auto cc = driver::compile(src, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  std::vector<float> got = runWith(cc);
+  EXPECT_EQ(got, runWith(oracle)) << ir::printOp(cc.module.op());
+  EXPECT_EQ(got, (std::vector<float>{1.00000012f, 1.00000024f}));
 }
 
 namespace {
