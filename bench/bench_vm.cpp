@@ -37,27 +37,6 @@ constexpr int kVerifyReps = 15;
 
 /// The Executor::run argument conversion, against an explicit Interp so
 /// both configurations drive the same bytecode.
-std::vector<vm::Slot> toSlots(vm::Interp &interp,
-                              const std::vector<driver::Executor::Arg> &args) {
-  std::vector<vm::Slot> slots;
-  slots.reserve(args.size());
-  for (const driver::Executor::Arg &a : args) {
-    if (auto *i = std::get_if<int64_t>(&a)) {
-      vm::Slot s;
-      s.i = *i;
-      slots.push_back(s);
-    } else if (auto *f = std::get_if<double>(&a)) {
-      vm::Slot s;
-      s.f = *f;
-      slots.push_back(s);
-    } else {
-      const auto &b = std::get<driver::Executor::Buffer>(a);
-      slots.push_back(interp.makeMemRef(b.elem, b.data, b.dims));
-    }
-  }
-  return slots;
-}
-
 struct BenchRow {
   std::string id;
   double checked = 0;
@@ -81,10 +60,11 @@ void timeConfigs(const rodinia::Benchmark &b, vm::Interp *interps[2],
     for (int k = 0; k < 2; ++k) {
       int c = (r + k) % 2;
       rodinia::Workload w = b.makeWorkload(kScale);
-      vm::Interp &in = *interps[c];
-      std::vector<vm::Slot> slots = toSlots(in, w.args());
+      vm::Arena descs;
+      std::vector<vm::Slot> slots =
+          driver::Executor::marshal(w.args(), descs);
       double t0 = now();
-      in.call("run", std::move(slots));
+      interps[c]->call("run", std::move(slots));
       times[c].push_back(now() - t0);
     }
   }

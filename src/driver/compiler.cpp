@@ -51,26 +51,29 @@ std::vector<vm::Slot> Executor::run(const std::string &fn,
   return std::move(r.results);
 }
 
-vm::CallResult Executor::tryRun(const std::string &fn,
-                                const std::vector<Arg> &args) {
+std::vector<vm::Slot> Executor::marshal(const std::vector<Arg> &args,
+                                        vm::Arena &descs) {
   std::vector<vm::Slot> slots;
   slots.reserve(args.size());
   for (const Arg &a : args) {
-    if (auto *i = std::get_if<int64_t>(&a)) {
-      vm::Slot s;
+    vm::Slot s;
+    if (auto *i = std::get_if<int64_t>(&a))
       s.i = *i;
-      slots.push_back(s);
-    } else if (auto *f = std::get_if<double>(&a)) {
-      vm::Slot s;
+    else if (auto *f = std::get_if<double>(&a))
       s.f = *f;
-      slots.push_back(s);
-    } else {
+    else {
       const Buffer &b = std::get<Buffer>(a);
-      slots.push_back(interp_->makeMemRef(b.elem, b.data, b.dims));
+      s = vm::wrapBuffer(descs, b.elem, b.data, b.dims);
     }
+    slots.push_back(s);
   }
-  vm::CallResult r = interp_->tryCall(fn, std::move(slots));
-  interp_->releaseMemRefs();
+  return slots;
+}
+
+vm::CallResult Executor::tryRun(const std::string &fn,
+                                const std::vector<Arg> &args) {
+  vm::CallResult r = interp_->tryCall(fn, marshal(args, descs_));
+  descs_.release({0, 0});
   return r;
 }
 

@@ -1,5 +1,12 @@
 // The ParaLift embedding API: CUDA-subset source -> optimized CPU module
-// -> executable bytecode.
+// -> executable bytecode, run by Executor on the verified VM.
+//
+// A successfully compiled module can also be built into native code
+// (native::Module::build, native/native.h) and run by native::Executor,
+// which takes the same Executor::Arg arguments (through the one
+// Executor::marshal) and computes byte-identical outputs. The native
+// build needs a working C compiler at run time; MocCUDA's PyTorch kernels
+// use it and fall back to this VM when the build fails.
 //
 // The primary interface is driver::CompilerSession (driver/session.h): a
 // long-lived object owning the shared thread pool, pass-result cache,
@@ -100,10 +107,17 @@ public:
   /// Like run(), but surfaces unknown-function/arity errors structurally.
   vm::CallResult tryRun(const std::string &fn, const std::vector<Arg> &args);
 
+  /// Arguments as the VM and the native tier (native/native.h) take
+  /// them: scalars by value, each buffer as a vm::MemRef descriptor from
+  /// `descs`, valid until the caller releases them.
+  static std::vector<vm::Slot> marshal(const std::vector<Arg> &args,
+                                       vm::Arena &descs);
+
 private:
   vm::BCModule bc_;
   runtime::ThreadPool pool_;
   std::unique_ptr<vm::Interp> interp_;
+  vm::Arena descs_; ///< descriptors of the current call's buffers
 };
 
 } // namespace paralift::driver

@@ -330,7 +330,9 @@ bool CompilerSession::compileJob(CompileJob &job, transforms::PassManager &pm,
     return ok;
   cache->notePassesExecuted(executed);
   return ok && contained("pass-cache store", diag, [&] {
-           std::string text = ir::printOp(module.op());
+           // One text under both keys: the cache holds it once.
+           auto text =
+               std::make_shared<const std::string>(ir::printOp(module.op()));
            if (!job.preparsed_)
              cache->store(sourceKey, spec, text);
            cache->store(moduleKey, spec, std::move(text));

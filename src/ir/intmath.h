@@ -1,10 +1,11 @@
 // Integer semantics of the IR, defined once. The VM interpreter
-// (vm::Interp::step), canonicalize's constant folder and loop-bound
-// folds, the frontend's array-extent evaluator and unroll's trip-count
-// evaluator all compute through these functions, so a value folded at
-// compile time always equals the value the VM computes at run time, and
-// no operand makes the compiler or the VM trap or hit undefined
-// behaviour.
+// (vm::Interp::step), the C units of the native tier (native/emit.h),
+// canonicalize's constant folder and loop-bound folds, the frontend's
+// array-extent evaluator and unroll's trip-count evaluator all compute
+// through these functions, so a value folded at compile time always
+// equals the value the VM and native code compute at run time, and no
+// operand makes the compiler, the VM or native code trap or hit
+// undefined behaviour.
 //
 // Values are int64_t; narrower types are computed in 64 bits and then
 // cut to their width with `truncate`. Every operation is total:
@@ -29,22 +30,25 @@
 
 namespace paralift::ir::intmath {
 
-inline int64_t add(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                              static_cast<uint64_t>(b));
+// The total primitives, between the two marker lines below, are written
+// in the common subset of C11 and C++20. Configuring the build cuts them
+// out of this file into the prelude of every C unit the native tier
+// emits (native/emit.cpp), so native code computes integers with these
+// very definitions.
+// BEGIN C CORE
+static inline int64_t add(int64_t a, int64_t b) {
+  return (int64_t)((uint64_t)a + (uint64_t)b);
 }
 
-inline int64_t sub(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) -
-                              static_cast<uint64_t>(b));
+static inline int64_t sub(int64_t a, int64_t b) {
+  return (int64_t)((uint64_t)a - (uint64_t)b);
 }
 
-inline int64_t mul(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) *
-                              static_cast<uint64_t>(b));
+static inline int64_t mul(int64_t a, int64_t b) {
+  return (int64_t)((uint64_t)a * (uint64_t)b);
 }
 
-inline int64_t div(int64_t a, int64_t b) {
+static inline int64_t div(int64_t a, int64_t b) {
   if (b == 0)
     return 0;
   if (b == -1)
@@ -52,26 +56,30 @@ inline int64_t div(int64_t a, int64_t b) {
   return a / b;
 }
 
-inline int64_t rem(int64_t a, int64_t b) {
+static inline int64_t rem(int64_t a, int64_t b) {
   return b == 0 || b == -1 ? 0 : a % b;
 }
 
-inline int64_t shl(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) << (b & 63));
+static inline int64_t shl(int64_t a, int64_t b) {
+  return (int64_t)((uint64_t)a << (b & 63));
 }
 
-inline int64_t shr(int64_t a, int64_t b) { return a >> (b & 63); }
+static inline int64_t shr(int64_t a, int64_t b) { return a >> (b & 63); }
 
-/// FPToSI: `x` truncated toward zero; INT64_MIN for NaN and for values
-/// outside [-2^63, 2^63).
-inline int64_t fpToSI(double x) {
-  return x >= -0x1p63 && x < 0x1p63 ? static_cast<int64_t>(x) : INT64_MIN;
+/* FPToSI: `x` truncated toward zero; INT64_MIN for NaN and for values
+   outside [-2^63, 2^63). */
+static inline int64_t fpToSI(double x) {
+  return x >= -0x1p63 && x < 0x1p63 ? (int64_t)x : INT64_MIN;
 }
+
+/* An i32 result: the low 32 bits, sign-extended. */
+static inline int64_t truncI32(int64_t v) { return (int32_t)v; }
+// END C CORE
 
 /// Cuts a 64-bit result to the width of `t`: i32 wraps to 32 bits
 /// (sign-extended), i1 keeps bit 0, i64 and index are unchanged.
 inline int64_t truncate(TypeKind t, int64_t v) {
-  return t == TypeKind::I32 ? static_cast<int32_t>(v)
+  return t == TypeKind::I32 ? truncI32(v)
          : t == TypeKind::I1 ? (v & 1)
                              : v;
 }

@@ -1,6 +1,7 @@
 #include "moccuda/resnet.h"
 
 #include <cmath>
+#include <cstdio>
 #include <mutex>
 
 namespace paralift::moccuda {
@@ -117,34 +118,61 @@ const driver::CompileResult &sharedKernelModule() {
   return cc;
 }
 
+/// The kernel module as native code, built once per process; null when
+/// the build failed, and the kernels then run on the VM.
+const std::shared_ptr<const native::Module> &sharedNativeKernels() {
+  static const std::shared_ptr<const native::Module> built = [] {
+    DiagnosticEngine diag;
+    auto module = native::Module::build(sharedKernelModule(),
+                                        "moccuda-pytorch-kernels", diag);
+    if (!module)
+      std::fprintf(stderr, "moccuda: running the PyTorch kernels on the VM: "
+                           "%s\n", diag.str().c_str());
+    return module;
+  }();
+  return built;
+}
+
 } // namespace
 
 PolygeistKernels::PolygeistKernels(unsigned maxThreads) {
-  exec_ = std::make_unique<driver::Executor>(
-      sharedKernelModule().module.get(), maxThreads,
-      /*boundsCheck=*/false);
+  if (const auto &module = sharedNativeKernels())
+    native_ = std::make_unique<native::Executor>(module, maxThreads);
+  else
+    vm_ = std::make_unique<driver::Executor>(
+        sharedKernelModule().module.get(), maxThreads,
+        /*boundsCheck=*/false);
 }
 
-void PolygeistKernels::setNumThreads(unsigned n) { exec_->setNumThreads(n); }
+void PolygeistKernels::setNumThreads(unsigned n) {
+  if (native_)
+    native_->setNumThreads(n);
+  else
+    vm_->setNumThreads(n);
+}
+
+std::vector<vm::Slot>
+PolygeistKernels::run(const std::string &fn,
+                      const std::vector<driver::Executor::Arg> &args) {
+  return native_ ? native_->run(fn, args) : vm_->run(fn, args);
+}
 
 const char *PolygeistKernels::source() { return kPytorchKernels; }
 
 void PolygeistKernels::add(float *dst, const float *src, int n) {
-  exec_->run("run_add",
-             {driver::Executor::bufferF32(dst, {n}),
-              driver::Executor::bufferF32(const_cast<float *>(src), {n}),
-              int64_t(n)});
+  run("run_add", {driver::Executor::bufferF32(dst, {n}),
+                 driver::Executor::bufferF32(const_cast<float *>(src), {n}),
+                 int64_t(n)});
 }
 
 void PolygeistKernels::relu(float *x, int n) {
-  exec_->run("run_relu",
-             {driver::Executor::bufferF32(x, {n}), int64_t(n)});
+  run("run_relu", {driver::Executor::bufferF32(x, {n}), int64_t(n)});
 }
 
 float PolygeistKernels::nllLoss(const float *logits, const int32_t *labels,
                                 float *dLogits, int batch, int classes) {
   std::vector<float> losses(batch, 0.0f);
-  exec_->run(
+  run(
       "run_nll",
       {driver::Executor::bufferF32(const_cast<float *>(logits),
                                    {batch * classes}),

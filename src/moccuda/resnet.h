@@ -7,13 +7,15 @@
 //  - MocCudaPolygeist: same, but the custom PyTorch CUDA kernels
 //                     (ClassNLLCriterion-style loss with __syncthreads,
 //                     elementwise add, ReLU) are transpiled from CUDA
-//                     source by ParaLift and executed through the VM —
-//                     dispatched via the CUDART stream emulation.
+//                     source by ParaLift and run as native code built by
+//                     the native tier (native/native.h), or on the VM when
+//                     that build fails.
 #pragma once
 
 #include "driver/compiler.h"
 #include "moccuda/cudart.h"
 #include "moccuda/dnn.h"
+#include "native/native.h"
 
 #include <memory>
 #include <random>
@@ -25,12 +27,18 @@ enum class Backend { Native, OneDnnLike, MocCudaExpert, MocCudaPolygeist };
 const char *backendName(Backend b);
 
 /// CUDA kernels transpiled by ParaLift. The kernel module is compiled
-/// once per process through a shared CompilerSession (every MiniResNet
-/// instance — the Fig. 15 sweep constructs dozens — reuses the compiled
-/// IR; only the executor is per-instance).
+/// once per process through a shared CompilerSession, and built into
+/// native code once per process (every MiniResNet instance — the Fig. 15
+/// sweep constructs dozens — reuses both; only the executor and its pool
+/// are per-instance). When the native build fails (no working C
+/// compiler, say), a one-line note goes to stderr and every instance runs
+/// the kernels on the VM instead, with byte-identical results.
 class PolygeistKernels {
 public:
   explicit PolygeistKernels(unsigned maxThreads);
+
+  /// True when the kernels run as native code, false on the VM.
+  bool isNative() const { return native_ != nullptr; }
 
   void add(float *dst, const float *src, int n);
   void relu(float *x, int n);
@@ -45,7 +53,11 @@ public:
   static const char *source();
 
 private:
-  std::unique_ptr<driver::Executor> exec_;
+  std::vector<vm::Slot> run(const std::string &fn,
+                            const std::vector<driver::Executor::Arg> &args);
+
+  std::unique_ptr<native::Executor> native_;
+  std::unique_ptr<driver::Executor> vm_; ///< when the native build failed
 };
 
 /// A small residual network: conv-bn-relu, one residual block, average

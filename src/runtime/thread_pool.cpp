@@ -7,6 +7,8 @@
 #include <atomic>
 #include <cassert>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 namespace paralift::runtime {
 
@@ -65,6 +67,30 @@ void ThreadPool::parallel(const TeamFn &fn) {
   --tlsParallelDepth;
   std::unique_lock lock(mutex_);
   doneCv_.wait(lock, [this] { return running_ == 0; });
+}
+
+void ThreadPool::parallelContained(const TeamFn &fn) {
+  std::mutex mutex;
+  std::string first;
+  bool thrown = false;
+  auto record = [&](const char *what) {
+    std::scoped_lock lock(mutex);
+    if (!thrown) {
+      thrown = true;
+      first = what;
+    }
+  };
+  parallel([&](unsigned tid, Team &team) {
+    try {
+      fn(tid, team);
+    } catch (const std::exception &e) {
+      record(e.what());
+    } catch (...) {
+      record("non-standard exception");
+    }
+  });
+  if (thrown)
+    throw std::runtime_error(first);
 }
 
 void ThreadPool::workerLoop(unsigned workerIdx) {

@@ -64,6 +64,14 @@ public:
   /// applies the nested policy.
   void parallel(const TeamFn &fn);
 
+  /// parallel(), with a throw contained in the member that threw (it must
+  /// not unwind into a worker's loop, where it would call
+  /// std::terminate): once the team has joined, the first member's
+  /// exception message is thrown on the calling thread as a
+  /// std::runtime_error. The VM and the native tier run omp.parallel
+  /// regions through it.
+  void parallelContained(const TeamFn &fn);
+
   /// True when invoked from a pool worker or a spawned nested thread.
   static bool insideParallel();
 

@@ -203,7 +203,7 @@ std::optional<std::string> PassResultCache::lookup(const Hash128 &input,
     if (it != entries_.end()) {
       ++stats_.hits;
       cacheCounters().hits.add();
-      return it->second;
+      return *it->second;
     }
   }
   // Disk I/O happens outside the lock so module tasks hitting memory
@@ -222,7 +222,7 @@ std::optional<std::string> PassResultCache::lookup(const Hash128 &input,
       ++stats_.diskHits;
       cacheCounters().hits.add();
       cacheCounters().diskHits.add();
-      entries_.emplace(key, *fromDisk);
+      entries_.emplace(key, std::make_shared<const std::string>(*fromDisk));
       return fromDisk;
     }
   }
@@ -233,20 +233,20 @@ std::optional<std::string> PassResultCache::lookup(const Hash128 &input,
 }
 
 void PassResultCache::store(const Hash128 &input, const std::string &spec,
-                            std::string ir) {
+                            std::shared_ptr<const std::string> ir) {
   Hash128 key = keyHash(input, spec);
   // Write the file outside the lock (the temp+rename protocol already
   // tolerates concurrent writers of one key; same key implies same
   // value for deterministic passes).
   if (diskEnabled()) {
-    uint64_t written = writeToDisk(key, input, spec, ir);
+    uint64_t written = writeToDisk(key, input, spec, *ir);
     if (!written) {
       // ENOSPC, unwritable dir, rename failure (or an injected fault):
       // retry once after a short backoff — transient pressure often
       // clears — then demote to memory-only. Cache trouble degrades
       // performance, never jobs.
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      written = writeToDisk(key, input, spec, ir);
+      written = writeToDisk(key, input, spec, *ir);
       if (!written)
         disableDisk("disk write failed twice");
     }

@@ -14,7 +14,8 @@
 //    direct structural hash (one walk over op kinds, operand numbering,
 //    attrs, types, regions) that costs no string materialization. A
 //    source job's result is stored under both keys, so a module job
-//    given the frontend's module replays it.
+//    given the frontend's module replays it; in memory the two entries
+//    share one text.
 // Beyond those, byte hashing covers only the spec+salt key component and
 // the on-disk payload integrity check (replay parses stored text, so the
 // stored text is what must be intact).
@@ -38,6 +39,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -77,8 +79,15 @@ public:
                                     const std::string &spec);
 
   /// Records a result. Overwrites any existing entry for the key (same
-  /// key implies same value for deterministic passes).
-  void store(const Hash128 &input, const std::string &spec, std::string ir);
+  /// key implies same value for deterministic passes). Memory entries
+  /// hold their text immutable and shared, so a result stored under two
+  /// keys (a source job's source key and module key) is held once; each
+  /// key still writes its own disk file.
+  void store(const Hash128 &input, const std::string &spec,
+             std::shared_ptr<const std::string> ir);
+  void store(const Hash128 &input, const std::string &spec, std::string ir) {
+    store(input, spec, std::make_shared<const std::string>(std::move(ir)));
+  }
 
   const std::string &directory() const { return dir_; }
 
@@ -170,7 +179,9 @@ private:
 
   std::string dir_;
   mutable std::mutex mutex_;
-  std::unordered_map<Hash128, std::string, Hash128Hasher> entries_;
+  std::unordered_map<Hash128, std::shared_ptr<const std::string>,
+                     Hash128Hasher>
+      entries_;
   StatsSnapshot stats_;
   uint64_t diskLimitBytes_ = 0;
   std::atomic<uint64_t> bytesSinceSweep_{0};

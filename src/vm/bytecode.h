@@ -11,9 +11,11 @@
 // operand's register. Integers are stored sign-extended and f32 rounding
 // happens at each arithmetic op, so a copy would hold the same bits.
 //
-// Both the transpiled-CUDA and the reference-OpenMP sides of every
-// benchmark run on this same VM, so relative performance comparisons
-// isolate the compiler's effects (see DESIGN.md).
+// The transpiled-CUDA and the reference-OpenMP sides of the Rodinia
+// benchmarks both run on this VM, so their comparison isolates the
+// compiler's effects. The native tier (native/native.h) compiles the same
+// post-omp-lower IR to C and computes byte-identical outputs; MocCUDA's
+// PyTorch kernels run on it, with this VM as the fallback and the oracle.
 #pragma once
 
 #include "ir/type.h"

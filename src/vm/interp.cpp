@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 
 namespace paralift::vm {
@@ -50,12 +49,27 @@ inline double normFloat(TypeKind t, double v) {
   return t == TypeKind::F32 ? static_cast<float>(v) : v;
 }
 
+/// Element `off` of guest memory, read and written with relaxed atomic
+/// accesses (plain moves on x86-64). A guest program may race: Rodinia's
+/// BFS, like its CUDA original, sets the same flags and costs from many
+/// threads. Such a race is the guest's own, never undefined behaviour
+/// in the VM.
+template <typename T> inline T guestLoad(const char *data, int64_t off) {
+  T v;
+  __atomic_load(reinterpret_cast<const T *>(data) + off, &v,
+                __ATOMIC_RELAXED);
+  return v;
+}
+template <typename T> inline void guestStore(char *data, int64_t off, T v) {
+  __atomic_store(reinterpret_cast<T *>(data) + off, &v, __ATOMIC_RELAXED);
+}
+
 } // namespace
 
-Slot Interp::makeMemRef(TypeKind elem, void *data,
-                        const std::vector<int64_t> &sizes) {
+Slot wrapBuffer(Arena &descs, TypeKind elem, void *data,
+                const std::vector<int64_t> &sizes) {
   assert(sizes.size() <= kMaxRank);
-  MemRef *m = external_.newDesc();
+  MemRef *m = descs.newDesc();
   m->elem = elem;
   m->rank = static_cast<uint8_t>(sizes.size());
   m->data = static_cast<char *>(data);
@@ -270,20 +284,20 @@ Interp::step(const BCFunction &fn, Slot *regs, Ctx &ctx,
       }
       switch (m.elem) {
       case TypeKind::F32:
-        regs[in.d].f = reinterpret_cast<const float *>(m.data)[off];
+        regs[in.d].f = guestLoad<float>(m.data, off);
         break;
       case TypeKind::F64:
-        regs[in.d].f = reinterpret_cast<const double *>(m.data)[off];
+        regs[in.d].f = guestLoad<double>(m.data, off);
         break;
       case TypeKind::I32:
-        regs[in.d].i = reinterpret_cast<const int32_t *>(m.data)[off];
+        regs[in.d].i = guestLoad<int32_t>(m.data, off);
         break;
       case TypeKind::I64:
       case TypeKind::Index:
-        regs[in.d].i = reinterpret_cast<const int64_t *>(m.data)[off];
+        regs[in.d].i = guestLoad<int64_t>(m.data, off);
         break;
       case TypeKind::I1:
-        regs[in.d].i = m.data[off] != 0;
+        regs[in.d].i = guestLoad<char>(m.data, off) != 0;
         break;
       default:
         throw VmTrap("bad load elem kind");
@@ -303,22 +317,20 @@ Interp::step(const BCFunction &fn, Slot *regs, Ctx &ctx,
       }
       switch (m.elem) {
       case TypeKind::F32:
-        reinterpret_cast<float *>(m.data)[off] =
-            static_cast<float>(regs[in.d].f);
+        guestStore(m.data, off, static_cast<float>(regs[in.d].f));
         break;
       case TypeKind::F64:
-        reinterpret_cast<double *>(m.data)[off] = regs[in.d].f;
+        guestStore(m.data, off, regs[in.d].f);
         break;
       case TypeKind::I32:
-        reinterpret_cast<int32_t *>(m.data)[off] =
-            static_cast<int32_t>(regs[in.d].i);
+        guestStore(m.data, off, static_cast<int32_t>(regs[in.d].i));
         break;
       case TypeKind::I64:
       case TypeKind::Index:
-        reinterpret_cast<int64_t *>(m.data)[off] = regs[in.d].i;
+        guestStore<int64_t>(m.data, off, regs[in.d].i);
         break;
       case TypeKind::I1:
-        m.data[off] = regs[in.d].i ? 1 : 0;
+        guestStore<char>(m.data, off, regs[in.d].i ? 1 : 0);
         break;
       default:
         throw VmTrap("bad store elem kind");
@@ -432,24 +444,12 @@ void Interp::execParallelOmp(const BCFunction &fn, const Closure &c,
   for (int32_t r : c.captureRegs)
     captures.push_back(regs[r]);
   (void)fn;
-  // Per-thread trap containment: a trap must not unwind into the pool's
-  // worker loop (std::terminate); record the first one and re-surface it
-  // on the calling thread once the region joins, so it still reaches the
-  // tryCall boundary. Caveat: a trapped thread stops participating in
-  // team barriers, so bytecode with a barrier *after* the trap point can
-  // stall its siblings — acceptable for trap-on-hostile-input, which
-  // aborts the request anyway.
-  std::mutex trapMutex;
-  std::string trap;
-  bool trapped = false;
-  auto record = [&](const char *what) {
-    std::scoped_lock lock(trapMutex);
-    if (!trapped) {
-      trapped = true;
-      trap = what;
-    }
-  };
-  pool_.parallel([&](unsigned tid, Team &team) {
+  // A trap in a team member is thrown again here once the region joins,
+  // so it still reaches the tryCall boundary. Caveat: a trapped thread
+  // stops participating in team barriers, so bytecode with a barrier
+  // *after* the trap point can stall its siblings — acceptable for
+  // trap-on-hostile-input, which aborts the request anyway.
+  pool_.parallelContained([&](unsigned tid, Team &team) {
     std::vector<Slot> frame(body.numRegs);
     std::copy(captures.begin(), captures.end(), frame.begin());
     Arena arena;
@@ -457,16 +457,8 @@ void Interp::execParallelOmp(const BCFunction &fn, const Closure &c,
     inner.team = &team;
     inner.tid = tid;
     inner.arena = &arena;
-    try {
-      exec(body, frame.data(), inner, nullptr);
-    } catch (const std::exception &e) {
-      record(e.what());
-    } catch (...) {
-      record("non-standard exception");
-    }
+    exec(body, frame.data(), inner, nullptr);
   });
-  if (trapped)
-    throw VmTrap(trap);
 }
 
 void Interp::execParallelScf(const BCFunction &fn, const Closure &c,

@@ -116,6 +116,12 @@ private:
   uint64_t reserved_ = 0;
 };
 
+/// Wraps an external buffer in a descriptor from `descs`, valid until
+/// `descs` releases it. A caller that wraps its buffers anew for each
+/// call releases them after the call (driver::Executor::marshal).
+Slot wrapBuffer(Arena &descs, TypeKind elem, void *data,
+                const std::vector<int64_t> &sizes);
+
 struct ExecOptions {
   /// Data-dependent index checking (idx vs sizes) on Load/Store/SubView.
   /// See "Bytecode verification" above: only untrusted input needs it.
@@ -149,7 +155,7 @@ public:
       : mod_(verified.module()), pool_(pool), opts_(opts) {}
 
   /// Calls a named function; args are pre-populated registers (scalars or
-  /// MemRef* created via makeMemRef). Returns the function results.
+  /// MemRef* created via wrapBuffer). Returns the function results.
   /// Aborts via fatalError on an unknown name, arity mismatch, or
   /// runtime trap — use tryCall where the process must survive bad
   /// requests.
@@ -162,17 +168,6 @@ public:
   /// and the first one is re-surfaced on the calling thread after the
   /// parallel region joins.
   CallResult tryCall(const std::string &name, std::vector<Slot> args);
-
-  /// Wraps an external buffer in a descriptor owned by this Interp, valid
-  /// until releaseMemRefs() or destruction.
-  Slot makeMemRef(TypeKind elem, void *data,
-                  const std::vector<int64_t> &sizes);
-
-  /// Recycles every descriptor makeMemRef has handed out. A caller that
-  /// wraps its buffers anew for each call releases them after the call,
-  /// so a long-lived Interp does not grow by a descriptor per buffer per
-  /// call.
-  void releaseMemRefs() { external_.release({0, 0}); }
 
 private:
   struct Ctx {
@@ -211,7 +206,6 @@ private:
   const BCModule &mod_;
   runtime::ThreadPool &pool_;
   ExecOptions opts_;
-  Arena external_; ///< descriptors for user-supplied buffers
 };
 
 } // namespace paralift::vm

@@ -603,8 +603,9 @@ void run(float* out) { k<<<1, 4>>>(out); }
   opts.maxArenaBytes = 16; // 64 floats never fit
   vm::Interp interp(*token, pool, opts);
   std::vector<float> out(4);
+  vm::Arena descs;
   std::vector<vm::Slot> args{
-      interp.makeMemRef(ir::TypeKind::F32, out.data(), {4})};
+      vm::wrapBuffer(descs, ir::TypeKind::F32, out.data(), {4})};
   vm::CallResult r = interp.tryCall("run", args);
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.error.find("VM arena limit exceeded"), std::string::npos)

@@ -6,6 +6,7 @@
 // fission/min-cut, interchange, or the OpenMP lowering.
 #include "driver/compiler.h"
 #include "ir/printer.h"
+#include "native/native.h"
 
 #include <gtest/gtest.h>
 
@@ -366,16 +367,35 @@ void PrintTo(const FuzzCase &c, std::ostream *os) {
 
 class FuzzDifferentialTest : public ::testing::TestWithParam<FuzzCase> {};
 
-std::vector<float> runProgram(driver::CompileResult &cc,
-                              const std::vector<float> &a,
-                              const std::vector<float> &b, unsigned threads) {
+/// Runs `run` on `exec` (driver::Executor or native::Executor).
+template <typename Exec>
+std::vector<float> runOn(Exec &exec, const std::vector<float> &a,
+                         const std::vector<float> &b) {
   std::vector<float> av = a, bv = b, out(kN, 0.0f);
-  driver::Executor exec(cc.module.get(), threads);
   exec.run("run", {driver::Executor::bufferF32(av.data(), {kN}),
                    driver::Executor::bufferF32(bv.data(), {kN}),
                    driver::Executor::bufferF32(out.data(), {kN}),
                    int64_t(2)});
   return out;
+}
+
+std::vector<float> runProgram(driver::CompileResult &cc,
+                              const std::vector<float> &a,
+                              const std::vector<float> &b, unsigned threads) {
+  driver::Executor exec(cc.module.get(), threads);
+  return runOn(exec, a, b);
+}
+
+/// The differential sweep's inputs for `seed`.
+void sweepInputs(uint32_t seed, std::vector<float> &a, std::vector<float> &b) {
+  a.resize(kN);
+  b.resize(kN);
+  std::mt19937 rng(seed ^ 0x9e3779b9u);
+  std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
+  for (int i = 0; i < kN; ++i) {
+    a[i] = dist(rng);
+    b[i] = dist(rng);
+  }
 }
 
 } // namespace
@@ -384,13 +404,8 @@ TEST_P(FuzzDifferentialTest, MatchesSimtOracle) {
   const FuzzCase &fc = GetParam();
   std::string src = KernelGen(fc.seed).generate();
 
-  std::vector<float> a(kN), b(kN);
-  std::mt19937 rng(fc.seed ^ 0x9e3779b9u);
-  std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
-  for (int i = 0; i < kN; ++i) {
-    a[i] = dist(rng);
-    b[i] = dist(rng);
-  }
+  std::vector<float> a, b;
+  sweepInputs(fc.seed, a, b);
 
   DiagnosticEngine diag;
   auto oracle = driver::compileForSimt(src, diag);
@@ -428,6 +443,46 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(info.param.seed) + "_" +
              info.param.config.name;
     });
+
+//===----------------------------------------------------------------------===//
+// The native tier on generated kernels: every eighth seed of the sweep (25
+// kernels) through the full pipeline, built natively, must match the VM
+// byte for byte. Their random f32 constants and last-place neighbours
+// check that the emitter's literals keep every bit.
+//===----------------------------------------------------------------------===//
+
+TEST(FuzzNativeTest, EveryEighthSeedMatchesTheVmByteForByte) {
+  std::vector<uint32_t> seeds;
+  for (uint32_t seed = 0; seed < kFuzzSeeds; seed += 8)
+    seeds.push_back(seed);
+  driver::SessionOptions so;
+  so.threads = 4;
+  so.useEnvCache = false;
+  driver::CompilerSession session(std::move(so));
+  std::vector<driver::CompileJob *> jobs;
+  for (uint32_t seed : seeds)
+    jobs.push_back(&session.addSource("seed" + std::to_string(seed),
+                                      KernelGen(seed).generate()));
+  session.compileAll();
+  std::vector<std::shared_ptr<const native::Module>> built(seeds.size());
+  std::vector<std::string> diags(seeds.size());
+  runtime::ThreadPool pool(4);
+  runtime::runTasks(&pool, seeds.size(), [&](size_t i) {
+    DiagnosticEngine diag;
+    built[i] = native::Module::build(jobs[i]->result(), jobs[i]->name(), diag);
+    diags[i] = diag.str();
+  });
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    ASSERT_TRUE(built[i]) << "seed " << seeds[i] << ": " << diags[i];
+    std::vector<float> a, b;
+    sweepInputs(seeds[i], a, b);
+    driver::Executor vm(jobs[i]->result().module.get(), 2);
+    native::Executor nat(built[i], 2);
+    std::vector<float> expected = runOn(vm, a, b), got = runOn(nat, a, b);
+    EXPECT_EQ(std::memcmp(got.data(), expected.data(), kN * sizeof(float)), 0)
+        << "seed " << seeds[i] << ": native output differs from the VM's";
+  }
+}
 
 TEST(KernelGenTest, SweepDrawsEveryHalvingSpelling) {
   std::array<int, kNumHalvingSpellings> seedsDrawing{};
