@@ -1,5 +1,7 @@
 #include "native/emit.h"
 
+#include "vm/plan.h"
+
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -83,18 +85,6 @@ std::string floatLiteral(double d) {
   return (std::signbit(d) ? "-0x" : "0x") + std::string(buf, r.ptr);
 }
 
-/// The same test as vm/compile.cpp's: an iteration of a loop whose body
-/// holds an alloca (at any depth) runs in its own arena scope.
-bool blockContainsAlloca(Block &b) {
-  bool found = false;
-  for (Op *op : b)
-    op->walk([&](Op *inner) {
-      if (inner->kind() == OpKind::Alloca)
-        found = true;
-    });
-  return found;
-}
-
 class Emitter {
 public:
   explicit Emitter(DiagnosticEngine &diag) : diag_(diag) {}
@@ -133,6 +123,7 @@ public:
       defs += "static void " + f + "(" + params + ") {\n";
       cur_ = &defs;
       indent_ = 1;
+      plan_.plan(fn);
       if (!block(fn.body()))
         return std::nullopt;
       defs += "}\n\n";
@@ -197,10 +188,12 @@ private:
     return true;
   }
 
-  /// An arena scope around one iteration, when vm/compile.cpp gives it
-  /// one (ScopePush/ScopePop). Returns the mark's name, or "".
-  std::string scopeBegin(Block &body) {
-    if (!blockContainsAlloca(body))
+  /// An arena scope around one iteration of a loop whose body holds an
+  /// alloca (`scoped`, from the function's FunctionPlan, which also
+  /// decides the bytecode's ScopePush/ScopePop). Returns the mark's name,
+  /// or "".
+  std::string scopeBegin(bool scoped) {
+    if (!scoped)
       return "";
     std::string m = temp();
     line("pl_mark " + m + " = ctx->host->mark(ctx);");
@@ -470,6 +463,7 @@ private:
 
   bool forOp(Op *op) {
     ForOp f(op);
+    bool scoped = plan_.takeLoop(op);
     std::string iv = name(f.iv());
     line("int64_t " + iv + " = " + name(f.lb()) + ";");
     std::vector<Value> carried;
@@ -480,7 +474,7 @@ private:
     line("for (; " + iv + " < " + name(f.ub()) + "; " + iv + " = add(" + iv +
          ", " + name(f.step()) + ")) {");
     ++indent_;
-    std::string scope = scopeBegin(f.body());
+    std::string scope = scopeBegin(scoped);
     if (!block(f.body()))
       return false;
     // Through temporaries, so a yield may swap carried values.
@@ -504,6 +498,7 @@ private:
   bool whileOp(Op *op) {
     WhileOp w(op);
     Block &before = w.before(), &after = w.after();
+    bool scoped = plan_.takeLoop(op);
     for (unsigned i = 0; i < op->numOperands(); ++i)
       def(before.arg(i), name(op->operand(i)));
     std::vector<Value> afterArgs, results, beforeArgs;
@@ -528,7 +523,7 @@ private:
     }
     line("if (!" + name(cond->operand(0)) + ")");
     line("  break;");
-    std::string scope = scopeBegin(after);
+    std::string scope = scopeBegin(scoped);
     if (!block(after))
       return false;
     yieldInto(after.terminator(), beforeArgs);
@@ -545,6 +540,7 @@ private:
   bool wsLoop(Op *op) {
     ParallelOp par(op);
     unsigned dims = par.numDims();
+    bool scoped = plan_.takeLoop(op);
     line("{");
     ++indent_;
     std::vector<std::string> ext(dims), lb(dims), step(dims), iv(dims),
@@ -578,7 +574,7 @@ private:
     }
     line("while (" + lin + " < " + end + ") {");
     ++indent_;
-    std::string scope = scopeBegin(par.body());
+    std::string scope = scopeBegin(scoped);
     if (!block(par.body()))
       return false;
     scopeEnd(scope);
@@ -613,19 +609,11 @@ private:
   }
 
   /// omp.parallel: the body becomes `pl_body<k>` over `struct pl_env<k>`,
-  /// which holds the values the body uses from outside it (collected as
-  /// vm/compile.cpp collects a closure's captures), and the host runs it
-  /// on a team.
+  /// which holds the values the body uses from outside it (its captures
+  /// in the function's FunctionPlan, as for the bytecode's closure), and
+  /// the host runs it on a team.
   bool parallel(Op *op) {
-    std::vector<Value> captures;
-    std::unordered_map<ValueImpl *, bool> seen;
-    op->walk([&](Op *inner) {
-      for (unsigned i = 0; i < inner->numOperands(); ++i) {
-        Value v = inner->operand(i);
-        if (isDefinedOutside(v, op) && seen.emplace(v.impl(), true).second)
-          captures.push_back(v);
-      }
-    });
+    const std::vector<Value> &captures = plan_.takeRegion(op);
     std::string k = std::to_string(nextClosure_++);
     std::string fields, init, body;
     std::string *outer = cur_;
@@ -665,6 +653,7 @@ private:
   }
 
   DiagnosticEngine &diag_;
+  vm::FunctionPlan plan_;
   std::vector<Op *> funcs_;
   std::unordered_map<std::string, unsigned> funcIndex_;
   std::unordered_map<ValueImpl *, unsigned> ids_;

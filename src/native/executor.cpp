@@ -2,6 +2,7 @@
 // VM's execution model (vm::Interp::tryCall and execParallelOmp).
 #include "native/native.h"
 
+#include "support/metrics.h"
 
 namespace paralift::native {
 
@@ -18,6 +19,13 @@ static_assert(vm::kMaxRank == 6 && sizeof(pl_memref) == sizeof(vm::MemRef) &&
 static_assert(offsetof(Executor::Host, table) == 0);
 
 namespace {
+
+/// Traps tryRun caught, as vm.exec.errors counts the VM's.
+metrics::Counter &nativeExecErrors() {
+  static metrics::Counter *c =
+      &metrics::MetricsRegistry::instance().counter("native.exec.errors");
+  return *c;
+}
 
 vm::Arena &arenaOf(pl_ctx *ctx) {
   return *static_cast<vm::Arena *>(ctx->arena);
@@ -92,9 +100,11 @@ vm::CallResult Executor::tryRun(
   } catch (const std::exception &e) {
     out.error = "trap in '" + fn + "': " + e.what();
     out.results.clear();
+    nativeExecErrors().add();
   } catch (...) {
     out.error = "trap in '" + fn + "': non-standard exception";
     out.results.clear();
+    nativeExecErrors().add();
   }
   descs_.release({0, 0});
   return out;

@@ -157,7 +157,8 @@ std::shared_ptr<const Module> Module::build(const driver::CompileResult &cc,
   std::shared_ptr<Module> module;
   std::string error;
   {
-    trace::TraceSpan span("native.build:" + name, "native");
+    trace::TraceSpan span(
+        trace::enabled() ? "native.build:" + name : std::string(), "native");
     try {
       std::optional<std::string> unit;
       if (!cc.ok)
@@ -165,7 +166,8 @@ std::shared_ptr<const Module> Module::build(const driver::CompileResult &cc,
       else if (!(unit = emitC(cc.module.get(), diag)))
         error = "the emitter rejected the module";
       else {
-        span.annotate("bytes", std::to_string(unit->size()));
+        if (span.active())
+          span.annotate("bytes", std::to_string(unit->size()));
         module.reset(new Module(compileAndLoad(*unit)));
         auto *count = static_cast<const uint32_t *>(
             dlsym(module->handle_, "pl_num_entries"));

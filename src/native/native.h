@@ -89,7 +89,9 @@ public:
 
   /// Like run(), but an unknown function, an arity mismatch or a trap
   /// (a throw from a host callback, such as a failed allocation) is a
-  /// CallResult error with the VM's wording.
+  /// CallResult error with the VM's wording. Traps are counted in the
+  /// "native.exec.errors" metric, as the VM counts its own in
+  /// "vm.exec.errors".
   vm::CallResult tryRun(const std::string &fn,
                         const std::vector<driver::Executor::Arg> &args);
 

@@ -1,8 +1,12 @@
 #include "vm/compile.h"
 
 #include "ir/verifier.h"
+#include "support/trace.h"
+#include "vm/plan.h"
 #include "vm/verifier.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <string_view>
 #include <unordered_map>
@@ -21,14 +25,19 @@ struct PendingCall {
 
 class FunctionCompiler {
 public:
+  /// `depth` counts the parallel regions around the frame: 0 for a named
+  /// function, one more for each closure.
   FunctionCompiler(BCModule &mod,
                    std::unordered_map<std::string, uint32_t> &fnIndex,
-                   std::vector<PendingCall> &pending)
-      : mod_(mod), fnIndex_(fnIndex), pending_(pending) {}
+                   std::vector<PendingCall> &pending, FunctionPlan &plan,
+                   uint32_t depth)
+      : mod_(mod), fnIndex_(fnIndex), pending_(pending), plan_(plan),
+        depth_(depth) {}
 
   /// Compiles a named IR function.
   uint32_t compileFunc(Op *funcOp) {
     FuncOp fn(funcOp);
+    plan_.plan(fn);
     uint32_t idx = reserveFunction(fn.name());
     curIdx_ = idx;
     BCFunction out;
@@ -54,8 +63,16 @@ public:
     BCFunction out;
     out.name = "<closure>";
     cur_ = &out;
-    for (Value v : captures)
-      regOf(v);
+    // Captures are the frame's leading registers. A value keeps one
+    // capture register per closure frame, so the enclosing frame's is
+    // put back on the way out.
+    std::vector<int32_t> outer;
+    outer.reserve(captures.size());
+    for (Value v : captures) {
+      ValueInfo &info = plan_.values[v.impl()];
+      outer.push_back(info.captureReg);
+      info.captureReg = nextReg_++;
+    }
     for (unsigned i = 0; i < body.numArgs(); ++i)
       regOf(body.arg(i));
     out.numArgs = static_cast<uint32_t>(captures.size()) + body.numArgs();
@@ -64,6 +81,8 @@ public:
     emit({BC::Ret, TypeKind::None, 0, 0, 0, 0, 0, 0});
     out.numRegs = nextReg_;
     mod_.fns[idx] = std::move(out);
+    for (size_t i = 0; i < captures.size(); ++i)
+      plan_.values[captures[i].impl()].captureReg = outer[i];
     return idx;
   }
 
@@ -76,13 +95,15 @@ private:
     return idx;
   }
 
+  /// The value's register in this frame, numbered on first use: a value
+  /// defined outside the frame's parallel region is one of its captures.
   int32_t regOf(Value v) {
-    auto it = regs_.find(v.impl());
-    if (it != regs_.end())
-      return it->second;
-    int32_t r = nextReg_++;
-    regs_[v.impl()] = r;
-    return r;
+    ValueInfo &info = plan_.values[v.impl()];
+    if (info.depth < depth_)
+      return info.captureReg;
+    if (info.reg < 0)
+      info.reg = nextReg_++;
+    return info.reg;
   }
   int32_t newTemp() { return nextReg_++; }
 
@@ -93,17 +114,22 @@ private:
   /// cast of it in the same iteration, and for-loop yields go through
   /// temps.
   void aliasCast(Op *op) {
-    assert(!regs_.count(op->result().impl()));
-    regs_[op->result().impl()] = regOf(op->operand(0));
+    int32_t r = regOf(op->operand(0));
+    ValueInfo &info = plan_.values[op->result().impl()];
+    assert(info.reg < 0);
+    info.reg = r;
   }
 
   size_t emit(Instr in) {
     cur_->instrs.push_back(in);
     return cur_->instrs.size() - 1;
   }
-  int32_t addExtras(const std::vector<int32_t> &vals) {
+  /// Appends the registers of op's operands [from, to) to extras and
+  /// returns the window's offset.
+  int32_t addOperandExtras(Op *op, unsigned from, unsigned to) {
     auto off = static_cast<int32_t>(cur_->extras.size());
-    cur_->extras.insert(cur_->extras.end(), vals.begin(), vals.end());
+    for (unsigned i = from; i < to; ++i)
+      cur_->extras.push_back(regOf(op->operand(i)));
     return off;
   }
   size_t here() const { return cur_->instrs.size(); }
@@ -237,15 +263,11 @@ private:
     case OpKind::Alloca:
     case OpKind::Alloc: {
       Type t = op->result().type();
-      ShapeInfo shape{t.elemKind(), t.shape()};
-      cur_->shapes.push_back(shape);
+      cur_->shapes.push_back({t.elemKind(), t.shape()});
       auto shapeIdx = static_cast<int64_t>(cur_->shapes.size() - 1);
-      std::vector<int32_t> extents;
-      for (unsigned i = 0; i < op->numOperands(); ++i)
-        extents.push_back(regOf(op->operand(i)));
-      int32_t off = addExtras(extents);
+      int32_t off = addOperandExtras(op, 0, op->numOperands());
       emit({op->kind() == OpKind::Alloca ? BC::Alloca : BC::AllocHeap,
-            t.elemKind(), 0, off, static_cast<int32_t>(extents.size()),
+            t.elemKind(), 0, off, static_cast<int32_t>(op->numOperands()),
             regOf(op->result()), shapeIdx, 0});
       return;
     }
@@ -254,23 +276,17 @@ private:
             0});
       return;
     case OpKind::Load: {
-      std::vector<int32_t> idxs;
-      for (unsigned i = 1; i < op->numOperands(); ++i)
-        idxs.push_back(regOf(op->operand(i)));
-      int32_t off = addExtras(idxs);
+      int32_t off = addOperandExtras(op, 1, op->numOperands());
       emit({BC::Load, op->result().type().kind(), regOf(op->operand(0)),
-            off, static_cast<int32_t>(idxs.size()), regOf(op->result()), 0,
-            0});
+            off, static_cast<int32_t>(op->numOperands() - 1),
+            regOf(op->result()), 0, 0});
       return;
     }
     case OpKind::Store: {
-      std::vector<int32_t> idxs;
-      for (unsigned i = 2; i < op->numOperands(); ++i)
-        idxs.push_back(regOf(op->operand(i)));
-      int32_t off = addExtras(idxs);
+      int32_t off = addOperandExtras(op, 2, op->numOperands());
       emit({BC::Store, op->operand(0).type().kind(), regOf(op->operand(1)),
-            off, static_cast<int32_t>(idxs.size()), regOf(op->operand(0)),
-            0, 0});
+            off, static_cast<int32_t>(op->numOperands() - 2),
+            regOf(op->operand(0)), 0, 0});
       return;
     }
     case OpKind::Dim:
@@ -278,21 +294,16 @@ private:
             regOf(op->result()), op->attrs().getInt("index"), 0});
       return;
     case OpKind::SubView: {
-      std::vector<int32_t> idxs;
-      for (unsigned i = 1; i < op->numOperands(); ++i)
-        idxs.push_back(regOf(op->operand(i)));
-      int32_t off = addExtras(idxs);
+      int32_t off = addOperandExtras(op, 1, op->numOperands());
       emit({BC::SubView, TypeKind::None, regOf(op->operand(0)), off,
-            static_cast<int32_t>(idxs.size()), regOf(op->result()), 0, 0});
+            static_cast<int32_t>(op->numOperands() - 1), regOf(op->result()),
+            0, 0});
       return;
     }
     case OpKind::Call: {
-      std::vector<int32_t> regs;
-      for (unsigned i = 0; i < op->numOperands(); ++i)
-        regs.push_back(regOf(op->operand(i)));
+      int32_t off = addOperandExtras(op, 0, op->numOperands());
       for (unsigned i = 0; i < op->numResults(); ++i)
-        regs.push_back(regOf(op->result(i)));
-      int32_t off = addExtras(regs);
+        cur_->extras.push_back(regOf(op->result(i)));
       // Callee index resolved in a post-pass (may be forward-referenced):
       // store the name in pendingCalls_.
       size_t at = emit({BC::Call, TypeKind::None, 0, off,
@@ -302,12 +313,9 @@ private:
       return;
     }
     case OpKind::Return: {
-      std::vector<int32_t> regs;
-      for (unsigned i = 0; i < op->numOperands(); ++i)
-        regs.push_back(regOf(op->operand(i)));
-      int32_t off = addExtras(regs);
+      int32_t off = addOperandExtras(op, 0, op->numOperands());
       emit({BC::Ret, TypeKind::None, 0, off,
-            static_cast<int32_t>(regs.size()), 0, 0, 0});
+            static_cast<int32_t>(op->numOperands()), 0, 0, 0});
       return;
     }
     case OpKind::ScfIf:
@@ -371,19 +379,10 @@ private:
             regOf(term->operand(i)), 0, 0, regOf(owner->result(i)), 0, 0});
   }
 
-  bool blockContainsAlloca(Block &b) {
-    bool found = false;
-    for (Op *op : b)
-      op->walk([&](Op *inner) {
-        if (inner->kind() == OpKind::Alloca)
-          found = true;
-      });
-    return found;
-  }
-
   void compileFor(Op *op) {
     ForOp f(op);
     Block &body = f.body();
+    bool scoped = plan_.takeLoop(op);
     int32_t iv = regOf(f.iv());
     emit({BC::Copy, TypeKind::Index, regOf(f.lb()), 0, 0, iv, 0, 0});
     // Carried registers are the body block args (already distinct regs).
@@ -393,7 +392,6 @@ private:
     size_t head = here();
     size_t exitJump = emit(
         {BC::JumpIfGE, TypeKind::None, iv, regOf(f.ub()), 0, 0, -1, 0});
-    bool scoped = blockContainsAlloca(body);
     if (scoped)
       emit({BC::ScopePush, TypeKind::None, 0, 0, 0, 0, 0, 0});
     compileBlockContents(body);
@@ -424,6 +422,7 @@ private:
     WhileOp w(op);
     Block &before = w.before();
     Block &after = w.after();
+    bool scoped = plan_.takeLoop(op);
     // init -> before args
     for (unsigned i = 0; i < op->numOperands(); ++i)
       emit({BC::Copy, before.arg(i).type().kind(), regOf(op->operand(i)), 0,
@@ -440,7 +439,6 @@ private:
     }
     size_t exitJump = emit({BC::JumpIfFalse, TypeKind::None,
                             regOf(cond->operand(0)), 0, 0, 0, -1, 0});
-    bool scoped = blockContainsAlloca(after);
     if (scoped)
       emit({BC::ScopePush, TypeKind::None, 0, 0, 0, 0, 0, 0});
     compileBlockContents(after);
@@ -468,6 +466,7 @@ private:
     ir::ParallelOp par(op);
     unsigned dims = par.numDims();
     Block &body = par.body();
+    bool scoped = plan_.takeLoop(op);
     // extent_i = max((ub_i - lb_i + step_i - 1) / step_i, 0)
     // total = prod extent_i
     int32_t zero = emitConstI(0);
@@ -509,7 +508,6 @@ private:
     size_t head = here();
     size_t exitJump =
         emit({BC::JumpIfGE, TypeKind::None, lin, end, 0, 0, -1, 0});
-    bool scoped = blockContainsAlloca(body);
     if (scoped)
       emit({BC::ScopePush, TypeKind::None, 0, 0, 0, 0, 0, 0});
     compileBlockContents(body);
@@ -537,22 +535,13 @@ private:
     patchJump(exitJump, here());
   }
 
-  /// omp.parallel / scf.parallel: compiled as closures.
+  /// omp.parallel / scf.parallel: compiled as closures. The captures are
+  /// every value the region (the op itself included) uses but does not
+  /// define, in first-use order, from the function's FunctionPlan. An
+  /// scf.parallel's bound operands are captured too, since the op itself
+  /// uses them; the launch also reads them in the enclosing frame.
   void compileParallel(Op *op) {
-    // Collect captures: values used inside, defined outside.
-    std::vector<Value> captures;
-    std::unordered_map<ValueImpl *, bool> seen;
-    op->walk([&](Op *inner) {
-      for (unsigned i = 0; i < inner->numOperands(); ++i) {
-        Value v = inner->operand(i);
-        if (!isDefinedOutside(v, op) || seen.count(v.impl()))
-          continue;
-        seen[v.impl()] = true;
-        captures.push_back(v);
-      }
-    });
-    // For parallel-layout ops the bounds operands stay in the enclosing
-    // frame; exclude them from captures only if unused inside.
+    const std::vector<Value> &captures = plan_.takeRegion(op);
     Closure closure;
     Block &body = op->region(0).front();
     if (op->kind() == OpKind::ScfParallel) {
@@ -569,8 +558,8 @@ private:
     for (Value v : captures)
       closure.captureRegs.push_back(regOf(v));
 
-    // Compile the body in a fresh compiler sharing the module.
-    FunctionCompiler sub(mod_, fnIndex_, pending_);
+    // Compile the body in a fresh compiler sharing the module and plan.
+    FunctionCompiler sub(mod_, fnIndex_, pending_, plan_, depth_ + 1);
     closure.fnIndex = sub.compileClosure(body, captures);
 
     cur_->closures.push_back(std::move(closure));
@@ -584,9 +573,10 @@ private:
   BCModule &mod_;
   std::unordered_map<std::string, uint32_t> &fnIndex_;
   std::vector<PendingCall> &pending_;
+  FunctionPlan &plan_;
+  const uint32_t depth_;
   BCFunction *cur_ = nullptr;
   uint32_t curIdx_ = 0;
-  std::unordered_map<ValueImpl *, int32_t> regs_;
   int32_t nextReg_ = 0;
 };
 
@@ -594,20 +584,30 @@ private:
 
 BCModule compileModule(ir::ModuleOp module) {
   BCModule out;
-  std::vector<PendingCall> pending;
-  for (Op *fn : module.body()) {
-    if (fn->kind() != OpKind::Func)
-      continue;
-    FunctionCompiler fc(out, out.byName, pending);
-    fc.compileFunc(fn);
-  }
-  // Resolve call targets by name (calls may reference functions compiled
-  // later in the module).
-  for (auto &p : pending) {
-    auto it = out.byName.find(p.callee);
-    if (it == out.byName.end())
-      fatalError("call to unknown function " + p.callee);
-    out.fns[p.fnIdx].instrs[p.instr].imm = static_cast<int64_t>(it->second);
+  {
+    trace::TraceSpan span("vm:lower", "vm");
+    std::vector<PendingCall> pending;
+    FunctionPlan plan;
+    for (Op *fn : module.body()) {
+      if (fn->kind() != OpKind::Func)
+        continue;
+      FunctionCompiler fc(out, out.byName, pending, plan, /*depth=*/0);
+      fc.compileFunc(fn);
+    }
+    // Resolve call targets by name (calls may reference functions
+    // compiled later in the module).
+    for (auto &p : pending) {
+      auto it = out.byName.find(p.callee);
+      if (it == out.byName.end())
+        fatalError("call to unknown function " + p.callee);
+      out.fns[p.fnIdx].instrs[p.instr].imm = static_cast<int64_t>(it->second);
+    }
+    if (span.active()) {
+      size_t instrs = 0;
+      for (const BCFunction &f : out.fns)
+        instrs += f.instrs.size();
+      span.annotate("instrs", std::to_string(instrs));
+    }
   }
   // Self-check tripwire: bytecode we emit must always verify. Always on
   // in debug builds; opt builds enable it with PARALIFT_VERIFY_BYTECODE=1

@@ -7,6 +7,8 @@
 namespace paralift::vm {
 
 /// Compiles every function in `module` (must verify) into a BCModule.
+/// Records one `vm:lower` trace span per call, with the bytecode's
+/// instruction count as its `instrs` argument.
 BCModule compileModule(ir::ModuleOp module);
 
 } // namespace paralift::vm

@@ -22,6 +22,12 @@
 // smuggled across a frame boundary either — every Load/Store/SubView/Dim
 // rank-consistent with the memref it touches, scopes balanced, and
 // barriers placed where their execution regime always exists.
+// It costs one structural pass, one planning pass (block leaders, and the
+// registers live into each as bitsets) and the fixpoint's block walks,
+// each O(block length + live-in registers) with no allocation; only
+// blocks that fail a check are walked again, to report. Lowering and
+// verification are the bytecode stage of every compile that executes,
+// a warm cache hit's included.
 //
 // An Interp can only be constructed from a VerifiedModule, so there is
 // no trusted bypass. What that proof buys at runtime:

@@ -4,9 +4,11 @@
 #include "support/trace.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <sstream>
+#include <tuple>
 
 namespace paralift::vm {
 
@@ -167,13 +169,12 @@ RegState join(const RegState &a, const RegState &b) {
   return {RegState::Conflict, TypeKind::None, -1};
 }
 
-/// Flow state at one program point: register typestates plus the
-/// ScopePush nesting depth (scope marks are a stack in the interpreter,
-/// so depth must be path-independent).
-struct FlowState {
-  std::vector<RegState> regs;
-  int32_t depth = 0;
-};
+/// The typestate a value carries across a frame boundary (a Call argument,
+/// a closure capture, a Ret value): an uninitialized one is Any, since its
+/// read is already reported at the site.
+RegState passed(const RegState &s) {
+  return s.k == RegState::Uninit ? RegState::ofAny() : s;
+}
 
 //===--------------------------------------------------------------------===//
 // Function roles (barrier-placement contexts)
@@ -200,13 +201,16 @@ public:
   explicit Verifier(const BCModule &mod) : mod_(mod) {}
 
   VerifyResult run() {
-    auto &reg = metrics::MetricsRegistry::instance();
-    metrics::Counter &fnCounter = reg.counter("vm.verify.functions");
-    metrics::Counter &errCounter = reg.counter("vm.verify.errors");
+    static metrics::Counter &fnCounter =
+        metrics::MetricsRegistry::instance().counter("vm.verify.functions");
+    static metrics::Counter &errCounter =
+        metrics::MetricsRegistry::instance().counter("vm.verify.errors");
+    static metrics::Counter &blockCounter =
+        metrics::MetricsRegistry::instance().counter("vm.verify.blocks");
 
     structuralModule();
     for (uint32_t i = 0; i < mod_.fns.size(); ++i) {
-      trace::TraceSpan span(std::string("verify:") + mod_.fns[i].name, "vm");
+      trace::TraceSpan span(spanName(i), "vm");
       structuralFunction(i);
       fnCounter.add(1);
     }
@@ -215,6 +219,7 @@ public:
     // errors those reads are unsafe, so stop here.
     if (result_.errors.empty()) {
       computeRoles();
+      planFlow();
 
       // Interprocedural fixpoint: argument typestates flow from every
       // invocation site (Call and closure launch, in any function-index
@@ -223,23 +228,32 @@ public:
       // the host keep blanket-trusted Any arguments; everything
       // bytecode can reach is analyzed under what bytecode actually
       // passes. Summaries only ever rise (join), so this terminates.
-      argSeeds_.assign(mod_.fns.size(),
-                       std::optional<std::vector<RegState>>());
-      retStates_.assign(mod_.fns.size(),
-                        std::optional<std::vector<RegState>>());
-      for (uint32_t i = 0; i < mod_.fns.size(); ++i)
-        if (roles_[i].entry)
-          argSeeds_[i] = std::vector<RegState>(mod_.fns[i].numArgs,
-                                               RegState::ofAny());
-      std::vector<std::vector<uint32_t>> callersOf(mod_.fns.size());
-      for (uint32_t i = 0; i < mod_.fns.size(); ++i)
+      const auto numFns = static_cast<uint32_t>(mod_.fns.size());
+      seedBase_.resize(numFns + 1);
+      retBase_.resize(numFns + 1);
+      for (uint32_t i = 0; i < numFns; ++i) {
+        seedBase_[i + 1] = seedBase_[i] + mod_.fns[i].numArgs;
+        retBase_[i + 1] = retBase_[i] + mod_.fns[i].numResults;
+      }
+      seeds_.resize(seedBase_[numFns]);
+      rets_.resize(retBase_[numFns]);
+      hasSeed_.assign(numFns, 0);
+      hasRet_.assign(numFns, 0);
+      for (uint32_t i = 0; i < numFns; ++i)
+        if (roles_[i].entry) {
+          hasSeed_[i] = 1;
+          std::fill(seeds_.begin() + seedBase_[i],
+                    seeds_.begin() + seedBase_[i + 1], RegState::ofAny());
+        }
+      std::vector<std::vector<uint32_t>> callersOf(numFns);
+      for (uint32_t i = 0; i < numFns; ++i)
         for (const Instr &in : mod_.fns[i].instrs)
           if (in.op == BC::Call)
             callersOf[in.imm].push_back(i);
 
-      std::vector<char> queued(mod_.fns.size(), 1);
+      std::vector<char> queued(numFns, 1);
       std::deque<uint32_t> work;
-      for (uint32_t i = 0; i < mod_.fns.size(); ++i)
+      for (uint32_t i = 0; i < numFns; ++i)
         work.push_back(i);
       while (!work.empty()) {
         uint32_t i = work.front();
@@ -247,7 +261,7 @@ public:
         queued[i] = 0;
         changedSeeds_.clear();
         retChanged_ = false;
-        flowFunction(i, /*report=*/false);
+        flowFunction(i);
         auto enqueue = [&](uint32_t f) {
           if (!queued[f]) {
             queued[f] = 1;
@@ -261,13 +275,11 @@ public:
             enqueue(caller);
       }
 
-      // Reporting pass over the converged summaries: each reachable pc
-      // visited exactly once, so every error has a stable attribution.
-      metrics::Counter &blockCounter = reg.counter("vm.verify.blocks");
-      for (uint32_t i = 0; i < mod_.fns.size(); ++i) {
-        trace::TraceSpan span(std::string("verify:") + mod_.fns[i].name,
-                              "vm");
-        blockCounter.add(flowFunction(i, /*report=*/true));
+      // Reporting pass over each function's last run: a block that
+      // failed a check there is walked once more to record its errors.
+      for (uint32_t i = 0; i < numFns; ++i) {
+        trace::TraceSpan span(spanName(i), "vm");
+        blockCounter.add(reportFunction(i));
       }
     }
     errCounter.add(result_.errors.size());
@@ -275,6 +287,13 @@ public:
   }
 
 private:
+  /// The function's trace span name; built only while tracing, so a
+  /// disabled span costs one relaxed load.
+  std::string spanName(uint32_t fnIdx) const {
+    return trace::enabled() ? "verify:" + mod_.fns[fnIdx].name
+                            : std::string();
+  }
+
   void error(uint32_t fnIdx, size_t pc, std::string reason) {
     VerifyError e;
     e.function = mod_.fns[fnIdx].name;
@@ -648,50 +667,346 @@ private:
   // Layer 2: flow-sensitive typestate analysis
   //===------------------------------------------------------------------===//
 
-  /// Collects errors during the reporting pass; null during fixpoint.
+  static constexpr uint32_t kNotLeader = UINT32_MAX;
+
+  /// The slot after slot i of a ring buffer of `slots` slots.
+  static size_t nextSlot(size_t i, size_t slots) {
+    return i + 1 == slots ? 0 : i + 1;
+  }
+
+  /// What debug builds put in every slot of the working state that a block
+  /// walk does not load. transfer() and flowInto assert that they never
+  /// read it, i.e. that forEachRegister lists every register transfer()
+  /// reads and no write transfer() does not make; otherwise a walk would
+  /// read whatever state an earlier walk left in the slot.
+  static constexpr RegState kNotLoaded{RegState::Uninit, TypeKind::None, -2};
+
+  /// Where one function's blocks sit in the module-wide flow tables.
+  /// Block indices ascend with pc; the last block is the end point n.
+  struct FnFlow {
+    uint32_t pcBase = 0;    ///< its n + 1 entries of blockOf_
+    uint32_t blockBase = 0; ///< its first entry of the per-block tables
+    uint32_t numBlocks = 0; ///< 0 for an empty function
+  };
+
+  /// Where a failed check goes. During the fixpoint it only marks the
+  /// walked block: the last walk of a reachable block runs on its
+  /// converged state, so the marked blocks are exactly those the
+  /// reporting pass walks again to record the errors.
   struct ErrorSink {
-    Verifier *v = nullptr;
+    Verifier *v = nullptr; ///< reporting: records the error
+    char *mark = nullptr;  ///< fixpoint: the walked block's mark
     uint32_t fnIdx = 0;
     size_t pc = 0;
     void operator()(const std::string &reason) const {
       if (v)
         v->error(fnIdx, pc, reason);
+      else
+        *mark = 1;
     }
   };
 
-  /// Entry state: argument registers carry the join over every
-  /// invocation site's typestates (entries contribute host-trusted Any).
-  /// A function no site invokes can never run; its arguments stay Any so
-  /// its body is still checked intraprocedurally without noise.
-  FlowState entryState(uint32_t fnIdx) const {
-    const BCFunction &fn = mod_.fns[fnIdx];
-    FlowState st;
-    st.regs.assign(fn.numRegs, RegState{});
-    if (argSeeds_[fnIdx]) {
-      const auto &seed = *argSeeds_[fnIdx];
-      for (uint32_t i = 0; i < fn.numArgs && i < seed.size(); ++i)
-        st.regs[i] = seed[i];
-    } else {
-      for (uint32_t i = 0; i < fn.numArgs; ++i)
-        st.regs[i] = RegState::ofAny();
+  /// Calls read(r) for every register `in` reads, then write(r) for every
+  /// register it writes: exactly the registers transfer() reads from and
+  /// writes to the flow state (debug builds check it; see kNotLoaded).
+  template <typename Read, typename Write>
+  static void forEachRegister(const BCFunction &fn, const Instr &in,
+                              Read &&read, Write &&write) {
+    auto readWindow = [&](int32_t off, int32_t count) {
+      for (int32_t i = 0; i < count; ++i)
+        read(fn.extras[off + i]);
+    };
+    switch (in.op) {
+    case BC::ConstI: case BC::ConstF: case BC::GetTid: case BC::GetTeamSize:
+      write(in.d);
+      break;
+    case BC::Copy:
+    case BC::NegF: case BC::SqrtF: case BC::ExpF: case BC::LogF:
+    case BC::AbsF: case BC::SinF: case BC::CosF: case BC::TanhF:
+    case BC::FloorF: case BC::CeilF:
+    case BC::SIToFP: case BC::FPToSI: case BC::TruncI32: case BC::Dim:
+      read(in.a);
+      write(in.d);
+      break;
+    case BC::AddI: case BC::SubI: case BC::MulI: case BC::DivSI:
+    case BC::RemSI: case BC::AndI: case BC::OrI: case BC::XOrI:
+    case BC::ShLI: case BC::ShRSI: case BC::MinSI: case BC::MaxSI:
+    case BC::CmpI:
+    case BC::AddF: case BC::SubF: case BC::MulF: case BC::DivF:
+    case BC::RemF: case BC::MinF: case BC::MaxF: case BC::PowF:
+    case BC::CmpF:
+      read(in.a);
+      read(in.b);
+      write(in.d);
+      break;
+    case BC::Select:
+      read(in.a);
+      read(in.b);
+      read(in.c);
+      write(in.d);
+      break;
+    case BC::Alloca:
+    case BC::AllocHeap:
+      readWindow(in.b, in.c);
+      write(in.d);
+      break;
+    case BC::Dealloc:
+    case BC::JumpIfFalse:
+      read(in.a);
+      break;
+    case BC::Load:
+    case BC::SubView:
+      read(in.a);
+      readWindow(in.b, in.c);
+      write(in.d);
+      break;
+    case BC::Store:
+      read(in.a);
+      readWindow(in.b, in.c);
+      read(in.d);
+      break;
+    case BC::JumpIfGE:
+      read(in.a);
+      read(in.b);
+      break;
+    case BC::Call:
+      readWindow(in.b, in.c);
+      for (int32_t i = 0; i < in.d; ++i)
+        write(fn.extras[in.b + in.c + i]);
+      break;
+    case BC::Ret:
+      readWindow(in.b, in.c);
+      break;
+    case BC::ParallelOmp:
+    case BC::ParallelScf: {
+      const Closure &c = fn.closures[in.imm];
+      for (int32_t r : c.captureRegs)
+        read(r);
+      if (in.op == BC::ParallelScf)
+        for (uint8_t i = 0; i < c.numIvs; ++i) {
+          read(c.lbs[i]);
+          read(c.ubs[i]);
+          read(c.steps[i]);
+        }
+      break;
     }
-    return st;
+    case BC::Jump:
+    case BC::TeamBarrier:
+    case BC::SimtBarrier:
+    case BC::ScopePush:
+    case BC::ScopePop:
+      break;
+    }
   }
 
-  /// Joins one invocation site's argument typestates into the target's
-  /// entry seed, recording the target for re-analysis when it rose.
-  void joinSeed(uint32_t target, std::vector<RegState> seed) {
-    auto &slot = argSeeds_[target];
-    if (!slot) {
-      slot = std::move(seed);
+  /// Computes, once per verifyModule, every function's block leaders (pc
+  /// 0, every jump target, the pc after each Jump/JumpIfFalse/JumpIfGE/
+  /// Ret, and the implicit end point n) and the registers live into each
+  /// reachable leader: those some path from it reads before writing. Only
+  /// those registers' typestates can reach a check or a summary, so they
+  /// are the only ones the fixpoint stores, copies and joins. Bitset rows
+  /// go only to blocks reachable from pc 0 (the blocks the fixpoint
+  /// visits), so dead code costs no memory per register.
+  void planFlow() {
+    const auto numFns = static_cast<uint32_t>(mod_.fns.size());
+    flows_.resize(numFns);
+    size_t pcs = 0;
+    uint32_t maxRegs = 0;
+    for (const BCFunction &fn : mod_.fns) {
+      pcs += fn.instrs.size() + 1;
+      maxRegs = std::max(maxRegs, fn.numRegs);
+    }
+    blockOf_.assign(pcs, kNotLeader);
+    work_.resize(maxRegs);
+
+    // Per function: rowOf[b] is reachable block b's bitset row
+    // (kNotLeader for a block never reached), rowBlock its inverse, and
+    // succ[2b], succ[2b + 1] the successors of reachable block b.
+    std::vector<uint32_t> rowOf, rowBlock, stack, succ;
+    std::vector<uint64_t> gen, kill, live;
+    std::vector<uint32_t> predHead, predNext, predRow, pending;
+    std::vector<char> inPending;
+    uint32_t pcBase = 0;
+    for (uint32_t f = 0; f < numFns; ++f) {
+      const BCFunction &fn = mod_.fns[f];
+      const auto n = static_cast<uint32_t>(fn.instrs.size());
+      FnFlow &flow = flows_[f];
+      flow.pcBase = pcBase;
+      flow.blockBase = static_cast<uint32_t>(leaderPc_.size());
+      pcBase += n + 1;
+      if (n == 0)
+        continue;
+      uint32_t *blockOf = &blockOf_[flow.pcBase];
+      blockOf[0] = blockOf[n] = 0;
+      for (uint32_t pc = 0; pc < n; ++pc) {
+        const Instr &in = fn.instrs[pc];
+        if (in.op == BC::Jump || in.op == BC::JumpIfFalse ||
+            in.op == BC::JumpIfGE) {
+          blockOf[in.imm] = 0;
+          blockOf[pc + 1] = 0;
+        } else if (in.op == BC::Ret) {
+          blockOf[pc + 1] = 0;
+        }
+      }
+      for (uint32_t pc = 0; pc <= n; ++pc)
+        if (blockOf[pc] != kNotLeader) {
+          blockOf[pc] = flow.numBlocks++;
+          leaderPc_.push_back(pc);
+        }
+      const uint32_t *leaderPc = &leaderPc_[flow.blockBase];
+      const uint32_t end = flow.numBlocks - 1;
+      // Successors of block b < end: the jump target, and the next block
+      // unless b ends in a Jump or a Ret (kNotLeader where absent).
+      auto successors = [&](uint32_t b) -> std::pair<uint32_t, uint32_t> {
+        const Instr &last = fn.instrs[leaderPc[b + 1] - 1];
+        bool jumps = last.op == BC::Jump || last.op == BC::JumpIfFalse ||
+                     last.op == BC::JumpIfGE;
+        bool fallsThrough = last.op != BC::Jump && last.op != BC::Ret;
+        return {jumps ? blockOf[last.imm] : kNotLeader,
+                fallsThrough ? b + 1 : kNotLeader};
+      };
+
+      // Reachable blocks (rowOf != kNotLeader) and their successors,
+      // then their rows in block order.
+      rowOf.assign(flow.numBlocks, kNotLeader);
+      succ.resize(2 * flow.numBlocks);
+      rowOf[0] = 0;
+      stack.assign(1, 0);
+      while (!stack.empty()) {
+        uint32_t b = stack.back();
+        stack.pop_back();
+        if (b == end)
+          continue;
+        std::tie(succ[2 * b], succ[2 * b + 1]) = successors(b);
+        for (uint32_t s : {succ[2 * b], succ[2 * b + 1]})
+          if (s != kNotLeader && rowOf[s] == kNotLeader) {
+            rowOf[s] = 0;
+            stack.push_back(s);
+          }
+      }
+      rowBlock.clear();
+      for (uint32_t b = 0; b < flow.numBlocks; ++b)
+        if (rowOf[b] != kNotLeader) {
+          rowOf[b] = static_cast<uint32_t>(rowBlock.size());
+          rowBlock.push_back(b);
+        }
+
+      // Upward-exposed reads (gen) and writes (kill) per block, and each
+      // row's predecessor rows: a list of edges e from predHead[row] on
+      // through predNext[e] (kNotLeader ends it), each from row predRow[e].
+      const auto rows = static_cast<uint32_t>(rowBlock.size());
+      const size_t words = (fn.numRegs + 63) / 64;
+      gen.assign(rows * words, 0);
+      kill.assign(rows * words, 0);
+      live.assign(rows * words, 0);
+      predHead.assign(rows, kNotLeader);
+      predNext.clear();
+      predRow.clear();
+      for (uint32_t r = 0; r < rows; ++r) {
+        uint32_t b = rowBlock[r];
+        if (b == end)
+          continue;
+        uint64_t *g = gen.data() + r * words, *k = kill.data() + r * words;
+        for (uint32_t pc = leaderPc[b]; pc < leaderPc[b + 1]; ++pc)
+          forEachRegister(
+              fn, fn.instrs[pc],
+              [&](int32_t reg) {
+                uint64_t bit = uint64_t(1) << (reg & 63);
+                if (!(k[reg >> 6] & bit))
+                  g[reg >> 6] |= bit;
+              },
+              [&](int32_t reg) { k[reg >> 6] |= uint64_t(1) << (reg & 63); });
+        for (uint32_t s : {succ[2 * b], succ[2 * b + 1]})
+          if (s != kNotLeader) {
+            predNext.push_back(predHead[rowOf[s]]);
+            predRow.push_back(r);
+            predHead[rowOf[s]] = static_cast<uint32_t>(predRow.size() - 1);
+          }
+      }
+
+      // live = gen | (live-out & ~kill) to a fixpoint. A FIFO of rows
+      // starts with every row backwards; a row whose live set grows
+      // queues its predecessors, so a back edge costs no sweep of the
+      // function. Each row is queued at most once at a time, so a ring of
+      // rows + 1 slots never fills. The end point's live set is empty.
+      pending.resize(rows + 1);
+      inPending.assign(rows, 0);
+      size_t head = 0, tail = 0;
+      auto push = [&](uint32_t r) {
+        if (rowBlock[r] != end && !inPending[r]) {
+          inPending[r] = 1;
+          pending[tail] = r;
+          tail = nextSlot(tail, rows + 1);
+        }
+      };
+      for (uint32_t r = rows; r-- > 0;)
+        push(r);
+      while (head != tail) {
+        const uint32_t r = pending[head];
+        head = nextSlot(head, rows + 1);
+        inPending[r] = 0;
+        const uint32_t target = succ[2 * rowBlock[r]],
+                       next = succ[2 * rowBlock[r] + 1];
+        const uint64_t *t = target == kNotLeader
+                                ? nullptr
+                                : live.data() + rowOf[target] * words;
+        const uint64_t *x =
+            next == kNotLeader ? nullptr : live.data() + rowOf[next] * words;
+        bool changed = false;
+        for (size_t w = 0; w < words; ++w) {
+          uint64_t out = (t ? t[w] : 0) | (x ? x[w] : 0);
+          size_t cell = r * words + w;
+          uint64_t in = gen[cell] | (out & ~kill[cell]);
+          if (in != live[cell]) {
+            live[cell] = in;
+            changed = true;
+          }
+        }
+        if (changed)
+          for (uint32_t e = predHead[r]; e != kNotLeader; e = predNext[e])
+            push(predRow[e]);
+      }
+      for (uint32_t b = 0; b < flow.numBlocks; ++b) {
+        liveBegin_.push_back(liveRegs_.size());
+        if (rowOf[b] == kNotLeader)
+          continue;
+        const uint64_t *row = live.data() + rowOf[b] * words;
+        for (size_t w = 0; w < words; ++w)
+          for (uint64_t bits = row[w]; bits; bits &= bits - 1)
+            liveRegs_.push_back(static_cast<uint32_t>(
+                w * 64 + static_cast<unsigned>(__builtin_ctzll(bits))));
+      }
+    }
+    liveBegin_.push_back(liveRegs_.size());
+    states_.resize(liveRegs_.size());
+    const size_t blocks = leaderPc_.size();
+    depth_.resize(blocks);
+    reachable_.resize(blocks);
+    depthClash_.resize(blocks);
+    queued_.resize(blocks);
+    marked_.resize(blocks);
+    queue_.resize(blocks);
+  }
+
+  /// Joins one invocation site's argument typestates (valueAt(i) for
+  /// argument i) into the target's entry seed, recording the target for
+  /// re-analysis when it rose.
+  template <typename ValueAt>
+  void joinSeed(uint32_t target, ValueAt &&valueAt) {
+    RegState *slot = seeds_.data() + seedBase_[target];
+    const uint32_t count = seedBase_[target + 1] - seedBase_[target];
+    if (!hasSeed_[target]) {
+      hasSeed_[target] = 1;
+      for (uint32_t i = 0; i < count; ++i)
+        slot[i] = valueAt(i);
       changedSeeds_.push_back(target);
       return;
     }
     bool changed = false;
-    for (size_t i = 0; i < slot->size() && i < seed.size(); ++i) {
-      RegState j = join((*slot)[i], seed[i]);
-      if (!(j == (*slot)[i])) {
-        (*slot)[i] = j;
+    for (uint32_t i = 0; i < count; ++i) {
+      RegState j = join(slot[i], valueAt(i));
+      if (!(j == slot[i])) {
+        slot[i] = j;
         changed = true;
       }
     }
@@ -701,177 +1016,221 @@ private:
 
   /// Joins one Ret site's value typestates into the function's return
   /// summary (consumed at Call sites), flagging callers for re-analysis.
-  void joinRet(uint32_t fnIdx, std::vector<RegState> vals) {
-    auto &slot = retStates_[fnIdx];
-    if (!slot) {
-      slot = std::move(vals);
+  template <typename ValueAt>
+  void joinRet(uint32_t fnIdx, ValueAt &&valueAt) {
+    RegState *slot = rets_.data() + retBase_[fnIdx];
+    const uint32_t count = retBase_[fnIdx + 1] - retBase_[fnIdx];
+    if (!hasRet_[fnIdx]) {
+      hasRet_[fnIdx] = 1;
+      for (uint32_t i = 0; i < count; ++i)
+        slot[i] = valueAt(i);
       retChanged_ = true;
       return;
     }
-    for (size_t i = 0; i < slot->size() && i < vals.size(); ++i) {
-      RegState j = join((*slot)[i], vals[i]);
-      if (!(j == (*slot)[i])) {
-        (*slot)[i] = j;
+    for (uint32_t i = 0; i < count; ++i) {
+      RegState j = join(slot[i], valueAt(i));
+      if (!(j == slot[i])) {
+        slot[i] = j;
         retChanged_ = true;
       }
     }
   }
 
   /// Runs the intra-function worklist to its fixpoint over basic blocks.
-  /// In-states are stored only at block leaders: pc 0, every jump
-  /// target, the pc after each Jump/JumpIfFalse/JumpIfGE/Ret, and the
-  /// implicit end point n. A block is walked on one working state with the
-  /// per-instruction transfer, so a visit costs O(block length + regs)
-  /// instead of O(block length x regs). With report=false, invocation-
-  /// site and Ret summaries are joined into argSeeds_/retStates_ (the
-  /// interprocedural propagation); with report=true each reachable block
-  /// is re-walked once from its converged leader state to emit errors
-  /// with stable per-pc attribution. Returns the number of leader states
-  /// stored (reachable leaders).
-  size_t flowFunction(uint32_t fnIdx, bool report) {
+  /// A leader stores the typestates of its live-in registers only, plus
+  /// the scope depth; a block is walked on the one module-wide working
+  /// state, loaded with those registers (every other register is written
+  /// before the block reads it). So a visit costs O(block length +
+  /// live-in registers) and allocates nothing. The entry leader's state
+  /// holds the arguments' seeds (entries: host-trusted Any; a function no
+  /// site invokes can never run, so its arguments stay Any and its body
+  /// is still checked intraprocedurally without noise) and Uninit for
+  /// every other register. Invocation-site and Ret summaries are joined
+  /// into the seeds and Ret summaries as the walks go (the
+  /// interprocedural propagation). Each function has its own region of
+  /// the flow tables, so after the interprocedural fixpoint they hold its
+  /// last run. A function runs again whenever its seed or a callee's Ret
+  /// summary rises, its own included, so that last run read converged
+  /// summaries throughout and stored what a fresh run on them would.
+  void flowFunction(uint32_t fnIdx) {
     const BCFunction &fn = mod_.fns[fnIdx];
-    const size_t n = fn.instrs.size();
+    const FnFlow &flow = flows_[fnIdx];
+    if (flow.numBlocks == 0)
+      return; // empty body: execution falls straight off the end
+    const uint32_t *blockOf = &blockOf_[flow.pcBase];
+    const size_t *liveBegin = &liveBegin_[flow.blockBase];
+    RegState *states = states_.data();
+    int32_t *depth = &depth_[flow.blockBase];
+    char *reachable = &reachable_[flow.blockBase];
+    char *depthClash = &depthClash_[flow.blockBase];
+    char *queued = &queued_[flow.blockBase];
+    const uint32_t endBlock = flow.numBlocks - 1;
+    std::fill(reachable, reachable + flow.numBlocks, 0);
+    std::fill(depthClash, depthClash + flow.numBlocks, 0);
+    std::fill(queued, queued + flow.numBlocks, 0);
 
-    if (n == 0) {
-      // Empty body: execution falls straight off the end.
-      if (report && fn.numResults > 0)
-        error(fnIdx, VerifyError::kNoPc,
-              "empty function declares " + std::to_string(fn.numResults) +
-                  " results (no Ret can produce them)");
-      return 0;
-    }
-
-    // blockOf[pc] is the block index of a leader pc, kNotLeader elsewhere;
-    // leaderPc[b] is its inverse. Block indices ascend with pc, so the
-    // reporting sweep below emits errors in pc order.
-    constexpr uint32_t kNotLeader = UINT32_MAX;
-    std::vector<uint32_t> blockOf(n + 1, kNotLeader);
-    blockOf[0] = blockOf[n] = 0;
-    for (size_t pc = 0; pc < n; ++pc) {
-      const Instr &in = fn.instrs[pc];
-      if (in.op == BC::Jump || in.op == BC::JumpIfFalse ||
-          in.op == BC::JumpIfGE) {
-        blockOf[static_cast<size_t>(in.imm)] = 0;
-        blockOf[pc + 1] = 0;
-      } else if (in.op == BC::Ret) {
-        blockOf[pc + 1] = 0;
-      }
-    }
-    std::vector<size_t> leaderPc;
-    for (size_t pc = 0; pc <= n; ++pc)
-      if (blockOf[pc] != kNotLeader) {
-        blockOf[pc] = static_cast<uint32_t>(leaderPc.size());
-        leaderPc.push_back(pc);
-      }
-    const uint32_t endBlock = blockOf[n];
-
-    std::vector<char> reachable(leaderPc.size(), 0);
-    std::vector<char> depthClash(leaderPc.size(), 0);
-    std::vector<char> queued(leaderPc.size(), 0);
-    std::vector<FlowState> in(leaderPc.size());
-    size_t stored = 0;
-
-    std::deque<uint32_t> work;
+    // A FIFO of blocks; each is queued at most once at a time and the end
+    // point never, so a ring of numBlocks slots never fills.
+    size_t head = 0, tail = 0;
     auto enqueue = [&](uint32_t b) {
       if (b != endBlock && !queued[b]) {
         queued[b] = 1;
-        work.push_back(b);
+        queue_[tail] = b;
+        tail = nextSlot(tail, flow.numBlocks);
       }
     };
-    // Successor edges: a leader target joins into its stored state; a
-    // non-leader target is the fall-through pc + 1 inside the current
-    // block, whose state is the working state the transfer just updated.
-    auto flowInto = [&](size_t target, const FlowState &st) {
+    // Successor edges: a leader target joins the live-in registers of the
+    // working state into its stored state; a non-leader target is the
+    // fall-through pc + 1 inside the current block, whose state is the
+    // working state the transfer just updated.
+    auto flowInto = [&](size_t target, const RegState *st, int32_t d) {
       uint32_t b = blockOf[target];
       if (b == kNotLeader)
         return;
+      RegState *cur = states + liveBegin[b];
+      const uint32_t *live = liveRegs_.data() + liveBegin[b];
+      const size_t count = liveBegin[b + 1] - liveBegin[b];
+      for (size_t i = 0; i < count; ++i)
+        assert(!(st[live[i]] == kNotLoaded) &&
+               "a live-out register was neither loaded nor written");
       if (!reachable[b]) {
         reachable[b] = 1;
-        ++stored;
-        in[b] = st;
+        depth[b] = d;
+        for (size_t i = 0; i < count; ++i)
+          cur[i] = st[live[i]];
         enqueue(b);
         return;
       }
-      bool changed = false;
-      FlowState &cur = in[b];
-      if (cur.depth != st.depth) {
+      if (depth[b] != d) {
         // Path-dependent scope depth: reported once per merge point after
         // the fixpoint. Keep the existing depth so iteration terminates.
         depthClash[b] = 1;
       }
-      for (size_t r = 0; r < cur.regs.size(); ++r) {
-        RegState j = join(cur.regs[r], st.regs[r]);
-        if (!(j == cur.regs[r])) {
-          cur.regs[r] = j;
+      bool changed = false;
+      for (size_t i = 0; i < count; ++i) {
+        RegState j = join(cur[i], st[live[i]]);
+        if (!(j == cur[i])) {
+          cur[i] = j;
           changed = true;
         }
       }
       if (changed)
         enqueue(b);
     };
-    // Walks block b from its stored in-state; errors go to `sinkTo`
-    // (null during the fixpoint).
-    auto walkBlock = [&](uint32_t b, Verifier *sinkTo, auto &&flow,
-                         bool updateSummaries) {
-      FlowState st = in[b];
-      for (size_t pc = leaderPc[b]; pc < n; ++pc) {
-        transfer(fnIdx, pc, st, ErrorSink{sinkTo, fnIdx, pc}, flow,
-                 updateSummaries);
-        if (blockOf[pc + 1] != kNotLeader)
-          break;
-      }
-    };
 
-    flowInto(0, entryState(fnIdx));
-    while (!work.empty()) {
-      uint32_t b = work.front();
-      work.pop_front();
+    // The entry leader (block 0, never the end point since n > 0).
+    const RegState *seed =
+        hasSeed_[fnIdx] ? seeds_.data() + seedBase_[fnIdx] : nullptr;
+    for (size_t i = liveBegin[0]; i < liveBegin[1]; ++i) {
+      uint32_t r = liveRegs_[i];
+      states[i] = r >= fn.numArgs ? RegState{}
+                  : seed          ? seed[r]
+                                  : RegState::ofAny();
+    }
+    reachable[0] = 1;
+    depth[0] = 0;
+    enqueue(0);
+    while (head != tail) {
+      uint32_t b = queue_[head];
+      head = nextSlot(head, flow.numBlocks);
       queued[b] = 0;
-      walkBlock(b, nullptr, flowInto, /*updateSummaries=*/!report);
+      walkBlock(fnIdx, b, nullptr, flowInto, /*updateSummaries=*/true);
     }
-    if (!report)
-      return stored;
+  }
 
-    // Reporting pass over the fixed states: each reachable block walked
-    // exactly once, so every error has a single, stable attribution.
-    auto noFlow = [](size_t, const FlowState &) {};
-    for (uint32_t b = 0; b < endBlock; ++b) {
-      if (!reachable[b])
-        continue;
-      if (depthClash[b])
-        error(fnIdx, leaderPc[b],
-              "ScopePush/ScopePop depth differs between predecessor paths");
-      walkBlock(b, this, noFlow, /*updateSummaries=*/false);
+  /// Reports the errors of function fnIdx from its converged flow tables:
+  /// each reachable block that failed a check is walked once more, now
+  /// recording (function, pc, reason), so every error has a single,
+  /// stable attribution in pc order; unreachable code is never reported.
+  /// Returns the number of leader states stored (reachable leaders).
+  size_t reportFunction(uint32_t fnIdx) {
+    const BCFunction &fn = mod_.fns[fnIdx];
+    const FnFlow &flow = flows_[fnIdx];
+    if (flow.numBlocks == 0) {
+      if (fn.numResults > 0)
+        error(fnIdx, VerifyError::kNoPc,
+              "empty function declares " + std::to_string(fn.numResults) +
+                  " results (no Ret can produce them)");
+      return 0;
     }
-    if (reachable[endBlock]) {
+    const uint32_t base = flow.blockBase, endBlock = flow.numBlocks - 1;
+    size_t stored = 0;
+    auto noFlow = [](size_t, const RegState *, int32_t) {};
+    for (uint32_t b = 0; b < endBlock; ++b) {
+      if (!reachable_[base + b])
+        continue;
+      ++stored;
+      if (depthClash_[base + b])
+        error(fnIdx, leaderPc_[base + b],
+              "ScopePush/ScopePop depth differs between predecessor paths");
+      if (marked_[base + b])
+        walkBlock(fnIdx, b, this, noFlow, /*updateSummaries=*/false);
+    }
+    if (reachable_[base + endBlock]) {
+      ++stored;
       if (fn.numResults > 0)
         error(fnIdx, VerifyError::kNoPc,
               "control reaches the end of the function without Ret (" +
                   std::to_string(fn.numResults) + " results undefined)");
-      else if (in[endBlock].depth != 0 || depthClash[endBlock])
+      else if (depth_[base + endBlock] != 0 || depthClash_[base + endBlock])
         error(fnIdx, VerifyError::kNoPc,
               "control reaches the end of the function with " +
-                  std::to_string(in[endBlock].depth) + " unmatched ScopePush");
+                  std::to_string(depth_[base + endBlock]) +
+                  " unmatched ScopePush");
     }
     return stored;
   }
 
-  /// Executes the abstract transfer for `fn.instrs[pc]` on `st`, feeding
-  /// successor states to `flowInto(target, state)` and faults to `err`.
+  /// Walks block b of function fnIdx from its stored in-state on the
+  /// working state. Errors go to `sinkTo`; with none (the fixpoint) a
+  /// failed check marks the block instead.
+  template <typename FlowInto>
+  void walkBlock(uint32_t fnIdx, uint32_t b, Verifier *sinkTo,
+                 FlowInto &&into, bool updateSummaries) {
+    const FnFlow &flow = flows_[fnIdx];
+    const uint32_t g = flow.blockBase + b;
+    const uint32_t *blockOf = &blockOf_[flow.pcBase];
+    const size_t n = mod_.fns[fnIdx].instrs.size();
+    RegState *regs = work_.data();
+#ifndef NDEBUG
+    std::fill(regs, regs + mod_.fns[fnIdx].numRegs, kNotLoaded);
+#endif
+    for (size_t i = liveBegin_[g]; i < liveBegin_[g + 1]; ++i)
+      regs[liveRegs_[i]] = states_[i];
+    int32_t d = depth_[g];
+    marked_[g] = 0;
+    for (size_t pc = leaderPc_[g]; pc < n; ++pc) {
+      transfer(fnIdx, pc, regs, d, ErrorSink{sinkTo, &marked_[g], fnIdx, pc},
+               into, updateSummaries);
+      if (blockOf[pc + 1] != kNotLeader)
+        break;
+    }
+  }
+
+  /// Executes the abstract transfer for `fn.instrs[pc]` on the working
+  /// state (`regs`, `depth`), feeding successor states to
+  /// `flowInto(target, regs, depth)` and faults to `err`.
   /// Runs identically during fixpoint and reporting; only the sinks
   /// differ (updateSummaries is on during the interprocedural fixpoint,
   /// off during reporting, when the summaries are already converged).
   /// On a faulting read the transfer recovers (treats the value as the
   /// demanded type) so one root cause doesn't cascade.
   template <typename FlowInto>
-  void transfer(uint32_t fnIdx, size_t pc, FlowState &st, ErrorSink err,
-                FlowInto &&flowInto, bool updateSummaries) {
+  void transfer(uint32_t fnIdx, size_t pc, RegState *regs, int32_t &depth,
+                ErrorSink err, FlowInto &&flowInto, bool updateSummaries) {
     const BCFunction &fn = mod_.fns[fnIdx];
     const Instr &in = fn.instrs[pc];
     const size_t n = fn.instrs.size();
 
+    // Every read of the working state goes through use(), directly or by
+    // a read of the same register just before.
+    auto use = [&](int32_t r) -> const RegState & {
+      assert(!(regs[r] == kNotLoaded) &&
+             "transfer reads a register forEachRegister does not list");
+      return regs[r];
+    };
     auto readInt = [&](int32_t r, const char *what) {
-      const RegState &s = st.regs[r];
+      const RegState &s = use(r);
       if (s.k == RegState::Int || s.k == RegState::Scalar ||
           s.k == RegState::Any)
         return;
@@ -879,7 +1238,7 @@ private:
           " as int but it is " + s.describe());
     };
     auto readFloat = [&](int32_t r, const char *what) {
-      const RegState &s = st.regs[r];
+      const RegState &s = use(r);
       if (s.k == RegState::Float || s.k == RegState::Scalar ||
           s.k == RegState::Any)
         return;
@@ -887,7 +1246,7 @@ private:
           " as float but it is " + s.describe());
     };
     auto readMem = [&](int32_t r, const char *what) -> RegState {
-      const RegState &s = st.regs[r];
+      const RegState &s = use(r);
       if (s.k == RegState::Mem)
         return s;
       if (s.k == RegState::Any)
@@ -897,7 +1256,7 @@ private:
       return RegState::ofMem(TypeKind::None, -1);
     };
     auto readInit = [&](int32_t r, const char *what) {
-      const RegState &s = st.regs[r];
+      const RegState &s = use(r);
       if (s.k == RegState::Uninit)
         err(std::string(what) + " reads uninitialized r" +
             std::to_string(r));
@@ -909,95 +1268,95 @@ private:
       for (int32_t i = 0; i < in.c; ++i)
         readInt(fn.extras[in.b + i], what);
     };
-    auto next = [&](const FlowState &s) { flowInto(pc + 1, s); };
+    auto next = [&] { flowInto(pc + 1, regs, depth); };
 
     switch (in.op) {
     case BC::ConstI:
-      st.regs[in.d] = RegState::ofInt();
-      next(st);
+      regs[in.d] = RegState::ofInt();
+      next();
       break;
     case BC::ConstF:
-      st.regs[in.d] = RegState::ofFloat();
-      next(st);
+      regs[in.d] = RegState::ofFloat();
+      next();
       break;
     case BC::Copy:
       readInit(in.a, "Copy");
-      st.regs[in.d] = st.regs[in.a].k == RegState::Uninit
+      regs[in.d] = regs[in.a].k == RegState::Uninit
                           ? RegState::ofAny()
-                          : st.regs[in.a];
-      next(st);
+                          : regs[in.a];
+      next();
       break;
     case BC::AddI: case BC::SubI: case BC::MulI: case BC::DivSI:
     case BC::RemSI: case BC::AndI: case BC::OrI: case BC::XOrI:
     case BC::ShLI: case BC::ShRSI: case BC::MinSI: case BC::MaxSI:
       readInt(in.a, "integer arithmetic");
       readInt(in.b, "integer arithmetic");
-      st.regs[in.d] = RegState::ofInt();
-      next(st);
+      regs[in.d] = RegState::ofInt();
+      next();
       break;
     case BC::CmpI:
       readInt(in.a, "CmpI");
       readInt(in.b, "CmpI");
-      st.regs[in.d] = RegState::ofInt();
-      next(st);
+      regs[in.d] = RegState::ofInt();
+      next();
       break;
     case BC::AddF: case BC::SubF: case BC::MulF: case BC::DivF:
     case BC::RemF: case BC::MinF: case BC::MaxF: case BC::PowF:
       readFloat(in.a, "float arithmetic");
       readFloat(in.b, "float arithmetic");
-      st.regs[in.d] = RegState::ofFloat();
-      next(st);
+      regs[in.d] = RegState::ofFloat();
+      next();
       break;
     case BC::NegF: case BC::SqrtF: case BC::ExpF: case BC::LogF:
     case BC::AbsF: case BC::SinF: case BC::CosF: case BC::TanhF:
     case BC::FloorF: case BC::CeilF:
       readFloat(in.a, "float unary");
-      st.regs[in.d] = RegState::ofFloat();
-      next(st);
+      regs[in.d] = RegState::ofFloat();
+      next();
       break;
     case BC::CmpF:
       readFloat(in.a, "CmpF");
       readFloat(in.b, "CmpF");
-      st.regs[in.d] = RegState::ofInt();
-      next(st);
+      regs[in.d] = RegState::ofInt();
+      next();
       break;
     case BC::Select: {
       readInt(in.a, "Select condition");
       readInit(in.b, "Select");
       readInit(in.c, "Select");
-      RegState j = join(st.regs[in.b], st.regs[in.c]);
-      st.regs[in.d] = j.k == RegState::Uninit ? RegState::ofAny() : j;
-      next(st);
+      RegState j = join(regs[in.b], regs[in.c]);
+      regs[in.d] = j.k == RegState::Uninit ? RegState::ofAny() : j;
+      next();
       break;
     }
     case BC::SIToFP:
       readInt(in.a, "SIToFP");
-      st.regs[in.d] = RegState::ofFloat();
-      next(st);
+      regs[in.d] = RegState::ofFloat();
+      next();
       break;
     case BC::FPToSI:
       readFloat(in.a, "FPToSI");
-      st.regs[in.d] = RegState::ofInt();
-      next(st);
+      regs[in.d] = RegState::ofInt();
+      next();
       break;
     case BC::TruncI32:
       readInt(in.a, "TruncI32");
-      st.regs[in.d] = RegState::ofInt();
-      next(st);
+      regs[in.d] = RegState::ofInt();
+      next();
       break;
     case BC::Alloca:
     case BC::AllocHeap: {
       const ShapeInfo &shape = fn.shapes[in.imm];
       for (int32_t i = 0; i < in.c; ++i)
         readInt(fn.extras[in.b + i], "alloca extent");
-      st.regs[in.d] = RegState::ofMem(
+      regs[in.d] = RegState::ofMem(
           shape.elem, static_cast<int8_t>(shape.dims.size()));
-      next(st);
+      next();
       break;
     }
     case BC::Dealloc:
       readMem(in.a, "Dealloc");
-      next(st);
+      next();
       break;
     case BC::Load: {
       RegState m = readMem(in.a, "Load");
@@ -1011,17 +1370,17 @@ private:
             isFloatKind(in.t) != isFloatKind(m.elem))
           err(std::string("Load result kind ") + ir::typeKindName(in.t) +
               " disagrees with element kind " + ir::typeKindName(m.elem));
-        st.regs[in.d] =
+        regs[in.d] =
             isFloatKind(m.elem) ? RegState::ofFloat() : RegState::ofInt();
       } else if (in.t != TypeKind::None) {
-        st.regs[in.d] =
+        regs[in.d] =
             isFloatKind(in.t) ? RegState::ofFloat() : RegState::ofInt();
       } else {
         // Element kind unknowable: the value is data from memory —
         // definitely a scalar, definitely not a descriptor pointer.
-        st.regs[in.d] = RegState::ofScalar();
+        regs[in.d] = RegState::ofScalar();
       }
-      next(st);
+      next();
       break;
     }
     case BC::Store: {
@@ -1039,7 +1398,7 @@ private:
       } else {
         readInit(in.d, "Store value");
       }
-      next(st);
+      next();
       break;
     }
     case BC::Dim: {
@@ -1047,8 +1406,8 @@ private:
       if (m.rank >= 0 && in.imm >= m.rank)
         err("Dim index " + std::to_string(in.imm) +
             " out of range for rank " + std::to_string(m.rank));
-      st.regs[in.d] = RegState::ofInt();
-      next(st);
+      regs[in.d] = RegState::ofInt();
+      next();
       break;
     }
     case BC::SubView: {
@@ -1058,26 +1417,26 @@ private:
             " dims but the memref in r" + std::to_string(in.a) +
             " has rank " + std::to_string(m.rank));
       readIndices("SubView index");
-      st.regs[in.d] = RegState::ofMem(
+      regs[in.d] = RegState::ofMem(
           m.elem,
           m.rank >= 0 ? static_cast<int8_t>(std::max(0, m.rank - in.c))
                       : int8_t(-1));
-      next(st);
+      next();
       break;
     }
     case BC::Jump:
-      flowInto(static_cast<size_t>(in.imm), st);
+      flowInto(static_cast<size_t>(in.imm), regs, depth);
       break;
     case BC::JumpIfFalse:
       readInt(in.a, "JumpIfFalse condition");
-      flowInto(static_cast<size_t>(in.imm), st);
-      next(st);
+      flowInto(static_cast<size_t>(in.imm), regs, depth);
+      next();
       break;
     case BC::JumpIfGE:
       readInt(in.a, "JumpIfGE");
       readInt(in.b, "JumpIfGE");
-      flowInto(static_cast<size_t>(in.imm), st);
-      next(st);
+      flowInto(static_cast<size_t>(in.imm), regs, depth);
+      next();
       break;
     case BC::Call: {
       auto callee = static_cast<uint32_t>(in.imm);
@@ -1087,48 +1446,36 @@ private:
       // seed: the callee is analyzed under what bytecode actually
       // passes, so an int smuggled into a memref parameter is caught
       // where it is dereferenced.
-      if (updateSummaries) {
-        std::vector<RegState> seed;
-        seed.reserve(in.c);
-        for (int32_t i = 0; i < in.c; ++i) {
-          const RegState &s = st.regs[fn.extras[in.b + i]];
-          seed.push_back(s.k == RegState::Uninit ? RegState::ofAny() : s);
-        }
-        joinSeed(callee, std::move(seed));
-      }
+      if (updateSummaries)
+        joinSeed(callee, [&](uint32_t i) {
+          return passed(regs[fn.extras[in.b + i]]);
+        });
       // Results carry the callee's converged Ret typestates. No summary
       // yet means no reachable Ret (the call cannot return): any state
       // is sound; Scalar keeps the value un-dereferenceable.
       for (int32_t i = 0; i < in.d; ++i)
-        st.regs[fn.extras[in.b + in.c + i]] =
-            retStates_[callee] && static_cast<size_t>(i) <
-                                      retStates_[callee]->size()
-                ? (*retStates_[callee])[i]
-                : RegState::ofScalar();
-      next(st);
+        regs[fn.extras[in.b + in.c + i]] =
+            hasRet_[callee] ? rets_[retBase_[callee] + i]
+                            : RegState::ofScalar();
+      next();
       break;
     }
     case BC::Ret: {
       for (int32_t i = 0; i < in.c; ++i)
         readInit(fn.extras[in.b + i], "Ret value");
-      if (st.depth != 0)
-        err("Ret with " + std::to_string(st.depth) +
+      if (depth != 0)
+        err("Ret with " + std::to_string(depth) +
             " unmatched ScopePush (scope stack would leak)");
-      if (updateSummaries) {
-        std::vector<RegState> vals;
-        vals.reserve(in.c);
-        for (int32_t i = 0; i < in.c; ++i) {
-          const RegState &s = st.regs[fn.extras[in.b + i]];
-          vals.push_back(s.k == RegState::Uninit ? RegState::ofAny() : s);
-        }
-        joinRet(fnIdx, std::move(vals));
-      }
+      if (updateSummaries)
+        joinRet(fnIdx, [&](uint32_t i) {
+          return passed(regs[fn.extras[in.b + i]]);
+        });
       break;
     }
     case BC::GetTid:
     case BC::GetTeamSize:
-      st.regs[in.d] = RegState::ofInt();
-      next(st);
+      regs[in.d] = RegState::ofInt();
+      next();
       break;
     case BC::TeamBarrier:
       if (!teamReach_[fnIdx])
@@ -1138,7 +1485,7 @@ private:
         err("TeamBarrier reachable from both a team (omp) context and a "
             "teamless one (entry or SIMT path); the teamless invocation "
             "would silently skip the synchronization");
-      next(st);
+      next();
       break;
     case BC::SimtBarrier: {
       const Roles &r = roles_[fnIdx];
@@ -1146,7 +1493,7 @@ private:
             !r.callee))
         err("SimtBarrier outside a SIMT (gpu-block scf) closure body "
             "(aborts serial execution, deadlocks lockstep)");
-      next(st);
+      next();
       break;
     }
     case BC::ParallelOmp:
@@ -1165,32 +1512,26 @@ private:
       // where the body sits in the function table — adversarial modules
       // that emit a body before (or recursively inside) its launcher
       // are seeded all the same.
-      if (updateSummaries) {
-        std::vector<RegState> seed;
-        seed.reserve(c.captureRegs.size() + c.numIvs);
-        for (int32_t r : c.captureRegs)
-          seed.push_back(st.regs[r].k == RegState::Uninit
-                             ? RegState::ofAny()
-                             : st.regs[r]);
-        for (uint8_t i = 0; i < c.numIvs; ++i)
-          seed.push_back(RegState::ofInt());
-        joinSeed(c.fnIndex, std::move(seed));
-      }
-      next(st);
+      if (updateSummaries)
+        joinSeed(c.fnIndex, [&](uint32_t i) {
+          return i < c.captureRegs.size() ? passed(regs[c.captureRegs[i]])
+                                          : RegState::ofInt();
+        });
+      next();
       break;
     }
     case BC::ScopePush:
-      ++st.depth;
-      next(st);
+      ++depth;
+      next();
       break;
     case BC::ScopePop:
-      if (st.depth == 0) {
+      if (depth == 0) {
         err("ScopePop without a matching ScopePush (scope stack "
             "underflow)");
       } else {
-        --st.depth;
+        --depth;
       }
-      next(st);
+      next();
       break;
     }
     (void)n;
@@ -1202,11 +1543,37 @@ private:
   std::vector<char> teamReach_;     ///< may run with a ctx.team
   std::vector<char> teamlessReach_; ///< may run with ctx.team == null
   /// Per-function join of argument typestates over all invocation sites
-  /// (pre-set to Any for host entries); nullopt = nothing invokes it.
-  std::vector<std::optional<std::vector<RegState>>> argSeeds_;
-  /// Per-function join of Ret value typestates over all reachable Rets;
-  /// nullopt = no Ret seen (the function cannot return).
-  std::vector<std::optional<std::vector<RegState>>> retStates_;
+  /// (pre-set to Any for host entries): function f's numArgs entries
+  /// start at seeds_[seedBase_[f]]; hasSeed_[f] == 0 = nothing invokes it.
+  std::vector<RegState> seeds_;
+  std::vector<uint32_t> seedBase_;
+  std::vector<char> hasSeed_;
+  /// Per-function join of Ret value typestates over all reachable Rets,
+  /// laid out like seeds_; hasRet_[f] == 0 = no Ret seen (the function
+  /// cannot return).
+  std::vector<RegState> rets_;
+  std::vector<uint32_t> retBase_;
+  std::vector<char> hasRet_;
+  /// Flow tables from planFlow(), indexed through flows_: the block of
+  /// each leader pc (kNotLeader elsewhere), each block's leader pc, its
+  /// live-in registers liveRegs_[liveBegin_[b] .. liveBegin_[b + 1]) and
+  /// their stored typestates (states_, same indices), its scope depth
+  /// and its worklist flags.
+  std::vector<FnFlow> flows_;
+  std::vector<uint32_t> blockOf_;
+  std::vector<uint32_t> leaderPc_;
+  std::vector<size_t> liveBegin_;
+  std::vector<uint32_t> liveRegs_;
+  std::vector<RegState> states_;
+  std::vector<int32_t> depth_;
+  std::vector<char> reachable_;
+  std::vector<char> depthClash_;
+  std::vector<char> queued_;
+  std::vector<char> marked_; ///< the block's last walk failed a check
+  std::vector<uint32_t> queue_;
+  /// The working state of the block being walked: one slot per register
+  /// of the widest function.
+  std::vector<RegState> work_;
   /// Scratch for one flowFunction run: which seeds/summaries rose.
   std::vector<uint32_t> changedSeeds_;
   bool retChanged_ = false;

@@ -30,14 +30,19 @@
 //    state, the concrete side's constraints win, so an integer smuggled
 //    toward a memref read is rejected no matter which interprocedural
 //    or CFG path carries it.
-//    The analysis is block-level: flow states are stored only at block
-//    leaders (pc 0, jump targets, the pc after each Jump/JumpIfFalse/
-//    JumpIfGE/Ret, and the fall-off point n), and each block is walked on one
-//    working state, so one visit of a function costs
-//    O(instrs + blocks x regs) rather than O(instrs x regs). Errors are
-//    reported by re-walking each reachable block once from its converged
-//    leader state, with the same (function, pc, reason) attribution a
-//    per-pc analysis gives; unreachable code is never reported.
+//    The analysis is block-level and sparse. Once per module it finds
+//    each function's block leaders (pc 0, jump targets, the pc after
+//    each Jump/JumpIfFalse/JumpIfGE/Ret, and the fall-off point n) and,
+//    by a backward liveness worklist over bitsets, the registers live
+//    into each leader: those some path from it reads before writing. Only
+//    their typestates are stored, copied and joined (no other register's
+//    typestate can reach a check or a summary), and each block is walked
+//    on one working state, so a visit costs O(block length + live-in
+//    registers) and allocates nothing. The fixpoint's last walk of each
+//    reachable block runs on its converged state and marks the block
+//    when a check fails; errors are reported by walking the marked
+//    blocks once more, with the same (function, pc, reason) attribution
+//    a per-pc analysis gives; unreachable code is never reported.
 //
 // A module that verifies clean yields a VerifiedModule token; the
 // interpreter accepts the token as proof and elides its dynamic

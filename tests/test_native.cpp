@@ -2,6 +2,7 @@
 // must be byte-identical to the VM's, a SIMT module must be rejected
 // before anything is built, and a failed build must leave a diagnostic,
 // a counted failure, no temporary file and no child process behind.
+#include "ir/builder.h"
 #include "ir/printer.h"
 #include "moccuda/resnet.h"
 #include "native/emit.h"
@@ -20,6 +21,16 @@
 #include <filesystem>
 #include <random>
 #include <sys/wait.h>
+
+// ASan's and TSan's allocators end the process on a request past their
+// maximum size instead of throwing std::bad_alloc.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define ALLOCATOR_ABORTS_ON_HUGE_REQUESTS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define ALLOCATOR_ABORTS_ON_HUGE_REQUESTS 1
+#endif
+#endif
 
 using namespace paralift;
 using driver::CompileResult;
@@ -366,6 +377,48 @@ TEST(NativeBuildTest, BuildIsTracedTimedAndCounted) {
             "call arity mismatch for 'run': got 0 args, function takes 4");
   EXPECT_EQ(leftoverTempEntries(), 0u);
   EXPECT_TRUE(noChildProcess());
+}
+
+TEST(NativeExecTest, TrapIsCountedWithTheVmsWording) {
+#ifdef ALLOCATOR_ABORTS_ON_HUGE_REQUESTS
+  GTEST_SKIP() << "ASan and TSan end the process on an allocation past "
+                  "their maximum instead of throwing std::bad_alloc";
+#endif
+  // run(n) allocas n floats; the frontend sizes arrays statically, so
+  // the function is built directly.
+  CompileResult cc;
+  ir::FuncOp fn =
+      ir::FuncOp::create(cc.module.get(), "run", {ir::Type::index()}, {});
+  ir::Builder b(&fn.body());
+  b.allocaMem(ir::Type::memref(ir::TypeKind::F32, {ir::Type::kDynamic}),
+              {fn.arg(0)});
+  b.ret({});
+  cc.ok = true;
+  DiagnosticEngine diag;
+  std::shared_ptr<const native::Module> module =
+      native::Module::build(cc, "alloca", diag);
+  ASSERT_TRUE(module) << diag.str();
+  native::Executor exec(module, 1);
+  Executor vm(cc.module.get(), 1);
+  ASSERT_TRUE(exec.tryRun("run", {int64_t(16)}).ok());
+
+  // 2^60 floats: a 4 EiB allocation, which fails without touching memory.
+  const std::vector<Executor::Arg> huge = {int64_t(1) << 60};
+  uint64_t nativeTraps = counter("native.exec.errors");
+  uint64_t vmTraps = counter("vm.exec.errors");
+  vm::CallResult got = exec.tryRun("run", huge);
+  EXPECT_EQ(counter("native.exec.errors"), nativeTraps + 1);
+  vm::CallResult want = vm.tryRun("run", huge);
+  EXPECT_EQ(counter("vm.exec.errors"), vmTraps + 1);
+  EXPECT_EQ(counter("native.exec.errors"), nativeTraps + 1);
+  ASSERT_FALSE(want.ok());
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_EQ(got.error.rfind("trap in 'run': ", 0), 0u) << got.error;
+
+  // Bad calls are not traps.
+  exec.tryRun("nope", {});
+  exec.tryRun("run", {});
+  EXPECT_EQ(counter("native.exec.errors"), nativeTraps + 1);
 }
 
 TEST(NativeBuildTest, CompileFailpointFailsTheBuildAndLeavesNothing) {

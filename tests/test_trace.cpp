@@ -6,10 +6,12 @@
 #include "support/metrics.h"
 #include "support/trace.h"
 
+#include "driver/compiler.h"
 #include "driver/session.h"
 #include "rodinia/rodinia.h"
 #include "runtime/thread_pool.h"
 #include "transforms/pass_cache.h"
+#include "vm/compile.h"
 
 #include <gtest/gtest.h>
 
@@ -353,6 +355,46 @@ TEST_F(TraceTest, SpanEnabledAtOpenDroppedWhenDisabledAtClose) {
     trace::disable();
   }
   EXPECT_EQ(trace::eventCount(), before);
+}
+
+TEST_F(TraceTest, LoweringRecordsOneSpanWithItsInstructionCount) {
+  trace::disable();
+  DiagnosticEngine diag;
+  driver::CompileResult cc = driver::compile(
+      rodinia::suite().front().cudaSource, transforms::PipelineOptions{},
+      diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+
+  // Tracing off: lowering records nothing.
+  size_t before = trace::eventCount();
+  vm::compileModule(cc.module.get());
+  EXPECT_EQ(trace::eventCount(), before);
+
+  // Tracing on: one vm:lower span, its argument the instruction count.
+  double since = static_cast<double>(trace::nowMicros());
+  trace::enable();
+  vm::BCModule bc = vm::compileModule(cc.module.get());
+  trace::disable();
+  size_t instrs = 0;
+  for (const vm::BCFunction &f : bc.fns)
+    instrs += f.instrs.size();
+  ASSERT_GT(instrs, 0u);
+  JsonValue root = parseTraceJson();
+  int spans = 0;
+  for (const JsonValue &e : root.find("traceEvents")->arr) {
+    const JsonValue *name = e.find("name"), *ph = e.find("ph"),
+                    *ts = e.find("ts");
+    if (!name || name->str != "vm:lower" || !ph || ph->str != "X" || !ts ||
+        ts->num < since)
+      continue;
+    ++spans;
+    const JsonValue *args = e.find("args");
+    ASSERT_NE(args, nullptr);
+    const JsonValue *v = args->find("instrs");
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v->str, std::to_string(instrs));
+  }
+  EXPECT_EQ(spans, 1);
 }
 
 TEST_F(TraceTest, EightThreadSchedulerRunIsConsistent) {

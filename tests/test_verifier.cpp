@@ -1,7 +1,9 @@
 // Bytecode-verifier tests: a hand-encoded malformed BCFunction per rule,
-// each asserting exact (function, pc, reason) attribution, plus a
-// positive sweep proving every function the compiler emits for the full
-// Rodinia suite (all three modes) verifies clean.
+// each asserting exact (function, pc, reason) attribution; 2,048 seeded
+// one-point mutants of the Rodinia modules' bytecode, each verdict pinned
+// by tests/verifier_mutants.inc; and a positive sweep proving every
+// function the compiler emits for the full Rodinia suite (all three
+// modes) verifies clean.
 #include "vm/verifier.h"
 
 #include "driver/compiler.h"
@@ -10,6 +12,11 @@
 #include "vm/compile.h"
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 
 using namespace paralift;
 using namespace paralift::vm;
@@ -538,6 +545,28 @@ TEST(VerifierBlocks, StraightLineStoresOnlyLeaderStates) {
   EXPECT_EQ(reg.counterValue("vm.verify.blocks"), blocks0 + 2);
 }
 
+TEST(VerifierBlocks, DescendingBackEdgeChainVerifiesInLinearTime) {
+  // Block k (k = 1..50,000) is one JumpIfFalse back to block k-1, and
+  // only block 0 reads r1, so r1 is live into every block and reaches
+  // block k only through block k-1. Sweeping the blocks backwards until
+  // nothing changes moves it one block per sweep, 50,000 sweeps over
+  // 50,000 blocks (seconds); liveness driven by a worklist of
+  // predecessors visits each block a few times (about a millisecond).
+  constexpr int32_t kBlocks = 50000;
+  BCFunction f;
+  f.numRegs = 3;
+  f.numArgs = 2;
+  f.instrs.push_back(ins(BC::Copy, /*a=*/1, 0, 0, /*d=*/2));
+  for (int32_t k = 1; k <= kBlocks; ++k)
+    f.instrs.push_back(ins(BC::JumpIfFalse, /*a=*/0, 0, 0, 0, /*imm=*/k - 1));
+  BCModule m = singleFn(std::move(f));
+  auto start = std::chrono::steady_clock::now();
+  VerifyResult r = verifyModule(m);
+  std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(r.ok()) << r.str();
+  EXPECT_LT(took.count(), 1.0) << "verification is not linear in the chain";
+}
+
 //===----------------------------------------------------------------------===//
 // Interprocedural typestate propagation: type confusion smuggled across
 // Call / closure boundaries must be rejected, in any function order.
@@ -742,6 +771,245 @@ TEST(VerifierMetrics, CountersTrackFunctionsAndErrors) {
   verifyModule(singleFn(std::move(bad)));
   EXPECT_EQ(reg.counterValue("vm.verify.functions"), fns0 + 1);
   EXPECT_EQ(reg.counterValue("vm.verify.errors"), errs0 + 1);
+}
+
+//===----------------------------------------------------------------------===//
+// Mutants: seeded one-point mutations of the Rodinia modules' bytecode,
+// each verdict (accepted, or the exact error list) pinned by a digest
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The header of tests/verifier_mutants.inc, written again with the
+/// actual verdicts when they differ from the recorded ones.
+const char kMutantDigestHeader[] =
+    "// The verdict of every mutant of VerifierMutants.\n"
+    "// VerdictsMatchTheRecordedDigest (tests/test_verifier.cpp), one line\n"
+    "// each: index, base module, mutation, then \"accepted\" or\n"
+    "// \"rejected <errors> <FNV-1a 64 of every VerifyError::str() line>\".\n"
+    "//\n"
+    "// The mutants are one-point changes to the bytecode vm::compileModule\n"
+    "// emits, so this file changes when lowering or the pass pipeline\n"
+    "// changes the bytecode on purpose. To regenerate it, run\n"
+    "//   test_verifier --gtest_filter=VerifierMutants.*\n"
+    "// which writes verifier_mutants.actual.inc into its working\n"
+    "// directory when any verdict differs, check that only the intended\n"
+    "// mutants changed, and copy that file over this one.\n";
+
+/// The digest each mutant's verdict must match, one line per mutant.
+const char kRecordedMutantVerdicts[] =
+#include "verifier_mutants.inc"
+    ;
+
+constexpr uint32_t kMutantsPerModule = 64;
+
+/// splitmix64: the mutants must not depend on a library's distributions.
+struct MutantRng {
+  uint64_t s;
+  uint64_t next() {
+    uint64_t z = (s += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  uint32_t below(size_t n) { return static_cast<uint32_t>(next() % n); }
+};
+
+/// Whether `in` names an extras window [b, b + c) (Call: [b, b + c + d)).
+bool hasWindow(const Instr &in) {
+  switch (in.op) {
+  case BC::Alloca: case BC::AllocHeap: case BC::Load: case BC::Store:
+  case BC::SubView: case BC::Ret:
+    return in.c > 0;
+  case BC::Call:
+    return in.c + in.d > 0;
+  default:
+    return false;
+  }
+}
+
+/// The register operands of `fn.instrs[pc]`: its a/b/c/d register fields
+/// and the entries of its extras window.
+std::vector<int32_t *> registerFields(BCFunction &fn, size_t pc) {
+  Instr &in = fn.instrs[pc];
+  std::vector<int32_t *> out;
+  switch (in.op) {
+  case BC::ConstI: case BC::ConstF: case BC::GetTid: case BC::GetTeamSize:
+  case BC::Alloca: case BC::AllocHeap:
+    out = {&in.d};
+    break;
+  case BC::Copy: case BC::NegF: case BC::SqrtF: case BC::ExpF:
+  case BC::LogF: case BC::AbsF: case BC::SinF: case BC::CosF:
+  case BC::TanhF: case BC::FloorF: case BC::CeilF: case BC::SIToFP:
+  case BC::FPToSI: case BC::TruncI32: case BC::Dim: case BC::Load:
+  case BC::Store: case BC::SubView:
+    out = {&in.a, &in.d};
+    break;
+  case BC::AddI: case BC::SubI: case BC::MulI: case BC::DivSI:
+  case BC::RemSI: case BC::AndI: case BC::OrI: case BC::XOrI:
+  case BC::ShLI: case BC::ShRSI: case BC::MinSI: case BC::MaxSI:
+  case BC::CmpI: case BC::AddF: case BC::SubF: case BC::MulF:
+  case BC::DivF: case BC::RemF: case BC::MinF: case BC::MaxF:
+  case BC::PowF: case BC::CmpF:
+    out = {&in.a, &in.b, &in.d};
+    break;
+  case BC::JumpIfGE:
+    out = {&in.a, &in.b};
+    break;
+  case BC::Select:
+    out = {&in.a, &in.b, &in.c, &in.d};
+    break;
+  case BC::Dealloc: case BC::JumpIfFalse:
+    out = {&in.a};
+    break;
+  default:
+    break;
+  }
+  if (hasWindow(in)) {
+    int32_t len = in.op == BC::Call ? in.c + in.d : in.c;
+    for (int32_t i = 0; i < len; ++i)
+      out.push_back(&fn.extras[in.b + i]);
+  }
+  return out;
+}
+
+/// Applies mutation `index` (its kind is index % 4) to `m` and describes
+/// it: a bit flip in a register field, a swap of two register operands,
+/// a jump retarget, or a shifted extras window.
+std::string mutate(BCModule &m, uint32_t index) {
+  MutantRng rng{0x5eed0000ull + index};
+  struct Site {
+    uint32_t fn;
+    size_t pc;
+  };
+  std::vector<Site> regSites, swapSites, jumpSites, windowSites;
+  for (uint32_t f = 0; f < m.fns.size(); ++f)
+    for (size_t pc = 0; pc < m.fns[f].instrs.size(); ++pc) {
+      const Instr &in = m.fns[f].instrs[pc];
+      size_t fields = registerFields(m.fns[f], pc).size();
+      if (fields > 0)
+        regSites.push_back({f, pc});
+      if (fields > 1)
+        swapSites.push_back({f, pc});
+      if (in.op == BC::Jump || in.op == BC::JumpIfFalse ||
+          in.op == BC::JumpIfGE)
+        jumpSites.push_back({f, pc});
+      if (hasWindow(in))
+        windowSites.push_back({f, pc});
+    }
+  auto where = [&](const char *kind, Site s) {
+    return std::string(kind) + " fn" + std::to_string(s.fn) + " pc" +
+           std::to_string(s.pc);
+  };
+  unsigned kind = index % 4;
+  if ((kind == 1 && swapSites.empty()) || (kind == 2 && jumpSites.empty()) ||
+      (kind == 3 && windowSites.empty()))
+    kind = 0;
+  switch (kind) {
+  case 0: {
+    Site s = regSites[rng.below(regSites.size())];
+    std::vector<int32_t *> fields = registerFields(m.fns[s.fn], s.pc);
+    int32_t *field = fields[rng.below(fields.size())];
+    // Mostly low bits, so most mutants reach the flow layer.
+    unsigned bit = rng.below(8) == 0 ? rng.below(31) : rng.below(5);
+    *field ^= int32_t(1) << bit;
+    return where("flip", s) + " bit" + std::to_string(bit);
+  }
+  case 1: {
+    Site s = swapSites[rng.below(swapSites.size())];
+    std::vector<int32_t *> fields = registerFields(m.fns[s.fn], s.pc);
+    size_t i = rng.below(fields.size());
+    size_t j = (i + 1 + rng.below(fields.size() - 1)) % fields.size();
+    std::swap(*fields[i], *fields[j]);
+    return where("swap", s) + " " + std::to_string(i) + "<->" +
+           std::to_string(j);
+  }
+  case 2: {
+    Site s = jumpSites[rng.below(jumpSites.size())];
+    Instr &in = m.fns[s.fn].instrs[s.pc];
+    in.imm = rng.below(m.fns[s.fn].instrs.size() + 1);
+    return where("jump", s) + " to" + std::to_string(in.imm);
+  }
+  default: {
+    Site s = windowSites[rng.below(windowSites.size())];
+    static const int32_t kShifts[] = {-2, -1, 1, 2};
+    int32_t shift = kShifts[rng.below(4)];
+    m.fns[s.fn].instrs[s.pc].b += shift;
+    return where("shift", s) + " by" + std::to_string(shift);
+  }
+  }
+}
+
+/// "accepted", or "rejected <count> <FNV-1a 64 of every error's str()>".
+std::string verdictOf(const VerifyResult &r) {
+  if (r.ok())
+    return "accepted";
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const VerifyError &e : r.errors)
+    for (char ch : e.str() + "\n") {
+      h ^= static_cast<unsigned char>(ch);
+      h *= 0x100000001b3ull;
+    }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(h));
+  return "rejected " + std::to_string(r.errors.size()) + " " + hex;
+}
+
+} // namespace
+
+TEST(VerifierMutants, VerdictsMatchTheRecordedDigest) {
+  // The 16 Rodinia CUDA sources through the full pipeline and in SIMT
+  // mode: omp closures with team barriers, and gpu-block scf closures
+  // with lockstep barriers.
+  std::vector<std::pair<std::string, BCModule>> bases;
+  for (const auto &b : rodinia::suite())
+    for (bool simt : {false, true}) {
+      DiagnosticEngine diag;
+      driver::CompileResult cc =
+          simt ? driver::compileForSimt(b.cudaSource, diag)
+               : driver::compile(b.cudaSource, transforms::PipelineOptions{},
+                                 diag);
+      ASSERT_TRUE(cc.ok) << b.id << ": " << diag.str();
+      bases.emplace_back(b.id + (simt ? "/simt" : "/full"),
+                         compileModule(cc.module.get()));
+    }
+
+  std::string actual;
+  size_t rejected = 0;
+  uint32_t index = 0;
+  for (const auto &[name, base] : bases)
+    for (uint32_t k = 0; k < kMutantsPerModule; ++k, ++index) {
+      BCModule m = base;
+      std::string what = mutate(m, index);
+      std::string verdict = verdictOf(verifyModule(m));
+      rejected += verdict != "accepted";
+      actual += std::to_string(index) + " " + name + " " + what + " " +
+                verdict + "\n";
+    }
+  EXPECT_GE(index, 2000u);
+  // Most mutants must be rejected, and some must survive as harmless.
+  EXPECT_GT(rejected, index / 2);
+  EXPECT_LT(rejected, index);
+
+  std::string recorded = kRecordedMutantVerdicts;
+  if (!recorded.empty() && recorded.front() == '\n')
+    recorded.erase(0, 1);
+  if (recorded == actual)
+    return;
+  std::istringstream want(recorded), got(actual);
+  std::string w, g;
+  int shown = 0;
+  while (std::getline(got, g)) {
+    if (!std::getline(want, w))
+      w = "<missing>";
+    if (w != g && shown++ < 10)
+      ADD_FAILURE() << "recorded: " << w << "\nactual:   " << g;
+  }
+  std::ofstream out("verifier_mutants.actual.inc");
+  out << kMutantDigestHeader << "R\"digest(\n" << actual << ")digest\"\n";
+  FAIL() << "mutant verdicts differ from tests/verifier_mutants.inc; the "
+            "actual digest is in verifier_mutants.actual.inc";
 }
 
 //===----------------------------------------------------------------------===//
