@@ -271,7 +271,7 @@ bool CompilerSession::compileJob(CompileJob &job, transforms::PassManager &pm,
     }
     trace::TraceSpan span(
         trace::enabled() ? "start:" + job.name_ : std::string(), "session");
-    std::optional<std::string> hit;
+    std::shared_ptr<const std::string> hit;
     // A source job keys on its text, before its frontend runs; a module
     // job on the module it was given. Hooks and verify-each must see
     // every pass execute, so an inspected job never replays; it stores
@@ -373,12 +373,15 @@ bool CompilerSession::compileAll() {
         trace::asyncBegin("job:" + job->name_,
                           reinterpret_cast<uintptr_t>(job));
     // Group jobs by pipeline; each group compiles against one
-    // PassManager. The key is the built pipeline's canonical spec — not
-    // the PipelineOptions fields — so a future option can never silently
-    // misgroup jobs onto another job's pipeline; the PassManager built
-    // for each group's first job is the one the group then runs. Simt
-    // mode is the one-pass pipeline the lockstep SIMT executor needs:
-    // device functions inlined into kernels, barriers kept.
+    // PassManager. The key is the built pipeline's canonical spec, so
+    // options that build the same pipeline share a group; the
+    // PassManager built for each group's first job is the one the group
+    // then runs. A pipeline is built once per distinct PipelineOptions
+    // (its defaulted operator== compares every field, a future one
+    // included), so this serial prefix of the batch does not grow with
+    // its job count. Simt mode is the one-pass pipeline the lockstep
+    // SIMT executor needs: device functions inlined into kernels,
+    // barriers kept.
     std::optional<std::string> spec = opts_.pipelineSpec;
     if (opts_.mode == SessionMode::Simt)
       spec = "inline{kernels-only=true}";
@@ -401,17 +404,27 @@ bool CompilerSession::compileAll() {
         groups.push_back({std::move(key), std::move(pm), batch});
       }
     } else {
+      // Each distinct PipelineOptions seen so far, with its group.
+      std::vector<std::pair<transforms::PipelineOptions, size_t>> built;
       for (CompileJob *job : batch) {
-        auto pm = std::make_unique<transforms::PassManager>();
-        transforms::buildPipeline(*pm, job->pipelineOpts_);
-        std::string key = pm->pipelineSpec();
-        auto it = std::find_if(groups.begin(), groups.end(),
-                               [&](const Group &g) { return g.key == key; });
-        if (it == groups.end()) {
-          groups.push_back({std::move(key), std::move(pm), {}});
-          it = groups.end() - 1;
+        auto seen = std::find_if(built.begin(), built.end(), [&](auto &b) {
+          return b.first == job->pipelineOpts_;
+        });
+        if (seen == built.end()) {
+          auto pm = std::make_unique<transforms::PassManager>();
+          transforms::buildPipeline(*pm, job->pipelineOpts_);
+          std::string key = pm->pipelineSpec();
+          auto it = std::find_if(groups.begin(), groups.end(),
+                                 [&](const Group &g) { return g.key == key; });
+          if (it == groups.end()) {
+            groups.push_back({std::move(key), std::move(pm), {}});
+            it = groups.end() - 1;
+          }
+          built.emplace_back(job->pipelineOpts_,
+                             static_cast<size_t>(it - groups.begin()));
+          seen = built.end() - 1;
         }
-        it->jobs.push_back(job);
+        groups[seen->second].jobs.push_back(job);
       }
     }
     bool hooked = false;

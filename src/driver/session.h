@@ -29,10 +29,14 @@
 // ----------------
 // compileAll groups the queued jobs by pipeline (one PassManager per
 // canonical pipeline spec; in Simt mode every job runs the one-pass
-// pipeline inline{kernels-only=true}) and turns every job into one task,
-// run as one parallel loop on the session pool (runtime::runTasks): each
-// worker takes the next task until none is left. The module is the unit
-// of compile parallelism, and the job the unit of caching. A task keys
+// pipeline inline{kernels-only=true}). It builds one pipeline per
+// distinct PipelineOptions among the jobs, not one per job, so the
+// serial prefix before the first task starts does not grow with the
+// batch (four builds for the 64-job Rodinia batch of four pipelines).
+// It then turns every job into one task, run as one parallel loop on the
+// session pool (runtime::runTasks): each worker takes the next task
+// until none is left. The module is the unit of compile parallelism, and
+// the job the unit of caching. A task keys
 // once, on its pipeline's spec and on its source text (hashBytes, before
 // the frontend runs) or, for an addModule job, its module's ir::hashOp.
 // A hit parses the stored module into a fresh arena, with no lexer,

@@ -1,10 +1,10 @@
 #include "ir/hasher.h"
 
 #include "ir/op.h"
+#include "ir/value_table.h"
 
 #include <cstdio>
 #include <cstring>
-#include <unordered_map>
 
 namespace paralift::ir {
 
@@ -15,21 +15,26 @@ namespace paralift::ir {
 namespace {
 
 constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-constexpr uint64_t kFnvOffsetLo = 0xcbf29ce484222325ull;
-// A second stream with a different offset basis; the per-byte tweak keeps
-// the two streams from being related by a constant factor.
-constexpr uint64_t kFnvOffsetHi = 0x6c62272e07bb0142ull;
 
 } // namespace
 
 Hash128 hashBytes(const char *data, size_t len) {
-  uint64_t lo = kFnvOffsetLo, hi = kFnvOffsetHi;
-  for (size_t i = 0; i < len; ++i) {
-    auto c = static_cast<unsigned char>(data[i]);
-    lo = (lo ^ c) * kFnvPrime;
-    hi = (hi ^ (c + 0x9eu)) * kFnvPrime;
+  // hashStep over 8-byte little-endian words, the last one zero-padded.
+  // The length, mixed in at the end, separates inputs that differ only by
+  // trailing zero bytes.
+  uint64_t lo = 0xcbf29ce484222325ull, hi = 0x6c62272e07bb0142ull;
+  size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    uint64_t w;
+    std::memcpy(&w, data + i, 8);
+    hashStep(lo, hi, w);
   }
-  return {lo, hi};
+  if (i < len) {
+    uint64_t w = 0;
+    std::memcpy(&w, data + i, len - i);
+    hashStep(lo, hi, w);
+  }
+  return {avalanche(lo ^ len), avalanche(hi ^ (len * 0xff51afd7ed558ccdull))};
 }
 
 Hash128 combineHash(const Hash128 &acc, const Hash128 &next) {
@@ -76,7 +81,7 @@ namespace {
 /// Double attrs hash by bit pattern except NaN, whose payload the printer
 /// collapses ("nan"/"-nan" regardless of payload bits): canonicalize to a
 /// sign-preserving quiet NaN so hashOp keeps the printer's equivalence
-/// classes. Finite values and infinities print injectively (formatDouble
+/// classes. Finite values and infinities print injectively (putDouble
 /// round-trips exactly), so raw bits match print equality for them.
 uint64_t doubleWord(double d) {
   uint64_t bits;
@@ -91,9 +96,10 @@ uint64_t doubleWord(double d) {
 /// %N names they would print as.
 class StructuralHasher {
 public:
-  Hash128 hash(Op *root) {
-    number(root);
-    hashRec(root);
+  explicit StructuralHasher(Op *root) : root_(root), ids_(root) {}
+
+  Hash128 hash() {
+    hashRec(root_);
     return hs_.finish();
   }
 
@@ -106,23 +112,9 @@ private:
     kEndBlock = 0x5eb10cc5ull,
   };
 
-  /// Mirrors Printer::number: results of each op in pre-order, then per
-  /// region per block the arguments, then the nested ops.
-  void number(Op *op) {
-    for (unsigned i = 0; i < op->numResults(); ++i)
-      ids_.emplace(op->result(i).impl(), nextId_++);
-    for (unsigned r = 0; r < op->numRegions(); ++r)
-      for (auto &block : op->region(r).blocks()) {
-        for (unsigned a = 0; a < block->numArgs(); ++a)
-          ids_.emplace(block->arg(a).impl(), nextId_++);
-        for (Op *inner : *block)
-          number(inner);
-      }
-  }
-
   uint64_t idOf(Value v) {
-    auto it = ids_.find(v.impl());
-    return it == ids_.end() ? kInvalidValue : it->second;
+    const uint32_t *id = ids_.find(v);
+    return id ? *id : uint64_t(kInvalidValue);
   }
 
   void addType(const Type &t) {
@@ -155,6 +147,8 @@ private:
   }
 
   void hashRec(Op *op) {
+    for (unsigned i = 0; i < op->numResults(); ++i)
+      ids_.define(op->result(i));
     hs_.addWord(static_cast<uint64_t>(op->kind()));
     hs_.addWord(op->numOperands());
     for (unsigned i = 0; i < op->numOperands(); ++i)
@@ -174,25 +168,24 @@ private:
       hs_.addWord(region.numBlocks());
       for (auto &block : region.blocks()) {
         hs_.addWord(block->numArgs());
-        for (unsigned a = 0; a < block->numArgs(); ++a)
+        for (unsigned a = 0; a < block->numArgs(); ++a) {
+          ids_.define(block->arg(a));
           addType(block->arg(a).type());
-        for (Op *inner : *block)
+        }
+        for (Op *inner = block->front(); inner; inner = inner->next())
           hashRec(inner);
         hs_.addWord(kEndBlock);
       }
     }
   }
 
+  Op *root_;
   HashStream hs_;
-  std::unordered_map<ValueImpl *, uint64_t> ids_;
-  uint64_t nextId_ = 0;
+  ValueNumbering ids_;
 };
 
 } // namespace
 
-Hash128 hashOp(Op *op) {
-  StructuralHasher h;
-  return h.hash(op);
-}
+Hash128 hashOp(Op *op) { return StructuralHasher(op).hash(); }
 
 } // namespace paralift::ir

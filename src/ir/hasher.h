@@ -11,11 +11,17 @@
 //    what ir::printOp distinguishes: two ops hash equal iff their printed
 //    forms are equal (w.h.p.), because the hashed stream is a function of
 //    precisely the structure the printer renders (print-order value
-//    numbering included). The pass-result cache keys module jobs on
-//    hashOp, so keying a module costs one walk instead of a print + byte
-//    hash.
+//    numbering included, shared through ir/value_table.h). The
+//    pass-result cache keys module jobs on hashOp, so keying a module
+//    costs one walk instead of a print + byte hash.
+//
+// Cost model: hashBytes takes 8 bytes per step (hashStep: an xor, a
+// multiply and a rotate in each of two independent streams), then mixes
+// in the length; hashOp one step per hashed word, and one ValueTable
+// probe per operand.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -58,16 +64,29 @@ Hash128 combineHash(const Hash128 &acc, const Hash128 &next);
 // HashStream
 //===----------------------------------------------------------------------===//
 
-/// Incremental order-sensitive mixer over 64-bit words (splitmix64-based
-/// finalization per word). Content only, never pointers: hashing the same
-/// logical stream always reproduces the result exactly, across threads
-/// and processes.
+/// One step of the two 64-bit streams hashBytes and HashStream run: xor
+/// the word in, multiply by an odd constant, rotate. A step is a
+/// bijection of the stream for a fixed word and of the word for a fixed
+/// stream, so inputs that differ in one word hash apart in both streams.
+inline void hashStep(uint64_t &lo, uint64_t &hi, uint64_t w) {
+  lo = std::rotl((lo ^ w) * 0x9e3779b97f4a7c15ull, 31);
+  hi = std::rotl((hi ^ w) * 0xc2b2ae3d27d4eb4full, 27);
+}
+
+/// splitmix64's finalizer: every output bit depends on every input bit.
+inline uint64_t avalanche(uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Incremental order-sensitive mixer over 64-bit words: hashStep per
+/// word, avalanche at the end. Content only, never pointers: hashing the
+/// same logical stream always reproduces the result exactly, across
+/// threads and processes.
 class HashStream {
 public:
-  void addWord(uint64_t w) {
-    lo_ = mix(lo_ ^ w);
-    hi_ = mix(hi_ ^ (w * 0x9e3779b97f4a7c15ull + 0x165667b19e3779f9ull));
-  }
+  void addWord(uint64_t w) { hashStep(lo_, hi_, w); }
   /// Bools mix as distinct non-zero words so a flag stream cannot alias
   /// an absent-field stream.
   void addBool(bool b) { addWord(b ? 1 : 2); }
@@ -80,16 +99,9 @@ public:
     addWord(h.hi);
   }
 
-  Hash128 finish() const { return {lo_, hi_}; }
+  Hash128 finish() const { return {avalanche(lo_), avalanche(hi_)}; }
 
 private:
-  static uint64_t mix(uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
-
   uint64_t lo_ = 0xcbf29ce484222325ull;
   uint64_t hi_ = 0x6c62272e07bb0142ull;
 };

@@ -2,10 +2,11 @@
 
 #include "support/trace.h"
 
-#include <cctype>
-#include <cerrno>
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <string_view>
 #include <unordered_map>
 
@@ -19,14 +20,18 @@ namespace {
 // std::stod/std::stoll throw (std::stod even for *valid* printer output:
 // subnormal spellings like 4.9e-324 raise out_of_range via ERANGE, which
 // would crash a pass-cache replay re-parsing a cached attribute). These
-// wrappers never throw; float parsing keeps strtod's clamped result for
-// out-of-range magnitudes (denormals, ±HUGE_VAL) since the printer only
-// emits spellings of representable doubles, and inf/nan spellings parse
-// through strtod directly.
+// wrappers never throw. Floats parse with from_chars, which reads every
+// spelling the printer emits, correctly rounded like strtod; the rest
+// (out-of-range magnitudes, which strtod clamps to 0 or ±HUGE_VAL, and
+// spellings from_chars does not take) go to strtod, so every spelling
+// means what strtod makes of it.
 
 bool parseFloatText(std::string_view s, double &out) {
   if (s.empty())
     return false;
+  auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  if (ec == std::errc() && p == s.data() + s.size())
+    return true;
   // strtod needs a terminator; float literals are short, so a local copy
   // is cheap and keeps the clamping/inf/nan semantics exactly.
   std::string buf(s);
@@ -123,179 +128,195 @@ struct Token {
   SourceLoc loc;
 };
 
+/// Character classes of the C locale's isspace, isdigit, isalpha and
+/// identifier continuations (isalnum, '_', '.'), one table load per test.
+enum CharClass : uint8_t { kSpace = 1, kDigit = 2, kAlpha = 4, kIdent = 8 };
+
+constexpr std::array<uint8_t, 256> kCharClass = [] {
+  std::array<uint8_t, 256> t{};
+  for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'})
+    t[c] = kSpace;
+  for (unsigned c = '0'; c <= '9'; ++c)
+    t[c] = kDigit | kIdent;
+  for (unsigned c = 'a'; c <= 'z'; ++c)
+    t[c] = t[c - 'a' + 'A'] = kAlpha | kIdent;
+  t['_'] = t['.'] = kIdent;
+  return t;
+}();
+
+bool is(char c, CharClass cls) {
+  return kCharClass[static_cast<unsigned char>(c)] & cls;
+}
+
 /// Splits IR text into tokens. `memref<...>` is lexed as a single token so
 /// the shape grammar (10x?xf32) never collides with identifier lexing.
+///
+/// The lexer counts lines and keeps where the current one starts; a
+/// token's column is its byte distance from there, so advancing over a
+/// character costs no bookkeeping.
 class Lexer {
 public:
   Lexer(const std::string &src, DiagnosticEngine &diag)
-      : src_(src), diag_(diag) {
+      : end_(src.data() + src.size()), p_(src.data()),
+        lineStart_(src.data()), diag_(diag) {
     advance();
-    advance(); // fill cur_ and peek_
+    advance(); // fill cur and peek
   }
 
-  const Token &cur() const { return cur_; }
-  const Token &peek() const { return peek_; }
+  const Token &cur() const { return toks_[cur_]; }
+  const Token &peek() const { return toks_[cur_ ^ 1]; }
 
+  /// The token after peek goes into cur's slot, which becomes peek's:
+  /// no token is copied.
   void advance() {
-    cur_ = peek_;
-    peek_ = lexOne();
+    unsigned old = cur_;
+    cur_ ^= 1;
+    lexInto(toks_[old]);
   }
 
 private:
-  SourceLoc here() const { return {line_, col_}; }
-
-  char at(size_t i) const { return i < src_.size() ? src_[i] : '\0'; }
-
-  void bump() {
-    if (at(pos_) == '\n') {
+  /// Advances p to the next `stop` at or after it, or to the end, and
+  /// counts the lines passed on the way.
+  const char *skipTo(const char *p, char stop) {
+    const void *hit = std::memchr(p, stop, static_cast<size_t>(end_ - p));
+    const char *to = hit ? static_cast<const char *>(hit) : end_;
+    while ((hit = std::memchr(p, '\n', static_cast<size_t>(to - p)))) {
+      p = static_cast<const char *>(hit) + 1;
       ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
+      lineStart_ = p;
     }
-    ++pos_;
+    return to;
   }
 
-  /// The token text is always a contiguous slice of the source (the
-  /// grammar has no escapes), so tokens carry string_views into src_ —
-  /// no per-token allocation, and Token copies are trivial.
-  std::string_view slice(size_t from) const {
-    return std::string_view(src_).substr(from, pos_ - from);
-  }
-
-  Token lexOne() {
-    while (pos_ < src_.size() && std::isspace(static_cast<unsigned char>(
-                                     src_[pos_])))
-      bump();
-    Token t;
-    t.loc = here();
-    if (pos_ >= src_.size())
-      return t;
-
-    char c = src_[pos_];
-    auto single = [&](Tok k) {
+  /// Lexes the token at p_ into t. The text is always a contiguous slice
+  /// of the source (the grammar has no escapes), so tokens carry
+  /// string_views into it: no per-token allocation.
+  /// Reading *p at the end is safe: std::string keeps a '\0' there, and
+  /// no test below accepts it.
+  void lexInto(Token &t) {
+    const char *p = p_;
+    for (; is(*p, kSpace); ++p)
+      if (*p == '\n') {
+        ++line_;
+        lineStart_ = p + 1;
+      }
+    t.kind = Tok::Eof;
+    t.text = {};
+    t.loc = {line_, static_cast<uint32_t>(p - lineStart_ + 1)};
+    const char *start = p;
+    auto finish = [&](Tok k, const char *from, const char *to) {
       t.kind = k;
-      t.text = std::string_view(src_).substr(pos_, 1);
-      bump();
-      return t;
+      t.text = std::string_view(from, static_cast<size_t>(to - from));
+      p_ = p;
     };
+    if (p == end_) {
+      p_ = p;
+      return;
+    }
+
+    char c = *p;
     switch (c) {
-    case '(': return single(Tok::LParen);
-    case ')': return single(Tok::RParen);
-    case '{': return single(Tok::LBrace);
-    case '}': return single(Tok::RBrace);
-    case '[': return single(Tok::LBracket);
-    case ']': return single(Tok::RBracket);
-    case ',': return single(Tok::Comma);
-    case ':': return single(Tok::Colon);
-    case '=': return single(Tok::Equal);
+    case '(': ++p; return finish(Tok::LParen, start, p);
+    case ')': ++p; return finish(Tok::RParen, start, p);
+    case '{': ++p; return finish(Tok::LBrace, start, p);
+    case '}': ++p; return finish(Tok::RBrace, start, p);
+    case '[': ++p; return finish(Tok::LBracket, start, p);
+    case ']': ++p; return finish(Tok::RBracket, start, p);
+    case ',': ++p; return finish(Tok::Comma, start, p);
+    case ':': ++p; return finish(Tok::Colon, start, p);
+    case '=': ++p; return finish(Tok::Equal, start, p);
     default: break;
     }
 
     if (c == '%') {
-      bump();
-      size_t start = pos_;
-      while (std::isdigit(static_cast<unsigned char>(at(pos_))))
-        bump();
-      if (pos_ == start) {
+      const char *digits = ++p;
+      while (is(*p, kDigit))
+        ++p;
+      if (p == digits) {
         diag_.error(t.loc, "expected value number after '%'");
-        return t; // Eof ends parsing
+        p_ = p;
+        return; // Eof ends parsing
       }
-      t.kind = Tok::SsaId;
-      t.text = slice(start);
-      return t;
+      return finish(Tok::SsaId, digits, p);
     }
 
     if (c == '"') {
-      bump();
-      size_t start = pos_;
-      while (at(pos_) != '"' && pos_ < src_.size())
-        bump();
-      if (at(pos_) != '"') {
+      const char *body = ++p;
+      p = skipTo(p, '"');
+      if (p == end_) {
         diag_.error(t.loc, "unterminated string");
-        return t;
+        p_ = p;
+        return;
       }
-      t.kind = Tok::Str;
-      t.text = slice(start);
-      bump();
-      return t;
+      ++p;
+      return finish(Tok::Str, body, p - 1);
     }
 
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      size_t start = pos_;
+    if (c == '-' || is(c, kDigit)) {
       bool isFloat = false;
       if (c == '-') {
-        bump();
+        ++p;
         // "-inf" / "-nan"
-        if (std::isalpha(static_cast<unsigned char>(at(pos_)))) {
-          while (std::isalpha(static_cast<unsigned char>(at(pos_))))
-            bump();
-          t.kind = Tok::Float;
-          t.text = slice(start);
-          return t;
+        if (is(*p, kAlpha)) {
+          while (is(*p, kAlpha))
+            ++p;
+          return finish(Tok::Float, start, p);
         }
       }
-      while (std::isdigit(static_cast<unsigned char>(at(pos_))))
-        bump();
-      if (at(pos_) == '.') {
+      while (is(*p, kDigit))
+        ++p;
+      if (*p == '.') {
         isFloat = true;
-        bump();
-        while (std::isdigit(static_cast<unsigned char>(at(pos_))))
-          bump();
+        ++p;
+        while (is(*p, kDigit))
+          ++p;
       }
-      if (at(pos_) == 'e' || at(pos_) == 'E') {
+      if (*p == 'e' || *p == 'E') {
         isFloat = true;
-        bump();
-        if (at(pos_) == '+' || at(pos_) == '-')
-          bump();
-        while (std::isdigit(static_cast<unsigned char>(at(pos_))))
-          bump();
+        ++p;
+        if (*p == '+' || *p == '-')
+          ++p;
+        while (is(*p, kDigit))
+          ++p;
       }
-      t.kind = isFloat ? Tok::Float : Tok::Integer;
-      t.text = slice(start);
-      return t;
+      return finish(isFloat ? Tok::Float : Tok::Integer, start, p);
     }
 
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = pos_;
-      while (std::isalnum(static_cast<unsigned char>(at(pos_))) ||
-             at(pos_) == '_' || at(pos_) == '.')
-        bump();
-      std::string_view id = slice(start);
-      if (id == "memref" && at(pos_) == '<') {
-        bump();
-        size_t inner = pos_;
-        while (at(pos_) != '>' && pos_ < src_.size())
-          bump();
-        if (at(pos_) != '>') {
+    if (is(c, kAlpha) || c == '_') {
+      while (is(*p, kIdent))
+        ++p;
+      std::string_view id(start, static_cast<size_t>(p - start));
+      if (id == "memref" && *p == '<') {
+        const char *body = ++p;
+        p = skipTo(p, '>');
+        if (p == end_) {
           diag_.error(t.loc, "unterminated memref type");
-          return t;
+          p_ = p;
+          return;
         }
-        t.kind = Tok::MemRef;
-        t.text = slice(inner);
-        bump();
-        return t;
+        ++p;
+        return finish(Tok::MemRef, body, p - 1);
       }
-      if (id == "inf" || id == "nan") {
-        t.kind = Tok::Float;
-        t.text = id;
-        return t;
-      }
-      t.kind = Tok::Ident;
-      t.text = id;
-      return t;
+      if (id == "inf" || id == "nan")
+        return finish(Tok::Float, start, p);
+      return finish(Tok::Ident, start, p);
     }
 
     diag_.error(t.loc, std::string("unexpected character '") + c + "'");
-    bump();
-    return t;
+    p_ = p + 1;
+    return;
   }
 
-  const std::string &src_;
+  /// The end of the source, and where lexing resumes.
+  const char *const end_;
+  const char *p_;
+  /// The current line's number, and where it starts.
+  uint32_t line_ = 1;
+  const char *lineStart_;
   DiagnosticEngine &diag_;
-  size_t pos_ = 0;
-  uint32_t line_ = 1, col_ = 1;
-  Token cur_, peek_;
+  /// cur and peek, in the slots cur_ and cur_ ^ 1.
+  Token toks_[2];
+  unsigned cur_ = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -351,34 +372,81 @@ Type parseMemRefBody(std::string_view body) {
 // Parser
 //===----------------------------------------------------------------------===//
 
-/// Heterogeneous hashing so string_view tokens look up without a
-/// temporary std::string.
-struct SvHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
+/// Op kinds by spelling: an open-addressing table hashed on the length
+/// and three characters, probed linearly. The spellings are fixed, so
+/// the probe chains are short.
+class OpNameTable {
+public:
+  OpNameTable() {
+    for (unsigned k = 0; k < static_cast<unsigned>(OpKind::kNumOpKinds); ++k) {
+      std::string_view name = opKindName(static_cast<OpKind>(k));
+      size_t i = slot(name);
+      while (!slots_[i].name.empty())
+        i = (i + 1) % slots_.size();
+      slots_[i] = {name, static_cast<OpKind>(k)};
+    }
   }
+
+  /// The kind spelled `name` (non-empty), or nullptr.
+  const OpKind *find(std::string_view name) const {
+    for (size_t i = slot(name);; i = (i + 1) % slots_.size()) {
+      if (slots_[i].name == name)
+        return &slots_[i].kind;
+      if (slots_[i].name.empty())
+        return nullptr;
+    }
+  }
+
+private:
+  static size_t slot(std::string_view s) {
+    auto at = [&](size_t i) { return static_cast<size_t>(uint8_t(s[i])); };
+    size_t n = s.size();
+    return (n * 0x9e37 ^ at(0) * 0x3b ^ at(n - 1) * 0x2f1 ^ at(n / 2) * 0x1b7) %
+           256;
+  }
+
+  struct Entry {
+    std::string_view name;
+    OpKind kind{};
+  };
+  std::array<Entry, 256> slots_{};
 };
 
-using OpNameMap =
-    std::unordered_map<std::string, OpKind, SvHash, std::equal_to<>>;
-
-const OpNameMap &opNameTable() {
-  static const OpNameMap table = [] {
-    OpNameMap t;
-    for (unsigned k = 0; k < static_cast<unsigned>(OpKind::kNumOpKinds); ++k)
-      t.emplace(opKindName(static_cast<OpKind>(k)), static_cast<OpKind>(k));
-    return t;
-  }();
+const OpNameTable &opNameTable() {
+  static const OpNameTable table;
   return table;
 }
+
+/// What a parse learned from a spelling it may meet again: a printed
+/// module spells a handful of attribute names and memref types over and
+/// over, and each would otherwise take a shared lock to intern (and a
+/// memref its shape vector). Keys are views into the parsed text. Linear
+/// and capped, so text with many distinct spellings costs at most a scan
+/// of the cap more per spelling.
+template <typename T> class SpellingMemo {
+public:
+  const T *find(std::string_view spelling) const {
+    for (const auto &[key, value] : entries_)
+      if (key == spelling)
+        return &value;
+    return nullptr;
+  }
+  void add(std::string_view spelling, T value) {
+    if (entries_.size() < kCap)
+      entries_.emplace_back(spelling, value);
+  }
+
+private:
+  static constexpr size_t kCap = 32;
+  std::vector<std::pair<std::string_view, T>> entries_;
+};
 
 class Parser {
 public:
   /// All parsed IR is allocated from `arena` — the destination module's,
   /// so parsed ops can be spliced into it without crossing arenas.
   Parser(IRArena &arena, const std::string &src, DiagnosticEngine &diag)
-      : arena_(arena), lex_(src, diag), diag_(diag) {}
+      : arena_(arena), lex_(src, diag), diag_(diag), denseLimit_(src.size()) {}
 
   /// Parses exactly one top-level op (the module) followed by EOF.
   Op *parseTopLevel() {
@@ -397,42 +465,72 @@ private:
   void error(const std::string &msg) { diag_.error(lex_.cur().loc, msg); }
 
   bool expect(Tok kind, const char *what) {
-    if (lex_.cur().kind != kind) {
-      error(std::string("expected ") + what);
-      return false;
-    }
+    if (lex_.cur().kind != kind)
+      return expected(what);
     lex_.advance();
     return true;
   }
-
-  /// SsaId token text is pure digits (the lexer guarantees it), so the
-  /// value table keys on the numeric id — no per-lookup string hashing
-  /// or allocation. %07 and %7 deliberately alias (the printer never
-  /// emits leading zeros).
-  static uint64_t idKey(std::string_view id) {
-    uint64_t key = 0;
-    std::from_chars(id.data(), id.data() + id.size(), key);
-    return key;
+  /// expect's error path, out of line so that expect itself inlines.
+  [[gnu::noinline]] bool expected(const char *what) {
+    error(std::string("expected ") + what);
+    return false;
   }
 
-  Value lookup(std::string_view id) {
-    auto it = values_.find(idKey(id));
-    if (it == values_.end()) {
-      error("use of undefined value %" + std::string(id));
-      return Value();
+  /// The number of the SsaId token at the cursor, whose text is pure
+  /// digits (the lexer guarantees it). %07 and %7 deliberately alias (the
+  /// printer never emits leading zeros). False after reporting a number
+  /// that does not fit 64 bits.
+  bool valueId(uint64_t &id) {
+    std::string_view text = lex_.cur().text;
+    if (text.size() < 20) { // below 10^19, so it fits
+      id = 0;
+      for (char c : text)
+        id = id * 10 + static_cast<uint64_t>(c - '0');
+      return true;
     }
-    return it->second;
+    auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), id);
+    if (ec == std::errc())
+      return true;
+    error("value number out of range: %" + std::string(text));
+    return false;
   }
 
-  void define(std::string_view id, Value v) {
-    if (!values_.emplace(idKey(id), v).second)
-      error("redefinition of value %" + std::string(id));
+  /// The value numbered `id`; `text` is its spelling, for the diagnostic.
+  Value lookup(uint64_t id, std::string_view text) {
+    Value v;
+    if (id < denseLimit_) {
+      if (id < dense_.size())
+        v = dense_[id];
+    } else if (auto it = sparse_.find(id); it != sparse_.end()) {
+      v = it->second;
+    }
+    if (!v)
+      error("use of undefined value %" + std::string(text));
+    return v;
+  }
+
+  void define(uint64_t id, std::string_view text, Value v) {
+    Value *slot;
+    if (id < denseLimit_) {
+      if (id >= dense_.size())
+        dense_.resize(std::max<size_t>(id + 1, 2 * dense_.size()));
+      slot = &dense_[id];
+    } else {
+      slot = &sparse_[id];
+    }
+    if (*slot)
+      error("redefinition of value %" + std::string(text));
+    else
+      *slot = v;
   }
 
   Type parseTypeTok() {
     const Token &t = lex_.cur();
     if (t.kind == Tok::MemRef) {
-      Type ty = parseMemRefBody(t.text);
+      const Type *memo = memrefs_.find(t.text);
+      Type ty = memo ? *memo : parseMemRefBody(t.text);
+      if (!memo)
+        memrefs_.add(t.text, ty);
       if (ty.isNone())
         error("malformed memref type");
       lex_.advance();
@@ -524,8 +622,12 @@ private:
         error("expected attribute name");
         return false;
       }
+      std::string_view spelling = lex_.cur().text;
+      const char *const *memo = attrNames_.find(spelling);
       const char *name =
-          internAttrName(lex_.cur().text.data(), lex_.cur().text.size());
+          memo ? *memo : internAttrName(spelling.data(), spelling.size());
+      if (!memo)
+        attrNames_.add(spelling, name);
       lex_.advance();
       if (!expect(Tok::Equal, "'=' after attribute name"))
         return false;
@@ -557,14 +659,17 @@ private:
           error("expected block argument %id");
           return false;
         }
-        std::string_view id = lex_.cur().text;
+        std::string_view text = lex_.cur().text;
+        uint64_t id;
+        if (!valueId(id))
+          return false;
         lex_.advance();
         if (!expect(Tok::Colon, "':' after block argument"))
           return false;
         Type ty = parseTypeTok();
         if (ty.isNone() && !ty.isMemRef())
           return false;
-        define(id, block.addArg(ty));
+        define(id, text, block.addArg(ty));
         if (lex_.cur().kind == Tok::Comma) {
           lex_.advance();
           continue;
@@ -594,10 +699,13 @@ private:
     SourceLoc loc = lex_.cur().loc;
 
     // Optional result list.
-    SmallVec<std::string_view, 4> resultIds;
+    SmallVec<std::pair<uint64_t, std::string_view>, 4> resultIds;
     if (lex_.cur().kind == Tok::SsaId) {
       while (lex_.cur().kind == Tok::SsaId) {
-        resultIds.push_back(lex_.cur().text);
+        uint64_t id;
+        if (!valueId(id))
+          return nullptr;
+        resultIds.push_back({id, lex_.cur().text});
         lex_.advance();
         if (lex_.cur().kind == Tok::Comma) {
           lex_.advance();
@@ -614,12 +722,12 @@ private:
       error("expected op name");
       return nullptr;
     }
-    auto it = opNameTable().find(lex_.cur().text);
-    if (it == opNameTable().end()) {
+    const OpKind *known = opNameTable().find(lex_.cur().text);
+    if (!known) {
       error("unknown op '" + std::string(lex_.cur().text) + "'");
       return nullptr;
     }
-    OpKind kind = it->second;
+    OpKind kind = *known;
     lex_.advance();
 
     // Operands.
@@ -632,7 +740,10 @@ private:
             error("expected operand %id");
             return nullptr;
           }
-          Value v = lookup(lex_.cur().text);
+          uint64_t id;
+          if (!valueId(id))
+            return nullptr;
+          Value v = lookup(id, lex_.cur().text);
           if (!v)
             return nullptr;
           operands.push_back(v);
@@ -710,14 +821,22 @@ private:
     for (unsigned i = 0; i < regions.size(); ++i)
       op->region(i).takeBlocks(*regions[i]);
     for (unsigned i = 0; i < resultIds.size(); ++i)
-      define(resultIds[i], op->result(i));
+      define(resultIds[i].first, resultIds[i].second, op->result(i));
     return op;
   }
 
   IRArena &arena_;
   Lexer lex_;
   DiagnosticEngine &diag_;
-  std::unordered_map<uint64_t, Value> values_;
+  /// Values by number. The printer numbers from 0 with no gaps, and a
+  /// text of n bytes defines fewer than n values, so numbers below n
+  /// index dense_; larger ones, which no printed module holds, go to
+  /// sparse_.
+  const uint64_t denseLimit_;
+  std::vector<Value> dense_;
+  std::unordered_map<uint64_t, Value> sparse_;
+  SpellingMemo<const char *> attrNames_;
+  SpellingMemo<Type> memrefs_;
 };
 
 } // namespace
@@ -744,6 +863,13 @@ Op *parseModuleInto(IRArena &arena, const std::string &text,
   }
   if (top->kind() != OpKind::Module) {
     diag.error(top->loc(), "top-level op must be a module");
+    Op::destroy(top);
+    return nullptr;
+  }
+  // parseModule moves the funcs out of region 0; any other region would
+  // be dropped unseen.
+  if (top->numRegions() != 1) {
+    diag.error(top->loc(), "module must have one region");
     Op::destroy(top);
     return nullptr;
   }

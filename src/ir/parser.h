@@ -13,6 +13,20 @@
 //   ssa-id    ::= '%' integer
 // Types are the scalar names (i1/i32/i64/f32/f64/index/none) or
 // memref<DIMxDIMx...xELEM> with '?' for dynamic dimensions.
+//
+// Cost model (a cache replay parses every stored module, so this is the
+// warm path's front stage): one pass over the text with a one-token
+// lookahead. A character costs one load from a 256-entry class table;
+// lines are counted only where a '\n' is passed, and a token's column is
+// its byte distance from the current line's start. Tokens are views into
+// the text. Values live in a vector indexed by their %N (the printer
+// numbers densely from 0); a number no smaller than the text's length
+// goes to a map instead, and one that does not fit 64 bits is an error.
+// Attribute names and memref types are memoized per parse, so a repeated
+// spelling takes neither the interning lock nor a shape allocation.
+// Floats parse with from_chars, and with strtod where from_chars refuses
+// (out-of-range magnitudes). What remains is building the IR itself:
+// arena allocation and use lists.
 #pragma once
 
 #include "ir/ophelpers.h"

@@ -1,161 +1,254 @@
 #include "ir/printer.h"
 
+#include "ir/value_table.h"
+
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
-#include <unordered_map>
+#include <string_view>
 
 namespace paralift::ir {
 
 namespace {
 
-/// Formats a double so that it (a) survives a print->parse round trip
-/// exactly and (b) is lexically distinguishable from an integer (always
-/// contains '.', 'e', or a non-finite spelling). The round-trip probe
-/// uses strtod — the same function the IR parser uses — because istream
-/// extraction rejects exactly the spellings that need probing most
-/// (inf/nan and out-of-range magnitudes like denormals).
-std::string formatDouble(double d) {
-  std::string s;
-  for (int prec : {6, 15, 17}) {
-    std::ostringstream os;
-    os.precision(prec);
-    os << d;
-    s = os.str();
-    double back = std::strtod(s.c_str(), nullptr);
-    if (back == d || d != d) // NaN never equals itself
-      break;
-  }
-  if (s.find_first_of(".eE") == std::string::npos &&
-      s.find("inf") == std::string::npos && s.find("nan") == std::string::npos)
-    s += ".0";
-  return s;
-}
-
-class Printer {
+/// Output of a print: appends write through a cursor into spare
+/// capacity, so a piece costs a bounds check and a short copy; only
+/// growth (doubling) leaves that path.
+class Writer {
 public:
-  std::string print(Op *op) {
-    number(op);
-    printOpRec(op, 0);
-    return out_.str();
+  Writer() { grow(0); }
+
+  void put(char c) {
+    if (cur_ == end_)
+      grow(1);
+    *cur_++ = c;
+  }
+  void put(std::string_view s) {
+    if (static_cast<size_t>(end_ - cur_) < s.size())
+      grow(s.size());
+    std::memcpy(cur_, s.data(), s.size());
+    cur_ += s.size();
+  }
+  void put(const char *s) { put(std::string_view(s)); }
+  void fill(size_t n, char c) {
+    if (static_cast<size_t>(end_ - cur_) < n)
+      grow(n);
+    std::memset(cur_, c, n);
+    cur_ += n;
+  }
+  void putInt(int64_t v) {
+    if (end_ - cur_ < 20)
+      grow(20);
+    cur_ = std::to_chars(cur_, end_, v).ptr;
+  }
+
+  std::string take() {
+    buf_.resize(static_cast<size_t>(cur_ - buf_.data()));
+    return std::move(buf_);
   }
 
 private:
-  /// Assigns %N names to all values in pre-order.
-  void number(Op *op) {
-    for (unsigned i = 0; i < op->numResults(); ++i)
-      names_.emplace(op->result(i).impl(), nextId_++);
-    for (unsigned r = 0; r < op->numRegions(); ++r)
-      for (auto &block : op->region(r).blocks()) {
-        for (unsigned a = 0; a < block->numArgs(); ++a)
-          names_.emplace(block->arg(a).impl(), nextId_++);
-        for (Op *inner : *block)
-          number(inner);
-      }
+  void grow(size_t n) {
+    size_t used = static_cast<size_t>(cur_ - buf_.data());
+    buf_.resize(std::max(2 * buf_.size(), used + n + 4096));
+    cur_ = buf_.data() + used;
+    end_ = buf_.data() + buf_.size();
   }
 
-  std::string name(Value v) {
-    auto it = names_.find(v.impl());
-    if (it == names_.end())
-      return "%<invalid>";
-    return "%" + std::to_string(it->second);
+  std::string buf_;
+  char *cur_ = buf_.data(), *end_ = cur_;
+};
+
+/// Writes a double so that it (a) survives a print->parse round trip
+/// exactly and (b) is lexically distinguishable from an integer (always
+/// contains '.', 'e', or a non-finite spelling). The spelling is printf's
+/// %.6g, %.15g or %.17g, the first that reads back exactly (to_chars with
+/// a precision is specified as printf's). The round-trip probe uses
+/// strtod, the IR parser's fallback, because it accepts exactly the
+/// spellings that need probing most (inf/nan and out-of-range magnitudes
+/// like denormals).
+void putDouble(Writer &out, double d) {
+  char buf[64];
+  std::string_view s;
+  for (int prec : {6, 15, 17}) {
+    auto [end, ec] = std::to_chars(buf, buf + sizeof buf - 1, d,
+                                   std::chars_format::general, prec);
+    *end = '\0';
+    s = std::string_view(buf, static_cast<size_t>(end - buf));
+    if (std::strtod(buf, nullptr) == d || d != d) // NaN never equals itself
+      break;
+  }
+  out.put(s);
+  if (s.find_first_of(".eE") == std::string_view::npos &&
+      s.find("inf") == std::string_view::npos &&
+      s.find("nan") == std::string_view::npos)
+    out.put(".0");
+}
+
+/// Op spellings with their lengths, found once.
+const std::string_view &opName(OpKind k) {
+  static const auto names = [] {
+    std::array<std::string_view, static_cast<size_t>(OpKind::kNumOpKinds)> t;
+    for (size_t i = 0; i < t.size(); ++i)
+      t[i] = opKindName(static_cast<OpKind>(i));
+    return t;
+  }();
+  return names[static_cast<size_t>(k)];
+}
+
+/// Renders an op tree into one string: values named %N by the shared
+/// pre-order numbering (value_table.h), defined as the walk reaches them.
+class Printer {
+public:
+  explicit Printer(Op *root) : root_(root), ids_(root) {}
+
+  std::string print() {
+    printOpRec(root_, 0);
+    return out_.take();
   }
 
-  void indent(int depth) {
-    for (int i = 0; i < depth; ++i)
-      out_ << "  ";
+private:
+  void name(Value v) {
+    const uint32_t *id = ids_.find(v);
+    if (!id) {
+      out_.put("%<invalid>");
+      return;
+    }
+    out_.put('%');
+    out_.putInt(*id);
   }
+
+  void type(Type t) {
+    if (!t.isMemRef()) {
+      out_.put(typeKindName(t.kind()));
+      return;
+    }
+    out_.put("memref<");
+    for (int64_t d : t.shape()) {
+      if (d == Type::kDynamic)
+        out_.put('?');
+      else
+        out_.putInt(d);
+      out_.put('x');
+    }
+    out_.put(typeKindName(t.elemKind()));
+    out_.put('>');
+  }
+
+  void indent(int depth) { out_.fill(2 * static_cast<size_t>(depth), ' '); }
 
   void printAttrValue(const AttrValue &v) {
     if (auto *b = std::get_if<bool>(&v)) {
-      out_ << (*b ? "true" : "false");
+      out_.put(*b ? "true" : "false");
     } else if (auto *i = std::get_if<int64_t>(&v)) {
-      out_ << *i;
+      out_.putInt(*i);
     } else if (auto *f = std::get_if<double>(&v)) {
-      out_ << formatDouble(*f);
+      putDouble(out_, *f);
     } else if (auto *s = std::get_if<std::string>(&v)) {
-      out_ << '"' << *s << '"';
+      out_.put('"');
+      out_.put(*s);
+      out_.put('"');
     } else if (auto *vec = std::get_if<std::vector<int64_t>>(&v)) {
-      out_ << '[';
-      for (size_t i = 0; i < vec->size(); ++i)
-        out_ << (i ? ", " : "") << (*vec)[i];
-      out_ << ']';
+      out_.put('[');
+      for (size_t i = 0; i < vec->size(); ++i) {
+        if (i)
+          out_.put(", ");
+        out_.putInt((*vec)[i]);
+      }
+      out_.put(']');
     }
   }
 
   void printOpRec(Op *op, int depth) {
+    for (unsigned i = 0; i < op->numResults(); ++i)
+      ids_.define(op->result(i));
     indent(depth);
     // Results
     if (op->numResults() > 0) {
-      for (unsigned i = 0; i < op->numResults(); ++i)
-        out_ << (i ? ", " : "") << name(op->result(i));
-      out_ << " = ";
+      for (unsigned i = 0; i < op->numResults(); ++i) {
+        if (i)
+          out_.put(", ");
+        name(op->result(i));
+      }
+      out_.put(" = ");
     }
-    out_ << opKindName(op->kind());
+    out_.put(opName(op->kind()));
     // Operands
     if (op->numOperands() > 0) {
-      out_ << '(';
-      for (unsigned i = 0; i < op->numOperands(); ++i)
-        out_ << (i ? ", " : "") << name(op->operand(i));
-      out_ << ')';
+      out_.put('(');
+      for (unsigned i = 0; i < op->numOperands(); ++i) {
+        if (i)
+          out_.put(", ");
+        name(op->operand(i));
+      }
+      out_.put(')');
     }
     // Attributes
     if (!op->attrs().entries().empty()) {
-      out_ << " {";
+      out_.put(" {");
       bool first = true;
       for (auto &[k, v] : op->attrs().entries()) {
         if (!first)
-          out_ << ", ";
+          out_.put(", ");
         first = false;
-        out_ << k << " = ";
+        out_.put(k);
+        out_.put(" = ");
         printAttrValue(v);
       }
-      out_ << '}';
+      out_.put('}');
     }
     // Result types
     if (op->numResults() > 0) {
-      out_ << " : ";
-      for (unsigned i = 0; i < op->numResults(); ++i)
-        out_ << (i ? ", " : "") << op->result(i).type().str();
+      out_.put(" : ");
+      for (unsigned i = 0; i < op->numResults(); ++i) {
+        if (i)
+          out_.put(", ");
+        type(op->result(i).type());
+      }
     }
     // Regions
     for (unsigned r = 0; r < op->numRegions(); ++r) {
       if (op->region(r).empty()) {
-        out_ << " {}";
+        out_.put(" {}");
         continue;
       }
-      out_ << " {\n";
-      for (auto &block : op->region(r).blocks()) {
+      out_.put(" {\n");
+      for (Block *block : op->region(r).blocks()) {
+        for (unsigned a = 0; a < block->numArgs(); ++a)
+          ids_.define(block->arg(a));
         if (block->numArgs() > 0) {
           indent(depth + 1);
-          out_ << '[';
+          out_.put('[');
           for (unsigned a = 0; a < block->numArgs(); ++a) {
             if (a)
-              out_ << ", ";
-            out_ << name(block->arg(a)) << ": " << block->arg(a).type().str();
+              out_.put(", ");
+            name(block->arg(a));
+            out_.put(": ");
+            type(block->arg(a).type());
           }
-          out_ << "]:\n";
+          out_.put("]:\n");
         }
-        for (Op *inner : *block) {
+        for (Op *inner = block->front(); inner; inner = inner->next()) {
           printOpRec(inner, depth + 1);
-          out_ << '\n';
+          out_.put('\n');
         }
       }
       indent(depth);
-      out_ << '}';
+      out_.put('}');
     }
   }
 
-  std::ostringstream out_;
-  std::unordered_map<ValueImpl *, unsigned> names_;
-  unsigned nextId_ = 0;
+  Op *root_;
+  Writer out_;
+  ValueNumbering ids_;
 };
 
 } // namespace
 
-std::string printOp(Op *op) {
-  Printer p;
-  return p.print(op);
-}
+std::string printOp(Op *op) { return Printer(op).print(); }
 
 std::string printOpSignature(Op *op) {
   std::ostringstream os;

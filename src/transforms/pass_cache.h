@@ -30,7 +30,15 @@
 // by the key hash, written atomically (temp + rename) so concurrent
 // compilers sharing a --cache-dir never observe torn entries. Entries
 // embed their full key and are re-verified on load; mismatches and
-// corrupt files degrade to a miss. All operations are thread-safe: the
+// corrupt files degrade to a miss. The format is v5 (pass_cache.cpp);
+// files of v1-v4 read as misses.
+//
+// Cost model: a memory hit is a lock and a shared_ptr copy: the text is
+// shared, never copied. A disk hit reads the file in one fread into the
+// string the memory entry then shares, cuts the header off its front,
+// hashes the payload (hashBytes, 8 bytes per step) against the header's
+// text hash and touches the file's mtime. All operations are
+// thread-safe: the
 // module tasks of a batch share one cache through lookup() and store(),
 // under its mutex alone.
 #pragma once
@@ -41,7 +49,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -73,10 +80,11 @@ public:
   /// Finds the printed module that running `spec` produced on the input
   /// keyed `input` (a source or module key; see the header). Checks
   /// memory first, then disk; disk hits are promoted into memory. Returns
-  /// nullopt on miss (and counts it). Nothing is claimed: two callers
-  /// missing on one key both compute it, and both store the same result.
-  std::optional<std::string> lookup(const Hash128 &input,
-                                    const std::string &spec);
+  /// the entry's shared text, which a hit does not copy, or null on miss
+  /// (and counts it). Nothing is claimed: two callers missing on one key
+  /// both compute it, and both store the same result.
+  std::shared_ptr<const std::string> lookup(const Hash128 &input,
+                                            const std::string &spec);
 
   /// Records a result. Overwrites any existing entry for the key (same
   /// key implies same value for deterministic passes). Memory entries
@@ -160,9 +168,9 @@ private:
   bool diskEnabled() const { return !dir_.empty() && !diskDemoted(); }
   /// One-shot demotion to memory-only (idempotent, thread-safe).
   void disableDisk(const char *reason);
-  std::optional<std::string> loadFromDisk(const Hash128 &key,
-                                          const Hash128 &input,
-                                          const std::string &spec);
+  std::shared_ptr<const std::string> loadFromDisk(const std::string &path,
+                                                  const Hash128 &input,
+                                                  const std::string &spec);
   /// Returns the bytes the entry file occupies on disk (header + payload),
   /// 0 when the write failed.
   uint64_t writeToDisk(const Hash128 &key, const Hash128 &input,

@@ -77,6 +77,10 @@ struct PipelineOptions {
   /// no parallel-specific optimization.
   bool mcudaMode = false;
 
+  /// Every field, compared in order: two equal options build the same
+  /// pipeline (the session builds each distinct one once per batch).
+  bool operator==(const PipelineOptions &) const = default;
+
   static PipelineOptions optDisabled() {
     PipelineOptions o;
     o.minCut = o.barrierMotion = o.openmpOpt = o.affineOpts =

@@ -4,20 +4,6 @@ using namespace paralift::ir;
 
 namespace paralift::vm {
 
-void ValueTable::grow() {
-  std::vector<ValueImpl *> keys = std::move(keys_);
-  std::vector<ValueInfo> vals = std::move(vals_);
-  shift_ = keys.empty() ? 8 : shift_ + 1;
-  keys_.assign(size_t(1) << shift_, nullptr);
-  vals_.resize(keys_.size());
-  for (size_t i = 0; i < keys.size(); ++i)
-    if (keys[i]) {
-      size_t j = slot(keys[i]);
-      keys_[j] = keys[i];
-      vals_[j] = vals[i];
-    }
-}
-
 void FunctionPlan::plan(FuncOp fn) {
   values.clear();
   loops_.clear();

@@ -6,8 +6,8 @@
 #pragma once
 
 #include "ir/ophelpers.h"
+#include "ir/value_table.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,47 +23,9 @@ struct ValueInfo {
   int32_t captureReg = -1; ///< its register in the closure being lowered
 };
 
-/// Open-addressing hash map from a value to its ValueInfo, reused for
-/// every function of a module, so that finding a value's entry does not
-/// allocate.
-class ValueTable {
-public:
-  void clear() {
-    std::fill(keys_.begin(), keys_.end(), nullptr);
-    size_ = 0;
-  }
-
-  /// The value's entry, default-constructed on first use.
-  ValueInfo &operator[](ir::ValueImpl *v) {
-    if (2 * (size_ + 1) > keys_.size())
-      grow();
-    size_t i = slot(v);
-    if (!keys_[i]) {
-      keys_[i] = v;
-      vals_[i] = ValueInfo{};
-      ++size_;
-    }
-    return vals_[i];
-  }
-
-private:
-  /// v's slot, or the empty slot where it goes: Fibonacci hashing of the
-  /// pointer, then linear probing.
-  size_t slot(ir::ValueImpl *v) const {
-    size_t mask = keys_.size() - 1;
-    uint64_t h = (reinterpret_cast<uintptr_t>(v) >> 4) * 0x9e3779b97f4a7c15ull;
-    size_t i = h >> (64 - shift_);
-    while (keys_[i] && keys_[i] != v)
-      i = (i + 1) & mask;
-    return i;
-  }
-  void grow();
-
-  std::vector<ir::ValueImpl *> keys_;
-  std::vector<ValueInfo> vals_;
-  size_t size_ = 0;
-  unsigned shift_ = 0;
-};
+/// A value's ValueInfo, found without allocating: one table reused for
+/// every function of a module.
+using ValueTable = ir::ValueTable<ValueInfo>;
 
 /// The plan of one function, found in one pre-order walk of its body:
 /// whether each loop body holds an alloca (it then takes an arena scope

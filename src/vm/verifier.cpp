@@ -19,6 +19,17 @@ namespace {
 /// allocation per call. Far above anything the compiler emits.
 constexpr uint32_t kMaxRegsPerFrame = 1u << 20;
 
+/// Budgets of the flow tables, checked before they are allocated. The
+/// gen, kill and live bitsets take (reachable blocks) x ceil(numRegs/64)
+/// words each per function; the leader states one typestate per live-in
+/// register per reachable leader, summed over the module. The 64-job
+/// Rodinia batch and the KernelGen sweep need at most 1,938 words and
+/// 6,201 states; an adversarial frame (2^18 registers live into each of
+/// 80 blocks) would need 21 million states, and nothing bounds the
+/// product otherwise.
+constexpr size_t kMaxFlowWords = size_t(1) << 20;
+constexpr size_t kMaxLeaderStates = size_t(1) << 22;
+
 const char *bcName(BC op) {
   switch (op) {
   case BC::ConstI: return "ConstI";
@@ -216,11 +227,15 @@ public:
     }
     // The flow layer's transfer functions index instrs/extras/shapes/
     // closures with the very fields layer 1 validates; on structural
-    // errors those reads are unsafe, so stop here.
+    // errors those reads are unsafe, so stop here. Past the flow tables'
+    // budgets it does not run either: planFlow reports the function that
+    // broke them.
+    bool flow = false;
     if (result_.errors.empty()) {
       computeRoles();
-      planFlow();
-
+      flow = planFlow();
+    }
+    if (flow) {
       // Interprocedural fixpoint: argument typestates flow from every
       // invocation site (Call and closure launch, in any function-index
       // order) into the target's entry state, and Ret typestates flow
@@ -806,8 +821,10 @@ private:
   /// those registers' typestates can reach a check or a summary, so they
   /// are the only ones the fixpoint stores, copies and joins. Bitset rows
   /// go only to blocks reachable from pc 0 (the blocks the fixpoint
-  /// visits), so dead code costs no memory per register.
-  void planFlow() {
+  /// visits), so dead code costs no memory per register. False, after
+  /// reporting one error at pc 0 of the function that broke it, when a
+  /// table would exceed its budget (kMaxFlowWords, kMaxLeaderStates).
+  bool planFlow() {
     const auto numFns = static_cast<uint32_t>(mod_.fns.size());
     flows_.resize(numFns);
     size_t pcs = 0;
@@ -896,6 +913,14 @@ private:
       // through predNext[e] (kNotLeader ends it), each from row predRow[e].
       const auto rows = static_cast<uint32_t>(rowBlock.size());
       const size_t words = (fn.numRegs + 63) / 64;
+      if (size_t(rows) * words > kMaxFlowWords) {
+        error(f, 0,
+              "flow tables of " + std::to_string(rows) +
+                  " reachable blocks x " + std::to_string(fn.numRegs) +
+                  " registers exceed the verifier's budget of " +
+                  std::to_string(kMaxFlowWords) + " bitset words");
+        return false;
+      }
       gen.assign(rows * words, 0);
       kill.assign(rows * words, 0);
       live.assign(rows * words, 0);
@@ -966,6 +991,18 @@ private:
           for (uint32_t e = predHead[r]; e != kNotLeader; e = predNext[e])
             push(predRow[e]);
       }
+      size_t states = liveRegs_.size();
+      for (uint32_t r = 0; r < rows; ++r)
+        for (size_t w = 0; w < words; ++w)
+          states += static_cast<size_t>(
+              __builtin_popcountll(live[size_t(r) * words + w]));
+      if (states > kMaxLeaderStates) {
+        error(f, 0,
+              "leader states of " + std::to_string(states) +
+                  " live-in registers exceed the verifier's budget of " +
+                  std::to_string(kMaxLeaderStates));
+        return false;
+      }
       for (uint32_t b = 0; b < flow.numBlocks; ++b) {
         liveBegin_.push_back(liveRegs_.size());
         if (rowOf[b] == kNotLeader)
@@ -986,6 +1023,7 @@ private:
     queued_.resize(blocks);
     marked_.resize(blocks);
     queue_.resize(blocks);
+    return true;
   }
 
   /// Joins one invocation site's argument typestates (valueAt(i) for

@@ -1,7 +1,8 @@
 // Tests for the textual IR parser (src/ir/parser.h): type spellings,
 // direct snippets, attribute round trips, error reporting, and the
 // print->parse->print fixed-point property over every Rodinia program
-// (both the raw frontend output and the fully optimized module).
+// (both the raw frontend output and the fully optimized module), and the
+// pinned results of seeded textual mutants (tests/parser_mutants.inc).
 #include "ir/parser.h"
 
 #include "driver/compiler.h"
@@ -10,6 +11,10 @@
 #include "rodinia/rodinia.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 
 using namespace paralift;
 using namespace paralift::ir;
@@ -229,6 +234,34 @@ TEST(ParserTest, MultiResultOp) {
   EXPECT_EQ(ifOp->numResults(), 2u);
 }
 
+TEST(PrinterTest, UseAheadOfItsDefinitionKeepsItsPreOrderNumber) {
+  // Invalid IR, as a pass bug would leave it: muli moved ahead of the
+  // addi defining its operands. The printer numbers values as it reaches
+  // them; the use it meets first must still print addi's pre-order
+  // number, not %<invalid>.
+  OwnedModule m = parseOk(R"(module {
+  func {sym_name = "f"} {
+    [%0: i32]:
+    %1 = addi(%0, %0) : i32
+    %2 = muli(%1, %1) : i32
+    return(%2)
+  }
+})");
+  Block &body = m.get().lookupFunc("f")->region(0).front();
+  Op *addi = body.front();
+  addi->next()->moveBefore(addi);
+  EXPECT_EQ(printOp(m.op()), R"(module {
+  func {sym_name = "f"} {
+    [%0: i32]:
+    %1 = muli(%2, %2) : i32
+    %2 = addi(%0, %0) : i32
+    return(%1)
+  }
+})");
+  // An op printed alone names operands from outside it %<invalid>.
+  EXPECT_EQ(printOp(addi), "%0 = addi(%<invalid>, %<invalid>) : i32");
+}
+
 //===----------------------------------------------------------------------===//
 // Errors
 //===----------------------------------------------------------------------===//
@@ -237,6 +270,24 @@ TEST(ParserErrorTest, UndefinedValue) {
   std::string msg = parseError("module {\n func {sym_name = \"f\"} {\n"
                                "  return(%9)\n }\n}");
   EXPECT_NE(msg.find("undefined value %9"), std::string::npos) << msg;
+}
+
+TEST(ParserErrorTest, OverflowingValueNumber) {
+  // One past the largest 64-bit number: it must not wrap to %0.
+  std::string msg = parseError("module {\n func {sym_name = \"f\"} {\n"
+                               "  [%0: i32]:\n"
+                               "  %1 = addi(%0, %18446744073709551616) : i32\n"
+                               "  return\n }\n}");
+  EXPECT_NE(msg.find("4:17: error: value number out of range: "
+                     "%18446744073709551616"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(ParserErrorTest, ModuleWithoutRegion) {
+  std::string msg = parseError("module");
+  EXPECT_NE(msg.find("module must have one region"), std::string::npos)
+      << msg;
 }
 
 TEST(ParserErrorTest, RedefinedValue) {
@@ -346,6 +397,199 @@ INSTANTIATE_TEST_SUITE_P(
           ch = '_';
       return n;
     });
+
+//===----------------------------------------------------------------------===//
+// Mutants: seeded textual mutations of the printed Rodinia modules, each
+// result (the reprinted module, or the exact diagnostics) pinned by a
+// digest
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The header of tests/parser_mutants.inc, written again with the actual
+/// results when they differ from the recorded ones.
+const char kParserMutantHeader[] =
+    "// The result of every mutant of ParserMutants.\n"
+    "// ResultsMatchTheRecordedDigest (tests/test_parser.cpp), one line\n"
+    "// each: index, base module, mutation, then \"ok <FNV-1a 64 of the\n"
+    "// reprinted module>\" or \"error <FNV-1a 64 of diag.str()>\".\n"
+    "//\n"
+    "// The mutants are textual changes to the modules printOp prints, so\n"
+    "// this file changes when the printer, the parser's diagnostics or the\n"
+    "// pass pipeline change on purpose. To regenerate it, run\n"
+    "//   test_parser --gtest_filter=ParserMutants.*\n"
+    "// which writes parser_mutants.actual.inc into its working directory\n"
+    "// when any result differs, check that only the intended mutants\n"
+    "// changed, and copy that file over this one.\n";
+
+/// The digest each mutant's result must match, one line per mutant.
+const char kRecordedParserMutants[] =
+#include "parser_mutants.inc"
+    ;
+
+constexpr uint32_t kParserMutantsPerModule = 64;
+
+/// splitmix64: the mutants must not depend on a library's distributions.
+struct TextRng {
+  uint64_t s;
+  uint64_t next() {
+    uint64_t z = (s += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  size_t below(size_t n) { return static_cast<size_t>(next() % n); }
+};
+
+uint64_t fnv1a64(const std::string &s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (char ch : s) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// The digits of every %N in `text`, as (offset, length).
+std::vector<std::pair<size_t, size_t>> valueIds(const std::string &text) {
+  std::vector<std::pair<size_t, size_t>> ids;
+  for (size_t i = text.find('%'); i != std::string::npos;
+       i = text.find('%', i + 1)) {
+    size_t end = i + 1;
+    while (end < text.size() && std::isdigit(static_cast<unsigned char>(
+                                    text[end])))
+      ++end;
+    if (end > i + 1)
+      ids.emplace_back(i + 1, end - i - 1);
+  }
+  return ids;
+}
+
+/// Applies mutation `index` (its kind is index % 8) to `text` and
+/// describes it: a bit flip, a deleted or duplicated byte, a deleted or
+/// duplicated line, a truncation, a %N renumbered to another id in use,
+/// or a %N replaced by an oversized one.
+std::string mutateText(std::string &text, uint32_t index) {
+  TextRng rng{0x7a75e000ull + index};
+  const size_t pos = rng.below(text.size());
+  const std::string at = std::to_string(pos);
+  switch (index % 8) {
+  case 0: {
+    unsigned bit = static_cast<unsigned>(rng.below(8));
+    text[pos] = static_cast<char>(text[pos] ^ (1u << bit));
+    return "flip @" + at + " bit" + std::to_string(bit);
+  }
+  case 1:
+    text.erase(pos, 1);
+    return "delete @" + at;
+  case 2:
+    text.insert(pos, 1, text[pos]);
+    return "duplicate @" + at;
+  case 3:
+  case 4: {
+    size_t begin = text.rfind('\n', pos);
+    begin = begin == std::string::npos ? 0 : begin + 1;
+    size_t end = text.find('\n', pos);
+    end = end == std::string::npos ? text.size() : end + 1;
+    std::string line = text.substr(begin, end - begin);
+    if (index % 8 == 3) {
+      text.erase(begin, end - begin);
+      return "delete-line @" + std::to_string(begin);
+    }
+    text.insert(begin, line);
+    return "duplicate-line @" + std::to_string(begin);
+  }
+  case 5:
+    text.resize(pos);
+    return "truncate @" + at;
+  default: {
+    auto ids = valueIds(text);
+    auto [offset, len] = ids[rng.below(ids.size())];
+    std::string id;
+    if (index % 8 == 6) {
+      // Another id in use, or one past the last.
+      id = std::to_string(rng.below(ids.size() / 2 + 2));
+    } else {
+      // Ids that fit 64 bits and ids that do not.
+      static const char *const kOversized[] = {
+          "4294967296",           "18446744073709551615",
+          "18446744073709551616", "18446744073709551617",
+          "99999999999999999999", "340282366920938463463374607431768211456",
+      };
+      id = kOversized[rng.below(6)];
+    }
+    text.replace(offset, len, id);
+    return (index % 8 == 6 ? "renumber @" : "oversize @") +
+           std::to_string(offset) + " %" + id;
+  }
+  }
+}
+
+/// "ok <FNV-1a 64 of the reprint>" or "error <FNV-1a 64 of diag.str()>".
+std::string resultOf(const std::string &text) {
+  DiagnosticEngine diag;
+  auto m = parseModule(text, diag);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(
+                    fnv1a64(m ? printOp(m->op()) : diag.str())));
+  return std::string(m ? "ok " : "error ") + hex;
+}
+
+} // namespace
+
+TEST(ParserMutants, ResultsMatchTheRecordedDigest) {
+  // The 16 Rodinia CUDA sources through the full pipeline and in SIMT
+  // mode, printed.
+  std::vector<std::pair<std::string, std::string>> bases;
+  for (const auto &b : rodinia::suite())
+    for (bool simt : {false, true}) {
+      DiagnosticEngine diag;
+      driver::CompileResult cc =
+          simt ? driver::compileForSimt(b.cudaSource, diag)
+               : driver::compile(b.cudaSource, transforms::PipelineOptions{},
+                                 diag);
+      ASSERT_TRUE(cc.ok) << b.id << ": " << diag.str();
+      bases.emplace_back(b.id + (simt ? "/simt" : "/full"),
+                         printOp(cc.module.op()));
+    }
+
+  std::string actual;
+  size_t rejected = 0;
+  uint32_t index = 0;
+  for (const auto &[name, base] : bases)
+    for (uint32_t k = 0; k < kParserMutantsPerModule; ++k, ++index) {
+      std::string text = base;
+      std::string what = mutateText(text, index);
+      std::string result = resultOf(text);
+      rejected += result.rfind("error ", 0) == 0;
+      actual += std::to_string(index) + " " + name + " " + what + " " +
+                result + "\n";
+    }
+  EXPECT_GE(index, 2000u);
+  // Most mutants must be rejected, and some must still parse.
+  EXPECT_GT(rejected, index / 2);
+  EXPECT_LT(rejected, index);
+
+  std::string recorded = kRecordedParserMutants;
+  if (!recorded.empty() && recorded.front() == '\n')
+    recorded.erase(0, 1);
+  if (recorded == actual)
+    return;
+  std::istringstream want(recorded), got(actual);
+  std::string w, g;
+  int shown = 0;
+  while (std::getline(got, g)) {
+    if (!std::getline(want, w))
+      w = "<missing>";
+    if (w != g && shown++ < 10)
+      ADD_FAILURE() << "recorded: " << w << "\nactual:   " << g;
+  }
+  std::ofstream out("parser_mutants.actual.inc");
+  out << kParserMutantHeader << "R\"digest(\n" << actual << ")digest\"\n";
+  FAIL() << "mutant results differ from tests/parser_mutants.inc; the "
+            "actual digest is in parser_mutants.actual.inc";
+}
 
 //===----------------------------------------------------------------------===//
 // Pass registry (transforms/registry.h)

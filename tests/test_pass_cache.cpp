@@ -158,6 +158,31 @@ TEST(Hash128Test, HexRoundTrip) {
             combineHash(hashBytes("b"), hashBytes("a"))); // order matters
 }
 
+TEST(Hash128Test, EveryByteAndTheLengthChangeTheHash) {
+  // Lengths around the 8-byte step: whole words, a partial last word,
+  // and none at all.
+  for (size_t len : {0, 1, 7, 8, 9, 15, 16, 17, 64, 1000}) {
+    std::string bytes(len, '\0');
+    for (size_t i = 0; i < len; ++i)
+      bytes[i] = static_cast<char>('a' + (i * 7) % 26);
+    const Hash128 h = hashBytes(bytes);
+    // Every single-bit flip of every byte.
+    for (size_t i = 0; i < len; ++i)
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = bytes;
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+        Hash128 f = hashBytes(flipped);
+        EXPECT_NE(f.lo, h.lo) << "len " << len << " byte " << i;
+        EXPECT_NE(f.hi, h.hi) << "len " << len << " byte " << i;
+      }
+    // Appended zero bytes, which a zero-padded last word alone would not
+    // see.
+    for (size_t zeros = 1; zeros <= 9; ++zeros)
+      EXPECT_NE(hashBytes(bytes + std::string(zeros, '\0')), h)
+          << "len " << len << " + " << zeros << " zero bytes";
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Basic replay
 //===----------------------------------------------------------------------===//
@@ -857,7 +882,8 @@ TEST(DiskFaultTest, GarbageHeaderIsAMissNotWrongReplay) {
        }},
       // First line rewritten to an older format's magic: v2 stored
       // per-function entries and module entries with a funcs line, v3 one
-      // entry per pass step with an output hash line.
+      // entry per pass step with an output hash line, v4 the keys and
+      // text hashes of the byte-at-a-time hashBytes.
       {"v2 magic",
        [](const std::string &file) {
          return "paralift-pass-cache v2" + file.substr(file.find('\n'));
@@ -865,6 +891,10 @@ TEST(DiskFaultTest, GarbageHeaderIsAMissNotWrongReplay) {
       {"v3 magic",
        [](const std::string &file) {
          return "paralift-pass-cache v3" + file.substr(file.find('\n'));
+       }},
+      {"v4 magic",
+       [](const std::string &file) {
+         return "paralift-pass-cache v4" + file.substr(file.find('\n'));
        }},
   };
   for (const Input &input : inputs) {

@@ -183,6 +183,53 @@ TEST(VerifierStructural, FrameLimitAndArgOverflow) {
       << r.str();
 }
 
+namespace {
+
+/// 2^18 argument registers, all live into each of `blocks`
+/// one-instruction blocks: jumps to the next pc, then a Ret of every
+/// register.
+BCFunction everyRegisterLiveEverywhere(int32_t blocks) {
+  constexpr int32_t kRegs = 1 << 18;
+  BCFunction f;
+  f.numRegs = kRegs;
+  f.numArgs = kRegs;
+  f.numResults = kRegs;
+  for (int32_t pc = 0; pc + 1 < blocks; ++pc)
+    f.instrs.push_back(ins(BC::Jump, 0, 0, 0, 0, /*imm=*/pc + 1));
+  f.instrs.push_back(ins(BC::Ret, 0, /*b=*/0, /*c=*/kRegs));
+  for (int32_t r = 0; r < kRegs; ++r)
+    f.extras.push_back(r);
+  return f;
+}
+
+} // namespace
+
+TEST(VerifierStructural, FlowTablesOverBudgetAreRejectedUpFront) {
+  // 80 blocks: 21 million leader states (about 150 MB without the
+  // budget). 10,000 blocks: 41 million words in each liveness bitset
+  // (about 1 GB for the three), rejected before they are allocated.
+  const struct {
+    int32_t blocks;
+    const char *reason;
+  } cases[] = {
+      {80, "leader states of 20971520 live-in registers exceed the "
+           "verifier's budget of 4194304"},
+      {10000, "flow tables of 10000 reachable blocks x 262144 registers "
+              "exceed the verifier's budget of 1048576 bitset words"},
+  };
+  for (const auto &c : cases) {
+    BCModule m = singleFn(everyRegisterLiveEverywhere(c.blocks));
+    auto start = std::chrono::steady_clock::now();
+    VerifyResult r = verifyModule(m);
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    ASSERT_EQ(r.errors.size(), 1u) << r.str();
+    expectError(r, 0, c.reason);
+    EXPECT_LT(seconds, 1.0) << c.blocks << " blocks";
+  }
+}
+
 TEST(VerifierStructural, JumpIfGERegisterOutOfRange) {
   BCFunction f;
   f.numRegs = 2;
