@@ -81,7 +81,7 @@ namespace {
 /// Double attrs hash by bit pattern except NaN, whose payload the printer
 /// collapses ("nan"/"-nan" regardless of payload bits): canonicalize to a
 /// sign-preserving quiet NaN so hashOp keeps the printer's equivalence
-/// classes. Finite values and infinities print injectively (putDouble
+/// classes. Finite values and infinities print injectively (appendDouble
 /// round-trips exactly), so raw bits match print equality for them.
 uint64_t doubleWord(double d) {
   uint64_t bits;
@@ -96,10 +96,9 @@ uint64_t doubleWord(double d) {
 /// %N names they would print as.
 class StructuralHasher {
 public:
-  explicit StructuralHasher(Op *root) : root_(root), ids_(root) {}
-
-  Hash128 hash() {
-    hashRec(root_);
+  Hash128 hash(Op *root) {
+    numberValues(root, ids_);
+    hashRec(root);
     return hs_.finish();
   }
 
@@ -113,7 +112,7 @@ private:
   };
 
   uint64_t idOf(Value v) {
-    const uint32_t *id = ids_.find(v);
+    const uint32_t *id = ids_.find(v.impl());
     return id ? *id : uint64_t(kInvalidValue);
   }
 
@@ -147,8 +146,6 @@ private:
   }
 
   void hashRec(Op *op) {
-    for (unsigned i = 0; i < op->numResults(); ++i)
-      ids_.define(op->result(i));
     hs_.addWord(static_cast<uint64_t>(op->kind()));
     hs_.addWord(op->numOperands());
     for (unsigned i = 0; i < op->numOperands(); ++i)
@@ -168,24 +165,24 @@ private:
       hs_.addWord(region.numBlocks());
       for (auto &block : region.blocks()) {
         hs_.addWord(block->numArgs());
-        for (unsigned a = 0; a < block->numArgs(); ++a) {
-          ids_.define(block->arg(a));
+        for (unsigned a = 0; a < block->numArgs(); ++a)
           addType(block->arg(a).type());
-        }
-        for (Op *inner = block->front(); inner; inner = inner->next())
+        for (Op *inner : *block)
           hashRec(inner);
         hs_.addWord(kEndBlock);
       }
     }
   }
 
-  Op *root_;
   HashStream hs_;
-  ValueNumbering ids_;
+  ValueTable<uint32_t> ids_;
 };
 
 } // namespace
 
-Hash128 hashOp(Op *op) { return StructuralHasher(op).hash(); }
+Hash128 hashOp(Op *op) {
+  StructuralHasher h;
+  return h.hash(op);
+}
 
 } // namespace paralift::ir

@@ -17,8 +17,10 @@
 //
 // Cost model: hashBytes takes 8 bytes per step (hashStep: an xor, a
 // multiply and a rotate in each of two independent streams), then mixes
-// in the length; hashOp one step per hashed word, and one ValueTable
-// probe per operand.
+// in the length. hashOp first numbers the tree's values in pre-order
+// into a flat open-addressing table (ir/value_table.h's numberValues,
+// which the printer shares), then takes one step per hashed word and
+// one table probe per operand.
 #pragma once
 
 #include <bit>

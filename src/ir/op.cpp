@@ -8,7 +8,7 @@ namespace paralift::ir {
 // OpKind names and traits
 //===----------------------------------------------------------------------===//
 
-const char *opKindName(OpKind k) {
+std::string_view opKindName(OpKind k) {
   switch (k) {
   case OpKind::Module: return "module";
   case OpKind::Func: return "func";

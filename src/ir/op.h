@@ -37,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -106,7 +107,8 @@ enum class OpKind : uint16_t {
   kNumOpKinds
 };
 
-const char *opKindName(OpKind k);
+/// The op's textual name, as the printer writes it and the parser reads it.
+std::string_view opKindName(OpKind k);
 
 enum class CmpIPred : int64_t { eq, ne, slt, sle, sgt, sge };
 enum class CmpFPred : int64_t { oeq, one, olt, ole, ogt, oge };

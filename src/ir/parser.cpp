@@ -372,48 +372,23 @@ Type parseMemRefBody(std::string_view body) {
 // Parser
 //===----------------------------------------------------------------------===//
 
-/// Op kinds by spelling: an open-addressing table hashed on the length
-/// and three characters, probed linearly. The spellings are fixed, so
-/// the probe chains are short.
-class OpNameTable {
-public:
-  OpNameTable() {
-    for (unsigned k = 0; k < static_cast<unsigned>(OpKind::kNumOpKinds); ++k) {
-      std::string_view name = opKindName(static_cast<OpKind>(k));
-      size_t i = slot(name);
-      while (!slots_[i].name.empty())
-        i = (i + 1) % slots_.size();
-      slots_[i] = {name, static_cast<OpKind>(k)};
-    }
+struct SvHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
   }
-
-  /// The kind spelled `name` (non-empty), or nullptr.
-  const OpKind *find(std::string_view name) const {
-    for (size_t i = slot(name);; i = (i + 1) % slots_.size()) {
-      if (slots_[i].name == name)
-        return &slots_[i].kind;
-      if (slots_[i].name.empty())
-        return nullptr;
-    }
-  }
-
-private:
-  static size_t slot(std::string_view s) {
-    auto at = [&](size_t i) { return static_cast<size_t>(uint8_t(s[i])); };
-    size_t n = s.size();
-    return (n * 0x9e37 ^ at(0) * 0x3b ^ at(n - 1) * 0x2f1 ^ at(n / 2) * 0x1b7) %
-           256;
-  }
-
-  struct Entry {
-    std::string_view name;
-    OpKind kind{};
-  };
-  std::array<Entry, 256> slots_{};
 };
 
-const OpNameTable &opNameTable() {
-  static const OpNameTable table;
+using OpNameMap =
+    std::unordered_map<std::string, OpKind, SvHash, std::equal_to<>>;
+
+const OpNameMap &opNameTable() {
+  static const OpNameMap table = [] {
+    OpNameMap t;
+    for (unsigned k = 0; k < static_cast<unsigned>(OpKind::kNumOpKinds); ++k)
+      t.emplace(opKindName(static_cast<OpKind>(k)), static_cast<OpKind>(k));
+    return t;
+  }();
   return table;
 }
 
@@ -465,15 +440,12 @@ private:
   void error(const std::string &msg) { diag_.error(lex_.cur().loc, msg); }
 
   bool expect(Tok kind, const char *what) {
-    if (lex_.cur().kind != kind)
-      return expected(what);
+    if (lex_.cur().kind != kind) {
+      error(std::string("expected ") + what);
+      return false;
+    }
     lex_.advance();
     return true;
-  }
-  /// expect's error path, out of line so that expect itself inlines.
-  [[gnu::noinline]] bool expected(const char *what) {
-    error(std::string("expected ") + what);
-    return false;
   }
 
   /// The number of the SsaId token at the cursor, whose text is pure
@@ -482,12 +454,6 @@ private:
   /// that does not fit 64 bits.
   bool valueId(uint64_t &id) {
     std::string_view text = lex_.cur().text;
-    if (text.size() < 20) { // below 10^19, so it fits
-      id = 0;
-      for (char c : text)
-        id = id * 10 + static_cast<uint64_t>(c - '0');
-      return true;
-    }
     auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), id);
     if (ec == std::errc())
       return true;
@@ -722,12 +688,12 @@ private:
       error("expected op name");
       return nullptr;
     }
-    const OpKind *known = opNameTable().find(lex_.cur().text);
-    if (!known) {
+    auto it = opNameTable().find(lex_.cur().text);
+    if (it == opNameTable().end()) {
       error("unknown op '" + std::string(lex_.cur().text) + "'");
       return nullptr;
     }
-    OpKind kind = *known;
+    OpKind kind = it->second;
     lex_.advance();
 
     // Operands.

@@ -3,7 +3,6 @@
 #include "ir/value_table.h"
 
 #include <algorithm>
-#include <array>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
@@ -88,31 +87,19 @@ void putDouble(Writer &out, double d) {
     out.put(".0");
 }
 
-/// Op spellings with their lengths, found once.
-const std::string_view &opName(OpKind k) {
-  static const auto names = [] {
-    std::array<std::string_view, static_cast<size_t>(OpKind::kNumOpKinds)> t;
-    for (size_t i = 0; i < t.size(); ++i)
-      t[i] = opKindName(static_cast<OpKind>(i));
-    return t;
-  }();
-  return names[static_cast<size_t>(k)];
-}
-
-/// Renders an op tree into one string: values named %N by the shared
-/// pre-order numbering (value_table.h), defined as the walk reaches them.
+/// Renders an op tree into one string, values named %N by the shared
+/// pre-order numbering (value_table.h).
 class Printer {
 public:
-  explicit Printer(Op *root) : root_(root), ids_(root) {}
-
-  std::string print() {
-    printOpRec(root_, 0);
+  std::string print(Op *op) {
+    numberValues(op, ids_);
+    printOpRec(op, 0);
     return out_.take();
   }
 
 private:
   void name(Value v) {
-    const uint32_t *id = ids_.find(v);
+    const uint32_t *id = ids_.find(v.impl());
     if (!id) {
       out_.put("%<invalid>");
       return;
@@ -122,20 +109,7 @@ private:
   }
 
   void type(Type t) {
-    if (!t.isMemRef()) {
-      out_.put(typeKindName(t.kind()));
-      return;
-    }
-    out_.put("memref<");
-    for (int64_t d : t.shape()) {
-      if (d == Type::kDynamic)
-        out_.put('?');
-      else
-        out_.putInt(d);
-      out_.put('x');
-    }
-    out_.put(typeKindName(t.elemKind()));
-    out_.put('>');
+    t.spell([&](std::string_view piece) { out_.put(piece); });
   }
 
   void indent(int depth) { out_.fill(2 * static_cast<size_t>(depth), ' '); }
@@ -163,8 +137,6 @@ private:
   }
 
   void printOpRec(Op *op, int depth) {
-    for (unsigned i = 0; i < op->numResults(); ++i)
-      ids_.define(op->result(i));
     indent(depth);
     // Results
     if (op->numResults() > 0) {
@@ -175,7 +147,7 @@ private:
       }
       out_.put(" = ");
     }
-    out_.put(opName(op->kind()));
+    out_.put(opKindName(op->kind()));
     // Operands
     if (op->numOperands() > 0) {
       out_.put('(');
@@ -217,8 +189,6 @@ private:
       }
       out_.put(" {\n");
       for (Block *block : op->region(r).blocks()) {
-        for (unsigned a = 0; a < block->numArgs(); ++a)
-          ids_.define(block->arg(a));
         if (block->numArgs() > 0) {
           indent(depth + 1);
           out_.put('[');
@@ -241,14 +211,13 @@ private:
     }
   }
 
-  Op *root_;
   Writer out_;
-  ValueNumbering ids_;
+  ValueTable<uint32_t> ids_;
 };
 
 } // namespace
 
-std::string printOp(Op *op) { return Printer(op).print(); }
+std::string printOp(Op *op) { return Printer().print(op); }
 
 std::string printOpSignature(Op *op) {
   std::ostringstream os;

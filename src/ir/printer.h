@@ -2,13 +2,12 @@
 // per top-level op so tests can assert on printed output.
 //
 // Cost model (a cache miss prints its module to store it): one walk of
-// the tree, which numbers each value as it reaches the definition
-// (ir/value_table.h's ValueNumbering, which ir::hashOp shares; a use
-// met before its definition costs one more walk) and writes each op
-// through a cursor into one growing string, integers through to_chars,
-// with no temporary string per operand, name or type. A double takes up
-// to three to_chars and strtod probes (the shortest of %.6g, %.15g,
-// %.17g that reads back).
+// the tree numbers every value in pre-order into a flat open-addressing
+// table (ir/value_table.h's numberValues, which ir::hashOp shares), and
+// a second writes each op through a cursor into one growing string:
+// integers through to_chars, names and types (Type::spell) with no
+// temporary string. A double takes up to three to_chars and strtod
+// probes (the shortest of %.6g, %.15g, %.17g that reads back).
 #pragma once
 
 #include "ir/op.h"

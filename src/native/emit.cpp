@@ -348,7 +348,7 @@ private:
     case OpKind::Condition:
       return true; // the enclosing structured op reads them
     default:
-      return reject(opKindName(op->kind()));
+      return reject(std::string(opKindName(op->kind())));
     }
   }
 

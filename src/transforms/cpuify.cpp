@@ -130,7 +130,8 @@ private:
     if (prefixImpure || hasSuffix) {
       if (std::getenv("PARALIFT_DEBUG_CPUIFY"))
         std::fprintf(stderr, "action: insert barriers around %s (pre=%d suf=%d)\n",
-                     opKindName(container->kind()), (int)prefixImpure, (int)hasSuffix);
+                     std::string(opKindName(container->kind())).c_str(),
+                     (int)prefixImpure, (int)hasSuffix);
       // Adding barriers is always legal in our model; fission will then
       // isolate the container.
       Builder b;
@@ -146,7 +147,8 @@ private:
     }
 
     if (std::getenv("PARALIFT_DEBUG_CPUIFY"))
-      std::fprintf(stderr, "action: interchange %s\n", opKindName(container->kind()));
+      std::fprintf(stderr, "action: interchange %s\n",
+                   std::string(opKindName(container->kind())).c_str());
     switch (container->kind()) {
     case OpKind::ScfFor:
       return interchangeFor(threadPar, container);

@@ -15,13 +15,9 @@
 #include <thread>
 #include <vector>
 
-#ifdef _WIN32
-#include <process.h>
-#else
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace paralift::transforms {
 
@@ -158,16 +154,6 @@ void PassResultCache::maybeAutoEvict(uint64_t bytesJustWritten) {
 }
 
 namespace {
-
-/// Temp-file uniqueness across processes sharing one cache dir needs the
-/// process id; _WIN32 has no ::getpid (only _getpid from <process.h>).
-unsigned long getProcessId() {
-#ifdef _WIN32
-  return static_cast<unsigned long>(::_getpid());
-#else
-  return static_cast<unsigned long>(::getpid());
-#endif
-}
 
 /// Closes a file descriptor when it goes out of scope.
 class FdGuard {
@@ -375,7 +361,7 @@ uint64_t PassResultCache::writeToDisk(const Hash128 &key,
   // POSIX, so concurrent writers of the same key both land a complete
   // file.
   std::ostringstream tmp;
-  tmp << path << ".tmp." << getProcessId() << "."
+  tmp << path << ".tmp." << ::getpid() << "."
       << std::this_thread::get_id();
   {
     std::ofstream out(tmp.str(), std::ios::binary | std::ios::trunc);

@@ -34,13 +34,13 @@
 // files of v1-v4 read as misses.
 //
 // Cost model: a memory hit is a lock and a shared_ptr copy: the text is
-// shared, never copied. A disk hit reads the file in one fread into the
-// string the memory entry then shares, cuts the header off its front,
-// hashes the payload (hashBytes, 8 bytes per step) against the header's
-// text hash and touches the file's mtime. All operations are
-// thread-safe: the
-// module tasks of a batch share one cache through lookup() and store(),
-// under its mutex alone.
+// shared, never copied. A disk hit reads the whole file (open, one fstat
+// for its size, then read until it is in) into the string the memory
+// entry then shares, cuts the header off its front, hashes the payload
+// (hashBytes, 8 bytes per step) against the header's text hash and
+// touches the file's mtime. All operations are thread-safe: the module
+// tasks of a batch share one cache through lookup() and store(), under
+// its mutex alone.
 #pragma once
 
 #include "ir/hasher.h"

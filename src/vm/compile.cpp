@@ -345,7 +345,7 @@ private:
       // Handled by the enclosing structured-op compilation.
       return;
     default:
-      fatalError(std::string("cannot compile op ") + opKindName(op->kind()));
+      fatalError("cannot compile op " + std::string(opKindName(op->kind())));
     }
   }
 

@@ -236,9 +236,9 @@ TEST(ParserTest, MultiResultOp) {
 
 TEST(PrinterTest, UseAheadOfItsDefinitionKeepsItsPreOrderNumber) {
   // Invalid IR, as a pass bug would leave it: muli moved ahead of the
-  // addi defining its operands. The printer numbers values as it reaches
-  // them; the use it meets first must still print addi's pre-order
-  // number, not %<invalid>.
+  // addi defining its operands. Values are numbered in pre-order before
+  // printing, so the use printed first still names addi's number, not
+  // %<invalid>.
   OwnedModule m = parseOk(R"(module {
   func {sym_name = "f"} {
     [%0: i32]:
