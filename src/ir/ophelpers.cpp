@@ -1,5 +1,6 @@
 #include "ir/ophelpers.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 namespace paralift::ir {
@@ -251,6 +252,16 @@ Op *getEnclosing(Op *op, OpKind kind) {
     if (cur->kind() == kind)
       return cur;
   return nullptr;
+}
+
+Op *outermostScopeOutside(Op *op, const std::vector<Value> &vals) {
+  for (Op *parent = op->parentOp();
+       parent && parent->kind() != OpKind::Func &&
+       std::all_of(vals.begin(), vals.end(),
+                   [&](Value v) { return isDefinedOutside(v, parent); });
+       parent = op->parentOp())
+    op = parent;
+  return op;
 }
 
 Op *getEnclosingThreadParallel(Op *op) {

@@ -222,6 +222,11 @@ bool containsBarrier(Op *op);
 /// Returns the closest enclosing op of the given kind, or nullptr.
 Op *getEnclosing(Op *op, OpKind kind);
 
+/// The outermost of `op` and its ancestors inside the enclosing func that
+/// every value of `vals` is defined outside of: code computing from `vals`
+/// for `op` can go before it, as early as the values allow.
+Op *outermostScopeOutside(Op *op, const std::vector<Value> &vals);
+
 /// Returns the enclosing scf.parallel carrying the gpu.block attribute.
 Op *getEnclosingThreadParallel(Op *op);
 

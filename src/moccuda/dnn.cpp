@@ -22,8 +22,14 @@ void parallelFor(ThreadPool &pool, int64_t n,
 namespace {
 constexpr int kBlockK = 64;
 
-void gemmPanel(int n0, int n1, int N, int K, const float *a, const float *B,
-               float *c) {
+// The GEMM loops below are pinned: not inlined, and each aligned to 64
+// bytes, as vm::Interp::step is. resnet-train's latency moved 5-15% when
+// 8 KB of code added elsewhere in the library shifted these loops, with
+// no change here, so growth in other files must not move them.
+#define PARALIFT_PINNED __attribute__((noinline, aligned(64)))
+
+PARALIFT_PINNED void gemmPanel(int n0, int n1, int N, int K, const float *a,
+                               const float *B, float *c) {
   // One row of C: c[j] += sum_k a[k] * B[k*N + j], K-blocked for locality.
   for (int k0 = 0; k0 < K; k0 += kBlockK) {
     int k1 = std::min(K, k0 + kBlockK);
@@ -109,6 +115,48 @@ void im2col(const Tensor &x, int n, const ConvParams &p, int oh, int ow,
       }
 }
 
+/// One output row of the forward GEMM: yrow[s] = sum_k wrow[k] *
+/// col[k, s] over S = oh * ow columns.
+PARALIFT_PINNED void convForwardRow(const float *wrow, const float *col,
+                                    float *yrow, int K, int S) {
+  std::memset(yrow, 0, sizeof(float) * S);
+  for (int k = 0; k < K; ++k) {
+    float wv = wrow[k];
+    if (wv == 0.0f)
+      continue;
+    const float *crow = col + static_cast<size_t>(k) * S;
+    for (int s = 0; s < S; ++s)
+      yrow[s] += wv * crow[s];
+  }
+}
+
+/// One image's share of a weight-gradient row: dwrow[k] += drow . col[k].
+PARALIFT_PINNED void convWeightGradRow(float *dwrow, const float *drow,
+                                       const float *col, int K, int S) {
+  for (int k = 0; k < K; ++k) {
+    const float *crow = col + static_cast<size_t>(k) * S;
+    float acc = 0.0f;
+    for (int s = 0; s < S; ++s)
+      acc += drow[s] * crow[s];
+    dwrow[k] += acc;
+  }
+}
+
+/// One row of the column gradient: dcrow[s] = sum_oc w[oc * K] *
+/// dout[oc, s], `w` pointing at the row's weight of out-channel 0.
+PARALIFT_PINNED void convColGradRow(float *dcrow, const float *dout,
+                                    const float *w, int K, int OC, int S) {
+  std::memset(dcrow, 0, sizeof(float) * S);
+  for (int oc = 0; oc < OC; ++oc) {
+    float wv = w[static_cast<size_t>(oc) * K];
+    if (wv == 0.0f)
+      continue;
+    const float *drow = dout + static_cast<size_t>(oc) * S;
+    for (int s = 0; s < S; ++s)
+      dcrow[s] += wv * drow[s];
+  }
+}
+
 /// col2im accumulate for one image.
 void col2im(const float *col, int n, const ConvParams &p, int oh, int ow,
             Tensor &dx) {
@@ -147,18 +195,10 @@ void convIm2colForward(ThreadPool &pool, const Tensor &x, const Tensor &w,
   parallelFor(pool, static_cast<int64_t>(x.n) * w.n, [&](int64_t t) {
     int n = static_cast<int>(t / w.n);
     int oc = static_cast<int>(t % w.n);
-    const float *col = cols.data() + static_cast<size_t>(n) * colSz;
-    const float *wrow = &w.data[static_cast<size_t>(oc) * K];
-    float *yrow = &y.data[(static_cast<size_t>(n) * w.n + oc) * oh * ow];
-    std::memset(yrow, 0, sizeof(float) * oh * ow);
-    for (int k = 0; k < K; ++k) {
-      float wv = wrow[k];
-      if (wv == 0.0f)
-        continue;
-      const float *crow = col + static_cast<size_t>(k) * oh * ow;
-      for (int s = 0; s < oh * ow; ++s)
-        yrow[s] += wv * crow[s];
-    }
+    convForwardRow(&w.data[static_cast<size_t>(oc) * K],
+                   cols.data() + static_cast<size_t>(n) * colSz,
+                   &y.data[(static_cast<size_t>(n) * w.n + oc) * oh * ow], K,
+                   oh * ow);
   });
 }
 
@@ -181,18 +221,10 @@ void convIm2colBackward(ThreadPool &pool, const Tensor &x, const Tensor &w,
   // output channels (deterministic accumulation order over n).
   parallelFor(pool, w.n, [&](int64_t oc) {
     float *dwrow = dw.data.data() + static_cast<size_t>(oc) * K;
-    for (int n = 0; n < x.n; ++n) {
-      const float *col = cols.data() + static_cast<size_t>(n) * colSz;
-      const float *drow =
-          &dy.data[(static_cast<size_t>(n) * w.n + oc) * oh * ow];
-      for (int k = 0; k < K; ++k) {
-        const float *crow = col + static_cast<size_t>(k) * oh * ow;
-        float acc = 0.0f;
-        for (int s = 0; s < oh * ow; ++s)
-          acc += drow[s] * crow[s];
-        dwrow[k] += acc;
-      }
-    }
+    for (int n = 0; n < x.n; ++n)
+      convWeightGradRow(
+          dwrow, &dy.data[(static_cast<size_t>(n) * w.n + oc) * oh * ow],
+          cols.data() + static_cast<size_t>(n) * colSz, K, oh * ow);
   });
 
   // Stage 3: dCol[k, s] = sum_oc W[oc, k] * dY[oc, s] (parallel over k
@@ -202,16 +234,8 @@ void convIm2colBackward(ThreadPool &pool, const Tensor &x, const Tensor &w,
   for (int n = 0; n < x.n; ++n) {
     const float *dout = &dy.data[static_cast<size_t>(n) * w.n * oh * ow];
     parallelFor(pool, K, [&](int64_t k) {
-      float *dcrow = dcol.data() + static_cast<size_t>(k) * oh * ow;
-      std::memset(dcrow, 0, sizeof(float) * oh * ow);
-      for (int oc = 0; oc < w.n; ++oc) {
-        float wv = w.data[static_cast<size_t>(oc) * K + k];
-        if (wv == 0.0f)
-          continue;
-        const float *drow = dout + static_cast<size_t>(oc) * oh * ow;
-        for (int s = 0; s < oh * ow; ++s)
-          dcrow[s] += wv * drow[s];
-      }
+      convColGradRow(dcol.data() + static_cast<size_t>(k) * oh * ow, dout,
+                     w.data.data() + k, K, w.n, oh * ow);
     });
     col2im(dcol.data(), n, p, oh, ow, dx);
   }

@@ -5,22 +5,47 @@
 //
 // Guarded-loop index-set restriction shrinks a loop to the iterations in
 // which its body does anything. It applies alike to each dimension of an
-// scf.parallel and to an scf.for without iter-args, when:
+// scf.parallel or omp.wsloop and to an scf.for without iter-args, when:
 //  - the body holds only pure region-free ops plus exactly one
 //    result-less scf.if with an empty else and no polygeist.barrier or
 //    omp.barrier inside (so the iterations the guard rejects have no
 //    effect);
+//  - the dimension steps by 1, and the range analysis (analysis/
+//    int_range.h) puts its lb at 0 or above and its ub at INT32_MAX or
+//    below, so every cast of the IV is exact;
 //  - the guard is a cmpi (eq, slt, sle, sgt, sge, in either operand
-//    order) between the IV, used directly or through index.cast/extsi,
-//    and a constant, or `remsi(iv, P) == 0` with a constant P > 0;
-//  - lb, ub and step are constants with 0 <= lb, ub <= INT32_MAX and
-//    step 1, so every cast of the IV is exact.
-// The dimension's [lb, ub) is intersected with the guard's range (`% P`
-// instead raises lb to a multiple of P and sets step P), and the guard's
-// condition becomes `true`, so the scf.if fold inlines it and the trip
-// folds below remove a loop left with zero or one trip. Guards with a
-// non-constant comparand, an offset (`bx * 64 + tx < n`, which needs a
-// no-wrap proof) or an `&&` chain are left alone.
+//    order) of a comparand n with `iv` or with `base + iv`, the IV used
+//    directly or through index.cast/extsi, or `remsi(iv, P) == 0` with a
+//    constant P > 0 (constant bounds only).
+// With constant bounds and a constant n (and no base), the dimension's
+// [lb, ub) is intersected with the guard's range as constants (`% P`
+// instead raises lb to a multiple of P and sets step P). Otherwise n and
+// base must be constants or defined outside the loop (outside every
+// enclosing scf.parallel for an scf.parallel, so omp-lower can still
+// collapse the nest), and the range analysis must prove that the add of
+// `base + iv` cannot wrap over the loop's range; the new bounds clamp
+// n - base to [lb, ub], e.g. [lb, max(lb, min(ub, n - base))) for `<`,
+// computed in index before the loop, as early as their operands allow.
+// The facts the proof uses are constants, value-preserving casts, addi,
+// subi and muli with overflow checks, divsi by a positive constant (the
+// grid (n + 63) / 64 lies in [-2^25, 2^25)), minsi/maxsi, i32 loads, and
+// an IV bounded by its loop; a grid taken straight from an int argument
+// proves nothing about bx * 64, and its guard stays. Either way the
+// guard's body is inlined into the loop, and the trip folds below remove
+// a loop left with zero or one trip.
+//
+// Two rewrites give more loops a sole guard:
+//  - `&&` chains: `%c = scf.if(%a) -> i1 { ops; yield %b } else { yield
+//    false }; scf.if(%c) { B }` becomes `scf.if(%a) { ops; scf.if(%b)
+//    { B } }` when %c has no other use and ops are pure or loads;
+//  - a sole guard of an scf.for that does not depend on its IV moves out
+//    of the loop, so the conjunct of hotspot's `row < rows && col < cols`
+//    that the inner (row) thread loop leaves invariant reaches the outer
+//    (col) loop it restricts.
+// Left alone: `ne`, `||` chains, and a guard that shares its loop with an
+// unguarded effect (backprop layerforward's `ty % 16 == 0`, which would
+// need index-set splitting).
+#include "analysis/int_range.h"
 #include "analysis/memory.h"
 #include "ir/builder.h"
 #include "ir/intmath.h"
@@ -30,6 +55,7 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <unordered_set>
 
 using namespace paralift::ir;
 
@@ -187,14 +213,23 @@ Value stripIntCasts(Value v) {
   return v;
 }
 
+/// `x pred y` as `y pred' x`.
+CmpIPred mirror(CmpIPred pred) {
+  return pred == CmpIPred::slt   ? CmpIPred::sgt
+         : pred == CmpIPred::sle ? CmpIPred::sge
+         : pred == CmpIPred::sgt ? CmpIPred::slt
+         : pred == CmpIPred::sge ? CmpIPred::sle
+                                 : pred;
+}
+
 /// The iterations `lb, lb + step, ... < ub` of a loop dimension.
 struct IndexSet {
   int64_t lb, ub, step;
 };
 
-/// If `cond` is a guard on `iv` (see the file comment), the iterations of
-/// `[lb, ub)` with step 1 in which it holds. Requires 0 <= lb and
-/// ub <= INT32_MAX.
+/// If `cond` is a guard on `iv` against a constant (see the file
+/// comment), the iterations of the constant `[lb, ub)` with step 1 in
+/// which it holds. Requires 0 <= lb and ub <= INT32_MAX.
 std::optional<IndexSet> guardedIndexSet(Value cond, Value iv, int64_t lb,
                                         int64_t ub) {
   Op *cmp = cond.definingOp();
@@ -204,14 +239,9 @@ std::optional<IndexSet> guardedIndexSet(Value cond, Value iv, int64_t lb,
   Value x = cmp->operand(0);
   std::optional<int64_t> c = getConstInt(cmp->operand(1));
   if (!c) {
-    // `c pred x` is `x pred' c` with the comparison mirrored.
     x = cmp->operand(1);
     c = getConstInt(cmp->operand(0));
-    pred = pred == CmpIPred::slt   ? CmpIPred::sgt
-           : pred == CmpIPred::sle ? CmpIPred::sge
-           : pred == CmpIPred::sgt ? CmpIPred::slt
-           : pred == CmpIPred::sge ? CmpIPred::sle
-                                   : pred;
+    pred = mirror(pred);
   }
   if (!c)
     return std::nullopt;
@@ -248,36 +278,233 @@ std::optional<IndexSet> guardedIndexSet(Value cond, Value iv, int64_t lb,
   return IndexSet{lo, std::max(lo, std::min(hi, ub)), 1};
 }
 
+/// A constant, or a value defined outside `scope`.
+bool invariantIn(Value v, Op *scope) {
+  return getConstInt(v) || isDefinedOutside(v, scope);
+}
+
+/// `v` as an index value before the builder's insertion point.
+Value indexBefore(Builder &b, Value v) {
+  if (std::optional<int64_t> c = getConstInt(v))
+    return b.constIndex(*c);
+  return b.toIndex(v);
+}
+
+/// Restricts dimension `d` of `loop` to the iterations in which the
+/// guard `cmp` holds, when it compares `iv` or `base + iv` (in either
+/// operand order, through index.cast and extsi) with a comparand `n`, and
+/// `n` and `base` are invariant in `scope`. The range analysis must put
+/// the loop within [0, INT32_MAX] and prove that `base + iv` does not
+/// wrap over it.
+bool restrictToGuard(Op *loop, unsigned dims, unsigned d, Op *cmp, Value iv,
+                     Op *scope) {
+  auto pred = static_cast<CmpIPred>(cmp->attrs().getInt("pred"));
+  // The side holding the IV, as `iv + base` (a null base for `iv`).
+  Value base, n;
+  Op *add = nullptr;
+  auto ivSide = [&](Value x) {
+    add = nullptr;
+    if (stripIntCasts(x) == iv)
+      return true;
+    add = x.definingOp();
+    if (!add || add->kind() != OpKind::AddI)
+      return false;
+    for (unsigned i = 0; i < 2; ++i)
+      if (stripIntCasts(add->operand(i)) == iv &&
+          invariantIn(add->operand(1 - i), scope)) {
+        base = add->operand(1 - i);
+        return true;
+      }
+    return false;
+  };
+  if (ivSide(cmp->operand(0))) {
+    n = cmp->operand(1);
+  } else if (ivSide(cmp->operand(1))) {
+    n = cmp->operand(0);
+    pred = mirror(pred);
+  } else {
+    return false;
+  }
+  if (pred == CmpIPred::ne || !invariantIn(n, scope))
+    return false;
+  Value lb = loop->operand(d), ub = loop->operand(dims + d);
+  analysis::IntRange lbR = analysis::intRange(lb);
+  analysis::IntRange ubR = analysis::intRange(ub);
+  if (lbR.lo < 0 || ubR.hi > INT32_MAX)
+    return false;
+  if (base) {
+    // `base + iv` must not wrap in the add's type, and |base| <= 2^62
+    // keeps the bound arithmetic below from overflowing.
+    analysis::IntRange b = analysis::intRange(base);
+    bool i32 = add->result().type().kind() == TypeKind::I32;
+    int64_t lo, hi, min = i32 ? INT32_MIN : INT64_MIN,
+                    max = i32 ? INT32_MAX : INT64_MAX;
+    if (!b.within(-(int64_t(1) << 62), int64_t(1) << 62) ||
+        __builtin_add_overflow(b.lo, lbR.lo, &lo) ||
+        __builtin_add_overflow(b.hi, ubR.hi - 1, &hi) || lo < min || hi > max)
+      return false;
+  }
+
+  // `iv + base pred n` is `iv pred n - base`. clamp(n - s, lb, ub), with
+  // s = base - delta, is min(max(n, lb + s), ub + s) - s: it clamps n
+  // before subtracting, so no step overflows, whatever n is. The bounds
+  // are computed as early as their operands allow.
+  std::vector<Value> operands{lb, ub};
+  for (Value v : {n, base})
+    if (v && !getConstInt(v))
+      operands.push_back(v);
+  Builder b;
+  b.setInsertionPoint(outermostScopeOutside(loop, operands));
+  Value nIndex = indexBefore(b, n);
+  // Only ops that do not fold away are built: each folded one would cost
+  // the fixpoint another walk of the function.
+  auto clampShifted = [&](int64_t delta) {
+    Value s = base ? indexBefore(b, base) : Value();
+    if (delta)
+      s = s ? b.subi(s, b.constIndex(delta)) : b.constIndex(-delta);
+    auto shift = [&](Value v) {
+      return !s ? v : getConstInt(v) == 0 ? s : b.addi(v, s);
+    };
+    Value c = b.binary(OpKind::MaxSI, nIndex, shift(lb));
+    c = b.binary(OpKind::MinSI, c, shift(ub));
+    return s ? b.subi(c, s) : c;
+  };
+  switch (pred) {
+  case CmpIPred::eq:
+    loop->setOperand(d, clampShifted(0));
+    loop->setOperand(dims + d, clampShifted(1));
+    break;
+  case CmpIPred::slt: loop->setOperand(dims + d, clampShifted(0)); break;
+  case CmpIPred::sle: loop->setOperand(dims + d, clampShifted(1)); break;
+  case CmpIPred::sgt: loop->setOperand(d, clampShifted(1)); break;
+  case CmpIPred::sge: loop->setOperand(d, clampShifted(0)); break;
+  case CmpIPred::ne: break;
+  }
+  return true;
+}
+
+/// An scf.for whose sole guard's condition does not depend on its IV:
+/// `for { if (c) { B } }` becomes `if (c) { for { B } }`, the pure ops
+/// computing c moving before the loop. The conjunct of a nested `&&`
+/// that an inner thread loop leaves invariant thus moves out to the loop
+/// it restricts.
+bool hoistInvariantGuard(Op *loop, Op *guard) {
+  Block &body = loop->region(0).front();
+  Value cond = IfOp(guard).cond();
+  // The body's (pure, region-free) ops that cond depends on.
+  std::unordered_set<Op *> deps;
+  std::vector<Value> work{cond};
+  while (!work.empty()) {
+    Value v = work.back();
+    work.pop_back();
+    if (isDefinedOutside(v, loop))
+      continue;
+    Op *def = v.definingOp();
+    if (!def)
+      return false; // the IV
+    if (deps.insert(def).second)
+      for (unsigned i = 0; i < def->numOperands(); ++i)
+        work.push_back(def->operand(i));
+  }
+  for (Op *op = body.front(), *next = nullptr; op; op = next) {
+    next = op->next();
+    if (deps.count(op))
+      op->moveBefore(loop);
+  }
+  Builder b;
+  b.setInsertionPoint(loop);
+  IfOp outer = IfOp::create(b, cond);
+  Builder(&outer.thenBlock()).yield();
+  loop->moveBefore(outer.thenBlock().terminator());
+  inlineRegionBefore(guard, guard->region(0));
+  return true;
+}
+
 /// Guarded-loop index-set restriction (see the file comment) on an
-/// scf.for or scf.parallel. Returns true if a dimension was restricted.
+/// scf.for, scf.parallel or omp.wsloop, or for an scf.for whose guard is
+/// invariant in it, hoistInvariantGuard. Returns true if the IR changed.
 bool restrictGuardedLoop(Op *loop) {
   Block &body = loop->region(0).front();
   Op *guard = soleGuard(body);
   if (!guard)
     return false;
-  // scf.for's (lb, ub, step) operands have scf.parallel's layout with
-  // one dimension.
+  Op *cmp = IfOp(guard).cond().definingOp();
+  if (!cmp || cmp->kind() != OpKind::CmpI)
+    return loop->kind() == OpKind::ScfFor && hoistInvariantGuard(loop, guard);
+  // An scf.parallel's new bounds stay invariant in the scf.parallel loops
+  // around it, so omp-lower can still collapse the nest.
+  Op *scope = loop;
+  if (loop->kind() == OpKind::ScfParallel)
+    while (Op *outer = getEnclosing(scope, OpKind::ScfParallel))
+      scope = outer;
+  // scf.for's (lb, ub, step) operands have the parallel layout with one
+  // dimension.
   unsigned dims = loop->kind() == OpKind::ScfFor
                       ? 1
                       : ParallelOp(loop).numDims();
   for (unsigned d = 0; d < dims; ++d) {
+    if (getConstInt(loop->operand(2 * dims + d)) != 1)
+      continue;
     auto lb = getConstInt(loop->operand(d));
     auto ub = getConstInt(loop->operand(dims + d));
-    auto step = getConstInt(loop->operand(2 * dims + d));
-    if (!lb || !ub || !step || *step != 1 || *lb < 0 || *ub > INT32_MAX)
-      continue;
-    auto set = guardedIndexSet(IfOp(guard).cond(), body.arg(d), *lb, *ub);
-    if (!set)
-      continue;
+    bool constant = lb && ub && *lb >= 0 && *ub <= INT32_MAX;
     Builder b;
     b.setInsertionPoint(loop);
-    loop->setOperand(d, b.constIndex(set->lb));
-    loop->setOperand(dims + d, b.constIndex(set->ub));
-    loop->setOperand(2 * dims + d, b.constIndex(set->step));
-    guard->setOperand(0, b.constBool(true));
+    if (auto set = constant ? guardedIndexSet(IfOp(guard).cond(),
+                                              body.arg(d), *lb, *ub)
+                            : std::nullopt) {
+      loop->setOperand(d, b.constIndex(set->lb));
+      loop->setOperand(dims + d, b.constIndex(set->ub));
+      loop->setOperand(2 * dims + d, b.constIndex(set->step));
+    } else if (!restrictToGuard(loop, dims, d, cmp, body.arg(d), scope)) {
+      continue;
+    }
+    inlineRegionBefore(guard, guard->region(0));
     return true;
   }
-  return false;
+  return loop->kind() == OpKind::ScfFor && hoistInvariantGuard(loop, guard);
+}
+
+/// `%c = scf.if(%a) -> i1 { ops; yield(%b) } else { yield(false) }`
+/// followed by `scf.if(%c) { B }`, the frontend's `if (a && b)`, becomes
+/// `scf.if(%a) { ops; scf.if(%b) { B } }`, so each conjunct is a guard of
+/// its own. Applies when %c has no other use, ops are pure or loads, and
+/// B holds no barrier and no else.
+bool nestConjunction(Op *first) {
+  Op *second = first->next();
+  if (first->numResults() != 1 || !second ||
+      second->kind() != OpKind::ScfIf ||
+      second->operand(0) != first->result() ||
+      first->result().numUses() != 1 || second->numResults() != 0 ||
+      containsAnyBarrier(second))
+    return false;
+  IfOp f(first), s(second);
+  if (!f.hasElse() || getConstInt(f.elseBlock().terminator()->operand(0)) !=
+                          std::optional<int64_t>(0))
+    return false;
+  if (s.hasElse() && s.elseBlock().front() != s.elseBlock().terminator())
+    return false;
+  Op *thenYield = f.thenBlock().terminator();
+  for (Op *op : f.thenBlock())
+    if (op != thenYield && op->kind() != OpKind::Load &&
+        !(isPure(op->kind()) && op->numRegions() == 0))
+      return false;
+  Builder b;
+  b.setInsertionPoint(first);
+  IfOp nested = IfOp::create(b, f.cond());
+  Block &inner = nested.thenBlock();
+  for (Op *op = f.thenBlock().front(), *next = nullptr; op != thenYield;
+       op = next) {
+    next = op->next();
+    op->removeFromParent();
+    inner.push_back(op);
+  }
+  second->setOperand(0, thenYield->operand(0));
+  second->removeFromParent();
+  inner.push_back(second);
+  Builder(&inner).yield();
+  first->erase();
+  return true;
 }
 
 /// One canonicalization attempt on `op`. Returns true if IR changed
@@ -470,7 +697,7 @@ bool canonicalizeOp(Op *op) {
       op->erase();
       return true;
     }
-    return false;
+    return nestConjunction(op);
   }
   case OpKind::ScfFor: {
     auto lb = getConstInt(ForOp(op).lb());
@@ -537,6 +764,8 @@ bool canonicalizeOp(Op *op) {
     }
     return restrictGuardedLoop(op);
   }
+  case OpKind::OmpWsLoop:
+    return restrictGuardedLoop(op);
   case OpKind::SubView: {
     // subview with zero indices is the identity.
     if (op->numOperands() == 1) {

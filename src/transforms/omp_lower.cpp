@@ -1,6 +1,14 @@
 // Lowering of scf.parallel to the OpenMP-like dialect (§IV-D):
 //   - collapse of grid x block loops into one parallel loop when the grid
-//     body holds no shared memory,
+//     body holds no shared memory. When the body uses each grid IV bx and
+//     its block IV tx only as `bx * B + tx` (B the block extent, in index
+//     or i32 form), the pair becomes one linear dimension t over
+//     [0, G * B): CUDA's global thread index. The range analysis must
+//     prove G * B cannot overflow and, for the i32 form, that every t
+//     fits i32, so `i32(bx) * B + i32(tx)` is exactly i32(t);
+//     canonicalize then folds a `t < n` guard into the loop's bound,
+//     which it could not do on the block loop without making the block
+//     bound depend on bx (and so stopping the collapse),
 //   - omp.parallel { omp.wsloop } structure for outer loops,
 //   - parallel-region fusion across adjacent regions (Fig. 10), also
 //     across the read-only serial code between them,
@@ -8,12 +16,15 @@
 //   - inner serialization: nested (block-level) scf.parallel loops become
 //     serial scf.for nests (PolygeistInnerSer) or nested omp regions
 //     (PolygeistInnerPar).
+#include "analysis/int_range.h"
 #include "analysis/memory.h"
 #include "ir/builder.h"
 #include "ir/ophelpers.h"
 #include "transforms/passes.h"
 
 #include <algorithm>
+#include <climits>
+#include <optional>
 #include <unordered_map>
 
 using namespace paralift::ir;
@@ -42,10 +53,114 @@ void remapUses(Op *op, const std::unordered_map<ValueImpl *, Value> &map) {
   });
 }
 
+/// The ops computing `bx * B + tx` from grid IV `bx` and block IV `tx`,
+/// where B is the block loop's ub `extent`: the adds (i32 or index), and
+/// the muls and i32 casts that feed only them.
+struct LinearIndex {
+  std::vector<Op *> adds, muls, casts;
+};
+
+/// Whether `v` is the block extent: its ub, an i32 cast of it, or a
+/// constant of the same value.
+bool isExtent(Value v, Value extent) {
+  if (Op *def = v.definingOp(); def && def->kind() == OpKind::IndexCast)
+    v = def->operand(0);
+  auto c = getConstInt(v), e = getConstInt(extent);
+  return v == extent || (c && e && *c == *e);
+}
+
+/// If every use of `bx` and `tx` is part of `bx * B + tx`, in index form
+/// or through their i32 casts, the ops that compute it.
+std::optional<LinearIndex> matchLinearIndex(Value bx, Value tx,
+                                            Value extent) {
+  LinearIndex li;
+  // Every form of bx (the IV and its i32 casts) is multiplied by B, and
+  // every product is added to the same form of tx.
+  auto isTxForm = [&](Value v) {
+    Op *def = v.definingOp();
+    return v == tx || (def && def->kind() == OpKind::IndexCast &&
+                       def->operand(0) == tx);
+  };
+  std::vector<Value> bxForms{bx};
+  for (auto &[user, idx] : bx.uses())
+    if (user->kind() == OpKind::IndexCast &&
+        user->result().type() == Type::i32()) {
+      li.casts.push_back(user);
+      bxForms.push_back(user->result());
+    }
+  for (Value form : bxForms)
+    for (auto &[mul, idx] : form.uses()) {
+      if (form == bx && mul->kind() == OpKind::IndexCast &&
+          mul->result().type() == Type::i32())
+        continue; // a form recorded above
+      if (mul->kind() != OpKind::MulI || !isExtent(mul->operand(1 - idx), extent))
+        return std::nullopt;
+      li.muls.push_back(mul);
+      for (auto &[add, j] : mul->result().uses()) {
+        if (add->kind() != OpKind::AddI || !isTxForm(add->operand(1 - j)))
+          return std::nullopt;
+        li.adds.push_back(add);
+      }
+    }
+  auto isAdd = [&](Op *op) {
+    return std::find(li.adds.begin(), li.adds.end(), op) != li.adds.end();
+  };
+  for (auto &[user, idx] : tx.uses()) {
+    if (isAdd(user))
+      continue;
+    if (user->kind() != OpKind::IndexCast ||
+        user->result().type() != Type::i32())
+      return std::nullopt;
+    for (auto &[add, j] : user->result().uses())
+      if (!isAdd(add))
+        return std::nullopt;
+    li.casts.push_back(user);
+  }
+  if (li.adds.empty())
+    return std::nullopt;
+  return li;
+}
+
+/// Whether every grid dimension i of `grid` pairs with block dimension i
+/// of `inner` as `bx * B + tx` (matchLinearIndex), both loops from 0 by
+/// 1, and the range analysis proves that G * B cannot overflow and, for
+/// an i32 index, that every linear index fits i32, so its i32 value is
+/// exactly `i32(bx) * B + i32(tx)`.
+bool matchLinearNest(ParallelOp grid, ParallelOp inner,
+                     std::vector<LinearIndex> &pairs) {
+  if (grid.numDims() != inner.numDims())
+    return false;
+  for (unsigned i = 0; i < grid.numDims(); ++i) {
+    for (ParallelOp loop : {grid, inner})
+      if (getConstInt(loop.lb(i)) != 0 || getConstInt(loop.step(i)) != 1)
+        return false;
+    analysis::IntRange g = analysis::intRange(grid.ub(i));
+    analysis::IntRange b = analysis::intRange(inner.ub(i));
+    int64_t corner;
+    if (b.lo < 0 || __builtin_mul_overflow(g.lo, b.hi, &corner) ||
+        __builtin_mul_overflow(g.hi, b.hi, &corner))
+      return false;
+    std::optional<LinearIndex> li =
+        matchLinearIndex(grid.iv(i), inner.iv(i), inner.ub(i));
+    if (!li)
+      return false;
+    bool i32 = std::any_of(li->adds.begin(), li->adds.end(), [](Op *add) {
+      return add->result().type() == Type::i32();
+    });
+    if (i32 && corner > int64_t(INT32_MAX) + 1)
+      return false;
+    pairs.push_back(std::move(*li));
+  }
+  return true;
+}
+
 /// Grid parallel whose body is { pure ops...; thread-parallel; yield }
 /// with thread bounds defined outside: merge into a single scf.parallel
 /// (pure prefix ops — e.g. LICM-hoisted index math — sink into the
-/// merged body).
+/// merged body). When the body uses each grid IV and its block IV only
+/// as `bx * B + tx` (matchLinearNest), each pair becomes one dimension
+/// over [0, G * B) whose IV t is that index; otherwise the merged loop
+/// has the grid dimensions, then the block ones.
 bool collapseOne(Op *gridOp) {
   Block &gridBody = gridOp->region(0).front();
   Op *first = gridBody.front();
@@ -63,27 +178,31 @@ bool collapseOne(Op *gridOp) {
     if (!isDefinedOutside(inner.op->operand(i), gridOp))
       return false;
 
+  std::vector<LinearIndex> pairs;
+  bool linear = matchLinearNest(grid, inner, pairs);
+  Builder b;
   std::vector<Value> lbs, ubs, steps;
   for (unsigned i = 0; i < grid.numDims(); ++i) {
     lbs.push_back(grid.lb(i));
     ubs.push_back(grid.ub(i));
     steps.push_back(grid.step(i));
+    if (linear) {
+      // G * B goes where both are defined, so a host loop's body is still
+      // the region alone for hoisting.
+      b.setInsertionPoint(
+          outermostScopeOutside(gridOp, {grid.ub(i), inner.ub(i)}));
+      ubs.back() = b.muli(grid.ub(i), inner.ub(i));
+    }
   }
-  for (unsigned i = 0; i < inner.numDims(); ++i) {
+  b.setInsertionPoint(gridOp);
+  for (unsigned i = 0; i < inner.numDims() && !linear; ++i) {
     lbs.push_back(inner.lb(i));
     ubs.push_back(inner.ub(i));
     steps.push_back(inner.step(i));
   }
-  Builder b;
-  b.setInsertionPoint(gridOp);
   ir::ParallelOp merged =
       ir::ParallelOp::create(b, OpKind::ScfParallel, lbs, ubs, steps);
   merged.op->attrs().set("gpu.grid", true);
-  std::unordered_map<ValueImpl *, Value> map;
-  for (unsigned i = 0; i < grid.numDims(); ++i)
-    map[grid.iv(i).impl()] = merged.iv(i);
-  for (unsigned i = 0; i < inner.numDims(); ++i)
-    map[inner.iv(i).impl()] = merged.iv(grid.numDims() + i);
   Builder mb(&merged.body());
   mb.yield({});
   // Move the pure prefix first, then the thread body.
@@ -92,8 +211,31 @@ bool collapseOne(Op *gridOp) {
     merged.body().insertBefore(merged.body().terminator(), op);
   }
   spliceBefore(inner.body(), merged.body(), merged.body().terminator());
-  for (Op *op : merged.body())
-    remapUses(op, map);
+  if (linear) {
+    // t, and its i32 cast, replace each `bx * B + tx`.
+    for (unsigned i = 0; i < pairs.size(); ++i) {
+      mb.setInsertionPoint(merged.body().front());
+      Value t = merged.iv(i), t32;
+      for (Op *add : pairs[i].adds) {
+        if (add->result().type() == Type::i32() && !t32)
+          t32 = mb.cast(OpKind::IndexCast, t, Type::i32());
+        add->result().replaceAllUsesWith(add->result().type() == Type::i32()
+                                             ? t32
+                                             : t);
+      }
+      for (auto *ops : {&pairs[i].adds, &pairs[i].muls, &pairs[i].casts})
+        for (Op *op : *ops)
+          op->erase();
+    }
+  } else {
+    std::unordered_map<ValueImpl *, Value> map;
+    for (unsigned i = 0; i < grid.numDims(); ++i)
+      map[grid.iv(i).impl()] = merged.iv(i);
+    for (unsigned i = 0; i < inner.numDims(); ++i)
+      map[inner.iv(i).impl()] = merged.iv(grid.numDims() + i);
+    for (Op *op : merged.body())
+      remapUses(op, map);
+  }
   first->erase();
   gridOp->erase();
   return true;

@@ -30,7 +30,7 @@ constexpr int kN = kBlockSize * kGridSize;
 /// Seeds of the differential sweep: enough that every halving spelling of
 /// the tree-reduction phase and every guard form of the guarded write
 /// phase is drawn by at least four of them.
-constexpr uint32_t kFuzzSeeds = 200;
+constexpr uint32_t kFuzzSeeds = 256;
 
 /// The halving updates of the tree-reduction phase, `@` standing for the
 /// loop variable. Each is drawn as a `for` increment, and the first also
@@ -48,6 +48,13 @@ const char *const kGuardForms[] = {"==", "<",        "<=", ">",
 constexpr int kNumGuardForms = std::size(kGuardForms);
 constexpr int kNumComparisons = 5, kReversedForm = 5, kModuloForm = 6;
 
+/// The guards of the launch's bound n = kN - k, k drawn from
+/// [0, kBlockSize): the last global store under `gid < n`, or (one kernel
+/// in four) a barrier-free kernel whose whole body is under
+/// `gid < n && <a data-dependent test>`.
+const char *const kLaunchGuards[] = {"store", "conjunction"};
+constexpr int kNumLaunchGuards = std::size(kLaunchGuards);
+
 std::string spell(std::string pattern, const std::string &var) {
   for (size_t p; (p = pattern.find('@')) != std::string::npos;)
     pattern.replace(p, 1, var);
@@ -61,7 +68,11 @@ std::string spell(std::string pattern, const std::string &var) {
 /// constants only, so all configurations are bitwise comparable. Besides
 /// four fixed constants they draw random f32 ones, and the neighbours of
 /// those in the last place, so a pass that tells constants apart by fewer
-/// digits than a float has merges some and changes the output.
+/// digits than a float has merges some and changes the output. Every
+/// kernel is launched on (n + 15) / 16 blocks with CUDA's canonical guard
+/// `gid < n` (kLaunchGuards), n = kN - k for a drawn k, so both places
+/// canonicalize folds it (a serial thread loop, the linear collapsed
+/// loop) are checked.
 class KernelGen {
 public:
   explicit KernelGen(uint32_t seed) : rng_(seed) {}
@@ -74,29 +85,60 @@ public:
   const std::array<int, kNumGuardForms> &guardFormsDrawn() const {
     return guardFormsDrawn_;
   }
+  /// How often generate() emitted each launch guard.
+  const std::array<int, kNumLaunchGuards> &launchGuardsDrawn() const {
+    return launchGuardsDrawn_;
+  }
+  /// The bound n that `run` must be passed, drawn by generate().
+  int n() const { return n_; }
 
   std::string generate() {
+    n_ = kN - static_cast<int>(rng_() % kBlockSize);
+    bool barrierFree = rng_() % 4 == 0;
+    ++launchGuardsDrawn_[barrierFree];
     std::ostringstream os;
-    os << "__global__ void k(float* a, float* b, float* out, int u) {\n"
+    os << "__global__ void k(float* a, float* b, float* out, int u, "
+          "int n) {\n"
        << "  int tx = threadIdx.x;\n"
-       << "  int gid = blockIdx.x * blockDim.x + threadIdx.x;\n"
-       << "  __shared__ float s[" << kBlockSize << "];\n"
-       << "  float r0 = a[gid];\n"
-       << "  float r1 = b[gid];\n";
-    // Phase 1 always initializes s unconditionally so later cross-thread
-    // reads never observe uninitialized memory.
-    os << "  s[tx] = " << valueExpr() << ";\n";
-    os << "  __syncthreads();\n";
+       << "  int gid = blockIdx.x * blockDim.x + threadIdx.x;\n";
+    if (barrierFree) {
+      // Global write phases only: no thread reads another's data.
+      os << "  if (gid < n && " << (rng_() % 2 ? "a" : "b") << "[gid] "
+         << (rng_() % 2 ? "<" : ">") << " " << floatConstant() << ") {\n"
+         << "  float r0 = a[gid];\n"
+         << "  float r1 = b[gid];\n";
+      int phases = 1 + static_cast<int>(rng_() % 3);
+      for (int p = 0; p < phases; ++p)
+        emitGlobalWrite(os);
+      os << "  out[gid] = r0 + r1 * 0.25f;\n"
+         << "  }\n";
+    } else {
+      os << "  __shared__ float s[" << kBlockSize << "];\n"
+         << "  float r0 = a[gid];\n"
+         << "  float r1 = b[gid];\n";
+      // Phase 1 always initializes s unconditionally so later cross-thread
+      // reads never observe uninitialized memory.
+      os << "  s[tx] = " << valueExpr() << ";\n";
+      os << "  __syncthreads();\n";
 
-    int phases = 1 + static_cast<int>(rng_() % 3);
-    for (int p = 0; p < phases; ++p)
-      emitPhase(os, p);
+      int phases = 1 + static_cast<int>(rng_() % 3);
+      for (int p = 0; p < phases; ++p)
+        emitPhase(os, p);
 
-    os << "  out[gid] = r0 + r1 * 0.25f;\n"
-       << "}\n"
-       << "void run(float* a, float* b, float* out, int u) {\n"
-       << "  k<<<" << kGridSize << ", " << kBlockSize
-       << ">>>(a, b, out, u);\n"
+      // The registers go to s, so after fission the guarded store is the
+      // whole body of its thread loop.
+      os << "  __syncthreads();\n"
+         << "  s[tx] = r0 + r1 * 0.25f;\n"
+         << "  __syncthreads();\n"
+         << "  if (gid < n) {\n"
+         << "    out[gid] = " << sharedRead() << " + " << floatConstant()
+         << ";\n"
+         << "  }\n";
+    }
+    os << "}\n"
+       << "void run(float* a, float* b, float* out, int u, int n) {\n"
+       << "  k<<<(n + " << kBlockSize - 1 << ") / " << kBlockSize << ", "
+       << kBlockSize << ">>>(a, b, out, u, n);\n"
        << "}\n";
     return os.str();
   }
@@ -239,12 +281,16 @@ private:
       emitGuardedWrite(os);
       break;
     default:
-      // Global write phase: out is strictly thread-private, no barrier
-      // needed; also mutates a register to keep values flowing.
-      os << "  out[gid] = r0 * r1 + " << valueExpr() << ";\n";
-      os << "  r1 = r1 + out[gid];\n";
+      emitGlobalWrite(os);
       break;
     }
+  }
+
+  /// Global write phase: out is strictly thread-private, no barrier
+  /// needed; also mutates a register to keep values flowing.
+  void emitGlobalWrite(std::ostringstream &os) {
+    os << "  out[gid] = r0 * r1 + " << valueExpr() << ";\n";
+    os << "  r1 = r1 + out[gid];\n";
   }
 
   /// Block tree reduction on s: each trip, threads below the stride w add
@@ -334,6 +380,8 @@ private:
   std::vector<float> constants_;
   std::array<int, kNumHalvingSpellings> spellingsDrawn_{};
   std::array<int, kNumGuardForms> guardFormsDrawn_{};
+  std::array<int, kNumLaunchGuards> launchGuardsDrawn_{};
+  int n_ = kN;
 };
 
 /// The pipeline configurations under test.
@@ -367,23 +415,25 @@ void PrintTo(const FuzzCase &c, std::ostream *os) {
 
 class FuzzDifferentialTest : public ::testing::TestWithParam<FuzzCase> {};
 
-/// Runs `run` on `exec` (driver::Executor or native::Executor).
+/// Runs `run` with bound `n` on `exec` (driver::Executor or
+/// native::Executor).
 template <typename Exec>
 std::vector<float> runOn(Exec &exec, const std::vector<float> &a,
-                         const std::vector<float> &b) {
+                         const std::vector<float> &b, int n) {
   std::vector<float> av = a, bv = b, out(kN, 0.0f);
   exec.run("run", {driver::Executor::bufferF32(av.data(), {kN}),
                    driver::Executor::bufferF32(bv.data(), {kN}),
                    driver::Executor::bufferF32(out.data(), {kN}),
-                   int64_t(2)});
+                   int64_t(2), int64_t(n)});
   return out;
 }
 
 std::vector<float> runProgram(driver::CompileResult &cc,
                               const std::vector<float> &a,
-                              const std::vector<float> &b, unsigned threads) {
+                              const std::vector<float> &b, int n,
+                              unsigned threads) {
   driver::Executor exec(cc.module.get(), threads);
-  return runOn(exec, a, b);
+  return runOn(exec, a, b, n);
 }
 
 /// The differential sweep's inputs for `seed`.
@@ -402,7 +452,8 @@ void sweepInputs(uint32_t seed, std::vector<float> &a, std::vector<float> &b) {
 
 TEST_P(FuzzDifferentialTest, MatchesSimtOracle) {
   const FuzzCase &fc = GetParam();
-  std::string src = KernelGen(fc.seed).generate();
+  KernelGen gen(fc.seed);
+  std::string src = gen.generate();
 
   std::vector<float> a, b;
   sweepInputs(fc.seed, a, b);
@@ -410,11 +461,11 @@ TEST_P(FuzzDifferentialTest, MatchesSimtOracle) {
   DiagnosticEngine diag;
   auto oracle = driver::compileForSimt(src, diag);
   ASSERT_TRUE(oracle.ok) << diag.str() << "\nsource:\n" << src;
-  std::vector<float> expected = runProgram(oracle, a, b, 2);
+  std::vector<float> expected = runProgram(oracle, a, b, gen.n(), 2);
 
   auto cc = driver::compile(src, fc.config.opts, diag);
   ASSERT_TRUE(cc.ok) << diag.str() << "\nsource:\n" << src;
-  std::vector<float> got = runProgram(cc, a, b, 2);
+  std::vector<float> got = runProgram(cc, a, b, gen.n(), 2);
 
   ASSERT_EQ(got.size(), expected.size());
   for (int i = 0; i < kN; ++i)
@@ -460,9 +511,13 @@ TEST(FuzzNativeTest, EveryEighthSeedMatchesTheVmByteForByte) {
   so.useEnvCache = false;
   driver::CompilerSession session(std::move(so));
   std::vector<driver::CompileJob *> jobs;
-  for (uint32_t seed : seeds)
-    jobs.push_back(&session.addSource("seed" + std::to_string(seed),
-                                      KernelGen(seed).generate()));
+  std::vector<int> bounds;
+  for (uint32_t seed : seeds) {
+    KernelGen gen(seed);
+    jobs.push_back(
+        &session.addSource("seed" + std::to_string(seed), gen.generate()));
+    bounds.push_back(gen.n());
+  }
   session.compileAll();
   std::vector<std::shared_ptr<const native::Module>> built(seeds.size());
   std::vector<std::string> diags(seeds.size());
@@ -478,7 +533,8 @@ TEST(FuzzNativeTest, EveryEighthSeedMatchesTheVmByteForByte) {
     sweepInputs(seeds[i], a, b);
     driver::Executor vm(jobs[i]->result().module.get(), 2);
     native::Executor nat(built[i], 2);
-    std::vector<float> expected = runOn(vm, a, b), got = runOn(nat, a, b);
+    std::vector<float> expected = runOn(vm, a, b, bounds[i]),
+                       got = runOn(nat, a, b, bounds[i]);
     EXPECT_EQ(std::memcmp(got.data(), expected.data(), kN * sizeof(float)), 0)
         << "seed " << seeds[i] << ": native output differs from the VM's";
   }
@@ -508,6 +564,18 @@ TEST(KernelGenTest, SweepDrawsEveryGuardForm) {
     EXPECT_GE(seedsDrawing[i], 4) << kGuardForms[i];
 }
 
+TEST(KernelGenTest, SweepDrawsEveryLaunchGuard) {
+  std::array<int, kNumLaunchGuards> seedsDrawing{};
+  for (uint32_t seed = 0; seed < kFuzzSeeds; ++seed) {
+    KernelGen gen(seed);
+    gen.generate();
+    for (int i = 0; i < kNumLaunchGuards; ++i)
+      seedsDrawing[i] += gen.launchGuardsDrawn()[i] > 0;
+  }
+  for (int i = 0; i < kNumLaunchGuards; ++i)
+    EXPECT_GE(seedsDrawing[i], 4) << kLaunchGuards[i];
+}
+
 //===----------------------------------------------------------------------===//
 // Thread-count invariance: the transpiled program must be deterministic
 // across team sizes (work distribution must not change results).
@@ -517,7 +585,8 @@ class FuzzThreadsTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(FuzzThreadsTest, ResultIndependentOfTeamSize) {
   uint32_t seed = GetParam();
-  std::string src = KernelGen(seed).generate();
+  KernelGen gen(seed);
+  std::string src = gen.generate();
   std::vector<float> a(kN), b(kN);
   std::mt19937 rng(seed * 7919u + 1);
   std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
@@ -528,9 +597,9 @@ TEST_P(FuzzThreadsTest, ResultIndependentOfTeamSize) {
   DiagnosticEngine diag;
   auto cc = driver::compile(src, transforms::PipelineOptions{}, diag);
   ASSERT_TRUE(cc.ok) << diag.str();
-  std::vector<float> t1 = runProgram(cc, a, b, 1);
-  std::vector<float> t2 = runProgram(cc, a, b, 2);
-  std::vector<float> t4 = runProgram(cc, a, b, 4);
+  std::vector<float> t1 = runProgram(cc, a, b, gen.n(), 1);
+  std::vector<float> t2 = runProgram(cc, a, b, gen.n(), 2);
+  std::vector<float> t4 = runProgram(cc, a, b, gen.n(), 4);
   EXPECT_EQ(t1, t2);
   EXPECT_EQ(t1, t4);
 }

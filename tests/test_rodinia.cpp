@@ -1,11 +1,14 @@
 // Integration tests: every Rodinia benchmark compiled through every
 // pipeline variant must reproduce the lockstep SIMT emulator's output,
 // and the OpenMP reference source must compile and run.
+#include "frontend/irgen.h"
 #include "rodinia/rodinia.h"
+#include "transforms/pass_manager.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace paralift;
 using namespace paralift::rodinia;
@@ -75,6 +78,59 @@ void expectClose(const RunResult &a, const RunResult &b,
 
 class RodiniaTest : public ::testing::TestWithParam<const Benchmark *> {};
 
+bool sameBytes(const RunResult &a, const RunResult &b) {
+  return a.f.size() == b.f.size() && a.i == b.i &&
+         (a.f.empty() || std::memcmp(a.f.data(), b.f.data(),
+                                     a.f.size() * sizeof(float)) == 0);
+}
+
+/// After every pass, lowers, verifies and runs the module on the case's
+/// scale-1 inputs on one thread, and compares the result with the SIMT
+/// oracle's: byte for byte when `exact`, otherwise within expectClose's
+/// tolerance. The first pass whose output differs aborts the pipeline
+/// with a diagnostic naming it and its position.
+class OutputCheck : public transforms::Instrumentation {
+public:
+  OutputCheck(const Benchmark &b, RunResult oracle, bool exact)
+      : bench_(b), oracle_(std::move(oracle)), exact_(exact) {}
+
+  bool afterPass(const transforms::Pass &pass, ir::ModuleOp module,
+                 DiagnosticEngine &diag) override {
+    unsigned position = position_++;
+    Workload w = bench_.makeWorkload(1);
+    Executor exec(module, 1);
+    vm::CallResult r = exec.tryRun("run", w.args());
+    RunResult got{w.floatState(), w.intState()};
+    std::string why = !r.ok() ? "it traps: " + r.error : mismatch(got);
+    if (why.empty())
+      return true;
+    diag.error(SourceLoc(), "pass " + std::to_string(position) + " '" +
+                                pass.spec() + "' changed " + bench_.id +
+                                "'s output: " + why);
+    return false;
+  }
+
+private:
+  std::string mismatch(const RunResult &got) const {
+    if (exact_)
+      return sameBytes(got, oracle_) ? "" : "not byte-identical";
+    if (got.f.size() != oracle_.f.size() || got.i != oracle_.i)
+      return "buffers differ";
+    for (size_t k = 0; k < got.f.size(); ++k)
+      if (!(std::fabs(got.f[k] - oracle_.f[k]) <=
+            2e-3 + 2e-3 * std::fabs(oracle_.f[k])))
+        return "float " + std::to_string(k) + " is " +
+               std::to_string(got.f[k]) + ", not " +
+               std::to_string(oracle_.f[k]);
+    return "";
+  }
+
+  const Benchmark &bench_;
+  RunResult oracle_;
+  bool exact_;
+  unsigned position_ = 0;
+};
+
 } // namespace
 
 TEST_P(RodiniaTest, FullPipelineMatchesSimt) {
@@ -108,6 +164,23 @@ TEST_P(RodiniaTest, McudaModeMatchesSimt) {
   PipelineOptions opts = PipelineOptions::mcuda();
   RunResult mcuda = runCuda(b, &opts, 2);
   expectClose(simt, mcuda, b.id + " mcuda");
+}
+
+TEST_P(RodiniaTest, EveryFullPipelinePassKeepsTheOutput) {
+  // Names the pass that changes an output: the module must match the
+  // oracle after every pass, byte for byte where the whole pipeline
+  // keeps float order.
+  const Benchmark &b = *GetParam();
+  RunResult simt = runCuda(b, nullptr, 1);
+  PipelineOptions opts;
+  bool exact = sameBytes(runCuda(b, &opts, 1), simt);
+  DiagnosticEngine diag;
+  ir::OwnedModule module = frontend::compileToIR(b.cudaSource, diag);
+  ASSERT_FALSE(diag.hasErrors()) << diag.str();
+  transforms::PassManager pm;
+  transforms::buildPipeline(pm, opts);
+  pm.addInstrumentation(std::make_unique<OutputCheck>(b, simt, exact));
+  EXPECT_TRUE(pm.run(module.get(), diag)) << diag.str();
 }
 
 TEST_P(RodiniaTest, OpenmpReferenceRuns) {

@@ -1345,8 +1345,7 @@ void run(float* a, float* out, int u) { k<<<4, 16>>>(a, out, u); }
        true},
       {"non-empty else", guardedKernel("tx == 3", "", "out[gid] = 0.5f;"),
        true},
-      {"non-constant comparand", guardedKernel("tx < u"), true},
-      {"non-constant bounds", guardedKernel("tx == 3", "", "", "u * 8"),
+      {"comparand defined inside the loop", guardedKernel("tx < u + tx % 3"),
        true},
       {"iter-args",
        R"(
@@ -1423,6 +1422,306 @@ TEST(GuardBoundsTest, BackpropLayerforwardKeepsOnlyTheSharedLoopGuard) {
     EXPECT_FALSE(onlyGuard) << "loop body is a single guard:\n"
                             << printOp(root);
   });
+}
+
+namespace {
+
+/// A kernel whose every thread i = blockIdx.x * 16 + threadIdx.x writes
+/// out[i] under `guard`, launched on `grid` blocks of 16 (n and g are
+/// `run`'s int arguments).
+std::string offsetKernel(const std::string &guard,
+                         const std::string &grid = "(n + 15) / 16") {
+  return R"(
+__global__ void k(float* a, float* out, int n) {
+  int i = blockIdx.x * 16 + threadIdx.x;
+  if ()" + guard + R"() {
+    out[i] = a[i] * 2.0f + 1.0f;
+  }
+}
+void run(float* a, float* out, int n, int g) { k<<<)" + grid +
+         R"(, 16>>>(a, out, n); }
+)";
+}
+
+/// `run(a, out, n, g)` of `cc` on 64 floats.
+std::vector<float> runOffsetKernel(driver::CompileResult &cc, int64_t n,
+                                   int64_t g) {
+  std::vector<float> a(64), out(64, 0.0f);
+  for (int i = 0; i < 64; ++i)
+    a[i] = 0.25f * float(i % 7) - 0.5f;
+  driver::Executor exec(cc.module.get(), 2);
+  exec.run("run", {driver::Executor::bufferF32(a.data(), {64}),
+                   driver::Executor::bufferF32(out.data(), {64}), n, g});
+  return out;
+}
+
+/// `cc`'s outputs equal the SIMT oracle's for n = 0, 1, 37 and 64, with
+/// g = ceil(n / 16).
+void expectOffsetKernelMatchesOracle(const std::string &src,
+                                     driver::CompileResult &cc) {
+  DiagnosticEngine diag;
+  auto oracle = driver::compileForSimt(src, diag);
+  ASSERT_TRUE(oracle.ok) << diag.str();
+  for (int64_t n : {0, 1, 37, 64})
+    EXPECT_EQ(runOffsetKernel(cc, n, (n + 15) / 16),
+              runOffsetKernel(oracle, n, (n + 15) / 16))
+        << "n = " << n << "\n"
+        << printOp(cc.module.op());
+}
+
+/// The ops of `kind` whose enclosing loops include an op of `loopKind`.
+int countInside(Op *root, OpKind kind, OpKind loopKind) {
+  int n = 0;
+  root->walk([&](Op *op) { n += op->kind() == kind && getEnclosing(op, loopKind); });
+  return n;
+}
+
+} // namespace
+
+TEST(GuardBoundsTest, RestrictsToLoopInvariantComparand) {
+  // `tx < u` bounds the thread loop by clamp(u, 0, 16), computed outside
+  // the grid loop so the nest still collapses. So does a constant guard
+  // on a block of u * 8 threads, which the range analysis keeps within
+  // INT32_MAX.
+  const std::pair<const char *, std::string> cases[] = {
+      {"tx < u", guardedKernel("tx < u")},
+      {"u > tx", guardedKernel("u > tx")},
+      {"tx <= u", guardedKernel("tx <= u")},
+      {"tx >= u", guardedKernel("tx >= u")},
+      {"tx == u", guardedKernel("tx == u")},
+      {"block u * 8", guardedKernel("tx == 3", "", "", "u * 8")},
+  };
+  for (const auto &[what, src] : cases) {
+    SCOPED_TRACE(what);
+    OwnedModule m = canonicalizedIR(src);
+    EXPECT_EQ(countOps(m.op(), OpKind::ScfIf), 0) << printOp(m.op());
+    m.op()->walk([&](Op *op) {
+      if (op->kind() != OpKind::ScfParallel || !ParallelOp(op).isBlock())
+        return;
+      for (unsigned i = 0; i < op->numOperands(); ++i)
+        EXPECT_TRUE(isDefinedOutside(op->operand(i),
+                                     getEnclosing(op, OpKind::ScfParallel)))
+            << printOp(m.op());
+    });
+    expectMatchesSimtOracle(src.c_str());
+    DiagnosticEngine diag;
+    auto cc = driver::compile(src, PipelineOptions{}, diag);
+    ASSERT_TRUE(cc.ok) << diag.str();
+    EXPECT_EQ(countOps(cc.module.op(), OpKind::OmpParallel), 1);
+    EXPECT_EQ(countOps(cc.module.op(), OpKind::ScfIf), 0)
+        << printOp(cc.module.op());
+  }
+}
+
+TEST(GuardBoundsTest, RestrictsOffsetGuardInSerialThreadLoop) {
+  // MCUDA's form (a worksharing loop over blocks around a serial thread
+  // loop): `bx * 16 + tx < n` bounds the thread loop by
+  // min(16, n - bx * 16), since the grid (n + 15) / 16 keeps bx * 16 from
+  // wrapping.
+  for (const char *guard : {"i < n", "n > i", "threadIdx.x + blockIdx.x * 16 < n"}) {
+    SCOPED_TRACE(guard);
+    std::string src = offsetKernel(guard);
+    DiagnosticEngine diag;
+    auto cc = driver::compile(src, PipelineOptions::mcuda(), diag);
+    ASSERT_TRUE(cc.ok) << diag.str();
+    EXPECT_EQ(countOps(cc.module.op(), OpKind::ScfIf), 1);
+    // MCUDA's pipeline promotes and hoists nothing; do both as the full
+    // pipeline does before its last canonicalize.
+    runMem2Reg(cc.module.get());
+    runLICM(cc.module.get());
+    runCanonicalize(cc.module.get());
+    ASSERT_TRUE(verifyOk(cc.module.op())) << printOp(cc.module.op());
+    EXPECT_EQ(countOps(cc.module.op(), OpKind::ScfIf), 0)
+        << printOp(cc.module.op());
+    cc.module.op()->walk([&](Op *op) {
+      if (op->kind() == OpKind::ScfFor) {
+        Op *ub = ForOp(op).ub().definingOp();
+        ASSERT_NE(ub, nullptr);
+        EXPECT_EQ(ub->kind(), OpKind::SubI) << printOp(cc.module.op());
+      }
+    });
+    expectOffsetKernelMatchesOracle(src, cc);
+  }
+}
+
+TEST(GuardBoundsTest, CollapsesOffsetGuardToOneLinearLoop) {
+  // The full pipeline merges bx and tx into t = bx * 16 + tx over
+  // [0, G * 16), and the guard then bounds t by clamp(n, 0, G * 16).
+  std::string src = offsetKernel("i < n");
+  DiagnosticEngine diag;
+  for (bool innerSerialize : {true, false}) {
+    PipelineOptions opts;
+    opts.innerSerialize = innerSerialize;
+    auto cc = driver::compile(src, opts, diag);
+    ASSERT_TRUE(cc.ok) << diag.str();
+    Op *root = cc.module.op();
+    EXPECT_EQ(countOps(root, OpKind::ScfIf), 0) << printOp(root);
+    EXPECT_EQ(countOps(root, OpKind::OmpWsLoop), 1) << printOp(root);
+    root->walk([&](Op *op) {
+      if (op->kind() == OpKind::OmpWsLoop) {
+        EXPECT_EQ(ParallelOp(op).numDims(), 1u) << printOp(root);
+      }
+    });
+    expectOffsetKernelMatchesOracle(src, cc);
+  }
+}
+
+TEST(GuardBoundsTest, NestsBfsConjunction) {
+  // `tid < n && mask[tid] != 0`: the conjuncts become nested guards, the
+  // offset one folds on the linear loop, and each kernel is one 1-D loop
+  // holding only its data-dependent test.
+  const rodinia::Benchmark *bench = rodinia::find("bfs");
+  ASSERT_NE(bench, nullptr);
+  DiagnosticEngine diag;
+  auto cc = driver::compile(bench->cudaSource, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  Op *root = cc.module.op();
+  EXPECT_EQ(countOps(root, OpKind::OmpWsLoop), 2) << printOp(root);
+  root->walk([&](Op *op) {
+    if (op->kind() == OpKind::OmpWsLoop) {
+      EXPECT_EQ(ParallelOp(op).numDims(), 1u) << printOp(root);
+      // The body tests a loaded flag, not the thread index.
+      Op *guard = nullptr;
+      for (Op *inner : ParallelOp(op).body())
+        if (inner->kind() == OpKind::ScfIf)
+          guard = inner;
+      ASSERT_NE(guard, nullptr);
+      Op *cmp = IfOp(guard).cond().definingOp();
+      ASSERT_NE(cmp, nullptr);
+      ASSERT_NE(cmp->operand(0).definingOp(), nullptr);
+      EXPECT_EQ(cmp->operand(0).definingOp()->kind(), OpKind::Load)
+          << printOp(root);
+    }
+    EXPECT_EQ(op->kind() == OpKind::ScfIf && op->numResults() != 0, false)
+        << "an i1-yielding scf.if is left:\n" << printOp(root);
+  });
+  // mask, visited and updating: the data-dependent tests.
+  EXPECT_EQ(countOps(root, OpKind::ScfIf), 3) << printOp(root);
+}
+
+TEST(GuardBoundsTest, MocCudaAddAndReluAreOneLinearLoop) {
+  // `i < n` under a (n + 63) / 64 launch: one 1-D loop over [0, n); ReLU
+  // keeps only its data-dependent `x[i] < 0.0f`.
+  DiagnosticEngine diag;
+  auto cc = driver::compile(moccuda::PolygeistKernels::source(),
+                            PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  for (const auto &[func, ifs] : {std::pair{"run_add", 0}, {"run_relu", 1}}) {
+    SCOPED_TRACE(func);
+    Op *fn = cc.module.get().lookupFunc(func);
+    ASSERT_NE(fn, nullptr);
+    EXPECT_EQ(countOps(fn, OpKind::OmpWsLoop), 1) << printOp(fn);
+    EXPECT_EQ(countOps(fn, OpKind::ScfIf), ifs) << printOp(fn);
+    fn->walk([&](Op *op) {
+      if (op->kind() == OpKind::OmpWsLoop) {
+        EXPECT_EQ(ParallelOp(op).numDims(), 1u) << printOp(fn);
+      }
+      if (op->kind() == OpKind::ScfIf) {
+        EXPECT_EQ(IfOp(op).cond().definingOp()->kind(), OpKind::CmpF);
+      }
+    });
+  }
+}
+
+TEST(GuardBoundsTest, FoldsAdjustWeightsTail) {
+  // `ty == 0 && by == 0`: nested, `ty == 0` restricts the serial ty loop
+  // to one trip, and `by == 0`, invariant in the tx loop, moves out to
+  // wrap it. One guard is left, outside every thread loop.
+  const rodinia::Benchmark *bench = rodinia::find("backprop_adjust_weights");
+  ASSERT_NE(bench, nullptr);
+  DiagnosticEngine diag;
+  auto cc = driver::compile(bench->cudaSource, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  Op *root = cc.module.op();
+  EXPECT_EQ(countOps(root, OpKind::ScfIf), 1) << printOp(root);
+  root->walk([&](Op *op) {
+    if (op->kind() == OpKind::ScfIf) {
+      EXPECT_EQ(op->numResults(), 0u);
+      EXPECT_EQ(op->parentOp()->kind(), OpKind::OmpWsLoop) << printOp(root);
+    }
+  });
+}
+
+TEST(GuardBoundsTest, FoldsHotspotRowAndColumn) {
+  // hotspot's `row < rows && col < cols` in both thread nests: row
+  // bounds the inner (ty) loop, and col, invariant in it, moves out and
+  // bounds the outer (tx) loop. Only the stencil's edge tests are left.
+  const rodinia::Benchmark *bench = rodinia::find("hotspot");
+  ASSERT_NE(bench, nullptr);
+  DiagnosticEngine diag;
+  auto cc = driver::compile(bench->cudaSource, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  Op *root = cc.module.op();
+  int threadLoops = 0;
+  root->walk([&](Op *op) {
+    if (op->kind() != OpKind::ScfFor || !getEnclosing(op, OpKind::OmpWsLoop))
+      return;
+    ++threadLoops;
+    EXPECT_FALSE(getConstInt(ForOp(op).ub())) << printOp(root);
+    // No thread loop's body is a single guard.
+    for (Op *inner : ForOp(op).body())
+      EXPECT_FALSE(inner->kind() == OpKind::ScfIf &&
+                   IfOp(inner).cond().definingOp() &&
+                   IfOp(inner).cond().definingOp()->kind() == OpKind::CmpI &&
+                   inner->next() == ForOp(op).body().terminator() &&
+                   inner == ForOp(op).body().front())
+          << printOp(root);
+  }
+  );
+  // Two launches of two nests of two loops.
+  EXPECT_EQ(threadLoops, 8) << printOp(root);
+  // The stencil's edge tests; each nest also held an i1-yielding `&&` and
+  // its guard (24 in all).
+  EXPECT_EQ(countInside(root, OpKind::ScfIf, OpKind::OmpWsLoop), 16)
+      << printOp(root);
+}
+
+TEST(GuardBoundsTest, KeepsGuardsWithoutAProof) {
+  struct Case {
+    const char *what;
+    std::string src;
+    int ifs; // scf.if ops left by the full pipeline
+  };
+  const Case cases[] = {
+      // g straight from an int argument: bx * 16 may wrap, so neither the
+      // linear collapse nor the fold has a proof.
+      {"grid from an int argument", offsetKernel("i < n", "g"), 1},
+      {"or", offsetKernel("i < n || i < 3"), 2},
+      {"comparand defined inside the loop", offsetKernel("i < n + i % 3"),
+       1},
+  };
+  for (const Case &c : cases) {
+    SCOPED_TRACE(c.what);
+    DiagnosticEngine diag;
+    auto cc = driver::compile(c.src, PipelineOptions{}, diag);
+    ASSERT_TRUE(cc.ok) << diag.str();
+    EXPECT_EQ(countOps(cc.module.op(), OpKind::ScfIf), c.ifs)
+        << printOp(cc.module.op());
+    expectOffsetKernelMatchesOracle(c.src, cc);
+  }
+  // A first conjunct whose branch stores (through the inlined `claim`)
+  // is not nested, so its loop keeps the `&&`.
+  const char *stores = R"(
+__device__ int claim(float* out, int i) {
+  out[i] = 1.0f;
+  return i % 2;
+}
+__global__ void k(float* a, float* out, int n) {
+  int i = blockIdx.x * 16 + threadIdx.x;
+  if (i < n && claim(out, i) == 0) {
+    out[i] = a[i] * 2.0f + 1.0f;
+  }
+}
+void run(float* a, float* out, int n, int g) { k<<<(n + 15) / 16, 16>>>(a, out, n); }
+)";
+  DiagnosticEngine diag;
+  auto cc = driver::compile(stores, PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  int yieldingIfs = 0;
+  cc.module.op()->walk(
+      [&](Op *op) { yieldingIfs += op->kind() == OpKind::ScfIf && op->numResults(); });
+  EXPECT_EQ(yieldingIfs, 1) << printOp(cc.module.op());
+  expectOffsetKernelMatchesOracle(stores, cc);
 }
 
 TEST(OmpLowerTest, ParticlefilterCompilesToOneHoistedRegion) {
