@@ -9,15 +9,15 @@
 // use it and fall back to this VM when the build fails.
 //
 // The primary interface is driver::CompilerSession (driver/session.h): a
-// long-lived object owning the shared thread pool, pass-result cache,
-// and run configuration, compiling any number of modules — batched, so
-// the queued modules compile in parallel on one pool, one task per
-// module, and asynchronously, with CompileJob futures. Suites,
+// long-lived object owning the pass-result cache and run configuration,
+// compiling any number of modules — batched, so the queued modules
+// compile in parallel on one team, one task per module, and
+// asynchronously, with CompileJob futures. Suites,
 // benchmarks, and embedders compiling more than one module should hold
 // a session:
 //
 //   driver::SessionOptions so;
-//   so.threads = 4;                 // one pool for the whole suite
+//   so.threads = 4;                 // team size for the whole suite
 //   driver::CompilerSession session(so);
 //   auto &job = session.addSource("vecnorm.cu", source);
 //   session.compileAll();           // or compileAllAsync() + job.wait()
@@ -36,7 +36,7 @@
 // compileForSimt(src, diag) behave exactly as before (including the
 // $PARALIFT_CACHE_DIR process-wide cache); every former call site that
 // compiled several modules in a loop can instead queue them on one
-// session and share its pool and cache. Verify-each, timing and an
+// session and share its cache. Verify-each, timing and an
 // explicit cache are SessionOptions fields.
 #pragma once
 
@@ -68,7 +68,9 @@ CompileResult compile(const std::string &source,
 CompileResult compileForSimt(const std::string &source,
                              DiagnosticEngine &diag);
 
-/// Executes a compiled module on the thread-pool runtime.
+/// Executes a compiled module on the VM, running its parallel regions on
+/// teams borrowed from the process's team runtime (runtime/thread_pool.h);
+/// an executor owns no threads.
 class Executor {
 public:
   struct Buffer {

@@ -2,17 +2,18 @@
 // the ParaLift compiler.
 //
 // A session is a long-lived object owning everything that should be
-// shared across compiles instead of rebuilt per call: the runtime
-// ThreadPool that runs the batch's module tasks, the PassResultCache,
+// shared across compiles instead of rebuilt per call: the PassResultCache
 // and the run configuration (threads, verification, timing, cache
-// bounds). Sources are queued with addSource (each returns a CompileJob
-// handle carrying a per-module DiagnosticEngine stamped with the
-// module's name), then compileAll() compiles every queued module —
-// the modules in parallel across the one pool, each module's pipeline
-// on one task. compileAllAsync() runs the same batch on a background
-// thread; CompileJob::wait()/result() are the futures that let callers
-// overlap their own work (workload setup, parsing more sources) with
-// compilation.
+// bounds). Its batches run on teams it borrows from the process's one
+// team runtime (runtime/thread_pool.h) through a thread-less
+// runtime::ThreadPool handle. Sources are queued with addSource (each
+// returns a CompileJob handle carrying a per-module DiagnosticEngine
+// stamped with the module's name), then compileAll() compiles every
+// queued module — the modules in parallel on one team, each module's
+// pipeline on one task. compileAllAsync() runs the same batch on a
+// background thread; CompileJob::wait()/result() are the futures that
+// let callers overlap their own work (workload setup, parsing more
+// sources) with compilation.
 //
 //   driver::CompilerSession session({.threads = 4});
 //   auto &a = session.addSource("a.cu", srcA, PipelineOptions{});
@@ -20,10 +21,10 @@
 //   session.compileAll();
 //   driver::Executor exec(a.result().module.get(), 8);
 //
-// One session compiles N modules against one cache concurrently and
-// amortizes worker startup across every compile; the legacy
-// driver::compile free functions survive as one-shot wrappers over a
-// temporary session (driver/compiler.h).
+// One session compiles N modules against one cache concurrently, and its
+// batches borrow the runtime's workers instead of starting their own. The
+// legacy driver::compile free functions survive as one-shot wrappers over
+// a temporary session (driver/compiler.h).
 //
 // Batch scheduling
 // ----------------
@@ -33,12 +34,14 @@
 // distinct PipelineOptions among the jobs, not one per job, so the
 // serial prefix before the first task starts does not grow with the
 // batch (four builds for the 64-job Rodinia batch of four pipelines).
-// It then turns every job into one task, run as one parallel loop on the
-// session pool (runtime::runTasks): each worker takes the next task
-// until none is left. The module is the unit of compile parallelism, and
-// the job the unit of caching. A task keys
-// once, on its pipeline's spec and on its source text (hashBytes, before
-// the frontend runs) or, for an addModule job, its module's ir::hashOp.
+// It then turns every job into one task, run as one parallel loop on a
+// team of `threads` members (runtime::runTasks): the calling thread and
+// the runtime workers it borrows each take the next task until none is
+// left, and the workers return to the runtime when the batch's loop
+// ends. The module is the unit of compile parallelism, and the job the
+// unit of caching. A task keys once, on its pipeline's spec and on its
+// source text (hashBytes, before the frontend runs) or, for an addModule
+// job, its module's ir::hashOp.
 // A hit parses the stored module into a fresh arena, with no lexer,
 // parser, irgen or pass run. A miss runs the frontend, then
 // PassManager::run with the job's cancellation token, arena cap and
@@ -214,10 +217,11 @@ class CompileJob;
 struct SessionOptions {
   SessionMode mode = SessionMode::Optimize;
 
-  /// Workers in the session's shared pool; >1 compiles that many queued
-  /// modules at a time, one task per module (see "Batch scheduling"). A
-  /// module's own passes always run on one thread, so a one-module batch
-  /// gains nothing from threads. 1 disables the pool entirely.
+  /// Members of the team a batch runs on, the calling thread included;
+  /// >1 compiles that many queued modules at a time, one task per module
+  /// (see "Batch scheduling"). A module's own passes always run on one
+  /// thread, so a one-module batch gains nothing from threads. 1 runs
+  /// every batch on the calling thread.
   unsigned threads = 1;
 
   /// Verify every module after every pass, attributing breakage to the
@@ -378,7 +382,7 @@ public:
 
   /// Compiles every job still queued as one batch (see "Batch
   /// scheduling"): jobs sharing a pipeline share one PassManager, every
-  /// job's task runs on the session pool, and each future resolves as
+  /// job's task runs on the batch's team, and each future resolves as
   /// soon as its own task completes.
   /// Already-compiled jobs are not recompiled (a second compileAll is a
   /// no-op for them). Returns whether every job in the session has
@@ -411,7 +415,8 @@ public:
   /// The session's pass-result cache (however it was resolved); null
   /// when caching is off.
   transforms::PassResultCache *cache() const { return cache_; }
-  /// The shared worker pool; null when threads == 1.
+  /// The handle the batches borrow their teams through; null when
+  /// threads == 1.
   runtime::ThreadPool *pool() const { return pool_.get(); }
   const SessionOptions &options() const { return opts_; }
 

@@ -3,7 +3,9 @@
 #include "support/metrics.h"
 
 #include <algorithm>
+#include <new>
 #include <shared_mutex>
+#include <sys/mman.h>
 #include <string>
 #include <unordered_set>
 
@@ -23,6 +25,31 @@ metrics::Gauge &reservedBytesGauge() {
       metrics::MetricsRegistry::instance().gauge("arena.reserved_bytes");
   return g;
 }
+
+/// Slabs of this many payload bytes and up are mapped from the OS and
+/// unmapped with their arena, not taken from malloc. A module's slabs are
+/// freed on whichever thread drops it, and the team runtime's workers
+/// persist, so malloc would keep a freed slab in the heap of the thread
+/// that allocated it: with malloc slabs, a compile batch's workers each
+/// held 4.2-4.7 MB of heap with about 95 KB of it live.
+constexpr size_t kMappedSlabBytes = 64 * 1024;
+
+void *slabAlloc(size_t bytes, size_t payload) {
+  if (payload < kMappedSlabBytes)
+    return ::operator new(bytes, std::align_val_t(16));
+  void *mem = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED)
+    throw std::bad_alloc();
+  return mem;
+}
+
+void slabFree(void *mem, size_t bytes, size_t payload) {
+  if (payload < kMappedSlabBytes)
+    ::operator delete(mem, std::align_val_t(16));
+  else
+    munmap(mem, bytes);
+}
 } // namespace
 
 IRArena::IRArena() { current_.store(newSlab(kFirstSlabBytes)); }
@@ -36,8 +63,9 @@ IRArena::~IRArena() {
   size_t reserved = 0;
   while (s) {
     Slab *prev = s->prev;
-    reserved += s->capacity;
-    ::operator delete(static_cast<void *>(s), std::align_val_t(16));
+    size_t payload = s->capacity;
+    reserved += payload;
+    slabFree(s, Slab::headerBytes() + payload, payload);
     s = prev;
   }
   reservedBytesGauge().add(-static_cast<int64_t>(reserved));
@@ -49,8 +77,7 @@ IRArena::Slab *IRArena::newSlab(size_t minPayload) {
                        : minPayload;
   if (payload < minPayload)
     payload = minPayload;
-  void *mem =
-      ::operator new(Slab::headerBytes() + payload, std::align_val_t(16));
+  void *mem = slabAlloc(Slab::headerBytes() + payload, payload);
   Slab *slab = new (mem) Slab{cur, payload, {0}};
   reservedBytesGauge().add(static_cast<int64_t>(payload));
   return slab;

@@ -29,10 +29,11 @@ const char *backendName(Backend b);
 /// CUDA kernels transpiled by ParaLift. The kernel module is compiled
 /// once per process through a shared CompilerSession, and built into
 /// native code once per process (every MiniResNet instance — the Fig. 15
-/// sweep constructs dozens — reuses both; only the executor and its pool
-/// are per-instance). When the native build fails (no working C
-/// compiler, say), a one-line note goes to stderr and every instance runs
-/// the kernels on the VM instead, with byte-identical results.
+/// sweep constructs dozens — reuses both; only the executor, whose
+/// thread-less handle borrows teams from the team runtime, is
+/// per-instance). When the native build fails (no working C compiler,
+/// say), a one-line note goes to stderr and every instance runs the
+/// kernels on the VM instead, with byte-identical results.
 class PolygeistKernels {
 public:
   explicit PolygeistKernels(unsigned maxThreads);

@@ -17,8 +17,9 @@
 //    compileWsLoop's static chunking and odometer, and a loop body that
 //    holds an alloca takes and releases an arena scope per iteration;
 //  - each omp.parallel body becomes a C function over an environment of
-//    captured values, run on a team of the host's ThreadPool through the
-//    unit's host callbacks; omp.barrier calls the team barrier.
+//    captured values, run through the unit's host callbacks on a team
+//    the host borrows from the team runtime; omp.barrier calls the team
+//    barrier.
 // scf.parallel and polygeist.barrier (SIMT modules, which only the VM's
 // lockstep engine runs) are rejected with a diagnostic naming the op and
 // its function, as is a function that returns a memref.

@@ -1,6 +1,6 @@
 // The native execution tier: a module the session compiled, emitted as
 // one C unit (native/emit.h), built once into a shared object and run on
-// the runtime's thread pool exactly as vm::Interp runs its bytecode. Its
+// the team runtime exactly as vm::Interp runs its bytecode. Its
 // outputs are byte-identical to the VM's.
 //
 // Build (Module::build). The emitted unit is compiled by the C++ compiler
@@ -26,10 +26,12 @@
 // boundsCheck=false, on inputs the caller vouches for.
 //
 // Execution (Executor). Parallelism goes through runtime::ThreadPool, not
-// libgomp: an omp.parallel body runs on a pool team, so team size, the
-// nested policy and barriers are the runtime's, and no second thread pool
-// spins beside the caller's (MocCUDA's GEMM pool, say). Each call and each
-// team member gets a fresh vm::Arena, as on the VM.
+// libgomp: an omp.parallel body runs on a team borrowed from the process's
+// one team runtime (runtime/thread_pool.h), so team size, the nested
+// policy and barriers are the runtime's, and native code shares its
+// workers with every other caller in the process (MocCUDA's GEMM
+// parallelFor, say) instead of starting threads of its own. Each call and
+// each team member gets a fresh vm::Arena, as on the VM.
 #pragma once
 
 #include "driver/compiler.h"
@@ -95,8 +97,9 @@ public:
   vm::CallResult tryRun(const std::string &fn,
                         const std::vector<driver::Executor::Arg> &args);
 
-  /// The callbacks a unit calls, with the pool they run teams on; `table`
-  /// comes first, so a unit's `ctx->host` points at the whole Host.
+  /// The callbacks a unit calls, with the handle they borrow teams
+  /// through; `table` comes first, so a unit's `ctx->host` points at the
+  /// whole Host.
   struct Host {
     abi::pl_host table;
     runtime::ThreadPool *pool;

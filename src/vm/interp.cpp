@@ -445,10 +445,8 @@ void Interp::execParallelOmp(const BCFunction &fn, const Closure &c,
     captures.push_back(regs[r]);
   (void)fn;
   // A trap in a team member is thrown again here once the region joins,
-  // so it still reaches the tryCall boundary. Caveat: a trapped thread
-  // stops participating in team barriers, so bytecode with a barrier
-  // *after* the trap point can stall its siblings — acceptable for
-  // trap-on-hostile-input, which aborts the request anyway.
+  // so it still reaches the tryCall boundary; its siblings leave their
+  // barriers instead of waiting for it.
   pool_.parallelContained([&](unsigned tid, Team &team) {
     std::vector<Slot> frame(body.numRegs);
     std::copy(captures.begin(), captures.end(), frame.begin());

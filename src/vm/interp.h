@@ -1,4 +1,4 @@
-// The ParaLift VM: executes bytecode on the thread-pool runtime.
+// The ParaLift VM: executes bytecode on the team runtime.
 //
 // Three execution regimes:
 //  - plain serial interpretation (host code, serialized loops);

@@ -13,6 +13,8 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "moccuda/resnet.h"
+#include "rodinia/rodinia.h"
+#include "support/metrics.h"
 #include "transforms/passes.h"
 #include "runtime/thread_pool.h"
 #include "vm/compile.h"
@@ -20,13 +22,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <future>
 #include <limits>
 #include <malloc.h>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <thread>
 
 using namespace paralift;
 using namespace paralift::runtime;
@@ -964,4 +972,244 @@ void run(float* a, float* b, int n, int m) { rowsum<<<n, 1>>>(a, b, m); }
                    int64_t(m)});
   for (int i = 0; i < n; ++i)
     EXPECT_FLOAT_EQ(b[i], 2.0f * (m * i * m + m * (m - 1) / 2.0f)) << i;
+}
+
+//===----------------------------------------------------------------------===//
+// One team runtime for the process: concurrent callers, failing members,
+// counters
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs `fn` on another thread and fails the test binary, instead of
+/// hanging it, when `fn` has not returned within 10 s.
+void withWatchdog(const std::string &what, const std::function<void()> &fn) {
+  auto run = std::async(std::launch::async, fn);
+  if (run.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << what << " did not return within 10 s";
+    std::fflush(stdout);
+    std::_Exit(1); // the hung thread can be neither joined nor abandoned
+  }
+  run.get();
+}
+
+/// `run(buf, lb, ub, step)`: an omp.wsloop over [lb, ub) that stores 1
+/// into buf[iv], then an omp.barrier, in one omp.parallel.
+ir::OwnedModule storeThenBarrierModule() {
+  const char *text = R"(module {
+  func {sym_name = "run", res_types = []} {
+    [%0: memref<?xi32>, %1: index, %2: index, %3: index]:
+    omp.parallel {
+      omp.wsloop(%1, %2, %3) {dims = 1} {
+        [%4: index]:
+        %5 = const.int {value = 1} : i32
+        memref.store(%5, %0, %4)
+        yield
+      }
+      omp.barrier
+      yield
+    }
+    return
+  }
+}
+)";
+  DiagnosticEngine diag;
+  auto m = ir::parseModule(text, diag);
+  EXPECT_TRUE(m.has_value()) << diag.str();
+  return std::move(*m);
+}
+
+uint64_t counter(const char *name) {
+  return metrics::MetricsRegistry::instance().counterValue(name);
+}
+
+/// The Rodinia CUDA source `id` through the full pipeline.
+driver::CompileResult compileRodinia(const std::string &id) {
+  const rodinia::Benchmark *b = rodinia::find(id);
+  EXPECT_NE(b, nullptr) << id;
+  DiagnosticEngine diag;
+  driver::CompileResult cc =
+      driver::compile(b->cudaSource, transforms::PipelineOptions{}, diag);
+  EXPECT_TRUE(cc.ok) << id << ": " << diag.str();
+  return cc;
+}
+
+/// Every buffer of `id`'s scale-1 workload after one call of `exec`.
+std::pair<std::vector<float>, std::vector<int32_t>>
+runRodinia(driver::Executor &exec, const std::string &id) {
+  rodinia::Workload w = rodinia::find(id)->makeWorkload(1);
+  vm::CallResult r = exec.tryRun("run", w.args());
+  EXPECT_TRUE(r.ok()) << id << ": " << r.error;
+  return {w.floatState(), w.intState()};
+}
+
+} // namespace
+
+TEST(TeamRuntimeTest, TrapBeforeBarrierFailsTheRegion) {
+  // The members whose chunks run past the 8-element buffer trap before
+  // the barrier; the others must leave it, not wait for them.
+  ir::OwnedModule m = storeThenBarrierModule();
+  for (unsigned team : {2u, 4u}) {
+    SCOPED_TRACE("team " + std::to_string(team));
+    std::vector<int32_t> buf(8);
+    driver::Executor exec(m.get(), team, /*boundsCheck=*/true);
+    auto call = [&](int64_t ub) {
+      vm::CallResult r;
+      withWatchdog("team " + std::to_string(team) + " tryRun", [&] {
+        r = exec.tryRun("run", {driver::Executor::bufferI32(buf.data(), {8}),
+                                int64_t(0), ub, int64_t(1)});
+      });
+      return r;
+    };
+    vm::CallResult trapped = call(16);
+    ASSERT_FALSE(trapped.ok());
+    EXPECT_NE(trapped.error.find("out of bounds"), std::string::npos)
+        << trapped.error;
+    // The team is whole again for the next call.
+    buf.assign(8, 0);
+    vm::CallResult ok = call(8);
+    EXPECT_TRUE(ok.ok()) << ok.error;
+    EXPECT_EQ(buf, std::vector<int32_t>(8, 1));
+  }
+}
+
+TEST(TeamRuntimeTest, FirstFailureIsRethrownAfterTheJoin) {
+  ThreadPool pool(4);
+  std::atomic<int> leftBarrier{0};
+  try {
+    pool.parallel([&](unsigned tid, Team &team) {
+      if (tid == 2)
+        throw std::runtime_error("member 2 failed");
+      try {
+        team.barrier();
+      } catch (...) {
+        leftBarrier.fetch_add(1);
+        throw;
+      }
+    });
+    ADD_FAILURE() << "parallel() returned normally";
+  } catch (const std::runtime_error &e) {
+    EXPECT_STREQ(e.what(), "member 2 failed");
+  }
+  EXPECT_EQ(leftBarrier.load(), 3);
+  EXPECT_FALSE(ThreadPool::insideParallel());
+}
+
+TEST(TeamRuntimeTest, ConcurrentCallersGetTheTeamsTheyAskFor) {
+  // Teams of 4 and 3 at once: seven active members on a 4-vCPU host.
+  const struct {
+    const char *id;
+    unsigned team;
+  } callers[] = {{"srad_v1", 4}, {"hotspot", 3}};
+  struct Caller {
+    driver::CompileResult cc;
+    std::unique_ptr<driver::Executor> exec;
+    std::pair<std::vector<float>, std::vector<int32_t>> alone;
+  };
+  std::vector<Caller> cs(2);
+  for (int i = 0; i < 2; ++i) {
+    cs[i].cc = compileRodinia(callers[i].id);
+    ASSERT_TRUE(cs[i].cc.ok);
+    cs[i].exec = std::make_unique<driver::Executor>(
+        cs[i].cc.module.get(), callers[i].team, /*boundsCheck=*/true);
+    cs[i].alone = runRodinia(*cs[i].exec, callers[i].id);
+  }
+  std::atomic<int> wrongSize{0}, wrongMembers{0}, wrongOutput{0};
+  auto caller = [&](int i) {
+    ThreadPool handle(callers[i].team);
+    for (int round = 0; round < 8; ++round) {
+      if (runRodinia(*cs[i].exec, callers[i].id) != cs[i].alone)
+        wrongOutput.fetch_add(1);
+      std::atomic<uint32_t> tids{0};
+      handle.parallel([&](unsigned tid, Team &team) {
+        if (team.size() != callers[i].team)
+          wrongSize.fetch_add(1);
+        tids.fetch_or(1u << tid);
+        team.barrier();
+      });
+      if (tids.load() != (1u << callers[i].team) - 1)
+        wrongMembers.fetch_add(1);
+    }
+  };
+  std::thread other(caller, 1);
+  caller(0);
+  other.join();
+  EXPECT_EQ(wrongSize.load(), 0);
+  EXPECT_EQ(wrongMembers.load(), 0);
+  EXPECT_EQ(wrongOutput.load(), 0);
+}
+
+TEST(TeamRuntimeTest, SessionCompilesBesideAnExecutor) {
+  ir::OwnedModule m = wsloopCounterModule(1);
+  std::atomic<bool> compiling{true};
+  std::atomic<int> calls{0}, wrong{0};
+  std::thread executor([&] {
+    driver::Executor exec(m.get(), 4);
+    do {
+      std::vector<int32_t> counts(64);
+      vm::CallResult r =
+          exec.tryRun("run", {driver::Executor::bufferI32(counts.data(), {64}),
+                              int64_t(0), int64_t(64), int64_t(1)});
+      if (!r.ok() || counts != std::vector<int32_t>(64, 1))
+        wrong.fetch_add(1);
+      calls.fetch_add(1);
+    } while (compiling.load());
+  });
+  driver::SessionOptions so;
+  so.threads = 4;
+  driver::CompilerSession session(so);
+  std::vector<driver::CompileJob *> jobs;
+  for (const char *id : {"bfs", "hotspot", "nw", "srad_v1", "pathfinder",
+                         "backprop_layerforward"})
+    jobs.push_back(&session.addSource(id, rodinia::find(id)->cudaSource));
+  session.compileAll();
+  compiling.store(false);
+  executor.join();
+  for (driver::CompileJob *job : jobs)
+    EXPECT_TRUE(job->ok()) << job->name() << ": " << job->diagnostics().str();
+  EXPECT_GT(calls.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(TeamRuntimeTest, ShortRegionsWithBarriersOverManyHandles) {
+  std::vector<std::unique_ptr<ThreadPool>> handles;
+  for (int i = 0; i < 32; ++i)
+    handles.push_back(std::make_unique<ThreadPool>(4));
+  std::atomic<int> wrong{0};
+  for (int i = 0; i < 10000; ++i) {
+    ThreadPool &pool = *handles[i % 32];
+    unsigned size = 1 + i % 4;
+    pool.setNumThreads(size);
+    std::atomic<unsigned> phase{0};
+    pool.parallel([&](unsigned, Team &team) {
+      if (team.size() != size)
+        wrong.fetch_add(1);
+      phase.fetch_add(1);
+      team.barrier();
+      if (phase.load() != size)
+        wrong.fetch_add(1);
+      team.barrier();
+      phase.fetch_add(1);
+    });
+    if (phase.load() != 2 * size)
+      wrong.fetch_add(1);
+  }
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(TeamRuntimeTest, CountersAddACallsOwnRegionsAndBarriers) {
+  // srad_v1's CUDA call at scale 12 makes 48 regions and 12 barrier
+  // episodes; the counts do not depend on the team size.
+  driver::CompileResult cc = compileRodinia("srad_v1");
+  ASSERT_TRUE(cc.ok);
+  for (unsigned team : {1u, 4u}) {
+    SCOPED_TRACE("team " + std::to_string(team));
+    driver::Executor exec(cc.module.get(), team, /*boundsCheck=*/false);
+    rodinia::Workload w = rodinia::find("srad_v1")->makeWorkload(12);
+    uint64_t regions = counter("runtime.regions");
+    uint64_t barriers = counter("runtime.barriers");
+    ASSERT_TRUE(exec.tryRun("run", w.args()).ok());
+    EXPECT_EQ(counter("runtime.regions") - regions, 48u);
+    EXPECT_EQ(counter("runtime.barriers") - barriers, 12u);
+  }
 }
